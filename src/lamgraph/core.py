@@ -4,8 +4,8 @@ Vertices carry one of four labels: application (binary), abstraction
 (unary), variable occurrence, and scope delimiter.  A signature variant
 fixes whether variable and delimiter vertices carry back-link edges to
 the abstraction they belong to.  Graphs are immutable; every vertex is
-reachable from the root; vertex ids are dense integers assigned in
-depth-first preorder (lowest edge index first) at construction time.
+reachable from the root; vertex ids are dense integers 0..n-1, which
+``build`` assigns in the insertion order of its maps.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def build(
     """Construct a validated term graph, rejecting unreachable vertices.
 
     The label and successor maps must share one key set containing the
-    root.  Vertices are renumbered to depth-first preorder; original
+    root.  Vertices are numbered in the maps' insertion order; original
     keys survive as vertex names.
     """
     g, pruned = _build_common(variant, labels, successors, root)

@@ -1,16 +1,21 @@
 """Functional bisimulation, collapse, and maximal sharing.
 
-The collapse computes the coarsest partition compatible with labels and
-indexed successors by plain signature refinement to a fixpoint; graphs
-here are small and correctness outranks asymptotics (a worklist or
-Hopcroft-style refinement is the documented upgrade path).  Block ids
-are canonicalized by first-visit order from the root so the quotient's
-vertex numbering is deterministic.
+A term graph is a deterministic automaton over the edge indices {0, 1},
+so its bisimulation collapse is DFA minimization.  ``coarsest_partition``
+computes the coarsest partition compatible with labels and indexed
+successors by Hopcroft partition refinement in O(m log n) for n vertices
+and m edges (Valmari & Lehtinen, STACS 2008, for partial transition
+functions): start from the label classes, split by predecessor sets, and
+after each split refine only by the smaller half.  Block ids are then
+numbered once by first visit in a depth-first walk from the root that
+takes the lowest edge index first, so the quotient's vertex numbering is
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     GraphError,
@@ -18,9 +23,7 @@ from .core import (
     TermGraph,
     VariantMismatch,
     VertexMap,
-    build,
     find_homomorphism,
-    isomorphic,
 )
 from .delimited import DelimitedGraph, is_eager_scope
 from .scoped import PrefixedGraph, ScopedGraph
@@ -68,26 +71,71 @@ class Partition:
 
 def coarsest_partition(g: TermGraph) -> Partition:
     """Coarsest partition compatible with labels and indexed successors."""
-    block = _renumber(g, {v: g.labels[v] for v in g.vertices()})
-    while True:
-        sig = {
-            v: (block[v], tuple(block[w] for w in g.args[v])) for v in g.vertices()
-        }
-        refined = _renumber(g, sig)
-        if len(set(refined.values())) == len(set(block.values())):
-            block = refined
-            break
-        block = refined
+    block = _renumber(g, _refine(g.labels, g.args))
     return Partition(
-        block=tuple(block[v] for v in g.vertices()),
-        block_count=len(set(block.values())),
+        block=tuple(block),
+        block_count=max(block) + 1,
         root_block=block[g.root],
     )
 
 
-def _renumber(g: TermGraph, keys: dict) -> dict[int, int]:
+def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> list[int]:
+    """Coarsest stable partition as vertex -> block id, ids arbitrary.
+
+    Hopcroft refinement: a splitter (b, k) separates, inside every
+    block, the vertices whose k-th successor lies in block b from the
+    rest.  A block that splits keeps its id for the part not hit and
+    hands the hit part a new id, so a split costs the number of hits.
+    Blocks start as the label classes, so every vertex in a block has
+    the same arity; after a split the smaller half suffices as a new
+    splitter for each index whose splitter for the whole block was
+    already spent.
+    """
+    classes: dict[Label, set[int]] = {}
+    for v, lab in enumerate(labels):
+        classes.setdefault(lab, set()).add(v)
+    members = list(classes.values())
+    block = [0] * len(labels)
+    for b, vs in enumerate(members):
+        for v in vs:
+            block[v] = b
+    preds: tuple[list[list[int]], ...] = ([[] for _ in labels], [[] for _ in labels])
+    for v, out in enumerate(args):
+        for k, w in enumerate(out):
+            preds[k][w].append(v)
+    pending = [[True] * len(members), [True] * len(members)]
+    work = [(b, k) for b in range(len(members)) for k in (0, 1)]
+    while work:
+        b, k = work.pop()
+        pending[k][b] = False
+        into = preds[k]
+        hit: dict[int, list[int]] = {}
+        for w in members[b]:
+            for v in into[w]:
+                hit.setdefault(block[v], []).append(v)
+        for x, vs in hit.items():
+            if len(vs) == len(members[x]):
+                continue
+            y = len(members)
+            members[x].difference_update(vs)
+            members.append(set(vs))
+            for v in vs:
+                block[v] = y
+            for j in (0, 1):
+                if pending[j][x]:
+                    work.append((y, j))
+                    pending[j].append(True)
+                else:
+                    smaller = y if len(vs) <= len(members[x]) else x
+                    work.append((smaller, j))
+                    pending[j].append(False)
+                    pending[j][smaller] = True
+    return block
+
+
+def _renumber(g: TermGraph, keys: Sequence[int]) -> list[int]:
     # Assign dense block ids in first-visit DFS order (lowest index first).
-    order: dict = {}
+    order: dict[int, int] = {}
     seen = set()
     stack = [g.root]
     while stack:
@@ -95,44 +143,42 @@ def _renumber(g: TermGraph, keys: dict) -> dict[int, int]:
         if v in seen:
             continue
         seen.add(v)
-        if keys[v] not in order:
-            order[keys[v]] = len(order)
+        order.setdefault(keys[v], len(order))
         stack.extend(reversed(g.args[v]))
-    return {v: order[keys[v]] for v in g.vertices()}
+    return [order[k] for k in keys]
 
 
 def collapse(g: TermGraph) -> tuple[TermGraph, VertexMap]:
     """The bisimulation collapse and the projection map onto it.
 
     The projection is a homomorphism, and no nontrivial homomorphism
-    leaves the result.  Each block is represented by its minimal vertex
-    id; the root's block becomes the new root.
+    leaves the result.  Quotient vertex b is block b of
+    ``coarsest_partition``; it takes the label, successors and name of
+    the block's minimal vertex.  The root's block becomes the new root.
     """
     part = coarsest_partition(g)
-    rep: dict[int, int] = {}
-    for v in g.vertices():
-        b = part.block[v]
-        if b not in rep or v < rep[b]:
-            rep[b] = v
-    # Quotient vertices come out in block-id order, i.e. first DFS visit.
-    blocks = range(part.block_count)
-    labels = {g.names[rep[b]]: g.labels[rep[b]] for b in blocks}
-    succ = {
-        g.names[rep[b]]: [g.names[rep[part.block[w]]] for w in g.args[rep[b]]]
-        for b in blocks
-    }
-    quotient = build(g.variant, labels, succ, g.names[rep[part.root_block]])
-    mapping = {
-        v: quotient.id_of(g.names[rep[part.block[v]]]) for v in g.vertices()
-    }
-    return quotient, mapping
+    block = part.block
+    rep = [-1] * part.block_count
+    for v in reversed(g.vertices()):
+        rep[block[v]] = v
+    quotient = TermGraph(
+        variant=g.variant,
+        labels=tuple(g.labels[r] for r in rep),
+        args=tuple(tuple(block[w] for w in g.args[r]) for r in rep),
+        root=part.root_block,
+        names=tuple(g.names[r] for r in rep),
+    )
+    return quotient, dict(enumerate(block))
 
 
 def are_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
-    """Bisimilarity via collapse-and-compare on one verified engine."""
+    """Bisimilarity: do the roots share a block of the disjoint union?"""
     if g1.variant != g2.variant:
         raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
-    return isomorphic(collapse(g1)[0], collapse(g2)[0]) is not None
+    n = g1.vertex_count
+    shifted = tuple(tuple(n + w for w in out) for out in g2.args)
+    block = _refine(g1.labels + g2.labels, g1.args + shifted)
+    return block[g1.root] == block[n + g2.root]
 
 
 def is_label_restricted(h: VertexMap, g1: TermGraph, label: Label) -> bool:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from lamgraph import (
     Abs,
     App,
@@ -164,4 +166,24 @@ def random_graph(rng: random.Random, max_vertices: int = 8) -> TermGraph:
         for i in range(n)
     }
     g, _ = build_pruned(variant, labels, succ, names[0])
+    return g
+
+
+@st.composite
+def graphs(
+    draw, variant: SignatureVariant | None = None, max_vertices: int = 8
+) -> TermGraph:
+    """Hypothesis strategy with the shapes of ``random_graph``."""
+    if variant is None:
+        variant = draw(st.sampled_from(ALL_VARIANTS))
+    n = draw(st.integers(1, max_vertices))
+    allowed = [Label.APP, Label.ABS, Label.VAR]
+    if variant.del_arity is not None:
+        allowed.append(Label.DEL)
+    labels = {f"n{i}": draw(st.sampled_from(allowed)) for i in range(n)}
+    succ = {
+        v: [f"n{draw(st.integers(0, n - 1))}" for _ in range(variant.arity(lab))]
+        for v, lab in labels.items()
+    }
+    g, _ = build_pruned(variant, labels, succ, "n0")
     return g

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from lamgraph import TermGraph
+from lamgraph import Partition, TermGraph
 
 
 def all_partitions(items: list) -> list[list[list]]:
@@ -52,6 +52,46 @@ def brute_coarsest_partition(g: TermGraph) -> frozenset[frozenset[int]]:
     minimal = [p for p in candidates if len(p) == best]
     assert len(minimal) == 1, "coarsest compatible partition is not unique"
     return frozenset(frozenset(b) for b in minimal[0])
+
+
+def signature_refinement_partition(g: TermGraph) -> Partition:
+    """Coarsest compatible partition by naive signature refinement.
+
+    Each round splits blocks by (block, successor blocks) and renumbers
+    by first visit in a depth-first walk from the root, lowest edge index
+    first, until the block count stops growing: one O(n) round per
+    level, so quadratic on chains, but simple enough to trust.
+    """
+
+    def renumber(keys: dict) -> dict[int, int]:
+        order: dict = {}
+        seen = set()
+        stack = [g.root]
+        while stack:
+            v = stack.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            if keys[v] not in order:
+                order[keys[v]] = len(order)
+            stack.extend(reversed(g.args[v]))
+        return {v: order[keys[v]] for v in g.vertices()}
+
+    block = renumber({v: g.labels[v] for v in g.vertices()})
+    while True:
+        sig = {
+            v: (block[v], tuple(block[w] for w in g.args[v])) for v in g.vertices()
+        }
+        refined = renumber(sig)
+        done = len(set(refined.values())) == len(set(block.values()))
+        block = refined
+        if done:
+            break
+    return Partition(
+        block=tuple(block[v] for v in g.vertices()),
+        block_count=len(set(block.values())),
+        root_block=block[g.root],
+    )
 
 
 def all_homomorphisms(g1: TermGraph, g2: TermGraph) -> list[dict[int, int]]:

@@ -1,22 +1,28 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from generators import random_graph, random_quotient, random_term
+from generators import graphs, random_graph, random_quotient, random_term
 from oracles import (
     all_homomorphisms,
     brute_coarsest_partition,
     relational_bisimilar,
+    signature_refinement_partition,
 )
 
 from lamgraph import (
     DelimitedGraph,
     Label,
     NotEagerScope,
+    SignatureVariant,
     PrefixedGraph,
     ScopedGraph,
     VariantMismatch,
     are_bisimilar,
+    build,
     coarsest_partition,
     collapse,
     find_homomorphism,
@@ -29,6 +35,7 @@ from lamgraph import (
     lift_homomorphism,
     max_share_ho,
     parse_graph,
+    parse_term,
     prefix_to_scope,
     scope_to_prefix,
     strip_delimiters,
@@ -178,6 +185,91 @@ def test_collapse_partition_matches_brute_force_oracle():
             continue
         assert coarsest_partition(g).as_blocks() == brute_coarsest_partition(g)
         checked += 1
+
+
+def test_partition_matches_signature_refinement_on_random_terms():
+    rng = random.Random(408)
+    for i in range(240):
+        term = random_term(rng, depth=rng.randint(1, 5))
+        g = term_to_graph(term, rng=rng if i % 3 == 0 else None).graph
+        assert coarsest_partition(g) == signature_refinement_partition(g)
+
+
+def _structured_terms(n: int) -> list[str]:
+    xs = [f"x{i}" for i in range(n)]
+    nest = "x"
+    church = "x"
+    for _ in range(n - 1):
+        nest = f"x ({nest})"
+    for _ in range(n):
+        church = f"f ({church})"
+    return [
+        r"\x. " + " ".join(["x"] * n),
+        rf"\x. {nest}",
+        rf"\f. \x. {church}",
+        "".join(rf"\{x}. " for x in xs) + " ".join(xs),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128])
+def test_partition_matches_signature_refinement_on_structured_terms(n):
+    for text in _structured_terms(n):
+        g = term_to_graph(parse_term(text)).graph
+        assert coarsest_partition(g) == signature_refinement_partition(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_partition_and_bisimilarity_match_oracles_hypothesis(data):
+    g1 = data.draw(graphs(max_vertices=10))
+    g2 = data.draw(graphs(variant=g1.variant, max_vertices=10))
+    assert coarsest_partition(g1) == signature_refinement_partition(g1)
+    assert are_bisimilar(g1, g2) == relational_bisimilar(g1, g2)
+
+
+DEEP = 10**4
+
+
+def test_collapse_deep_spine_in_closed_form():
+    # \x. x x ... x with n occurrences: 2n vertices over (1,2), one
+    # refinement level per application, and n + 1 vertices in the quotient.
+    n = DEEP // 2
+    labels = {"l": Label.ABS}
+    succ = {"l": [f"a{n - 1}"]}
+    for i in range(n):
+        labels[f"v{i}"] = Label.VAR
+        succ[f"v{i}"] = ["l"]
+    for i in range(1, n):
+        labels[f"a{i}"] = Label.APP
+        succ[f"a{i}"] = [f"a{i - 1}" if i > 1 else "v0", f"v{i}"]
+    g = build(SignatureVariant(1, 2), labels, succ, "l")
+    assert g.vertex_count == DEEP
+    start = time.perf_counter()
+    quotient, mapping = collapse(g)
+    assert time.perf_counter() - start < 3
+    assert quotient.vertex_count == n + 1
+    assert len(quotient.vertices_labeled(Label.VAR)) == 1
+    assert len(quotient.vertices_labeled(Label.APP)) == n - 1
+    assert find_homomorphism(g, quotient) == mapping
+
+
+def _delimited_cycle(n: int, period: int):
+    # A cycle of n unary vertices over (0,1) with a delimiter at every
+    # multiple of the period and abstractions elsewhere.
+    labels = {f"c{i}": Label.ABS if i % period else Label.DEL for i in range(n)}
+    succ = {f"c{i}": [f"c{(i + 1) % n}"] for i in range(n)}
+    return build(SignatureVariant(0, 1), labels, succ, "c0")
+
+
+@pytest.mark.parametrize("period", [16, DEEP])
+def test_collapse_deep_cycle_in_closed_form(period):
+    g = _delimited_cycle(DEEP, period)
+    start = time.perf_counter()
+    quotient, _ = collapse(g)
+    assert are_bisimilar(g, _delimited_cycle(period, period))
+    assert not are_bisimilar(g, _delimited_cycle(period + 1, period + 1))
+    assert time.perf_counter() - start < 3
+    assert quotient.vertex_count == period
 
 
 def test_collapse_is_terminal():
