@@ -340,18 +340,6 @@ def isomorphic(g1: TermGraph, g2: TermGraph) -> VertexMap | None:
     return h
 
 
-def reachable_from(g: TermGraph, v: int) -> set[int]:
-    seen = {v}
-    stack = [v]
-    while stack:
-        u = stack.pop()
-        for w in g.args[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def simple_root_paths(g: TermGraph, v: int) -> list[Path]:
     """Every access path of v, by exhaustive backtracking (small graphs)."""
     v = g.resolve(v)

@@ -18,7 +18,6 @@ from .scoped import (
     PrefixFn,
     ValidationReport,
     Violation,
-    _is_word_prefix,
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
@@ -139,12 +138,25 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     """True iff the last abstraction of every nonempty prefix is reachable.
 
     Reachability is plain directed reachability, back-link edges included.
+    Vertices are grouped by prefix word W with last entry v, and each group
+    takes one backward search from v through the region of vertices whose
+    words extend W: O(n + m + sum of |prefix(w)|) in all.  A group with a
+    member left unreached searches again over the whole graph, O(n + m)
+    more; on eager (1,2) graphs no group does.
     """
-    from .core import reachable_from
-
-    for w, word in g.prefixes.items():
-        if word and word[-1] not in reachable_from(g.graph, w):
-            return False
+    graph, prefixes = g.graph, g.prefixes
+    preds = _predecessors(graph)
+    depth = [len(prefixes[u]) for u in graph.vertices()]
+    for word, members in _groups(prefixes).items():
+        v = word[-1]
+        # Words are repeat-free and W ends in v, so a predecessor of v
+        # lies in the region only if its word is W itself.
+        entries = [p for p in preds[v] if prefixes[p] == word]
+        reached = _reach_back(preds, depth, len(word), entries)
+        if any(w not in reached for w in members):
+            reached = _reach_back(preds, depth, 0, [v])
+            if any(w not in reached for w in members):
+                return False
     return True
 
 
@@ -158,32 +170,75 @@ def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
     no remaining occurrences could never satisfy the condition, and its
     chain target carries its own obligation.  ``strict=True`` quantifies
     over delimiter vertices as well.
+
+    Vertices with the same word share that search region, so one backward
+    search per distinct word decides them all: O(n + m + sum of
+    |prefix(w)|).
     """
+    return _non_eager_vertex(g, strict) is None
+
+
+def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
+    """A vertex that violates the eager-scope condition, or None."""
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
-    graph = g.graph
-    for w, word in g.prefixes.items():
-        if not word:
-            continue
-        if graph.labels[w] is Label.DEL and not strict:
-            continue
-        if not _eager_at(graph, g.prefixes, w, word[-1]):
-            return False
-    return True
+    graph, prefixes = g.graph, g.prefixes
+    labels = graph.labels
+    preds = _predecessors(graph)
+    depth = [len(prefixes[u]) for u in graph.vertices()]
+    for word, members in _groups(prefixes).items():
+        # A variable back-linking to v = W[-1] lies in W's region only if
+        # its word is W itself (its word ends in v, and words are
+        # repeat-free).
+        uses = [u for u in members if labels[u] is Label.VAR]
+        reached = _reach_back(preds, depth, len(word), uses)
+        for w in members:
+            if w not in reached and (strict or labels[w] is not Label.DEL):
+                return w
+    return None
 
 
-def _eager_at(graph: TermGraph, prefixes: PrefixFn, w: int, v: int) -> bool:
-    # Search the region whose prefixes extend prefixes[w] for a variable
-    # vertex back-linking to v.  w itself may be that variable.
-    base = prefixes[w]
-    seen = {w}
-    stack = [w]
+def _non_eager_reason(g: DelimitedGraph, w: int) -> str:
+    names = g.graph.names
+    binder = names[g.prefixes[w][-1]]
+    return f"{names[w]} reaches no occurrence of {binder} within its scope"
+
+
+def _predecessors(graph: TermGraph) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in graph.vertices()]
+    for u, succ in enumerate(graph.args):
+        for t in succ:
+            preds[t].append(u)
+    return preds
+
+
+def _groups(prefixes: PrefixFn) -> dict[tuple[int, ...], list[int]]:
+    """The vertices with a nonempty prefix, grouped by their word."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for w, word in prefixes.items():
+        if word:
+            groups.setdefault(word, []).append(w)
+    return groups
+
+
+def _reach_back(
+    preds: list[list[int]], depth: list[int], floor: int, sources: list[int]
+) -> set[int]:
+    """Every vertex with a path to a source through vertices whose words
+    have at least ``floor`` entries.
+
+    With a correct prefix function an edge keeps, pushes or pops one word
+    entry, so from a vertex whose word extends a word W of length
+    ``floor``, the predecessors whose words also extend W are exactly
+    those with at least ``floor`` entries: the search stays inside W's
+    region given sources inside it.
+    """
+    seen = set(sources)
+    stack = list(seen)
     while stack:
         u = stack.pop()
-        if graph.labels[u] is Label.VAR and graph.args[u] and graph.args[u][0] == v:
-            return True
-        for t in graph.args[u]:
-            if t not in seen and _is_word_prefix(base, prefixes[t]):
-                seen.add(t)
-                stack.append(t)
-    return False
+        for p in preds[u]:
+            if p not in seen and depth[p] >= floor:
+                seen.add(p)
+                stack.append(p)
+    return seen

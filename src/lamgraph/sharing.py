@@ -25,7 +25,7 @@ from .core import (
     VertexMap,
     find_homomorphism,
 )
-from .delimited import DelimitedGraph, is_eager_scope
+from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
 from .scoped import PrefixedGraph, ScopedGraph
 from .transforms import (
     insert_delimiters,
@@ -48,7 +48,15 @@ __all__ = [
 
 
 class NotEagerScope(GraphError):
-    """Maximal sharing requested for a graph outside the eager class."""
+    """Maximal sharing requested for a graph outside the eager class.
+
+    ``vertex`` names the witness in the input's delimited form: a vertex
+    that reaches no occurrence of its innermost binder within its scope.
+    """
+
+    def __init__(self, message: str, vertex: str | None = None):
+        self.vertex = vertex
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -240,7 +248,12 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     if h.graph.variant.var_arity != 1 or h.graph.variant.del_arity is not None:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
     delimited = insert_delimiters(scope_to_prefix(h), 2)
-    if not is_eager_scope(delimited):
-        raise NotEagerScope("the delimited form of the input is not eager-scope")
+    w = _non_eager_vertex(delimited)
+    if w is not None:
+        raise NotEagerScope(
+            "the delimited form of the input is not eager-scope: "
+            + _non_eager_reason(delimited, w),
+            delimited.graph.names[w],
+        )
     collapsed, _ = collapse(delimited.graph)
     return prefix_to_scope(strip_delimiters(DelimitedGraph.from_graph(collapsed)))

@@ -20,7 +20,12 @@ import random
 from dataclasses import dataclass, field
 
 from .core import Label, SignatureVariant, build_pruned
-from .delimited import DelimitedGraph, is_eager_scope, is_fully_back_linked
+from .delimited import (
+    DelimitedGraph,
+    _non_eager_reason,
+    _non_eager_vertex,
+    is_fully_back_linked,
+)
 from .terms import Abs, App, Letrec, Term, UnboundVariable, Var
 
 
@@ -144,16 +149,21 @@ def _compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
                 changed = True
 
     def annotate(node: _RNode) -> None:
+        # Each node's set comes from its children's, so this is one pass.
         if isinstance(node, _RApp):
             annotate(node.fun)
             annotate(node.arg)
+            node.fv = node.fun.fv | node.arg.fv
         elif isinstance(node, _RAbs):
             annotate(node.body)
+            node.fv = node.body.fv - {node.binder}
         elif isinstance(node, _RLetrec):
             for _, _, term in node.bindings:
                 annotate(term)
             annotate(node.body)
-        node.fv = fv(node)
+            node.fv = node.body.fv
+        else:
+            node.fv = fv(node)
 
     annotate(root)
 
@@ -174,8 +184,9 @@ def _mark_live(root: _RNode) -> None:
             group = {ident for ident, _, _ in node.bindings}
             term_of = {ident: term for ident, _, term in node.bindings}
             live: set[int] = set()
-            frontier = list(exposed(node.body) & group)
-            external = set(exposed(node.body) - group)
+            body = exposed(node.body)
+            frontier = list(body & group)
+            external = set(body - group)
             while frontier:
                 b = frontier.pop()
                 if b in live:
@@ -361,11 +372,18 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
         result = DelimitedGraph.from_graph(graph)
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
+    id_of = {name: v for v, name in enumerate(graph.names)}
     for name, word in tr.b.expected_prefix.items():
-        got = result.prefixes[graph.id_of(name)]
-        if got != tuple(graph.id_of(x) for x in word):
+        got = result.prefixes[id_of[name]]
+        if got != tuple(id_of[x] for x in word):
             raise InternalValidationFailure(f"prefix mismatch at {name}")
     if rng is None:
-        if not is_eager_scope(result) or not is_fully_back_linked(result):
-            raise InternalValidationFailure("eager translation produced a non-eager graph")
+        w = _non_eager_vertex(result)
+        if w is not None:
+            raise InternalValidationFailure(
+                "eager translation produced a non-eager graph: "
+                + _non_eager_reason(result, w)
+            )
+        if not is_fully_back_linked(result):
+            raise InternalValidationFailure("eager translation is not fully back-linked")
     return result

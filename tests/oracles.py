@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from lamgraph import Partition, TermGraph
+from lamgraph import DelimitedGraph, Label, Partition, TermGraph, VariantMismatch
 
 
 def all_partitions(items: list) -> list[list[list]]:
@@ -92,6 +92,69 @@ def signature_refinement_partition(g: TermGraph) -> Partition:
         block_count=len(set(block.values())),
         root_block=block[g.root],
     )
+
+
+def per_vertex_fully_back_linked(g: DelimitedGraph) -> bool:
+    """True iff the last abstraction of every nonempty prefix is reachable.
+
+    One forward search per vertex; reachability is plain directed
+    reachability, back-link edges included.
+    """
+
+    def reachable_from(graph: TermGraph, v: int) -> set[int]:
+        seen = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in graph.args[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    for w, word in g.prefixes.items():
+        if word and word[-1] not in reachable_from(g.graph, w):
+            return False
+    return True
+
+
+def per_vertex_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
+    """Eager-scope check by one forward search per vertex.
+
+    For each vertex w whose prefix ends with abstraction v there must be
+    a path from w to a variable vertex back-linking to v, moving only
+    through vertices whose prefixes extend w's.  Delimiter vertices are
+    exempt as path sources unless ``strict``.
+    """
+    if g.graph.variant.var_arity != 1:
+        raise VariantMismatch("eager-scope is defined only with variable back-links")
+    graph = g.graph
+    for w, word in g.prefixes.items():
+        if not word:
+            continue
+        if graph.labels[w] is Label.DEL and not strict:
+            continue
+        if not per_vertex_eager_at(g, w):
+            return False
+    return True
+
+
+def per_vertex_eager_at(g: DelimitedGraph, w: int) -> bool:
+    """Does w reach an occurrence of its innermost binder inside its scope?"""
+    graph, prefixes = g.graph, g.prefixes
+    base = prefixes[w]
+    v = base[-1]
+    seen = {w}
+    stack = [w]
+    while stack:
+        u = stack.pop()
+        if graph.labels[u] is Label.VAR and graph.args[u] and graph.args[u][0] == v:
+            return True
+        for t in graph.args[u]:
+            if t not in seen and prefixes[t][: len(base)] == base:
+                seen.add(t)
+                stack.append(t)
+    return False
 
 
 def all_homomorphisms(g1: TermGraph, g2: TermGraph) -> list[dict[int, int]]:

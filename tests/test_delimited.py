@@ -1,13 +1,18 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
 
-from generators import erase_backlinks, random_term
+from generators import erase_backlinks, graphs, random_graph, random_term
+from oracles import per_vertex_eager_scope, per_vertex_fully_back_linked
 
 from lamgraph import (
     DelimitedGraph,
     Label,
+    SignatureVariant,
     VariantMismatch,
+    build,
     infer_prefix,
     is_eager_scope,
     is_fully_back_linked,
@@ -196,3 +201,109 @@ def test_erasing_backlinks_preserves_validity():
         for i, j in ((1, 1), (0, 2), (0, 1)):
             erased = erase_backlinks(dg.graph, i, j)
             assert is_lambda_term_graph(erased)
+
+
+def _check_verdicts(dg, verdicts):
+    """Compare both checks with the per-vertex oracles; collect verdicts."""
+    assert is_fully_back_linked(dg) == per_vertex_fully_back_linked(dg)
+    verdicts.add(("back-linked", is_fully_back_linked(dg)))
+    for strict in (False, True):
+        if dg.graph.variant.var_arity != 1:
+            with pytest.raises(VariantMismatch):
+                is_eager_scope(dg, strict=strict)
+            continue
+        eager = is_eager_scope(dg, strict=strict)
+        assert eager == per_vertex_eager_scope(dg, strict=strict)
+        verdicts.add((strict, eager))
+
+
+def _all_verdicts(verdicts):
+    wanted = {("back-linked", True), ("back-linked", False)}
+    wanted |= {(strict, v) for strict in (False, True) for v in (True, False)}
+    return wanted <= verdicts
+
+
+def test_checks_match_per_vertex_oracles_on_translations():
+    # Half of the translations are lazy, so both verdicts occur.
+    rng = random.Random(207)
+    verdicts: set = set()
+    for i in range(1000):
+        lazy = i % 2 == 1
+        t = random_term(rng, depth=rng.randint(1, 4))
+        _check_verdicts(term_to_graph(t, rng=rng if lazy else None), verdicts)
+    assert _all_verdicts(verdicts)
+
+
+def test_checks_match_per_vertex_oracles_on_random_graphs():
+    rng = random.Random(208)
+    verdicts: set = set()
+    checked = 0
+    for _ in range(6000):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is None or not is_lambda_term_graph(g):
+            continue
+        _check_verdicts(DelimitedGraph.from_graph(g), verdicts)
+        checked += 1
+    assert checked >= 200
+    assert _all_verdicts(verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_checks_match_per_vertex_oracles_hypothesis(g):
+    if g.variant.del_arity is None or not is_lambda_term_graph(g):
+        return
+    _check_verdicts(DelimitedGraph.from_graph(g), set())
+
+
+# Scale: about 10^4 vertices each, built directly.  A forward search per
+# vertex would make both checks quadratic on these shapes.
+
+SCALE = 5000
+BACKLINKED = SignatureVariant(1, 2)
+
+
+def _spine(n):
+    # r = \x. a_0; a_i = a_{i+1} v_i with every v_i an occurrence of x.
+    labels = {"r": Label.ABS}
+    succ = {"r": ["a0"]}
+    for i in range(n):
+        labels[f"a{i}"], succ[f"a{i}"] = Label.APP, [f"a{i + 1}", f"v{i}"]
+        labels[f"v{i}"], succ[f"v{i}"] = Label.VAR, ["r"]
+    labels[f"a{n}"], succ[f"a{n}"] = Label.VAR, ["r"]
+    return build(BACKLINKED, labels, succ, "r")
+
+
+def _chain(n):
+    # a_i = a_{i+1} a_{i+1}, ending in the single occurrence a_n of x.
+    labels = {"r": Label.ABS}
+    succ = {"r": ["a0"]}
+    for i in range(n):
+        labels[f"a{i}"], succ[f"a{i}"] = Label.APP, [f"a{i + 1}"] * 2
+    labels[f"a{n}"], succ[f"a{n}"] = Label.VAR, ["r"]
+    return build(BACKLINKED, labels, succ, "r")
+
+
+def _ring(n):
+    # f_i = \a. a (f_{i+1}), the reference to f_{i+1} behind a delimiter.
+    labels, succ = {}, {}
+    for i in range(n):
+        nxt = (i + 1) % n
+        labels[f"f{i}"], succ[f"f{i}"] = Label.ABS, [f"a{i}"]
+        labels[f"a{i}"], succ[f"a{i}"] = Label.APP, [f"v{i}", f"s{i}"]
+        labels[f"v{i}"], succ[f"v{i}"] = Label.VAR, [f"f{i}"]
+        labels[f"s{i}"], succ[f"s{i}"] = Label.DEL, [f"f{nxt}", f"f{i}"]
+    return build(BACKLINKED, labels, succ, "f0")
+
+
+@pytest.mark.parametrize(
+    "make, n", [(_spine, SCALE), (_chain, 2 * SCALE), (_ring, SCALE)],
+    ids=["spine", "chain", "ring"],
+)
+def test_checks_scale_to_ten_thousand_vertices(make, n):
+    dg = DelimitedGraph.from_graph(make(n))
+    assert dg.graph.vertex_count >= 10**4
+    start = time.perf_counter()
+    assert is_eager_scope(dg)
+    assert is_fully_back_linked(dg)
+    assert time.perf_counter() - start < 3.0

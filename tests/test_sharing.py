@@ -9,6 +9,7 @@ from generators import graphs, random_graph, random_quotient, random_term
 from oracles import (
     all_homomorphisms,
     brute_coarsest_partition,
+    per_vertex_eager_at,
     relational_bisimilar,
     signature_refinement_partition,
 )
@@ -410,6 +411,16 @@ def test_max_share_running_example(running_eager):
 def test_max_share_rejects_non_eager(running_lazy):
     with pytest.raises(NotEagerScope):
         max_share_ho(running_lazy)
+
+
+def test_not_eager_scope_names_a_failing_vertex(running_lazy):
+    with pytest.raises(NotEagerScope) as info:
+        max_share_ho(running_lazy)
+    witness = info.value.vertex
+    assert witness is not None and witness in str(info.value)
+    delimited = insert_delimiters(scope_to_prefix(running_lazy), 2)
+    w = delimited.graph.names.index(witness)
+    assert not per_vertex_eager_at(delimited, w)
 
 
 def test_max_share_agrees_with_collapse_oracle():

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
 from generators import random_term
+from oracles import per_vertex_eager_at
 
 from lamgraph import (
     Abs,
     App,
     DegenerateBinding,
+    InternalValidationFailure,
     Label,
     Letrec,
     Var,
@@ -266,3 +270,42 @@ def test_translation_hypothesis_closed_terms(data):
     term = gen(data.draw(st.integers(1, 4)), frozenset())
     dg = term_to_graph(term)
     assert is_eager_scope(dg) and is_fully_back_linked(dg)
+
+
+def _letrec_body_chain(d: int) -> str:
+    lets = "".join(f"letrec f{i} = \\y{i}. y{i} x in " for i in range(d))
+    return f"\\x. {lets}x"
+
+
+def test_letrecs_nested_in_body_position_translate_in_linear_time():
+    # The liveness pass must visit each letrec body once, not 2^d times.
+    t = parse_term(_letrec_body_chain(40))
+    start = time.perf_counter()
+    dg = term_to_graph(t)
+    assert time.perf_counter() - start < 1.0
+    # Every binding is dead: only \x. x remains.
+    assert dg.graph.vertex_count == 2
+
+
+def test_non_eager_translation_names_a_witness(monkeypatch):
+    # Make the translator keep scopes open while term_to_graph still
+    # expects an eager result, so its post-check must reject the graph
+    # and name a vertex that really fails.
+    import lamgraph.translate as translate
+
+    term = parse_term(r"\x. \y. (\z. z) (x x)")
+    seed = next(
+        s for s in range(100)
+        if not is_eager_scope(term_to_graph(term, rng=random.Random(s)))
+    )
+    lazy = term_to_graph(term, rng=random.Random(seed))
+    init = translate._Translator.__init__
+
+    def keep_scopes_open(self, rng):
+        init(self, random.Random(seed))
+
+    monkeypatch.setattr(translate._Translator, "__init__", keep_scopes_open)
+    with pytest.raises(InternalValidationFailure) as info:
+        term_to_graph(term)
+    name = re.search(r"graph: (\S+) reaches no occurrence", str(info.value)).group(1)
+    assert not per_vertex_eager_at(lazy, lazy.graph.names.index(name))
