@@ -40,9 +40,7 @@ from .scoped import (
     ScopedGraph,
     ValidationReport,
     Violation,
-    admits_scoping,
     binders,
-    check_scope_nesting,
     validate_prefix_ho,
     validate_scope,
 )

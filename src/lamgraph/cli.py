@@ -3,7 +3,8 @@
 Subcommands: validate, translate, collapse, maxshare, equiv, render.
 Files are graph documents or term files depending on the subcommand;
 ``-`` reads stdin.  Exit codes: 0 success or equivalent, 1 invalid or
-not equivalent, 2 usage or parse errors.
+not equivalent, 2 usage or parse errors, including input nested too
+deeply for the recursive stages.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, DegenerateBinding, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
@@ -177,11 +178,18 @@ class TermGraph:
     def vertices_labeled(self, label: Label) -> list[int]:
         return [v for v in self.vertices() if self.labels[v] is label]
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        # Name -> id index, built on the first lookup by name.  Not a
+        # field, so equality, hashing and repr never see it; the first
+        # vertex wins where two names coincide.
+        ids: dict[str, int] = {}
+        for v, name in enumerate(self.names):
+            ids.setdefault(name, v)
+        return ids
+
     def id_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
+        return self._ids[name]
 
     def name_of(self, v: int) -> str:
         return self.names[v]
@@ -338,24 +346,3 @@ def isomorphic(g1: TermGraph, g2: TermGraph) -> VertexMap | None:
     if h is None or len(set(h.values())) != g1.vertex_count:
         return None
     return h
-
-
-def simple_root_paths(g: TermGraph, v: int) -> list[Path]:
-    """Every access path of v, by exhaustive backtracking (small graphs)."""
-    v = g.resolve(v)
-    out: list[Path] = []
-
-    def walk(u, verts, idxs):
-        if u == v:
-            out.append(Path(tuple(verts), tuple(idxs)))
-            return
-        for k, w in enumerate(g.args[u]):
-            if w not in verts:
-                verts.append(w)
-                idxs.append(k)
-                walk(w, verts, idxs)
-                verts.pop()
-                idxs.pop()
-
-    walk(g.root, [g.root], [])
-    return out

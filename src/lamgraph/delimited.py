@@ -128,11 +128,6 @@ class DelimitedGraph:
             raise ValueError(f"not a valid delimited lambda graph: {detail}")
         return cls(graph, prefixes)
 
-    def __eq__(self, other):
-        if not isinstance(other, DelimitedGraph):
-            return NotImplemented
-        return self.graph == other.graph and self.prefixes == other.prefixes
-
 
 def is_fully_back_linked(g: DelimitedGraph) -> bool:
     """True iff the last abstraction of every nonempty prefix is reachable.

@@ -10,15 +10,10 @@ scopes it sits in, outermost first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .core import (
-    DomainMismatch,
-    Label,
-    TermGraph,
-    VariantMismatch,
-    simple_root_paths,
-)
+from .core import DomainMismatch, Label, TermGraph, VariantMismatch
 
 # Normalized scope / prefix functions over a fixed graph: keyed by vertex id.
 ScopeFn = dict[int, frozenset[int]]
@@ -56,28 +51,43 @@ def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:
     """Accept ids or names as keys/members, check the domain, freeze."""
     out: ScopeFn = {}
     for key, members in sc.items():
-        out[g.resolve(key)] = frozenset(g.resolve(m) for m in members)
+        out[g.resolve(key)] = frozenset(map(g.resolve, members))
     abs_vertices = set(g.vertices_labeled(Label.ABS))
     if set(out) != abs_vertices:
         raise DomainMismatch("scope function domain must be exactly the abstraction vertices")
+    n = g.vertex_count
     for members in out.values():
-        for m in members:
-            if not 0 <= m < g.vertex_count:
-                raise DomainMismatch(f"scope member {m} is not a vertex")
+        # One min/max test per set; the scan names the offending member.
+        if members and (min(members) < 0 or max(members) >= n):
+            m = next(m for m in members if not 0 <= m < n)
+            raise DomainMismatch(f"scope member {m} is not a vertex")
     return out
 
 
 def normalize_prefix_fn(g: TermGraph, p: Mapping) -> PrefixFn:
     out: PrefixFn = {}
     for key, word in p.items():
-        out[g.resolve(key)] = tuple(g.resolve(x) for x in word)
+        out[g.resolve(key)] = tuple(map(g.resolve, word))
     if set(out) != set(g.vertices()):
         raise DomainMismatch("prefix function must be total on the vertex set")
+    n = g.vertex_count
     for word in out.values():
-        for x in word:
-            if not 0 <= x < g.vertex_count:
-                raise DomainMismatch(f"prefix entry {x} is not a vertex")
+        if word and (min(word) < 0 or max(word) >= n):
+            x = next(x for x in word if not 0 <= x < n)
+            raise DomainMismatch(f"prefix entry {x} is not a vertex")
     return out
+
+
+def _containing(g: TermGraph, sc: ScopeFn, order: Iterable[int]) -> list[list[int]]:
+    """For each vertex u, the abstractions v with u in sc[v], in ``order``.
+
+    One pass over the scopes: O(n + sum of |sc(v)|).
+    """
+    containing: list[list[int]] = [[] for _ in g.vertices()]
+    for v in order:
+        for u in sc[v]:
+            containing[u].append(v)
+    return containing
 
 
 def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
@@ -87,41 +97,53 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
     is in its own scope; scopes nest; scopes are closed under incoming
     edges; every variable lies in some scope; with variable back-links,
     a variable and its abstraction share exactly the same scopes.
+
+    The scopes are inverted once, so the root, self, closed, scope0 and
+    scope1 tests visit only the abstractions whose scope holds the vertex
+    at hand: O(n + m + sum of |sc(v)| + k log k) time for k violations.
+    Nesting tests each abstraction v1 in another's scope sc(v0) against
+    it, at O(|sc(v1)|) per pair: O(sum over v0 of the |sc(v1)| of the
+    abstractions v1 in sc(v0)), which on a valid scope function is
+    O(d * sum of |sc(v)|) for scopes nested d deep.  Violations come in
+    a fixed order: root and self per abstraction, then nest, closed,
+    scope0 and scope1, each by ascending vertex ids.
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("scope functions live on delimiter-free graphs")
     sc = normalize_scope_fn(g, sc)
     bad: list[Violation] = []
     abs_vertices = g.vertices_labeled(Label.ABS)
-
-    def scope_minus(v):
-        return sc[v] - {v}
+    containing = _containing(g, sc, abs_vertices)
 
     for v in abs_vertices:
-        if g.root in scope_minus(v):
+        if g.root != v and g.root in sc[v]:
             bad.append(Violation("root", (v,)))
         if v not in sc[v]:
             bad.append(Violation("self", (v,)))
+    is_abs = [lab is Label.ABS for lab in g.labels]
     for v0 in abs_vertices:
-        for v1 in abs_vertices:
-            if v1 in scope_minus(v0) and not sc[v1] <= scope_minus(v0):
+        inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
+        for v1 in inner:
+            # sc[v1] <= sc[v0] - {v0}, without copying sc[v0].
+            if v0 in sc[v1] or not sc[v1] <= sc[v0]:
                 bad.append(Violation("nest", (v0, v1)))
     for w, k, wk in g.edges():
-        for v in abs_vertices:
-            if wk in scope_minus(v) and w not in sc[v]:
+        for v in containing[wk]:
+            if v != wk and w not in sc[v]:
                 bad.append(Violation("closed", (v, w, wk)))
-    for w in g.vertices_labeled(Label.VAR):
-        if not any(w in scope_minus(v) for v in abs_vertices):
+    variables = g.vertices_labeled(Label.VAR)
+    for w in variables:
+        # A variable is no abstraction, so every scope holding it counts.
+        if not containing[w]:
             bad.append(Violation("scope0", (w,)))
     if g.variant.var_arity == 1:
-        for w in g.vertices_labeled(Label.VAR):
+        for w in variables:
             w0 = g.args[w][0]
             if g.labels[w0] is not Label.ABS:
                 bad.append(Violation("scope1", (w, w0)))
                 continue
-            for v in abs_vertices:
-                if (w in sc[v]) != (w0 in sc[v]):
-                    bad.append(Violation("scope1", (w, w0, v)))
+            for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
+                bad.append(Violation("scope1", (w, w0, v)))
     return ValidationReport(tuple(bad))
 
 
@@ -159,9 +181,10 @@ def _prefix_word_sanity(g: TermGraph, p: PrefixFn) -> list[Violation]:
     # Derived facts re-checked defensively: prefix entries are abstraction
     # vertices, occur once per word, and a vertex never lists itself.
     bad = []
+    labels, abs_label = g.labels, Label.ABS
     for w, word in p.items():
         for x in word:
-            if g.labels[x] is not Label.ABS:
+            if labels[x] is not abs_label:
                 bad.append(Violation("entry-not-abstraction", (w, x)))
         if len(set(word)) != len(word):
             bad.append(Violation("repeated-entry", (w,)))
@@ -185,10 +208,20 @@ class ScopedGraph:
             raise ValueError(f"invalid scope function: {report.describe(graph)}")
         return cls(graph, scopes)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScopedGraph):
-            return NotImplemented
-        return self.graph == other.graph and self.scopes == other.scopes
+    @cached_property
+    def _binder_lists(self) -> list[list[int]]:
+        """Per vertex, the abstractions whose scope holds it, outermost first.
+
+        Built once on first use, in O(n + sum of |sc(v)| + A log A): the
+        abstractions are ranked by decreasing scope size (a stable sort,
+        so ties keep ascending ids) and the scopes inverted in that order.
+        """
+        order = sorted(
+            self.graph.vertices_labeled(Label.ABS),
+            key=lambda v: len(self.scopes[v]),
+            reverse=True,
+        )
+        return _containing(self.graph, self.scopes, order)
 
 
 @dataclass(frozen=True)
@@ -206,94 +239,16 @@ class PrefixedGraph:
             raise ValueError(f"invalid prefix function: {report.describe(graph)}")
         return cls(graph, prefixes)
 
-    def __eq__(self, other):
-        if not isinstance(other, PrefixedGraph):
-            return NotImplemented
-        return self.graph == other.graph and self.prefixes == other.prefixes
-
 
 def binders(h: ScopedGraph, w: int | str) -> list[int]:
     """Abstractions whose scope contains w, outermost first.
 
     The scopes of the binders of any vertex form a strict inclusion
-    chain, so sorting by decreasing scope size linearizes them.
+    chain, so sorting by decreasing scope size linearizes them (ties,
+    possible only on invalid scopes, keep ascending ids).  An id that
+    is no vertex lies in no scope and has no binders.
     """
     w = h.graph.resolve(w)
-    result = [v for v in h.graph.vertices_labeled(Label.ABS) if w in h.scopes[v]]
-    result.sort(key=lambda v: len(h.scopes[v]), reverse=True)
-    return result
-
-
-def check_scope_nesting(h: ScopedGraph) -> ValidationReport:
-    """Redundant diagnostic over validate_scope.
-
-    Confirms two derived facts: intersecting scopes nest, and every
-    access path of a vertex in a scope visits that scope's abstraction.
-    Checked by exhaustive simple-path enumeration; graphs are small.
-    """
-    g = h.graph
-    bad = []
-    abs_vertices = g.vertices_labeled(Label.ABS)
-    for v1 in abs_vertices:
-        for v2 in abs_vertices:
-            if v1 < v2 and h.scopes[v1] & h.scopes[v2]:
-                if not (
-                    h.scopes[v1] <= h.scopes[v2] - {v2}
-                    or h.scopes[v2] <= h.scopes[v1] - {v1}
-                ):
-                    bad.append(Violation("overlap-without-nesting", (v1, v2)))
-    for v in abs_vertices:
-        for w in h.scopes[v]:
-            if w == v:
-                continue
-            for path in simple_root_paths(g, w):
-                if v not in path.vertices:
-                    bad.append(Violation("access-path-misses-binder", (v, w)))
-                    break
-    return ValidationReport(tuple(bad))
-
-
-def admits_scoping(g: TermGraph) -> bool:
-    """Does a delimiter-free graph admit any valid scope function?
-
-    Equivalently, a correct abstraction-prefix function under the relaxed
-    (word-prefix) edge conditions.  Diagnostic only: decided by pruned
-    exhaustive search, meant for small graphs; the delimited classes have
-    the efficient membership test.
-    """
-    return next(iter(all_scope_functions(g)), None) is not None
-
-
-def all_scope_functions(g: TermGraph) -> Iterable[ScopeFn]:
-    """Enumerate every valid scope function of a small graph (oracle use).
-
-    Candidate scopes are prefiltered per abstraction by the conditions
-    that mention a single scope (root membership and edge closedness);
-    only their combinations go through the full validator.
-    """
-    from itertools import product
-
-    abs_vertices = g.vertices_labeled(Label.ABS)
-    if not abs_vertices:
-        empty: ScopeFn = {}
-        if validate_scope(g, empty).passed:
-            yield empty
-        return
-    universe = list(g.vertices())
-    edges = list(g.edges())
-    per_abs = []
-    for v in abs_vertices:
-        options = []
-        rest = [u for u in universe if u != v]
-        for mask in range(1 << len(rest)):
-            members = frozenset([v] + [u for i, u in enumerate(rest) if mask >> i & 1])
-            if g.root in members - {v}:
-                continue
-            if any(wk in members - {v} and w not in members for w, _, wk in edges):
-                continue
-            options.append(members)
-        per_abs.append(options)
-    for combo in product(*per_abs):
-        sc = dict(zip(abs_vertices, combo))
-        if validate_scope(g, sc).passed:
-            yield sc
+    if not 0 <= w < h.graph.vertex_count:
+        return []
+    return list(h._binder_lists[w])

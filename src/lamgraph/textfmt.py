@@ -52,15 +52,6 @@ class GraphDocument:
     prefixes: dict[int, tuple[int, ...]] | None = None
     scopes: dict[int, frozenset[int]] | None = None
 
-    def __eq__(self, other):
-        if not isinstance(other, GraphDocument):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and self.prefixes == other.prefixes
-            and self.scopes == other.scopes
-        )
-
 
 def parse_graph(text: str) -> GraphDocument:
     """Parse a graph document; construction errors carry the line number."""

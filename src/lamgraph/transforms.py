@@ -21,20 +21,31 @@ def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
 def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     """Derive the prefix function: each vertex's binders, outermost first.
 
-    The carrier is unchanged (the very same graph object).
+    The carrier is unchanged (the very same graph object).  The scopes
+    are inverted once, so the conversion takes O(n + sum of |sc(v)| +
+    A log A) for A abstractions, plus validating the result.
     """
-    prefixes = {
-        w: tuple(v for v in binders(h, w) if v != w) for w in h.graph.vertices()
-    }
+    prefixes = {}
+    for w in h.graph.vertices():
+        word = binders(h, w)
+        if w in word:
+            word.remove(w)
+        prefixes[w] = tuple(word)
     return PrefixedGraph.checked(h.graph, prefixes)
 
 
 def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
-    """Derive the scope function: v's scope is v plus everyone listing v."""
-    scopes = {
-        v: frozenset(w for w, word in a.prefixes.items() if v in word) | {v}
-        for v in a.graph.vertices_labeled(Label.ABS)
-    }
+    """Derive the scope function: v's scope is v plus everyone listing v.
+
+    One pass over the prefix words: O(n + sum of |prefix(w)|), plus
+    validating the result.
+    """
+    members = {v: [v] for v in a.graph.vertices_labeled(Label.ABS)}
+    for w, word in a.prefixes.items():
+        for v in word:
+            if v in members:
+                members[v].append(w)
+    scopes = {v: frozenset(ws) for v, ws in members.items()}
     return ScopedGraph.checked(a.graph, scopes)
 
 

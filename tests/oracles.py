@@ -1,14 +1,31 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here prefers exhaustive enumeration over cleverness and never
-calls the code paths it is used to verify.
+calls the code paths it is used to verify.  The one exception is
+``all_scope_functions`` (with ``admits_scoping`` on top of it), which
+filters its candidates through the library's ``validate_scope`` and
+checks that validator against ``per_pair_validate_scope`` on every one.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterable, Mapping
 
-from lamgraph import DelimitedGraph, Label, Partition, TermGraph, VariantMismatch
+from lamgraph import (
+    DelimitedGraph,
+    Label,
+    Partition,
+    Path,
+    PrefixedGraph,
+    ScopedGraph,
+    TermGraph,
+    ValidationReport,
+    VariantMismatch,
+    Violation,
+    validate_scope,
+)
+from lamgraph.scoped import ScopeFn, normalize_scope_fn
 
 
 def all_partitions(items: list) -> list[list[list]]:
@@ -208,8 +225,187 @@ def relational_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
 
 def lex_min_simple_path(g: TermGraph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lexicographically least simple root path to v, by enumeration."""
-    from lamgraph.core import simple_root_paths
-
     paths = simple_root_paths(g, v)
     best = min(paths, key=lambda p: p.indices)
     return best.vertices, best.indices
+
+
+def per_pair_validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
+    """The per-pair scope validator: every test against every abstraction.
+
+    Conditions: the root lies in no scope but its own; every abstraction
+    is in its own scope; scopes nest; scopes are closed under incoming
+    edges; every variable lies in some scope; with variable back-links,
+    a variable and its abstraction share exactly the same scopes.
+    """
+    if g.variant.del_arity is not None:
+        raise VariantMismatch("scope functions live on delimiter-free graphs")
+    sc = normalize_scope_fn(g, sc)
+    bad: list[Violation] = []
+    abs_vertices = g.vertices_labeled(Label.ABS)
+
+    def scope_minus(v):
+        return sc[v] - {v}
+
+    for v in abs_vertices:
+        if g.root in scope_minus(v):
+            bad.append(Violation("root", (v,)))
+        if v not in sc[v]:
+            bad.append(Violation("self", (v,)))
+    for v0 in abs_vertices:
+        for v1 in abs_vertices:
+            if v1 in scope_minus(v0) and not sc[v1] <= scope_minus(v0):
+                bad.append(Violation("nest", (v0, v1)))
+    for w, k, wk in g.edges():
+        for v in abs_vertices:
+            if wk in scope_minus(v) and w not in sc[v]:
+                bad.append(Violation("closed", (v, w, wk)))
+    for w in g.vertices_labeled(Label.VAR):
+        if not any(w in scope_minus(v) for v in abs_vertices):
+            bad.append(Violation("scope0", (w,)))
+    if g.variant.var_arity == 1:
+        for w in g.vertices_labeled(Label.VAR):
+            w0 = g.args[w][0]
+            if g.labels[w0] is not Label.ABS:
+                bad.append(Violation("scope1", (w, w0)))
+                continue
+            for v in abs_vertices:
+                if (w in sc[v]) != (w0 in sc[v]):
+                    bad.append(Violation("scope1", (w, w0, v)))
+    return ValidationReport(tuple(bad))
+
+
+def per_abstraction_binders(h: ScopedGraph, w: int | str) -> list[int]:
+    """Abstractions whose scope contains w, outermost first, by a scan of
+    every abstraction.
+
+    The scopes of the binders of any vertex form a strict inclusion
+    chain, so sorting by decreasing scope size linearizes them.
+    """
+    w = h.graph.resolve(w)
+    result = [v for v in h.graph.vertices_labeled(Label.ABS) if w in h.scopes[v]]
+    result.sort(key=lambda v: len(h.scopes[v]), reverse=True)
+    return result
+
+
+def per_vertex_scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
+    """Derive the prefix function: each vertex's binders, outermost first.
+
+    The carrier is unchanged (the very same graph object).
+    """
+    prefixes = {
+        w: tuple(v for v in per_abstraction_binders(h, w) if v != w)
+        for w in h.graph.vertices()
+    }
+    return PrefixedGraph.checked(h.graph, prefixes)
+
+
+def per_abstraction_prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
+    """Derive the scope function: v's scope is v plus everyone listing v."""
+    scopes = {
+        v: frozenset(w for w, word in a.prefixes.items() if v in word) | {v}
+        for v in a.graph.vertices_labeled(Label.ABS)
+    }
+    return ScopedGraph.checked(a.graph, scopes)
+
+
+def check_scope_nesting(h: ScopedGraph) -> ValidationReport:
+    """Redundant diagnostic over validate_scope.
+
+    Confirms two derived facts: intersecting scopes nest, and every
+    access path of a vertex in a scope visits that scope's abstraction.
+    Checked by exhaustive simple-path enumeration; graphs are small.
+    """
+    g = h.graph
+    bad = []
+    abs_vertices = g.vertices_labeled(Label.ABS)
+    for v1 in abs_vertices:
+        for v2 in abs_vertices:
+            if v1 < v2 and h.scopes[v1] & h.scopes[v2]:
+                if not (
+                    h.scopes[v1] <= h.scopes[v2] - {v2}
+                    or h.scopes[v2] <= h.scopes[v1] - {v1}
+                ):
+                    bad.append(Violation("overlap-without-nesting", (v1, v2)))
+    for v in abs_vertices:
+        for w in h.scopes[v]:
+            if w == v:
+                continue
+            for path in simple_root_paths(g, w):
+                if v not in path.vertices:
+                    bad.append(Violation("access-path-misses-binder", (v, w)))
+                    break
+    return ValidationReport(tuple(bad))
+
+
+def admits_scoping(g: TermGraph) -> bool:
+    """Does a delimiter-free graph admit any valid scope function?
+
+    Equivalently, a correct abstraction-prefix function under the relaxed
+    (word-prefix) edge conditions.  Diagnostic only: decided by pruned
+    exhaustive search, meant for small graphs; the delimited classes have
+    the efficient membership test.
+    """
+    return next(iter(all_scope_functions(g)), None) is not None
+
+
+def all_scope_functions(g: TermGraph) -> Iterable[ScopeFn]:
+    """Enumerate every valid scope function of a small graph (oracle use).
+
+    Candidate scopes are prefiltered per abstraction by the conditions
+    that mention a single scope (root membership and edge closedness);
+    only their combinations go through the full validator.  Every
+    combination also checks ``validate_scope`` against
+    ``per_pair_validate_scope``, violation order included.
+    """
+    abs_vertices = g.vertices_labeled(Label.ABS)
+    if not abs_vertices:
+        empty: ScopeFn = {}
+        if _agreed_scope_report(g, empty).passed:
+            yield empty
+        return
+    universe = list(g.vertices())
+    edges = list(g.edges())
+    per_abs = []
+    for v in abs_vertices:
+        options = []
+        rest = [u for u in universe if u != v]
+        for mask in range(1 << len(rest)):
+            members = frozenset([v] + [u for i, u in enumerate(rest) if mask >> i & 1])
+            if g.root in members - {v}:
+                continue
+            if any(wk in members - {v} and w not in members for w, _, wk in edges):
+                continue
+            options.append(members)
+        per_abs.append(options)
+    for combo in product(*per_abs):
+        sc = dict(zip(abs_vertices, combo))
+        if _agreed_scope_report(g, sc).passed:
+            yield sc
+
+
+def _agreed_scope_report(g: TermGraph, sc: ScopeFn) -> ValidationReport:
+    report = validate_scope(g, sc)
+    assert report == per_pair_validate_scope(g, sc), (g, sc)
+    return report
+
+
+def simple_root_paths(g: TermGraph, v: int) -> list[Path]:
+    """Every access path of v, by exhaustive backtracking (small graphs)."""
+    v = g.resolve(v)
+    out: list[Path] = []
+
+    def walk(u, verts, idxs):
+        if u == v:
+            out.append(Path(tuple(verts), tuple(idxs)))
+            return
+        for k, w in enumerate(g.args[u]):
+            if w not in verts:
+                verts.append(w)
+                idxs.append(k)
+                walk(w, verts, idxs)
+                verts.pop()
+                idxs.pop()
+
+    walk(g.root, [g.root], [])
+    return out

@@ -17,7 +17,7 @@ from conftest import (
     debruijn_chain,
 )
 from generators import erase_backlinks, random_quotient, random_term
-from oracles import all_homomorphisms, brute_coarsest_partition
+from oracles import all_homomorphisms, all_scope_functions, brute_coarsest_partition
 
 from lamgraph import (
     DelimitedGraph,
@@ -42,7 +42,6 @@ from lamgraph import (
     term_to_graph,
 )
 from lamgraph.cli import main as cli_main
-from lamgraph.scoped import all_scope_functions
 
 
 @contextmanager

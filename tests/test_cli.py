@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import EAGER_NESTED, RUNNING_TERM, RUNNING_CARRIER
 
+import lamgraph
 from lamgraph import parse_graph
 from lamgraph.cli import main
 
@@ -211,3 +216,20 @@ def test_translate_j1(tmp_path, capsys):
     path = write(tmp_path, "g.tg", doc)
     code, out, _ = run(capsys, "translate", "--from", "aphotg", "--to", "ltg", "--j", "1", path)
     assert code == 0 and "sig 1 1" in out and " S " in out
+
+
+def test_deep_input_gives_no_traceback(tmp_path):
+    # A 1000-application left spine: either it works, or the command
+    # reports the depth on one error line with exit code 2.
+    path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 1000))
+    src = str(Path(lamgraph.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    if proc.returncode != 0:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -157,3 +157,32 @@ def test_isomorphism_witness_unique_exhaustively():
         assert len(bijections) <= 1
         witness = isomorphic(g, other)
         assert bijections == ([witness] if witness is not None else [])
+
+
+def test_name_index_is_lazy_and_invisible(running_carrier):
+    from lamgraph import collapse, parse_term, term_to_graph
+
+    # The maxshare route passes ids only and never builds the index.
+    dg = term_to_graph(parse_term(r"letrec f = \x. x f in f"))
+    quotient, _ = collapse(dg.graph)
+    assert "_ids" not in vars(dg.graph) and "_ids" not in vars(quotient)
+
+    g = running_carrier
+    twin = build(
+        g.variant,
+        {n: g.labels[v] for v, n in enumerate(g.names)},
+        {n: [g.names[w] for w in g.args[v]] for v, n in enumerate(g.names)},
+        g.names[g.root],
+    )
+    before = repr(g)
+    assert [g.id_of(n) for n in g.names] == list(g.vertices())
+    assert "_ids" in vars(g) and "_ids" not in vars(twin)
+    assert g == twin and hash(g) == hash(twin) and repr(g) == before == repr(twin)
+    with pytest.raises(KeyError):
+        g.id_of("no such vertex")
+
+
+def test_id_of_prefers_the_first_of_equal_names():
+    # build names vertices by str(key), so distinct keys can collide.
+    g = build(V0, {1: Label.ABS, "1": Label.VAR}, {1: ["1"], "1": []}, 1)
+    assert g.names == ("1", "1") and g.id_of("1") == 0

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from generators import erase_backlinks, graphs, random_graph, random_term
-from oracles import per_vertex_eager_scope, per_vertex_fully_back_linked
+from oracles import (
+    per_vertex_eager_scope,
+    per_vertex_fully_back_linked,
+    simple_root_paths,
+)
 
 from lamgraph import (
     DelimitedGraph,
@@ -21,7 +25,6 @@ from lamgraph import (
     term_to_graph,
     validate_prefix_fo,
 )
-from lamgraph.core import simple_root_paths
 
 
 def by_name(g, prefixes):

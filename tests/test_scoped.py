@@ -1,16 +1,35 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from generators import random_term
+from generators import graphs, random_graph, random_term
+from oracles import (
+    all_scope_functions,
+    check_scope_nesting,
+    per_abstraction_binders,
+    per_abstraction_prefix_to_scope,
+    per_pair_validate_scope,
+    per_vertex_scope_to_prefix,
+    simple_root_paths,
+)
 
 from lamgraph import (
+    DelimitedGraph,
     DomainMismatch,
+    GraphDocument,
+    GraphError,
     Label,
+    PrefixedGraph,
     ScopedGraph,
+    SignatureVariant,
     binders,
-    check_scope_nesting,
+    insert_delimiters,
+    is_lambda_term_graph,
+    max_share_ho,
     parse_graph,
     prefix_to_scope,
     scope_to_prefix,
@@ -19,8 +38,7 @@ from lamgraph import (
     validate_prefix_ho,
     validate_scope,
 )
-from lamgraph.core import simple_root_paths
-from lamgraph.scoped import all_scope_functions
+from lamgraph.scoped import normalize_prefix_fn, normalize_scope_fn
 
 
 def test_validate_scope_shared_form(g0_plain):
@@ -95,6 +113,12 @@ def test_binders_ordered_by_strict_inclusion(running_eager, running_lazy):
             chain = binders(sg, w)
             for outer, inner in zip(chain, chain[1:]):
                 assert sg.scopes[inner] < sg.scopes[outer] - {outer}
+
+
+def test_binders_of_a_non_vertex_id_are_empty(running_eager):
+    n = running_eager.graph.vertex_count
+    for w in (-1, n, n + 5):
+        assert binders(running_eager, w) == per_abstraction_binders(running_eager, w) == []
 
 
 def test_check_scope_nesting(single_lambda, running_eager):
@@ -218,3 +242,239 @@ def test_scope_and_prefix_functions_biject_exhaustively():
             sc = prefix_to_scope(PrefixedGraph(g, p)).scopes
             assert scope_to_prefix(ScopedGraph(g, sc)).prefixes == p
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# The inverted validator and conversions against the per-pair oracles:
+# identical reports (violation order included) and identical results.
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, GraphError) as exc:
+        return type(exc), str(exc)
+
+
+def _agree_on_scopes(g, sc, verdicts):
+    report = validate_scope(g, sc)
+    assert report == per_pair_validate_scope(g, sc)
+    verdicts.add(report.passed)
+    h = ScopedGraph(g, normalize_scope_fn(g, sc))
+    for w in g.vertices():
+        assert binders(h, w) == per_abstraction_binders(h, w)
+    assert _outcome(scope_to_prefix, h) == _outcome(per_vertex_scope_to_prefix, h)
+
+
+def _agree_on_prefixes(g, p):
+    a = PrefixedGraph(g, normalize_prefix_fn(g, p))
+    assert _outcome(prefix_to_scope, a) == _outcome(per_abstraction_prefix_to_scope, a)
+
+
+def _random_scopes(rng, g):
+    """Random member sets, each abstraction usually in its own scope."""
+    vertices = list(g.vertices())
+    return {
+        v: frozenset(u for u in vertices if rng.random() < 0.4 or (u == v and rng.random() < 0.9))
+        for v in g.vertices_labeled(Label.ABS)
+    }
+
+
+def _random_prefixes(rng, g):
+    abs_vs = g.vertices_labeled(Label.ABS)
+    return {
+        w: tuple(rng.sample(abs_vs, rng.randint(0, len(abs_vs)))) for w in g.vertices()
+    }
+
+
+def _toggled(rng, g, sc):
+    """sc with one vertex added to or dropped from one scope."""
+    v = rng.choice(sorted(sc))
+    u = rng.choice(list(g.vertices()))
+    out = dict(sc)
+    out[v] = sc[v] ^ {u}
+    return out
+
+
+def test_scope_layer_matches_oracles_on_random_graphs():
+    rng = random.Random(301)
+    verdicts: set = set()
+    valid_carriers = random_carriers = 0
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is None:
+            # A bare carrier: random scope sets and prefix words.
+            for _ in range(3):
+                _agree_on_scopes(g, _random_scopes(rng, g), verdicts)
+                _agree_on_prefixes(g, _random_prefixes(rng, g))
+            random_carriers += 1
+        elif is_lambda_term_graph(g):
+            # The stripped carrier of a delimited graph, with the valid
+            # scopes of its inferred prefixes and one-vertex edits of them.
+            a = strip_delimiters(DelimitedGraph.from_graph(g))
+            h = prefix_to_scope(a)
+            assert h == per_abstraction_prefix_to_scope(a)
+            _agree_on_scopes(a.graph, h.scopes, verdicts)
+            if h.scopes:
+                _agree_on_scopes(a.graph, _toggled(rng, a.graph, h.scopes), verdicts)
+            valid_carriers += 1
+    assert valid_carriers >= 100 and random_carriers >= 200
+    assert verdicts == {True, False}
+
+
+def test_scope_layer_matches_oracles_on_translations():
+    rng = random.Random(302)
+    verdicts: set = set()
+    for i in range(400):
+        t = random_term(rng, depth=rng.randint(1, 4))
+        a = strip_delimiters(term_to_graph(t, rng=rng if i % 2 else None))
+        h = prefix_to_scope(a)
+        assert h == per_abstraction_prefix_to_scope(a)
+        assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h) == a
+        _agree_on_scopes(a.graph, h.scopes, verdicts)
+        if h.scopes:
+            _agree_on_scopes(a.graph, _toggled(rng, a.graph, h.scopes), verdicts)
+    assert verdicts == {True, False}
+
+
+_DELIMITER_FREE = st.sampled_from([SignatureVariant(0), SignatureVariant(1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DELIMITER_FREE.flatmap(lambda v: graphs(variant=v)), st.data())
+def test_scope_layer_matches_oracles_hypothesis(g, data):
+    vertices = st.sampled_from(list(g.vertices()))
+    sc = {
+        v: data.draw(st.frozensets(vertices, max_size=g.vertex_count))
+        for v in g.vertices_labeled(Label.ABS)
+    }
+    _agree_on_scopes(g, sc, set())
+    abs_vs = g.vertices_labeled(Label.ABS)
+    if abs_vs:
+        words = st.lists(st.sampled_from(abs_vs), max_size=3).map(tuple)
+        _agree_on_prefixes(g, {w: data.draw(words) for w in g.vertices()})
+
+
+def test_names_and_ids_give_the_same_results(running_carrier):
+    from conftest import RUNNING_EAGER_PREFIXES, RUNNING_EAGER_SCOPES
+
+    g = running_carrier
+    ids = {g.id_of(v): frozenset(map(g.id_of, m)) for v, m in RUNNING_EAGER_SCOPES.items()}
+    mixed = {v: {g.id_of(m) if i % 2 else m for i, m in enumerate(sorted(ms))}
+             for v, ms in RUNNING_EAGER_SCOPES.items()}
+    assert normalize_scope_fn(g, RUNNING_EAGER_SCOPES) == normalize_scope_fn(g, mixed) == ids
+    holey = dict(RUNNING_EAGER_SCOPES, f=RUNNING_EAGER_SCOPES["f"] - {"b1"})
+    holey_ids = dict(ids)
+    holey_ids[g.id_of("f")] = ids[g.id_of("f")] - {g.id_of("b1")}
+    for by_name, by_id in ((RUNNING_EAGER_SCOPES, ids), (holey, holey_ids)):
+        assert validate_scope(g, by_name) == validate_scope(g, by_id)
+    h = ScopedGraph.checked(g, ids)
+    assert h == ScopedGraph.checked(g, RUNNING_EAGER_SCOPES)
+    for w in g.vertices():
+        assert binders(h, g.name_of(w)) == binders(h, w)
+    p_ids = {g.id_of(v): tuple(map(g.id_of, word)) for v, word in RUNNING_EAGER_PREFIXES.items()}
+    assert normalize_prefix_fn(g, RUNNING_EAGER_PREFIXES) == p_ids
+    assert validate_prefix_ho(g, RUNNING_EAGER_PREFIXES) == validate_prefix_ho(g, p_ids)
+
+
+def test_normalize_reports_in_the_same_order(single_lambda):
+    # Unknown names first, then the domain, then out-of-range members.
+    with pytest.raises(KeyError, match="nope"):
+        normalize_scope_fn(single_lambda, {"r": {"r", "nope"}, "c": {7}})
+    with pytest.raises(DomainMismatch, match="domain"):
+        normalize_scope_fn(single_lambda, {"r": {0}, "c": {7}})
+    with pytest.raises(DomainMismatch, match="scope member 7 is not a vertex"):
+        normalize_scope_fn(single_lambda, {"r": {0, 7}})
+    with pytest.raises(DomainMismatch, match="scope member -1 is not a vertex"):
+        normalize_scope_fn(single_lambda, {"r": {-1, 0}})
+    with pytest.raises(KeyError, match="nope"):
+        normalize_prefix_fn(single_lambda, {"r": (), "c": ("nope",), 5: ()})
+    with pytest.raises(DomainMismatch, match="total"):
+        normalize_prefix_fn(single_lambda, {"r": (), "c": (9,), 5: ()})
+    with pytest.raises(DomainMismatch, match="prefix entry 9 is not a vertex"):
+        normalize_prefix_fn(single_lambda, {"r": (), "c": (0, 9, -2)})
+
+
+def test_generated_equality_and_hashing(running_carrier, running_eager):
+    # Equality compares the graph and the annotation; hashing sees only
+    # the graph, so equal objects hash equal.
+    from conftest import RUNNING_CARRIER
+
+    g = running_carrier
+    twin = ScopedGraph.checked(parse_graph(RUNNING_CARRIER).graph, dict(running_eager.scopes))
+    assert twin == running_eager and hash(twin) == hash(running_eager) == hash(
+        ScopedGraph(g, {})
+    )
+    assert twin != ScopedGraph(g, {**running_eager.scopes, g.id_of("g"): frozenset()})
+    a = scope_to_prefix(running_eager)
+    assert a == PrefixedGraph(g, dict(a.prefixes)) and hash(a) == hash(PrefixedGraph(g, {}))
+    assert a != PrefixedGraph(g, {**a.prefixes, g.root: (g.root,)})
+    assert a != running_eager and running_eager != a
+    d = insert_delimiters(a)
+    assert d == DelimitedGraph.from_graph(d.graph) and hash(d) == hash(DelimitedGraph(d.graph, {}))
+    assert d != DelimitedGraph(d.graph, {})
+    doc = GraphDocument(g, scopes=running_eager.scopes)
+    assert doc == GraphDocument(g, None, dict(running_eager.scopes))
+    assert doc != GraphDocument(g, scopes={}) and doc != GraphDocument(g)
+    assert hash(GraphDocument(g)) == hash(GraphDocument(g))
+    with pytest.raises(TypeError):
+        hash(doc)  # the annotation is a dict and takes part in the hash
+
+
+# ---------------------------------------------------------------------------
+# Scale: hotg documents shaped like the benchmark's ring and tower, written
+# here.  Checking each vertex against every abstraction made both
+# quadratic or worse.
+
+
+def _ring_doc(n):
+    # l_i = lam a_i, a_i = v_i l_(i+1), v_i back-links to l_i.
+    lines = ["sig 1", "root l0"]
+    for i in range(n):
+        lines += [f"l{i} lam a{i}", f"a{i} @ v{i} l{(i + 1) % n}", f"v{i} 0 l{i}"]
+    lines += [f"scope l{i} = {{ l{i} a{i} v{i} }}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def _tower_doc(n):
+    # \x0 ... \x(n-1). x0 x1 ... x(n-1), every scope closed eagerly.
+    lines = ["sig 1", "root l0"]
+    lines += [f"l{i} lam l{i + 1}" for i in range(n - 1)]
+    lines.append(f"l{n - 1} lam a{n - 1}")
+    for j in range(1, n):
+        lines.append(f"a{j} @ {f'a{j - 1}' if j > 1 else 'v0'} v{j}")
+    lines += [f"v{i} 0 l{i}" for i in range(n)]
+    for k in range(n):
+        members = [f"l{j}" for j in range(k, n)]
+        members += [f"a{j}" for j in range(max(k, 1), n)]
+        members += [f"v{j}" for j in range(k, n)]
+        lines.append(f"scope l{k} = {{ {' '.join(members)} }}")
+    return "\n".join(lines) + "\n"
+
+
+def test_ring_document_max_share_ho_scales():
+    text = _ring_doc(2000)
+    start = time.perf_counter()
+    doc = parse_graph(text)
+    shared = max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
+    elapsed = time.perf_counter() - start
+    assert doc.graph.vertex_count == 6000
+    # Every ring collapses to one lam, one @ and one 0.
+    assert sorted(map(str, shared.graph.labels)) == ["0", "@", "lam"]
+    assert elapsed < 3.0
+
+
+def test_tower_scope_layer_scales():
+    text = _tower_doc(200)
+    start = time.perf_counter()
+    doc = parse_graph(text)
+    g = doc.graph
+    report = validate_scope(g, doc.scopes)
+    a = scope_to_prefix(ScopedGraph(g, doc.scopes))
+    h = prefix_to_scope(a)
+    elapsed = time.perf_counter() - start
+    assert report.passed and h.scopes == doc.scopes
+    assert max(map(len, a.prefixes.values())) == 200
+    assert elapsed < 2.0
+

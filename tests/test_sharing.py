@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from generators import graphs, random_graph, random_quotient, random_term
 from oracles import (
     all_homomorphisms,
+    all_scope_functions,
     brute_coarsest_partition,
     per_vertex_eager_at,
     relational_bisimilar,
@@ -42,7 +43,6 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
-from lamgraph.scoped import all_scope_functions
 
 
 def test_find_homomorphism_debruijn_chain(debruijn):
@@ -450,7 +450,7 @@ def test_lift_homomorphism_on_delimited_graphs():
 
 
 def test_admits_scoping_diagnostic(g0_plain, nonext_pair, single_lambda):
-    from lamgraph import admits_scoping
+    from oracles import admits_scoping
 
     source, target = nonext_pair
     assert admits_scoping(g0_plain)

@@ -183,7 +183,7 @@ def test_forget_preserves_but_does_not_reflect_sharing(nonext_pair):
 def _unique_prefix_function(g):
     # Delimiter-free graphs over (1,none): enumerate prefix functions via
     # scope functions (they correspond one to one).
-    from lamgraph.scoped import all_scope_functions
+    from oracles import all_scope_functions
 
     found = [
         scope_to_prefix(ScopedGraph(g, sc)).prefixes for sc in all_scope_functions(g)
@@ -281,7 +281,7 @@ def test_delimiting_reflects_sharing_order(nonext_pair):
 
 
 def _only_prefixing(g):
-    from lamgraph.scoped import all_scope_functions
+    from oracles import all_scope_functions
     from lamgraph import ScopedGraph
 
     (sc,) = all_scope_functions(g)
