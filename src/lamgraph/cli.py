@@ -119,10 +119,6 @@ def cmd_validate(args) -> int:
         print(json.dumps(payload))
     elif verdict:
         print("pass")
-    elif report.passed:
-        # Inference can fail on a join conflict without a per-condition
-        # witness to report.
-        print("fail")
     else:
         print(report.describe(g))
     return 0 if verdict else 1

@@ -18,16 +18,24 @@ from .scoped import (
     PrefixFn,
     ValidationReport,
     Violation,
+    _check_prefix_domain,
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
 
 
 def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
-    """Check a prefix function against the strict delimiter conditions."""
+    """Check a prefix function against the strict delimiter conditions.
+
+    O(n + m + sum of |prefix(w)|).
+    """
     if g.variant.del_arity is None:
         raise VariantMismatch("this validator needs a signature with delimiters")
-    p = normalize_prefix_fn(g, p)
+    return _validate_prefix_fo(g, normalize_prefix_fn(g, p))
+
+
+def _validate_prefix_fo(g: TermGraph, p: PrefixFn) -> ValidationReport:
+    """``validate_prefix_fo`` past its variant check, on a normalized function."""
     bad = _prefix_word_sanity(g, p)
     if p[g.root] != ():
         bad.append(Violation("root", (g.root,)))
@@ -63,7 +71,11 @@ def infer_prefix(
     re-validation pass follows, catching the conditions propagation does
     not use.  ``rng`` shuffles the traversal order; the result is
     order-independent.  Returns (prefixes, None) on success and
-    (None, report_or_None) on failure.
+    (None, report) on failure.  A failure found while propagating is
+    reported with one violation: ``prefix-conflict`` at (source, target)
+    for an edge that forces its target to a second word, or the
+    validator's ``var0``/``var1``/``delim-pop``/``delim-backlink`` at the
+    vertex whose own word rules out its back-link or pop.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
@@ -83,28 +95,34 @@ def infer_prefix(
             forced.append((g.args[w][0], pw))
             forced.append((g.args[w][1], pw))
         elif lab is Label.VAR and g.variant.var_arity == 1:
-            if not pw or g.args[w][0] != pw[-1]:
-                return None, None
+            if not pw:
+                return _failure("var0", w)
+            if g.args[w][0] != pw[-1]:
+                return _failure("var1", w, g.args[w][0])
             forced.append((g.args[w][0], pw[:-1]))
         elif lab is Label.DEL:
             if not pw:
-                return None, None
+                return _failure("delim-pop", w, g.args[w][0])
             forced.append((g.args[w][0], pw[:-1]))
             if g.variant.del_arity == 2:
                 if g.args[w][1] != pw[-1]:
-                    return None, None
+                    return _failure("delim-backlink", w, g.args[w][1])
                 forced.append((g.args[w][1], pw[:-1]))
         for target, value in forced:
             if target in prefixes:
                 if prefixes[target] != value:
-                    return None, None
+                    return _failure("prefix-conflict", w, target)
             else:
                 prefixes[target] = value
                 worklist.append(target)
-    report = validate_prefix_fo(g, prefixes)
+    report = _validate_prefix_fo(g, _check_prefix_domain(g, prefixes))
     if not report.passed:
         return None, report
     return prefixes, None
+
+
+def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
+    return None, ValidationReport((Violation(condition, witnesses),))
 
 
 def is_lambda_term_graph(g: TermGraph) -> bool:
@@ -124,8 +142,20 @@ class DelimitedGraph:
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
         prefixes, report = infer_prefix(graph)
         if prefixes is None:
-            detail = report.describe(graph) if report is not None else "prefix conflict"
-            raise ValueError(f"not a valid delimited lambda graph: {detail}")
+            raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
+        return cls(graph, prefixes)
+
+    @classmethod
+    def _validated(cls, graph: TermGraph, prefixes: PrefixFn) -> "DelimitedGraph":
+        """``from_graph`` for a prefix function the caller constructed.
+
+        The strict validator checks it in full.  Every vertex is reachable
+        and every edge forces its target's word, so a function that passes
+        is the one inference would find.
+        """
+        report = _validate_prefix_fo(graph, _check_prefix_domain(graph, prefixes))
+        if not report.passed:
+            raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
         return cls(graph, prefixes)
 
 

@@ -52,30 +52,39 @@ def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:
     out: ScopeFn = {}
     for key, members in sc.items():
         out[g.resolve(key)] = frozenset(map(g.resolve, members))
-    abs_vertices = set(g.vertices_labeled(Label.ABS))
-    if set(out) != abs_vertices:
+    return _check_scope_domain(g, out)
+
+
+def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
+    """The domain tests of ``normalize_scope_fn``, on a map keyed by ids."""
+    if set(sc) != set(g.vertices_labeled(Label.ABS)):
         raise DomainMismatch("scope function domain must be exactly the abstraction vertices")
     n = g.vertex_count
-    for members in out.values():
+    for members in sc.values():
         # One min/max test per set; the scan names the offending member.
         if members and (min(members) < 0 or max(members) >= n):
             m = next(m for m in members if not 0 <= m < n)
             raise DomainMismatch(f"scope member {m} is not a vertex")
-    return out
+    return sc
 
 
 def normalize_prefix_fn(g: TermGraph, p: Mapping) -> PrefixFn:
     out: PrefixFn = {}
     for key, word in p.items():
         out[g.resolve(key)] = tuple(map(g.resolve, word))
-    if set(out) != set(g.vertices()):
+    return _check_prefix_domain(g, out)
+
+
+def _check_prefix_domain(g: TermGraph, p: PrefixFn) -> PrefixFn:
+    """The domain tests of ``normalize_prefix_fn``, on a map keyed by ids."""
+    if set(p) != set(g.vertices()):
         raise DomainMismatch("prefix function must be total on the vertex set")
     n = g.vertex_count
-    for word in out.values():
+    for word in p.values():
         if word and (min(word) < 0 or max(word) >= n):
             x = next(x for x in word if not 0 <= x < n)
             raise DomainMismatch(f"prefix entry {x} is not a vertex")
-    return out
+    return p
 
 
 def _containing(g: TermGraph, sc: ScopeFn, order: Iterable[int]) -> list[list[int]]:
@@ -110,7 +119,11 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("scope functions live on delimiter-free graphs")
-    sc = normalize_scope_fn(g, sc)
+    return _validate_scope(g, normalize_scope_fn(g, sc))
+
+
+def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
+    """``validate_scope`` past its variant check, on a normalized function."""
     bad: list[Violation] = []
     abs_vertices = g.vertices_labeled(Label.ABS)
     containing = _containing(g, sc, abs_vertices)
@@ -156,7 +169,11 @@ def validate_prefix_ho(g: TermGraph, p: Mapping) -> ValidationReport:
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("this validator is for delimiter-free graphs")
-    p = normalize_prefix_fn(g, p)
+    return _validate_prefix_ho(g, normalize_prefix_fn(g, p))
+
+
+def _validate_prefix_ho(g: TermGraph, p: PrefixFn) -> ValidationReport:
+    """``validate_prefix_ho`` past its variant check, on a normalized function."""
     bad = _prefix_word_sanity(g, p)
     if p[g.root] != ():
         bad.append(Violation("root", (g.root,)))
@@ -202,8 +219,14 @@ class ScopedGraph:
 
     @classmethod
     def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
-        scopes = normalize_scope_fn(graph, scopes)
-        report = validate_scope(graph, scopes)
+        return cls._validated(graph, normalize_scope_fn(graph, scopes))
+
+    @classmethod
+    def _validated(cls, graph: TermGraph, scopes: ScopeFn) -> "ScopedGraph":
+        """``checked`` for a scope function already normalized."""
+        if graph.variant.del_arity is not None:
+            raise VariantMismatch("scope functions live on delimiter-free graphs")
+        report = _validate_scope(graph, scopes)
         if not report.passed:
             raise ValueError(f"invalid scope function: {report.describe(graph)}")
         return cls(graph, scopes)
@@ -233,8 +256,14 @@ class PrefixedGraph:
 
     @classmethod
     def checked(cls, graph: TermGraph, prefixes: Mapping) -> "PrefixedGraph":
-        prefixes = normalize_prefix_fn(graph, prefixes)
-        report = validate_prefix_ho(graph, prefixes)
+        return cls._validated(graph, normalize_prefix_fn(graph, prefixes))
+
+    @classmethod
+    def _validated(cls, graph: TermGraph, prefixes: PrefixFn) -> "PrefixedGraph":
+        """``checked`` for a prefix function already normalized."""
+        if graph.variant.del_arity is not None:
+            raise VariantMismatch("this validator is for delimiter-free graphs")
+        report = _validate_prefix_ho(graph, prefixes)
         if not report.passed:
             raise ValueError(f"invalid prefix function: {report.describe(graph)}")
         return cls(graph, prefixes)

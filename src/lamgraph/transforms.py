@@ -8,9 +8,14 @@ erases delimiter vertices and reroutes edges through them.
 
 from __future__ import annotations
 
-from .core import Label, SignatureVariant, TermGraph, VariantMismatch, build
+from .core import Label, SignatureVariant, TermGraph, VariantMismatch
 from .delimited import DelimitedGraph
-from .scoped import PrefixedGraph, ScopedGraph, binders
+from .scoped import (
+    PrefixedGraph,
+    ScopedGraph,
+    _check_prefix_domain,
+    _check_scope_domain,
+)
 
 
 def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
@@ -25,13 +30,12 @@ def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     are inverted once, so the conversion takes O(n + sum of |sc(v)| +
     A log A) for A abstractions, plus validating the result.
     """
+    g = h.graph
     prefixes = {}
-    for w in h.graph.vertices():
-        word = binders(h, w)
-        if w in word:
-            word.remove(w)
-        prefixes[w] = tuple(word)
-    return PrefixedGraph.checked(h.graph, prefixes)
+    for w, word in enumerate(h._binder_lists):
+        # An abstraction lies in its own scope, not in its own prefix.
+        prefixes[w] = tuple(v for v in word if v != w) if g.labels[w] is Label.ABS else tuple(word)
+    return PrefixedGraph._validated(g, _check_prefix_domain(g, prefixes))
 
 
 def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
@@ -40,13 +44,14 @@ def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     One pass over the prefix words: O(n + sum of |prefix(w)|), plus
     validating the result.
     """
-    members = {v: [v] for v in a.graph.vertices_labeled(Label.ABS)}
+    g = a.graph
+    members = {v: [v] for v in g.vertices_labeled(Label.ABS)}
     for w, word in a.prefixes.items():
         for v in word:
             if v in members:
                 members[v].append(w)
     scopes = {v: frozenset(ws) for v, ws in members.items()}
-    return ScopedGraph.checked(a.graph, scopes)
+    return ScopedGraph._validated(g, _check_scope_domain(g, scopes))
 
 
 def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
@@ -72,13 +77,25 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     of n fresh delimiter vertices is inserted, one per dropped word;
     with j=2 each of them back-links to the abstraction it pops.  Chains
     are never shared between edges; collapse can merge them later.
+
+    The graph is built on ids: the input's vertices keep their ids, and
+    the delimiters follow in edge order, each chain from the longest
+    word down.  A delimiter is named after its edge, ``<source>.<k>.s``,
+    with ``.2``, ``.3``, ... appended until the name is new.  The chain
+    delimiter at level L of its edge's word W has the prefix W[:L] and
+    back-links to W[L-1], so the construction fixes the prefix function,
+    and the strict validator checks it in full in place of inferring it
+    again.  O(n + m + D + sum of |prefix(w)|) for D delimiters, counting
+    the output's words.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
     g = a.graph
-    out_variant = SignatureVariant(g.variant.var_arity, j)
-    labels: dict[str, Label] = {}
-    succ: dict[str, list[str]] = {}
+    p = a.prefixes
+    labels = list(g.labels)
+    args = [list(out) for out in g.args]
+    names = list(g.names)
+    prefixes = dict(p)
     taken = set(g.names)
 
     def fresh(base: str) -> str:
@@ -90,60 +107,61 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
         taken.add(name)
         return name
 
-    for v in g.vertices():
-        labels[g.names[v]] = g.labels[v]
-        succ[g.names[v]] = []
-
     for w, k, wk in g.edges():
         n = num_delimiters(a, w, k)
         if n == 0:
-            succ[g.names[w]].append(g.names[wk])
             continue
-        base_word = a.prefixes[w] + ((w,) if g.labels[w] is Label.ABS else ())
-        lower = len(a.prefixes[wk])
-        chain_names = [fresh(f"{g.names[w]}.{k}.s") for _ in range(n)]
-        # chain_names[0] sits at the longest word (level len(base_word)),
-        # the last one at level lower+1, feeding the edge's target.
-        succ[g.names[w]].append(chain_names[0])
-        for pos, name in enumerate(chain_names):
-            level = len(base_word) - pos
-            labels[name] = Label.DEL
-            next_name = chain_names[pos + 1] if pos + 1 < n else g.names[wk]
-            succ[name] = [next_name]
-            if j == 2:
-                succ[name].append(g.names[base_word[level - 1]])
-
-    carrier = build(out_variant, labels, succ, g.names[g.root])
-    result = DelimitedGraph.from_graph(carrier)
-    # The construction fixes each vertex's word; inference must agree.
-    for v in g.vertices():
-        expected = tuple(carrier.id_of(g.names[x]) for x in a.prefixes[v])
-        assert result.prefixes[carrier.id_of(g.names[v])] == expected
-    return result
+        base_word = p[w] + (w,) if g.labels[w] is Label.ABS else p[w]
+        lower = len(p[wk])
+        # Levels run from len(base_word) down to lower + 1; the last
+        # delimiter feeds the edge's target.
+        args[w][k] = len(labels)
+        base = f"{names[w]}.{k}.s"
+        for level in range(len(base_word), lower, -1):
+            d = len(labels)
+            labels.append(Label.DEL)
+            names.append(fresh(base))
+            below = d + 1 if level > lower + 1 else wk
+            args.append([below, base_word[level - 1]] if j == 2 else [below])
+            prefixes[d] = base_word[:level]
+    carrier = TermGraph(
+        variant=SignatureVariant(g.variant.var_arity, j),
+        labels=tuple(labels),
+        args=tuple(map(tuple, args)),
+        root=g.root,
+        names=tuple(names),
+    )
+    return DelimitedGraph._validated(carrier, prefixes)
 
 
 def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
-    """Erase delimiter vertices, rerouting edges through their chains."""
+    """Erase delimiter vertices, rerouting edges through their chains.
+
+    The kept vertices are renumbered by rank, keeping their order and
+    names; successors skip delimiter chains and prefix words map
+    through the same ids.  O(n + m + sum of |prefix(w)|), plus
+    validating the result.
+    """
     graph = g.graph
     if graph.variant.del_arity is None:
         raise VariantMismatch("input must be over a signature with delimiters")
+    labels = graph.labels
 
     def skip(u: int) -> int:
-        while graph.labels[u] is Label.DEL:
+        while labels[u] is Label.DEL:
             u = graph.args[u][0]
         return u
 
-    kept = [v for v in graph.vertices() if graph.labels[v] is not Label.DEL]
-    labels = {graph.names[v]: graph.labels[v] for v in kept}
-    succ = {
-        graph.names[v]: [graph.names[skip(w)] for w in graph.args[v]] for v in kept
-    }
-    out_variant = SignatureVariant(graph.variant.var_arity, None)
-    carrier = build(out_variant, labels, succ, graph.names[skip(graph.root)])
-    prefixes = {
-        carrier.id_of(graph.names[v]): tuple(
-            carrier.id_of(graph.names[x]) for x in g.prefixes[v]
-        )
-        for v in kept
-    }
-    return PrefixedGraph.checked(carrier, prefixes)
+    kept = [v for v in graph.vertices() if labels[v] is not Label.DEL]
+    new_id = [-1] * graph.vertex_count
+    for i, v in enumerate(kept):
+        new_id[v] = i
+    carrier = TermGraph(
+        variant=SignatureVariant(graph.variant.var_arity, None),
+        labels=tuple(labels[v] for v in kept),
+        args=tuple(tuple(new_id[skip(w)] for w in graph.args[v]) for v in kept),
+        root=new_id[skip(graph.root)],
+        names=tuple(graph.names[v] for v in kept),
+    )
+    prefixes = {new_id[v]: tuple(new_id[x] for x in g.prefixes[v]) for v in kept}
+    return PrefixedGraph._validated(carrier, _check_prefix_domain(carrier, prefixes))

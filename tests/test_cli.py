@@ -38,10 +38,31 @@ def test_validate_ltg_failure_json(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
-    # Same failure without --json: a join conflict has no per-condition
-    # witness but must still read as a failure.
+    # A join conflict names the edge that forces a second word on c.
+    conflict = {"condition": "prefix-conflict", "witnesses": ["b1", "c"]}
+    assert payload["violations"] == [conflict]
     code, out, _ = run(capsys, "validate", "--class", "ltg", path)
-    assert code == 1 and out.strip() == "fail"
+    assert code == 1 and out.strip() == "fail: prefix-conflict at b1, c"
+
+
+def test_ltg_failure_outputs_name_the_witness(tmp_path, capsys):
+    # a pushes itself onto the word of its own target, the root.
+    path = write(tmp_path, "g.tg", "sig 1 2\nroot a\na lam a\n")
+    code, out, _ = run(capsys, "validate", "--class", "ltg", "--json", path)
+    assert code == 1
+    assert json.loads(out) == {
+        "class": "ltg",
+        "variant": "(1,2)",
+        "verdict": "fail",
+        "violations": [{"condition": "prefix-conflict", "witnesses": ["a", "a"]}],
+    }
+    code, out, _ = run(capsys, "validate", "--class", "ltg", path)
+    assert code == 1 and out == "fail: prefix-conflict at a, a\n"
+    code, out, err = run(capsys, "translate", "--from", "ltg", "--to", "aphotg", path)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: {path}: not a valid delimited lambda graph: fail: prefix-conflict at a, a\n"
+    )
 
 
 def test_validate_hotg_with_scopes(tmp_path, capsys):

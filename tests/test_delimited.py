@@ -310,3 +310,66 @@ def test_checks_scale_to_ten_thousand_vertices(make, n):
     assert is_eager_scope(dg)
     assert is_fully_back_linked(dg)
     assert time.perf_counter() - start < 3.0
+
+
+# ---------------------------------------------------------------------------
+# Every failed inference comes with a report that names its witnesses.
+
+
+@pytest.mark.parametrize(
+    "text, condition, witnesses",
+    [
+        # a pushes itself onto the word of its own target, the root.
+        ("sig 1 2\nroot a\na lam a\n", "prefix-conflict", ("a", "a")),
+        # c gets the word b2 first (last in, first out), then b1 forces b1.
+        ("sig 0 1\nroot a\na @ b1 b2\nb1 lam c\nb2 lam c\nc 0\n",
+         "prefix-conflict", ("b1", "c")),
+        ("sig 1 2\nroot v\nv 0 v\n", "var0", ("v",)),
+        ("sig 1 2\nroot a\na lam b\nb lam v\nv 0 a\n", "var1", ("v", "a")),
+        ("sig 0 1\nroot s\ns S r\nr lam c\nc 0\n", "delim-pop", ("s", "r")),
+        ("sig 0 2\nroot a\na lam b\nb lam s\ns S c a\nc 0\n", "delim-backlink", ("s", "a")),
+    ],
+    ids=["self-loop", "join", "var0", "var1", "delim-pop", "delim-backlink"],
+)
+def test_failed_inference_names_a_witness(text, condition, witnesses):
+    g = parse_graph(text).graph
+    prefixes, report = infer_prefix(g)
+    assert prefixes is None
+    (violation,) = report.violations
+    assert violation.condition == condition
+    assert tuple(g.names[w] for w in violation.witnesses) == witnesses
+    with pytest.raises(ValueError, match=f"{condition} at {', '.join(witnesses)}"):
+        DelimitedGraph.from_graph(g)
+
+
+def test_every_failed_inference_has_a_report():
+    rng = random.Random(209)
+    outcomes = set()
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=6)
+        if g.variant.del_arity is None:
+            continue
+        prefixes, report = infer_prefix(g)
+        assert (prefixes is None) != (report is None)
+        if report is not None:
+            assert report.violations
+            assert all(0 <= w < g.vertex_count for v in report.violations for w in v.witnesses)
+            outcomes |= {v.condition for v in report.violations}
+        else:
+            outcomes.add("pass")
+    assert {"pass", "prefix-conflict", "var1", "delim-backlink"} <= outcomes
+
+
+def test_infer_prefix_on_an_unreachable_vertex_is_a_domain_error():
+    from lamgraph import DomainMismatch, TermGraph
+
+    # Built directly, not by build(): b is unreachable from the root.
+    g = TermGraph(
+        variant=SignatureVariant(0, 1),
+        labels=(Label.ABS, Label.VAR, Label.ABS),
+        args=((1,), (), (1,)),
+        root=0,
+        names=("a", "c", "b"),
+    )
+    with pytest.raises(DomainMismatch, match="total"):
+        infer_prefix(g)

@@ -478,3 +478,44 @@ def test_tower_scope_layer_scales():
     assert max(map(len, a.prefixes.values())) == 200
     assert elapsed < 2.0
 
+
+def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
+    # Names are resolved at the boundary (ScopedGraph.checked) and nowhere
+    # on the route behind it, which builds its annotations on ids.
+    import sys
+
+    doc = parse_graph(_tower_doc(8))
+    calls = {"normalize_scope_fn": 0, "normalize_prefix_fn": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("lamgraph.")]
+    for module in modules:
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    shared = max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
+    assert shared.graph.vertex_count == doc.graph.vertex_count  # a tower shares nothing
+    assert calls == {"normalize_scope_fn": 1, "normalize_prefix_fn": 0}
+
+
+def test_public_validators_still_take_names(running_carrier):
+    from conftest import RUNNING_EAGER_PREFIXES, RUNNING_EAGER_SCOPES
+    from lamgraph import validate_prefix_fo
+
+    g = running_carrier
+    assert validate_scope(g, RUNNING_EAGER_SCOPES).passed
+    assert validate_prefix_ho(g, RUNNING_EAGER_PREFIXES).passed
+    assert ScopedGraph.checked(g, RUNNING_EAGER_SCOPES).graph is g
+    assert PrefixedGraph.checked(g, RUNNING_EAGER_PREFIXES).graph is g
+    d = insert_delimiters(PrefixedGraph.checked(g, RUNNING_EAGER_PREFIXES))
+    names = d.graph.names
+    by_name = {names[v]: tuple(names[x] for x in word) for v, word in d.prefixes.items()}
+    assert validate_prefix_fo(d.graph, by_name).passed
+    wrong = dict(by_name, **{names[d.graph.root]: (names[0],)})
+    assert not validate_prefix_fo(d.graph, wrong).passed

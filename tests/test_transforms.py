@@ -1,6 +1,8 @@
 import random
 
-from generators import random_term
+from hypothesis import given, settings
+
+from generators import graphs, random_term
 
 from lamgraph import (
     DelimitedGraph,
@@ -286,3 +288,68 @@ def _only_prefixing(g):
 
     (sc,) = all_scope_functions(g)
     return scope_to_prefix(ScopedGraph(g, sc))
+
+
+# ---------------------------------------------------------------------------
+# The id-built transforms against the name-keyed ones they replaced: the
+# same graph (labels, arguments, root, names) and the same prefixes.
+
+
+def _same_as_name_keyed(pg=None, dg=None):
+    from oracles import name_keyed_insert_delimiters, name_keyed_strip_delimiters
+
+    if dg is not None:
+        got, want = strip_delimiters(dg), name_keyed_strip_delimiters(dg)
+        assert got.graph == want.graph and got.prefixes == want.prefixes
+        pg = got
+    for j in (1, 2):
+        got, want = insert_delimiters(pg, j), name_keyed_insert_delimiters(pg, j)
+        assert got.graph == want.graph and got.prefixes == want.prefixes
+        back, want_back = strip_delimiters(got), name_keyed_strip_delimiters(got)
+        assert back.graph == want_back.graph and back.prefixes == want_back.prefixes
+
+
+def test_transforms_match_name_keyed_on_translations():
+    rng = random.Random(304)
+    for i in range(300):
+        t = random_term(rng, depth=rng.randint(1, 4))
+        _same_as_name_keyed(dg=term_to_graph(t, rng=rng if i % 2 else None))
+
+
+def test_transforms_match_name_keyed_on_random_graphs():
+    from generators import random_graph
+    from lamgraph import is_lambda_term_graph
+
+    rng = random.Random(305)
+    checked = 0
+    for _ in range(4000):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is None or not is_lambda_term_graph(g):
+            continue
+        _same_as_name_keyed(dg=DelimitedGraph.from_graph(g))
+        checked += 1
+    assert checked >= 150
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+def test_transforms_match_name_keyed_hypothesis(g):
+    from lamgraph import is_lambda_term_graph
+
+    if g.variant.del_arity is not None and is_lambda_term_graph(g):
+        _same_as_name_keyed(dg=DelimitedGraph.from_graph(g))
+
+
+def test_minted_names_skip_taken_ones():
+    # The edge a -0-> b leaves a's scope, so it needs one delimiter; its
+    # name a.0.s and the first retry a.0.s.2 are vertex names already.
+    text = (
+        "sig 1\nroot a\na lam b\nb lam a.0.s\na.0.s @ a.0.s.2 v\n"
+        "a.0.s.2 0 b\nv 0 b\nscope a = { a }\nscope b = { b a.0.s a.0.s.2 v }\n"
+    )
+    doc = parse_graph(text)
+    pg = scope_to_prefix(ScopedGraph.checked(doc.graph, doc.scopes))
+    _same_as_name_keyed(pg=pg)
+    for j in (1, 2):
+        out = insert_delimiters(pg, j).graph
+        assert out.names[len(doc.graph.names):] == ("a.0.s.3",)
