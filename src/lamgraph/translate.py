@@ -12,6 +12,13 @@ group are allocated first, then the defining terms are filled in, so
 cycles and cross-references become direct edges.  Occurrences of letrec
 names are plain edges to the entry vertex; only lambda-bound variables
 become variable vertices.
+
+Vertices get dense integer ids in allocation order, and each one's
+prefix word, a tuple of those ids, is recorded when it is allocated.
+Names are minted for output only.  The emitted prefix function is
+checked once, by the strict validator, instead of being inferred again;
+on eager translations the eager-scope check follows, and it implies
+full back-linking (see ``term_to_graph``).
 """
 
 from __future__ import annotations
@@ -19,14 +26,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import Label, SignatureVariant, build_pruned
-from .delimited import (
-    DelimitedGraph,
-    _non_eager_reason,
-    _non_eager_vertex,
-    is_fully_back_linked,
-)
+from .core import Label, SignatureVariant, TermGraph
+from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
 from .terms import Abs, App, Letrec, Term, UnboundVariable, Var
+from .textfmt import RESERVED_NAMES
 
 
 class InternalValidationFailure(Exception):
@@ -123,13 +126,22 @@ class _Resolver:
 
 def _compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
     """Annotate every node with its free lambda binders, resolving letrec
-    references by a least fixpoint over the binding group."""
+    references by a least fixpoint over the bindings.
+
+    A worklist holds the bindings still to evaluate.  Evaluating one
+    records it as a user of every binding it references, and a binding
+    whose set grows puts its users back on the list, so a binding is
+    walked again only when something it reads has grown.
+    """
     bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
+    users: dict[int, set[int]] = {b: set() for b in binding_term}
+    current = 0
 
     def fv(node: _RNode) -> frozenset[int]:
         if isinstance(node, _RVar):
             return frozenset((node.binder,))
         if isinstance(node, _RRef):
+            users[node.binding].add(current)
             return bind_fv[node.binding]
         if isinstance(node, _RApp):
             return fv(node.fun) | fv(node.arg)
@@ -139,14 +151,20 @@ def _compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
             return fv(node.body)
         raise TypeError(node)
 
-    changed = True
-    while changed:
-        changed = False
-        for b, term in binding_term.items():
-            new = fv(term)
-            if new != bind_fv[b]:
-                bind_fv[b] = new
-                changed = True
+    # A binding not evaluated yet is still on the list, so it reads every
+    # growth that happens before its turn without being a user yet.
+    worklist = list(binding_term)
+    queued = set(worklist)
+    while worklist:
+        current = worklist.pop()
+        queued.discard(current)
+        new = fv(binding_term[current])
+        if new != bind_fv[current]:
+            bind_fv[current] = new
+            for u in users[current]:
+                if u not in queued:
+                    queued.add(u)
+                    worklist.append(u)
 
     def annotate(node: _RNode) -> None:
         # Each node's set comes from its children's, so this is one pass.
@@ -209,67 +227,96 @@ def _mark_live(root: _RNode) -> None:
 
 
 class _Builder:
+    """The emitted vertices under dense ids, in allocation order.
+
+    Each vertex gets its label, its successors (filled in after the
+    vertex is allocated), a name for output and its prefix word: a tuple
+    of abstraction vertex ids, fixed when the vertex is allocated.
+    """
+
     def __init__(self):
-        self.labels: dict[str, Label] = {}
-        self.succ: dict[str, list[str] | None] = {}
-        self.expected_prefix: dict[str, tuple[str, ...]] = {}
+        self.labels: list[Label] = []
+        self.succ: list[list[int] | None] = []
+        self.names: list[str] = []
+        self.prefixes: list[tuple[int, ...]] = []
         self.counts: dict[str, int] = {}
+        # Names the document format cannot express are never minted (a
+        # binder may be called "scope" or "root").
+        self.taken: set[str] = set(RESERVED_NAMES)
 
     def fresh_name(self, base: str) -> str:
-        from .textfmt import RESERVED_NAMES
-
         n = self.counts.get(base, 0) + 1
-        self.counts[base] = n
         name = base if n == 1 else f"{base}.{n}"
-        # Skip names the document format cannot express (a binder may be
-        # called "scope" or "root").
-        while name in self.labels or name in RESERVED_NAMES:
+        while name in self.taken:
             n += 1
-            self.counts[base] = n
             name = f"{base}.{n}"
+        self.counts[base] = n
+        self.taken.add(name)
         return name
 
-    def alloc(self, base: str, label: Label, word: tuple) -> str:
-        name = self.fresh_name(base)
-        self.labels[name] = label
-        self.succ[name] = None
-        self.expected_prefix[name] = tuple(v for v, _ in word)
-        return name
+    def alloc(self, base: str, label: Label, word: tuple[int, ...]) -> int:
+        v = len(self.labels)
+        self.labels.append(label)
+        self.succ.append(None)
+        self.names.append(self.fresh_name(base))
+        self.prefixes.append(word)
+        return v
+
+    def graph(self, root: int) -> TermGraph:
+        """The emitted graph; every vertex must be reachable from ``root``."""
+        seen = [False] * len(self.labels)
+        seen[root] = True
+        stack = [root]
+        while stack:
+            for w in self.succ[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        if not all(seen):
+            unreached = tuple(self.names[v] for v, hit in enumerate(seen) if not hit)
+            raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}")
+        return TermGraph(
+            variant=SignatureVariant(1, 2),
+            labels=tuple(self.labels),
+            args=tuple(map(tuple, self.succ)),
+            root=root,
+            names=tuple(self.names),
+        )
 
 
-# Prefix words during translation pair the emitted abstraction vertex
-# name with the resolver's binder id.
-_Word = tuple[tuple[str, int], ...]
-
-
-def _pop(word: _Word, fv: frozenset[int]) -> _Word:
-    i = len(word)
-    while i > 0 and word[i - 1][1] not in fv:
-        i -= 1
-    return word[:i]
+# A prefix word during translation: the emitted abstraction vertices,
+# outermost first.  ``_Translator.binder`` maps each to its resolver id.
+_Word = tuple[int, ...]
 
 
 class _Translator:
     def __init__(self, rng: random.Random | None):
         self.b = _Builder()
         self.rng = rng  # None: eager pops everywhere; else lazy where legal
-        self.entry: dict[int, tuple[str, _Word]] = {}
+        self.binder: dict[int, int] = {}
+        self.entry: dict[int, tuple[int, _Word]] = {}
         self.term_of: dict[int, _RNode] = {}
 
-    def chain(self, source: _Word, target: _Word, target_name: str) -> str:
+    def pop(self, word: _Word, fv: frozenset[int]) -> _Word:
+        """``word`` without its trailing binders that ``fv`` lacks."""
+        i = len(word)
+        while i > 0 and self.binder[word[i - 1]] not in fv:
+            i -= 1
+        return word[:i]
+
+    def chain(self, source: _Word, target: _Word, top: int) -> int:
         """One delimiter per popped word entry, bottom-up; returns the top."""
-        cur = target_name
+        cur = top
         for level in range(len(target) + 1, len(source) + 1):
-            popped = source[level - 1][0]
             s = self.b.alloc("s", Label.DEL, source[:level])
-            self.b.succ[s] = [cur, popped]
+            self.b.succ[s] = [cur, source[level - 1]]
             cur = s
         return cur
 
-    def attach(self, node: _RNode, word: _Word) -> str:
+    def attach(self, node: _RNode, word: _Word) -> int:
         """Translate ``node`` below an edge whose source carries ``word``,
         emitting the delimiter chain for the prefix drop."""
-        target = _pop(word, node.fv)
+        target = self.pop(word, node.fv)
         if self.rng is not None and not isinstance(node, (_RVar, _RRef)):
             # Lazy mode: keep a random part of the poppable tail.  Variable
             # and reference targets have forced prefixes and stay exact.
@@ -278,24 +325,23 @@ class _Translator:
         top = self.translate(node, target)
         return self.chain(word, target, top)
 
-    def translate(self, node: _RNode, word: _Word) -> str:
+    def translate(self, node: _RNode, word: _Word) -> int:
         if isinstance(node, _RVar):
-            assert word and word[-1][1] == node.binder
+            assert word and self.binder[word[-1]] == node.binder
             v = self.b.alloc(f"{node.name}!", Label.VAR, word)
-            self.b.succ[v] = [word[-1][0]]
+            self.b.succ[v] = [word[-1]]
             return v
         if isinstance(node, _RRef):
-            name, entry_word = self.resolve_entry(node.binding, ())
+            v, entry_word = self.resolve_entry(node.binding, ())
             assert word == entry_word
-            return name
+            return v
         if isinstance(node, _RApp):
             v = self.b.alloc("a", Label.APP, word)
             self.b.succ[v] = [self.attach(node.fun, word), self.attach(node.arg, word)]
             return v
         if isinstance(node, _RAbs):
             v = self.b.alloc(node.name, Label.ABS, word)
-            body_word = word + ((v, node.binder),)
-            self.b.succ[v] = [self.attach(node.body, body_word)]
+            self.fill(node, v, word)
             return v
         if isinstance(node, _RLetrec):
             for ident, name, term in node.bindings:
@@ -303,11 +349,11 @@ class _Translator:
             fills = []
             for ident, name, term in node.bindings:
                 if ident in node.live and not isinstance(term, _RRef):
-                    entry_word = _pop(word, term.fv)
+                    entry_word = self.pop(word, term.fv)
                     v = self.b.alloc(name, self.shape_label(term), entry_word)
                     self.entry[ident] = (v, entry_word)
-                    fills.append((ident, term, v, entry_word))
-            for ident, term, v, entry_word in fills:
+                    fills.append((term, v, entry_word))
+            for term, v, entry_word in fills:
                 self.fill(term, v, entry_word)
             return self.attach(node.body, word)
         raise TypeError(node)
@@ -321,19 +367,19 @@ class _Translator:
             return Label.VAR
         raise TypeError(term)
 
-    def fill(self, term: _RNode, v: str, word: _Word) -> None:
+    def fill(self, term: _RNode, v: int, word: _Word) -> None:
         if isinstance(term, _RAbs):
-            body_word = word + ((v, term.binder),)
-            self.b.succ[v] = [self.attach(term.body, body_word)]
+            self.binder[v] = term.binder
+            self.b.succ[v] = [self.attach(term.body, word + (v,))]
         elif isinstance(term, _RApp):
             self.b.succ[v] = [self.attach(term.fun, word), self.attach(term.arg, word)]
         elif isinstance(term, _RVar):
-            assert word and word[-1][1] == term.binder
-            self.b.succ[v] = [word[-1][0]]
+            assert word and self.binder[word[-1]] == term.binder
+            self.b.succ[v] = [word[-1]]
         else:
             raise TypeError(term)
 
-    def resolve_entry(self, binding: int, trail: tuple[int, ...]) -> tuple[str, _Word]:
+    def resolve_entry(self, binding: int, trail: tuple[int, ...]) -> tuple[int, _Word]:
         if binding in self.entry:
             return self.entry[binding]
         term = self.term_of[binding]
@@ -354,6 +400,21 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
 
     With ``rng`` the translation keeps some closable scopes open longer
     (still valid, generally not eager); used to generate test diversity.
+
+    The translator emits the graph on ids together with its prefix
+    function, so nothing is inferred again: an explicit reachability
+    pass and the strict validator (``DelimitedGraph._validated``) check
+    the emitted function once, in O(n + m + sum of |prefix(w)|).  Every
+    vertex is reachable and every edge forces its target's word, so a
+    function that passes is the one inference would return.
+
+    Without ``rng`` the eager-scope check runs as well.  On a (1,2)
+    graph whose prefix function passed the validator it also implies
+    that the graph is fully back-linked.  Take w with prefix W and
+    v = W[-1]: a variable vertex back-links to v (condition var1), a
+    delimiter back-links to v (condition delim-backlink), and any other
+    vertex reaches, inside W's region, a variable that back-links to v.
+    So w reaches v in every case, and no separate back-link pass runs.
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {})
@@ -363,20 +424,11 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
         raise ValueError("term is not closed")
     tr = _Translator(rng)
     root = tr.attach(rnode, ())
-    graph, pruned = build_pruned(
-        SignatureVariant(1, 2), tr.b.labels, tr.b.succ, root
-    )
-    if pruned:
-        raise InternalValidationFailure(f"translator left unreachable vertices: {pruned}")
+    graph = tr.b.graph(root)
     try:
-        result = DelimitedGraph.from_graph(graph)
+        result = DelimitedGraph._validated(graph, dict(enumerate(tr.b.prefixes)))
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
-    id_of = {name: v for v, name in enumerate(graph.names)}
-    for name, word in tr.b.expected_prefix.items():
-        got = result.prefixes[id_of[name]]
-        if got != tuple(id_of[x] for x in word):
-            raise InternalValidationFailure(f"prefix mismatch at {name}")
     if rng is None:
         w = _non_eager_vertex(result)
         if w is not None:
@@ -384,6 +436,4 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
                 "eager translation produced a non-eager graph: "
                 + _non_eager_reason(result, w)
             )
-        if not is_fully_back_linked(result):
-            raise InternalValidationFailure("eager translation is not fully back-linked")
     return result

@@ -5,10 +5,16 @@ calls the code paths it is used to verify.  The one exception is
 ``all_scope_functions`` (with ``admits_scoping`` on top of it), which
 filters its candidates through the library's ``validate_scope`` and
 checks that validator against ``per_pair_validate_scope`` on every one.
+
+The replaced fast paths live on here as well, as references for the
+ones that took their place: the name-keyed delimiter insertion and
+erasure, and the name-keyed translator, which reuses the library's
+resolver and liveness pass but emits, infers and checks on its own.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -20,15 +26,32 @@ from lamgraph import (
     PrefixedGraph,
     ScopedGraph,
     SignatureVariant,
+    Term,
     TermGraph,
     ValidationReport,
     VariantMismatch,
     Violation,
     build,
+    build_pruned,
+    is_fully_back_linked,
     num_delimiters,
     validate_scope,
 )
+from lamgraph.delimited import _non_eager_reason, _non_eager_vertex
 from lamgraph.scoped import ScopeFn, normalize_scope_fn
+from lamgraph.textfmt import RESERVED_NAMES
+from lamgraph.translate import (
+    DegenerateBinding,
+    InternalValidationFailure,
+    _mark_live,
+    _RAbs,
+    _RApp,
+    _RLetrec,
+    _RNode,
+    _RRef,
+    _RVar,
+    _Resolver,
+)
 
 
 def all_partitions(items: list) -> list[list[list]]:
@@ -497,3 +520,239 @@ def name_keyed_strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         for v in kept
     }
     return PrefixedGraph.checked(carrier, prefixes)
+
+
+def _fixpoint_compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
+    """Annotate every node with its free lambda binders, resolving letrec
+    references by a least fixpoint over the binding group.
+
+    Re-walks every binding until no set changes: O(bindings^2) walks on
+    a chain whose bindings depend on each other in reverse order.
+    """
+    bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
+
+    def fv(node: _RNode) -> frozenset[int]:
+        if isinstance(node, _RVar):
+            return frozenset((node.binder,))
+        if isinstance(node, _RRef):
+            return bind_fv[node.binding]
+        if isinstance(node, _RApp):
+            return fv(node.fun) | fv(node.arg)
+        if isinstance(node, _RAbs):
+            return fv(node.body) - {node.binder}
+        if isinstance(node, _RLetrec):
+            return fv(node.body)
+        raise TypeError(node)
+
+    changed = True
+    while changed:
+        changed = False
+        for b, term in binding_term.items():
+            new = fv(term)
+            if new != bind_fv[b]:
+                bind_fv[b] = new
+                changed = True
+
+    def annotate(node: _RNode) -> None:
+        # Each node's set comes from its children's, so this is one pass.
+        if isinstance(node, _RApp):
+            annotate(node.fun)
+            annotate(node.arg)
+            node.fv = node.fun.fv | node.arg.fv
+        elif isinstance(node, _RAbs):
+            annotate(node.body)
+            node.fv = node.body.fv - {node.binder}
+        elif isinstance(node, _RLetrec):
+            for _, _, term in node.bindings:
+                annotate(term)
+            annotate(node.body)
+            node.fv = node.body.fv
+        else:
+            node.fv = fv(node)
+
+    annotate(root)
+
+
+class _NameKeyedBuilder:
+    def __init__(self):
+        self.labels: dict[str, Label] = {}
+        self.succ: dict[str, list[str] | None] = {}
+        self.expected_prefix: dict[str, tuple[str, ...]] = {}
+        self.counts: dict[str, int] = {}
+
+    def fresh_name(self, base: str) -> str:
+        n = self.counts.get(base, 0) + 1
+        self.counts[base] = n
+        name = base if n == 1 else f"{base}.{n}"
+        # Skip names the document format cannot express (a binder may be
+        # called "scope" or "root").
+        while name in self.labels or name in RESERVED_NAMES:
+            n += 1
+            self.counts[base] = n
+            name = f"{base}.{n}"
+        return name
+
+    def alloc(self, base: str, label: Label, word: tuple) -> str:
+        name = self.fresh_name(base)
+        self.labels[name] = label
+        self.succ[name] = None
+        self.expected_prefix[name] = tuple(v for v, _ in word)
+        return name
+
+
+# Prefix words during translation pair the emitted abstraction vertex
+# name with the resolver's binder id.
+_Word = tuple[tuple[str, int], ...]
+
+
+def _pop(word: _Word, fv: frozenset[int]) -> _Word:
+    i = len(word)
+    while i > 0 and word[i - 1][1] not in fv:
+        i -= 1
+    return word[:i]
+
+
+class _NameKeyedTranslator:
+    def __init__(self, rng: random.Random | None):
+        self.b = _NameKeyedBuilder()
+        self.rng = rng  # None: eager pops everywhere; else lazy where legal
+        self.entry: dict[int, tuple[str, _Word]] = {}
+        self.term_of: dict[int, _RNode] = {}
+
+    def chain(self, source: _Word, target: _Word, target_name: str) -> str:
+        """One delimiter per popped word entry, bottom-up; returns the top."""
+        cur = target_name
+        for level in range(len(target) + 1, len(source) + 1):
+            popped = source[level - 1][0]
+            s = self.b.alloc("s", Label.DEL, source[:level])
+            self.b.succ[s] = [cur, popped]
+            cur = s
+        return cur
+
+    def attach(self, node: _RNode, word: _Word) -> str:
+        """Translate ``node`` below an edge whose source carries ``word``,
+        emitting the delimiter chain for the prefix drop."""
+        target = _pop(word, node.fv)
+        if self.rng is not None and not isinstance(node, (_RVar, _RRef)):
+            # Lazy mode: keep a random part of the poppable tail.  Variable
+            # and reference targets have forced prefixes and stay exact.
+            keep = self.rng.randint(0, len(word) - len(target))
+            target = word[: len(target) + keep]
+        top = self.translate(node, target)
+        return self.chain(word, target, top)
+
+    def translate(self, node: _RNode, word: _Word) -> str:
+        if isinstance(node, _RVar):
+            assert word and word[-1][1] == node.binder
+            v = self.b.alloc(f"{node.name}!", Label.VAR, word)
+            self.b.succ[v] = [word[-1][0]]
+            return v
+        if isinstance(node, _RRef):
+            name, entry_word = self.resolve_entry(node.binding, ())
+            assert word == entry_word
+            return name
+        if isinstance(node, _RApp):
+            v = self.b.alloc("a", Label.APP, word)
+            self.b.succ[v] = [self.attach(node.fun, word), self.attach(node.arg, word)]
+            return v
+        if isinstance(node, _RAbs):
+            v = self.b.alloc(node.name, Label.ABS, word)
+            body_word = word + ((v, node.binder),)
+            self.b.succ[v] = [self.attach(node.body, body_word)]
+            return v
+        if isinstance(node, _RLetrec):
+            for ident, name, term in node.bindings:
+                self.term_of[ident] = term
+            fills = []
+            for ident, name, term in node.bindings:
+                if ident in node.live and not isinstance(term, _RRef):
+                    entry_word = _pop(word, term.fv)
+                    v = self.b.alloc(name, self.shape_label(term), entry_word)
+                    self.entry[ident] = (v, entry_word)
+                    fills.append((ident, term, v, entry_word))
+            for ident, term, v, entry_word in fills:
+                self.fill(term, v, entry_word)
+            return self.attach(node.body, word)
+        raise TypeError(node)
+
+    def shape_label(self, term: _RNode) -> Label:
+        if isinstance(term, _RAbs):
+            return Label.ABS
+        if isinstance(term, _RApp):
+            return Label.APP
+        if isinstance(term, _RVar):
+            return Label.VAR
+        raise TypeError(term)
+
+    def fill(self, term: _RNode, v: str, word: _Word) -> None:
+        if isinstance(term, _RAbs):
+            body_word = word + ((v, term.binder),)
+            self.b.succ[v] = [self.attach(term.body, body_word)]
+        elif isinstance(term, _RApp):
+            self.b.succ[v] = [self.attach(term.fun, word), self.attach(term.arg, word)]
+        elif isinstance(term, _RVar):
+            assert word and word[-1][1] == term.binder
+            self.b.succ[v] = [word[-1][0]]
+        else:
+            raise TypeError(term)
+
+    def resolve_entry(self, binding: int, trail: tuple[int, ...]) -> tuple[str, _Word]:
+        if binding in self.entry:
+            return self.entry[binding]
+        term = self.term_of[binding]
+        if isinstance(term, _RRef):
+            if term.binding in trail:
+                raise DegenerateBinding(
+                    "letrec binding defined only through a cycle of names"
+                )
+            resolved = self.resolve_entry(term.binding, trail + (binding,))
+            self.entry[binding] = resolved
+            return resolved
+        raise AssertionError("reference to a binding that was never allocated")
+
+
+def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
+    """Translate a closed term to a valid eager-scope delimited graph
+    over the signature with both kinds of back-links, keyed by names.
+
+    The library's translator before it emitted on ids: it builds through
+    ``build_pruned``, infers every prefix again with ``from_graph``,
+    compares the words name by name, and runs the eager and full
+    back-link checks.  The free-variable sets come from the fixpoint
+    above, so the library's worklist is checked against it as well.
+
+    With ``rng`` the translation keeps some closable scopes open longer
+    (still valid, generally not eager); used to generate test diversity.
+    """
+    resolver = _Resolver()
+    rnode = resolver.resolve(t, {})
+    _fixpoint_compute_fv(rnode, resolver.binding_term)
+    _mark_live(rnode)
+    if rnode.fv:
+        raise ValueError("term is not closed")
+    tr = _NameKeyedTranslator(rng)
+    root = tr.attach(rnode, ())
+    graph, pruned = build_pruned(
+        SignatureVariant(1, 2), tr.b.labels, tr.b.succ, root
+    )
+    if pruned:
+        raise InternalValidationFailure(f"translator left unreachable vertices: {pruned}")
+    try:
+        result = DelimitedGraph.from_graph(graph)
+    except ValueError as exc:
+        raise InternalValidationFailure(str(exc)) from exc
+    id_of = {name: v for v, name in enumerate(graph.names)}
+    for name, word in tr.b.expected_prefix.items():
+        got = result.prefixes[id_of[name]]
+        if got != tuple(id_of[x] for x in word):
+            raise InternalValidationFailure(f"prefix mismatch at {name}")
+    if rng is None:
+        w = _non_eager_vertex(result)
+        if w is not None:
+            raise InternalValidationFailure(
+                "eager translation produced a non-eager graph: "
+                + _non_eager_reason(result, w)
+            )
+        if not is_fully_back_linked(result):
+            raise InternalValidationFailure("eager translation is not fully back-linked")
+    return result

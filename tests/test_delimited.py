@@ -160,9 +160,23 @@ def test_eager_implies_fully_back_linked():
     # With delimiter back-links the exempt reading suffices; without them
     # a delimiter closing an occurrence-free binder has no way back, so
     # the implication is only guaranteed under the literal reading.
-    for dg in _random_delimited(203, 40, variants=((1, 2),)):
-        if is_eager_scope(dg):
+    # term_to_graph relies on the (1,2) case in place of a back-link pass.
+    rng = random.Random(209)
+    candidates = _random_delimited(203, 400, variants=((1, 2),))
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant == SignatureVariant(1, 2):
+            prefixes, _ = infer_prefix(g)
+            if prefixes is not None:
+                candidates.append(DelimitedGraph(g, prefixes))
+    verdicts = set()
+    for dg in candidates:
+        eager = is_eager_scope(dg)
+        verdicts.add(eager)
+        if eager:
             assert is_fully_back_linked(dg)
+            assert per_vertex_fully_back_linked(dg)
+    assert verdicts == {True, False}
     for dg in _random_delimited(205, 40, variants=((1, 1),)):
         if is_eager_scope(dg, strict=True):
             assert is_fully_back_linked(dg)

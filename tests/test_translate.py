@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
 from generators import random_term
-from oracles import per_vertex_eager_at
+from oracles import name_keyed_term_to_graph, per_vertex_eager_at, per_vertex_fully_back_linked
 
 from lamgraph import (
     Abs,
@@ -270,6 +270,7 @@ def test_translation_hypothesis_closed_terms(data):
     term = gen(data.draw(st.integers(1, 4)), frozenset())
     dg = term_to_graph(term)
     assert is_eager_scope(dg) and is_fully_back_linked(dg)
+    _assert_same_translation(dg, name_keyed_term_to_graph(term))
 
 
 def _letrec_body_chain(d: int) -> str:
@@ -309,3 +310,174 @@ def test_non_eager_translation_names_a_witness(monkeypatch):
         term_to_graph(term)
     name = re.search(r"graph: (\S+) reaches no occurrence", str(info.value)).group(1)
     assert not per_vertex_eager_at(lazy, lazy.graph.names.index(name))
+
+
+def _reverse_letrec_chain(n: int) -> str:
+    # f_i references f_{i+1}, and only the last binding mentions y, so a
+    # fixpoint that re-walks every binding per round needs n rounds.
+    bindings = "; ".join(f"f{i} = \\z. z f{i + 1}" for i in range(n))
+    return f"\\y. letrec {bindings}; f{n} = y in f0"
+
+
+def test_reverse_letrec_chain_translates_in_linear_time():
+    t = parse_term(_reverse_letrec_chain(2000))
+    start = time.perf_counter()
+    dg = term_to_graph(t)
+    assert time.perf_counter() - start < 2.0
+    # y; per binding an abstraction, an application, an occurrence of z
+    # and a delimiter closing z before the next binding; and f2000 = y.
+    assert dg.graph.vertex_count == 1 + 4 * 2000 + 1
+    small = parse_term(_reverse_letrec_chain(30))
+    _assert_same_translation(term_to_graph(small), name_keyed_term_to_graph(small))
+
+
+# ---------------------------------------------------------------------------
+# The translator on ids against the name-keyed one it replaced: same
+# graph, same ids, same names, same prefix function.
+
+
+def _assert_same_translation(new, old):
+    a, b = new.graph, old.graph
+    assert a.variant == b.variant
+    assert a.labels == b.labels
+    assert a.args == b.args
+    assert a.root == b.root
+    assert a.names == b.names
+    assert new.prefixes == old.prefixes
+
+
+def test_translation_matches_name_keyed_oracle_seeded():
+    saw_non_eager = False
+    for seed in range(300):
+        t = random_term(random.Random(seed), depth=random.Random(-seed).randint(1, 5))
+        _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+        lazy = term_to_graph(t, rng=random.Random(seed))
+        _assert_same_translation(lazy, name_keyed_term_to_graph(t, rng=random.Random(seed)))
+        saw_non_eager |= not is_eager_scope(lazy)
+    assert saw_non_eager
+
+
+FIXTURE_TERMS = [
+    RUNNING_TERM,
+    r"(\x.x)(\y.y)",
+    r"\x.\y.y",
+    r"\x.\x.x",
+    r"\u.u",
+    r"letrec f = \x. x f in f",
+    r"letrec f = \x. f x in f",
+    r"\x. x (letrec g = \y. y g in g)",
+    r"letrec f = \x. g x; g = \y. f y in f",
+    r"letrec dead = \y.y y in \x.x",
+    r"letrec f = \x.x; h = f in h f",
+    r"\x. letrec f = x in f f",
+    r"letrec f = letrec g = \x.x in g g in f",
+    r"letrec f = letrec g = \x.x in letrec h = g g in h h in f",
+    r"letrec g = \u.u in \x.\y. y (g x)",
+    r"\x. \y. (\z. z) (x x)",
+    r"\y. letrec f0 = \z. z y; f1 = \z. z f0; f2 = \z. z f1 in f2",
+    _letrec_body_chain(5),
+    _reverse_letrec_chain(5),
+]
+
+# Binder and letrec names that collide with the names the translator
+# mints ("a" for applications, "s" for delimiters, "x!" for variable
+# occurrences) and with the document format's reserved words.
+COLLIDING_TERMS = [
+    r"letrec a = \s. s a; scope = \root. root scope (\sig. \prefix. sig); "
+    r"s = \a. a (\a. a) in a scope (s s) (\s. \s. s)",
+    r"\root. \a. letrec s = \scope. scope a root s in s (\a. a) (\s. s)",
+]
+
+
+@pytest.mark.parametrize("text", FIXTURE_TERMS + COLLIDING_TERMS)
+def test_translation_matches_name_keyed_oracle_on_fixture_terms(text):
+    t = parse_term(text)
+    _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+    for seed in range(3):
+        _assert_same_translation(
+            term_to_graph(t, rng=random.Random(seed)),
+            name_keyed_term_to_graph(t, rng=random.Random(seed)),
+        )
+
+
+def test_colliding_names_are_minted_around():
+    names = term_to_graph(parse_term(COLLIDING_TERMS[0])).graph.names
+    assert len(set(names)) == len(names)
+    assert not {"sig", "root", "prefix", "scope"} & set(names)
+    assert {"a", "a.2", "s", "s.2", "scope.2", "sig.2", "prefix.2"} <= set(names)
+    # Parsed names have no dots; a hand-built binder can take the name an
+    # earlier application was given.
+    ident = Abs("x", Var("x"))
+    t = App(App(ident, ident), Abs("a.2", Var("a.2")))
+    dg = term_to_graph(t)
+    assert dg.graph.names.count("a.2") == 1 and "a.2.2" in dg.graph.names
+    _assert_same_translation(dg, name_keyed_term_to_graph(t))
+
+
+def test_alias_cycle_rejected_by_both_translators():
+    t = parse_term(r"letrec f = g; g = f in f")
+    with pytest.raises(DegenerateBinding):
+        name_keyed_term_to_graph(t)
+    with pytest.raises(DegenerateBinding):
+        term_to_graph(t)
+
+
+# ---------------------------------------------------------------------------
+# The checks term_to_graph makes once on what it emitted: a corrupt word,
+# an unreachable vertex and a graph that is not fully back-linked are
+# each refused.
+
+
+def test_corrupt_emitted_word_is_refused(monkeypatch):
+    import lamgraph.translate as translate
+
+    alloc = translate._Builder.alloc
+
+    def drop_last_entry_once(self, base, label, word):
+        v = alloc(self, base, label, word)
+        if label is Label.APP and word and not hasattr(self, "corrupted"):
+            self.corrupted = v
+            self.prefixes[v] = word[:-1]
+        return v
+
+    monkeypatch.setattr(translate._Builder, "alloc", drop_last_entry_once)
+    with pytest.raises(InternalValidationFailure, match=r"lambda at x, a"):
+        term_to_graph(parse_term(r"\x. x x"))
+
+
+def test_unreachable_emitted_vertex_is_refused(monkeypatch):
+    import lamgraph.translate as translate
+
+    alloc = translate._Builder.alloc
+
+    def add_orphan_occurrence(self, base, label, word):
+        v = alloc(self, base, label, word)
+        if label is Label.ABS and base == "x":
+            orphan = alloc(self, "orphan", Label.VAR, word + (v,))
+            self.succ[orphan] = [v]
+        return v
+
+    monkeypatch.setattr(translate._Builder, "alloc", add_orphan_occurrence)
+    with pytest.raises(InternalValidationFailure, match=r"unreachable vertices: \('orphan',\)"):
+        term_to_graph(parse_term(r"\x. x x"))
+
+
+def test_not_fully_back_linked_emission_is_refused(monkeypatch):
+    # Keeping x open over \y.y leaves y with prefix (x) and no way back to
+    # x.  That graph is valid, so the refusal comes from the eager check,
+    # which implies full back-linking (see term_to_graph).
+    import lamgraph.translate as translate
+
+    term = parse_term(r"\x. \y. y")
+    seed = next(
+        s for s in range(100)
+        if not per_vertex_fully_back_linked(term_to_graph(term, rng=random.Random(s)))
+    )
+    init = translate._Translator.__init__
+
+    def keep_scopes_open(self, rng):
+        init(self, random.Random(seed))
+
+    monkeypatch.setattr(translate._Translator, "__init__", keep_scopes_open)
+    with pytest.raises(InternalValidationFailure, match="y reaches no occurrence of x"):
+        term_to_graph(term)
