@@ -414,14 +414,6 @@ def test_colliding_names_are_minted_around():
     _assert_same_translation(dg, name_keyed_term_to_graph(t))
 
 
-def test_alias_cycle_rejected_by_both_translators():
-    t = parse_term(r"letrec f = g; g = f in f")
-    with pytest.raises(DegenerateBinding):
-        name_keyed_term_to_graph(t)
-    with pytest.raises(DegenerateBinding):
-        term_to_graph(t)
-
-
 # ---------------------------------------------------------------------------
 # The checks term_to_graph makes once on what it emitted: a corrupt word,
 # an unreachable vertex and a graph that is not fully back-linked are
