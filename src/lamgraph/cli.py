@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .core import GraphError, SignatureVariant
 from .delimited import DelimitedGraph, infer_prefix
@@ -128,16 +129,17 @@ _GRAPH_CLASSES = ("hotg", "aphotg", "ltg", "tg")
 
 
 def _doc_as(doc: GraphDocument, cls: str, path: str):
+    # parse_graph has resolved and domain-checked the annotations.
     g = doc.graph
     try:
         if cls == "hotg":
             if doc.scopes is None:
                 raise CliError(f"{path}: hotg input needs scope lines")
-            return ScopedGraph.checked(g, doc.scopes)
+            return ScopedGraph._validated(g, doc.scopes)
         if cls == "aphotg":
             if doc.prefixes is None:
                 raise CliError(f"{path}: aphotg input needs prefix lines")
-            return PrefixedGraph.checked(g, doc.prefixes)
+            return PrefixedGraph._validated(g, doc.prefixes)
         if cls == "ltg":
             return DelimitedGraph.from_graph(g)
     except ValueError as exc:
@@ -151,28 +153,28 @@ def cmd_translate(args) -> int:
         value = term_to_graph(_load_term(args.file))
     else:
         value = _doc_as(_load_doc(args.file), src, args.file)
-    j = args.j
     # Normalize to the requested representation, possibly through the
     # neighbouring ones: hotg <-> aphotg <-> ltg, and tg forgets.
     if src == "term":
         src = "ltg"
+    to_ltg = partial(insert_delimiters, j=args.j)
     route = {
-        ("hotg", "aphotg"): lambda x: scope_to_prefix(x),
-        ("aphotg", "hotg"): lambda x: prefix_to_scope(x),
-        ("aphotg", "ltg"): lambda x: insert_delimiters(x, j),
-        ("ltg", "aphotg"): lambda x: strip_delimiters(x),
-        ("hotg", "ltg"): lambda x: insert_delimiters(scope_to_prefix(x), j),
-        ("ltg", "hotg"): lambda x: prefix_to_scope(strip_delimiters(x)),
-        ("hotg", "tg"): forget,
-        ("aphotg", "tg"): forget,
-        ("ltg", "tg"): forget,
+        ("hotg", "aphotg"): [scope_to_prefix],
+        ("aphotg", "hotg"): [prefix_to_scope],
+        ("aphotg", "ltg"): [to_ltg],
+        ("ltg", "aphotg"): [strip_delimiters],
+        ("hotg", "ltg"): [scope_to_prefix, to_ltg],
+        ("ltg", "hotg"): [strip_delimiters, prefix_to_scope],
+        ("hotg", "tg"): [forget],
+        ("aphotg", "tg"): [forget],
+        ("ltg", "tg"): [forget],
     }
-    if src == dst:
-        result = value
-    elif (src, dst) in route:
-        result = route[(src, dst)](value)
-    else:
+    steps = [] if src == dst else route.get((src, dst))
+    if steps is None:
         raise CliError(f"no translation from {src} to {dst}")
+    result = value
+    for step in steps:
+        result = step(result)
     print(_to_document_text(result), end="")
     return 0
 
@@ -180,9 +182,7 @@ def cmd_translate(args) -> int:
 def _to_document_text(x) -> str:
     if isinstance(x, ScopedGraph):
         return serialize_graph(GraphDocument(x.graph, scopes=x.scopes))
-    if isinstance(x, PrefixedGraph):
-        return serialize_graph(GraphDocument(x.graph, prefixes=x.prefixes))
-    if isinstance(x, DelimitedGraph):
+    if isinstance(x, (PrefixedGraph, DelimitedGraph)):
         return serialize_graph(GraphDocument(x.graph, prefixes=x.prefixes))
     return serialize_graph(x)
 

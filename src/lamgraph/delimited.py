@@ -3,8 +3,13 @@
 Here the prefix discipline is strict: abstraction and application edges
 determine the successor's prefix exactly, and each delimiter vertex pops
 exactly one abstraction off the word.  That rigidity makes the correct
-prefix function unique, so membership in the class is decidable by
+prefix function unique, so membership in the class is decidable by one
 forward propagation from the root.
+
+This module also emits delimited graphs on integer ids: ``_Builder``
+allocates vertices with their prefix words and mints their names, and
+its finish step checks the words once with the strict validator.  Both
+producers, ``term_to_graph`` and ``insert_delimiters``, build with it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import Label, TermGraph, VariantMismatch
+from .core import Label, SignatureVariant, TermGraph, VariantMismatch
 from .scoped import (
     PrefixFn,
     ValidationReport,
@@ -22,6 +27,7 @@ from .scoped import (
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
+from .textfmt import RESERVED_NAMES
 
 
 def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
@@ -66,16 +72,23 @@ def infer_prefix(
 ) -> tuple[PrefixFn | None, ValidationReport | None]:
     """Compute the unique correct prefix function, if one exists.
 
-    Propagates the forced prefix values from the root outward; a
-    conflict at a join vertex means no correct function exists.  A full
-    re-validation pass follows, catching the conditions propagation does
-    not use.  ``rng`` shuffles the traversal order; the result is
-    order-independent.  Returns (prefixes, None) on success and
-    (None, report) on failure.  A failure found while propagating is
-    reported with one violation: ``prefix-conflict`` at (source, target)
-    for an edge that forces its target to a second word, or the
-    validator's ``var0``/``var1``/``delim-pop``/``delim-backlink`` at the
-    vertex whose own word rules out its back-link or pop.
+    Propagates the forced prefix values from the root outward in one
+    pass; a conflict at a join vertex means no correct function exists.
+    ``rng`` shuffles the traversal order; the result is order-independent.
+    Returns (prefixes, None) on success and (None, report) on failure.  A
+    failure found while propagating is reported with one violation:
+    ``prefix-conflict`` at (source, target) for an edge that forces its
+    target to a second word, or the validator's ``var0``/``var1``/
+    ``delim-pop``/``delim-backlink`` at the vertex whose own word rules
+    out its back-link or pop.
+
+    A conflict-free propagation has checked every edge of every reached
+    vertex, and its words grow only by pushing the abstraction being
+    processed, which no word holds yet: they are repeat-free words of
+    abstractions that never list their own vertex.  So the strict
+    validator would find nothing more, except that a graph without
+    variable back-links needs each variable's word to be nonempty; those
+    ``var0`` violations are all reported, in ascending vertex order.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
@@ -115,9 +128,12 @@ def infer_prefix(
             else:
                 prefixes[target] = value
                 worklist.append(target)
-    report = _validate_prefix_fo(g, _check_prefix_domain(g, prefixes))
-    if not report.passed:
-        return None, report
+    # A vertex the root does not reach fails the domain check.
+    _check_prefix_domain(g, prefixes)
+    if g.variant.var_arity == 0:
+        var0 = [w for w in g.vertices_labeled(Label.VAR) if not prefixes[w]]
+        if var0:
+            return None, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
     return prefixes, None
 
 
@@ -157,6 +173,69 @@ class DelimitedGraph:
         if not report.passed:
             raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
         return cls(graph, prefixes)
+
+
+class _Builder:
+    """A delimited graph under construction, on dense ids.
+
+    Each vertex has its label, its successors (filled in after the vertex
+    is allocated), a name for output and its prefix word: a tuple of
+    abstraction vertex ids, fixed when the vertex is allocated.  A builder
+    starts empty or seeded with a graph and its prefix function, whose
+    vertices keep their ids; allocated vertices follow them.
+    """
+
+    def __init__(self, graph: TermGraph | None = None, prefixes: PrefixFn | None = None):
+        self.labels: list[Label] = []
+        self.succ: list[list[int] | None] = []
+        self.names: list[str] = []
+        self.prefixes: list[tuple[int, ...]] = []
+        if graph is not None:
+            self.labels += graph.labels
+            self.succ += map(list, graph.args)
+            self.names += graph.names
+            self.prefixes += (prefixes[v] for v in graph.vertices())
+        # Minting never reuses a seeded name, nor one the document format
+        # cannot express (a binder may be called "scope" or "root").
+        self.taken: set[str] = set(RESERVED_NAMES).union(self.names)
+        self.counts: dict[str, int] = {}
+
+    def fresh_name(self, base: str) -> str:
+        """``base`` itself, or else ``base.j`` for the smallest free j >= 2.
+
+        Every ``base.j`` with j up to ``counts[base]`` is taken, so the
+        search resumes there.
+        """
+        n = self.counts.get(base, 0) + 1
+        name = base if n == 1 else f"{base}.{n}"
+        while name in self.taken:
+            n += 1
+            name = f"{base}.{n}"
+        self.counts[base] = n
+        self.taken.add(name)
+        return name
+
+    def alloc(self, base: str, label: Label, word: tuple[int, ...]) -> int:
+        v = len(self.labels)
+        self.labels.append(label)
+        self.succ.append(None)
+        self.names.append(self.fresh_name(base))
+        self.prefixes.append(word)
+        return v
+
+    def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
+        """The built graph, with its words checked by ``_validated``.
+
+        Every vertex must be reachable from ``root``.
+        """
+        graph = TermGraph(
+            variant=variant,
+            labels=tuple(self.labels),
+            args=tuple(map(tuple, self.succ)),
+            root=root,
+            names=tuple(self.names),
+        )
+        return DelimitedGraph._validated(graph, dict(enumerate(self.prefixes)))
 
 
 def is_fully_back_linked(g: DelimitedGraph) -> bool:

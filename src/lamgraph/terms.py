@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TermSyntaxError(Exception):
@@ -58,12 +59,15 @@ class Letrec(Term):
     body: Term
 
 
-_IDENT = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 _KEYWORDS = {"letrec", "in"}
+_PUNCTUATION = {"\\": "lambda", ".": "dot", "(": "lpar", ")": "rpar", "=": "eq", ";": "semi"}
+# Groups: whitespace (as str.isspace) or a comment, an identifier, a
+# punctuation mark, any other character.  Some group matches at every
+# offset, so the matches tile the text and offsets are running lengths.
+_TOKEN = re.compile(r"(\s+|#[^\n]*)|([a-zA-Z_][a-zA-Z0-9_']*)|([\\.()=;])|(.)", re.DOTALL)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'ident', 'lambda', 'dot', 'lpar', 'rpar', 'eq', 'semi', 'letrec', 'in', 'eof'
     text: str
     pos: int
@@ -71,44 +75,16 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\\":
-            tokens.append(_Token("lambda", c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(_Token("dot", c, i))
-            i += 1
-        elif c == "(":
-            tokens.append(_Token("lpar", c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(_Token("rpar", c, i))
-            i += 1
-        elif c == "=":
-            tokens.append(_Token("eq", c, i))
-            i += 1
-        elif c == ";":
-            tokens.append(_Token("semi", c, i))
-            i += 1
-        else:
-            m = _IDENT.match(text, i)
-            if not m:
-                raise TermSyntaxError(f"unexpected character {c!r}", i)
-            word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, i))
-            i = m.end()
-    tokens.append(_Token("eof", "", n))
+    pos = 0
+    for skip, word, mark, other in _TOKEN.findall(text):
+        if word:
+            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, pos))
+        elif mark:
+            tokens.append(_Token(_PUNCTUATION[mark], mark, pos))
+        elif other:
+            raise TermSyntaxError(f"unexpected character {other!r}", pos)
+        pos += len(skip or word or mark)
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 

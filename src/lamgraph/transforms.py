@@ -2,14 +2,15 @@
 
 Scope functions and abstraction-prefix functions interconvert without
 touching the carrier.  Going first-order inserts a chain of delimiter
-vertices wherever the prefix word shrinks along an edge; going back
+vertices wherever the prefix word shrinks along an edge, building on
+ids with ``delimited._Builder`` as the term translation does; going back
 erases delimiter vertices and reroutes edges through them.
 """
 
 from __future__ import annotations
 
 from .core import Label, SignatureVariant, TermGraph, VariantMismatch
-from .delimited import DelimitedGraph
+from .delimited import DelimitedGraph, _Builder
 from .scoped import (
     PrefixedGraph,
     ScopedGraph,
@@ -92,46 +93,22 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
         raise ValueError("delimiter arity must be 1 or 2")
     g = a.graph
     p = a.prefixes
-    labels = list(g.labels)
-    args = [list(out) for out in g.args]
-    names = list(g.names)
-    prefixes = dict(p)
-    taken = set(g.names)
-
-    def fresh(base: str) -> str:
-        name = base
-        n = 1
-        while name in taken:
-            n += 1
-            name = f"{base}.{n}"
-        taken.add(name)
-        return name
-
+    b = _Builder(g, p)
     for w, k, wk in g.edges():
         n = num_delimiters(a, w, k)
         if n == 0:
             continue
         base_word = p[w] + (w,) if g.labels[w] is Label.ABS else p[w]
         lower = len(p[wk])
-        # Levels run from len(base_word) down to lower + 1; the last
-        # delimiter feeds the edge's target.
-        args[w][k] = len(labels)
-        base = f"{names[w]}.{k}.s"
+        # Levels run from len(base_word) down to lower + 1; each delimiter
+        # feeds the next one allocated, and the last the edge's target.
+        b.succ[w][k] = len(b.labels)
+        base = f"{g.names[w]}.{k}.s"
         for level in range(len(base_word), lower, -1):
-            d = len(labels)
-            labels.append(Label.DEL)
-            names.append(fresh(base))
+            d = b.alloc(base, Label.DEL, base_word[:level])
             below = d + 1 if level > lower + 1 else wk
-            args.append([below, base_word[level - 1]] if j == 2 else [below])
-            prefixes[d] = base_word[:level]
-    carrier = TermGraph(
-        variant=SignatureVariant(g.variant.var_arity, j),
-        labels=tuple(labels),
-        args=tuple(map(tuple, args)),
-        root=g.root,
-        names=tuple(names),
-    )
-    return DelimitedGraph._validated(carrier, prefixes)
+            b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
+    return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
 
 
 def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:

@@ -13,12 +13,13 @@ cycles and cross-references become direct edges.  Occurrences of letrec
 names are plain edges to the entry vertex; only lambda-bound variables
 become variable vertices.
 
-Vertices get dense integer ids in allocation order, and each one's
-prefix word, a tuple of those ids, is recorded when it is allocated.
-Names are minted for output only.  The emitted prefix function is
-checked once, by the strict validator, instead of being inferred again;
-on eager translations the eager-scope check follows, and it implies
-full back-linking (see ``term_to_graph``).
+The graph is emitted with ``delimited._Builder``: vertices get dense
+integer ids in allocation order, and each one's prefix word, a tuple of
+those ids, is recorded when it is allocated.  Names are minted for
+output only.  The emitted prefix function is checked once, by the
+strict validator, instead of being inferred again; on eager
+translations the eager-scope check follows, and it implies full
+back-linking (see ``term_to_graph``).
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import Label, SignatureVariant, TermGraph
-from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
+from .core import Label, SignatureVariant, _reachable_keys
+from .delimited import DelimitedGraph, _Builder, _non_eager_reason, _non_eager_vertex
 from .terms import Abs, App, Letrec, Term, UnboundVariable, Var
-from .textfmt import RESERVED_NAMES
 
 
 class InternalValidationFailure(Exception):
@@ -53,6 +53,7 @@ class _RNode:
 class _RVar(_RNode):
     binder: int
     name: str
+    label = Label.VAR
 
 
 @dataclass
@@ -64,6 +65,7 @@ class _RRef(_RNode):
 class _RApp(_RNode):
     fun: "_RNode"
     arg: "_RNode"
+    label = Label.APP
 
 
 @dataclass
@@ -71,6 +73,7 @@ class _RAbs(_RNode):
     binder: int
     name: str
     body: "_RNode"
+    label = Label.ABS
 
 
 @dataclass
@@ -226,64 +229,6 @@ def _mark_live(root: _RNode) -> None:
 # Graph emission.
 
 
-class _Builder:
-    """The emitted vertices under dense ids, in allocation order.
-
-    Each vertex gets its label, its successors (filled in after the
-    vertex is allocated), a name for output and its prefix word: a tuple
-    of abstraction vertex ids, fixed when the vertex is allocated.
-    """
-
-    def __init__(self):
-        self.labels: list[Label] = []
-        self.succ: list[list[int] | None] = []
-        self.names: list[str] = []
-        self.prefixes: list[tuple[int, ...]] = []
-        self.counts: dict[str, int] = {}
-        # Names the document format cannot express are never minted (a
-        # binder may be called "scope" or "root").
-        self.taken: set[str] = set(RESERVED_NAMES)
-
-    def fresh_name(self, base: str) -> str:
-        n = self.counts.get(base, 0) + 1
-        name = base if n == 1 else f"{base}.{n}"
-        while name in self.taken:
-            n += 1
-            name = f"{base}.{n}"
-        self.counts[base] = n
-        self.taken.add(name)
-        return name
-
-    def alloc(self, base: str, label: Label, word: tuple[int, ...]) -> int:
-        v = len(self.labels)
-        self.labels.append(label)
-        self.succ.append(None)
-        self.names.append(self.fresh_name(base))
-        self.prefixes.append(word)
-        return v
-
-    def graph(self, root: int) -> TermGraph:
-        """The emitted graph; every vertex must be reachable from ``root``."""
-        seen = [False] * len(self.labels)
-        seen[root] = True
-        stack = [root]
-        while stack:
-            for w in self.succ[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        if not all(seen):
-            unreached = tuple(self.names[v] for v, hit in enumerate(seen) if not hit)
-            raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}")
-        return TermGraph(
-            variant=SignatureVariant(1, 2),
-            labels=tuple(self.labels),
-            args=tuple(map(tuple, self.succ)),
-            root=root,
-            names=tuple(self.names),
-        )
-
-
 # A prefix word during translation: the emitted abstraction vertices,
 # outermost first.  ``_Translator.binder`` maps each to its resolver id.
 _Word = tuple[int, ...]
@@ -326,22 +271,9 @@ class _Translator:
         return self.chain(word, target, top)
 
     def translate(self, node: _RNode, word: _Word) -> int:
-        if isinstance(node, _RVar):
-            assert word and self.binder[word[-1]] == node.binder
-            v = self.b.alloc(f"{node.name}!", Label.VAR, word)
-            self.b.succ[v] = [word[-1]]
-            return v
         if isinstance(node, _RRef):
             v, entry_word = self.resolve_entry(node.binding, ())
             assert word == entry_word
-            return v
-        if isinstance(node, _RApp):
-            v = self.b.alloc("a", Label.APP, word)
-            self.b.succ[v] = [self.attach(node.fun, word), self.attach(node.arg, word)]
-            return v
-        if isinstance(node, _RAbs):
-            v = self.b.alloc(node.name, Label.ABS, word)
-            self.fill(node, v, word)
             return v
         if isinstance(node, _RLetrec):
             for ident, name, term in node.bindings:
@@ -350,24 +282,24 @@ class _Translator:
             for ident, name, term in node.bindings:
                 if ident in node.live and not isinstance(term, _RRef):
                     entry_word = self.pop(word, term.fv)
-                    v = self.b.alloc(name, self.shape_label(term), entry_word)
+                    v = self.b.alloc(name, term.label, entry_word)
                     self.entry[ident] = (v, entry_word)
                     fills.append((term, v, entry_word))
             for term, v, entry_word in fills:
                 self.fill(term, v, entry_word)
             return self.attach(node.body, word)
-        raise TypeError(node)
-
-    def shape_label(self, term: _RNode) -> Label:
-        if isinstance(term, _RAbs):
-            return Label.ABS
-        if isinstance(term, _RApp):
-            return Label.APP
-        if isinstance(term, _RVar):
-            return Label.VAR
-        raise TypeError(term)
+        if isinstance(node, _RApp):
+            base = "a"
+        elif isinstance(node, _RVar):
+            base = f"{node.name}!"
+        else:
+            base = node.name
+        v = self.b.alloc(base, node.label, word)
+        self.fill(node, v, word)
+        return v
 
     def fill(self, term: _RNode, v: int, word: _Word) -> None:
+        """Translate the successors of ``term``'s vertex ``v``."""
         if isinstance(term, _RAbs):
             self.binder[v] = term.binder
             self.b.succ[v] = [self.attach(term.body, word + (v,))]
@@ -424,9 +356,12 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
         raise ValueError("term is not closed")
     tr = _Translator(rng)
     root = tr.attach(rnode, ())
-    graph = tr.b.graph(root)
+    reached = _reachable_keys(root, tr.b.succ)
+    if len(reached) < len(tr.b.names):
+        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
+        raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}")
     try:
-        result = DelimitedGraph._validated(graph, dict(enumerate(tr.b.prefixes)))
+        result = tr.b.finish(root, SignatureVariant(1, 2))
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
     if rng is None:

@@ -8,13 +8,16 @@ checks that validator against ``per_pair_validate_scope`` on every one.
 
 The replaced fast paths live on here as well, as references for the
 ones that took their place: the name-keyed delimiter insertion and
-erasure, and the name-keyed translator, which reuses the library's
-resolver and liveness pass but emits, infers and checks on its own.
+erasure, the name-keyed translator, which reuses the library's
+resolver and liveness pass but emits, infers and checks on its own,
+prefix inference followed by a full validation pass, and the
+per-character term tokenizer.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import product
 from typing import Iterable, Mapping
 
@@ -37,8 +40,9 @@ from lamgraph import (
     num_delimiters,
     validate_scope,
 )
-from lamgraph.delimited import _non_eager_reason, _non_eager_vertex
-from lamgraph.scoped import ScopeFn, normalize_scope_fn
+from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, _validate_prefix_fo
+from lamgraph.scoped import PrefixFn, ScopeFn, _check_prefix_domain, normalize_scope_fn
+from lamgraph.terms import TermSyntaxError, _Token
 from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.translate import (
     DegenerateBinding,
@@ -756,3 +760,99 @@ def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> Delim
         if not is_fully_back_linked(result):
             raise InternalValidationFailure("eager translation is not fully back-linked")
     return result
+
+
+def revalidating_infer_prefix(
+    g: TermGraph, rng: random.Random | None = None
+) -> tuple[PrefixFn | None, ValidationReport | None]:
+    """``infer_prefix`` as it was: the same propagation, then the strict
+    validator over the whole result."""
+    if g.variant.del_arity is None:
+        raise VariantMismatch("prefix inference needs a signature with delimiters")
+    prefixes: PrefixFn = {g.root: ()}
+    worklist = [g.root]
+    while worklist:
+        if rng is None:
+            w = worklist.pop()
+        else:
+            w = worklist.pop(rng.randrange(len(worklist)))
+        pw = prefixes[w]
+        lab = g.labels[w]
+        forced: list[tuple[int, tuple[int, ...]]] = []
+        if lab is Label.ABS:
+            forced.append((g.args[w][0], pw + (w,)))
+        elif lab is Label.APP:
+            forced.append((g.args[w][0], pw))
+            forced.append((g.args[w][1], pw))
+        elif lab is Label.VAR and g.variant.var_arity == 1:
+            if not pw:
+                return _failure("var0", w)
+            if g.args[w][0] != pw[-1]:
+                return _failure("var1", w, g.args[w][0])
+            forced.append((g.args[w][0], pw[:-1]))
+        elif lab is Label.DEL:
+            if not pw:
+                return _failure("delim-pop", w, g.args[w][0])
+            forced.append((g.args[w][0], pw[:-1]))
+            if g.variant.del_arity == 2:
+                if g.args[w][1] != pw[-1]:
+                    return _failure("delim-backlink", w, g.args[w][1])
+                forced.append((g.args[w][1], pw[:-1]))
+        for target, value in forced:
+            if target in prefixes:
+                if prefixes[target] != value:
+                    return _failure("prefix-conflict", w, target)
+            else:
+                prefixes[target] = value
+                worklist.append(target)
+    report = _validate_prefix_fo(g, _check_prefix_domain(g, prefixes))
+    if not report.passed:
+        return None, report
+    return prefixes, None
+
+
+_IDENT = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
+
+
+def per_character_tokenize(text: str) -> list[_Token]:
+    """The term tokenizer as a per-character loop."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "\\":
+            tokens.append(_Token("lambda", c, i))
+            i += 1
+        elif c == ".":
+            tokens.append(_Token("dot", c, i))
+            i += 1
+        elif c == "(":
+            tokens.append(_Token("lpar", c, i))
+            i += 1
+        elif c == ")":
+            tokens.append(_Token("rpar", c, i))
+            i += 1
+        elif c == "=":
+            tokens.append(_Token("eq", c, i))
+            i += 1
+        elif c == ";":
+            tokens.append(_Token("semi", c, i))
+            i += 1
+        else:
+            m = _IDENT.match(text, i)
+            if not m:
+                raise TermSyntaxError(f"unexpected character {c!r}", i)
+            word = m.group()
+            kind = word if word in ("letrec", "in") else "ident"
+            tokens.append(_Token(kind, word, i))
+            i = m.end()
+    tokens.append(_Token("eof", "", n))
+    return tokens

@@ -8,12 +8,14 @@ from generators import erase_backlinks, graphs, random_graph, random_term
 from oracles import (
     per_vertex_eager_scope,
     per_vertex_fully_back_linked,
+    revalidating_infer_prefix,
     simple_root_paths,
 )
 
 from lamgraph import (
     DelimitedGraph,
     Label,
+    collapse,
     SignatureVariant,
     VariantMismatch,
     build,
@@ -387,3 +389,68 @@ def test_infer_prefix_on_an_unreachable_vertex_is_a_domain_error():
     )
     with pytest.raises(DomainMismatch, match="total"):
         infer_prefix(g)
+
+
+def _same_inference(g, seed=None):
+    """infer_prefix and the revalidating oracle agree, traversal order
+    included; returns the report."""
+    got = infer_prefix(g, None if seed is None else random.Random(seed))
+    want = revalidating_infer_prefix(g, None if seed is None else random.Random(seed))
+    assert got == want
+    if got[0] is not None:
+        assert list(got[0].items()) == list(want[0].items())
+    return got[1]
+
+
+def test_one_pass_inference_matches_the_revalidating_oracle():
+    # The oracle's trailing validation pass can only add var0 violations
+    # on graphs without variable back-links; inference reports them from
+    # one scan after propagating.
+    rng = random.Random(4107)
+    drawn = passed = multi_var0 = 0
+    while drawn < 3000:
+        g = random_graph(rng, max_vertices=rng.choice((4, 8)))
+        if g.variant.del_arity is None:
+            continue
+        drawn += 1
+        report = _same_inference(g, seed=drawn if drawn % 2 else None)
+        if report is None:
+            passed += 1
+        elif g.variant.var_arity == 0 and len(report.violations) >= 2:
+            assert {v.condition for v in report.violations} == {"var0"}
+            multi_var0 += 1
+    assert 0 < passed < drawn
+    assert multi_var0 >= 5
+
+
+def test_one_pass_inference_matches_the_revalidating_oracle_on_quotients():
+    rng = random.Random(4108)
+    for _ in range(100):
+        dg = term_to_graph(random_term(rng, depth=rng.randint(1, 4)))
+        quotient, _ = collapse(dg.graph)
+        for g in (quotient, erase_backlinks(quotient, 0, rng.choice((1, 2)))):
+            _same_inference(g)
+
+
+def test_builder_mints_the_smallest_free_suffix():
+    # The builder's counter resumes where the last search for a base
+    # ended; searching from j = 1 over the taken names, as insertion once
+    # did, gives the same names.
+    from lamgraph.delimited import _Builder
+    from lamgraph.textfmt import RESERVED_NAMES
+
+    bases = ("a", "a.2", "b", "b.2.s", "s", "scope", "root")
+    rng = random.Random(4109)
+    for _ in range(300):
+        seeded = {rng.choice(bases) + rng.choice(("", ".2", ".3", ".2.2")) for _ in range(4)}
+        b = _Builder()
+        b.taken |= seeded
+        taken = set(RESERVED_NAMES) | seeded
+        for _ in range(12):
+            base = rng.choice(bases)
+            name, n = base, 1
+            while name in taken:
+                n += 1
+                name = f"{base}.{n}"
+            taken.add(name)
+            assert b.fresh_name(base) == name

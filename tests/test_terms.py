@@ -1,6 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM
+from generators import random_term
+from oracles import per_character_tokenize
 
 from lamgraph import (
     Abs,
@@ -13,6 +19,7 @@ from lamgraph import (
     format_term,
     parse_term,
 )
+from lamgraph.terms import _tokenize
 
 
 def test_parse_identity():
@@ -118,3 +125,65 @@ def test_format_round_trip():
     ):
         t = parse_term(text)
         assert parse_term(format_term(t)) == t
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except TermSyntaxError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def assert_same_tokens(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(per_character_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        RUNNING_TERM,
+        "",
+        "\u00a0\\x.\u2003x\u3000\u2028",  # Unicode whitespace
+        "\\x. x\x1c\x1f\x85",
+        "\\x. x # comment at end of input",
+        "# only a comment\n",
+        "\\x.x #a\n#b\r\n x",
+        "letrecx",
+        "letrec in'",
+        "in'",
+        "'",
+        "$",
+        "\\x. x '",
+        "\\x. x $ y",
+        "\\x\u00e9. x",
+        "a1_'b c.d(e)f=g;h",
+        "\\x. \ud800",
+    ],
+)
+def test_tokenizer_matches_per_character_scan_on_edge_strings(text):
+    assert_same_tokens(text)
+
+
+def test_tokenizer_matches_per_character_scan_on_terms():
+    rng = random.Random(5309)
+    texts = [format_term(random_term(rng, depth=rng.randint(1, 5))) for _ in range(300)]
+    for text in texts:
+        assert_same_tokens(text)
+        assert_same_tokens(text.replace(" ", "\t#c\n"))
+
+
+# Token characters, keyword letters, a quote, a stray character and
+# ASCII and Unicode whitespace.
+TOKEN_ALPHABET = st.sampled_from("\\.()=;#'$_xyzin letrc0\n\t\u00a0\u2029\u00e9")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
+def test_tokenizer_matches_per_character_scan_hypothesis(text):
+    assert_same_tokens(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(max_size=20))
+def test_tokenizer_matches_per_character_scan_on_any_text(text):
+    assert_same_tokens(text)
