@@ -87,6 +87,7 @@ class _Resolver:
     def __init__(self):
         self.counter = 0
         self.binding_term: dict[int, _RNode] = {}
+        self.letrecs: list[_RLetrec] = []
 
     def fresh(self) -> int:
         self.counter += 1
@@ -123,36 +124,44 @@ class _Resolver:
                     resolved = resolved.body
                 bindings.append((ident, name, resolved))
                 self.binding_term[ident] = resolved
-            return _RLetrec(bindings, self.resolve(t.body, inner))
+            node = _RLetrec(bindings, self.resolve(t.body, inner))
+            self.letrecs.append(node)
+            return node
         raise TypeError(f"not a term: {t!r}")
 
 
-def _compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
-    """Annotate every node with its free lambda binders, resolving letrec
-    references by a least fixpoint over the bindings.
+def _analyze(root: _RNode, resolver: _Resolver) -> None:
+    """Annotate every node with its free lambda binders and every letrec
+    with its live bindings, in one worklist fixpoint over the bindings.
 
-    A worklist holds the bindings still to evaluate.  Evaluating one
-    records it as a user of every binding it references, and a binding
-    whose set grows puts its users back on the list, so a binding is
-    walked again only when something it reads has grown.
+    Evaluating a binding stores the set of each node of its term, and
+    records the binding as a user of every binding it references.  A
+    binding whose set grows puts its users back on the list, so its last
+    evaluation read only final sets.  A closing evaluation of the root,
+    under the user id 0 (resolver ids start at 1), annotates the nodes
+    outside every binding.  The live bindings are then those that id 0
+    reaches in the reference relation, the inverse of ``users``.
     """
+    binding_term = resolver.binding_term
     bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
     users: dict[int, set[int]] = {b: set() for b in binding_term}
     current = 0
 
     def fv(node: _RNode) -> frozenset[int]:
         if isinstance(node, _RVar):
-            return frozenset((node.binder,))
-        if isinstance(node, _RRef):
+            node.fv = frozenset((node.binder,))
+        elif isinstance(node, _RRef):
             users[node.binding].add(current)
-            return bind_fv[node.binding]
-        if isinstance(node, _RApp):
-            return fv(node.fun) | fv(node.arg)
-        if isinstance(node, _RAbs):
-            return fv(node.body) - {node.binder}
-        if isinstance(node, _RLetrec):
-            return fv(node.body)
-        raise TypeError(node)
+            node.fv = bind_fv[node.binding]
+        elif isinstance(node, _RApp):
+            node.fv = fv(node.fun) | fv(node.arg)
+        elif isinstance(node, _RAbs):
+            node.fv = fv(node.body) - {node.binder}
+        elif isinstance(node, _RLetrec):
+            node.fv = fv(node.body)
+        else:
+            raise TypeError(node)
+        return node.fv
 
     # A binding not evaluated yet is still on the list, so it reads every
     # growth that happens before its turn without being a user yet.
@@ -168,61 +177,22 @@ def _compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
                 if u not in queued:
                     queued.add(u)
                     worklist.append(u)
+    current = 0
+    fv(root)
 
-    def annotate(node: _RNode) -> None:
-        # Each node's set comes from its children's, so this is one pass.
-        if isinstance(node, _RApp):
-            annotate(node.fun)
-            annotate(node.arg)
-            node.fv = node.fun.fv | node.arg.fv
-        elif isinstance(node, _RAbs):
-            annotate(node.body)
-            node.fv = node.body.fv - {node.binder}
-        elif isinstance(node, _RLetrec):
-            for _, _, term in node.bindings:
-                annotate(term)
-            annotate(node.body)
-            node.fv = node.body.fv
-        else:
-            node.fv = fv(node)
-
-    annotate(root)
-
-
-def _mark_live(root: _RNode) -> None:
-    """Fill each letrec's set of bindings actually referenced, directly or
-    through other live bindings.  Dead bindings are never translated."""
-
-    def exposed(node: _RNode) -> frozenset[int]:
-        # Binding ids a translation of this node will touch.
-        if isinstance(node, _RRef):
-            return frozenset((node.binding,))
-        if isinstance(node, _RApp):
-            return exposed(node.fun) | exposed(node.arg)
-        if isinstance(node, _RAbs):
-            return exposed(node.body)
-        if isinstance(node, _RLetrec):
-            group = {ident for ident, _, _ in node.bindings}
-            term_of = {ident: term for ident, _, term in node.bindings}
-            live: set[int] = set()
-            body = exposed(node.body)
-            frontier = list(body & group)
-            external = set(body - group)
-            while frontier:
-                b = frontier.pop()
-                if b in live:
-                    continue
+    refs: dict[int, list[int]] = {u: [] for u in (0, *binding_term)}
+    for b, us in users.items():
+        for u in us:
+            refs[u].append(b)
+    live = {0}
+    stack = [0]
+    while stack:
+        for b in refs[stack.pop()]:
+            if b not in live:
                 live.add(b)
-                for r in exposed(term_of[b]):
-                    if r in group:
-                        frontier.append(r)
-                    else:
-                        external.add(r)
-            node.live = frozenset(live)
-            return frozenset(external)
-        return frozenset()
-
-    exposed(root)
+                stack.append(b)
+    for node in resolver.letrecs:
+        node.live = frozenset(ident for ident, _, _ in node.bindings if ident in live)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +320,7 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {})
-    _compute_fv(rnode, resolver.binding_term)
-    _mark_live(rnode)
+    _analyze(rnode, resolver)
     if rnode.fv:
         raise ValueError("term is not closed")
     tr = _Translator(rng)

@@ -9,8 +9,9 @@ checks that validator against ``per_pair_validate_scope`` on every one.
 The replaced fast paths live on here as well, as references for the
 ones that took their place: the name-keyed delimiter insertion and
 erasure, the name-keyed translator, which reuses the library's
-resolver and liveness pass but emits, infers and checks on its own,
-prefix inference followed by a full validation pass, and the
+resolver but finds free variables and live bindings with the walks
+that one worklist analysis replaced, and emits, infers and checks on
+its own, prefix inference followed by a full validation pass, and the
 per-character term tokenizer.
 """
 
@@ -47,7 +48,6 @@ from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.translate import (
     DegenerateBinding,
     InternalValidationFailure,
-    _mark_live,
     _RAbs,
     _RApp,
     _RLetrec,
@@ -577,6 +577,42 @@ def _fixpoint_compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:
     annotate(root)
 
 
+def _mark_live(root: _RNode) -> None:
+    """Fill each letrec's set of bindings actually referenced, directly or
+    through other live bindings.  Dead bindings are never translated."""
+
+    def exposed(node: _RNode) -> frozenset[int]:
+        # Binding ids a translation of this node will touch.
+        if isinstance(node, _RRef):
+            return frozenset((node.binding,))
+        if isinstance(node, _RApp):
+            return exposed(node.fun) | exposed(node.arg)
+        if isinstance(node, _RAbs):
+            return exposed(node.body)
+        if isinstance(node, _RLetrec):
+            group = {ident for ident, _, _ in node.bindings}
+            term_of = {ident: term for ident, _, term in node.bindings}
+            live: set[int] = set()
+            body = exposed(node.body)
+            frontier = list(body & group)
+            external = set(body - group)
+            while frontier:
+                b = frontier.pop()
+                if b in live:
+                    continue
+                live.add(b)
+                for r in exposed(term_of[b]):
+                    if r in group:
+                        frontier.append(r)
+                    else:
+                        external.add(r)
+            node.live = frozenset(live)
+            return frozenset(external)
+        return frozenset()
+
+    exposed(root)
+
+
 class _NameKeyedBuilder:
     def __init__(self):
         self.labels: dict[str, Label] = {}
@@ -722,8 +758,9 @@ def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> Delim
     The library's translator before it emitted on ids: it builds through
     ``build_pruned``, infers every prefix again with ``from_graph``,
     compares the words name by name, and runs the eager and full
-    back-link checks.  The free-variable sets come from the fixpoint
-    above, so the library's worklist is checked against it as well.
+    back-link checks.  The free-variable sets and live bindings come from
+    the fixpoint and the liveness walk above, so the library's analysis
+    is checked against them as well.
 
     With ``rng`` the translation keeps some closable scopes open longer
     (still valid, generally not eager); used to generate test diversity.

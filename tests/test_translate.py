@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
 from generators import random_term
-from oracles import name_keyed_term_to_graph, per_vertex_eager_at, per_vertex_fully_back_linked
+from oracles import (
+    _fixpoint_compute_fv,
+    _mark_live,
+    name_keyed_term_to_graph,
+    per_vertex_eager_at,
+    per_vertex_fully_back_linked,
+)
 
 from lamgraph import (
     Abs,
@@ -28,6 +34,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
+from lamgraph.translate import _RAbs, _RApp, _RLetrec, _Resolver, _analyze
 
 
 def test_identity_pair_example():
@@ -271,6 +278,7 @@ def test_translation_hypothesis_closed_terms(data):
     dg = term_to_graph(term)
     assert is_eager_scope(dg) and is_fully_back_linked(dg)
     _assert_same_translation(dg, name_keyed_term_to_graph(term))
+    _assert_same_analysis(term)
 
 
 def _letrec_body_chain(d: int) -> str:
@@ -329,6 +337,8 @@ def test_reverse_letrec_chain_translates_in_linear_time():
     assert dg.graph.vertex_count == 1 + 4 * 2000 + 1
     small = parse_term(_reverse_letrec_chain(30))
     _assert_same_translation(term_to_graph(small), name_keyed_term_to_graph(small))
+    # The oracle's fixpoint takes n rounds here, 8 s at n = 2000.
+    _assert_same_analysis(parse_term(_reverse_letrec_chain(300)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,11 +356,55 @@ def _assert_same_translation(new, old):
     assert new.prefixes == old.prefixes
 
 
+def _assert_same_analysis(t) -> list[_RLetrec]:
+    """The library's analysis and the oracle's fixpoint plus liveness walk
+    give every node the same free binders and every letrec the same live
+    bindings.  Resolver ids are deterministic, so two resolutions agree.
+    Returns the library's letrec nodes, outermost first."""
+    lib, ref = _Resolver(), _Resolver()
+    a, b = lib.resolve(t, {}), ref.resolve(t, {})
+    _analyze(a, lib)
+    _fixpoint_compute_fv(b, ref.binding_term)
+    _mark_live(b)
+    letrecs = []
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        assert type(x) is type(y) and x.fv == y.fv
+        if isinstance(x, _RApp):
+            stack += [(x.fun, y.fun), (x.arg, y.arg)]
+        elif isinstance(x, _RAbs):
+            stack.append((x.body, y.body))
+        elif isinstance(x, _RLetrec):
+            assert x.live == y.live
+            letrecs.append(x)
+            stack += [(p[2], q[2]) for p, q in zip(x.bindings, y.bindings, strict=True)]
+            stack.append((x.body, y.body))
+    return letrecs
+
+
+@pytest.mark.parametrize(
+    "text, live",
+    [
+        # Spliced from binding position, dead, aliased, and a letrec inside
+        # a dead binding, whose own body's reference does not make g live.
+        (r"letrec f = letrec g = \x.x; d = \y.y in g g in f", [{"f", "g"}]),
+        (r"letrec dead = \y.y y in \x.x", [set()]),
+        (r"letrec f = \x.x; h = f in h f", [{"f", "h"}]),
+        (r"letrec d = \y. letrec g = \z. z g y in g; f = \x. x in f", [{"f"}, set()]),
+    ],
+)
+def test_analysis_live_bindings(text, live):
+    letrecs = _assert_same_analysis(parse_term(text))
+    assert [{name for i, name, _ in n.bindings if i in n.live} for n in letrecs] == live
+
+
 def test_translation_matches_name_keyed_oracle_seeded():
     saw_non_eager = False
     for seed in range(300):
         t = random_term(random.Random(seed), depth=random.Random(-seed).randint(1, 5))
         _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+        _assert_same_analysis(t)
         lazy = term_to_graph(t, rng=random.Random(seed))
         _assert_same_translation(lazy, name_keyed_term_to_graph(t, rng=random.Random(seed)))
         saw_non_eager |= not is_eager_scope(lazy)
@@ -372,6 +426,8 @@ FIXTURE_TERMS = [
     r"\x. letrec f = x in f f",
     r"letrec f = letrec g = \x.x in g g in f",
     r"letrec f = letrec g = \x.x in letrec h = g g in h h in f",
+    r"letrec d = \y. letrec g = \z. z g y in g; f = \x. x in f",
+    r"\x. letrec f = g; g = \y. y x in f",
     r"letrec g = \u.u in \x.\y. y (g x)",
     r"\x. \y. (\z. z) (x x)",
     r"\y. letrec f0 = \z. z y; f1 = \z. z f0; f2 = \z. z f1 in f2",
@@ -393,6 +449,7 @@ COLLIDING_TERMS = [
 def test_translation_matches_name_keyed_oracle_on_fixture_terms(text):
     t = parse_term(text)
     _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+    _assert_same_analysis(t)
     for seed in range(3):
         _assert_same_translation(
             term_to_graph(t, rng=random.Random(seed)),
