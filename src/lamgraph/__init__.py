@@ -53,6 +53,7 @@ from .sharing import (
     find_homomorphism,
     is_label_restricted,
     lift_homomorphism,
+    max_share,
     max_share_ho,
 )
 from .terms import (

@@ -24,7 +24,7 @@ from .scoped import (
     validate_prefix_ho,
     validate_scope,
 )
-from .sharing import are_bisimilar, collapse
+from .sharing import are_bisimilar, collapse, max_share
 from .terms import DuplicateBinding, TermSyntaxError, UnboundVariable, parse_term
 from .textfmt import FormatError, GraphDocument, parse_graph, serialize_graph
 from .transforms import (
@@ -195,9 +195,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_maxshare(args) -> int:
-    graph = term_to_graph(_load_term(args.file))
-    quotient, _ = collapse(graph.graph)
-    shared = DelimitedGraph.from_graph(quotient)
+    shared = max_share(term_to_graph(_load_term(args.file)))
     print(_to_document_text(shared), end="")
     return 0
 

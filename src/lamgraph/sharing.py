@@ -43,6 +43,7 @@ __all__ = [
     "are_bisimilar",
     "coarsest_partition",
     "collapse",
+    "max_share",
     "max_share_ho",
 ]
 
@@ -237,6 +238,17 @@ def lift_homomorphism(
     )
 
 
+def max_share(g: DelimitedGraph) -> DelimitedGraph:
+    """Maximally shared form of a delimited graph: its bisimulation
+    collapse, with the quotient's prefix function inferred.
+
+    Inference is kept rather than checking the block image of the input's
+    words with ``DelimitedGraph._validated``: on the ``maxshare`` bench
+    corpus the image and its check took about twice as long.
+    """
+    return DelimitedGraph.from_graph(collapse(g.graph)[0])
+
+
 def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     """Maximally shared form of a scope-function graph with back-links.
 
@@ -255,5 +267,4 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
             + _non_eager_reason(delimited, w),
             delimited.graph.names[w],
         )
-    collapsed, _ = collapse(delimited.graph)
-    return prefix_to_scope(strip_delimiters(DelimitedGraph.from_graph(collapsed)))
+    return prefix_to_scope(strip_delimiters(max_share(delimited)))

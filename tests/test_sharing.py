@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import graphs, random_graph, random_quotient, random_term
+from test_scoped import _ring_doc, _tower_doc
 from oracles import (
     all_homomorphisms,
     all_scope_functions,
@@ -17,6 +18,7 @@ from oracles import (
 
 from lamgraph import (
     DelimitedGraph,
+    GraphDocument,
     Label,
     NotEagerScope,
     SignatureVariant,
@@ -35,11 +37,13 @@ from lamgraph import (
     is_lambda_term_graph,
     isomorphic,
     lift_homomorphism,
+    max_share,
     max_share_ho,
     parse_graph,
     parse_term,
     prefix_to_scope,
     scope_to_prefix,
+    serialize_graph,
     strip_delimiters,
     term_to_graph,
 )
@@ -432,6 +436,30 @@ def test_max_share_agrees_with_collapse_oracle():
         fo = insert_delimiters(scope_to_prefix(shared), 2)
         collapsed, _ = collapse(dg.graph)
         assert isomorphic(fo.graph, collapsed) is not None
+
+
+def test_max_share_ho_equals_its_public_steps():
+    # The step-by-step replay the traced benchmark makes, on ring and
+    # tower documents and on random hotg documents.
+    docs = [_ring_doc(n) for n in (1, 3, 8)] + [_tower_doc(n) for n in (2, 4, 8)]
+    rng = random.Random(408)
+    for _ in range(20):
+        ap = strip_delimiters(term_to_graph(random_term(rng, depth=4)))
+        docs.append(serialize_graph(GraphDocument(ap.graph, scopes=prefix_to_scope(ap).scopes)))
+    for text in docs:
+        doc = parse_graph(text)
+        h = ScopedGraph.checked(doc.graph, doc.scopes)
+        delimited = insert_delimiters(scope_to_prefix(h), 2)
+        quotient = collapse(delimited.graph)[0]
+        steps = prefix_to_scope(strip_delimiters(DelimitedGraph.from_graph(quotient)))
+        assert max_share_ho(h) == steps
+
+
+def test_max_share_is_collapse_then_inference():
+    rng = random.Random(409)
+    for _ in range(30):
+        dg = term_to_graph(random_term(rng, depth=4))
+        assert max_share(dg) == DelimitedGraph.from_graph(collapse(dg.graph)[0])
 
 
 def test_max_share_requires_backlinks(single_lambda):
