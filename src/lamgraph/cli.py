@@ -14,7 +14,7 @@ import json
 import sys
 from functools import partial
 
-from .core import GraphError, SignatureVariant
+from .core import GraphError, SignatureVariant, VariantMismatch
 from .delimited import DelimitedGraph, infer_prefix
 from .dot import to_dot
 from .scoped import (
@@ -100,7 +100,10 @@ def cmd_validate(args) -> int:
         report = validate_prefix_ho(g, doc.prefixes)
         verdict = report.passed
     elif args.cls == "ltg":
-        prefixes, failure = infer_prefix(g)
+        try:
+            prefixes, failure = infer_prefix(g)
+        except VariantMismatch as exc:
+            raise CliError(f"{args.file}: {exc}", 1) from exc
         verdict = prefixes is not None
         if failure is not None:
             report = failure
@@ -142,7 +145,7 @@ def _doc_as(doc: GraphDocument, cls: str, path: str):
             return PrefixedGraph._validated(g, doc.prefixes)
         if cls == "ltg":
             return DelimitedGraph.from_graph(g)
-    except ValueError as exc:
+    except (GraphError, ValueError) as exc:
         raise CliError(f"{path}: {exc}", 1) from exc
     return g
 

@@ -4,10 +4,14 @@
 
 The digests fix the byte-identical CLI output of the commit they were
 recorded on.  Record them again only when that output is meant to change.
+Every row that differs from the file being replaced is printed, with the
+streams whose digest changed and the exit code before and after, and
+then the total.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -17,12 +21,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from test_cli_golden import ENTRIES, GOLDEN, dump, entry, run_entry  # noqa: E402
 
 
+def _change(old: list | None, new: list) -> str:
+    if old is None:
+        return f"new row, exit {new[2]}"
+    streams = [s for s, a, b in zip(("stdout", "stderr"), old, new) if a != b] or ["exit code"]
+    return f"{'+'.join(streams)}, exit {old[2]} -> {new[2]}"
+
+
 def main() -> None:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
+    changed = total = 0
     for name in ENTRIES:
+        files, argvs = entry(name)
         with tempfile.TemporaryDirectory() as workdir:
-            golden[name] = run_entry(*entry(name), Path(workdir))
+            golden[name] = run_entry(files, argvs, Path(workdir))
+        before = old.get(name, [])
+        for i, (argv, row) in enumerate(zip(argvs, golden[name])):
+            prev = before[i] if i < len(before) else None
+            if row != prev:
+                changed += 1
+                print(f"{name}: lamgraph {' '.join(argv)}: {_change(prev, row)}")
+        total += len(argvs)
     GOLDEN.write_text(dump(golden))
+    print(f"{changed} of {total} rows changed")
 
 
 if __name__ == "__main__":

@@ -229,6 +229,16 @@ def test_validate_aphotg_wrong_signature(tmp_path, capsys):
     assert code == 1 and "delimiter-free" in err
 
 
+def test_ltg_input_without_delimiters_names_the_file(tmp_path, capsys):
+    # A one-binder document read as ltg: the error names the file, as
+    # every other input error does.
+    path = write(tmp_path, "p.tg", "sig 1\nroot b\nb lam v\nv 0 b\n")
+    message = f"error: {path}: prefix inference needs a signature with delimiters\n"
+    for argv in (["translate", "--from", "ltg", "--to", "tg"], ["validate", "--class", "ltg"]):
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out, err) == (1, "", message)
+
+
 def test_translate_j1(tmp_path, capsys):
     doc = (
         "sig 1\nroot b1\nb1 lam b2\nb2 lam v\nv 0 b1\n"
