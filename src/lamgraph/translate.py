@@ -139,8 +139,9 @@ def _analyze(root: _RNode, resolver: _Resolver) -> None:
     binding whose set grows puts its users back on the list, so its last
     evaluation read only final sets.  A closing evaluation of the root,
     under the user id 0 (resolver ids start at 1), annotates the nodes
-    outside every binding.  The live bindings are then those that id 0
-    reaches in the reference relation, the inverse of ``users``.
+    outside every binding.  The live bindings, the only ones translated,
+    are those that id 0 reaches in the reference relation, the inverse of
+    ``users``.
     """
     binding_term = resolver.binding_term
     bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
