@@ -337,7 +337,7 @@ def test_reverse_letrec_chain_translates_in_linear_time():
     assert dg.graph.vertex_count == 1 + 4 * 2000 + 1
     small = parse_term(_reverse_letrec_chain(30))
     _assert_same_translation(term_to_graph(small), name_keyed_term_to_graph(small))
-    # The oracle's fixpoint takes n rounds here, 8 s at n = 2000.
+    # The oracle's fixpoint takes n rounds on this chain, so compare at n = 300.
     _assert_same_analysis(parse_term(_reverse_letrec_chain(300)))
 
 
