@@ -7,9 +7,10 @@ prefix function unique, so membership in the class is decidable by one
 forward propagation from the root.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
-allocates vertices with their prefix words and mints their names, and
-its finish step checks the words once with the strict validator.  Both
-producers, ``term_to_graph`` and ``insert_delimiters``, build with it.
+allocates vertices and mints their names, and its finish step infers
+the words, so inference is the one source of a ``DelimitedGraph``'s
+prefix function.  Both producers, ``term_to_graph`` and
+``insert_delimiters``, build with it.
 """
 
 from __future__ import annotations
@@ -37,11 +38,7 @@ def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("this validator needs a signature with delimiters")
-    return _validate_prefix_fo(g, normalize_prefix_fn(g, p))
-
-
-def _validate_prefix_fo(g: TermGraph, p: PrefixFn) -> ValidationReport:
-    """``validate_prefix_fo`` past its variant check, on a normalized function."""
+    p = normalize_prefix_fn(g, p)
     bad = _prefix_word_sanity(g, p)
     if p[g.root] != ():
         bad.append(Violation("root", (g.root,)))
@@ -161,40 +158,24 @@ class DelimitedGraph:
             raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
         return cls(graph, prefixes)
 
-    @classmethod
-    def _validated(cls, graph: TermGraph, prefixes: PrefixFn) -> "DelimitedGraph":
-        """``from_graph`` for a prefix function the caller constructed.
-
-        The strict validator checks it in full.  Every vertex is reachable
-        and every edge forces its target's word, so a function that passes
-        is the one inference would find.
-        """
-        report = _validate_prefix_fo(graph, _check_prefix_domain(graph, prefixes))
-        if not report.passed:
-            raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
-        return cls(graph, prefixes)
-
 
 class _Builder:
     """A delimited graph under construction, on dense ids.
 
     Each vertex has its label, its successors (filled in after the vertex
-    is allocated), a name for output and its prefix word: a tuple of
-    abstraction vertex ids, fixed when the vertex is allocated.  A builder
-    starts empty or seeded with a graph and its prefix function, whose
-    vertices keep their ids; allocated vertices follow them.
+    is allocated) and a name for output.  A builder starts empty or
+    seeded with a graph, whose vertices keep their ids; allocated
+    vertices follow them.
     """
 
-    def __init__(self, graph: TermGraph | None = None, prefixes: PrefixFn | None = None):
+    def __init__(self, graph: TermGraph | None = None):
         self.labels: list[Label] = []
         self.succ: list[list[int] | None] = []
         self.names: list[str] = []
-        self.prefixes: list[tuple[int, ...]] = []
         if graph is not None:
             self.labels += graph.labels
             self.succ += map(list, graph.args)
             self.names += graph.names
-            self.prefixes += (prefixes[v] for v in graph.vertices())
         # Minting never reuses a seeded name, nor one the document format
         # cannot express (a binder may be called "scope" or "root").
         self.taken: set[str] = set(RESERVED_NAMES).union(self.names)
@@ -215,16 +196,15 @@ class _Builder:
         self.taken.add(name)
         return name
 
-    def alloc(self, base: str, label: Label, word: tuple[int, ...]) -> int:
+    def alloc(self, base: str, label: Label) -> int:
         v = len(self.labels)
         self.labels.append(label)
         self.succ.append(None)
         self.names.append(self.fresh_name(base))
-        self.prefixes.append(word)
         return v
 
     def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
-        """The built graph, with its words checked by ``_validated``.
+        """The built graph, with its words inferred by ``from_graph``.
 
         Every vertex must be reachable from ``root``.
         """
@@ -235,7 +215,7 @@ class _Builder:
             root=root,
             names=tuple(self.names),
         )
-        return DelimitedGraph._validated(graph, dict(enumerate(self.prefixes)))
+        return DelimitedGraph.from_graph(graph)
 
 
 def is_fully_back_linked(g: DelimitedGraph) -> bool:
@@ -317,9 +297,14 @@ def _predecessors(graph: TermGraph) -> list[list[int]]:
 
 
 def _groups(prefixes: PrefixFn) -> dict[tuple[int, ...], list[int]]:
-    """The vertices with a nonempty prefix, grouped by their word."""
+    """The vertices with a nonempty prefix, grouped by their word.
+
+    Vertices are taken in ascending id order, whatever the order of the
+    prefix function's keys, so groups and their members come in id order.
+    """
     groups: dict[tuple[int, ...], list[int]] = {}
-    for w, word in prefixes.items():
+    for w in range(len(prefixes)):
+        word = prefixes[w]
         if word:
             groups.setdefault(word, []).append(w)
     return groups

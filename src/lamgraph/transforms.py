@@ -3,8 +3,9 @@
 Scope functions and abstraction-prefix functions interconvert without
 touching the carrier.  Going first-order inserts a chain of delimiter
 vertices wherever the prefix word shrinks along an edge, building on
-ids with ``delimited._Builder`` as the term translation does; going back
-erases delimiter vertices and reroutes edges through them.
+ids with ``delimited._Builder`` as the term translation does, whose
+finish step infers the words; going back erases delimiter vertices and
+reroutes edges through them.
 """
 
 from __future__ import annotations
@@ -83,20 +84,24 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     the delimiters follow in edge order, each chain from the longest
     word down.  A delimiter is named after its edge, ``<source>.<k>.s``,
     with ``.2``, ``.3``, ... appended until the name is new.  The chain
-    delimiter at level L of its edge's word W has the prefix W[:L] and
-    back-links to W[L-1], so the construction fixes the prefix function,
-    and the strict validator checks it in full in place of inferring it
-    again.  O(n + m + D + sum of |prefix(w)|) for D delimiters, counting
-    the output's words.
+    delimiter at level L of its edge's word W back-links to W[L-1].
+
+    The output's prefix function is inferred, and each input vertex must
+    keep its word: a ``ValueError`` says when it does not.  Then each
+    chain delimiter has the word W[:L], by induction down the chain, so
+    the check accepts exactly the inputs whose words are correct.
+    O(n + m + D + sum of |prefix(w)|) for D delimiters, counting the
+    output's words.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
     g = a.graph
     p = a.prefixes
-    b = _Builder(g, p)
+    b = _Builder(g)
     for w, k, wk in g.edges():
-        n = num_delimiters(a, w, k)
-        if n == 0:
+        # A word that grows along the edge gets no chain; the check after
+        # finishing refuses it.
+        if num_delimiters(a, w, k) <= 0:
             continue
         base_word = p[w] + (w,) if g.labels[w] is Label.ABS else p[w]
         lower = len(p[wk])
@@ -105,10 +110,16 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
         b.succ[w][k] = len(b.labels)
         base = f"{g.names[w]}.{k}.s"
         for level in range(len(base_word), lower, -1):
-            d = b.alloc(base, Label.DEL, base_word[:level])
+            d = b.alloc(base, Label.DEL)
             below = d + 1 if level > lower + 1 else wk
             b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
-    return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
+    result = b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
+    for v in g.vertices():
+        if result.prefixes[v] != p[v]:
+            raise ValueError(
+                f"invalid prefix function: delimiters give {g.names[v]} another word"
+            )
+    return result
 
 
 def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:

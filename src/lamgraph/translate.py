@@ -14,12 +14,11 @@ names are plain edges to the entry vertex; only lambda-bound variables
 become variable vertices.
 
 The graph is emitted with ``delimited._Builder``: vertices get dense
-integer ids in allocation order, and each one's prefix word, a tuple of
-those ids, is recorded when it is allocated.  Names are minted for
-output only.  The emitted prefix function is checked once, by the
-strict validator, instead of being inferred again; on eager
-translations the eager-scope check follows, and it implies full
-back-linking (see ``term_to_graph``).
+integer ids in allocation order, and names are minted for output only.
+The traversal's words, tuples of those ids, decide where delimiters go
+and what they back-link to; the builder's finish step infers the
+emitted graph's prefix function.  On eager translations the eager-scope
+check follows, and it implies full back-linking (see ``term_to_graph``).
 """
 
 from __future__ import annotations
@@ -224,7 +223,7 @@ class _Translator:
         """One delimiter per popped word entry, bottom-up; returns the top."""
         cur = top
         for level in range(len(target) + 1, len(source) + 1):
-            s = self.b.alloc("s", Label.DEL, source[:level])
+            s = self.b.alloc("s", Label.DEL)
             self.b.succ[s] = [cur, source[level - 1]]
             cur = s
         return cur
@@ -253,7 +252,7 @@ class _Translator:
             for ident, name, term in node.bindings:
                 if ident in node.live and not isinstance(term, _RRef):
                     entry_word = self.pop(word, term.fv)
-                    v = self.b.alloc(name, term.label, entry_word)
+                    v = self.b.alloc(name, term.label)
                     self.entry[ident] = (v, entry_word)
                     fills.append((term, v, entry_word))
             for term, v, entry_word in fills:
@@ -265,7 +264,7 @@ class _Translator:
             base = f"{node.name}!"
         else:
             base = node.name
-        v = self.b.alloc(base, node.label, word)
+        v = self.b.alloc(base, node.label)
         self.fill(node, v, word)
         return v
 
@@ -304,15 +303,14 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
     With ``rng`` the translation keeps some closable scopes open longer
     (still valid, generally not eager); used to generate test diversity.
 
-    The translator emits the graph on ids together with its prefix
-    function, so nothing is inferred again: an explicit reachability
-    pass and the strict validator (``DelimitedGraph._validated``) check
-    the emitted function once, in O(n + m + sum of |prefix(w)|).  Every
-    vertex is reachable and every edge forces its target's word, so a
-    function that passes is the one inference would return.
+    The translator emits the graph on ids, and an explicit reachability
+    pass, which names any orphan vertex, and prefix inference check it
+    once, in O(n + m + sum of |prefix(w)|).  Inference fails if no
+    correct prefix function exists; the translator's own words are not
+    recorded, so they cannot disagree with the inferred ones.
 
     Without ``rng`` the eager-scope check runs as well.  On a (1,2)
-    graph whose prefix function passed the validator it also implies
+    graph with a correct prefix function it also implies
     that the graph is fully back-linked.  Take w with prefix W and
     v = W[-1]: a variable vertex back-links to v (condition var1), a
     delimiter back-links to v (condition delim-backlink), and any other

@@ -41,8 +41,8 @@ from lamgraph import (
     num_delimiters,
     validate_scope,
 )
-from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, _validate_prefix_fo
-from lamgraph.scoped import PrefixFn, ScopeFn, _check_prefix_domain, normalize_scope_fn
+from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
+from lamgraph.scoped import PrefixFn, ScopeFn, normalize_scope_fn
 from lamgraph.terms import TermSyntaxError, _Token
 from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.translate import (
@@ -842,7 +842,7 @@ def revalidating_infer_prefix(
             else:
                 prefixes[target] = value
                 worklist.append(target)
-    report = _validate_prefix_fo(g, _check_prefix_domain(g, prefixes))
+    report = validate_prefix_fo(g, prefixes)
     if not report.passed:
         return None, report
     return prefixes, None

@@ -472,26 +472,29 @@ def test_colliding_names_are_minted_around():
 
 
 # ---------------------------------------------------------------------------
-# The checks term_to_graph makes once on what it emitted: a corrupt word,
+# The checks term_to_graph makes once on what it emitted: a corrupt edge,
 # an unreachable vertex and a graph that is not fully back-linked are
 # each refused.
 
 
-def test_corrupt_emitted_word_is_refused(monkeypatch):
+def test_corrupt_emitted_edge_is_refused(monkeypatch):
+    # The application's two edges share the binding's vertex f, so
+    # pointing the second one at the root x past the reachability pass
+    # leaves every vertex reachable; a forces the word (x) on x, whose
+    # word is (), and no correct prefix function exists.
     import lamgraph.translate as translate
 
-    alloc = translate._Builder.alloc
+    finish = translate._Builder.finish
 
-    def drop_last_entry_once(self, base, label, word):
-        v = alloc(self, base, label, word)
-        if label is Label.APP and word and not hasattr(self, "corrupted"):
-            self.corrupted = v
-            self.prefixes[v] = word[:-1]
-        return v
+    def retarget_second_argument(self, root, variant):
+        app = self.labels.index(Label.APP)
+        assert self.succ[app][0] == self.succ[app][1] != root
+        self.succ[app][1] = root
+        return finish(self, root, variant)
 
-    monkeypatch.setattr(translate._Builder, "alloc", drop_last_entry_once)
-    with pytest.raises(InternalValidationFailure, match=r"lambda at x, a"):
-        term_to_graph(parse_term(r"\x. x x"))
+    monkeypatch.setattr(translate._Builder, "finish", retarget_second_argument)
+    with pytest.raises(InternalValidationFailure, match=r"prefix-conflict at a, x$"):
+        term_to_graph(parse_term(r"\x. letrec f = x in f f"))
 
 
 def test_unreachable_emitted_vertex_is_refused(monkeypatch):
@@ -499,10 +502,10 @@ def test_unreachable_emitted_vertex_is_refused(monkeypatch):
 
     alloc = translate._Builder.alloc
 
-    def add_orphan_occurrence(self, base, label, word):
-        v = alloc(self, base, label, word)
+    def add_orphan_occurrence(self, base, label):
+        v = alloc(self, base, label)
         if label is Label.ABS and base == "x":
-            orphan = alloc(self, "orphan", Label.VAR, word + (v,))
+            orphan = alloc(self, "orphan", Label.VAR)
             self.succ[orphan] = [v]
         return v
 
