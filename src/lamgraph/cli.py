@@ -91,12 +91,12 @@ def cmd_validate(args) -> int:
         pass  # parsing already established term graph validity
     elif args.cls == "hotg":
         if doc.scopes is None:
-            raise CliError("hotg validation needs scope lines")
+            raise CliError(f"{args.file}: hotg validation needs scope lines")
         report = validate_scope(g, doc.scopes)
         verdict = report.passed
     elif args.cls == "aphotg":
         if doc.prefixes is None:
-            raise CliError("aphotg validation needs prefix lines")
+            raise CliError(f"{args.file}: aphotg validation needs prefix lines")
         report = validate_prefix_ho(g, doc.prefixes)
         verdict = report.passed
     elif args.cls == "ltg":

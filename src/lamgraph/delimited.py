@@ -155,7 +155,9 @@ class DelimitedGraph:
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
         prefixes, report = infer_prefix(graph)
         if prefixes is None:
-            raise ValueError(f"not a valid delimited lambda graph: {report.describe(graph)}")
+            raise ValueError(
+                f"not a valid delimited lambda graph: {report.describe_violations(graph)}"
+            )
         return cls(graph, prefixes)
 
 

@@ -243,8 +243,8 @@ def max_share(g: DelimitedGraph) -> DelimitedGraph:
     collapse, with the quotient's prefix function inferred.
 
     Inference is kept rather than checking the block image of the input's
-    words with ``DelimitedGraph._validated``: on the ``maxshare`` bench
-    corpus the image and its check took about twice as long.
+    words with the strict validator: on the ``maxshare`` bench corpus the
+    image and its check took about twice as long.
     """
     return DelimitedGraph.from_graph(collapse(g.graph)[0])
 

@@ -18,14 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_cli_golden import ENTRIES, GOLDEN, dump, entry, run_entry  # noqa: E402
-
-
-def _change(old: list | None, new: list) -> str:
-    if old is None:
-        return f"new row, exit {new[2]}"
-    streams = [s for s, a, b in zip(("stdout", "stderr"), old, new) if a != b] or ["exit code"]
-    return f"{'+'.join(streams)}, exit {old[2]} -> {new[2]}"
+from test_cli_golden import ENTRIES, GOLDEN, dump, entry, row_change, run_entry  # noqa: E402
 
 
 def main() -> None:
@@ -41,7 +34,7 @@ def main() -> None:
             prev = before[i] if i < len(before) else None
             if row != prev:
                 changed += 1
-                print(f"{name}: lamgraph {' '.join(argv)}: {_change(prev, row)}")
+                print(f"{name}: lamgraph {' '.join(argv)}: {row_change(prev, row)}")
         total += len(argvs)
     GOLDEN.write_text(dump(golden))
     print(f"{changed} of {total} rows changed")

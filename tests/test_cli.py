@@ -61,7 +61,7 @@ def test_ltg_failure_outputs_name_the_witness(tmp_path, capsys):
     code, out, err = run(capsys, "translate", "--from", "ltg", "--to", "aphotg", path)
     assert code == 1 and out == ""
     assert err == (
-        f"error: {path}: not a valid delimited lambda graph: fail: prefix-conflict at a, a\n"
+        f"error: {path}: not a valid delimited lambda graph: prefix-conflict at a, a\n"
     )
 
 
@@ -237,6 +237,29 @@ def test_ltg_input_without_delimiters_names_the_file(tmp_path, capsys):
     for argv in (["translate", "--from", "ltg", "--to", "tg"], ["validate", "--class", "ltg"]):
         code, out, err = run(capsys, *argv, path)
         assert (code, out, err) == (1, "", message)
+
+
+def test_invalid_annotation_errors_list_the_violations(tmp_path, capsys):
+    # The error message carries the violations, not the report's verdict.
+    path = write(tmp_path, "s.tg", "sig 1\nroot r\nr lam c\nc 0 r\nscope r = { r }\n")
+    code, out, err = run(capsys, "translate", "--from", "hotg", "--to", "aphotg", path)
+    message = f"error: {path}: invalid scope function: scope0 at c; scope1 at c, r, r\n"
+    assert (code, out, err) == (1, "", message)
+    path = write(tmp_path, "p.tg", "sig 1\nroot r\nr lam c\nc 0 r\nprefix r = c\nprefix c = r\n")
+    code, out, err = run(capsys, "translate", "--from", "aphotg", "--to", "hotg", path)
+    message = (
+        f"error: {path}: invalid prefix function: "
+        "entry-not-abstraction at r, c; root at r; lambda at r, c; var1 at c, r\n"
+    )
+    assert (code, out, err) == (1, "", message)
+
+
+def test_validate_without_annotation_lines_names_the_file(tmp_path, capsys):
+    path = write(tmp_path, "g.tg", "sig 1\nroot r\nr lam c\nc 0 r\n")
+    for cls, what in (("hotg", "scope"), ("aphotg", "prefix")):
+        code, out, err = run(capsys, "validate", "--class", cls, path)
+        message = f"error: {path}: {cls} validation needs {what} lines\n"
+        assert (code, out, err) == (2, "", message)
 
 
 def test_translate_j1(tmp_path, capsys):

@@ -196,6 +196,14 @@ def run_entry(files: dict[str, str], argvs: list[list[str]], workdir: Path) -> l
     return results
 
 
+def row_change(old: list | None, new: list) -> str:
+    """What differs between two rows: the streams and the exit codes."""
+    if old is None:
+        return f"new row, exit {new[2]}"
+    streams = [s for s, a, b in zip(("stdout", "stderr"), old, new) if a != b] or ["exit code"]
+    return f"{'+'.join(streams)}, exit {old[2]} -> {new[2]}"
+
+
 def dump(golden: dict[str, list[list]]) -> str:
     """The golden file's text: one line per invocation."""
     blocks = []
@@ -216,8 +224,12 @@ def test_cli_output_matches_golden(name, golden, tmp_path):
     results = run_entry(files, argvs, tmp_path)
     expected = golden[name]
     assert len(results) == len(expected)
-    changed = [" ".join(a) for a, r, e in zip(argvs, results, expected) if r != e]
-    assert not changed, f"CLI output changed for: {changed[:5]}"
+    changed = [
+        f"lamgraph {' '.join(a)}: {row_change(e, r)}"
+        for a, r, e in zip(argvs, results, expected)
+        if r != e
+    ]
+    assert not changed, "CLI output changed:\n" + "\n".join(changed)
 
 
 def test_golden_covers_every_route():

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 
 from generators import graphs, random_term
@@ -20,6 +21,7 @@ from lamgraph import (
     scope_to_prefix,
     strip_delimiters,
     term_to_graph,
+    validate_prefix_ho,
 )
 from conftest import RUNNING_EAGER_PREFIXES
 
@@ -338,6 +340,47 @@ def test_transforms_match_name_keyed_hypothesis(g):
 
     if g.variant.del_arity is not None and is_lambda_term_graph(g):
         _same_as_name_keyed(dg=DelimitedGraph.from_graph(g))
+
+
+# ---------------------------------------------------------------------------
+# Hand-built prefixed graphs: insertion refuses exactly the words the
+# higher-order validator refuses, including words that grow along an edge.
+
+
+def test_insert_delimiters_refuses_a_word_that_grows_along_an_edge():
+    # a -> v pushes r onto v's word without passing r's abstraction edge.
+    g = parse_graph("sig 1\nroot r\nr lam a\na @ v w\nv 0 r\nw lam u\nu 0 w\n").graph
+    words = {"r": (), "a": (), "v": ("r",), "w": (), "u": ("w",)}
+    p = {g.id_of(v): tuple(map(g.id_of, word)) for v, word in words.items()}
+    assert not validate_prefix_ho(g, p).passed
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="var0 at v"):
+            insert_delimiters(PrefixedGraph(g, p), j)
+
+
+def test_insert_delimiters_refuses_what_the_validator_refuses():
+    from generators import random_graph
+
+    rng = random.Random(306)
+    verdicts = {True: 0, False: 0}
+    while sum(verdicts.values()) < 1500:
+        g = random_graph(rng, max_vertices=6)
+        if g.variant.del_arity is not None:
+            continue
+        abstractions = list(g.vertices_labeled(Label.ABS))
+        p = {
+            v: tuple(rng.sample(abstractions, rng.randint(0, min(2, len(abstractions)))))
+            for v in g.vertices()
+        }
+        valid = validate_prefix_ho(g, p).passed
+        verdicts[valid] += 1
+        for j in (1, 2):
+            if valid:
+                assert insert_delimiters(PrefixedGraph(g, p), j).prefixes.items() >= p.items()
+            else:
+                with pytest.raises(ValueError):
+                    insert_delimiters(PrefixedGraph(g, p), j)
+    assert min(verdicts.values()) >= 200
 
 
 def test_minted_names_skip_taken_ones():
