@@ -155,9 +155,7 @@ class DelimitedGraph:
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
         prefixes, report = infer_prefix(graph)
         if prefixes is None:
-            raise ValueError(
-                f"not a valid delimited lambda graph: {report.describe_violations(graph)}"
-            )
+            raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
         return cls(graph, prefixes)
 
 
@@ -302,7 +300,8 @@ def _groups(prefixes: PrefixFn) -> dict[tuple[int, ...], list[int]]:
     """The vertices with a nonempty prefix, grouped by their word.
 
     Vertices are taken in ascending id order, whatever the order of the
-    prefix function's keys, so groups and their members come in id order.
+    prefix function's keys, so the eager check's witness does not depend
+    on the order in which inference found the words.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for w in range(len(prefixes)):

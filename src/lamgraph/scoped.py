@@ -40,9 +40,9 @@ class ValidationReport:
     def describe(self, g: TermGraph) -> str:
         if self.passed:
             return "pass"
-        return "fail: " + self.describe_violations(g)
+        return "fail: " + self.violation_text(g)
 
-    def describe_violations(self, g: TermGraph) -> str:
+    def violation_text(self, g: TermGraph) -> str:
         """The violations alone, without the verdict, for error messages."""
         return "; ".join(v.describe(g) for v in self.violations)
 
@@ -232,7 +232,7 @@ class ScopedGraph:
             raise VariantMismatch("scope functions live on delimiter-free graphs")
         report = _validate_scope(graph, scopes)
         if not report.passed:
-            raise ValueError(f"invalid scope function: {report.describe_violations(graph)}")
+            raise ValueError(f"invalid scope function: {report.violation_text(graph)}")
         return cls(graph, scopes)
 
     @cached_property
@@ -269,7 +269,7 @@ class PrefixedGraph:
             raise VariantMismatch("this validator is for delimiter-free graphs")
         report = _validate_prefix_ho(graph, prefixes)
         if not report.passed:
-            raise ValueError(f"invalid prefix function: {report.describe_violations(graph)}")
+            raise ValueError(f"invalid prefix function: {report.violation_text(graph)}")
         return cls(graph, prefixes)
 
 

@@ -85,13 +85,11 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     word down.  A delimiter is named after its edge, ``<source>.<k>.s``,
     with ``.2``, ``.3``, ... appended until the name is new.  The chain
     delimiter at level L of its edge's word W back-links to W[L-1].
-
-    The output's prefix function is inferred, and each input vertex must
-    keep its word: a ``ValueError`` says when it does not.  Then each
-    chain delimiter has the word W[:L], by induction down the chain, so
-    the check accepts exactly the inputs whose words are correct.
-    O(n + m + D + sum of |prefix(w)|) for D delimiters, counting the
-    output's words.
+    The output's words are inferred; unless each input vertex keeps its
+    own, a ``ValueError`` follows.  Then each delimiter has the word
+    W[:L], by induction down its chain, so exactly the inputs that
+    ``validate_prefix_ho`` refuses are refused.  O(n + m + D + sum of
+    |prefix(w)|) for D delimiters, counting the output's words.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
@@ -116,9 +114,7 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     result = b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
     for v in g.vertices():
         if result.prefixes[v] != p[v]:
-            raise ValueError(
-                f"invalid prefix function: delimiters give {g.names[v]} another word"
-            )
+            raise ValueError(f"invalid prefix function: {g.names[v]} gets another word")
     return result
 
 

@@ -306,12 +306,11 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
     The translator emits the graph on ids, and an explicit reachability
     pass, which names any orphan vertex, and prefix inference check it
     once, in O(n + m + sum of |prefix(w)|).  Inference fails if no
-    correct prefix function exists; the translator's own words are not
-    recorded, so they cannot disagree with the inferred ones.
+    correct prefix function exists.
 
     Without ``rng`` the eager-scope check runs as well.  On a (1,2)
-    graph with a correct prefix function it also implies
-    that the graph is fully back-linked.  Take w with prefix W and
+    graph with a correct prefix function it also implies that the
+    graph is fully back-linked.  Take w with prefix W and
     v = W[-1]: a variable vertex back-links to v (condition var1), a
     delimiter back-links to v (condition delim-backlink), and any other
     vertex reaches, inside W's region, a variable that back-links to v.

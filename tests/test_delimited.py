@@ -139,6 +139,23 @@ def test_infer_prefix_traversal_order_invariance():
             assert shuffled == baseline
 
 
+def test_eager_witness_ignores_the_order_of_the_prefix_keys():
+    # Inference lists its words in discovery order; the eager check walks
+    # the vertices in id order, so the witness does not depend on it.
+    from lamgraph.delimited import _non_eager_vertex
+
+    witnesses = 0
+    for dg in _random_delimited(209, 300):
+        by_id = sorted(dg.prefixes.items())
+        for order in (by_id, by_id[::-1]):
+            reordered = DelimitedGraph(dg.graph, dict(order))
+            for strict in (False, True):
+                w = _non_eager_vertex(dg, strict)
+                assert _non_eager_vertex(reordered, strict) == w
+                witnesses += w is not None
+    assert witnesses >= 100
+
+
 def test_access_paths_avoid_variables_and_exit_delimiters_by_zero():
     for dg in _random_delimited(201, 15):
         g = dg.graph
