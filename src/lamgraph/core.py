@@ -188,6 +188,14 @@ class TermGraph:
             ids.setdefault(name, v)
         return ids
 
+    @cached_property
+    def _lookup(self) -> dict[int | str, int]:
+        # Name or id -> id, so a whole map resolves in C-level passes.
+        # Ids are entered last: an id always stands for itself.
+        lookup: dict[int | str, int] = dict(self._ids)
+        lookup.update(zip(self.vertices(), self.vertices()))
+        return lookup
+
     def id_of(self, name: str) -> int:
         return self._ids[name]
 

@@ -51,12 +51,23 @@ def _is_word_prefix(shorter: tuple, longer: tuple) -> bool:
     return len(shorter) <= len(longer) and longer[: len(shorter)] == shorter
 
 
+def _resolve_map(g: TermGraph, m: Mapping, freeze: type) -> dict:
+    """Keys and members of m as ids, through the graph's name-or-id lookup.
+
+    An unknown name or an id that is no vertex falls back to resolving
+    one at a time, so that each raises what it always has.
+    """
+    find = g._lookup.__getitem__
+    try:
+        return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
+    except KeyError:
+        pass
+    return {g.resolve(key): freeze(map(g.resolve, xs)) for key, xs in m.items()}
+
+
 def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:
     """Accept ids or names as keys/members, check the domain, freeze."""
-    out: ScopeFn = {}
-    for key, members in sc.items():
-        out[g.resolve(key)] = frozenset(map(g.resolve, members))
-    return _check_scope_domain(g, out)
+    return _check_scope_domain(g, _resolve_map(g, sc, frozenset))
 
 
 def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
@@ -73,10 +84,7 @@ def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
 
 
 def normalize_prefix_fn(g: TermGraph, p: Mapping) -> PrefixFn:
-    out: PrefixFn = {}
-    for key, word in p.items():
-        out[g.resolve(key)] = tuple(map(g.resolve, word))
-    return _check_prefix_domain(g, out)
+    return _check_prefix_domain(g, _resolve_map(g, p, tuple))
 
 
 def _check_prefix_domain(g: TermGraph, p: PrefixFn) -> PrefixFn:
@@ -113,12 +121,12 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
 
     The scopes are inverted once, so the root, self, closed, scope0 and
     scope1 tests visit only the abstractions whose scope holds the vertex
-    at hand: O(n + m + sum of |sc(v)| + k log k) time for k violations.
-    Nesting tests each abstraction v1 in another's scope sc(v0) against
-    it, at O(|sc(v1)|) per pair: O(sum over v0 of the |sc(v1)| of the
-    abstractions v1 in sc(v0)), which on a valid scope function is
-    O(d * sum of |sc(v)|) for scopes nested d deep.  Violations come in
-    a fixed order: root and self per abstraction, then nest, closed,
+    at hand, and nesting is one laminar-family pass (``_scopes_nest``):
+    O(n + m + sum of |sc(v)| + A log A + k log k) time for A abstractions
+    and k violations.  Only when that pass fails does the per-pair
+    nesting walk run, to report which pairs fail; it costs O(|sc(v1)|)
+    for each abstraction v1 in another's scope.  Violations come in a
+    fixed order: root and self per abstraction, then nest, closed,
     scope0 and scope1, each by ascending vertex ids.
     """
     if g.variant.del_arity is not None:
@@ -137,13 +145,14 @@ def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
             bad.append(Violation("root", (v,)))
         if v not in sc[v]:
             bad.append(Violation("self", (v,)))
-    is_abs = [lab is Label.ABS for lab in g.labels]
-    for v0 in abs_vertices:
-        inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
-        for v1 in inner:
-            # sc[v1] <= sc[v0] - {v0}, without copying sc[v0].
-            if v0 in sc[v1] or not sc[v1] <= sc[v0]:
-                bad.append(Violation("nest", (v0, v1)))
+    if not _scopes_nest(g, sc, abs_vertices):
+        is_abs = [lab is Label.ABS for lab in g.labels]
+        for v0 in abs_vertices:
+            inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
+            for v1 in inner:
+                # sc[v1] <= sc[v0] - {v0}, without copying sc[v0].
+                if v0 in sc[v1] or not sc[v1] <= sc[v0]:
+                    bad.append(Violation("nest", (v0, v1)))
     for w, k, wk in g.edges():
         for v in containing[wk]:
             if v != wk and w not in sc[v]:
@@ -162,6 +171,34 @@ def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
             for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
                 bad.append(Violation("scope1", (w, w0, v)))
     return ValidationReport(tuple(bad))
+
+
+def _scopes_nest(g: TermGraph, sc: ScopeFn, abs_vertices: list[int]) -> bool:
+    """Laminar-family test: True only if no pair of scopes fails to nest.
+
+    The abstractions are taken by decreasing scope size, ties in
+    ascending id (the ``_binder_lists`` order), and each vertex keeps
+    the last abstraction whose scope claimed it.  v passes if v is in
+    sc(v), its parent (the last claimer of v) is not, and every member
+    of sc(v) was last claimed by that parent; then v claims them all.
+    If every v passes, the scope sets form a tree under inclusion in
+    which no scope holds an earlier abstraction, so each v1 in sc(v0)
+    comes later and sc(v1) <= sc(v0) - {v0}.  Every valid scope function
+    passes.  Both the self and the parent test are needed: without the
+    parent test ``{a: {a, b}, b: {a, b}}`` would pass, and without the
+    self test ``{a: {x, y}, b: {b, a}}``.  O(sum of |sc(v)| + A log A).
+    """
+    last = [-1] * g.vertex_count
+    for v in sorted(abs_vertices, key=lambda v: len(sc[v]), reverse=True):
+        members = sc[v]
+        parent = last[v]
+        if v not in members or parent in members:
+            return False
+        for u in members:
+            if last[u] != parent:
+                return False
+            last[u] = v
+    return True
 
 
 def validate_prefix_ho(g: TermGraph, p: Mapping) -> ValidationReport:

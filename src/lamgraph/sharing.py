@@ -28,10 +28,10 @@ from .core import (
 from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
 from .scoped import PrefixedGraph, ScopedGraph
 from .transforms import (
+    _prefix_to_scope,
+    _scope_to_prefix,
+    _strip_delimiters,
     insert_delimiters,
-    prefix_to_scope,
-    scope_to_prefix,
-    strip_delimiters,
 )
 
 __all__ = [
@@ -256,10 +256,17 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     bisimulation collapse, and back.  The input's delimited image must
     be eager-scope; the eager class is closed under homomorphism, so the
     collapse stays inside it and the way back is well-defined.
+
+    The input is the one trust boundary, and no validator runs between
+    the steps.  ``insert_delimiters`` refuses exactly the words that
+    ``validate_prefix_ho`` refuses, so a hand-built invalid input fails
+    there with ``ValueError``.  Past it, the words are valid and the
+    correspondence of scope functions, prefix functions and their eager
+    delimited forms makes every later step valid by construction.
     """
     if h.graph.variant.var_arity != 1 or h.graph.variant.del_arity is not None:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    delimited = insert_delimiters(scope_to_prefix(h), 2)
+    delimited = insert_delimiters(_scope_to_prefix(h), 2)
     w = _non_eager_vertex(delimited)
     if w is not None:
         raise NotEagerScope(
@@ -267,4 +274,4 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
             + _non_eager_reason(delimited, w),
             delimited.graph.names[w],
         )
-    return prefix_to_scope(strip_delimiters(max_share(delimited)))
+    return _prefix_to_scope(_strip_delimiters(max_share(delimited)))

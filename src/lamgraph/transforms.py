@@ -6,6 +6,10 @@ vertices wherever the prefix word shrinks along an edge, building on
 ids with ``delimited._Builder`` as the term translation does, whose
 finish step infers the words; going back erases delimiter vertices and
 reroutes edges through them.
+
+Each conversion is a private derivation, and its public form validates
+what the derivation returns, for inputs built by hand.  ``max_share_ho``
+chains the derivations behind its one check.
 """
 
 from __future__ import annotations
@@ -30,30 +34,41 @@ def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
 
     The carrier is unchanged (the very same graph object).  The scopes
     are inverted once, so the conversion takes O(n + sum of |sc(v)| +
-    A log A) for A abstractions, plus validating the result.
+    A log A) for A abstractions; validating the result adds O(n + m +
+    sum of |prefix(w)|).
     """
-    g = h.graph
+    a = _scope_to_prefix(h)
+    return PrefixedGraph._validated(a.graph, a.prefixes)
+
+
+def _scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
+    """``scope_to_prefix`` without validating the result."""
+    labels = h.graph.labels
     prefixes = {}
     for w, word in enumerate(h._binder_lists):
         # An abstraction lies in its own scope, not in its own prefix.
-        prefixes[w] = tuple(v for v in word if v != w) if g.labels[w] is Label.ABS else tuple(word)
-    return PrefixedGraph._validated(g, _check_prefix_domain(g, prefixes))
+        prefixes[w] = tuple(v for v in word if v != w) if labels[w] is Label.ABS else tuple(word)
+    return PrefixedGraph(h.graph, prefixes)
 
 
 def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     """Derive the scope function: v's scope is v plus everyone listing v.
 
-    One pass over the prefix words: O(n + sum of |prefix(w)|), plus
-    validating the result.
+    One pass over the prefix words: O(n + sum of |prefix(w)|); validating
+    the result adds O(n + m + sum of |sc(v)| + A log A).
     """
-    g = a.graph
-    members = {v: [v] for v in g.vertices_labeled(Label.ABS)}
+    h = _prefix_to_scope(a)
+    return ScopedGraph._validated(h.graph, _check_scope_domain(h.graph, h.scopes))
+
+
+def _prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
+    """``prefix_to_scope`` without checking or validating the result."""
+    members = {v: [v] for v in a.graph.vertices_labeled(Label.ABS)}
     for w, word in a.prefixes.items():
         for v in word:
             if v in members:
                 members[v].append(w)
-    scopes = {v: frozenset(ws) for v, ws in members.items()}
-    return ScopedGraph._validated(g, _check_scope_domain(g, scopes))
+    return ScopedGraph(a.graph, {v: frozenset(ws) for v, ws in members.items()})
 
 
 def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
@@ -96,21 +111,29 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     g = a.graph
     p = a.prefixes
     b = _Builder(g)
-    for w, k, wk in g.edges():
-        # A word that grows along the edge gets no chain; the check after
-        # finishing refuses it.
-        if num_delimiters(a, w, k) <= 0:
-            continue
-        base_word = p[w] + (w,) if g.labels[w] is Label.ABS else p[w]
-        lower = len(p[wk])
-        # Levels run from len(base_word) down to lower + 1; each delimiter
-        # feeds the next one allocated, and the last the edge's target.
-        b.succ[w][k] = len(b.labels)
-        base = f"{g.names[w]}.{k}.s"
-        for level in range(len(base_word), lower, -1):
-            d = b.alloc(base, Label.DEL)
-            below = d + 1 if level > lower + 1 else wk
-            b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
+    for w, lab in enumerate(g.labels):
+        if lab is Label.ABS:
+            base_word = p[w] + (w,)
+        elif lab is Label.APP:
+            base_word = p[w]
+        else:
+            continue  # variable back-links get no chain
+        for k, wk in enumerate(g.args[w]):
+            # The edge's drop, as ``num_delimiters`` counts it.  A word that
+            # grows along the edge gets no chain; the check after finishing
+            # refuses it.
+            lower = len(p[wk])
+            if len(base_word) <= lower:
+                continue
+            # Levels run from len(base_word) down to lower + 1; each
+            # delimiter feeds the next one allocated, and the last the
+            # edge's target.
+            b.succ[w][k] = len(b.labels)
+            base = f"{g.names[w]}.{k}.s"
+            for level in range(len(base_word), lower, -1):
+                d = b.alloc(base, Label.DEL)
+                below = d + 1 if level > lower + 1 else wk
+                b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
     result = b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
     for v in g.vertices():
         if result.prefixes[v] != p[v]:
@@ -123,12 +146,18 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
 
     The kept vertices are renumbered by rank, keeping their order and
     names; successors skip delimiter chains and prefix words map
-    through the same ids.  O(n + m + sum of |prefix(w)|), plus
-    validating the result.
+    through the same ids.  O(n + m + sum of |prefix(w)|), and as much
+    again for validating the result.
     """
-    graph = g.graph
-    if graph.variant.del_arity is None:
+    if g.graph.variant.del_arity is None:
         raise VariantMismatch("input must be over a signature with delimiters")
+    a = _strip_delimiters(g)
+    return PrefixedGraph._validated(a.graph, _check_prefix_domain(a.graph, a.prefixes))
+
+
+def _strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
+    """``strip_delimiters`` without checking or validating the result."""
+    graph = g.graph
     labels = graph.labels
 
     def skip(u: int) -> int:
@@ -148,4 +177,4 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         names=tuple(graph.names[v] for v in kept),
     )
     prefixes = {new_id[v]: tuple(new_id[x] for x in g.prefixes[v]) for v in kept}
-    return PrefixedGraph._validated(carrier, _check_prefix_domain(carrier, prefixes))
+    return PrefixedGraph(carrier, prefixes)

@@ -38,7 +38,7 @@ from lamgraph import (
     validate_prefix_ho,
     validate_scope,
 )
-from lamgraph.scoped import normalize_prefix_fn, normalize_scope_fn
+from lamgraph.scoped import _scopes_nest, normalize_prefix_fn, normalize_scope_fn
 
 
 def test_validate_scope_shared_form(g0_plain):
@@ -420,6 +420,138 @@ def test_generated_equality_and_hashing(running_carrier, running_eager):
     assert hash(GraphDocument(g)) == hash(GraphDocument(g))
     with pytest.raises(TypeError):
         hash(doc)  # the annotation is a dict and takes part in the hash
+
+
+# ---------------------------------------------------------------------------
+# The laminar nesting test in front of the per-pair walk: a pass means the
+# walk would find no nest violation, and every valid scope function passes.
+
+
+def _laminar_agrees(g, sc, outcomes):
+    sc = normalize_scope_fn(g, sc)
+    fast = _scopes_nest(g, sc, g.vertices_labeled(Label.ABS))
+    report = per_pair_validate_scope(g, sc)
+    assert validate_scope(g, sc) == report
+    if fast:
+        assert all(v.condition != "nest" for v in report.violations), (g, sc)
+    if report.passed:
+        assert fast, (g, sc)
+    outcomes[fast, report.passed] += 1
+
+
+@pytest.mark.parametrize(
+    "text, scopes, nests",
+    [
+        # One shared last claimer that is the parent is not enough: a and
+        # b each hold the other, and only the parent test sees it.
+        ("sig 1\nroot a\na lam b\nb lam x\nx 0 b\n",
+         {"a": {"a", "b"}, "b": {"a", "b"}}, [("a", "b"), ("b", "a")]),
+        # a lies outside its own scope, so nothing has claimed it when b,
+        # whose scope holds a but not sc(a), comes next; only the self
+        # test sees it.
+        ("sig 0\nroot a\na lam b\nb lam x\nx @ y y\ny 0\n",
+         {"a": {"x", "y"}, "b": {"b", "a"}}, [("b", "a")]),
+    ],
+)
+def test_laminar_test_refuses_scopes_that_do_not_nest(text, scopes, nests):
+    g = parse_graph(text).graph
+    sc = normalize_scope_fn(g, scopes)
+    assert not _scopes_nest(g, sc, g.vertices_labeled(Label.ABS))
+    report = validate_scope(g, sc)
+    assert report == per_pair_validate_scope(g, sc)
+    found = [v.witnesses for v in report.violations if v.condition == "nest"]
+    assert found == [tuple(map(g.id_of, pair)) for pair in nests]
+
+
+def test_laminar_test_is_sound_and_passes_every_valid_function():
+    rng = random.Random(310)
+    outcomes = {(f, p): 0 for f in (True, False) for p in (True, False)}
+    exhaustive = 0
+    while exhaustive < 60:
+        g = random_graph(rng, max_vertices=6)
+        if g.variant.del_arity is not None:
+            continue
+        for _ in range(10):
+            _laminar_agrees(g, _random_scopes(rng, g), outcomes)
+        if len(g.vertices_labeled(Label.ABS)) > 2:
+            continue
+        # Every valid function, and each with one or two members toggled.
+        for sc in all_scope_functions(g):
+            _laminar_agrees(g, sc, outcomes)
+            if sc:
+                once = _toggled(rng, g, sc)
+                _laminar_agrees(g, once, outcomes)
+                _laminar_agrees(g, _toggled(rng, g, once), outcomes)
+        exhaustive += 1
+    for i in range(300):
+        # Larger valid functions: the scopes of translated terms.
+        t = random_term(rng, depth=rng.randint(2, 5))
+        h = prefix_to_scope(strip_delimiters(term_to_graph(t, rng=rng if i % 2 else None)))
+        _laminar_agrees(h.graph, h.scopes, outcomes)
+        if h.scopes:
+            once = _toggled(rng, h.graph, h.scopes)
+            _laminar_agrees(h.graph, once, outcomes)
+            _laminar_agrees(h.graph, _toggled(rng, h.graph, once), outcomes)
+    assert outcomes[False, True] == 0
+    assert min(outcomes[True, True], outcomes[True, False], outcomes[False, False]) >= 100
+
+
+# ---------------------------------------------------------------------------
+# Normalizing through the graph's name-or-id lookup keeps the errors of
+# resolving one name or id at a time.
+
+
+_ONE_LAMBDA = "sig 1\nroot r\nr lam c\nc 0 r\n"  # r is id 0, c is id 1
+
+
+@pytest.mark.parametrize(
+    "scopes, error, message",
+    [
+        ({"r": {"r", 5}}, DomainMismatch, "scope member 5 is not a vertex"),
+        ({"r": {"r", -1}}, DomainMismatch, "scope member -1 is not a vertex"),
+        ({0: {0, "zz"}}, KeyError, "'zz'"),
+        ({"zz": {0}}, KeyError, "'zz'"),
+        # Every name is resolved before the domain is checked.
+        ({"r": {5}, "x": {0}}, KeyError, "'x'"),
+        ({"r": {"r"}, "c": {"c"}}, DomainMismatch,
+         "scope function domain must be exactly the abstraction vertices"),
+        ({7: {0}}, DomainMismatch,
+         "scope function domain must be exactly the abstraction vertices"),
+    ],
+)
+def test_normalize_scope_fn_keeps_its_errors(scopes, error, message):
+    g = parse_graph(_ONE_LAMBDA).graph
+    with pytest.raises(error) as info:
+        normalize_scope_fn(g, scopes)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "prefixes, error, message",
+    [
+        ({"r": (), "c": ("r", 9)}, DomainMismatch, "prefix entry 9 is not a vertex"),
+        ({"r": (), "c": (-2,)}, DomainMismatch, "prefix entry -2 is not a vertex"),
+        ({"r": (), "c": ("zz",)}, KeyError, "'zz'"),
+        ({"r": ()}, DomainMismatch, "prefix function must be total on the vertex set"),
+    ],
+)
+def test_normalize_prefix_fn_keeps_its_errors(prefixes, error, message):
+    g = parse_graph(_ONE_LAMBDA).graph
+    with pytest.raises(error) as info:
+        normalize_prefix_fn(g, prefixes)
+    assert str(info.value) == message
+
+
+def test_normalize_takes_booleans_as_the_ids_they_equal():
+    g = parse_graph(_ONE_LAMBDA).graph
+    assert normalize_scope_fn(g, {"r": {True, False}}) == {0: frozenset({0, 1})}
+    assert normalize_scope_fn(g, {False: {"r", "c"}}) == {0: frozenset({0, 1})}
+    assert normalize_prefix_fn(g, {"r": (), True: (False,)}) == {0: (), 1: (0,)}
+    # On a one-vertex graph True is no vertex id.
+    alone = parse_graph("sig 0\nroot r\nr lam r\n").graph
+    with pytest.raises(DomainMismatch) as info:
+        normalize_scope_fn(alone, {"r": {"r", True}})
+    assert str(info.value) == "scope member True is not a vertex"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import graphs, random_graph, random_quotient, random_term
-from test_scoped import _ring_doc, _tower_doc
+from test_scoped import _random_scopes, _ring_doc, _tower_doc
 from oracles import (
     all_homomorphisms,
     all_scope_functions,
@@ -46,7 +46,11 @@ from lamgraph import (
     serialize_graph,
     strip_delimiters,
     term_to_graph,
+    validate_prefix_fo,
+    validate_prefix_ho,
+    validate_scope,
 )
+from lamgraph.transforms import _prefix_to_scope, _scope_to_prefix, _strip_delimiters
 
 
 def test_find_homomorphism_debruijn_chain(debruijn):
@@ -438,21 +442,71 @@ def test_max_share_agrees_with_collapse_oracle():
         assert isomorphic(fo.graph, collapsed) is not None
 
 
-def test_max_share_ho_equals_its_public_steps():
-    # The step-by-step replay the traced benchmark makes, on ring and
-    # tower documents and on random hotg documents.
+def _max_share_ho_docs():
+    """Ring and tower documents, and random hotg documents, as text."""
     docs = [_ring_doc(n) for n in (1, 3, 8)] + [_tower_doc(n) for n in (2, 4, 8)]
     rng = random.Random(408)
     for _ in range(20):
         ap = strip_delimiters(term_to_graph(random_term(rng, depth=4)))
         docs.append(serialize_graph(GraphDocument(ap.graph, scopes=prefix_to_scope(ap).scopes)))
-    for text in docs:
+    return docs
+
+
+def test_max_share_ho_equals_its_public_steps():
+    # The step-by-step replay the traced benchmark makes.
+    for text in _max_share_ho_docs():
         doc = parse_graph(text)
         h = ScopedGraph.checked(doc.graph, doc.scopes)
         delimited = insert_delimiters(scope_to_prefix(h), 2)
         quotient = collapse(delimited.graph)[0]
         steps = prefix_to_scope(strip_delimiters(DelimitedGraph.from_graph(quotient)))
         assert max_share_ho(h) == steps
+
+
+def test_max_share_ho_intermediates_pass_the_validators():
+    # max_share_ho validates nothing between its steps; each intermediate
+    # of its chain passes the validator that the public steps would run.
+    for text in _max_share_ho_docs():
+        doc = parse_graph(text)
+        h = ScopedGraph.checked(doc.graph, doc.scopes)
+        words = _scope_to_prefix(h)
+        assert validate_prefix_ho(words.graph, words.prefixes).passed
+        delimited = insert_delimiters(words, 2)
+        shared = max_share(delimited)
+        for dg in (delimited, shared):
+            assert validate_prefix_fo(dg.graph, dg.prefixes).passed
+        stripped = _strip_delimiters(shared)
+        assert validate_prefix_ho(stripped.graph, stripped.prefixes).passed
+        result = _prefix_to_scope(stripped)
+        assert validate_scope(result.graph, result.scopes).passed
+        assert max_share_ho(h) == result
+
+
+def test_max_share_ho_refuses_what_scope_to_prefix_refuses():
+    # Hand-built scope functions, never checked: the route's one check,
+    # in insert_delimiters, refuses exactly the inputs whose words
+    # scope_to_prefix's validation refuses.
+    rng = random.Random(410)
+    outcomes = {"refused": 0, "shared": 0, "not eager": 0}
+    while min(outcomes.values()) < 30:
+        g = random_graph(rng, max_vertices=8)
+        if g.variant != SignatureVariant(1):
+            continue
+        h = ScopedGraph(g, _random_scopes(rng, g))
+        try:
+            scope_to_prefix(h)
+            valid = True
+        except ValueError:
+            valid = False
+        try:
+            max_share_ho(h)
+            outcome = "shared"
+        except ValueError:
+            outcome = "refused"
+        except NotEagerScope:
+            outcome = "not eager"
+        assert (outcome == "refused") == (not valid), h
+        outcomes[outcome] += 1
 
 
 def test_max_share_is_collapse_then_inference():
