@@ -32,6 +32,7 @@ from .transforms import (
     _scope_to_prefix,
     _strip_delimiters,
     insert_delimiters,
+    scope_to_prefix,
 )
 
 __all__ = [
@@ -260,13 +261,20 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     The input is the one trust boundary, and no validator runs between
     the steps.  ``insert_delimiters`` refuses exactly the words that
     ``validate_prefix_ho`` refuses, so a hand-built invalid input fails
-    there with ``ValueError``.  Past it, the words are valid and the
-    correspondence of scope functions, prefix functions and their eager
-    delimited forms makes every later step valid by construction.
+    there, with the ``ValueError`` of ``scope_to_prefix``.  Past it, the
+    words are valid and the correspondence of scope functions, prefix
+    functions and their eager delimited forms makes every later step
+    valid by construction.
     """
     if h.graph.variant.var_arity != 1 or h.graph.variant.del_arity is not None:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    delimited = insert_delimiters(_scope_to_prefix(h), 2)
+    try:
+        delimited = insert_delimiters(_scope_to_prefix(h), 2)
+    except ValueError:
+        # Insertion names vertices of the delimited form; the validator
+        # names the input's violations.
+        scope_to_prefix(h)
+        raise
     w = _non_eager_vertex(delimited)
     if w is not None:
         raise NotEagerScope(

@@ -485,7 +485,7 @@ def test_max_share_ho_intermediates_pass_the_validators():
 def test_max_share_ho_refuses_what_scope_to_prefix_refuses():
     # Hand-built scope functions, never checked: the route's one check,
     # in insert_delimiters, refuses exactly the inputs whose words
-    # scope_to_prefix's validation refuses.
+    # scope_to_prefix's validation refuses, with scope_to_prefix's error.
     rng = random.Random(410)
     outcomes = {"refused": 0, "shared": 0, "not eager": 0}
     while min(outcomes.values()) < 30:
@@ -495,17 +495,18 @@ def test_max_share_ho_refuses_what_scope_to_prefix_refuses():
         h = ScopedGraph(g, _random_scopes(rng, g))
         try:
             scope_to_prefix(h)
-            valid = True
-        except ValueError:
-            valid = False
+            refusal = None
+        except ValueError as exc:
+            refusal = str(exc)
         try:
             max_share_ho(h)
             outcome = "shared"
-        except ValueError:
+        except ValueError as exc:
             outcome = "refused"
+            assert str(exc) == refusal, h
         except NotEagerScope:
             outcome = "not eager"
-        assert (outcome == "refused") == (not valid), h
+        assert (outcome == "refused") == (refusal is not None), h
         outcomes[outcome] += 1
 
 
