@@ -3,8 +3,8 @@
 Subcommands: validate, translate, collapse, maxshare, equiv, render.
 Files are graph documents or term files depending on the subcommand;
 ``-`` reads stdin.  Exit codes: 0 success or equivalent, 1 invalid or
-not equivalent, 2 usage or parse errors, including input nested too
-deeply for the recursive stages.
+not equivalent, 2 usage or parse errors, including input nested deeper
+than the recursive parser and translator take (see the README).
 """
 
 from __future__ import annotations
@@ -273,6 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
+        # The parser and the translator recurse per term level: input too
+        # deep for the stack is refused on one line, not with a traceback.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -92,6 +92,8 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        # Each name's count of enclosing binders, kept up on entry and exit.
+        self.scope: dict[str, int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -103,28 +105,31 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def term(self, scope: frozenset[str]) -> Term:
+    def term(self) -> Term:
         tok = self.peek()
         if tok.kind == "lambda":
             self.take("lambda")
             name = self.take("ident").text
             self.take("dot")
-            return Abs(name, self.term(scope | {name}))
+            self.scope[name] = self.scope.get(name, 0) + 1
+            body = self.term()
+            self.scope[name] -= 1
+            return Abs(name, body)
         if tok.kind == "letrec":
-            return self.letrec(scope)
-        return self.application(scope)
+            return self.letrec()
+        return self.application()
 
-    def letrec(self, scope: frozenset[str]) -> Term:
+    def letrec(self) -> Term:
         # Binding bodies may use any of the group's names, so the names
         # are collected in a skip pass first and the bodies reparsed.
         self.take("letrec")
-        names: list[str] = []
+        names: set[str] = set()
         raw: list[tuple[str, int, int]] = []
         while True:
             name_tok = self.take("ident")
             if name_tok.text in names:
                 raise DuplicateBinding(name_tok.text)
-            names.append(name_tok.text)
+            names.add(name_tok.text)
             self.take("eq")
             start = self.pos
             self.skip_binding_body()
@@ -134,16 +139,19 @@ class _Parser:
             else:
                 break
         self.take("in")
-        inner = scope | set(names)
+        for name in names:
+            self.scope[name] = self.scope.get(name, 0) + 1
         bindings = []
         end = self.pos
         for name, start, stop in raw:
             self.pos = start
-            bindings.append((name, self.term(inner)))
+            bindings.append((name, self.term()))
             if self.pos != stop:
                 raise TermSyntaxError("malformed letrec binding", self.tokens[start].pos)
         self.pos = end
-        body = self.term(inner)
+        body = self.term()
+        for name in names:
+            self.scope[name] -= 1
         return Letrec(tuple(bindings), body)
 
     def skip_binding_body(self) -> None:
@@ -171,27 +179,27 @@ class _Parser:
                 ldepth -= 1
             self.pos += 1
 
-    def application(self, scope: frozenset[str]) -> Term:
-        result = self.atom(scope)
+    def application(self) -> Term:
+        result = self.atom()
         while self.peek().kind in ("ident", "lpar", "lambda", "letrec"):
             tok = self.peek()
             if tok.kind in ("lambda", "letrec"):
                 # Trailing lambda/letrec extends as far right as possible.
-                result = App(result, self.term(scope))
+                result = App(result, self.term())
                 break
-            result = App(result, self.atom(scope))
+            result = App(result, self.atom())
         return result
 
-    def atom(self, scope: frozenset[str]) -> Term:
+    def atom(self) -> Term:
         tok = self.peek()
         if tok.kind == "ident":
             self.take("ident")
-            if tok.text not in scope:
+            if not self.scope.get(tok.text):
                 raise UnboundVariable(tok.text, tok.pos)
             return Var(tok.text)
         if tok.kind == "lpar":
             self.take("lpar")
-            inner = self.term(scope)
+            inner = self.term()
             self.take("rpar")
             return inner
         raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
@@ -200,7 +208,7 @@ class _Parser:
 def parse_term(text: str) -> Term:
     """Parse a closed term; unbound names and duplicate bindings are errors."""
     parser = _Parser(_tokenize(text))
-    result = parser.term(frozenset())
+    result = parser.term()
     parser.take("eof")
     return result
 

@@ -17,13 +17,12 @@ The graph is emitted with ``delimited._Builder``: vertices get dense
 integer ids in allocation order, and names are minted for output only.
 The traversal's words, tuples of those ids, decide where delimiters go
 and what they back-link to; the builder's finish step infers the
-emitted graph's prefix function.  On eager translations the eager-scope
-check follows, and it implies full back-linking (see ``term_to_graph``).
+emitted graph's prefix function.  The eager-scope check follows, and
+it implies full back-linking (see ``term_to_graph``).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .core import Label, SignatureVariant, _reachable_keys
@@ -92,29 +91,29 @@ class _Resolver:
         self.counter += 1
         return self.counter
 
-    def resolve(self, t: Term, env: dict[str, tuple[str, int]]) -> _RNode:
+    def resolve(self, t: Term, env: dict[str, list[tuple[str, int]]]) -> _RNode:
+        """Resolve ``t`` under ``env``, which maps each name to its binders,
+        innermost last: a binder is pushed on entry and popped on exit."""
         if isinstance(t, Var):
-            if t.name not in env:  # parser output is closed; guard hand-built terms
+            if not env.get(t.name):  # parser output is closed; guard hand-built terms
                 raise UnboundVariable(t.name, -1)
-            kind, ident = env[t.name]
+            kind, ident = env[t.name][-1]
             return _RVar(ident, t.name) if kind == "lam" else _RRef(ident)
         if isinstance(t, App):
             return _RApp(self.resolve(t.fun, env), self.resolve(t.arg, env))
         if isinstance(t, Abs):
             b = self.fresh()
-            inner = dict(env)
-            inner[t.name] = ("lam", b)
-            return _RAbs(b, t.name, self.resolve(t.body, inner))
+            env.setdefault(t.name, []).append(("lam", b))
+            node = _RAbs(b, t.name, self.resolve(t.body, env))
+            env[t.name].pop()
+            return node
         if isinstance(t, Letrec):
-            inner = dict(env)
-            ids = []
-            for name, _ in t.bindings:
-                ident = self.fresh()
-                ids.append(ident)
-                inner[name] = ("rec", ident)
+            ids = [self.fresh() for _ in t.bindings]
+            for (name, _), ident in zip(t.bindings, ids):
+                env.setdefault(name, []).append(("rec", ident))
             bindings: list[tuple[int, str, _RNode]] = []
             for (name, sub), ident in zip(t.bindings, ids):
-                resolved = self.resolve(sub, inner)
+                resolved = self.resolve(sub, env)
                 # A letrec in binding position lives in the same lambda
                 # environment, so its groups splice into this one (the
                 # body of a spliced letrec may be yet another letrec).
@@ -123,7 +122,9 @@ class _Resolver:
                     resolved = resolved.body
                 bindings.append((ident, name, resolved))
                 self.binding_term[ident] = resolved
-            node = _RLetrec(bindings, self.resolve(t.body, inner))
+            node = _RLetrec(bindings, self.resolve(t.body, env))
+            for name, _ in t.bindings:
+                env[name].pop()
             self.letrecs.append(node)
             return node
         raise TypeError(f"not a term: {t!r}")
@@ -205,12 +206,11 @@ _Word = tuple[int, ...]
 
 
 class _Translator:
-    def __init__(self, rng: random.Random | None):
+    def __init__(self, term_of: dict[int, _RNode]):
         self.b = _Builder()
-        self.rng = rng  # None: eager pops everywhere; else lazy where legal
         self.binder: dict[int, int] = {}
         self.entry: dict[int, tuple[int, _Word]] = {}
-        self.term_of: dict[int, _RNode] = {}
+        self.term_of = term_of  # every letrec binding's resolved term
 
     def pop(self, word: _Word, fv: frozenset[int]) -> _Word:
         """``word`` without its trailing binders that ``fv`` lacks."""
@@ -229,44 +229,35 @@ class _Translator:
         return cur
 
     def attach(self, node: _RNode, word: _Word) -> int:
-        """Translate ``node`` below an edge whose source carries ``word``,
-        emitting the delimiter chain for the prefix drop."""
+        """Translate ``node`` below an edge whose source carries ``word``:
+        its vertex or letrec entry, then the delimiter chain for the
+        prefix drop.  Returns the top of the chain."""
         target = self.pop(word, node.fv)
-        if self.rng is not None and not isinstance(node, (_RVar, _RRef)):
-            # Lazy mode: keep a random part of the poppable tail.  Variable
-            # and reference targets have forced prefixes and stay exact.
-            keep = self.rng.randint(0, len(word) - len(target))
-            target = word[: len(target) + keep]
-        top = self.translate(node, target)
-        return self.chain(word, target, top)
-
-    def translate(self, node: _RNode, word: _Word) -> int:
-        if isinstance(node, _RRef):
-            v, entry_word = self.resolve_entry(node.binding, ())
-            assert word == entry_word
-            return v
-        if isinstance(node, _RLetrec):
-            for ident, name, term in node.bindings:
-                self.term_of[ident] = term
+        # A letrec has its body's free binders, so its body keeps the word.
+        while isinstance(node, _RLetrec):
             fills = []
             for ident, name, term in node.bindings:
                 if ident in node.live and not isinstance(term, _RRef):
-                    entry_word = self.pop(word, term.fv)
+                    entry_word = self.pop(target, term.fv)
                     v = self.b.alloc(name, term.label)
                     self.entry[ident] = (v, entry_word)
                     fills.append((term, v, entry_word))
             for term, v, entry_word in fills:
                 self.fill(term, v, entry_word)
-            return self.attach(node.body, word)
-        if isinstance(node, _RApp):
-            base = "a"
-        elif isinstance(node, _RVar):
-            base = f"{node.name}!"
+            node = node.body
+        if isinstance(node, _RRef):
+            v, entry_word = self.resolve_entry(node.binding)
+            assert target == entry_word
         else:
-            base = node.name
-        v = self.b.alloc(base, node.label)
-        self.fill(node, v, word)
-        return v
+            if isinstance(node, _RApp):
+                base = "a"
+            elif isinstance(node, _RVar):
+                base = f"{node.name}!"
+            else:
+                base = node.name
+            v = self.b.alloc(base, node.label)
+            self.fill(node, v, target)
+        return self.chain(word, target, v)
 
     def fill(self, term: _RNode, v: int, word: _Word) -> None:
         """Translate the successors of ``term``'s vertex ``v``."""
@@ -281,36 +272,35 @@ class _Translator:
         else:
             raise TypeError(term)
 
-    def resolve_entry(self, binding: int, trail: tuple[int, ...]) -> tuple[int, _Word]:
-        if binding in self.entry:
-            return self.entry[binding]
-        term = self.term_of[binding]
-        if isinstance(term, _RRef):
-            if term.binding in trail:
-                raise DegenerateBinding(
-                    "letrec binding defined only through a cycle of names"
-                )
-            resolved = self.resolve_entry(term.binding, trail + (binding,))
-            self.entry[binding] = resolved
-            return resolved
-        raise AssertionError("reference to a binding that was never allocated")
+    def resolve_entry(self, binding: int) -> tuple[int, _Word]:
+        """The entry of ``binding``, found through its chain of bare-name
+        aliases; every alias on the chain gets that entry too."""
+        aliases: dict[int, None] = {}
+        while binding not in self.entry:
+            term = self.term_of[binding]
+            if not isinstance(term, _RRef):
+                raise AssertionError("reference to a binding that was never allocated")
+            if binding in aliases:
+                raise DegenerateBinding("letrec binding defined only through a cycle of names")
+            aliases[binding] = None
+            binding = term.binding
+        entry = self.entry[binding]
+        for alias in aliases:
+            self.entry[alias] = entry
+        return entry
 
 
-def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
+def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    With ``rng`` the translation keeps some closable scopes open longer
-    (still valid, generally not eager); used to generate test diversity.
+    The translator emits the graph on ids, and three passes check it
+    once, in O(n + m + sum of |prefix(w)|): reachability names any
+    orphan vertex, prefix inference fails if no correct prefix function
+    exists, and the eager-scope check names a vertex that is not eager.
 
-    The translator emits the graph on ids, and an explicit reachability
-    pass, which names any orphan vertex, and prefix inference check it
-    once, in O(n + m + sum of |prefix(w)|).  Inference fails if no
-    correct prefix function exists.
-
-    Without ``rng`` the eager-scope check runs as well.  On a (1,2)
-    graph with a correct prefix function it also implies that the
-    graph is fully back-linked.  Take w with prefix W and
+    On a (1,2) graph with a correct prefix function the eager-scope
+    check also implies full back-linking.  Take w with prefix W and
     v = W[-1]: a variable vertex back-links to v (condition var1), a
     delimiter back-links to v (condition delim-backlink), and any other
     vertex reaches, inside W's region, a variable that back-links to v.
@@ -321,7 +311,7 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
     _analyze(rnode, resolver)
     if rnode.fv:
         raise ValueError("term is not closed")
-    tr = _Translator(rng)
+    tr = _Translator(resolver.binding_term)
     root = tr.attach(rnode, ())
     reached = _reachable_keys(root, tr.b.succ)
     if len(reached) < len(tr.b.names):
@@ -331,11 +321,9 @@ def term_to_graph(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
         result = tr.b.finish(root, SignatureVariant(1, 2))
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
-    if rng is None:
-        w = _non_eager_vertex(result)
-        if w is not None:
-            raise InternalValidationFailure(
-                "eager translation produced a non-eager graph: "
-                + _non_eager_reason(result, w)
-            )
+    w = _non_eager_vertex(result)
+    if w is not None:
+        raise InternalValidationFailure(
+            "eager translation produced a non-eager graph: " + _non_eager_reason(result, w)
+        )
     return result

@@ -763,7 +763,8 @@ def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> Delim
     is checked against them as well.
 
     With ``rng`` the translation keeps some closable scopes open longer
-    (still valid, generally not eager); used to generate test diversity.
+    (still valid, generally not eager).  The library has no such mode,
+    so the tests draw every lazy translation from here.
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {})

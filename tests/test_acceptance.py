@@ -16,7 +16,7 @@ from conftest import (
     corpus_graphs,
     debruijn_chain,
 )
-from generators import erase_backlinks, random_quotient, random_term
+from generators import erase_backlinks, random_quotient, random_term, translate_term
 from oracles import all_homomorphisms, all_scope_functions, brute_coarsest_partition
 
 from lamgraph import (
@@ -63,9 +63,7 @@ def delimited_pool():
     pool = []
     while len(pool) < 500:
         lazy = rng.random() < 0.5
-        dg = term_to_graph(
-            random_term(rng, depth=rng.randint(1, 4)), rng=rng if lazy else None
-        )
+        dg = translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None)
         pool.append(dg)
     return pool
 

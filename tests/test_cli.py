@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -287,3 +289,48 @@ def test_deep_input_gives_no_traceback(tmp_path):
     if proc.returncode != 0:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_maxshare_takes_a_450_application_spine(tmp_path):
+    # The translator takes two Python frames per term level, so this
+    # spine fits under the default recursion limit.
+    path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
+    src = str(Path(lamgraph.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # The abstraction, 450 applications and one shared occurrence of q.
+    assert parse_graph(proc.stdout).graph.vertex_count == 452
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_session_matches_the_cli(tmp_path, capsys, monkeypatch):
+    # Replay the README's shell session: each echo writes its file, and
+    # each lamgraph command must print exactly the lines that follow it.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.DOTALL)
+    session = next(b for b in blocks if b.startswith("$ "))
+    steps = []
+    for line in session.splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        else:
+            steps[-1][1].append(line)
+    monkeypatch.chdir(tmp_path)
+    replayed = []
+    for command, expected in steps:
+        echo = re.fullmatch(r"echo '(.*)' > (\S+)", command)
+        if echo:
+            Path(echo.group(2)).write_text(echo.group(1) + "\n")
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "lamgraph"
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, out, err) == (0, "".join(f"{x}\n" for x in expected), "")
+        replayed.append(argv[1])
+    assert replayed == ["maxshare", "equiv"]

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from generators import erase_backlinks, graphs, random_graph, random_term
+from generators import erase_backlinks, graphs, random_graph, random_term, translate_term
 from oracles import (
     per_vertex_eager_scope,
     per_vertex_fully_back_linked,
@@ -122,7 +122,7 @@ def _random_delimited(seed, count, variants=((1, 2),)):
     out = []
     while len(out) < count:
         lazy = rng.random() < 0.5
-        dg = term_to_graph(random_term(rng, depth=rng.randint(1, 4)), rng=rng if lazy else None)
+        dg = translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None)
         i, j = rng.choice(variants)
         if (i, j) == (1, 2):
             out.append(dg)
@@ -233,7 +233,7 @@ def test_inference_matches_exhaustive_enumeration():
 def test_erasing_backlinks_preserves_validity():
     rng = random.Random(204)
     for _ in range(25):
-        dg = term_to_graph(random_term(rng, depth=3), rng=rng if rng.random() < 0.5 else None)
+        dg = translate_term(random_term(rng, depth=3), rng if rng.random() < 0.5 else None)
         for i, j in ((1, 1), (0, 2), (0, 1)):
             erased = erase_backlinks(dg.graph, i, j)
             assert is_lambda_term_graph(erased)
@@ -266,7 +266,7 @@ def test_checks_match_per_vertex_oracles_on_translations():
     for i in range(1000):
         lazy = i % 2 == 1
         t = random_term(rng, depth=rng.randint(1, 4))
-        _check_verdicts(term_to_graph(t, rng=rng if lazy else None), verdicts)
+        _check_verdicts(translate_term(t, rng if lazy else None), verdicts)
     assert _all_verdicts(verdicts)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_term
+from generators import graphs, random_graph, random_term, translate_term
 from oracles import (
     all_scope_functions,
     check_scope_nesting,
@@ -34,7 +34,6 @@ from lamgraph import (
     prefix_to_scope,
     scope_to_prefix,
     strip_delimiters,
-    term_to_graph,
     validate_prefix_ho,
     validate_scope,
 )
@@ -150,7 +149,7 @@ def _random_prefixed(seed, count, max_vertices=14):
     while len(out) < count:
         lazy = rng.random() < 0.5
         t = random_term(rng, depth=rng.randint(1, 4))
-        dg = term_to_graph(t, rng=rng if lazy else None)
+        dg = translate_term(t, rng if lazy else None)
         pg = strip_delimiters(dg)
         if pg.graph.vertex_count <= max_vertices:
             out.append(pg)
@@ -328,7 +327,7 @@ def test_scope_layer_matches_oracles_on_translations():
     verdicts: set = set()
     for i in range(400):
         t = random_term(rng, depth=rng.randint(1, 4))
-        a = strip_delimiters(term_to_graph(t, rng=rng if i % 2 else None))
+        a = strip_delimiters(translate_term(t, rng if i % 2 else None))
         h = prefix_to_scope(a)
         assert h == per_abstraction_prefix_to_scope(a)
         assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h) == a
@@ -486,7 +485,7 @@ def test_laminar_test_is_sound_and_passes_every_valid_function():
     for i in range(300):
         # Larger valid functions: the scopes of translated terms.
         t = random_term(rng, depth=rng.randint(2, 5))
-        h = prefix_to_scope(strip_delimiters(term_to_graph(t, rng=rng if i % 2 else None)))
+        h = prefix_to_scope(strip_delimiters(translate_term(t, rng if i % 2 else None)))
         _laminar_agrees(h.graph, h.scopes, outcomes)
         if h.scopes:
             once = _toggled(rng, h.graph, h.scopes)

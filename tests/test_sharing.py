@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_quotient, random_term
+from generators import graphs, random_graph, random_quotient, random_term, translate_term
 from test_scoped import _random_scopes, _ring_doc, _tower_doc
 from oracles import (
     all_homomorphisms,
@@ -200,7 +200,7 @@ def test_partition_matches_signature_refinement_on_random_terms():
     rng = random.Random(408)
     for i in range(240):
         term = random_term(rng, depth=rng.randint(1, 5))
-        g = term_to_graph(term, rng=rng if i % 3 == 0 else None).graph
+        g = translate_term(term, rng if i % 3 == 0 else None).graph
         assert coarsest_partition(g) == signature_refinement_partition(g)
 
 
@@ -347,7 +347,7 @@ def _random_delimited(seed, count, lazy_share=0.5):
     for _ in range(count):
         lazy = rng.random() < lazy_share
         out.append(
-            (term_to_graph(random_term(rng, depth=rng.randint(1, 4)), rng=rng if lazy else None), rng)
+            (translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None), rng)
         )
     return out
 
