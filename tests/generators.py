@@ -17,10 +17,7 @@ from lamgraph import (
     Var,
     build,
     build_pruned,
-    term_to_graph,
 )
-from lamgraph.delimited import DelimitedGraph
-from oracles import name_keyed_term_to_graph
 
 ALL_VARIANTS = [
     SignatureVariant(0, None),
@@ -30,12 +27,6 @@ ALL_VARIANTS = [
     SignatureVariant(1, 1),
     SignatureVariant(1, 2),
 ]
-
-
-def translate_term(t: Term, rng: random.Random | None = None) -> DelimitedGraph:
-    """``term_to_graph(t)``, or with ``rng`` the oracle's lazy translation,
-    which keeps some closable scopes open (valid, generally not eager)."""
-    return term_to_graph(t) if rng is None else name_keyed_term_to_graph(t, rng)
 
 
 def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3) -> Term:

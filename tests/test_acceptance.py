@@ -16,8 +16,13 @@ from conftest import (
     corpus_graphs,
     debruijn_chain,
 )
-from generators import erase_backlinks, random_quotient, random_term, translate_term
-from oracles import all_homomorphisms, all_scope_functions, brute_coarsest_partition
+from generators import erase_backlinks, random_quotient, random_term
+from oracles import (
+    all_homomorphisms,
+    all_scope_functions,
+    brute_coarsest_partition,
+    name_keyed_term_to_graph,
+)
 
 from lamgraph import (
     DelimitedGraph,
@@ -63,7 +68,8 @@ def delimited_pool():
     pool = []
     while len(pool) < 500:
         lazy = rng.random() < 0.5
-        dg = translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None)
+        t = random_term(rng, depth=rng.randint(1, 4))
+        dg = name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t)
         pool.append(dg)
     return pool
 

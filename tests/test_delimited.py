@@ -4,8 +4,9 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from generators import erase_backlinks, graphs, random_graph, random_term, translate_term
+from generators import erase_backlinks, graphs, random_graph, random_term
 from oracles import (
+    name_keyed_term_to_graph,
     per_vertex_eager_scope,
     per_vertex_fully_back_linked,
     revalidating_infer_prefix,
@@ -122,7 +123,8 @@ def _random_delimited(seed, count, variants=((1, 2),)):
     out = []
     while len(out) < count:
         lazy = rng.random() < 0.5
-        dg = translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None)
+        t = random_term(rng, depth=rng.randint(1, 4))
+        dg = name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t)
         i, j = rng.choice(variants)
         if (i, j) == (1, 2):
             out.append(dg)
@@ -233,7 +235,8 @@ def test_inference_matches_exhaustive_enumeration():
 def test_erasing_backlinks_preserves_validity():
     rng = random.Random(204)
     for _ in range(25):
-        dg = translate_term(random_term(rng, depth=3), rng if rng.random() < 0.5 else None)
+        t = random_term(rng, depth=3)
+        dg = name_keyed_term_to_graph(t, rng=rng) if rng.random() < 0.5 else term_to_graph(t)
         for i, j in ((1, 1), (0, 2), (0, 1)):
             erased = erase_backlinks(dg.graph, i, j)
             assert is_lambda_term_graph(erased)
@@ -266,7 +269,7 @@ def test_checks_match_per_vertex_oracles_on_translations():
     for i in range(1000):
         lazy = i % 2 == 1
         t = random_term(rng, depth=rng.randint(1, 4))
-        _check_verdicts(translate_term(t, rng if lazy else None), verdicts)
+        _check_verdicts(name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t), verdicts)
     assert _all_verdicts(verdicts)
 
 

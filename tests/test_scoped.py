@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_term, translate_term
+from generators import graphs, random_graph, random_term
 from oracles import (
     all_scope_functions,
     check_scope_nesting,
+    name_keyed_term_to_graph,
     per_abstraction_binders,
     per_abstraction_prefix_to_scope,
     per_pair_validate_scope,
@@ -34,6 +35,7 @@ from lamgraph import (
     prefix_to_scope,
     scope_to_prefix,
     strip_delimiters,
+    term_to_graph,
     validate_prefix_ho,
     validate_scope,
 )
@@ -149,7 +151,7 @@ def _random_prefixed(seed, count, max_vertices=14):
     while len(out) < count:
         lazy = rng.random() < 0.5
         t = random_term(rng, depth=rng.randint(1, 4))
-        dg = translate_term(t, rng if lazy else None)
+        dg = name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t)
         pg = strip_delimiters(dg)
         if pg.graph.vertex_count <= max_vertices:
             out.append(pg)
@@ -327,7 +329,7 @@ def test_scope_layer_matches_oracles_on_translations():
     verdicts: set = set()
     for i in range(400):
         t = random_term(rng, depth=rng.randint(1, 4))
-        a = strip_delimiters(translate_term(t, rng if i % 2 else None))
+        a = strip_delimiters(name_keyed_term_to_graph(t, rng=rng) if i % 2 else term_to_graph(t))
         h = prefix_to_scope(a)
         assert h == per_abstraction_prefix_to_scope(a)
         assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h) == a
@@ -485,7 +487,8 @@ def test_laminar_test_is_sound_and_passes_every_valid_function():
     for i in range(300):
         # Larger valid functions: the scopes of translated terms.
         t = random_term(rng, depth=rng.randint(2, 5))
-        h = prefix_to_scope(strip_delimiters(translate_term(t, rng if i % 2 else None)))
+        dg = name_keyed_term_to_graph(t, rng=rng) if i % 2 else term_to_graph(t)
+        h = prefix_to_scope(strip_delimiters(dg))
         _laminar_agrees(h.graph, h.scopes, outcomes)
         if h.scopes:
             once = _toggled(rng, h.graph, h.scopes)

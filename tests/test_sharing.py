@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_quotient, random_term, translate_term
+from generators import graphs, random_graph, random_quotient, random_term
 from test_scoped import _random_scopes, _ring_doc, _tower_doc
 from oracles import (
     all_homomorphisms,
     all_scope_functions,
     brute_coarsest_partition,
+    name_keyed_term_to_graph,
     per_vertex_eager_at,
     relational_bisimilar,
     signature_refinement_partition,
@@ -200,7 +201,7 @@ def test_partition_matches_signature_refinement_on_random_terms():
     rng = random.Random(408)
     for i in range(240):
         term = random_term(rng, depth=rng.randint(1, 5))
-        g = translate_term(term, rng if i % 3 == 0 else None).graph
+        g = (name_keyed_term_to_graph(term, rng=rng) if i % 3 == 0 else term_to_graph(term)).graph
         assert coarsest_partition(g) == signature_refinement_partition(g)
 
 
@@ -346,9 +347,8 @@ def _random_delimited(seed, count, lazy_share=0.5):
     out = []
     for _ in range(count):
         lazy = rng.random() < lazy_share
-        out.append(
-            (translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None), rng)
-        )
+        t = random_term(rng, depth=rng.randint(1, 4))
+        out.append((name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t), rng))
     return out
 
 

@@ -76,6 +76,11 @@ def test_unbound_variable():
     assert err.value.name == "y"
     with pytest.raises(UnboundVariable):
         parse_term(r"letrec f = \x.g in f")
+    # A binder's scope ends with its body, also where the name shadows.
+    for text in (r"(\x. x) x", r"(letrec f = \x. x in f) f", r"\y. (\x. x) x"):
+        with pytest.raises(UnboundVariable) as err:
+            parse_term(text)
+        assert err.value.position == len(text) - 1
 
 
 def test_duplicate_binding():

@@ -8,7 +8,8 @@ from conftest import (
     LAZY_NESTED,
     RUNNING_CARRIER,
 )
-from generators import random_term, translate_term
+from generators import random_term
+from oracles import name_keyed_term_to_graph
 
 from lamgraph import (
     FormatError,
@@ -68,7 +69,8 @@ def test_round_trip_full_fixture_corpus():
 def test_round_trip_random_translations():
     rng = random.Random(600)
     for _ in range(30):
-        dg = translate_term(random_term(rng, depth=3), rng if rng.random() < 0.5 else None)
+        t = random_term(rng, depth=3)
+        dg = name_keyed_term_to_graph(t, rng=rng) if rng.random() < 0.5 else term_to_graph(t)
         doc = GraphDocument(dg.graph, prefixes=dg.prefixes)
         assert parse_graph(serialize_graph(doc)) == doc
 

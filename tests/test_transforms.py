@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from generators import graphs, random_term, translate_term
+from generators import graphs, random_term
+from oracles import name_keyed_term_to_graph
 
 from lamgraph import (
     DelimitedGraph,
@@ -201,7 +202,8 @@ def _random_prefixed(seed, count, max_vertices=16):
     out = []
     while len(out) < count:
         lazy = rng.random() < 0.5
-        dg = translate_term(random_term(rng, depth=rng.randint(1, 4)), rng if lazy else None)
+        t = random_term(rng, depth=rng.randint(1, 4))
+        dg = name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t)
         pg = strip_delimiters(dg)
         if pg.graph.vertex_count <= max_vertices:
             out.append((pg, dg))
@@ -315,7 +317,7 @@ def test_transforms_match_name_keyed_on_translations():
     rng = random.Random(304)
     for i in range(300):
         t = random_term(rng, depth=rng.randint(1, 4))
-        _same_as_name_keyed(dg=translate_term(t, rng if i % 2 else None))
+        _same_as_name_keyed(dg=name_keyed_term_to_graph(t, rng=rng) if i % 2 else term_to_graph(t))
 
 
 def test_transforms_match_name_keyed_on_random_graphs():

@@ -23,6 +23,7 @@ from lamgraph import (
     InternalValidationFailure,
     Label,
     Letrec,
+    UnboundVariable,
     Var,
     is_eager_scope,
     is_fully_back_linked,
@@ -155,6 +156,14 @@ def test_long_alias_chain_resolves():
     dg = term_to_graph(parse_term(f"letrec {aliases}; a{n} = b; b = \\x. x in a0 (a{n // 2} a{n})"))
     assert dg.graph.vertex_count == 4
     assert len(dg.graph.vertices_labeled(Label.ABS)) == 1
+
+
+def test_letrec_names_end_with_their_letrec():
+    # Built by hand, so no parser checks the scopes first.
+    with pytest.raises(UnboundVariable):
+        term_to_graph(App(Letrec((("f", Abs("x", Var("x"))),), Var("f")), Var("f")))
+    shadowing = term_to_graph(parse_term(r"\f. (letrec f = \x. x in f) f"))
+    assert isomorphic(shadowing.graph, term_to_graph(parse_term(r"\f. (\x. x) f")).graph)
 
 
 def test_variable_shaped_binding():
