@@ -269,7 +269,8 @@ def test_checks_match_per_vertex_oracles_on_translations():
     for i in range(1000):
         lazy = i % 2 == 1
         t = random_term(rng, depth=rng.randint(1, 4))
-        _check_verdicts(name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t), verdicts)
+        dg = name_keyed_term_to_graph(t, rng=rng) if lazy else term_to_graph(t)
+        _check_verdicts(dg, verdicts)
     assert _all_verdicts(verdicts)
 
 

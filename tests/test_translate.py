@@ -144,7 +144,8 @@ def test_alias_binding_resolved():
 def test_alias_cycle_rejected():
     with pytest.raises(DegenerateBinding):
         term_to_graph(parse_term(r"letrec f = g; g = f in f"))
-    with pytest.raises(DegenerateBinding, match=r"^letrec binding defined only through a cycle of names$"):
+    message = r"^letrec binding defined only through a cycle of names$"
+    with pytest.raises(DegenerateBinding, match=message):
         term_to_graph(parse_term(r"letrec a = b; b = c; c = a in a"))
 
 
@@ -344,7 +345,7 @@ def test_flat_letrec_parses_and_translates_in_linear_time():
     text = "letrec " + "; ".join(f"a{i} = \\x. x" for i in range(n)) + f" in a{n - 1}"
     start = time.perf_counter()
     dg = term_to_graph(parse_term(text))
-    assert time.perf_counter() - start < 2.0
+    assert time.perf_counter() - start < 4.0
     # Every binding but the last is dead.
     assert dg.graph.vertex_count == 2
 
