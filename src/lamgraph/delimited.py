@@ -4,7 +4,9 @@ Here the prefix discipline is strict: abstraction and application edges
 determine the successor's prefix exactly, and each delimiter vertex pops
 exactly one abstraction off the word.  That rigidity makes the correct
 prefix function unique, so membership in the class is decidable by one
-forward propagation from the root.
+forward propagation from the root.  Given the words, the eager-scope and
+back-link checks group the vertices by their innermost binder and take
+linear time.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
 allocates vertices and mints their names, and its finish step infers
@@ -15,11 +17,10 @@ prefix function.  Both producers, ``term_to_graph`` and
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import Label, SignatureVariant, TermGraph, VariantMismatch
+from .core import Label, SignatureVariant, TermGraph, VariantMismatch, _reachable_keys
 from .scoped import (
     PrefixFn,
     ValidationReport,
@@ -64,14 +65,11 @@ def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def infer_prefix(
-    g: TermGraph, rng: random.Random | None = None
-) -> tuple[PrefixFn | None, ValidationReport | None]:
+def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None]:
     """Compute the unique correct prefix function, if one exists.
 
     Propagates the forced prefix values from the root outward in one
     pass; a conflict at a join vertex means no correct function exists.
-    ``rng`` shuffles the traversal order; the result is order-independent.
     Returns (prefixes, None) on success and (None, report) on failure.  A
     failure found while propagating is reported with one violation:
     ``prefix-conflict`` at (source, target) for an edge that forces its
@@ -79,45 +77,42 @@ def infer_prefix(
     ``delim-pop``/``delim-backlink`` at the vertex whose own word rules
     out its back-link or pop.
 
-    A conflict-free propagation has checked every edge of every reached
-    vertex, and its words grow only by pushing the abstraction being
-    processed, which no word holds yet: they are repeat-free words of
-    abstractions that never list their own vertex.  So the strict
-    validator would find nothing more, except that a graph without
-    variable back-links needs each variable's word to be nonempty; those
-    ``var0`` violations are all reported, in ascending vertex order.
+    Words grow only by pushing the abstraction being processed, which no
+    word holds yet: they are repeat-free words of abstractions that never
+    list their own vertex, and every word ending in v is P(v)·v.  So a
+    back-link edge, whose target is the last entry v of its source's
+    word, would force on v the word v already has, and forces nothing.
+    A conflict-free propagation has checked every other edge of every
+    reached vertex, and the strict validator would find nothing more,
+    except that a graph without variable back-links needs each
+    variable's word to be nonempty; those ``var0`` violations are all
+    reported, in ascending vertex order.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
     prefixes: PrefixFn = {g.root: ()}
     worklist = [g.root]
     while worklist:
-        if rng is None:
-            w = worklist.pop()
-        else:
-            w = worklist.pop(rng.randrange(len(worklist)))
+        w = worklist.pop()
         pw = prefixes[w]
         lab = g.labels[w]
-        forced: list[tuple[int, tuple[int, ...]]] = []
         if lab is Label.ABS:
-            forced.append((g.args[w][0], pw + (w,)))
+            forced = ((g.args[w][0], pw + (w,)),)
         elif lab is Label.APP:
-            forced.append((g.args[w][0], pw))
-            forced.append((g.args[w][1], pw))
-        elif lab is Label.VAR and g.variant.var_arity == 1:
-            if not pw:
-                return _failure("var0", w)
-            if g.args[w][0] != pw[-1]:
-                return _failure("var1", w, g.args[w][0])
-            forced.append((g.args[w][0], pw[:-1]))
+            forced = ((g.args[w][0], pw), (g.args[w][1], pw))
         elif lab is Label.DEL:
             if not pw:
                 return _failure("delim-pop", w, g.args[w][0])
-            forced.append((g.args[w][0], pw[:-1]))
-            if g.variant.del_arity == 2:
-                if g.args[w][1] != pw[-1]:
-                    return _failure("delim-backlink", w, g.args[w][1])
-                forced.append((g.args[w][1], pw[:-1]))
+            if g.variant.del_arity == 2 and g.args[w][1] != pw[-1]:
+                return _failure("delim-backlink", w, g.args[w][1])
+            forced = ((g.args[w][0], pw[:-1]),)
+        else:
+            if g.variant.var_arity == 1:
+                if not pw:
+                    return _failure("var0", w)
+                if g.args[w][0] != pw[-1]:
+                    return _failure("var1", w, g.args[w][0])
+            continue
         for target, value in forced:
             if target in prefixes:
                 if prefixes[target] != value:
@@ -222,23 +217,23 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     """True iff the last abstraction of every nonempty prefix is reachable.
 
     Reachability is plain directed reachability, back-link edges included.
-    Vertices are grouped by prefix word W with last entry v, and each group
-    takes one backward search from v through the region of vertices whose
-    words extend W: O(n + m + sum of |prefix(w)|) in all.  A group with a
-    member left unreached searches again over the whole graph, O(n + m)
-    more; on eager (1,2) graphs no group does.
+    Vertices are grouped by their innermost binder v, and each group takes
+    one backward search from v through v's body region (see
+    ``_reach_in_region``): O(n + m) in all, given the words.  A group with
+    a member left unreached searches again over the whole graph, without
+    the region search's jump, O(n + m) more; on eager (1,2) graphs no
+    group does.
     """
     graph, prefixes = g.graph, g.prefixes
     preds = _predecessors(graph)
-    depth = [len(prefixes[u]) for u in graph.vertices()]
-    for word, members in _groups(prefixes).items():
-        v = word[-1]
-        # Words are repeat-free and W ends in v, so a predecessor of v
-        # lies in the region only if its word is W itself.
-        entries = [p for p in preds[v] if prefixes[p] == word]
-        reached = _reach_back(preds, depth, len(word), entries)
+    for v, members in _by_binder(prefixes).items():
+        k = len(prefixes[v]) + 1
+        # A predecessor of v lies in v's body region only if its innermost
+        # binder is v: its word has k entries, as v's has k - 1.
+        entries = [p for p in preds[v] if prefixes[p][-1:] == (v,)]
+        reached = _reach_in_region(preds, prefixes, k, entries)
         if any(w not in reached for w in members):
-            reached = _reach_back(preds, depth, 0, [v])
+            reached = _reachable_keys(v, preds)
             if any(w not in reached for w in members):
                 return False
     return True
@@ -255,27 +250,31 @@ def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
     chain target carries its own obligation.  ``strict=True`` quantifies
     over delimiter vertices as well.
 
-    Vertices with the same word share that search region, so one backward
-    search per distinct word decides them all: O(n + m + sum of
-    |prefix(w)|).
+    Vertices with the same innermost binder share that search region, so
+    one backward search per binder decides them all, and each search
+    visits only its own group (see ``_reach_in_region``): O(n + m),
+    given the words.
     """
     return _non_eager_vertex(g, strict) is None
 
 
 def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
-    """A vertex that violates the eager-scope condition, or None."""
+    """A vertex that violates the eager-scope condition, or None.
+
+    Groups are taken in the order of their smallest member, and members
+    in ascending id order.
+    """
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
     graph, prefixes = g.graph, g.prefixes
     labels = graph.labels
     preds = _predecessors(graph)
-    depth = [len(prefixes[u]) for u in graph.vertices()]
-    for word, members in _groups(prefixes).items():
-        # A variable back-linking to v = W[-1] lies in W's region only if
-        # its word is W itself (its word ends in v, and words are
+    for v, members in _by_binder(prefixes).items():
+        # A variable back-linking to v lies in v's body region only if its
+        # innermost binder is v (its word ends in v, and words are
         # repeat-free).
         uses = [u for u in members if labels[u] is Label.VAR]
-        reached = _reach_back(preds, depth, len(word), uses)
+        reached = _reach_in_region(preds, prefixes, len(prefixes[v]) + 1, uses)
         for w in members:
             if w not in reached and (strict or labels[w] is not Label.DEL):
                 return w
@@ -296,39 +295,53 @@ def _predecessors(graph: TermGraph) -> list[list[int]]:
     return preds
 
 
-def _groups(prefixes: PrefixFn) -> dict[tuple[int, ...], list[int]]:
-    """The vertices with a nonempty prefix, grouped by their word.
+def _by_binder(prefixes: PrefixFn) -> dict[int, list[int]]:
+    """The vertices with a nonempty prefix, grouped by their innermost
+    binder, the last entry of their word.
 
+    A word ending in v is P(v)·v, so the binder identifies the word.
     Vertices are taken in ascending id order, whatever the order of the
     prefix function's keys, so the eager check's witness does not depend
     on the order in which inference found the words.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for w in range(len(prefixes)):
         word = prefixes[w]
         if word:
-            groups.setdefault(word, []).append(w)
+            groups.setdefault(word[-1], []).append(w)
     return groups
 
 
-def _reach_back(
-    preds: list[list[int]], depth: list[int], floor: int, sources: list[int]
+def _reach_in_region(
+    preds: list[list[int]], prefixes: PrefixFn, k: int, sources: list[int]
 ) -> set[int]:
-    """Every vertex with a path to a source through vertices whose words
-    have at least ``floor`` entries.
+    """The vertices with the sources' word W, of ``k`` entries, that reach
+    a source through W's region, the vertices whose words extend W.
 
     With a correct prefix function an edge keeps, pushes or pops one word
-    entry, so from a vertex whose word extends a word W of length
-    ``floor``, the predecessors whose words also extend W are exactly
-    those with at least ``floor`` entries: the search stays inside W's
-    region given sources inside it.
+    entry, so a predecessor of a vertex in W's region is in it iff its
+    word has at least k entries.  One with more lies in the body region
+    of u = its word's entry k, an abstraction with word W, and the search
+    steps straight to u.  That loses nothing.  Every vertex is reachable
+    from the root, whose word is empty, and the only edge into u's body
+    region from outside is u's body edge (a kept or popped word extends
+    W·u only if the source's does, and pushing gives W·u only at u).  So
+    a root path to a vertex of the region enters it last through u: u
+    reaches every vertex of the region without leaving it, and a vertex
+    with word W reaches the region only through u.  The search therefore
+    visits only vertices with word W, each scanning its predecessors once.
     """
     seen = set(sources)
     stack = list(seen)
     while stack:
         u = stack.pop()
         for p in preds[u]:
-            if p not in seen and depth[p] >= floor:
+            word = prefixes[p]
+            if len(word) > k:
+                p = word[k]
+            elif len(word) < k:
+                continue
+            if p not in seen:
                 seen.add(p)
                 stack.append(p)
     return seen

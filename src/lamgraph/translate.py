@@ -295,9 +295,10 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     over the signature with both kinds of back-links.
 
     The translator emits the graph on ids, and three passes check it
-    once, in O(n + m + sum of |prefix(w)|): reachability names any
-    orphan vertex, prefix inference fails if no correct prefix function
-    exists, and the eager-scope check names a vertex that is not eager.
+    once: reachability names any orphan vertex, prefix inference, in
+    O(n + m + sum of |prefix(w)|), fails if no correct prefix function
+    exists, and the eager-scope check, in O(n + m) given the words,
+    names a vertex that is not eager.
 
     On a (1,2) graph with a correct prefix function the eager-scope
     check also implies full back-linking.  Take w with prefix W and

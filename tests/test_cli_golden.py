@@ -21,6 +21,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,3 +243,20 @@ def test_golden_covers_every_route():
         (src, dst, j) for src in ("term",) + CLASSES for dst in CLASSES for j in "12"
     }
 
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], 0), (["--no-such-option"], 2)])
+def test_recorder_reads_its_command_line(args, code):
+    # Asking the recorder for help, or giving it an argument it does not
+    # know, must neither re-run the corpus nor rewrite the golden file.
+    before = GOLDEN.read_bytes(), GOLDEN.stat().st_mtime_ns
+    recorder = Path(__file__).with_name("record_cli_golden.py")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(recorder), *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "usage: record_cli_golden.py" in (proc.stdout if code == 0 else proc.stderr)
+    assert "rows changed" not in proc.stdout
+    assert (GOLDEN.read_bytes(), GOLDEN.stat().st_mtime_ns) == before

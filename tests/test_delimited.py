@@ -9,6 +9,8 @@ from oracles import (
     name_keyed_term_to_graph,
     per_vertex_eager_scope,
     per_vertex_fully_back_linked,
+    per_word_fully_back_linked,
+    per_word_non_eager_vertex,
     revalidating_infer_prefix,
     simple_root_paths,
 )
@@ -21,13 +23,16 @@ from lamgraph import (
     VariantMismatch,
     build,
     infer_prefix,
+    insert_delimiters,
     is_eager_scope,
     is_fully_back_linked,
     is_lambda_term_graph,
     parse_graph,
+    strip_delimiters,
     term_to_graph,
     validate_prefix_fo,
 )
+from lamgraph.delimited import _non_eager_vertex
 
 
 def by_name(g, prefixes):
@@ -134,18 +139,18 @@ def _random_delimited(seed, count, variants=((1, 2),)):
 
 
 def test_infer_prefix_traversal_order_invariance():
+    # The library has one traversal order; the oracle runs the same
+    # propagation in shuffled orders and must find the library's words.
     for dg in _random_delimited(200, 30, variants=((1, 2), (1, 1), (0, 2), (0, 1))):
         baseline = dg.prefixes
         for k in range(5):
-            shuffled, _ = infer_prefix(dg.graph, rng=random.Random(k))
+            shuffled, _ = revalidating_infer_prefix(dg.graph, rng=random.Random(k))
             assert shuffled == baseline
 
 
 def test_eager_witness_ignores_the_order_of_the_prefix_keys():
     # Inference lists its words in discovery order; the eager check walks
     # the vertices in id order, so the witness does not depend on it.
-    from lamgraph.delimited import _non_eager_vertex
-
     witnesses = 0
     for dg in _random_delimited(209, 300):
         by_id = sorted(dg.prefixes.items())
@@ -349,6 +354,90 @@ def test_checks_scale_to_ten_thousand_vertices(make, n):
     assert time.perf_counter() - start < 3.0
 
 
+def _tower(n):
+    # \l_0 ... l_{n-1}. x_0 x_1 ... x_{n-1}, each function part behind a
+    # delimiter closing the scope of the argument's binder: a_k = s_k x_k
+    # and s_k continues at a_{k-1}, with a_0 = x_0.  Words grow to n
+    # entries, so a search per word through every deeper region is
+    # quadratic.
+    def a(k):
+        return "x0" if k == 0 else f"a{k}"
+
+    labels, succ = {}, {}
+    for i in range(n):
+        labels[f"l{i}"], succ[f"l{i}"] = Label.ABS, [f"l{i + 1}" if i + 1 < n else a(n - 1)]
+        labels[f"x{i}"], succ[f"x{i}"] = Label.VAR, [f"l{i}"]
+    for k in range(1, n):
+        labels[a(k)], succ[a(k)] = Label.APP, [f"s{k}", f"x{k}"]
+        labels[f"s{k}"], succ[f"s{k}"] = Label.DEL, [a(k - 1), f"l{k}"]
+    return build(BACKLINKED, labels, succ, "l0")
+
+
+def test_checks_take_linear_time_on_a_tower():
+    dg = DelimitedGraph.from_graph(_tower(2000))
+    assert dg.graph.vertex_count == 7998
+    start = time.perf_counter()
+    assert is_eager_scope(dg)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert is_fully_back_linked(dg)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_eager_witness_matches_the_per_word_oracle():
+    # The region search steps over deeper regions; the oracle walks them.
+    rng = random.Random(4110)
+    pool = []
+    for i in range(1500):
+        t = random_term(rng, depth=rng.randint(1, 4))
+        pool.append(name_keyed_term_to_graph(t, rng=rng) if i % 2 else term_to_graph(t))
+    drawn = 0
+    while drawn < 300:
+        g = random_graph(rng, max_vertices=8)
+        if g.variant == BACKLINKED and is_lambda_term_graph(g):
+            pool.append(DelimitedGraph.from_graph(g))
+            drawn += 1
+    witnesses = 0
+    for dg in pool:
+        for strict in (False, True):
+            w = _non_eager_vertex(dg, strict)
+            assert w == per_word_non_eager_vertex(dg, strict)
+            witnesses += w is not None
+    assert witnesses >= 800
+
+
+def test_back_link_verdict_matches_the_oracles_on_every_variant():
+    rng = random.Random(4111)
+    verdicts = set()
+
+    def check(dg):
+        verdict = is_fully_back_linked(dg)
+        assert verdict == per_vertex_fully_back_linked(dg) == per_word_fully_back_linked(dg)
+        verdicts.add((dg.graph.variant, verdict))
+
+    for dg in _random_delimited(4112, 200):
+        for i, j in ((1, 2), (1, 1), (0, 2), (0, 1)):
+            check(DelimitedGraph.from_graph(erase_backlinks(dg.graph, i, j)))
+        for j in (1, 2):
+            check(insert_delimiters(strip_delimiters(dg), j))
+    for _ in range(3000):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is not None and is_lambda_term_graph(g):
+            check(DelimitedGraph.from_graph(g))
+    variants = [SignatureVariant(i, j) for i in (0, 1) for j in (1, 2)]
+    assert verdicts == {(v, b) for v in variants for b in (True, False)}
+
+
+def test_back_link_fallback_leaves_the_region():
+    # n4 reaches its binder n0 only through n5, whose word is empty: the
+    # whole-graph search must walk n5, not step over it to a binder.
+    dg = DelimitedGraph.from_graph(
+        parse_graph("sig 0 1\nroot n0\nn0 lam n4\nn4 S n5\nn5 @ n0 n0\n").graph
+    )
+    assert is_fully_back_linked(dg)
+    assert per_word_fully_back_linked(dg)
+
+
 # ---------------------------------------------------------------------------
 # Every failed inference comes with a report that names its witnesses.
 
@@ -413,13 +502,18 @@ def test_infer_prefix_on_an_unreachable_vertex_is_a_domain_error():
 
 
 def _same_inference(g, seed=None):
-    """infer_prefix and the revalidating oracle agree, traversal order
-    included; returns the report."""
-    got = infer_prefix(g, None if seed is None else random.Random(seed))
-    want = revalidating_infer_prefix(g, None if seed is None else random.Random(seed))
+    """infer_prefix and the revalidating oracle agree in the library's
+    order, key order included; with a seed, the oracle in that shuffled
+    order finds the library's words, or fails where the library fails.
+    Returns the report."""
+    got = infer_prefix(g)
+    want = revalidating_infer_prefix(g)
     assert got == want
     if got[0] is not None:
         assert list(got[0].items()) == list(want[0].items())
+    if seed is not None:
+        shuffled, _ = revalidating_infer_prefix(g, random.Random(seed))
+        assert shuffled == got[0]
     return got[1]
 
 
