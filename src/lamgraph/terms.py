@@ -4,6 +4,13 @@ Concrete syntax: ``\\x. body`` for abstraction, juxtaposition for
 left-associative application, ``letrec x1 = t1; ...; xn = tn in t`` for
 recursive bindings, parentheses for grouping.  Identifiers match
 ``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
+
+The parser reads each token once.  It takes one Python frame per
+parenthesis or lambda and two per letrec, so the nesting it accepts is
+bounded by the recursion limit.  A binding body may use names of its
+group that are read after it, so an identifier that no binder holds where
+it is read waits until its group's ``in``; it is reported unbound (at its
+own offset) once no enclosing group still reading its bindings can bind it.
 """
 
 from __future__ import annotations
@@ -94,9 +101,9 @@ class _Parser:
         self.pos = 0
         # Each name's count of enclosing binders, kept up on entry and exit.
         self.scope: dict[str, int] = {}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+        # One list per letrec group still reading its bindings: the
+        # identifier tokens no binder held when read, innermost group last.
+        self.pending: list[list[_Token]] = []
 
     def take(self, kind: str) -> _Token:
         tok = self.tokens[self.pos]
@@ -106,103 +113,66 @@ class _Parser:
         return tok
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "lambda":
-            self.take("lambda")
-            name = self.take("ident").text
-            self.take("dot")
-            self.scope[name] = self.scope.get(name, 0) + 1
-            body = self.term()
-            self.scope[name] -= 1
-            return Abs(name, body)
-        if tok.kind == "letrec":
-            return self.letrec()
-        return self.application()
+        # Left-associative application over atoms.  The body of a lambda or
+        # letrec extends as far right as possible, so no atom follows it.
+        result = None
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.kind == "ident":
+                self.pos += 1
+                if not self.scope.get(tok.text):
+                    if not self.pending:
+                        raise UnboundVariable(tok.text, tok.pos)
+                    self.pending[-1].append(tok)
+                arg = Var(tok.text)
+            elif tok.kind == "lpar":
+                self.pos += 1
+                arg = self.term()
+                self.take("rpar")
+            elif tok.kind == "lambda":
+                self.pos += 1
+                name = self.take("ident").text
+                self.take("dot")
+                self.scope[name] = self.scope.get(name, 0) + 1
+                arg = Abs(name, self.term())
+                self.scope[name] -= 1
+            elif tok.kind == "letrec":
+                arg = self.letrec()
+            elif result is None:
+                raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+            else:
+                return result
+            result = arg if result is None else App(result, arg)
 
     def letrec(self) -> Term:
-        # Binding bodies may use any of the group's names, so the names
-        # are collected in a skip pass first and the bodies reparsed.
+        # Binding bodies may use any of the group's names, also those read
+        # later, so an unbound name waits on the group's pending list until
+        # 'in'; what the group does not bind passes to the enclosing group.
         self.take("letrec")
-        names: set[str] = set()
-        raw: list[tuple[str, int, int]] = []
+        pending: list[_Token] = []
+        self.pending.append(pending)
+        bindings: dict[str, Term] = {}
         while True:
-            name_tok = self.take("ident")
-            if name_tok.text in names:
-                raise DuplicateBinding(name_tok.text)
-            names.add(name_tok.text)
-            self.take("eq")
-            start = self.pos
-            self.skip_binding_body()
-            raw.append((name_tok.text, start, self.pos))
-            if self.peek().kind == "semi":
-                self.take("semi")
-            else:
-                break
-        self.take("in")
-        for name in names:
+            name = self.take("ident").text
+            if name in bindings:
+                raise DuplicateBinding(name)
             self.scope[name] = self.scope.get(name, 0) + 1
-        bindings = []
-        end = self.pos
-        for name, start, stop in raw:
-            self.pos = start
-            bindings.append((name, self.term()))
-            if self.pos != stop:
-                raise TermSyntaxError("malformed letrec binding", self.tokens[start].pos)
-        self.pos = end
-        body = self.term()
-        for name in names:
-            self.scope[name] -= 1
-        return Letrec(tuple(bindings), body)
-
-    def skip_binding_body(self) -> None:
-        # A binding body ends at ';' or 'in' outside parentheses and
-        # outside any nested letrec (letrec..in pairs nest like brackets).
-        pdepth = 0
-        ldepth = 0
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                raise TermSyntaxError("unterminated letrec", tok.pos)
-            if pdepth == 0 and ldepth == 0 and tok.kind in ("semi", "in"):
-                return
-            if tok.kind == "lpar":
-                pdepth += 1
-            elif tok.kind == "rpar":
-                if pdepth == 0:
-                    raise TermSyntaxError("unbalanced ')'", tok.pos)
-                pdepth -= 1
-            elif tok.kind == "letrec":
-                ldepth += 1
-            elif tok.kind == "in":
-                if ldepth == 0:
-                    raise TermSyntaxError("'in' without letrec", tok.pos)
-                ldepth -= 1
-            self.pos += 1
-
-    def application(self) -> Term:
-        result = self.atom()
-        while self.peek().kind in ("ident", "lpar", "lambda", "letrec"):
-            tok = self.peek()
-            if tok.kind in ("lambda", "letrec"):
-                # Trailing lambda/letrec extends as far right as possible.
-                result = App(result, self.term())
+            self.take("eq")
+            bindings[name] = self.term()
+            if self.tokens[self.pos].kind != "semi":
                 break
-            result = App(result, self.atom())
-        return result
-
-    def atom(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.take("ident")
-            if not self.scope.get(tok.text):
-                raise UnboundVariable(tok.text, tok.pos)
-            return Var(tok.text)
-        if tok.kind == "lpar":
-            self.take("lpar")
-            inner = self.term()
-            self.take("rpar")
-            return inner
-        raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+            self.pos += 1
+        self.take("in")
+        self.pending.pop()
+        unbound = [tok for tok in pending if tok.text not in bindings]
+        if self.pending:
+            self.pending[-1].extend(unbound)
+        elif unbound:
+            raise UnboundVariable(unbound[0].text, unbound[0].pos)
+        body = self.term()
+        for name in bindings:
+            self.scope[name] -= 1
+        return Letrec(tuple(bindings.items()), body)
 
 
 def parse_term(text: str) -> Term:

@@ -76,6 +76,39 @@ def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3) -> Te
     return gen(depth, (), ())
 
 
+
+@st.composite
+def closed_terms(draw) -> Term:
+    """Hypothesis closed terms: variables refer to binders in scope,
+    letrec bindings are abstractions."""
+
+    def gen(depth, scope):
+        options = ["abs"]
+        if scope:
+            options.append("var")
+        if depth > 0:
+            options += ["app", "letrec"]
+        kind = draw(st.sampled_from(options))
+        if kind == "var":
+            return Var(draw(st.sampled_from(sorted(scope))))
+        if kind == "abs":
+            name = f"x{depth}_{draw(st.integers(0, 3))}"
+            if depth == 0:
+                return Abs(name, Var(name))
+            return Abs(name, gen(depth - 1, scope | {name}))
+        if kind == "app":
+            return App(gen(depth - 1, scope), gen(depth - 1, scope))
+        names = [f"f{depth}_{i}" for i in range(draw(st.integers(1, 2)))]
+        inner = scope | set(names)
+        bindings = tuple(
+            (n, Abs(f"y{depth}_{i}", gen(depth - 1, inner | {f"y{depth}_{i}"})))
+            for i, n in enumerate(names)
+        )
+        return Letrec(bindings, gen(depth - 1, inner))
+
+    return gen(draw(st.integers(1, 4)), frozenset())
+
+
 def erase_backlinks(
     g: TermGraph, var_arity: int, del_arity: int | None
 ) -> TermGraph:

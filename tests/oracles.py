@@ -13,7 +13,8 @@ resolver but finds free variables and live bindings with the walks
 that one worklist analysis replaced, and emits, infers and checks on
 its own, prefix inference followed by a full validation pass, the
 eager and back-link checks with one search per word through every
-deeper region, and the per-character term tokenizer.
+deeper region, the per-character term tokenizer, and the term parser
+that scans each letrec binding body before parsing it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,17 @@ from lamgraph import (
 )
 from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
 from lamgraph.scoped import PrefixFn, ScopeFn, normalize_scope_fn
-from lamgraph.terms import TermSyntaxError, _Token
+from lamgraph.terms import (
+    Abs,
+    App,
+    DuplicateBinding,
+    Letrec,
+    TermSyntaxError,
+    UnboundVariable,
+    Var,
+    _Token,
+    _tokenize,
+)
 from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.translate import (
     DegenerateBinding,
@@ -962,3 +973,128 @@ def per_character_tokenize(text: str) -> list[_Token]:
             i = m.end()
     tokens.append(_Token("eof", "", n))
     return tokens
+
+
+class _TwoPassParser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        # Each name's count of enclosing binders, kept up on entry and exit.
+        self.scope: dict[str, int] = {}
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise TermSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
+        self.pos += 1
+        return tok
+
+    def term(self) -> Term:
+        tok = self.peek()
+        if tok.kind == "lambda":
+            self.take("lambda")
+            name = self.take("ident").text
+            self.take("dot")
+            self.scope[name] = self.scope.get(name, 0) + 1
+            body = self.term()
+            self.scope[name] -= 1
+            return Abs(name, body)
+        if tok.kind == "letrec":
+            return self.letrec()
+        return self.application()
+
+    def letrec(self) -> Term:
+        # Binding bodies may use any of the group's names, so the names
+        # are collected in a skip pass first and the bodies reparsed.
+        self.take("letrec")
+        names: set[str] = set()
+        raw: list[tuple[str, int, int]] = []
+        while True:
+            name_tok = self.take("ident")
+            if name_tok.text in names:
+                raise DuplicateBinding(name_tok.text)
+            names.add(name_tok.text)
+            self.take("eq")
+            start = self.pos
+            self.skip_binding_body()
+            raw.append((name_tok.text, start, self.pos))
+            if self.peek().kind == "semi":
+                self.take("semi")
+            else:
+                break
+        self.take("in")
+        for name in names:
+            self.scope[name] = self.scope.get(name, 0) + 1
+        bindings = []
+        end = self.pos
+        for name, start, stop in raw:
+            self.pos = start
+            bindings.append((name, self.term()))
+            if self.pos != stop:
+                raise TermSyntaxError("malformed letrec binding", self.tokens[start].pos)
+        self.pos = end
+        body = self.term()
+        for name in names:
+            self.scope[name] -= 1
+        return Letrec(tuple(bindings), body)
+
+    def skip_binding_body(self) -> None:
+        # A binding body ends at ';' or 'in' outside parentheses and
+        # outside any nested letrec (letrec..in pairs nest like brackets).
+        pdepth = 0
+        ldepth = 0
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                raise TermSyntaxError("unterminated letrec", tok.pos)
+            if pdepth == 0 and ldepth == 0 and tok.kind in ("semi", "in"):
+                return
+            if tok.kind == "lpar":
+                pdepth += 1
+            elif tok.kind == "rpar":
+                if pdepth == 0:
+                    raise TermSyntaxError("unbalanced ')'", tok.pos)
+                pdepth -= 1
+            elif tok.kind == "letrec":
+                ldepth += 1
+            elif tok.kind == "in":
+                if ldepth == 0:
+                    raise TermSyntaxError("'in' without letrec", tok.pos)
+                ldepth -= 1
+            self.pos += 1
+
+    def application(self) -> Term:
+        result = self.atom()
+        while self.peek().kind in ("ident", "lpar", "lambda", "letrec"):
+            tok = self.peek()
+            if tok.kind in ("lambda", "letrec"):
+                # Trailing lambda/letrec extends as far right as possible.
+                result = App(result, self.term())
+                break
+            result = App(result, self.atom())
+        return result
+
+    def atom(self) -> Term:
+        tok = self.peek()
+        if tok.kind == "ident":
+            self.take("ident")
+            if not self.scope.get(tok.text):
+                raise UnboundVariable(tok.text, tok.pos)
+            return Var(tok.text)
+        if tok.kind == "lpar":
+            self.take("lpar")
+            inner = self.term()
+            self.take("rpar")
+            return inner
+        raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+
+
+def two_pass_parse_term(text: str) -> Term:
+    """The term parser that scans each letrec binding body, then parses it again."""
+    parser = _TwoPassParser(_tokenize(text))
+    result = parser.term()
+    parser.take("eof")
+    return result

@@ -274,17 +274,22 @@ def test_translate_j1(tmp_path, capsys):
     assert code == 0 and "sig 1 1" in out and " S " in out
 
 
+def _maxshare_subprocess(path):
+    # A fresh interpreter, so the recursion limit is Python's default.
+    src = str(Path(lamgraph.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_deep_input_gives_no_traceback(tmp_path):
     # A 1000-application left spine: either it works, or the command
     # reports the depth on one error line with exit code 2.
     path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 1000))
-    src = str(Path(lamgraph.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _maxshare_subprocess(path)
     assert "Traceback" not in proc.stderr
     if proc.returncode != 0:
         assert proc.returncode == 2
@@ -295,16 +300,33 @@ def test_maxshare_takes_a_450_application_spine(tmp_path):
     # The translator takes two Python frames per term level, so this
     # spine fits under the default recursion limit.
     path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
-    src = str(Path(lamgraph.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = _maxshare_subprocess(path)
     assert proc.returncode == 0, proc.stderr
     # The abstraction, 450 applications and one shared occurrence of q.
     assert parse_graph(proc.stdout).graph.vertex_count == 452
+
+
+# Depth floors a little below the limits `lamgraph maxshare` takes at
+# Python's default recursion limit (measured on CPython 3.11: 493, 493,
+# 493 and 247), so that no change lowers a limit unnoticed.
+DEPTH_FLOORS = {
+    "spine": ("\\q. " + " ".join(["q"] * 481), 482),
+    "right_nest": ("\\x. " + "x (" * 480 + "x" + ")" * 480, 482),
+    "letrecs_in_body_position": ("letrec a = \\x. x in " * 480 + "a", 2),
+    "tower": (
+        "".join(f"\\x{i}. " for i in range(240)) + " ".join(f"x{i}" for i in range(240)),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", DEPTH_FLOORS)
+def test_maxshare_depth_floors(tmp_path, family):
+    text, vertices = DEPTH_FLOORS[family]
+    proc = _maxshare_subprocess(write(tmp_path, "deep.lam", text))
+    assert proc.returncode == 0, proc.stderr
+    if vertices is not None:
+        assert parse_graph(proc.stdout).graph.vertex_count == vertices
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

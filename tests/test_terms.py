@@ -5,21 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM
-from generators import random_term
-from oracles import per_character_tokenize
+from generators import closed_terms, random_term
+from oracles import per_character_tokenize, two_pass_parse_term
+from test_translate import COLLIDING_TERMS, FIXTURE_TERMS
 
 from lamgraph import (
     Abs,
     App,
     DuplicateBinding,
     Letrec,
+    Term,
     TermSyntaxError,
     UnboundVariable,
     Var,
     format_term,
     parse_term,
 )
-from lamgraph.terms import _tokenize
+from lamgraph.terms import _Parser, _tokenize
 
 
 def test_parse_identity():
@@ -192,3 +194,172 @@ def test_tokenizer_matches_per_character_scan_hypothesis(text):
 @given(st.text(max_size=20))
 def test_tokenizer_matches_per_character_scan_on_any_text(text):
     assert_same_tokens(text)
+
+
+# The one-pass parser against the two-pass parser it replaced, which
+# scanned each letrec binding body before parsing it.
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (TermSyntaxError, UnboundVariable, DuplicateBinding) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
+
+
+def _accepts(parse, text):
+    return isinstance(_outcome(parse, text), Term)
+
+
+def test_parser_matches_two_pass_parser_on_seeded_and_fixture_terms():
+    rng = random.Random(1313)
+    terms = [random_term(rng, depth=rng.randint(1, 5)) for _ in range(300)]
+    for t in terms:
+        text = format_term(t)
+        assert parse_term(text) == two_pass_parse_term(text) == t
+    for text in FIXTURE_TERMS + COLLIDING_TERMS:
+        assert parse_term(text) == two_pass_parse_term(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_terms())
+def test_parser_matches_two_pass_parser_hypothesis(t):
+    text = format_term(t)
+    assert parse_term(text) == two_pass_parse_term(text) == t
+
+
+def test_unbound_names_keep_their_outcome():
+    # Well-formed texts with some variable occurrences renamed, mostly to
+    # a name out of scope there: the same UnboundVariable, same offset.
+    rng = random.Random(2013)
+    unbound = 0
+    for _ in range(400):
+        text = format_term(random_term(rng, depth=rng.randint(1, 5)))
+        tokens = _tokenize(text)
+        names = sorted({tok.text for tok in tokens if tok.kind == "ident"}) + ["zz"]
+        uses = [
+            tok
+            for k, tok in enumerate(tokens)
+            if tok.kind == "ident" and tokens[k - 1].kind != "lambda" and tokens[k + 1].kind != "eq"
+        ]
+        for tok in sorted(rng.sample(uses, min(len(uses), 3)), key=lambda tok: -tok.pos):
+            text = text[: tok.pos] + rng.choice(names) + text[tok.pos + len(tok.text) :]
+        old = _outcome(two_pass_parse_term, text)
+        assert _outcome(parse_term, text) == old
+        unbound += isinstance(old, tuple)
+    assert unbound > 200
+
+
+# Token soups: keywords, punctuation, a few names, and chunks that make
+# well-formed prefixes likely.
+SOUP_TOKENS = ["\\", ".", "(", ")", "x", "y", "f", "g", "\\x.", "\\y."]
+LETREC_TOKENS = ["letrec", "in", "=", ";", "letrec f =", "letrec g =", "f =", "g ="]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=14).map(" ".join))
+def test_parser_matches_two_pass_parser_without_letrec(text):
+    assert _outcome(parse_term, text) == _outcome(two_pass_parse_term, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS + LETREC_TOKENS), max_size=14).map(" ".join))
+def test_parser_accepts_what_two_pass_parser_accepts(text):
+    new, old = _outcome(parse_term, text), _outcome(two_pass_parse_term, text)
+    assert isinstance(new, Term) == isinstance(old, Term)
+    if isinstance(new, Term):
+        assert new == old
+
+
+# Malformed letrec groups: the one-pass parser reports where the group's
+# parse stops, where the two-pass parser's scan named the group as a whole.
+@pytest.mark.parametrize(
+    "text, message, old_message",
+    [
+        (
+            r"letrec f = x",
+            "expected in, found 'end of input' (at offset 12)",
+            "unterminated letrec (at offset 12)",
+        ),
+        (
+            r"letrec f = g . \x. x in f",
+            "expected in, found '.' (at offset 13)",
+            "unbound variable 'g' (at offset 11)",
+        ),
+        (
+            r"letrec f = \x. x) in f",
+            "expected in, found ')' (at offset 16)",
+            "unbalanced ')' (at offset 16)",
+        ),
+        (
+            r"letrec f = (\x. x in f) in f",
+            "expected rpar, found 'in' (at offset 18)",
+            "'in' without letrec (at offset 18)",
+        ),
+        (
+            r"letrec f = \x. x . x in f",
+            "expected in, found '.' (at offset 17)",
+            "malformed letrec binding (at offset 11)",
+        ),
+        (
+            r"letrec f = (letrec g = \x. x; g = \y. y in g); f = \z. z in f",
+            "duplicate letrec binding 'g'",
+            "duplicate letrec binding 'f'",
+        ),
+    ],
+)
+def test_malformed_letrec_messages(text, message, old_message):
+    assert _outcome(parse_term, text)[1] == message
+    assert _outcome(two_pass_parse_term, text)[1] == old_message
+
+
+def test_unbound_name_in_a_binding_waits_for_its_group():
+    # A later binding of the group, or of an enclosing group, binds it.
+    assert parse_term(r"letrec f = (letrec g = h in g); h = \x. x in f")
+    assert parse_term(r"letrec f = (letrec g = \x. x in h g); h = \x. x in f")
+    # No group binds it: reported at its own offset when the last open
+    # group closes, before anything after that group is read.
+    text = r"\y. (letrec f = (letrec g = h in g); k = \x. x in f) z"
+    with pytest.raises(UnboundVariable) as err:
+        parse_term(text)
+    assert (err.value.name, err.value.position) == ("h", text.index("h"))
+    # An inner group's names end with that group.
+    with pytest.raises(UnboundVariable) as err:
+        parse_term(r"letrec f = (letrec g = \x. x in g) g in f")
+    assert err.value.position == 35
+
+
+# Depth: one Python frame per parenthesis or lambda, two per letrec.
+
+
+def test_parse_term_takes_a_900_deep_right_nest():
+    t = parse_term("\\x. " + "x (" * 900 + "x" + ")" * 900)
+    depth = 0
+    t = t.body
+    while isinstance(t, App):
+        t = t.arg
+        depth += 1
+    assert depth == 900
+
+
+class _CountingTokens(list):
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_letrecs_in_binding_position_read_each_token_boundedly():
+    # Scanning each binding body before parsing it reads these tokens
+    # Θ(n²) times in all; one pass reads each a bounded number of times.
+    n = 450
+    tokens = _CountingTokens(_tokenize("letrec g = " * n + "\\x. x" + " in g" * n))
+    parser = _Parser(tokens)
+    t = parser.term()
+    parser.take("eof")
+    for _ in range(n):
+        assert [name for name, _ in t.bindings] == ["g"] and t.body == Var("g")
+        t = t.bindings[0][1]
+    assert t == Abs("x", Var("x"))
+    assert tokens.reads <= 3 * len(tokens)

@@ -4,10 +4,9 @@ import time
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
-from generators import random_term
+from generators import closed_terms, random_term
 from oracles import (
     _fixpoint_compute_fv,
     _mark_live,
@@ -265,38 +264,9 @@ def test_lazy_translation_valid_but_not_always_eager():
     assert saw_non_eager
 
 
-# Hypothesis over closed terms: variables only refer to binders in
-# scope, letrec bindings are abstractions.
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_translation_hypothesis_closed_terms(data):
-    def gen(depth, scope):
-        options = ["abs"]
-        if scope:
-            options.append("var")
-        if depth > 0:
-            options += ["app", "letrec"]
-        kind = data.draw(st.sampled_from(options))
-        if kind == "var":
-            return Var(data.draw(st.sampled_from(sorted(scope))))
-        if kind == "abs":
-            name = f"x{depth}_{data.draw(st.integers(0, 3))}"
-            if depth == 0:
-                return Abs(name, Var(name))
-            return Abs(name, gen(depth - 1, scope | {name}))
-        if kind == "app":
-            return App(gen(depth - 1, scope), gen(depth - 1, scope))
-        names = [f"f{depth}_{i}" for i in range(data.draw(st.integers(1, 2)))]
-        inner = scope | set(names)
-        bindings = tuple(
-            (n, Abs(f"y{depth}_{i}", gen(depth - 1, inner | {f"y{depth}_{i}"})))
-            for i, n in enumerate(names)
-        )
-        return Letrec(bindings, gen(depth - 1, inner))
-
-    term = gen(data.draw(st.integers(1, 4)), frozenset())
+@given(closed_terms())
+def test_translation_hypothesis_closed_terms(term):
     dg = term_to_graph(term)
     assert is_eager_scope(dg) and is_fully_back_linked(dg)
     _assert_same_translation(dg, name_keyed_term_to_graph(term))
