@@ -174,6 +174,8 @@ def cmd_translate(args) -> int:
         ("ltg", "tg"): [forget],
     }
     steps = [] if src == dst else route.get((src, dst))
+    if src == dst == "ltg" and value.graph.variant.del_arity != args.j:
+        steps = [strip_delimiters, to_ltg]
     if steps is None:
         raise CliError(f"no translation from {src} to {dst}")
     result = value

@@ -11,7 +11,7 @@ import pytest
 from conftest import EAGER_NESTED, RUNNING_TERM, RUNNING_CARRIER
 
 import lamgraph
-from lamgraph import parse_graph
+from lamgraph import isomorphic, parse_graph
 from lamgraph.cli import main
 
 
@@ -272,6 +272,19 @@ def test_translate_j1(tmp_path, capsys):
     path = write(tmp_path, "g.tg", doc)
     code, out, _ = run(capsys, "translate", "--from", "aphotg", "--to", "ltg", "--j", "1", path)
     assert code == 0 and "sig 1 1" in out and " S " in out
+
+
+def test_translate_j_applies_to_term_and_ltg_sources(tmp_path, capsys):
+    term = write(tmp_path, "t.lam", r"\x. \y. x")
+    code, out, _ = run(capsys, "translate", "--from", "term", "--to", "ltg", "--j", "1", term)
+    assert code == 0 and out.startswith("sig 1 1\n")
+    ltg = write(tmp_path, "g.tg", out)
+    code, again, _ = run(capsys, "translate", "--from", "ltg", "--to", "ltg", "--j", "1", ltg)
+    assert (code, again) == (0, out)
+    code, out2, _ = run(capsys, "translate", "--from", "ltg", "--to", "ltg", "--j", "2", ltg)
+    assert code == 0 and out2.startswith("sig 1 2\n")
+    code, direct, _ = run(capsys, "translate", "--from", "term", "--to", "ltg", term)
+    assert isomorphic(parse_graph(out2).graph, parse_graph(direct).graph) is not None
 
 
 def _maxshare_subprocess(path):
