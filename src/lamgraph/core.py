@@ -153,7 +153,9 @@ class TermGraph:
     """Rooted labeled graph with ordered successors, vertices 0..n-1.
 
     ``names`` keeps the construction-time vertex names for reporting and
-    serialization; identity and equality are positional.
+    serialization.  Equality and hashing compare every field, names
+    included, so graphs that differ only in vertex names are unequal;
+    ``isomorphic`` compares structure alone.
     """
 
     variant: SignatureVariant

@@ -178,6 +178,15 @@ def test_name_index_is_lazy_and_invisible(running_carrier):
     assert [g.id_of(n) for n in g.names] == list(g.vertices())
     assert "_ids" in vars(g) and "_ids" not in vars(twin)
     assert g == twin and hash(g) == hash(twin) and repr(g) == before == repr(twin)
+    # Equality compares names too: the same structure under other names differs.
+    renamed = build(
+        g.variant,
+        {f"r{v}": g.labels[v] for v in g.vertices()},
+        {f"r{v}": [f"r{w}" for w in g.args[v]] for v in g.vertices()},
+        f"r{g.root}",
+    )
+    assert (renamed.labels, renamed.args, renamed.root) == (g.labels, g.args, g.root)
+    assert renamed != g
     with pytest.raises(KeyError):
         g.id_of("no such vertex")
 
