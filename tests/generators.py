@@ -76,7 +76,6 @@ def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3) -> Te
     return gen(depth, (), ())
 
 
-
 @st.composite
 def closed_terms(draw) -> Term:
     """Hypothesis closed terms: variables refer to binders in scope,

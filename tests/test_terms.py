@@ -207,10 +207,6 @@ def _outcome(parse, text):
         return (type(exc).__name__, str(exc), getattr(exc, "position", None))
 
 
-def _accepts(parse, text):
-    return isinstance(_outcome(parse, text), Term)
-
-
 def test_parser_matches_two_pass_parser_on_seeded_and_fixture_terms():
     rng = random.Random(1313)
     terms = [random_term(rng, depth=rng.randint(1, 5)) for _ in range(300)]
