@@ -86,33 +86,26 @@ def cmd_validate(args) -> int:
     g = doc.graph
     if args.variant is not None and _parse_variant(args.variant) != g.variant:
         raise CliError(f"document has variant {g.variant}, expected {args.variant}", 1)
+    # tg: parsing already established term graph validity.
     report = ValidationReport()
-    verdict = True
-    if args.cls == "tg":
-        pass  # parsing already established term graph validity
-    elif args.cls == "hotg":
+    if args.cls == "hotg":
         if doc.scopes is None:
             raise CliError(f"{args.file}: hotg validation needs scope lines")
         report = validate_scope(g, doc.scopes)
-        verdict = report.passed
     elif args.cls == "aphotg":
         if doc.prefixes is None:
             raise CliError(f"{args.file}: aphotg validation needs prefix lines")
         report = validate_prefix_ho(g, doc.prefixes)
-        verdict = report.passed
     elif args.cls == "ltg":
         try:
-            prefixes, failure = infer_prefix(g)
+            report = infer_prefix(g)[1] or ValidationReport()
         except VariantMismatch as exc:
             raise CliError(f"{args.file}: {exc}", 1) from exc
-        verdict = prefixes is not None
-        if failure is not None:
-            report = failure
     if args.json:
         payload = {
             "class": args.cls,
             "variant": str(g.variant),
-            "verdict": "pass" if verdict else "fail",
+            "verdict": "pass" if report.passed else "fail",
             "violations": [
                 {
                     "condition": v.condition,
@@ -122,11 +115,9 @@ def cmd_validate(args) -> int:
             ],
         }
         print(json.dumps(payload))
-    elif verdict:
-        print("pass")
     else:
         print(report.describe(g))
-    return 0 if verdict else 1
+    return 0 if report.passed else 1
 
 
 _GRAPH_CLASSES = ("hotg", "aphotg", "ltg", "tg")

@@ -144,6 +144,18 @@ class Path:
         )
 
 
+class _Lookup(dict):
+    """A graph's name-or-id index.  An unknown name raises ``KeyError``
+    as ``id_of`` does; any other missing key, such as an id that is no
+    vertex, stands for itself, as in ``resolve``, for the caller's
+    domain check."""
+
+    def __missing__(self, key):
+        if isinstance(key, str):
+            raise KeyError(key)
+        return key
+
+
 # A homomorphism witness: total map from source vertices to target vertices.
 VertexMap = dict[int, int]
 
@@ -191,10 +203,10 @@ class TermGraph:
         return ids
 
     @cached_property
-    def _lookup(self) -> dict[int | str, int]:
+    def _lookup(self) -> "_Lookup":
         # Name or id -> id, so a whole map resolves in C-level passes.
         # Ids are entered last: an id always stands for itself.
-        lookup: dict[int | str, int] = dict(self._ids)
+        lookup = _Lookup(self._ids)
         lookup.update(zip(self.vertices(), self.vertices()))
         return lookup
 

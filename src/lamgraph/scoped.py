@@ -52,17 +52,11 @@ def _is_word_prefix(shorter: tuple, longer: tuple) -> bool:
 
 
 def _resolve_map(g: TermGraph, m: Mapping, freeze: type) -> dict:
-    """Keys and members of m as ids, through the graph's name-or-id lookup.
-
-    An unknown name or an id that is no vertex falls back to resolving
-    one at a time, so that each raises what it always has.
-    """
+    """Keys and members of m as ids, through the graph's name-or-id lookup:
+    an unknown name raises ``KeyError``, and an id that is no vertex is
+    kept for the domain check."""
     find = g._lookup.__getitem__
-    try:
-        return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
-    except KeyError:
-        pass
-    return {g.resolve(key): freeze(map(g.resolve, xs)) for key, xs in m.items()}
+    return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
 
 
 def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:

@@ -11,7 +11,10 @@ Letrec bindings translate in two passes: entry vertices for the whole
 group are allocated first, then the defining terms are filled in, so
 cycles and cross-references become direct edges.  Occurrences of letrec
 names are plain edges to the entry vertex; only lambda-bound variables
-become variable vertices.
+become variable vertices.  Only live bindings are translated: the one
+live set is what the root reaches in the reference relation, found by
+``core._reachable_keys`` from the same fixpoint that gives the free
+binders.
 
 The graph is emitted with ``delimited._Builder``: vertices get dense
 integer ids in allocation order, and names are minted for output only.
@@ -78,14 +81,12 @@ class _RAbs(_RNode):
 class _RLetrec(_RNode):
     bindings: list[tuple[int, str, "_RNode"]]
     body: "_RNode"
-    live: frozenset[int] = frozenset()
 
 
 class _Resolver:
     def __init__(self):
         self.counter = 0
         self.binding_term: dict[int, _RNode] = {}
-        self.letrecs: list[_RLetrec] = []
 
     def fresh(self) -> int:
         self.counter += 1
@@ -125,14 +126,13 @@ class _Resolver:
             node = _RLetrec(bindings, self.resolve(t.body, env))
             for name, _ in t.bindings:
                 env[name].pop()
-            self.letrecs.append(node)
             return node
         raise TypeError(f"not a term: {t!r}")
 
 
-def _analyze(root: _RNode, resolver: _Resolver) -> None:
-    """Annotate every node with its free lambda binders and every letrec
-    with its live bindings, in one worklist fixpoint over the bindings.
+def _analyze(root: _RNode, resolver: _Resolver) -> set[int]:
+    """Annotate every node with its free lambda binders, in one worklist
+    fixpoint over the bindings, and return the live binding ids.
 
     Evaluating a binding stores the set of each node of its term, and
     records the binding as a user of every binding it references.  A
@@ -141,7 +141,7 @@ def _analyze(root: _RNode, resolver: _Resolver) -> None:
     under the user id 0 (resolver ids start at 1), annotates the nodes
     outside every binding.  The live bindings, the only ones translated,
     are those that id 0 reaches in the reference relation, the inverse of
-    ``users``.
+    ``users``; the returned set holds them and 0 itself.
     """
     binding_term = resolver.binding_term
     bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
@@ -185,15 +185,7 @@ def _analyze(root: _RNode, resolver: _Resolver) -> None:
     for b, us in users.items():
         for u in us:
             refs[u].append(b)
-    live = {0}
-    stack = [0]
-    while stack:
-        for b in refs[stack.pop()]:
-            if b not in live:
-                live.add(b)
-                stack.append(b)
-    for node in resolver.letrecs:
-        node.live = frozenset(ident for ident, _, _ in node.bindings if ident in live)
+    return _reachable_keys(0, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +198,12 @@ _Word = tuple[int, ...]
 
 
 class _Translator:
-    def __init__(self, term_of: dict[int, _RNode]):
+    def __init__(self, term_of: dict[int, _RNode], live: set[int]):
         self.b = _Builder()
         self.binder: dict[int, int] = {}
         self.entry: dict[int, tuple[int, _Word]] = {}
         self.term_of = term_of  # every letrec binding's resolved term
+        self.live = live  # the bindings a translation reaches
 
     def pop(self, word: _Word, fv: frozenset[int]) -> _Word:
         """``word`` without its trailing binders that ``fv`` lacks."""
@@ -237,7 +230,7 @@ class _Translator:
         while isinstance(node, _RLetrec):
             fills = []
             for ident, name, term in node.bindings:
-                if ident in node.live and not isinstance(term, _RRef):
+                if ident in self.live and not isinstance(term, _RRef):
                     entry_word = self.pop(target, term.fv)
                     v = self.b.alloc(name, term.label)
                     self.entry[ident] = (v, entry_word)
@@ -309,10 +302,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {})
-    _analyze(rnode, resolver)
-    if rnode.fv:
-        raise ValueError("term is not closed")
-    tr = _Translator(resolver.binding_term)
+    tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
     root = tr.attach(rnode, ())
     reached = _reachable_keys(root, tr.b.succ)
     if len(reached) < len(tr.b.names):
