@@ -34,9 +34,10 @@ class UnboundVariable(Exception):
 
 
 class DuplicateBinding(Exception):
-    def __init__(self, name: str):
+    def __init__(self, name: str, position: int):
         self.name = name
-        super().__init__(f"duplicate letrec binding {name!r}")
+        self.position = position
+        super().__init__(f"duplicate letrec binding {name!r} (at offset {position})")
 
 
 class Term:
@@ -153,9 +154,10 @@ class _Parser:
         self.pending.append(pending)
         bindings: dict[str, Term] = {}
         while True:
-            name = self.take("ident").text
+            tok = self.take("ident")
+            name = tok.text
             if name in bindings:
-                raise DuplicateBinding(name)
+                raise DuplicateBinding(name, tok.pos)
             self.scope[name] = self.scope.get(name, 0) + 1
             self.take("eq")
             bindings[name] = self.term()

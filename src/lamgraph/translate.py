@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .core import Label, SignatureVariant, _reachable_keys
 from .delimited import DelimitedGraph, _Builder, _non_eager_reason, _non_eager_vertex
-from .terms import Abs, App, Letrec, Term, UnboundVariable, Var
+from .terms import Abs, App, DuplicateBinding, Letrec, Term, UnboundVariable, Var
 
 
 class InternalValidationFailure(Exception):
@@ -111,7 +111,12 @@ class _Resolver:
         if isinstance(t, Letrec):
             ids = [self.fresh() for _ in t.bindings]
             for (name, _), ident in zip(t.bindings, ids):
-                env.setdefault(name, []).append(("rec", ident))
+                binders = env.setdefault(name, [])
+                # Only this group's binders have ids from ids[0] on; parser
+                # output binds a name once per group, so guard hand-built terms.
+                if binders and binders[-1][1] >= ids[0]:
+                    raise DuplicateBinding(name, -1)
+                binders.append(("rec", ident))
             bindings: list[tuple[int, str, _RNode]] = []
             for (name, sub), ident in zip(t.bindings, ids):
                 resolved = self.resolve(sub, env)

@@ -1015,7 +1015,7 @@ class _TwoPassParser:
         while True:
             name_tok = self.take("ident")
             if name_tok.text in names:
-                raise DuplicateBinding(name_tok.text)
+                raise DuplicateBinding(name_tok.text, name_tok.pos)
             names.add(name_tok.text)
             self.take("eq")
             start = self.pos

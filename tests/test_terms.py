@@ -86,8 +86,10 @@ def test_unbound_variable():
 
 
 def test_duplicate_binding():
-    with pytest.raises(DuplicateBinding):
+    with pytest.raises(DuplicateBinding) as err:
         parse_term(r"letrec f = \x.x; f = \y.y in f")
+    assert (err.value.name, err.value.position) == ("f", 17)
+    assert str(err.value) == "duplicate letrec binding 'f' (at offset 17)"
 
 
 def test_syntax_errors_carry_position():
@@ -299,8 +301,8 @@ def test_parser_accepts_what_two_pass_parser_accepts(text):
         ),
         (
             r"letrec f = (letrec g = \x. x; g = \y. y in g); f = \z. z in f",
-            "duplicate letrec binding 'g'",
-            "duplicate letrec binding 'f'",
+            "duplicate letrec binding 'g' (at offset 30)",
+            "duplicate letrec binding 'f' (at offset 47)",
         ),
     ],
 )

@@ -19,11 +19,13 @@ from lamgraph import (
     Abs,
     App,
     DegenerateBinding,
+    DuplicateBinding,
     InternalValidationFailure,
     Label,
     Letrec,
     UnboundVariable,
     Var,
+    format_term,
     is_eager_scope,
     is_fully_back_linked,
     is_lambda_term_graph,
@@ -164,6 +166,19 @@ def test_letrec_names_end_with_their_letrec():
         term_to_graph(App(Letrec((("f", Abs("x", Var("x"))),), Var("f")), Var("f")))
     shadowing = term_to_graph(parse_term(r"\f. (letrec f = \x. x in f) f"))
     assert isomorphic(shadowing.graph, term_to_graph(parse_term(r"\f. (\x. x) f")).graph)
+
+
+def test_hand_built_duplicate_binding_is_refused():
+    # The parser refuses the printed form; the resolver refuses the term.
+    t = Letrec((("f", Abs("x", Var("x"))), ("f", Abs("y", App(Var("y"), Var("y"))))), Var("f"))
+    with pytest.raises(DuplicateBinding) as err:
+        term_to_graph(t)
+    assert (err.value.name, err.value.position) == ("f", -1)
+    with pytest.raises(DuplicateBinding):
+        parse_term(format_term(t))
+    # The same name in a nested group shadows; it is no duplicate.
+    inner = Letrec((("f", Abs("y", Var("y"))),), Var("f"))
+    assert term_to_graph(Letrec((("f", Abs("x", Var("x"))),), App(inner, Var("f"))))
 
 
 def test_variable_shaped_binding():
