@@ -311,22 +311,27 @@ def access_path(g: TermGraph, v: int | str) -> Path:
     """The depth-first-first access path from the root to v.
 
     Deterministic: follows the lowest edge index first; the result never
-    repeats a vertex.
+    repeats a vertex.  Each vertex records the edge it was first popped
+    through, and the path is read back along those edges: O(n + m).
     """
     v = g.resolve(v)
-    seen = set()
-    # Stack entries carry the simple path taken to reach the vertex.
-    stack: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(g.root, (g.root,), ())]
+    via: dict[int, tuple[int, int]] = {}  # vertex -> its first popped edge
+    stack = [(g.root, -1, -1)]  # (vertex, source, index)
     while stack:
-        u, verts, idxs = stack.pop()
-        if u in seen:
+        u, source, index = stack.pop()
+        if u in via:
             continue
-        seen.add(u)
+        via[u] = (source, index)
         if u == v:
-            return Path(verts, idxs)
+            verts, idxs = [u], []
+            while verts[-1] != g.root:
+                source, index = via[verts[-1]]
+                verts.append(source)
+                idxs.append(index)
+            return Path(tuple(reversed(verts)), tuple(reversed(idxs)))
         for k, w in reversed(list(enumerate(g.args[u]))):
-            if w not in seen:
-                stack.append((w, verts + (w,), idxs + (k,)))
+            if w not in via:
+                stack.append((w, u, k))
     raise KeyError(f"vertex {g.names[v]} not reachable")  # unreachable by construction
 
 

@@ -18,10 +18,9 @@ def to_dot(
     g: TermGraph,
     prefixes: dict[int, tuple[int, ...]] | None = None,
     scopes: dict[int, frozenset[int]] | None = None,
-    graph_name: str = "termgraph",
 ) -> str:
     """Render a graph (optionally with scoping annotations) as DOT text."""
-    lines = [f"digraph {_quote(graph_name)} {{"]
+    lines = ['digraph "termgraph" {']
     lines.append("  node [fontname=monospace];")
     for v in g.vertices():
         label = str(g.labels[v])

@@ -69,9 +69,6 @@ class Partition:
     block_count: int
     root_block: int
 
-    def members(self, b: int) -> list[int]:
-        return [v for v, bv in enumerate(self.block) if bv == b]
-
     def as_blocks(self) -> frozenset[frozenset[int]]:
         groups: dict[int, set[int]] = {}
         for v, b in enumerate(self.block):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -104,6 +105,18 @@ def test_access_path_matches_lex_min_oracle():
         for v in g.vertices():
             p = access_path(g, v)
             assert (p.vertices, p.indices) == lex_min_simple_path(g, v)
+
+
+def test_access_path_is_linear_on_a_long_chain():
+    # Copying the path into every stack entry made this quadratic (seconds).
+    n = 20_000
+    labels = {f"l{i}": Label.ABS for i in range(n)}
+    succ = {f"l{i}": [f"l{(i + 1) % n}"] for i in range(n)}
+    g = build(V0, labels, succ, "l0")
+    start = time.perf_counter()
+    p = access_path(g, f"l{n - 1}")
+    assert time.perf_counter() - start < 0.5
+    assert p.vertices == tuple(range(n)) and p.indices == (0,) * (n - 1)
 
 
 def _shuffled_copy(g, rng):
