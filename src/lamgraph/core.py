@@ -203,7 +203,7 @@ class TermGraph:
         return ids
 
     @cached_property
-    def _lookup(self) -> "_Lookup":
+    def _lookup(self) -> _Lookup:
         # Name or id -> id, so a whole map resolves in C-level passes.
         # Ids are entered last: an id always stands for itself.
         lookup = _Lookup(self._ids)
