@@ -267,10 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The parser takes a frame per parenthesis or lambda and two per
-        # letrec, the translator two per term level: input nested deeper
-        # than the recursion limit allows is refused on one line, not
-        # with a traceback.
+        # The parser takes a frame per parenthesis, lambda or letrec, and
+        # the resolver, the free-variable walk and the translator one per
+        # term level: input nested deeper than the recursion limit allows
+        # is refused on one line, not with a traceback.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -219,6 +219,14 @@ class TermGraph:
     def resolve(self, vertex: int | str) -> int:
         return self.id_of(vertex) if isinstance(vertex, str) else vertex
 
+    def _vertex(self, vertex: int | str) -> int:
+        """``resolve``, refusing an id that is no vertex with ``KeyError``,
+        as ``id_of`` refuses an unknown name."""
+        v = self.resolve(vertex)
+        if not 0 <= v < len(self.labels):
+            raise KeyError(v)
+        return v
+
     def __repr__(self):
         parts = ", ".join(
             f"{self.names[v]}:{self.labels[v]}({','.join(self.names[w] for w in self.args[v])})"
@@ -301,7 +309,7 @@ def _build_common(variant, labels, successors, root):
 
 def successor(g: TermGraph, v: int | str, k: int) -> int:
     """The k-th successor of v; raises IndexOutOfRange past the arity."""
-    v = g.resolve(v)
+    v = g._vertex(v)
     if not 0 <= k < len(g.args[v]):
         raise IndexOutOfRange(g.names[v], k)
     return g.args[v][k]
@@ -314,7 +322,7 @@ def access_path(g: TermGraph, v: int | str) -> Path:
     repeats a vertex.  Each vertex records the edge it was first popped
     through, and the path is read back along those edges: O(n + m).
     """
-    v = g.resolve(v)
+    v = g._vertex(v)
     via: dict[int, tuple[int, int]] = {}  # vertex -> its first popped edge
     stack = [(g.root, -1, -1)]  # (vertex, source, index)
     while stack:

@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import Label, SignatureVariant, TermGraph, VariantMismatch, _reachable_keys
+from .core import DomainMismatch, Label, SignatureVariant, TermGraph, VariantMismatch, _reachable_keys
 from .scoped import (
     PrefixFn,
     ValidationReport,
     Violation,
-    _check_prefix_domain,
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
@@ -120,8 +119,12 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
             else:
                 prefixes[target] = value
                 worklist.append(target)
-    # A vertex the root does not reach fails the domain check.
-    _check_prefix_domain(g, prefixes)
+    # The words hold only vertices propagation reached, so the prefix
+    # function is total iff it has a word for every vertex.  A successor
+    # id below 0, which only a graph built without ``build`` can hold,
+    # names no vertex, though indexing wraps it round to one.
+    if len(prefixes) < g.vertex_count or min(prefixes) < 0:
+        raise DomainMismatch("prefix function must be total on the vertex set")
     if g.variant.var_arity == 0:
         var0 = [w for w in g.vertices_labeled(Label.VAR) if not prefixes[w]]
         if var0:

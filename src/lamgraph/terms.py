@@ -6,8 +6,8 @@ recursive bindings, parentheses for grouping.  Identifiers match
 ``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
 
 The parser reads each token once.  It takes one Python frame per
-parenthesis or lambda and two per letrec, so the nesting it accepts is
-bounded by the recursion limit.  A binding body may use names of its
+parenthesis, lambda or letrec, so the nesting it accepts is bounded by
+the recursion limit.  A binding body may use names of its
 group that are read after it, so an identifier that no binder holds where
 it is read waits until its group's ``in``; it is reported unbound (at its
 own offset) once no enclosing group still reading its bindings can bind it.
@@ -138,43 +138,39 @@ class _Parser:
                 arg = Abs(name, self.term())
                 self.scope[name] -= 1
             elif tok.kind == "letrec":
-                arg = self.letrec()
+                # Binding bodies may use any of the group's names, also those
+                # read later, so an unbound name waits on the group's pending
+                # list until 'in'; what the group does not bind passes to the
+                # enclosing group.
+                self.pos += 1
+                pending: list[_Token] = []
+                self.pending.append(pending)
+                bindings: dict[str, Term] = {}
+                while True:
+                    tok = self.take("ident")
+                    if tok.text in bindings:
+                        raise DuplicateBinding(tok.text, tok.pos)
+                    self.scope[tok.text] = self.scope.get(tok.text, 0) + 1
+                    self.take("eq")
+                    bindings[tok.text] = self.term()
+                    if self.tokens[self.pos].kind != "semi":
+                        break
+                    self.pos += 1
+                self.take("in")
+                self.pending.pop()
+                unbound = [tok for tok in pending if tok.text not in bindings]
+                if self.pending:
+                    self.pending[-1].extend(unbound)
+                elif unbound:
+                    raise UnboundVariable(unbound[0].text, unbound[0].pos)
+                arg = Letrec(tuple(bindings.items()), self.term())
+                for name in bindings:
+                    self.scope[name] -= 1
             elif result is None:
                 raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
             else:
                 return result
             result = arg if result is None else App(result, arg)
-
-    def letrec(self) -> Term:
-        # Binding bodies may use any of the group's names, also those read
-        # later, so an unbound name waits on the group's pending list until
-        # 'in'; what the group does not bind passes to the enclosing group.
-        self.take("letrec")
-        pending: list[_Token] = []
-        self.pending.append(pending)
-        bindings: dict[str, Term] = {}
-        while True:
-            tok = self.take("ident")
-            name = tok.text
-            if name in bindings:
-                raise DuplicateBinding(name, tok.pos)
-            self.scope[name] = self.scope.get(name, 0) + 1
-            self.take("eq")
-            bindings[name] = self.term()
-            if self.tokens[self.pos].kind != "semi":
-                break
-            self.pos += 1
-        self.take("in")
-        self.pending.pop()
-        unbound = [tok for tok in pending if tok.text not in bindings]
-        if self.pending:
-            self.pending[-1].extend(unbound)
-        elif unbound:
-            raise UnboundVariable(unbound[0].text, unbound[0].pos)
-        body = self.term()
-        for name in bindings:
-            self.scope[name] -= 1
-        return Letrec(tuple(bindings.items()), body)
 
 
 def parse_term(text: str) -> Term:

@@ -18,26 +18,24 @@ Parsing a serialized document reproduces it exactly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import GraphError, Label, SignatureVariant, TermGraph, build
 from .scoped import normalize_prefix_fn, normalize_scope_fn
 
-_LABEL_TOKENS = {"@": Label.APP, "lam": Label.ABS, "0": Label.VAR, "S": Label.DEL}
-_TOKEN_OF = {v: k for k, v in _LABEL_TOKENS.items()}
+# A label's token is its ``str``.
+_LABELS = {str(label): label for label in Label}
 
 # Words that open directive lines cannot name vertices, and names must
-# survive whitespace tokenization.
+# survive whitespace tokenization (``\s`` is ``str.isspace``), comments
+# and scope braces.
 RESERVED_NAMES = frozenset({"sig", "root", "prefix", "scope"})
+_NAME = re.compile(r"[^\s#{}]+")
 
 
 def _writable(name: str) -> bool:
-    return (
-        name not in RESERVED_NAMES
-        and not any(c.isspace() for c in name)
-        and not set(name) & {"#", "{", "}"}
-        and bool(name)
-    )
+    return name not in RESERVED_NAMES and _NAME.fullmatch(name) is not None
 
 
 class FormatError(GraphError):
@@ -99,11 +97,11 @@ def parse_graph(text: str) -> GraphDocument:
             if len(fields) < 2:
                 raise FormatError(line_no, "expected 'name label successors...'")
             name, label_token, *successors = fields
-            if label_token not in _LABEL_TOKENS:
+            if label_token not in _LABELS:
                 raise FormatError(line_no, f"unknown label {label_token!r}")
             if name in labels:
                 raise FormatError(line_no, f"duplicate vertex {name!r}")
-            labels[name] = _LABEL_TOKENS[label_token]
+            labels[name] = _LABELS[label_token]
             succ[name] = successors
             declared_at[name] = line_no
 
@@ -161,7 +159,7 @@ def serialize_graph(doc: GraphDocument | TermGraph) -> str:
     lines.append(f"sig {v.var_arity}" + (f" {v.del_arity}" if v.del_arity else ""))
     lines.append(f"root {g.names[g.root]}")
     for u in g.vertices():
-        fields = [g.names[u], _TOKEN_OF[g.labels[u]]]
+        fields = [g.names[u], str(g.labels[u])]
         fields.extend(g.names[w] for w in g.args[u])
         lines.append(" ".join(fields))
     if doc.prefixes is not None:

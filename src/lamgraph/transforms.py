@@ -77,7 +77,7 @@ def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
     push on abstraction edges.  Never negative for valid inputs.
     """
     g = a.graph
-    w = g.resolve(w)
+    w = g._vertex(w)
     w_succ = g.args[w][k]
     if g.labels[w] is Label.APP:
         return len(a.prefixes[w]) - len(a.prefixes[w_succ])

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Label, SignatureVariant, _reachable_keys
+from .core import DomainMismatch, Label, SignatureVariant, _reachable_keys
 from .delimited import DelimitedGraph, _Builder, _non_eager_reason, _non_eager_vertex
 from .terms import Abs, App, DuplicateBinding, Letrec, Term, UnboundVariable, Var
 
@@ -226,27 +226,30 @@ class _Translator:
             cur = s
         return cur
 
-    def attach(self, node: _RNode, word: _Word) -> int:
+    def attach(self, node: _RNode, word: _Word, v: int | None = None) -> int:
         """Translate ``node`` below an edge whose source carries ``word``:
         its vertex or letrec entry, then the delimiter chain for the
-        prefix drop.  Returns the top of the chain."""
-        target = self.pop(word, node.fv)
-        # A letrec has its body's free binders, so its body keeps the word.
-        while isinstance(node, _RLetrec):
-            fills = []
-            for ident, name, term in node.bindings:
-                if ident in self.live and not isinstance(term, _RRef):
-                    entry_word = self.pop(target, term.fv)
-                    v = self.b.alloc(name, term.label)
-                    self.entry[ident] = (v, entry_word)
-                    fills.append((term, v, entry_word))
-            for term, v, entry_word in fills:
-                self.fill(term, v, entry_word)
-            node = node.body
-        if isinstance(node, _RRef):
-            v, entry_word = self.resolve_entry(node.binding)
-            assert target == entry_word
-        else:
+        prefix drop.  Returns the top of the chain.  A letrec binding's
+        term comes with ``v``, its entry vertex, allocated under ``word``;
+        it drops nothing, so it gets no chain."""
+        if v is None:
+            target = self.pop(word, node.fv)
+            # A letrec has its body's free binders, so its body keeps the word.
+            while isinstance(node, _RLetrec):
+                fills = []
+                for ident, name, term in node.bindings:
+                    if ident in self.live and not isinstance(term, _RRef):
+                        entry_word = self.pop(target, term.fv)
+                        entry = self.b.alloc(name, term.label)
+                        self.entry[ident] = (entry, entry_word)
+                        fills.append((term, entry_word, entry))
+                for fill in fills:
+                    self.attach(*fill)
+                node = node.body
+            if isinstance(node, _RRef):
+                v, entry_word = self.resolve_entry(node.binding)
+                assert target == entry_word
+                return self.chain(word, target, v)
             if isinstance(node, _RApp):
                 base = "a"
             elif isinstance(node, _RVar):
@@ -254,21 +257,19 @@ class _Translator:
             else:
                 base = node.name
             v = self.b.alloc(base, node.label)
-            self.fill(node, v, target)
-        return self.chain(word, target, v)
-
-    def fill(self, term: _RNode, v: int, word: _Word) -> None:
-        """Translate the successors of ``term``'s vertex ``v``."""
-        if isinstance(term, _RAbs):
-            self.binder[v] = term.binder
-            self.b.succ[v] = [self.attach(term.body, word + (v,))]
-        elif isinstance(term, _RApp):
-            self.b.succ[v] = [self.attach(term.fun, word), self.attach(term.arg, word)]
-        elif isinstance(term, _RVar):
-            assert word and self.binder[word[-1]] == term.binder
-            self.b.succ[v] = [word[-1]]
         else:
-            raise TypeError(term)
+            target = word
+        if isinstance(node, _RAbs):
+            self.binder[v] = node.binder
+            self.b.succ[v] = [self.attach(node.body, target + (v,))]
+        elif isinstance(node, _RApp):
+            self.b.succ[v] = [self.attach(node.fun, target), self.attach(node.arg, target)]
+        elif isinstance(node, _RVar):
+            assert target and self.binder[target[-1]] == node.binder
+            self.b.succ[v] = [target[-1]]
+        else:
+            raise TypeError(node)
+        return self.chain(word, target, v)
 
     def resolve_entry(self, binding: int) -> tuple[int, _Word]:
         """The entry of ``binding``, found through its chain of bare-name
@@ -292,11 +293,12 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    The translator emits the graph on ids, and three passes check it
-    once: reachability names any orphan vertex, prefix inference, in
-    O(n + m + sum of |prefix(w)|), fails if no correct prefix function
-    exists, and the eager-scope check, in O(n + m) given the words,
-    names a vertex that is not eager.
+    The translator emits the graph on ids, and two passes check it once:
+    prefix inference, in O(n + m + sum of |prefix(w)|), fails if no
+    correct prefix function exists, and the eager-scope check, in
+    O(n + m) given the words, names a vertex that is not eager.  Only
+    when inference finds a vertex the root misses does a reachability
+    pass run, to name the orphans.
 
     On a (1,2) graph with a correct prefix function the eager-scope
     check also implies full back-linking.  Take w with prefix W and
@@ -309,12 +311,13 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     rnode = resolver.resolve(t, {})
     tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
     root = tr.attach(rnode, ())
-    reached = _reachable_keys(root, tr.b.succ)
-    if len(reached) < len(tr.b.names):
-        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
-        raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}")
     try:
         result = tr.b.finish(root, SignatureVariant(1, 2))
+    except DomainMismatch:
+        # Inference found no word for some vertex: the root misses it.
+        reached = _reachable_keys(root, tr.b.succ)
+        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
+        raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}") from None
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
     w = _non_eager_vertex(result)

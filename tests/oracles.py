@@ -13,8 +13,9 @@ resolver but finds free variables and live bindings with the walks
 that one worklist analysis replaced, and emits, infers and checks on
 its own, prefix inference followed by a full validation pass, the
 eager and back-link checks with one search per word through every
-deeper region, the per-character term tokenizer, and the term parser
-that scans each letrec binding body before parsing it.
+deeper region, the per-character term tokenizer and vertex-name test,
+and the term parser that scans each letrec binding body before parsing
+it.
 """
 
 from __future__ import annotations
@@ -973,6 +974,16 @@ def per_character_tokenize(text: str) -> list[_Token]:
             i = m.end()
     tokens.append(_Token("eof", "", n))
     return tokens
+
+
+def per_character_writable(name: str) -> bool:
+    """The document format's vertex-name test, one character at a time."""
+    return (
+        name not in RESERVED_NAMES
+        and not any(map(str.isspace, name))
+        and not any(map(name.__contains__, "#{}"))
+        and bool(name)
+    )
 
 
 class _TwoPassParser:

@@ -91,6 +91,20 @@ def test_validate_variant_check(tmp_path, capsys):
     assert code == 1 and "variant" in err
 
 
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        ("1,2,3", "bad variant '1,2,3'"),
+        ("x", "bad variant 'x': invalid literal for int() with base 10: 'x'"),
+        ("1,3", "bad variant '1,3': del_arity must be None, 1 or 2, got 3"),
+    ],
+)
+def test_validate_refuses_a_bad_variant(tmp_path, capsys, variant, message):
+    path = write(tmp_path, "g.tg", EAGER_NESTED)
+    code, out, err = run(capsys, "validate", "--class", "tg", "--variant", variant, path)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_validate_stdin(tmp_path, capsys, monkeypatch):
     import io
     import sys
@@ -310,8 +324,8 @@ def test_deep_input_gives_no_traceback(tmp_path):
 
 
 def test_maxshare_takes_a_450_application_spine(tmp_path):
-    # The translator takes two Python frames per term level, so this
-    # spine fits under the default recursion limit.
+    # The parser and the translator take one Python frame per term level,
+    # so this spine fits well under the default recursion limit.
     path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
     proc = _maxshare_subprocess(path)
     assert proc.returncode == 0, proc.stderr
@@ -320,14 +334,15 @@ def test_maxshare_takes_a_450_application_spine(tmp_path):
 
 
 # Depth floors a little below the limits `lamgraph maxshare` takes at
-# Python's default recursion limit (measured on CPython 3.11: 493, 493,
-# 493 and 247), so that no change lowers a limit unnoticed.
+# Python's default recursion limit (measured on CPython 3.11 with
+# tests/depth_limits.py: 988, 987, 987 and 494), so that no change lowers
+# a limit unnoticed.
 DEPTH_FLOORS = {
-    "spine": ("\\q. " + " ".join(["q"] * 481), 482),
-    "right_nest": ("\\x. " + "x (" * 480 + "x" + ")" * 480, 482),
-    "letrecs_in_body_position": ("letrec a = \\x. x in " * 480 + "a", 2),
+    "spine": ("\\q. " + " ".join(["q"] * 976), 977),
+    "right_nest": ("\\x. " + "x (" * 975 + "x" + ")" * 975, 977),
+    "letrecs_in_body_position": ("letrec a = \\x. x in " * 975 + "a", 2),
     "tower": (
-        "".join(f"\\x{i}. " for i in range(240)) + " ".join(f"x{i}" for i in range(240)),
+        "".join(f"\\x{i}. " for i in range(485)) + " ".join(f"x{i}" for i in range(485)),
         None,
     ),
 }

@@ -13,12 +13,15 @@ from lamgraph import (
     ForbiddenLabel,
     IndexOutOfRange,
     Label,
+    PrefixedGraph,
     SignatureVariant,
     UnreachableVertex,
     access_path,
     build,
     build_pruned,
     isomorphic,
+    num_delimiters,
+    parse_graph,
     successor,
 )
 
@@ -86,6 +89,21 @@ def test_access_path_examples(g0_plain, single_lambda_cycle):
     assert root_path.vertices == (g0_plain.root,) and root_path.indices == ()
     cycle_path = access_path(single_lambda_cycle, "a")
     assert len(cycle_path) == 0
+
+
+@pytest.mark.parametrize("bad", [2, 5, -1])
+def test_an_id_that_is_no_vertex_is_refused(bad):
+    # Ids 0 and 1.  A negative id must not wrap round to the last vertex.
+    doc = parse_graph("sig 0\nroot r\nr lam c\nc 0\nprefix c = r\n")
+    a = PrefixedGraph.checked(doc.graph, doc.prefixes)
+    for call in (
+        lambda: access_path(doc.graph, bad),
+        lambda: successor(doc.graph, bad, 0),
+        lambda: num_delimiters(a, bad, 0),
+    ):
+        with pytest.raises(KeyError) as info:
+            call()
+        assert info.value.args == (bad,)
 
 
 def test_access_path_always_valid_and_simple():

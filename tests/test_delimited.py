@@ -31,6 +31,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
     validate_prefix_fo,
+    validate_prefix_ho,
 )
 from lamgraph.delimited import _non_eager_vertex
 
@@ -501,6 +502,22 @@ def test_infer_prefix_on_an_unreachable_vertex_is_a_domain_error():
         infer_prefix(g)
 
 
+def test_infer_prefix_refuses_a_negative_successor_id():
+    from lamgraph import DomainMismatch, TermGraph
+
+    # Built directly: the -1 would index vertex c, but c itself has no word.
+    for variant, c_args in ((SignatureVariant(0, 1), ()), (SignatureVariant(1, 2), (0,))):
+        g = TermGraph(
+            variant=variant,
+            labels=(Label.ABS, Label.VAR),
+            args=((-1,), c_args),
+            root=0,
+            names=("a", "c"),
+        )
+        with pytest.raises(DomainMismatch, match="total"):
+            infer_prefix(g)
+
+
 def _same_inference(g, seed=None):
     """infer_prefix and the revalidating oracle agree in the library's
     order, key order included; with a seed, the oracle in that shuffled
@@ -569,3 +586,24 @@ def test_builder_mints_the_smallest_free_suffix():
                 name = f"{base}.{n}"
             taken.add(name)
             assert b.fresh_name(base) == name
+
+
+# A word that lists an abstraction twice, under both prefix validators.
+@pytest.mark.parametrize(
+    "validator, text, expected",
+    [
+        (
+            validate_prefix_ho,
+            "sig 0\nroot r\nr lam c\nc 0\n",
+            "fail: repeated-entry at c; lambda at r, c",
+        ),
+        (
+            validate_prefix_fo,
+            "sig 0 1\nroot r\nr lam c\nc 0\n",
+            "fail: repeated-entry at c; lambda at r, c",
+        ),
+    ],
+)
+def test_a_repeated_prefix_entry_is_reported(validator, text, expected):
+    g = parse_graph(text).graph
+    assert validator(g, {"r": (), "c": ("r", "r")}).describe(g) == expected

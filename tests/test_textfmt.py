@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,7 @@ from conftest import (
     RUNNING_CARRIER,
 )
 from generators import random_term
-from oracles import name_keyed_term_to_graph
+from oracles import name_keyed_term_to_graph, per_character_writable
 
 from lamgraph import (
     FormatError,
@@ -19,6 +20,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
+from lamgraph.textfmt import RESERVED_NAMES, _writable
 
 
 CANONICAL_DOCS = [
@@ -94,6 +96,22 @@ def test_reserved_vertex_names_rejected_on_write():
         serialize_graph(g)
 
 
+def test_writable_names_match_the_per_character_test():
+    # Every single code point, then names of up to six characters drawn
+    # from the ones the test treats specially, some of them whitespace
+    # only to str.isspace (U+001C, U+0085, U+2028, U+3000).
+    singles = map(chr, range(sys.maxunicode + 1))
+    differ = [c for c in singles if _writable(c) != per_character_writable(c)]
+    assert differ == []
+    rng = random.Random(15)
+    alphabet = ["a", "Z", "0", ".", "!", "é", " ", "\t", "\n", "\x1c", "\x85", "\xa0",
+                "\u2028", "\u3000", "#", "{", "}", "sig", "root", "scope", "prefix"]
+    names = ["", *RESERVED_NAMES, "sig.2", "roots", "a b", "a#b", "{a}", "a\u3000"]
+    names += ["".join(rng.choices(alphabet, k=rng.randrange(7))) for _ in range(5000)]
+    assert [x for x in names if _writable(x) != per_character_writable(x)] == []
+    assert _writable("x!.2") and not _writable("a\u2028b") and not _writable("")
+
+
 def test_reserved_binder_names_translate_and_round_trip():
     from lamgraph import parse_term
 
@@ -157,3 +175,28 @@ def test_scope_line_validation():
     # Scope on a non-abstraction vertex: domain mismatch.
     with pytest.raises(FormatError):
         parse_graph("sig 0\nroot r\nr lam c\nc 0\nscope c = { c }\n")
+
+
+# Each refusal of a malformed line, with the line it names (the root
+# and header checks run after the last line, so they name line 1).
+@pytest.mark.parametrize(
+    "text, line_no, message",
+    [
+        ("sig 0 x\nroot a\na lam a\n", 1, "expected 'sig i' or 'sig i j'"),
+        ("sig 0\nroot a\nroot a\na lam a\n", 3, "duplicate root line"),
+        ("sig 0\nroot a b\na lam a\n", 2, "expected 'root name'"),
+        ("sig 0\nroot a\na lam a\nprefix a a\n", 4, "expected 'prefix v = entries...'"),
+        ("sig 0\nroot a\na lam a\nscope a = a\n", 4, "expected 'scope v = { members... }'"),
+        ("sig 0\nroot a\na lam a\nb\n", 4, "expected 'name label successors...'"),
+        ("sig 0\nroot b\na lam a\n", 1, "root 'b' is not declared"),
+        (
+            "sig 0\nroot a\na lam a\nscope a = { a }\nscope a = { a }\n",
+            5,
+            "duplicate scope line for 'a'",
+        ),
+    ],
+)
+def test_malformed_lines_are_refused_at_their_line(text, line_no, message):
+    with pytest.raises(FormatError) as info:
+        parse_graph(text)
+    assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
