@@ -13,11 +13,10 @@ another's stack or caches.  The families, by size n:
 - ``tower``: n nested abstractions whose variables all occur in the
   innermost body, ``\\x0. ... \\x{n-1}. x0 ... x{n-1}``.
 
-A search stops at the family's cap, the depth ROADMAP item 1 asks for
-(the tower's is smaller, as its words grow quadratically); a family that
-passes its cap prints ``>=`` the cap.  Any refusal other than
-``error: input nested too deeply`` stops the run.  Prints one line per
-family.
+A search stops at the family's cap, 10^4 levels (2000 for the tower,
+whose words grow quadratically); a family that passes its cap prints
+``>=`` the cap.  Any refusal other than ``error: input nested too
+deeply`` stops the run.  Prints one line per family.
 """
 
 from __future__ import annotations
