@@ -198,6 +198,8 @@ def cmd_maxshare(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if args.file1 == args.file2 == "-":
+        raise CliError("stdin can be read only once: give at most one term as -")
     g1 = term_to_graph(_load_term(args.file1))
     g2 = term_to_graph(_load_term(args.file2))
     if are_bisimilar(g1.graph, g2.graph):

@@ -10,6 +10,11 @@ after each split refine only by the smaller half.  Block ids are then
 numbered once by first visit in a depth-first walk from the root that
 takes the lowest edge index first, so the quotient's vertex numbering is
 deterministic.
+
+``are_bisimilar`` needs no partition: it decides whether two roots are
+bisimilar by Hopcroft and Karp's union-find on vertex pairs (1971),
+growing an equivalence from the root pair and stopping at the first
+pair whose labels differ.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ class Partition:
 
 def coarsest_partition(g: TermGraph) -> Partition:
     """Coarsest partition compatible with labels and indexed successors."""
-    block = _renumber(g, _refine(g.labels, g.args))
+    block = _renumber(g, _refine(g))
     return Partition(
         block=tuple(block),
         block_count=max(block) + 1,
@@ -86,7 +91,7 @@ def coarsest_partition(g: TermGraph) -> Partition:
     )
 
 
-def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> list[int]:
+def _refine(g: TermGraph) -> list[int]:
     """Coarsest stable partition as vertex -> block id, ids arbitrary.
 
     Hopcroft refinement: a splitter (b, k) separates, inside every
@@ -99,15 +104,15 @@ def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> list[int]
     already spent.
     """
     classes: dict[Label, set[int]] = {}
-    for v, lab in enumerate(labels):
+    for v, lab in enumerate(g.labels):
         classes.setdefault(lab, set()).add(v)
     members = list(classes.values())
-    block = [0] * len(labels)
+    block = [0] * g.vertex_count
     for b, vs in enumerate(members):
         for v in vs:
             block[v] = b
-    preds: tuple[list[list[int]], ...] = ([[] for _ in labels], [[] for _ in labels])
-    for v, out in enumerate(args):
+    preds: tuple[list[list[int]], ...] = ([[] for _ in g.labels], [[] for _ in g.labels])
+    for v, out in enumerate(g.args):
         for k, w in enumerate(out):
             preds[k][w].append(v)
     pending = [[True] * len(members), [True] * len(members)]
@@ -179,13 +184,48 @@ def collapse(g: TermGraph) -> tuple[TermGraph, VertexMap]:
 
 
 def are_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
-    """Bisimilarity: do the roots share a block of the disjoint union?"""
+    """Bisimilarity of the roots, by Hopcroft and Karp's union-find.
+
+    One union-find runs over the ids of both graphs, g2's offset by the
+    vertex count of g1, with path halving.  A worklist of vertex pairs
+    starts at the root pair.  A popped pair whose ids already share a
+    class is skipped; a pair whose own labels differ answers ``False``;
+    otherwise the two classes are joined and the pair's successors are
+    pushed index by index.  Labels and successors are read from the
+    pair itself, never from the class representatives; equal labels
+    within one variant mean equal arities.
+
+    Soundness: every joined pair has equal labels, and each of its
+    successor pairs is pushed and so lies in the equivalence by the time
+    the worklist empties.  The joined pairs thus form a bisimulation up
+    to equivalence, whose equivalence closure is a bisimulation holding
+    the root pair.  Completeness: any bisimulation holding the root pair
+    holds every pair ever pushed, so a pair with different labels
+    refutes it.  At most n1 + n2 - 1 joins succeed, each pushing at most
+    two pairs, so the check is near-linear and stops at the first
+    mismatch.
+    """
     if g1.variant != g2.variant:
         raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
-    n = g1.vertex_count
-    shifted = tuple(tuple(n + w for w in out) for out in g2.args)
-    block = _refine(g1.labels + g2.labels, g1.args + shifted)
-    return block[g1.root] == block[n + g2.root]
+    offset = g1.vertex_count
+    parent = list(range(offset + g2.vertex_count))
+    labels1, args1, labels2, args2 = g1.labels, g1.args, g2.labels, g2.args
+    work = [(g1.root, g2.root)]
+    while work:
+        u, v = work.pop()
+        x = u
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        y = v + offset
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if labels1[u] is not labels2[v]:
+            return False
+        parent[x] = y
+        work.extend(zip(args1[u], args2[v]))
+    return True
 
 
 def is_label_restricted(h: VertexMap, g1: TermGraph, label: Label) -> bool:

@@ -7,15 +7,15 @@ filters its candidates through the library's ``validate_scope`` and
 checks that validator against ``per_pair_validate_scope`` on every one.
 
 The replaced fast paths live on here as well, as references for the
-ones that took their place: the name-keyed delimiter insertion and
-erasure, the name-keyed translator, which reuses the library's
-resolver but finds free variables and live bindings with the walks
-that one worklist analysis replaced, and emits, infers and checks on
-its own, prefix inference followed by a full validation pass, the
-eager and back-link checks with one search per word through every
-deeper region, the per-character term tokenizer and vertex-name test,
-and the term parser that scans each letrec binding body before parsing
-it.
+ones that took their place: bisimilarity by refining the disjoint
+union, the name-keyed delimiter insertion and erasure, the name-keyed
+translator, which reuses the library's resolver but finds free
+variables and live bindings with the walks that one worklist analysis
+replaced, and emits, infers and checks on its own, prefix inference
+followed by a full validation pass, the eager and back-link checks with
+one search per word through every deeper region, the per-character
+term tokenizer and vertex-name test, and the term parser that scans
+each letrec binding body before parsing it.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from lamgraph import (
 )
 from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
 from lamgraph.scoped import PrefixFn, ScopeFn, normalize_scope_fn
+from lamgraph.sharing import _refine
 from lamgraph.terms import (
     Abs,
     App,
@@ -331,6 +332,21 @@ def relational_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
                 rel.discard((u, v))
                 changed = True
     return (g1.root, g2.root) in rel
+
+
+def refinement_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
+    """Bisimilarity by refining the disjoint union: do the roots share a
+    block of its coarsest stable partition?  g2's ids are offset by the
+    vertex count of g1."""
+    if g1.variant != g2.variant:
+        raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
+    n = g1.vertex_count
+    shifted = tuple(tuple(n + w for w in out) for out in g2.args)
+    union = TermGraph(
+        g1.variant, g1.labels + g2.labels, g1.args + shifted, g1.root, g1.names + g2.names
+    )
+    block = _refine(union)
+    return block[g1.root] == block[n + g2.root]
 
 
 def lex_min_simple_path(g: TermGraph, v: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

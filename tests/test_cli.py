@@ -1,5 +1,9 @@
+import collections
+import contextlib
+import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from conftest import EAGER_NESTED, RUNNING_TERM, RUNNING_CARRIER
+from test_cli_golden import ENTRIES, _doc_argvs, entry
 
 import lamgraph
 from lamgraph import isomorphic, parse_graph
@@ -206,6 +211,19 @@ def test_equiv_unrolled_letrec(tmp_path, capsys):
     assert code == 1
 
 
+def test_equiv_reads_stdin_once(tmp_path, capsys, monkeypatch):
+    stdin = io.StringIO(RUNNING_TERM)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "equiv", "-", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: stdin can be read only once: give at most one term as -\n"
+    assert stdin.read() == RUNNING_TERM
+    path = write(tmp_path, "a.lam", RUNNING_TERM)
+    for argv in (["-", path], [path, "-"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(RUNNING_TERM))
+        assert run(capsys, "equiv", *argv) == (0, "equivalent\n", "")
+
+
 def test_render_dot(tmp_path, capsys):
     path = write(tmp_path, "g.tg", RUNNING_CARRIER)
     code, out, _ = run(capsys, "render", "--dot", path)
@@ -384,3 +402,71 @@ def test_readme_session_matches_the_cli(tmp_path, capsys, monkeypatch):
         assert (code, out, err) == (0, "".join(f"{x}\n" for x in expected), "")
         replayed.append(argv[1])
     assert replayed == ["maxshare", "equiv"]
+
+
+# Seeded CLI fuzz: mutated documents and terms from the golden corpus go
+# through every document command and through equiv.  Whatever the input,
+# the exit code is 0, 1 or 2 and no exception escapes ``main``.
+FUZZ_DOCS = 1000
+FUZZ_TERMS = 200
+_DOC_SNIPPETS = [" ", "\n", "{", "}", "#", "=", "-1", "9", "é", "sig", "root", "scope",
+                 "prefix", "lam", "@", "0", "S", "1", "2", "none"]
+_TERM_SNIPPETS = [" ", "\\", ".", "(", ")", "=", ";", "letrec", "in", "x", "f", "é"]
+
+
+def _mutate(text: str, snippets: list[str], rng) -> str:
+    for _ in range(rng.randint(1, 3)):
+        lines = text.split("\n")
+        op = rng.randrange(6)
+        i = rng.randrange(len(text) + 1)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(snippets + text.split()) + text[i:]
+        elif op == 2 and text.split():
+            old = rng.choice(text.split())
+            text = text.replace(old, rng.choice(snippets + text.split()), 1)
+        else:
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            if op == 3:
+                del lines[j]
+            elif op == 4:
+                lines.insert(j, lines[k])
+            else:
+                lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+def test_cli_fuzz_exits_0_1_or_2(tmp_path):
+    docs, terms = [], []
+    for name in ENTRIES[::3]:
+        for file, text in entry(name)[0].items():
+            (terms if file.endswith(".lam") else docs).append(text)
+    rng = random.Random(1602)
+    calls = [
+        (rng.choice(_doc_argvs("g.tg")), {"g.tg": _mutate(rng.choice(docs), _DOC_SNIPPETS, rng)})
+        for _ in range(FUZZ_DOCS)
+    ]
+    for _ in range(FUZZ_TERMS):
+        t, u = rng.choice(terms), rng.choice(terms)
+        files = {"t.lam": _mutate(t, _TERM_SNIPPETS, rng), "u.lam": rng.choice([t, u])}
+        calls.append((["equiv", "t.lam", "u.lam"], files))
+    codes = collections.Counter()
+    sink = io.StringIO()
+    for argv, files in calls:
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        for file, text in files.items():
+            (tmp_path / file).write_text(text)
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+        except BaseException as exc:
+            pytest.fail(f"lamgraph {' '.join(argv)} raised {exc!r} on {files!r}")
+        assert code in (0, 1, 2), (argv, files)
+        codes[argv[0], code] += 1
+        sink.seek(0)
+        sink.truncate()
+    # The mutations reach past the parsers, and both verdicts of equiv.
+    for command in ("validate", "translate", "equiv"):
+        assert codes[command, 0] and codes[command, 1] and codes[command, 2], codes

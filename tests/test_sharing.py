@@ -1,18 +1,21 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_quotient, random_term
+from generators import ALL_VARIANTS, graphs, random_graph, random_quotient, random_term
 from test_scoped import _random_scopes, _ring_doc, _tower_doc
+from test_translate import _alpha_rename
 from oracles import (
     all_homomorphisms,
     all_scope_functions,
     brute_coarsest_partition,
     name_keyed_term_to_graph,
     per_vertex_eager_at,
+    refinement_bisimilar,
     relational_bisimilar,
     signature_refinement_partition,
 )
@@ -28,6 +31,7 @@ from lamgraph import (
     VariantMismatch,
     are_bisimilar,
     build,
+    build_pruned,
     coarsest_partition,
     collapse,
     find_homomorphism,
@@ -237,6 +241,69 @@ def test_partition_and_bisimilarity_match_oracles_hypothesis(data):
     assert are_bisimilar(g1, g2) == relational_bisimilar(g1, g2)
 
 
+def _perturbed(g, rng: random.Random):
+    """g with one label or one successor changed, unreachable vertices
+    pruned; None where the drawn vertex admits neither change."""
+    labels = {g.names[v]: g.labels[v] for v in g.vertices()}
+    succ = {g.names[v]: [g.names[w] for w in g.args[v]] for v in g.vertices()}
+    v = rng.choice(g.names)
+    others = [
+        lab
+        for lab in Label
+        if lab is not labels[v]
+        and g.variant.allows(lab)
+        and g.variant.arity(lab) == len(succ[v])
+    ]
+    if succ[v] and (not others or rng.random() < 0.5):
+        succ[v][rng.randrange(len(succ[v]))] = rng.choice(g.names)
+    elif others:
+        labels[v] = rng.choice(others)
+    else:
+        return None
+    return build_pruned(g.variant, labels, succ, g.names[g.root])[0]
+
+
+def _seeded_bisimilarity_pairs(rng: random.Random):
+    """Translations against alpha-renamed copies, their random quotients
+    and one-change perturbations of those; then ``random_graph`` draws
+    over the four delimited variants, against each other, their
+    quotients and perturbations."""
+    for _ in range(120):
+        term = random_term(rng, depth=rng.randint(1, 5))
+        g = term_to_graph(term).graph
+        yield "translation", g, term_to_graph(_alpha_rename(term, "_r")).graph
+        q, _ = random_quotient(g, rng)
+        yield "translation", g, q
+        p = _perturbed(q, rng)
+        if p is not None:
+            yield "translation", g, p
+    delimited = [v for v in ALL_VARIANTS if v.del_arity is not None]
+    for variant in delimited * 60:
+        g1 = g2 = None
+        while g1 is None or g1.variant != variant:
+            g1 = random_graph(rng, max_vertices=8)
+        while g2 is None or g2.variant != variant:
+            g2 = random_graph(rng, max_vertices=8)
+        yield variant, g1, g2
+        q, _ = random_quotient(g1, rng)
+        yield variant, g1, q
+        p = _perturbed(q, rng)
+        if p is not None:
+            yield variant, g1, p
+
+
+def test_are_bisimilar_matches_both_oracles_on_seeded_pairs():
+    verdicts = Counter()
+    for kind, g1, g2 in _seeded_bisimilarity_pairs(random.Random(1601)):
+        same = are_bisimilar(g1, g2)
+        assert same == refinement_bisimilar(g1, g2) == relational_bisimilar(g1, g2)
+        verdicts[kind, same] += 1
+    # Each source, and each delimited variant, yields both verdicts.
+    kinds = ["translation"] + [v for v in ALL_VARIANTS if v.del_arity is not None]
+    for kind in kinds:
+        assert verdicts[kind, True] >= 20 and verdicts[kind, False] >= 10, kind
+
+
 DEEP = 10**4
 
 
@@ -261,6 +328,53 @@ def test_collapse_deep_spine_in_closed_form():
     assert len(quotient.vertices_labeled(Label.VAR)) == 1
     assert len(quotient.vertices_labeled(Label.APP)) == n - 1
     assert find_homomorphism(g, quotient) == mapping
+
+
+def _binder_spine(n: int, head: str, p: str = "", reverse: bool = False):
+    # \x. \y. H y ... y x with n applications over (1,2), eager and
+    # built directly: every x below the scope of y sits under a
+    # delimiter closing y.  The head H, the deepest occurrence, is x or
+    # y; ``p`` prefixes the vertex names and ``reverse`` the ids.
+    labels = {f"{p}x": Label.ABS, f"{p}y": Label.ABS}
+    succ = {f"{p}x": [f"{p}y"], f"{p}y": [f"{p}a{n}"]}
+    for i in range(1, n + 1):
+        labels[f"{p}a{i}"] = Label.APP
+        succ[f"{p}a{i}"] = [f"{p}a{i - 1}" if i > 1 else f"{p}h", f"{p}v{i}"]
+    for i in range(1, n):
+        labels[f"{p}v{i}"] = Label.VAR
+        succ[f"{p}v{i}"] = [f"{p}y"]
+    labels[f"{p}v{n}"] = Label.DEL
+    succ[f"{p}v{n}"] = [f"{p}t", f"{p}y"]
+    labels[f"{p}t"] = Label.VAR
+    succ[f"{p}t"] = [f"{p}x"]
+    if head == "x":
+        labels[f"{p}h"] = Label.DEL
+        succ[f"{p}h"] = [f"{p}hx", f"{p}y"]
+        labels[f"{p}hx"] = Label.VAR
+        succ[f"{p}hx"] = [f"{p}x"]
+    else:
+        labels[f"{p}h"] = Label.VAR
+        succ[f"{p}h"] = [f"{p}y"]
+    if reverse:
+        labels = dict(reversed(labels.items()))
+    return build(SignatureVariant(1, 2), labels, succ, f"{p}x")
+
+
+def test_are_bisimilar_on_a_10k_application_spine():
+    for head in "xy":
+        text = rf"\x. \y. {head} y y x"
+        g = term_to_graph(parse_term(text)).graph
+        assert isomorphic(_binder_spine(3, head), g) is not None, text
+    # The rebound head differs from the original only at the bottom of
+    # the spine, so the "no" is found after every application is paired.
+    g = _binder_spine(DEEP, "x")
+    for other, expected in (
+        (_binder_spine(DEEP, "x", p="r", reverse=True), True),
+        (_binder_spine(DEEP, "y", p="r", reverse=True), False),
+    ):
+        start = time.perf_counter()
+        assert are_bisimilar(g, other) is expected
+        assert time.perf_counter() - start < 1
 
 
 def _delimited_cycle(n: int, period: int):
