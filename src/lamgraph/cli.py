@@ -2,10 +2,10 @@
 
 Subcommands: validate, translate, collapse, maxshare, equiv, render.
 Files are graph documents or term files depending on the subcommand;
-``-`` reads stdin.  Exit codes: 0 success or equivalent, 1 invalid or
-not equivalent, 2 usage or parse errors, including input nested deeper
-than the recursive parser and translator take at Python's recursion
-limit (see the README).
+``-`` reads stdin, at most once per run.  Exit codes: 0 success or
+equivalent, 1 invalid or not equivalent, 2 usage or parse errors,
+including input nested deeper than the recursive parser and translator
+take at Python's recursion limit (see the README).
 """
 
 from __future__ import annotations

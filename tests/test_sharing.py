@@ -263,6 +263,9 @@ def _perturbed(g, rng: random.Random):
     return build_pruned(g.variant, labels, succ, g.names[g.root])[0]
 
 
+DELIMITED_VARIANTS = [v for v in ALL_VARIANTS if v.del_arity is not None]
+
+
 def _seeded_bisimilarity_pairs(rng: random.Random):
     """Translations against alpha-renamed copies, their random quotients
     and one-change perturbations of those; then ``random_graph`` draws
@@ -277,8 +280,7 @@ def _seeded_bisimilarity_pairs(rng: random.Random):
         p = _perturbed(q, rng)
         if p is not None:
             yield "translation", g, p
-    delimited = [v for v in ALL_VARIANTS if v.del_arity is not None]
-    for variant in delimited * 60:
+    for variant in DELIMITED_VARIANTS * 60:
         g1 = g2 = None
         while g1 is None or g1.variant != variant:
             g1 = random_graph(rng, max_vertices=8)
@@ -299,8 +301,7 @@ def test_are_bisimilar_matches_both_oracles_on_seeded_pairs():
         assert same == refinement_bisimilar(g1, g2) == relational_bisimilar(g1, g2)
         verdicts[kind, same] += 1
     # Each source, and each delimited variant, yields both verdicts.
-    kinds = ["translation"] + [v for v in ALL_VARIANTS if v.del_arity is not None]
-    for kind in kinds:
+    for kind in ["translation", *DELIMITED_VARIANTS]:
         assert verdicts[kind, True] >= 20 and verdicts[kind, False] >= 10, kind
 
 
