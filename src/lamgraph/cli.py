@@ -4,8 +4,8 @@ Subcommands: validate, translate, collapse, maxshare, equiv, render.
 Files are graph documents or term files depending on the subcommand;
 ``-`` reads stdin, at most once per run.  Exit codes: 0 success or
 equivalent, 1 invalid or not equivalent, 2 usage or parse errors,
-including input nested deeper than the recursive parser and translator
-take at Python's recursion limit (see the README).
+including input nested deeper than the recursive translator takes at
+Python's recursion limit (see the README).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .core import GraphError, SignatureVariant, VariantMismatch
 from .delimited import DelimitedGraph, infer_prefix
@@ -215,7 +215,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    # Built once per process: main reuses it on every call.
     parser = argparse.ArgumentParser(
         prog="lamgraph",
         description="term graph representations of cyclic lambda-terms",
@@ -269,10 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The parser takes a frame per parenthesis, lambda or letrec, and
-        # the resolver, the free-variable walk and the translator one per
-        # term level: input nested deeper than the recursion limit allows
-        # is refused on one line, not with a traceback.
+        # The resolver, the free-variable walk and the translator take a
+        # frame per term level: input nested deeper than the recursion
+        # limit allows is refused on one line, not with a traceback.
         print("error: input nested too deeply", file=sys.stderr)
         return 2
 

@@ -5,19 +5,21 @@ left-associative application, ``letrec x1 = t1; ...; xn = tn in t`` for
 recursive bindings, parentheses for grouping.  Identifiers match
 ``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
 
-The parser reads each token once.  It takes one Python frame per
-parenthesis, lambda or letrec, so the nesting it accepts is bounded by
-the recursion limit.  A binding body may use names of its
-group that are read after it, so an identifier that no binder holds where
-it is read waits until its group's ``in``; it is reported unbound (at its
-own offset) once no enclosing group still reading its bindings can bind it.
+The parser reads the token texts of one regular-expression scan, each
+once, in one loop over its own stack, as ``format_term`` keeps one: depth
+is not bounded by the recursion limit.  An offset is computed only when
+an error is raised, by scanning the text again.  A binding body may use
+names of its group that are read after it, so an identifier that no binder
+holds where it is read waits until its group's ``in``; it is reported
+unbound (at its own offset) once no enclosing group still reading its
+bindings can bind it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
 
 
 class TermSyntaxError(Exception):
@@ -67,135 +69,146 @@ class Letrec(Term):
     body: Term
 
 
-_KEYWORDS = {"letrec", "in"}
-_PUNCTUATION = {"\\": "lambda", ".": "dot", "(": "lpar", ")": "rpar", "=": "eq", ";": "semi"}
-# Groups: whitespace (as str.isspace) or a comment, an identifier, a
-# punctuation mark, any other character.  Some group matches at every
-# offset, so the matches tile the text and offsets are running lengths.
-_TOKEN = re.compile(r"(\s+|#[^\n]*)|([a-zA-Z_][a-zA-Z0-9_']*)|([\\.()=;])|(.)", re.DOTALL)
+# One token per match, its text the only group: whitespace (as
+# str.isspace) and comments are skipped, then an identifier, a
+# punctuation mark, any other character, or "" at the end of the text.
+_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*([a-zA-Z_][a-zA-Z0-9_']*|[\\.()=;]|.|\Z)", re.DOTALL)
+_IDENT_START = re.compile(r"[a-zA-Z_]").match
+# Token kinds by text; any other token is an identifier or a stray character.
+_KIND = {"\\": "lambda", ".": "dot", "(": "lpar", ")": "rpar", "=": "eq", ";": "semi",
+         "letrec": "letrec", "in": "in", "": "eof"}
 
 
-class _Token(NamedTuple):
-    kind: str  # 'ident', 'lambda', 'dot', 'lpar', 'rpar', 'eq', 'semi', 'letrec', 'in', 'eof'
-    text: str
-    pos: int
+def _offset(text: str, k: int) -> int:
+    return next(islice(_TOKEN.finditer(text), k, None)).start(1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    for skip, word, mark, other in _TOKEN.findall(text):
-        if word:
-            tokens.append(_Token(word if word in _KEYWORDS else "ident", word, pos))
-        elif mark:
-            tokens.append(_Token(_PUNCTUATION[mark], mark, pos))
-        elif other:
-            raise TermSyntaxError(f"unexpected character {other!r}", pos)
-        pos += len(skip or word or mark)
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        # Each name's count of enclosing binders, kept up on entry and exit.
-        self.scope: dict[str, int] = {}
-        # One list per letrec group still reading its bindings: the
-        # identifier tokens no binder held when read, innermost group last.
-        self.pending: list[list[_Token]] = []
-
-    def take(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise TermSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
-        self.pos += 1
-        return tok
-
-    def term(self) -> Term:
-        # Left-associative application over atoms.  The body of a lambda or
-        # letrec extends as far right as possible, so no atom follows it.
-        result = None
-        while True:
-            tok = self.tokens[self.pos]
-            if tok.kind == "ident":
-                self.pos += 1
-                if not self.scope.get(tok.text):
-                    if not self.pending:
-                        raise UnboundVariable(tok.text, tok.pos)
-                    self.pending[-1].append(tok)
-                arg = Var(tok.text)
-            elif tok.kind == "lpar":
-                self.pos += 1
-                arg = self.term()
-                self.take("rpar")
-            elif tok.kind == "lambda":
-                self.pos += 1
-                name = self.take("ident").text
-                self.take("dot")
-                self.scope[name] = self.scope.get(name, 0) + 1
-                arg = Abs(name, self.term())
-                self.scope[name] -= 1
-            elif tok.kind == "letrec":
-                # Binding bodies may use any of the group's names, also those
-                # read later, so an unbound name waits on the group's pending
-                # list until 'in'; what the group does not bind passes to the
-                # enclosing group.
-                self.pos += 1
-                pending: list[_Token] = []
-                self.pending.append(pending)
-                bindings: dict[str, Term] = {}
-                while True:
-                    tok = self.take("ident")
-                    if tok.text in bindings:
-                        raise DuplicateBinding(tok.text, tok.pos)
-                    self.scope[tok.text] = self.scope.get(tok.text, 0) + 1
-                    self.take("eq")
-                    bindings[tok.text] = self.term()
-                    if self.tokens[self.pos].kind != "semi":
-                        break
-                    self.pos += 1
-                self.take("in")
-                self.pending.pop()
-                unbound = [tok for tok in pending if tok.text not in bindings]
-                if self.pending:
-                    self.pending[-1].extend(unbound)
-                elif unbound:
-                    raise UnboundVariable(unbound[0].text, unbound[0].pos)
-                arg = Letrec(tuple(bindings.items()), self.term())
-                for name in bindings:
-                    self.scope[name] -= 1
-            elif result is None:
-                raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
-            else:
-                return result
-            result = arg if result is None else App(result, arg)
+def _expected(kind: str, tokens: list[str], k: int, text: str) -> TermSyntaxError:
+    return TermSyntaxError(f"expected {kind}, found {tokens[k] or 'end of input'!r}", _offset(text, k))
 
 
 def parse_term(text: str) -> Term:
     """Parse a closed term; unbound names and duplicate bindings are errors."""
-    parser = _Parser(_tokenize(text))
-    result = parser.term()
-    parser.take("eof")
-    return result
+    return _parse(_TOKEN.findall(text), text)
+
+
+def _parse(tokens: list[str], text: str) -> Term:
+    bad = [tok for tok in set(tokens).difference(_KIND) if not _IDENT_START(tok)]
+    if bad:
+        k = min(map(tokens.index, bad))
+        raise TermSyntaxError(f"unexpected character {tokens[k]!r}", _offset(text, k))
+    # Each name's count of enclosing binders, kept up on entry and exit.
+    scope: dict[str, int] = {}
+    # One list per letrec group still reading its bindings: the indices of
+    # the identifiers no binder held when read, innermost group last.
+    pending: list[list[int]] = []
+    # Open parentheses, lambdas, letrec bindings and letrec bodies, innermost
+    # last: (tag, the application before it, binder, the group's bindings).
+    stack: list[tuple] = []
+    # Left-associative application over atoms.  The body of a lambda or
+    # letrec extends as far right as possible: the token that ends it ends
+    # the enclosing level too, so each frame it closes passes it up.
+    result: Term | None = None
+    i = 0
+    while True:
+        tok = tokens[i]
+        tag = _KIND.get(tok)
+        if tag is None:
+            if not scope.get(tok):
+                if not pending:
+                    raise UnboundVariable(tok, _offset(text, i))
+                pending[-1].append(i)
+            i += 1
+            result = Var(tok) if result is None else App(result, Var(tok))
+            continue
+        if tag == "lpar":
+            stack.append((tag, result, None, None))
+            result = None
+            i += 1
+            continue
+        if tag == "lambda":
+            saved, bindings = result, ()
+        elif tag == "letrec":
+            saved, bindings = result, {}
+            pending.append([])
+        elif result is None:
+            raise _expected("a term", tokens, i, text)
+        elif not stack:
+            if tag != "eof":
+                raise _expected("eof", tokens, i, text)
+            return result
+        else:
+            kind = tag
+            tag, saved, name, bindings = stack.pop()
+            if tag != "letrec":
+                if tag == "lpar":
+                    if kind != "rpar":
+                        raise _expected("rpar", tokens, i, text)
+                    arg = result
+                    i += 1
+                elif tag == "lambda":
+                    scope[name] -= 1
+                    arg = Abs(name, result)
+                else:
+                    for name in bindings:
+                        scope[name] -= 1
+                    arg = Letrec(tuple(bindings.items()), result)
+                result = arg if saved is None else App(saved, arg)
+                continue
+            bindings[name] = result
+            if kind != "semi":
+                if kind != "in":
+                    raise _expected("in", tokens, i, text)
+                # The names read unbound in the group's bindings that it does
+                # not bind pass to the enclosing group, or are unbound.
+                unbound = [k for k in pending.pop() if tokens[k] not in bindings]
+                if pending:
+                    pending[-1].extend(unbound)
+                elif unbound:
+                    raise UnboundVariable(tokens[unbound[0]], _offset(text, unbound[0]))
+                stack.append((kind, saved, None, bindings))
+                result = None
+                i += 1
+                continue
+        # A binder: "\\ name .", "letrec name =" or "; name =".
+        name = tokens[i + 1]
+        if name in _KIND:
+            raise _expected("ident", tokens, i + 1, text)
+        if name in bindings:
+            raise DuplicateBinding(name, _offset(text, i + 1))
+        scope[name] = scope.get(name, 0) + 1
+        mark = "." if tag == "lambda" else "="
+        if tokens[i + 2] != mark:
+            raise _expected(_KIND[mark], tokens, i + 2, text)
+        stack.append((tag, saved, name, bindings))
+        result = None
+        i += 3
 
 
 def format_term(t: Term) -> str:
     """Render a term back to concrete syntax (mainly for messages)."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        return f"\\{t.name}. {format_term(t.body)}"
-    if isinstance(t, App):
-        fun = format_term(t.fun)
-        arg = format_term(t.arg)
-        if isinstance(t.fun, (Abs, Letrec)):
-            fun = f"({fun})"
-        if isinstance(t.arg, (App, Abs, Letrec)):
-            arg = f"({arg})"
-        return f"{fun} {arg}"
-    if isinstance(t, Letrec):
-        binds = "; ".join(f"{n} = {format_term(b)}" for n, b in t.bindings)
-        return f"letrec {binds} in {format_term(t.body)}"
-    raise TypeError(f"not a term: {t!r}")
+    out: list[str] = []
+    todo: list = [(t,)]  # text to write and (subterm,) to render, next last
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+            continue
+        (t,) = t
+        if isinstance(t, Var):
+            out.append(t.name)
+        elif isinstance(t, Abs):
+            out.append(f"\\{t.name}. ")
+            todo.append((t.body,))
+        elif isinstance(t, App):
+            fun_paren, arg_paren = isinstance(t.fun, (Abs, Letrec)), isinstance(t.arg, (App, Abs, Letrec))
+            out.append("(" * fun_paren)
+            todo += (")" * arg_paren, (t.arg,), ")" * fun_paren + " " + "(" * arg_paren, (t.fun,))
+        elif isinstance(t, Letrec):
+            out.append("letrec ")
+            todo += ((t.body,), " in ")
+            for k, (name, sub) in reversed(list(enumerate(t.bindings))):
+                todo += ((sub,), f"{'; ' * (k > 0)}{name} = ")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return "".join(out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import re
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from lamgraph import (
     DelimitedGraph,
@@ -55,8 +55,6 @@ from lamgraph.terms import (
     TermSyntaxError,
     UnboundVariable,
     Var,
-    _Token,
-    _tokenize,
 )
 from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.translate import (
@@ -948,6 +946,12 @@ def revalidating_infer_prefix(
 _IDENT = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*")
 
 
+class _Token(NamedTuple):
+    kind: str  # 'ident', 'lambda', 'dot', 'lpar', 'rpar', 'eq', 'semi', 'letrec', 'in', 'eof'
+    text: str
+    pos: int
+
+
 def per_character_tokenize(text: str) -> list[_Token]:
     """The term tokenizer as a per-character loop."""
     tokens = []
@@ -1121,7 +1125,107 @@ class _TwoPassParser:
 
 def two_pass_parse_term(text: str) -> Term:
     """The term parser that scans each letrec binding body, then parses it again."""
-    parser = _TwoPassParser(_tokenize(text))
+    parser = _TwoPassParser(per_character_tokenize(text))
     result = parser.term()
     parser.take("eof")
     return result
+
+
+class _RecursiveParser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        # Each name's count of enclosing binders, kept up on entry and exit.
+        self.scope: dict[str, int] = {}
+        # One list per letrec group still reading its bindings: the
+        # identifier tokens no binder held when read, innermost group last.
+        self.pending: list[list[_Token]] = []
+
+    def take(self, kind: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise TermSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
+        self.pos += 1
+        return tok
+
+    def term(self) -> Term:
+        result = None
+        while True:
+            tok = self.tokens[self.pos]
+            if tok.kind == "ident":
+                self.pos += 1
+                if not self.scope.get(tok.text):
+                    if not self.pending:
+                        raise UnboundVariable(tok.text, tok.pos)
+                    self.pending[-1].append(tok)
+                arg = Var(tok.text)
+            elif tok.kind == "lpar":
+                self.pos += 1
+                arg = self.term()
+                self.take("rpar")
+            elif tok.kind == "lambda":
+                self.pos += 1
+                name = self.take("ident").text
+                self.take("dot")
+                self.scope[name] = self.scope.get(name, 0) + 1
+                arg = Abs(name, self.term())
+                self.scope[name] -= 1
+            elif tok.kind == "letrec":
+                self.pos += 1
+                pending: list[_Token] = []
+                self.pending.append(pending)
+                bindings: dict[str, Term] = {}
+                while True:
+                    tok = self.take("ident")
+                    if tok.text in bindings:
+                        raise DuplicateBinding(tok.text, tok.pos)
+                    self.scope[tok.text] = self.scope.get(tok.text, 0) + 1
+                    self.take("eq")
+                    bindings[tok.text] = self.term()
+                    if self.tokens[self.pos].kind != "semi":
+                        break
+                    self.pos += 1
+                self.take("in")
+                self.pending.pop()
+                unbound = [tok for tok in pending if tok.text not in bindings]
+                if self.pending:
+                    self.pending[-1].extend(unbound)
+                elif unbound:
+                    raise UnboundVariable(unbound[0].text, unbound[0].pos)
+                arg = Letrec(tuple(bindings.items()), self.term())
+                for name in bindings:
+                    self.scope[name] -= 1
+            elif result is None:
+                raise TermSyntaxError(f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
+            else:
+                return result
+            result = arg if result is None else App(result, arg)
+
+
+def recursive_parse_term(text: str) -> Term:
+    """The one-pass term parser as a recursive descent, one Python frame
+    per parenthesis, lambda or letrec."""
+    parser = _RecursiveParser(per_character_tokenize(text))
+    result = parser.term()
+    parser.take("eof")
+    return result
+
+
+def recursive_format_term(t: Term) -> str:
+    """``format_term`` as a recursive walk, one Python frame per term level."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Abs):
+        return f"\\{t.name}. {recursive_format_term(t.body)}"
+    if isinstance(t, App):
+        fun = recursive_format_term(t.fun)
+        arg = recursive_format_term(t.arg)
+        if isinstance(t.fun, (Abs, Letrec)):
+            fun = f"({fun})"
+        if isinstance(t.arg, (App, Abs, Letrec)):
+            arg = f"({arg})"
+        return f"{fun} {arg}"
+    if isinstance(t, Letrec):
+        binds = "; ".join(f"{n} = {recursive_format_term(b)}" for n, b in t.bindings)
+        return f"letrec {binds} in {recursive_format_term(t.body)}"
+    raise TypeError(f"not a term: {t!r}")

@@ -407,8 +407,8 @@ def test_readme_session_matches_the_cli(tmp_path, capsys, monkeypatch):
 # Seeded CLI fuzz: mutated documents and terms from the golden corpus go
 # through every document command and through equiv.  Whatever the input,
 # the exit code is 0, 1 or 2 and no exception escapes ``main``.
-FUZZ_DOCS = 1000
-FUZZ_TERMS = 200
+FUZZ_DOCS = 4000
+FUZZ_TERMS = 800
 _DOC_SNIPPETS = [" ", "\n", "{", "}", "#", "=", "-1", "9", "é", "sig", "root", "scope",
                  "prefix", "lam", "@", "0", "S", "1", "2", "none"]
 _TERM_SNIPPETS = [" ", "\\", ".", "(", ")", "=", ";", "letrec", "in", "x", "f", "é"]

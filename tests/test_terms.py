@@ -1,4 +1,6 @@
+import collections
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM
 from generators import closed_terms, random_term
-from oracles import per_character_tokenize, two_pass_parse_term
+from oracles import (
+    _Token,
+    per_character_tokenize,
+    recursive_format_term,
+    recursive_parse_term,
+    two_pass_parse_term,
+)
 from test_translate import COLLIDING_TERMS, FIXTURE_TERMS
 
 from lamgraph import (
@@ -21,7 +29,7 @@ from lamgraph import (
     format_term,
     parse_term,
 )
-from lamgraph.terms import _Parser, _tokenize
+from lamgraph.terms import _KIND, _TOKEN, _parse
 
 
 def test_parse_identity():
@@ -136,6 +144,23 @@ def test_format_round_trip():
         assert parse_term(format_term(t)) == t
 
 
+def test_format_term_matches_recursive_format_on_seeded_and_fixture_terms():
+    rng = random.Random(1414)
+    terms = [random_term(rng, depth=rng.randint(1, 5)) for _ in range(300)]
+    terms += [parse_term(text) for text in FIXTURE_TERMS + COLLIDING_TERMS]
+    terms.append(App(Letrec((), Var("x")), Abs("y", Var("y"))))  # hand-built, no bindings
+    for t in terms:
+        assert format_term(t) == recursive_format_term(t)
+    with pytest.raises(TypeError, match="not a term: 3"):
+        format_term(App(Abs("x", Var("x")), 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_terms())
+def test_format_term_matches_recursive_format_hypothesis(t):
+    assert format_term(t) == recursive_format_term(t)
+
+
 def _tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
@@ -143,8 +168,27 @@ def _tokens_or_error(tokenize, text):
         return ("error", str(exc), exc.position)
 
 
+def lexed(text):
+    # The tokens parse_term reads, up to the end of input, with the
+    # offsets an error would name; or its unexpected-character error.
+    try:
+        parse_term(text)
+    except TermSyntaxError as exc:
+        if str(exc).startswith("unexpected character"):
+            return ("error", str(exc), exc.position)
+    except (UnboundVariable, DuplicateBinding):
+        pass
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        tokens.append(_Token(_KIND.get(m[1], "ident"), m[1], m.start(1)))
+        if not m[1]:
+            break
+    assert [tok.text for tok in tokens] == _TOKEN.findall(text)[: len(tokens)]
+    return tokens
+
+
 def assert_same_tokens(text):
-    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(per_character_tokenize, text)
+    assert lexed(text) == _tokens_or_error(per_character_tokenize, text)
 
 
 @pytest.mark.parametrize(
@@ -233,7 +277,7 @@ def test_unbound_names_keep_their_outcome():
     unbound = 0
     for _ in range(400):
         text = format_term(random_term(rng, depth=rng.randint(1, 5)))
-        tokens = _tokenize(text)
+        tokens = per_character_tokenize(text)
         names = sorted({tok.text for tok in tokens if tok.kind == "ident"}) + ["zz"]
         uses = [
             tok
@@ -267,6 +311,42 @@ def test_parser_accepts_what_two_pass_parser_accepts(text):
     assert isinstance(new, Term) == isinstance(old, Term)
     if isinstance(new, Term):
         assert new == old
+
+
+# The loop over an explicit stack against the recursive one-pass parser
+# it replaced: the same term, or the same error, message and offset.
+
+
+def test_parser_matches_recursive_parser_on_mutated_terms():
+    rng = random.Random(1717)
+    outcomes = collections.Counter()
+    for _ in range(1500):
+        text = format_term(random_term(rng, depth=rng.randint(1, 5)))
+        tokens = [tok.text for tok in per_character_tokenize(text)][:-1]
+        # Binding names, so that some renamings repeat one in a group.
+        heads = [k for k in range(len(tokens) - 1) if tokens[k + 1] == "="]
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randrange(len(tokens))
+            other = rng.choice(SOUP_TOKENS + LETREC_TOKENS + tokens)
+            if heads and rng.random() < 0.2:
+                tokens[rng.choice(heads)] = tokens[rng.choice(heads)]
+            elif rng.random() < 0.3:
+                del tokens[k]
+            elif rng.random() < 0.5:
+                tokens.insert(k, other)
+            else:
+                tokens[k] = other
+        text = " ".join(tokens)
+        new = _outcome(parse_term, text)
+        assert new == _outcome(recursive_parse_term, text)
+        outcomes["Term" if isinstance(new, Term) else new[0]] += 1
+    assert set(outcomes) == {"Term", "TermSyntaxError", "UnboundVariable", "DuplicateBinding"}, outcomes
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_TOKENS + LETREC_TOKENS + ["#c\n", "\u00e9", "'"]), max_size=14).map(" ".join))
+def test_parser_matches_recursive_parser_on_token_soups(text):
+    assert _outcome(parse_term, text) == _outcome(recursive_parse_term, text)
 
 
 # Malformed letrec groups: the one-pass parser reports where the group's
@@ -308,6 +388,7 @@ def test_parser_accepts_what_two_pass_parser_accepts(text):
 )
 def test_malformed_letrec_messages(text, message, old_message):
     assert _outcome(parse_term, text)[1] == message
+    assert _outcome(recursive_parse_term, text)[1] == message
     assert _outcome(two_pass_parse_term, text)[1] == old_message
 
 
@@ -327,17 +408,55 @@ def test_unbound_name_in_a_binding_waits_for_its_group():
     assert err.value.position == 35
 
 
-# Depth: one Python frame per parenthesis or lambda, two per letrec.
+# Depth: the parser and format_term keep their own stacks, so nesting
+# depth is bounded by memory, not the recursion limit.  The shapes are
+# walked, since dataclass == and repr recurse on deep terms.
+DEEP = 10_000
 
 
-def test_parse_term_takes_a_900_deep_right_nest():
-    t = parse_term("\\x. " + "x (" * 900 + "x" + ")" * 900)
-    depth = 0
+def _parse_within_a_second(text):
+    start = time.perf_counter()
+    t = parse_term(text)
+    assert time.perf_counter() - start < 1.0
+    assert format_term(t) == text
+    return t
+
+
+def test_parse_term_takes_a_deep_right_nest():
+    t = _parse_within_a_second("\\x. " + "x (" * (DEEP - 1) + "x x" + ")" * (DEEP - 1))
+    assert isinstance(t, Abs) and t.name == "x"
     t = t.body
-    while isinstance(t, App):
+    for _ in range(DEEP):
+        assert isinstance(t, App) and t.fun == Var("x")
         t = t.arg
-        depth += 1
-    assert depth == 900
+    assert t == Var("x")
+
+
+def test_parse_term_takes_a_deep_tower():
+    t = _parse_within_a_second("".join(f"\\x{i}. " for i in range(DEEP)) + " ".join(f"x{i}" for i in range(DEEP)))
+    for i in range(DEEP):
+        assert isinstance(t, Abs) and t.name == f"x{i}"
+        t = t.body
+    for i in reversed(range(1, DEEP)):
+        assert isinstance(t, App) and t.arg == Var(f"x{i}")
+        t = t.fun
+    assert t == Var("x0")
+
+
+def test_parse_term_takes_deep_letrecs_in_body_position():
+    t = _parse_within_a_second("letrec a = \\x. x in " * DEEP + "a")
+    for _ in range(DEEP):
+        assert isinstance(t, Letrec) and t.bindings == (("a", Abs("x", Var("x"))),)
+        t = t.body
+    assert t == Var("a")
+
+
+def test_parse_term_takes_deep_letrecs_in_binding_position():
+    t = _parse_within_a_second("letrec g = " * DEEP + "\\x. x" + " in g" * DEEP)
+    for _ in range(DEEP):
+        assert isinstance(t, Letrec) and [name for name, _ in t.bindings] == ["g"] and t.body == Var("g")
+        t = t.bindings[0][1]
+    assert t == Abs("x", Var("x"))
 
 
 class _CountingTokens(list):
@@ -352,10 +471,9 @@ def test_letrecs_in_binding_position_read_each_token_boundedly():
     # Scanning each binding body before parsing it reads these tokens
     # Θ(n²) times in all; one pass reads each a bounded number of times.
     n = 450
-    tokens = _CountingTokens(_tokenize("letrec g = " * n + "\\x. x" + " in g" * n))
-    parser = _Parser(tokens)
-    t = parser.term()
-    parser.take("eof")
+    text = "letrec g = " * n + "\\x. x" + " in g" * n
+    tokens = _CountingTokens(_TOKEN.findall(text))
+    t = _parse(tokens, text)
     for _ in range(n):
         assert [name for name, _ in t.bindings] == ["g"] and t.body == Var("g")
         t = t.bindings[0][1]
