@@ -6,9 +6,9 @@ recursive bindings, parentheses for grouping.  Identifiers match
 ``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
 
 The parser reads the token texts of one regular-expression scan, each
-once, in one loop over its own stack, as ``format_term`` keeps one: depth
-is not bounded by the recursion limit.  An offset is computed only when
-an error is raised, by scanning the text again.  A binding body may use
+once, in one loop over its own stack; neither it nor ``format_term`` takes
+a Python frame per term level.  An offset is computed only when an error
+is raised, by scanning the text again.  A binding body may use
 names of its group that are read after it, so an identifier that no binder
 holds where it is read waits until its group's ``in``; it is reported
 unbound (at its own offset) once no enclosing group still reading its
