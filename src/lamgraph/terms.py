@@ -102,8 +102,9 @@ def _parse(tokens: list[str], text: str) -> Term:
     # One list per letrec group still reading its bindings: the indices of
     # the identifiers no binder held when read, innermost group last.
     pending: list[list[int]] = []
-    # Open parentheses, lambdas, letrec bindings and letrec bodies, innermost
-    # last: (tag, the application before it, binder, the group's bindings).
+    # Open frames, innermost last: (tag, the application before the frame,
+    # binder, the group's bindings), tagged "lpar", "lambda", "letrec" for
+    # a letrec binding and "in" for a letrec body.
     stack: list[tuple] = []
     # Left-associative application over atoms.  The body of a lambda or
     # letrec extends as far right as possible: the token that ends it ends

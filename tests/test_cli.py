@@ -342,8 +342,8 @@ def test_deep_input_gives_no_traceback(tmp_path):
 
 
 def test_maxshare_takes_a_450_application_spine(tmp_path):
-    # The parser and the translator take one Python frame per term level,
-    # so this spine fits well under the default recursion limit.
+    # The translator takes one Python frame per term level, so this spine
+    # fits well under the default recursion limit.
     path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
     proc = _maxshare_subprocess(path)
     assert proc.returncode == 0, proc.stderr
@@ -353,7 +353,7 @@ def test_maxshare_takes_a_450_application_spine(tmp_path):
 
 # Depth floors a little below the limits `lamgraph maxshare` takes at
 # Python's default recursion limit (measured on CPython 3.11 with
-# tests/depth_limits.py: 988, 987, 987 and 494), so that no change lowers
+# tests/depth_limits.py: 988, 988, 989 and 494), so that no change lowers
 # a limit unnoticed.
 DEPTH_FLOORS = {
     "spine": ("\\q. " + " ".join(["q"] * 976), 977),
