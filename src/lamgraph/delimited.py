@@ -5,8 +5,9 @@ determine the successor's prefix exactly, and each delimiter vertex pops
 exactly one abstraction off the word.  That rigidity makes the correct
 prefix function unique, so membership in the class is decidable by one
 forward propagation from the root.  Given the words, the eager-scope and
-back-link checks group the vertices by their innermost binder and take
-linear time.
+back-link checks each take one backward search over all binders' body
+regions at once, in linear time; they group the vertices by their
+innermost binder only to name a witness or to search again.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
 allocates vertices and mints their names, and its finish step infers
@@ -86,50 +87,100 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
     except that a graph without variable back-links needs each
     variable's word to be nonempty; those ``var0`` violations are all
     reported, in ascending vertex order.
+
+    The worklist is a stack, and an application pushes its function
+    before its argument; that order fixes the words' key order and which
+    failure is found first.  A vertex the root does not reach, or a
+    successor id outside 0..n-1 (only a graph built without ``build``
+    can hold one), raises ``DomainMismatch``; the ids are scanned only
+    once inference has failed.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
+    labels, args = g.labels, g.args
+    var_linked = g.variant.var_arity == 1
+    del_linked = g.variant.del_arity == 2
+    ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
     prefixes: PrefixFn = {g.root: ()}
+    get = prefixes.get
     worklist = [g.root]
-    while worklist:
-        w = worklist.pop()
-        pw = prefixes[w]
-        lab = g.labels[w]
-        if lab is Label.ABS:
-            forced = ((g.args[w][0], pw + (w,)),)
-        elif lab is Label.APP:
-            forced = ((g.args[w][0], pw), (g.args[w][1], pw))
-        elif lab is Label.DEL:
-            if not pw:
-                return _failure("delim-pop", w, g.args[w][0])
-            if g.variant.del_arity == 2 and g.args[w][1] != pw[-1]:
-                return _failure("delim-backlink", w, g.args[w][1])
-            forced = ((g.args[w][0], pw[:-1]),)
-        else:
-            if g.variant.var_arity == 1:
+    pop, push = worklist.pop, worklist.append
+    try:
+        while worklist:
+            w = pop()
+            pw = prefixes[w]
+            lab = labels[w]
+            succ = args[w]
+            if lab is APP:
+                # Both successors get w's word, the first pushed first.
+                t = succ[0]
+                old = get(t)
+                if old is None:
+                    prefixes[t] = pw
+                    push(t)
+                elif old != pw:
+                    return _refusal(g, "prefix-conflict", w, t)
+                t = succ[1]
+                value = pw
+            elif lab is ABS:
+                t = succ[0]
+                value = pw + (w,)
+            elif lab is DEL:
                 if not pw:
-                    return _failure("var0", w)
-                if g.args[w][0] != pw[-1]:
-                    return _failure("var1", w, g.args[w][0])
-            continue
-        for target, value in forced:
-            if target in prefixes:
-                if prefixes[target] != value:
-                    return _failure("prefix-conflict", w, target)
+                    return _refusal(g, "delim-pop", w, succ[0])
+                if del_linked and succ[1] != pw[-1]:
+                    return _refusal(g, "delim-backlink", w, succ[1])
+                t = succ[0]
+                value = pw[:-1]
             else:
-                prefixes[target] = value
-                worklist.append(target)
+                if var_linked:
+                    if not pw:
+                        return _refusal(g, "var0", w)
+                    if succ[0] != pw[-1]:
+                        return _refusal(g, "var1", w, succ[0])
+                continue
+            old = get(t)
+            if old is None:
+                prefixes[t] = value
+                push(t)
+            elif old != value:
+                return _refusal(g, "prefix-conflict", w, t)
+    except IndexError:
+        # Reading the label of a successor id at or above n.
+        _check_successor_ids(g)
+        raise
     # The words hold only vertices propagation reached, so the prefix
     # function is total iff it has a word for every vertex.  A successor
-    # id below 0, which only a graph built without ``build`` can hold,
-    # names no vertex, though indexing wraps it round to one.
+    # id below 0 names no vertex, though indexing wraps it round to one.
     if len(prefixes) < g.vertex_count or min(prefixes) < 0:
+        _check_successor_ids(g)
         raise DomainMismatch("prefix function must be total on the vertex set")
-    if g.variant.var_arity == 0:
+    if not var_linked:
         var0 = [w for w in g.vertices_labeled(Label.VAR) if not prefixes[w]]
         if var0:
             return None, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
     return prefixes, None
+
+
+def _check_successor_ids(g: TermGraph) -> None:
+    """Refuse a successor id outside 0..n-1, which only a graph built
+    without ``build`` can hold.  Runs only once inference has failed."""
+    n = g.vertex_count
+    for w, succ in enumerate(g.args):
+        for t in succ:
+            if not 0 <= t < n:
+                raise DomainMismatch(
+                    "prefix function must be total on the vertex set: "
+                    f"successor id {t} of {g.names[w]} names no vertex"
+                )
+
+
+def _refusal(g: TermGraph, condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
+    """A failed inference's report, unless a successor id names no
+    vertex: a witness could then be that id, or a word could have been
+    forced through it."""
+    _check_successor_ids(g)
+    return _failure(condition, *witnesses)
 
 
 def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
@@ -220,22 +271,26 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     """True iff the last abstraction of every nonempty prefix is reachable.
 
     Reachability is plain directed reachability, back-link edges included.
-    Vertices are grouped by their innermost binder v, and each group takes
-    one backward search from v through v's body region (see
-    ``_reach_in_region``): O(n + m) in all, given the words.  A group with
-    a member left unreached searches again over the whole graph, without
-    the region search's jump, O(n + m) more; on eager (1,2) graphs no
-    group does.
+    A vertex whose word ends in v reaches v if it reaches, inside v's body
+    region, a vertex with its word and an edge to v.  One backward search
+    from all such vertices decides that for every vertex at once (see
+    ``_reach_in_region``): O(n + m), given the words.  Each binder with a
+    vertex left unreached searches again over the whole graph, without
+    the region search's jump, O(n + m) more; on eager (1,2) graphs none
+    does.
     """
     graph, prefixes = g.graph, g.prefixes
-    preds = _predecessors(graph)
-    for v, members in _by_binder(prefixes).items():
-        k = len(prefixes[v]) + 1
-        # A predecessor of v lies in v's body region only if its innermost
-        # binder is v: its word has k entries, as v's has k - 1.
-        entries = [p for p in preds[v] if prefixes[p][-1:] == (v,)]
-        reached = _reach_in_region(preds, prefixes, k, entries)
-        if any(w not in reached for w in members):
+    # The vertices with an edge to the last entry of their word.
+    sources = [u for u, succ in enumerate(graph.args) if (word := prefixes[u]) and word[-1] in succ]
+    reached = _reach_in_region(graph, prefixes, sources)
+    unreached: dict[int, list[int]] = {}
+    for w in range(len(prefixes)):
+        word = prefixes[w]
+        if word and w not in reached:
+            unreached.setdefault(word[-1], []).append(w)
+    if unreached:
+        preds = _predecessors(graph)
+        for v, members in unreached.items():
             reached = _reachable_keys(v, preds)
             if any(w not in reached for w in members):
                 return False
@@ -253,10 +308,11 @@ def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
     chain target carries its own obligation.  ``strict=True`` quantifies
     over delimiter vertices as well.
 
-    Vertices with the same innermost binder share that search region, so
-    one backward search per binder decides them all, and each search
-    visits only its own group (see ``_reach_in_region``): O(n + m),
-    given the words.
+    A variable back-links to the last entry of its own word, so w meets
+    the condition iff it reaches, inside its word's region, a variable
+    with w's word.  One backward search from every variable decides all
+    vertices at once, each step keeping to one word (see
+    ``_reach_in_region``): O(n + m), given the words.
     """
     return _non_eager_vertex(g, strict) is None
 
@@ -264,24 +320,29 @@ def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
 def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
     """A vertex that violates the eager-scope condition, or None.
 
-    Groups are taken in the order of their smallest member, and members
-    in ascending id order.
+    The witness is the first violating vertex with the vertices grouped
+    by their innermost binder, groups in the order of their smallest
+    member and members in ascending id order.  Only a failed check
+    groups them.
     """
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
     graph, prefixes = g.graph, g.prefixes
     labels = graph.labels
-    preds = _predecessors(graph)
-    for v, members in _by_binder(prefixes).items():
-        # A variable back-linking to v lies in v's body region only if its
-        # innermost binder is v (its word ends in v, and words are
-        # repeat-free).
-        uses = [u for u in members if labels[u] is Label.VAR]
-        reached = _reach_in_region(preds, prefixes, len(prefixes[v]) + 1, uses)
-        for w in members:
-            if w not in reached and (strict or labels[w] is not Label.DEL):
-                return w
-    return None
+    VAR = Label.VAR
+    reached = _reach_in_region(graph, prefixes, [u for u, lab in enumerate(labels) if lab is VAR])
+    exempt = None if strict else Label.DEL
+    for w in range(len(labels)):
+        if w not in reached and prefixes[w] and labels[w] is not exempt:
+            break
+    else:
+        return None
+    return next(
+        w
+        for members in _by_binder(prefixes).values()
+        for w in members
+        if w not in reached and labels[w] is not exempt
+    )
 
 
 def _non_eager_reason(g: DelimitedGraph, w: int) -> str:
@@ -315,35 +376,51 @@ def _by_binder(prefixes: PrefixFn) -> dict[int, list[int]]:
     return groups
 
 
-def _reach_in_region(
-    preds: list[list[int]], prefixes: PrefixFn, k: int, sources: list[int]
-) -> set[int]:
-    """The vertices with the sources' word W, of ``k`` entries, that reach
-    a source through W's region, the vertices whose words extend W.
+def _reach_in_region(graph: TermGraph, prefixes: PrefixFn, sources: list[int]) -> set[int]:
+    """The vertices that reach a source with their own word W through
+    W's region, the vertices whose words extend W.
 
     With a correct prefix function an edge keeps, pushes or pops one word
-    entry, so a predecessor of a vertex in W's region is in it iff its
-    word has at least k entries.  One with more lies in the body region
-    of u = its word's entry k, an abstraction with word W, and the search
-    steps straight to u.  That loses nothing.  Every vertex is reachable
-    from the root, whose word is empty, and the only edge into u's body
-    region from outside is u's body edge (a kept or popped word extends
-    W·u only if the source's does, and pushing gives W·u only at u).  So
-    a root path to a vertex of the region enters it last through u: u
-    reaches every vertex of the region without leaving it, and a vertex
-    with word W reaches the region only through u.  The search therefore
-    visits only vertices with word W, each scanning its predecessors once.
+    entry, so a predecessor of a vertex t with word W, of k entries, is in
+    W's region iff its word has at least k entries.  By its kind:
+
+    - an application keeps the word, so it has word W;
+    - an abstraction pushes, so its word is shorter;
+    - a delimiter's first edge pops, so the delimiter lies in the body
+      region of x, the last entry of its word, an abstraction with
+      word W, and the search steps straight to x;
+    - a back-link targets the last entry of its source's word, which
+      makes that word W·t, and the step straight to entry k is back to t.
+
+    The jump to x loses nothing.  Every vertex is reachable from the
+    root, whose word is empty, and the only edge into x's body region
+    from outside is x's body edge (a kept or popped word extends W·x only
+    if the source's does, and pushing gives W·x only at x).  So a root
+    path to a vertex of the region enters it last through x: x reaches
+    every vertex of the region without leaving it, and a vertex with
+    word W reaches the region only through x.
+
+    So the search steps back from t to its application predecessors and
+    to the last word entry of its delimiter predecessors, all with word
+    W; no step reads a word's length.  The sets of vertices sharing a
+    word are disjoint, so a search from sources with different words
+    gives the union of the searches from each word's sources, and each
+    vertex is visited once.
     """
+    labels, args = graph.labels, graph.args
+    APP, DEL = Label.APP, Label.DEL
+    steps: list[list[int]] = [[] for _ in labels]
+    for u, lab in enumerate(labels):
+        if lab is APP:
+            fun, arg = args[u]
+            steps[fun].append(u)
+            steps[arg].append(u)
+        elif lab is DEL:
+            steps[args[u][0]].append(prefixes[u][-1])
     seen = set(sources)
     stack = list(seen)
     while stack:
-        u = stack.pop()
-        for p in preds[u]:
-            word = prefixes[p]
-            if len(word) > k:
-                p = word[k]
-            elif len(word) < k:
-                continue
+        for p in steps[stack.pop()]:
             if p not in seen:
                 seen.add(p)
                 stack.append(p)

@@ -294,8 +294,9 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     over the signature with both kinds of back-links.
 
     The translator emits the graph on ids, and two passes check it once:
-    prefix inference, in O(n + m + sum of |prefix(w)|), fails if no
-    correct prefix function exists, and the eager-scope check, in
+    prefix inference, one propagation loop in O(n + m + sum of
+    |prefix(w)|), fails if no correct prefix function exists, and the
+    eager-scope check, one backward search from every variable in
     O(n + m) given the words, names a vertex that is not eager.  Only
     when inference finds a vertex the root misses does a reachability
     pass run, to name the orphans.

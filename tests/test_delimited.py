@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from generators import erase_backlinks, graphs, random_graph, random_term
 from oracles import (
     name_keyed_term_to_graph,
+    per_vertex_eager_at,
     per_vertex_eager_scope,
     per_vertex_fully_back_linked,
     per_word_fully_back_linked,
@@ -407,6 +408,23 @@ def test_eager_witness_matches_the_per_word_oracle():
     assert witnesses >= 800
 
 
+def test_eager_witness_takes_the_group_with_the_smallest_first_member():
+    # Both binder groups break the condition.  The smallest violating id,
+    # z, lies in yl's group, whose first member z comes after x's first
+    # member p; the witness is x's violating member yl.
+    g = parse_graph(
+        "sig 1 2\nroot x\nx lam p\np @ yl vx\nvx 0 x\nz @ s s\ns S yl yl\n"
+        "yb @ z yv\nyv 0 yl\nyl lam yb\n"
+    ).graph
+    dg = DelimitedGraph.from_graph(g)
+    violating = [w for w in g.vertices() if dg.prefixes[w] and not per_vertex_eager_at(dg, w)]
+    assert [g.names[w] for w in violating] == ["z", "s", "yl"]
+    assert [g.names[dg.prefixes[w][-1]] for w in violating] == ["yl", "yl", "x"]
+    for strict in (False, True):
+        assert g.names[_non_eager_vertex(dg, strict)] == "yl"
+        assert per_word_non_eager_vertex(dg, strict) == _non_eager_vertex(dg, strict)
+
+
 def test_back_link_verdict_matches_the_oracles_on_every_variant():
     rng = random.Random(4111)
     verdicts = set()
@@ -516,6 +534,38 @@ def test_infer_prefix_refuses_a_negative_successor_id():
         )
         with pytest.raises(DomainMismatch, match="total"):
             infer_prefix(g)
+
+
+@pytest.mark.parametrize(
+    "variant, labels, args",
+    [
+        # a forces a word on the id 2, whose label inference then reads.
+        ((1, 2), ("ABS", "VAR"), ((2,), (0,))),
+        # The back-links name no vertex: var1 and delim-backlink would
+        # report the ids 2, -1 and 5 as witnesses.
+        ((1, 2), ("ABS", "VAR"), ((1,), (2,))),
+        ((1, 2), ("ABS", "VAR"), ((1,), (-1,))),
+        ((0, 2), ("ABS", "DEL", "VAR"), ((1,), (2, 5), ())),
+        # The -3 is read as a, which then pushes itself a second time: a
+        # prefix-conflict at a vertex that is not there.
+        ((1, 2), ("ABS", "APP", "VAR"), ((1,), (-3, 2), (0,))),
+    ],
+    ids=["forced", "var1-past-n", "var1-negative", "delim-backlink-past-n", "conflict-negative"],
+)
+def test_inference_refuses_a_successor_id_that_names_no_vertex(variant, labels, args):
+    from lamgraph import DomainMismatch, TermGraph
+
+    g = TermGraph(
+        variant=SignatureVariant(*variant),
+        labels=tuple(Label[lab] for lab in labels),
+        args=args,
+        root=0,
+        names=tuple("abc"[: len(labels)]),
+    )
+    with pytest.raises(DomainMismatch, match="names no vertex"):
+        infer_prefix(g)
+    with pytest.raises(DomainMismatch, match="names no vertex"):
+        DelimitedGraph.from_graph(g)
 
 
 def _same_inference(g, seed=None):
