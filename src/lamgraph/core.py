@@ -5,7 +5,8 @@ Vertices carry one of four labels: application (binary), abstraction
 fixes whether variable and delimiter vertices carry back-link edges to
 the abstraction they belong to.  Graphs are immutable; every vertex is
 reachable from the root; vertex ids are dense integers 0..n-1, which
-``build`` assigns in the insertion order of its maps.
+``build`` assigns in the insertion order of its maps and ``parse_graph``
+in declaration order.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
@@ -257,9 +259,11 @@ def build(
 
     The label and successor maps must share one key set containing the
     root.  Vertices are numbered in the maps' insertion order; original
-    keys survive as vertex names.
+    keys survive as vertex names.  The keys are indexed once and the
+    checks run on ids in ``_build_ids``, the one constructor that
+    ``build_pruned`` and ``parse_graph`` share.
     """
-    g, pruned = _build_common(variant, labels, successors, root)
+    g, pruned = build_pruned(variant, labels, successors, root)
     if pruned:
         raise UnreachableVertex(pruned)
     return g
@@ -277,34 +281,43 @@ def build_pruned(
     root: Hashable,
 ) -> tuple[TermGraph, tuple]:
     """Lenient constructor: drops unreachable vertices and reports them."""
-    return _build_common(variant, labels, successors, root)
-
-
-def _build_common(variant, labels, successors, root):
-    keys = set(labels)
-    if keys != set(successors) or root not in keys:
+    keys = list(labels)
+    index = dict(zip(keys, range(len(keys))))
+    if index.keys() != set(successors) or root not in index:
         raise DomainMismatch("label and successor maps must share a key set containing the root")
-    for v in labels:
-        lab = labels[v]
-        if not variant.allows(lab):
-            raise ForbiddenLabel(v)
-        if len(successors[v]) != variant.arity(lab):
-            raise ArityMismatch(v)
-        for k, w in enumerate(successors[v]):
-            if w not in keys:
-                raise DanglingSuccessor(v, k)
-    reachable = _reachable_keys(root, successors)
-    order = [v for v in labels if v in reachable]
-    pruned = tuple(v for v in labels if v not in reachable)
-    index = {v: i for i, v in enumerate(order)}
-    g = TermGraph(
-        variant=variant,
-        labels=tuple(labels[v] for v in order),
-        args=tuple(tuple(index[w] for w in successors[v]) for v in order),
-        root=index[root],
-        names=tuple(str(v) for v in order),
-    )
-    return g, pruned
+    succ = list(map(successors.__getitem__, keys))
+    return _build_ids(variant, keys, list(map(labels.__getitem__, keys)), succ, index, index[root])
+
+
+def _build_ids(variant, keys, labels, successors, index, root):
+    """The one constructor behind ``build``, ``build_pruned`` and
+    ``parse_graph``: vertex ``v`` is ``keys[v]``, labelled ``labels[v]``,
+    with successor keys ``successors[v]`` that ``index`` maps to ids, and
+    ``root`` is an id.  Vertices are checked in id order, each for a
+    forbidden label, then its arity, then its first dangling successor;
+    errors name the vertex by its key.  Returns the graph of the vertices
+    reachable from the root, renumbered only if some are not, and the
+    keys of the others, in id order."""
+    # Arity by label value: an Enum member hashes through a Python-level
+    # call, its value in C.  A label the variant forbids has no entry.
+    arity = {lab._value_: variant.arity(lab) for lab in Label if variant.allows(lab)}.get
+    args = list(map(tuple, map(map, repeat(index.get), successors)))
+    for v, ids in enumerate(args):
+        n = arity(labels[v]._value_)
+        if n is None:
+            raise ForbiddenLabel(keys[v])
+        if len(ids) != n:
+            raise ArityMismatch(keys[v])
+        if None in ids:
+            raise DanglingSuccessor(keys[v], ids.index(None))
+    reached, pruned = _reachable_keys(root, args), ()
+    if len(reached) < len(args):
+        pruned = tuple(keys[v] for v in range(len(keys)) if v not in reached)
+        order = sorted(reached)
+        new_id = dict(zip(order, range(len(order))))
+        args = [tuple(map(new_id.__getitem__, args[v])) for v in order]
+        labels, keys, root = [labels[v] for v in order], [keys[v] for v in order], new_id[root]
+    return TermGraph(variant, tuple(labels), tuple(args), root, tuple(map(str, keys))), pruned
 
 
 def successor(g: TermGraph, v: int | str, k: int) -> int:

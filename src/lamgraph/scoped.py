@@ -131,35 +131,38 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
 def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
     """``validate_scope`` past its variant check, on a normalized function."""
     bad: list[Violation] = []
-    abs_vertices = g.vertices_labeled(Label.ABS)
+    labels, args, root = g.labels, g.args, g.root
+    ABS, VAR = Label.ABS, Label.VAR
+    abs_vertices = [v for v, lab in enumerate(labels) if lab is ABS]
     containing = _containing(g, sc, abs_vertices)
 
     for v in abs_vertices:
-        if g.root != v and g.root in sc[v]:
+        if root != v and root in sc[v]:
             bad.append(Violation("root", (v,)))
         if v not in sc[v]:
             bad.append(Violation("self", (v,)))
     if not _scopes_nest(g, sc, abs_vertices):
-        is_abs = [lab is Label.ABS for lab in g.labels]
+        is_abs = [lab is ABS for lab in labels]
         for v0 in abs_vertices:
             inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
             for v1 in inner:
                 # sc[v1] <= sc[v0] - {v0}, without copying sc[v0].
                 if v0 in sc[v1] or not sc[v1] <= sc[v0]:
                     bad.append(Violation("nest", (v0, v1)))
-    for w, k, wk in g.edges():
-        for v in containing[wk]:
-            if v != wk and w not in sc[v]:
-                bad.append(Violation("closed", (v, w, wk)))
-    variables = g.vertices_labeled(Label.VAR)
+    for w, succ in enumerate(args):
+        for wk in succ:
+            for v in containing[wk]:
+                if v != wk and w not in sc[v]:
+                    bad.append(Violation("closed", (v, w, wk)))
+    variables = [w for w, lab in enumerate(labels) if lab is VAR]
     for w in variables:
         # A variable is no abstraction, so every scope holding it counts.
         if not containing[w]:
             bad.append(Violation("scope0", (w,)))
     if g.variant.var_arity == 1:
         for w in variables:
-            w0 = g.args[w][0]
-            if g.labels[w0] is not Label.ABS:
+            w0 = args[w][0]
+            if labels[w0] is not ABS:
                 bad.append(Violation("scope1", (w, w0)))
                 continue
             for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
@@ -212,19 +215,28 @@ def _validate_prefix_ho(g: TermGraph, p: PrefixFn) -> ValidationReport:
     bad = _prefix_word_sanity(g, p)
     if p[g.root] != ():
         bad.append(Violation("root", (g.root,)))
-    for w, k, wk in g.edges():
-        lab = g.labels[w]
-        if lab is Label.ABS and not _is_word_prefix(p[wk], p[w] + (w,)):
-            bad.append(Violation("lambda", (w, wk)))
-        elif lab is Label.APP and not _is_word_prefix(p[wk], p[w]):
-            bad.append(Violation("apply", (w, wk)))
-    for w in g.vertices_labeled(Label.VAR):
+    labels, args = g.labels, g.args
+    ABS, APP, VAR = Label.ABS, Label.APP, Label.VAR
+    for w, succ in enumerate(args):
+        lab = labels[w]
+        if lab is ABS:
+            word = p[w] + (w,)
+            for wk in succ:
+                if not _is_word_prefix(p[wk], word):
+                    bad.append(Violation("lambda", (w, wk)))
+        elif lab is APP:
+            word = p[w]
+            for wk in succ:
+                if not _is_word_prefix(p[wk], word):
+                    bad.append(Violation("apply", (w, wk)))
+    variables = [w for w, lab in enumerate(labels) if lab is VAR]
+    for w in variables:
         if p[w] == ():
             bad.append(Violation("var0", (w,)))
     if g.variant.var_arity == 1:
-        for w in g.vertices_labeled(Label.VAR):
-            w0 = g.args[w][0]
-            if g.labels[w0] is not Label.ABS or p[w0] + (w0,) != p[w]:
+        for w in variables:
+            w0 = args[w][0]
+            if labels[w0] is not ABS or p[w0] + (w0,) != p[w]:
                 bad.append(Violation("var1", (w, w0)))
     return ValidationReport(tuple(bad))
 

@@ -43,27 +43,111 @@ class DuplicateBinding(Exception):
 
 
 class Term:
-    pass
+    """A term.  ``==``, ``hash`` and ``repr`` give what the frozen
+    dataclasses' generated methods give, but keep their own stacks, so a
+    term of any depth compares, hashes and prints at the default
+    recursion limit.  Terms and the tuples among their fields are walked;
+    any other field value is compared, hashed and printed as it is."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            parts = _parts(a) if a.__class__ is b.__class__ else None
+            if parts is None:
+                if a != b:
+                    return False
+                continue
+            others = _parts(b)
+            if len(parts) != len(others):
+                return False
+            todo.extend(reversed(list(zip(parts, others))))
+        return True
+
+    def __hash__(self):
+        # As the dataclasses hash: the tuple of the fields, each tuple or
+        # term among them by its own hash, found first.
+        hashes: dict[int, int] = {}  # id of a term or tuple -> its hash
+        todo = [self]
+        while todo:
+            x = todo[-1]
+            parts = _parts(x)
+            waiting = [p for p in parts if id(p) not in hashes and _parts(p) is not None]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            hashes[id(x)] = hash(tuple(_Hash(hashes[id(p)]) if id(p) in hashes else p for p in parts))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [(self,)]  # text to write and (value,) to render, next last
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            (x,) = x
+            parts = _parts(x)
+            if parts is None:
+                out.append(repr(x))
+                continue
+            if isinstance(x, Term):
+                names = [f"{', ' * (k > 0)}{name}=" for k, name in enumerate(x.__dataclass_fields__)]
+                head, tail = f"{type(x).__qualname__}(", ")"
+            else:
+                names = [", " * (k > 0) for k in range(len(parts))]
+                head, tail = "(", ",)" if len(parts) == 1 else ")"
+            out.append(head)
+            todo.append(tail)
+            for name, part in reversed(list(zip(names, parts))):
+                todo += ((part,), name)
+        return "".join(out)
 
 
-@dataclass(frozen=True)
+def _parts(x) -> tuple | None:
+    """What ``Term`` compares, hashes and prints ``x`` by: a term's fields
+    in order, a tuple's items; None for any other value."""
+    if isinstance(x, Term):
+        return tuple(getattr(x, name) for name in x.__dataclass_fields__)
+    return x if type(x) is tuple else None
+
+
+class _Hash:
+    """Stands in a tuple for a value of the given hash."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Abs(Term):
     name: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Letrec(Term):
     bindings: tuple[tuple[str, Term], ...]
     body: Term

@@ -14,6 +14,12 @@ The ``sig`` line gives the variable arity and, when present, the
 delimiter arity.  Vertex lines are ``name label successors...``; the
 optional ``prefix`` and ``scope`` lines annotate higher-order documents.
 Parsing a serialized document reproduces it exactly.
+
+The parser reads the document in one pass and gives each vertex its id
+as its line is read, so ids follow declaration order.  Successors, the
+root and the annotation lines resolve through that one name-to-id map,
+and the graph is checked and built on ids by ``core._build_ids``, the
+constructor that ``build`` shares.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import GraphError, Label, SignatureVariant, TermGraph, build
-from .scoped import normalize_prefix_fn, normalize_scope_fn
+from .core import GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex, _build_ids
+from .scoped import _check_prefix_domain, _check_scope_domain
 
 # A label's token is its ``str``.
 _LABELS = {str(label): label for label in Label}
@@ -55,28 +61,41 @@ def parse_graph(text: str) -> GraphDocument:
     """Parse a graph document; construction errors carry the line number."""
     sig: SignatureVariant | None = None
     root: str | None = None
-    labels: dict[str, Label] = {}
-    succ: dict[str, list[str]] = {}
+    index: dict[str, int] = {}  # name -> id, given as the vertex line is read
+    labels: list[Label] = []
+    succ: list[list[str]] = []
+    declared_at: list[int] = []  # id -> line number
     prefix_lines: list[tuple[int, str, list[str]]] = []
     scope_lines: list[tuple[int, str, list[str]]] = []
-    declared_at: dict[str, int] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        if "{" in line or "}" in line:
+            # Braces need not be whitespace-separated: "{b v}" parses too.
+            line = line.replace("{", " { ").replace("}", " } ")
+        fields = line.split()
+        if not fields:
             continue
-        # Braces need not be whitespace-separated: "{b v}" parses too.
-        fields = line.replace("{", " { ").replace("}", " } ").split()
         head = fields[0]
-        if head == "sig":
+        if head not in RESERVED_NAMES:
+            if len(fields) < 2:
+                raise FormatError(line_no, "expected 'name label successors...'")
+            if fields[1] not in _LABELS:
+                raise FormatError(line_no, f"unknown label {fields[1]!r}")
+            if head in index:
+                raise FormatError(line_no, f"duplicate vertex {head!r}")
+            index[head] = len(labels)
+            labels.append(_LABELS[fields[1]])
+            succ.append(fields[2:])
+            declared_at.append(line_no)
+        elif head == "sig":
             if sig is not None:
                 raise FormatError(line_no, "duplicate sig line")
             if len(fields) not in (2, 3) or not all(f.isdigit() for f in fields[1:]):
                 raise FormatError(line_no, "expected 'sig i' or 'sig i j'")
             try:
-                sig = SignatureVariant(
-                    int(fields[1]), int(fields[2]) if len(fields) == 3 else None
-                )
+                sig = SignatureVariant(*map(int, fields[1:]))
             except ValueError as exc:
                 raise FormatError(line_no, str(exc)) from None
         elif head == "root":
@@ -89,61 +108,51 @@ def parse_graph(text: str) -> GraphDocument:
             if len(fields) < 3 or fields[2] != "=":
                 raise FormatError(line_no, "expected 'prefix v = entries...'")
             prefix_lines.append((line_no, fields[1], fields[3:]))
-        elif head == "scope":
+        else:
             if len(fields) < 5 or fields[2] != "=" or fields[3] != "{" or fields[-1] != "}":
                 raise FormatError(line_no, "expected 'scope v = { members... }'")
             scope_lines.append((line_no, fields[1], fields[4:-1]))
-        else:
-            if len(fields) < 2:
-                raise FormatError(line_no, "expected 'name label successors...'")
-            name, label_token, *successors = fields
-            if label_token not in _LABELS:
-                raise FormatError(line_no, f"unknown label {label_token!r}")
-            if name in labels:
-                raise FormatError(line_no, f"duplicate vertex {name!r}")
-            labels[name] = _LABELS[label_token]
-            succ[name] = successors
-            declared_at[name] = line_no
 
     if sig is None:
         raise FormatError(1, "missing sig line")
     if root is None:
         raise FormatError(1, "missing root line")
-    if root not in labels:
+    if root not in index:
         raise FormatError(1, f"root {root!r} is not declared")
     try:
-        graph = build(sig, labels, succ, root)
+        graph, pruned = _build_ids(sig, list(index), labels, succ, index, index[root])
+        if pruned:
+            raise UnreachableVertex(pruned)
     except GraphError as exc:
-        vertex = getattr(exc, "vertex", None)
-        line_no = declared_at.get(vertex, 1)
+        line_no = declared_at[index[exc.vertex]] if hasattr(exc, "vertex") else 1
         raise FormatError(line_no, str(exc)) from exc
 
-    prefixes = None
+    prefixes = scopes = None
     if prefix_lines:
-        raw_p: dict[str, tuple[str, ...]] = {}
-        for line_no, name, entries in prefix_lines:
-            if name not in labels or any(e not in labels for e in entries):
-                raise FormatError(line_no, "prefix line mentions unknown vertex")
-            if name in raw_p:
-                raise FormatError(line_no, f"duplicate prefix line for {name!r}")
-            raw_p[name] = tuple(entries)
-        for name in labels:  # omitted lines mean the empty word
-            raw_p.setdefault(name, ())
-        prefixes = normalize_prefix_fn(graph, raw_p)
-    scopes = None
+        prefixes = _annotation("prefix", prefix_lines, index, tuple)
+        # Omitted lines mean the empty word.
+        prefixes.update((v, ()) for v in range(len(labels)) if v not in prefixes)
+        _check_prefix_domain(graph, prefixes)
     if scope_lines:
-        raw_s: dict[str, frozenset[str]] = {}
-        for line_no, name, members in scope_lines:
-            if name not in labels or any(m not in labels for m in members):
-                raise FormatError(line_no, "scope line mentions unknown vertex")
-            if name in raw_s:
-                raise FormatError(line_no, f"duplicate scope line for {name!r}")
-            raw_s[name] = frozenset(members)
+        scopes = _annotation("scope", scope_lines, index, frozenset)
         try:
-            scopes = normalize_scope_fn(graph, raw_s)
+            _check_scope_domain(graph, scopes)
         except GraphError as exc:
             raise FormatError(scope_lines[0][0], str(exc)) from exc
     return GraphDocument(graph, prefixes, scopes)
+
+
+def _annotation(kind: str, lines: list, index: dict[str, int], freeze: type) -> dict:
+    """The ``prefix`` or ``scope`` lines as a map on ids, in line order."""
+    find, out = index.get, {}
+    for line_no, name, entries in lines:
+        v, xs = find(name), freeze(map(find, entries))
+        if v is None or None in xs:
+            raise FormatError(line_no, f"{kind} line mentions unknown vertex")
+        if v in out:
+            raise FormatError(line_no, f"duplicate {kind} line for {name!r}")
+        out[v] = xs
+    return out
 
 
 def serialize_graph(doc: GraphDocument | TermGraph) -> str:

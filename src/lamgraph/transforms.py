@@ -43,11 +43,11 @@ def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
 
 def _scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     """``scope_to_prefix`` without validating the result."""
-    labels = h.graph.labels
+    labels, ABS = h.graph.labels, Label.ABS
     prefixes = {}
     for w, word in enumerate(h._binder_lists):
         # An abstraction lies in its own scope, not in its own prefix.
-        prefixes[w] = tuple(v for v in word if v != w) if labels[w] is Label.ABS else tuple(word)
+        prefixes[w] = tuple(v for v in word if v != w) if labels[w] is ABS else tuple(word)
     return PrefixedGraph(h.graph, prefixes)
 
 
@@ -63,7 +63,8 @@ def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
 
 def _prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     """``prefix_to_scope`` without checking or validating the result."""
-    members = {v: [v] for v in a.graph.vertices_labeled(Label.ABS)}
+    ABS = Label.ABS
+    members = {v: [v] for v, lab in enumerate(a.graph.labels) if lab is ABS}
     for w, word in a.prefixes.items():
         for v in word:
             if v in members:
@@ -111,10 +112,11 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     g = a.graph
     p = a.prefixes
     b = _Builder(g)
+    ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
     for w, lab in enumerate(g.labels):
-        if lab is Label.ABS:
+        if lab is ABS:
             base_word = p[w] + (w,)
-        elif lab is Label.APP:
+        elif lab is APP:
             base_word = p[w]
         else:
             continue  # variable back-links get no chain
@@ -131,7 +133,7 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
             b.succ[w][k] = len(b.labels)
             base = f"{g.names[w]}.{k}.s"
             for level in range(len(base_word), lower, -1):
-                d = b.alloc(base, Label.DEL)
+                d = b.alloc(base, DEL)
                 below = d + 1 if level > lower + 1 else wk
                 b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
     result = b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
@@ -158,21 +160,21 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
 def _strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
     """``strip_delimiters`` without checking or validating the result."""
     graph = g.graph
-    labels = graph.labels
+    labels, args, DEL = graph.labels, graph.args, Label.DEL
 
     def skip(u: int) -> int:
-        while labels[u] is Label.DEL:
-            u = graph.args[u][0]
+        while labels[u] is DEL:
+            u = args[u][0]
         return u
 
-    kept = [v for v in graph.vertices() if labels[v] is not Label.DEL]
+    kept = [v for v, lab in enumerate(labels) if lab is not DEL]
     new_id = [-1] * graph.vertex_count
     for i, v in enumerate(kept):
         new_id[v] = i
     carrier = TermGraph(
         variant=SignatureVariant(graph.variant.var_arity, None),
         labels=tuple(labels[v] for v in kept),
-        args=tuple(tuple(new_id[skip(w)] for w in graph.args[v]) for v in kept),
+        args=tuple(tuple(new_id[skip(w)] for w in args[v]) for v in kept),
         root=new_id[skip(graph.root)],
         names=tuple(graph.names[v] for v in kept),
     )

@@ -14,19 +14,30 @@ variables and live bindings with the walks that one worklist analysis
 replaced, and emits, infers and checks on its own, prefix inference
 followed by a full validation pass, the eager and back-link checks with
 one search per word through every deeper region, the per-character
-term tokenizer and vertex-name test, and the term parser that scans
-each letrec binding body before parsing it.
+term tokenizer and vertex-name test, the term parser that scans
+each letrec binding body before parsing it, the terms' generated
+dataclass comparison, hash and repr, and the graph constructor
+and document parser that check and resolve on vertex names, where the
+library indexes the names once and works on ids.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from dataclasses import make_dataclass
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
 from lamgraph import (
+    ArityMismatch,
+    DanglingSuccessor,
     DelimitedGraph,
+    DomainMismatch,
+    ForbiddenLabel,
+    FormatError,
+    GraphDocument,
+    GraphError,
     Label,
     Partition,
     Path,
@@ -35,6 +46,7 @@ from lamgraph import (
     SignatureVariant,
     Term,
     TermGraph,
+    UnreachableVertex,
     ValidationReport,
     VariantMismatch,
     Violation,
@@ -45,7 +57,7 @@ from lamgraph import (
     validate_scope,
 )
 from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
-from lamgraph.scoped import PrefixFn, ScopeFn, normalize_scope_fn
+from lamgraph.scoped import PrefixFn, ScopeFn, normalize_prefix_fn, normalize_scope_fn
 from lamgraph.sharing import _refine
 from lamgraph.terms import (
     Abs,
@@ -57,6 +69,7 @@ from lamgraph.terms import (
     Var,
 )
 from lamgraph.textfmt import RESERVED_NAMES
+from lamgraph.textfmt import _LABELS as _TEXT_LABELS
 from lamgraph.translate import (
     DegenerateBinding,
     InternalValidationFailure,
@@ -1229,3 +1242,165 @@ def recursive_format_term(t: Term) -> str:
         binds = "; ".join(f"{n} = {recursive_format_term(b)}" for n, b in t.bindings)
         return f"letrec {binds} in {recursive_format_term(t.body)}"
     raise TypeError(f"not a term: {t!r}")
+
+
+def _name_keyed_reachable(root, succ: Mapping) -> set:
+    seen = {root}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in succ[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def name_keyed_build_common(variant, labels, successors, root):
+    """The constructor that ``build`` and ``build_pruned`` shared before
+    ``_build_ids``: checks and reachability on the maps' own keys."""
+    keys = set(labels)
+    if keys != set(successors) or root not in keys:
+        raise DomainMismatch("label and successor maps must share a key set containing the root")
+    for v in labels:
+        lab = labels[v]
+        if not variant.allows(lab):
+            raise ForbiddenLabel(v)
+        if len(successors[v]) != variant.arity(lab):
+            raise ArityMismatch(v)
+        for k, w in enumerate(successors[v]):
+            if w not in keys:
+                raise DanglingSuccessor(v, k)
+    reachable = _name_keyed_reachable(root, successors)
+    order = [v for v in labels if v in reachable]
+    pruned = tuple(v for v in labels if v not in reachable)
+    index = {v: i for i, v in enumerate(order)}
+    g = TermGraph(
+        variant=variant,
+        labels=tuple(labels[v] for v in order),
+        args=tuple(tuple(index[w] for w in successors[v]) for v in order),
+        root=index[root],
+        names=tuple(str(v) for v in order),
+    )
+    return g, pruned
+
+
+def name_keyed_build(variant, labels, successors, root) -> TermGraph:
+    """``build`` on ``name_keyed_build_common``."""
+    g, pruned = name_keyed_build_common(variant, labels, successors, root)
+    if pruned:
+        raise UnreachableVertex(pruned)
+    return g
+
+
+def name_keyed_parse_graph(text: str) -> GraphDocument:
+    """The graph-document parser that builds name-keyed maps, hands them
+    to ``name_keyed_build``, and resolves the annotation lines by name."""
+    sig: SignatureVariant | None = None
+    root: str | None = None
+    labels: dict[str, Label] = {}
+    succ: dict[str, list[str]] = {}
+    prefix_lines: list[tuple[int, str, list[str]]] = []
+    scope_lines: list[tuple[int, str, list[str]]] = []
+    declared_at: dict[str, int] = {}
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        # Braces need not be whitespace-separated: "{b v}" parses too.
+        fields = line.replace("{", " { ").replace("}", " } ").split()
+        head = fields[0]
+        if head == "sig":
+            if sig is not None:
+                raise FormatError(line_no, "duplicate sig line")
+            if len(fields) not in (2, 3) or not all(f.isdigit() for f in fields[1:]):
+                raise FormatError(line_no, "expected 'sig i' or 'sig i j'")
+            try:
+                sig = SignatureVariant(
+                    int(fields[1]), int(fields[2]) if len(fields) == 3 else None
+                )
+            except ValueError as exc:
+                raise FormatError(line_no, str(exc)) from None
+        elif head == "root":
+            if root is not None:
+                raise FormatError(line_no, "duplicate root line")
+            if len(fields) != 2:
+                raise FormatError(line_no, "expected 'root name'")
+            root = fields[1]
+        elif head == "prefix":
+            if len(fields) < 3 or fields[2] != "=":
+                raise FormatError(line_no, "expected 'prefix v = entries...'")
+            prefix_lines.append((line_no, fields[1], fields[3:]))
+        elif head == "scope":
+            if len(fields) < 5 or fields[2] != "=" or fields[3] != "{" or fields[-1] != "}":
+                raise FormatError(line_no, "expected 'scope v = { members... }'")
+            scope_lines.append((line_no, fields[1], fields[4:-1]))
+        else:
+            if len(fields) < 2:
+                raise FormatError(line_no, "expected 'name label successors...'")
+            name, label_token, *successors = fields
+            if label_token not in _TEXT_LABELS:
+                raise FormatError(line_no, f"unknown label {label_token!r}")
+            if name in labels:
+                raise FormatError(line_no, f"duplicate vertex {name!r}")
+            labels[name] = _TEXT_LABELS[label_token]
+            succ[name] = successors
+            declared_at[name] = line_no
+
+    if sig is None:
+        raise FormatError(1, "missing sig line")
+    if root is None:
+        raise FormatError(1, "missing root line")
+    if root not in labels:
+        raise FormatError(1, f"root {root!r} is not declared")
+    try:
+        graph = name_keyed_build(sig, labels, succ, root)
+    except GraphError as exc:
+        vertex = getattr(exc, "vertex", None)
+        line_no = declared_at.get(vertex, 1)
+        raise FormatError(line_no, str(exc)) from exc
+
+    prefixes = None
+    if prefix_lines:
+        raw_p: dict[str, tuple[str, ...]] = {}
+        for line_no, name, entries in prefix_lines:
+            if name not in labels or any(e not in labels for e in entries):
+                raise FormatError(line_no, "prefix line mentions unknown vertex")
+            if name in raw_p:
+                raise FormatError(line_no, f"duplicate prefix line for {name!r}")
+            raw_p[name] = tuple(entries)
+        for name in labels:  # omitted lines mean the empty word
+            raw_p.setdefault(name, ())
+        prefixes = normalize_prefix_fn(graph, raw_p)
+    scopes = None
+    if scope_lines:
+        raw_s: dict[str, frozenset[str]] = {}
+        for line_no, name, members in scope_lines:
+            if name not in labels or any(m not in labels for m in members):
+                raise FormatError(line_no, "scope line mentions unknown vertex")
+            if name in raw_s:
+                raise FormatError(line_no, f"duplicate scope line for {name!r}")
+            raw_s[name] = frozenset(members)
+        try:
+            scopes = normalize_scope_fn(graph, raw_s)
+        except GraphError as exc:
+            raise FormatError(scope_lines[0][0], str(exc)) from exc
+    return GraphDocument(graph, prefixes, scopes)
+
+
+# The term classes as frozen dataclasses with the generated ==, hash and
+# repr, which recurse once per term level; ``Term`` keeps its own stacks.
+_DATACLASS_TERMS = {
+    cls: make_dataclass(cls.__name__, list(cls.__dataclass_fields__), frozen=True)
+    for cls in (Var, App, Abs, Letrec)
+}
+
+
+def dataclass_term(t: Term):
+    """``t`` rebuilt from ``_DATACLASS_TERMS``, recursively."""
+    if isinstance(t, Letrec):
+        bindings = tuple((name, dataclass_term(sub)) for name, sub in t.bindings)
+        return _DATACLASS_TERMS[Letrec](bindings, dataclass_term(t.body))
+    fields = (getattr(t, name) for name in t.__dataclass_fields__)
+    return _DATACLASS_TERMS[type(t)](*(dataclass_term(x) if isinstance(x, Term) else x for x in fields))

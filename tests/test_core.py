@@ -1,10 +1,16 @@
+import collections
 import random
 import time
 
 import pytest
 
 from generators import random_graph
-from oracles import all_homomorphisms, lex_min_simple_path
+from oracles import (
+    all_homomorphisms,
+    lex_min_simple_path,
+    name_keyed_build,
+    name_keyed_build_common,
+)
 
 from lamgraph import (
     ArityMismatch,
@@ -226,3 +232,56 @@ def test_id_of_prefers_the_first_of_equal_names():
     # build names vertices by str(key), so distinct keys can collide.
     g = build(V0, {1: Label.ABS, "1": Label.VAR}, {1: ["1"], "1": []}, 1)
     assert g.names == ("1", "1") and g.id_of("1") == 0
+
+
+# Keys of three hashable kinds, and keys no map holds.
+_KEYS = ["a", "b", "c", "d", 1, 2, 30, ("t", 0), ("t", 1), (2,)]
+_GHOSTS = ["ghost", 99, ("t", 9)]
+_VARIANTS = [SignatureVariant(i, j) for i in (0, 1) for j in (None, 1, 2)]
+
+
+def _random_maps(rng):
+    """A seeded label map, successor map and root, mostly well formed: each
+    defect named in ``test_build_matches_the_name_keyed_reference`` has a
+    small chance at each vertex, or once per map."""
+    variant = rng.choice(_VARIANTS)
+    keys = rng.sample(_KEYS, rng.randint(1, len(_KEYS)))
+    allowed = [lab for lab in Label if variant.allows(lab)]
+    labels = {k: Label.DEL if rng.random() < 0.02 else rng.choice(allowed) for k in keys}
+    succ = {}
+    for k, lab in labels.items():
+        n = variant.arity(lab) if variant.allows(lab) else 1
+        if rng.random() < 0.03:
+            n = abs(n + rng.choice((-1, 1)))
+        succ[k] = [rng.choice(_GHOSTS) if rng.random() < 0.02 else rng.choice(keys) for _ in range(n)]
+    root = rng.choice(_GHOSTS) if rng.random() < 0.02 else rng.choice(keys)
+    if rng.random() < 0.02:
+        succ.pop(rng.choice(keys))
+    elif rng.random() < 0.02:
+        succ[rng.choice(_GHOSTS)] = []
+    return variant, labels, succ, root
+
+
+def _result(construct, *args):
+    try:
+        return ("built", construct(*args))
+    except Exception as exc:
+        return ("refused", type(exc), str(exc), vars(exc))
+
+
+def test_build_matches_the_name_keyed_reference():
+    # Against the constructor that checked and searched on the maps' own
+    # keys: the same graph and pruned keys, or the same exception type,
+    # message and attributes (vertex, index, vertices).
+    rng = random.Random(1904)
+    seen = collections.Counter()
+    for _ in range(4000):
+        args = _random_maps(rng)
+        pruned = _result(build_pruned, *args)
+        assert pruned == _result(name_keyed_build_common, *args), args
+        assert _result(build, *args) == _result(name_keyed_build, *args), args
+        seen[pruned[1] if pruned[0] == "refused" else bool(pruned[1][1])] += 1
+    # Every outcome occurs: graphs with and without pruned vertices, and
+    # each refusal.
+    kinds = {True, False, DomainMismatch, ForbiddenLabel, ArityMismatch, DanglingSuccessor}
+    assert set(seen) == kinds and min(seen.values()) >= 20, seen

@@ -10,6 +10,7 @@ from conftest import RUNNING_TERM
 from generators import closed_terms, random_term
 from oracles import (
     _Token,
+    dataclass_term,
     per_character_tokenize,
     recursive_format_term,
     recursive_parse_term,
@@ -408,9 +409,9 @@ def test_unbound_name_in_a_binding_waits_for_its_group():
     assert err.value.position == 35
 
 
-# Depth: the parser and format_term keep their own stacks, so nesting
-# depth is bounded by memory, not the recursion limit.  The shapes are
-# walked, since dataclass == and repr recurse on deep terms.
+# Depth: the parser, format_term and the terms' ==, hash and repr keep
+# their own stacks, so nesting depth is bounded by memory, not the
+# recursion limit.
 DEEP = 10_000
 
 
@@ -479,3 +480,64 @@ def test_letrecs_in_binding_position_read_each_token_boundedly():
         t = t.bindings[0][1]
     assert t == Abs("x", Var("x"))
     assert tokens.reads <= 3 * len(tokens)
+
+
+def test_eq_hash_and_repr_are_the_generated_dataclass_methods():
+    # Against the same terms built from plain frozen dataclasses: the same
+    # repr text, the same hash, and the same verdict of == and != on pairs
+    # that are equal, differ in one name, or differ in shape.
+    rng = random.Random(1906)
+    texts = [RUNNING_TERM] + FIXTURE_TERMS + COLLIDING_TERMS
+    terms = [parse_term(text) for text in texts] + [random_term(rng) for _ in range(300)]
+    copies = [(t, parse_term(format_term(t))) for t in terms]
+    pairs = copies + [(t, u) for t in terms for u in rng.sample(terms, 5)]
+    # Hand-built: a shared subterm, an empty group, and pairs one name or
+    # one binding apart.
+    x, shared = Var("x"), Abs("y", Var("y"))
+    built = [
+        (App(shared, shared), App(Abs("y", Var("y")), shared)),
+        (Letrec((), x), Letrec((), Var("x"))),
+        (Letrec((), x), Letrec((("f", shared),), x)),
+        (Letrec((("f", shared), ("g", shared)), x), Letrec((("f", shared), ("h", shared)), x)),
+        (Abs("x", x), Abs("y", x)),
+        (App(x, App(x, x)), App(x, App(x, Var("y")))),
+    ]
+    terms += [t for pair in built for t in pair]
+    pairs += built
+    for t in terms:
+        assert repr(t) == repr(dataclass_term(t)) and hash(t) == hash(dataclass_term(t))
+    for t, u in pairs:
+        ref_t, ref_u = dataclass_term(t), dataclass_term(u)
+        assert ((t == u), (t != u)) == ((ref_t == ref_u), (ref_t != ref_u)), (t, u)
+    assert all(t == u for t, u in copies) and not all(t == u for t, u in pairs)
+    assert Var("x") != Abs("x", Var("x")) and Var("x") != "x" and Var("x") != dataclass_term(Var("x"))
+
+
+# Per family: the text, a change to the last occurrence of a word in it
+# (deepest in the term), and the number of variable occurrences.
+_DEEP_FAMILIES = {
+    "right_nest": ("\\x. " + "x (" * (DEEP - 1) + "x x" + ")" * (DEEP - 1), "x x", "x \\y. y", DEEP + 1),
+    "tower": (
+        "".join(f"\\x{i}. " for i in range(DEEP)) + " ".join(f"x{i}" for i in range(DEEP)),
+        f"x{DEEP - 1}",
+        "x0",
+        DEEP,
+    ),
+    "letrecs_in_body_position": ("letrec a = \\x. x in " * DEEP + "a", "\\x. x", "\\y. y", DEEP + 1),
+    "letrecs_in_binding_position": (
+        "letrec g = " * DEEP + "\\x. x" + " in g" * DEEP,
+        "\\x. x",
+        "\\y. y",
+        DEEP + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", _DEEP_FAMILIES)
+def test_deep_terms_compare_hash_and_print(family):
+    text, old, new, occurrences = _DEEP_FAMILIES[family]
+    t, u = parse_term(text), parse_term(text)
+    head, _, tail = text.rpartition(old)
+    other = parse_term(head + new + tail)
+    assert t == u and t != other and hash(t) == hash(u)
+    assert repr(t).count("Var(name=") == occurrences

@@ -1,16 +1,24 @@
+import collections
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DELIM_SHARED,
     EAGER_NESTED,
     LAZY_NESTED,
     RUNNING_CARRIER,
+    RUNNING_EAGER_PREFIXES,
+    RUNNING_EAGER_SCOPES,
+    RUNNING_LAZY_SCOPES,
 )
 from generators import random_term
-from oracles import name_keyed_term_to_graph, per_character_writable
+from oracles import name_keyed_parse_graph, name_keyed_term_to_graph, per_character_writable
+from parse_parity import corpus_docs, outcome
+from test_cli import _DOC_SNIPPETS, _mutate
 
 from lamgraph import (
     FormatError,
@@ -206,3 +214,51 @@ def test_malformed_lines_are_refused_at_their_line(text, line_no, message):
     with pytest.raises(FormatError) as info:
         parse_graph(text)
     assert (info.value.line_no, str(info.value)) == (line_no, f"line {line_no}: {message}")
+
+
+def _agree(text: str) -> str:
+    # The same document, with the same key order in its prefix and scope
+    # maps, or the same exception type, message and line number.
+    ours = outcome(parse_graph, text)
+    assert ours == outcome(name_keyed_parse_graph, text), text
+    return ours[0]
+
+
+def test_parse_graph_matches_the_name_keyed_reference():
+    docs = corpus_docs()
+    rng = random.Random(1905)
+    mutated = [_mutate(rng.choice(docs), _DOC_SNIPPETS, rng) for _ in range(3000)]
+    assert {_agree(text) for text in docs} == {"parsed", "refused"}
+    assert collections.Counter(map(_agree, mutated))["parsed"] > 200
+
+
+# Line soups: the running carrier's lines in any order, any of its scope
+# and prefix lines (braces compact or spaced, some with a comment), and
+# up to two stray lines, whole lines of the kinds a document holds or
+# words drawn from its vocabulary, with braces and comments anywhere.
+_CARRIER_LINES = RUNNING_CARRIER.splitlines()
+_NOTE_LINES = [f"scope {v} = {{{' '.join(sorted(ws))}}}" for v, ws in RUNNING_EAGER_SCOPES.items()]
+_NOTE_LINES += [f"scope {v} = {{ {' '.join(ws)} }}  # lazy" for v, ws in RUNNING_LAZY_SCOPES.items()]
+_NOTE_LINES += [f"prefix {v} = {' '.join(w)}" for v, w in RUNNING_EAGER_PREFIXES.items()]
+_STRAY_LINES = ["a lam b", "b @ c c", "c 0", "s S a", "f lam f", "root b", "sig 1", "c 0 # v",
+                "scope a = { a b c }", "scope f = {f}", "prefix vu = ghost", "prefix f =", "b {lam} c"]
+_STRAY_WORDS = ["sig", "root", "prefix", "scope", "f", "a", "g", "lam", "@", "0", "S", "1", "2",
+                "=", "{", "}", "{f", "g}", "#", "x#y", "\t", "\u3000"]
+_STRAY = st.one_of(
+    st.sampled_from(_STRAY_LINES),
+    st.lists(st.sampled_from(_STRAY_WORDS), max_size=7).map(" ".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.permutations(_CARRIER_LINES),
+    st.lists(st.sampled_from(_NOTE_LINES), unique=True),
+    st.lists(_STRAY, max_size=2),
+    st.data(),
+)
+def test_parse_graph_matches_the_reference_on_line_soups(carrier, notes, strays, data):
+    lines = carrier + notes
+    for line in strays:
+        lines.insert(data.draw(st.integers(0, len(lines))), line)
+    _agree("\n".join(lines))
