@@ -124,17 +124,17 @@ _GRAPH_CLASSES = ("hotg", "aphotg", "ltg", "tg")
 
 
 def _doc_as(doc: GraphDocument, cls: str, path: str):
-    # parse_graph has resolved and domain-checked the annotations.
+    # parse_graph has resolved the annotations to ids.
     g = doc.graph
     try:
         if cls == "hotg":
             if doc.scopes is None:
                 raise CliError(f"{path}: hotg input needs scope lines")
-            return ScopedGraph._validated(g, doc.scopes)
+            return ScopedGraph(g, doc.scopes)
         if cls == "aphotg":
             if doc.prefixes is None:
                 raise CliError(f"{path}: aphotg input needs prefix lines")
-            return PrefixedGraph._validated(g, doc.prefixes)
+            return PrefixedGraph(g, doc.prefixes)
         if cls == "ltg":
             return DelimitedGraph.from_graph(g)
     except (GraphError, ValueError) as exc:

@@ -7,6 +7,13 @@ the abstraction they belong to.  Graphs are immutable; every vertex is
 reachable from the root; vertex ids are dense integers 0..n-1, which
 ``build`` assigns in the insertion order of its maps and ``parse_graph``
 in declaration order.
+
+Each representation checks itself where it is made: a ``TermGraph``
+built directly refuses a successor or root id that names no vertex, and
+``ScopedGraph``, ``PrefixedGraph`` and ``DelimitedGraph`` refuse an
+invalid annotation.  Producers whose output is valid by construction
+(the builders, ``collapse`` and the conversions) make it through
+``_trusted``, which runs no check.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Hashable, Iterable, Mapping, Sequence
 
 
@@ -158,6 +165,15 @@ class _Lookup(dict):
         return key
 
 
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with these fields,
+    made without ``__post_init__``: the one path for producers whose
+    output is valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 # A homomorphism witness: total map from source vertices to target vertices.
 VertexMap = dict[int, int]
 
@@ -177,6 +193,19 @@ class TermGraph:
     args: tuple[tuple[int, ...], ...]
     root: int
     names: tuple[str, ...]
+
+    def __post_init__(self):
+        # A direct construction: every id must name a vertex, or readers
+        # would index past the end or wrap a negative id round.
+        n = len(self.labels)
+        if len(self.args) != n or len(self.names) != n:
+            raise DomainMismatch("args and names must hold one entry per vertex")
+        ids = set(range(n))
+        if self.root not in ids:
+            raise DomainMismatch(f"root id {self.root} names no vertex")
+        if not ids.issuperset(chain.from_iterable(self.args)):
+            w, t = next((w, t) for w, succ in enumerate(self.args) for t in succ if t not in ids)
+            raise DomainMismatch(f"successor id {t} of {self.names[w]} names no vertex")
 
     @property
     def vertex_count(self) -> int:
@@ -285,8 +314,12 @@ def build_pruned(
     index = dict(zip(keys, range(len(keys))))
     if index.keys() != set(successors) or root not in index:
         raise DomainMismatch("label and successor maps must share a key set containing the root")
+    labs = list(map(labels.__getitem__, keys))
+    if not {Label}.issuperset(map(type, labs)):
+        key = next(key for key, lab in zip(keys, labs) if type(lab) is not Label)
+        raise TypeError(f"label {labels[key]!r} of vertex {key!r} is not a Label")
     succ = list(map(successors.__getitem__, keys))
-    return _build_ids(variant, keys, list(map(labels.__getitem__, keys)), succ, index, index[root])
+    return _build_ids(variant, keys, labs, succ, index, index[root])
 
 
 def _build_ids(variant, keys, labels, successors, index, root):
@@ -317,7 +350,11 @@ def _build_ids(variant, keys, labels, successors, index, root):
         new_id = dict(zip(order, range(len(order))))
         args = [tuple(map(new_id.__getitem__, args[v])) for v in order]
         labels, keys, root = [labels[v] for v in order], [keys[v] for v in order], new_id[root]
-    return TermGraph(variant, tuple(labels), tuple(args), root, tuple(map(str, keys))), pruned
+    names = tuple(map(str, keys))
+    graph = _trusted(
+        TermGraph, variant=variant, labels=tuple(labels), args=tuple(args), root=root, names=names
+    )
+    return graph, pruned
 
 
 def successor(g: TermGraph, v: int | str, k: int) -> int:

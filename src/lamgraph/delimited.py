@@ -13,7 +13,9 @@ This module also emits delimited graphs on integer ids: ``_Builder``
 allocates vertices and mints their names, and its finish step infers
 the words, so inference is the one source of a ``DelimitedGraph``'s
 prefix function.  Both producers, ``term_to_graph`` and
-``insert_delimiters``, build with it.
+``insert_delimiters``, build with it.  A ``DelimitedGraph`` made
+directly must carry exactly the inferred words; ``from_graph`` infers
+them and trusts the result.
 """
 
 from __future__ import annotations
@@ -21,11 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .core import DomainMismatch, Label, SignatureVariant, TermGraph, VariantMismatch, _reachable_keys
+from .core import (
+    DomainMismatch,
+    Label,
+    SignatureVariant,
+    TermGraph,
+    VariantMismatch,
+    _reachable_keys,
+    _trusted,
+)
 from .scoped import (
     PrefixFn,
     ValidationReport,
     Violation,
+    _check_prefix_domain,
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
@@ -90,10 +101,8 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
 
     The worklist is a stack, and an application pushes its function
     before its argument; that order fixes the words' key order and which
-    failure is found first.  A vertex the root does not reach, or a
-    successor id outside 0..n-1 (only a graph built without ``build``
-    can hold one), raises ``DomainMismatch``; the ids are scanned only
-    once inference has failed.
+    failure is found first.  A vertex the root does not reach raises
+    ``DomainMismatch``.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
@@ -105,82 +114,54 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
     get = prefixes.get
     worklist = [g.root]
     pop, push = worklist.pop, worklist.append
-    try:
-        while worklist:
-            w = pop()
-            pw = prefixes[w]
-            lab = labels[w]
-            succ = args[w]
-            if lab is APP:
-                # Both successors get w's word, the first pushed first.
-                t = succ[0]
-                old = get(t)
-                if old is None:
-                    prefixes[t] = pw
-                    push(t)
-                elif old != pw:
-                    return _refusal(g, "prefix-conflict", w, t)
-                t = succ[1]
-                value = pw
-            elif lab is ABS:
-                t = succ[0]
-                value = pw + (w,)
-            elif lab is DEL:
-                if not pw:
-                    return _refusal(g, "delim-pop", w, succ[0])
-                if del_linked and succ[1] != pw[-1]:
-                    return _refusal(g, "delim-backlink", w, succ[1])
-                t = succ[0]
-                value = pw[:-1]
-            else:
-                if var_linked:
-                    if not pw:
-                        return _refusal(g, "var0", w)
-                    if succ[0] != pw[-1]:
-                        return _refusal(g, "var1", w, succ[0])
-                continue
+    while worklist:
+        w = pop()
+        pw = prefixes[w]
+        lab = labels[w]
+        succ = args[w]
+        if lab is APP:
+            # Both successors get w's word, the first pushed first.
+            t = succ[0]
             old = get(t)
             if old is None:
-                prefixes[t] = value
+                prefixes[t] = pw
                 push(t)
-            elif old != value:
-                return _refusal(g, "prefix-conflict", w, t)
-    except IndexError:
-        # Reading the label of a successor id at or above n.
-        _check_successor_ids(g)
-        raise
+            elif old != pw:
+                return _failure("prefix-conflict", w, t)
+            t = succ[1]
+            value = pw
+        elif lab is ABS:
+            t = succ[0]
+            value = pw + (w,)
+        elif lab is DEL:
+            if not pw:
+                return _failure("delim-pop", w, succ[0])
+            if del_linked and succ[1] != pw[-1]:
+                return _failure("delim-backlink", w, succ[1])
+            t = succ[0]
+            value = pw[:-1]
+        else:
+            if var_linked:
+                if not pw:
+                    return _failure("var0", w)
+                if succ[0] != pw[-1]:
+                    return _failure("var1", w, succ[0])
+            continue
+        old = get(t)
+        if old is None:
+            prefixes[t] = value
+            push(t)
+        elif old != value:
+            return _failure("prefix-conflict", w, t)
     # The words hold only vertices propagation reached, so the prefix
-    # function is total iff it has a word for every vertex.  A successor
-    # id below 0 names no vertex, though indexing wraps it round to one.
-    if len(prefixes) < g.vertex_count or min(prefixes) < 0:
-        _check_successor_ids(g)
+    # function is total iff it has a word for every vertex.
+    if len(prefixes) < g.vertex_count:
         raise DomainMismatch("prefix function must be total on the vertex set")
     if not var_linked:
         var0 = [w for w in g.vertices_labeled(Label.VAR) if not prefixes[w]]
         if var0:
             return None, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
     return prefixes, None
-
-
-def _check_successor_ids(g: TermGraph) -> None:
-    """Refuse a successor id outside 0..n-1, which only a graph built
-    without ``build`` can hold.  Runs only once inference has failed."""
-    n = g.vertex_count
-    for w, succ in enumerate(g.args):
-        for t in succ:
-            if not 0 <= t < n:
-                raise DomainMismatch(
-                    "prefix function must be total on the vertex set: "
-                    f"successor id {t} of {g.names[w]} names no vertex"
-                )
-
-
-def _refusal(g: TermGraph, condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
-    """A failed inference's report, unless a successor id names no
-    vertex: a witness could then be that id, or a word could have been
-    forced through it."""
-    _check_successor_ids(g)
-    return _failure(condition, *witnesses)
 
 
 def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
@@ -195,17 +176,36 @@ def is_lambda_term_graph(g: TermGraph) -> bool:
 
 @dataclass(frozen=True)
 class DelimitedGraph:
-    """A graph that passed prefix inference, with the prefixes cached."""
+    """A graph that passed prefix inference, with the prefixes cached.
+
+    The constructor refuses a graph without a correct prefix function,
+    and words other than the inferred ones (in any key order), naming
+    the first vertex whose word differs.
+    """
 
     graph: TermGraph
     prefixes: dict[int, tuple[int, ...]] = field(hash=False)
 
+    def __post_init__(self):
+        graph, prefixes = self.graph, self.prefixes
+        inferred = _inferred(graph)
+        if inferred != prefixes:
+            _check_prefix_domain(graph, prefixes)
+            v = next(v for v in graph.vertices() if prefixes[v] != inferred[v])
+            raise ValueError(f"not the inferred words: vertex {v} ({graph.names[v]}) gets another")
+
     @classmethod
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
-        prefixes, report = infer_prefix(graph)
-        if prefixes is None:
-            raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
-        return cls(graph, prefixes)
+        return _trusted(cls, graph=graph, prefixes=_inferred(graph))
+
+
+def _inferred(graph: TermGraph) -> PrefixFn:
+    """The graph's inferred words, or a ``ValueError`` naming why there
+    are none."""
+    prefixes, report = infer_prefix(graph)
+    if prefixes is None:
+        raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
+    return prefixes
 
 
 class _Builder:
@@ -257,7 +257,8 @@ class _Builder:
 
         Every vertex must be reachable from ``root``.
         """
-        graph = TermGraph(
+        graph = _trusted(
+            TermGraph,
             variant=variant,
             labels=tuple(self.labels),
             args=tuple(map(tuple, self.succ)),

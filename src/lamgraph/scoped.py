@@ -259,24 +259,28 @@ def _prefix_word_sanity(g: TermGraph, p: PrefixFn) -> list[Violation]:
 
 @dataclass(frozen=True)
 class ScopedGraph:
-    """A delimiter-free term graph together with a valid scope function."""
+    """A delimiter-free term graph together with a valid scope function.
+
+    The constructor takes a map keyed by vertex ids and refuses an
+    invalid one: a domain error as in ``normalize_scope_fn``, a graph
+    with delimiters, or a ``ValueError`` naming the violations that
+    ``validate_scope`` reports.  ``checked`` also accepts names.
+    """
 
     graph: TermGraph
     scopes: dict[int, frozenset[int]] = field(hash=False)
 
-    @classmethod
-    def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
-        return cls._validated(graph, normalize_scope_fn(graph, scopes))
+    def __post_init__(self):
+        _check_scope_domain(self.graph, self.scopes)
+        if self.graph.variant.del_arity is not None:
+            raise VariantMismatch("scope functions live on delimiter-free graphs")
+        report = _validate_scope(self.graph, self.scopes)
+        if not report.passed:
+            raise ValueError(f"invalid scope function: {report.violation_text(self.graph)}")
 
     @classmethod
-    def _validated(cls, graph: TermGraph, scopes: ScopeFn) -> "ScopedGraph":
-        """``checked`` for a scope function already normalized."""
-        if graph.variant.del_arity is not None:
-            raise VariantMismatch("scope functions live on delimiter-free graphs")
-        report = _validate_scope(graph, scopes)
-        if not report.passed:
-            raise ValueError(f"invalid scope function: {report.violation_text(graph)}")
-        return cls(graph, scopes)
+    def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
+        return cls(graph, _resolve_map(graph, scopes, frozenset))
 
     @cached_property
     def _binder_lists(self) -> list[list[int]]:
@@ -296,33 +300,35 @@ class ScopedGraph:
 
 @dataclass(frozen=True)
 class PrefixedGraph:
-    """A delimiter-free term graph with a valid abstraction-prefix function."""
+    """A delimiter-free term graph with a valid abstraction-prefix function.
+
+    The constructor takes a map keyed by vertex ids and refuses an
+    invalid one, as ``ScopedGraph`` does, with ``validate_prefix_ho``'s
+    violations.  ``checked`` also accepts names.
+    """
 
     graph: TermGraph
     prefixes: dict[int, tuple[int, ...]] = field(hash=False)
 
-    @classmethod
-    def checked(cls, graph: TermGraph, prefixes: Mapping) -> "PrefixedGraph":
-        return cls._validated(graph, normalize_prefix_fn(graph, prefixes))
+    def __post_init__(self):
+        _check_prefix_domain(self.graph, self.prefixes)
+        if self.graph.variant.del_arity is not None:
+            raise VariantMismatch("this validator is for delimiter-free graphs")
+        report = _validate_prefix_ho(self.graph, self.prefixes)
+        if not report.passed:
+            raise ValueError(f"invalid prefix function: {report.violation_text(self.graph)}")
 
     @classmethod
-    def _validated(cls, graph: TermGraph, prefixes: PrefixFn) -> "PrefixedGraph":
-        """``checked`` for a prefix function already normalized."""
-        if graph.variant.del_arity is not None:
-            raise VariantMismatch("this validator is for delimiter-free graphs")
-        report = _validate_prefix_ho(graph, prefixes)
-        if not report.passed:
-            raise ValueError(f"invalid prefix function: {report.violation_text(graph)}")
-        return cls(graph, prefixes)
+    def checked(cls, graph: TermGraph, prefixes: Mapping) -> "PrefixedGraph":
+        return cls(graph, _resolve_map(graph, prefixes, tuple))
 
 
 def binders(h: ScopedGraph, w: int | str) -> list[int]:
     """Abstractions whose scope contains w, outermost first.
 
     The scopes of the binders of any vertex form a strict inclusion
-    chain, so sorting by decreasing scope size linearizes them (ties,
-    possible only on invalid scopes, keep ascending ids).  An id that
-    is no vertex lies in no scope and has no binders.
+    chain, so sorting by decreasing scope size linearizes them.  An id
+    that is no vertex lies in no scope and has no binders.
     """
     w = h.graph.resolve(w)
     if not 0 <= w < h.graph.vertex_count:

@@ -28,17 +28,12 @@ from .core import (
     TermGraph,
     VariantMismatch,
     VertexMap,
+    _trusted,
     find_homomorphism,
 )
 from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
 from .scoped import PrefixedGraph, ScopedGraph
-from .transforms import (
-    _prefix_to_scope,
-    _scope_to_prefix,
-    _strip_delimiters,
-    insert_delimiters,
-    scope_to_prefix,
-)
+from .transforms import insert_delimiters, prefix_to_scope, scope_to_prefix, strip_delimiters
 
 __all__ = [
     "Partition",
@@ -173,7 +168,8 @@ def collapse(g: TermGraph) -> tuple[TermGraph, VertexMap]:
     rep = [-1] * part.block_count
     for v in reversed(g.vertices()):
         rep[block[v]] = v
-    quotient = TermGraph(
+    quotient = _trusted(
+        TermGraph,
         variant=g.variant,
         labels=tuple(g.labels[r] for r in rep),
         args=tuple(tuple(block[w] for w in g.args[r]) for r in rep),
@@ -295,23 +291,14 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     be eager-scope; the eager class is closed under homomorphism, so the
     collapse stays inside it and the way back is well-defined.
 
-    The input is the one trust boundary, and no validator runs between
-    the steps.  ``insert_delimiters`` refuses exactly the words that
-    ``validate_prefix_ho`` refuses, so a hand-built invalid input fails
-    there, with the ``ValueError`` of ``scope_to_prefix``.  Past it, the
-    words are valid and the correspondence of scope functions, prefix
-    functions and their eager delimited forms makes every later step
-    valid by construction.
+    The input was validated when it was made, and no validator runs
+    between the steps: the correspondence of scope functions, prefix
+    functions and their eager delimited forms makes every step valid by
+    construction.
     """
-    if h.graph.variant.var_arity != 1 or h.graph.variant.del_arity is not None:
+    if h.graph.variant.var_arity != 1:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    try:
-        delimited = insert_delimiters(_scope_to_prefix(h), 2)
-    except ValueError:
-        # Insertion names vertices of the delimited form; the validator
-        # names the input's violations.
-        scope_to_prefix(h)
-        raise
+    delimited = insert_delimiters(scope_to_prefix(h), 2)
     w = _non_eager_vertex(delimited)
     if w is not None:
         raise NotEagerScope(
@@ -319,4 +306,4 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
             + _non_eager_reason(delimited, w),
             delimited.graph.names[w],
         )
-    return _prefix_to_scope(_strip_delimiters(max_share(delimited)))
+    return prefix_to_scope(strip_delimiters(max_share(delimited)))

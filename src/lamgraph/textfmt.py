@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 
 from .core import GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex, _build_ids
-from .scoped import _check_prefix_domain, _check_scope_domain
+from .scoped import _check_scope_domain
 
 # A label's token is its ``str``.
 _LABELS = {str(label): label for label in Label}
@@ -130,9 +130,9 @@ def parse_graph(text: str) -> GraphDocument:
     prefixes = scopes = None
     if prefix_lines:
         prefixes = _annotation("prefix", prefix_lines, index, tuple)
-        # Omitted lines mean the empty word.
+        # Omitted lines mean the empty word.  Every entry resolved to an id
+        # and every vertex has a word, so the domain needs no check.
         prefixes.update((v, ()) for v in range(len(labels)) if v not in prefixes)
-        _check_prefix_domain(graph, prefixes)
     if scope_lines:
         scopes = _annotation("scope", scope_lines, index, frozenset)
         try:

@@ -7,21 +7,19 @@ ids with ``delimited._Builder`` as the term translation does, whose
 finish step infers the words; going back erases delimiter vertices and
 reroutes edges through them.
 
-Each conversion is a private derivation, and its public form validates
-what the derivation returns, for inputs built by hand.  ``max_share_ho``
-chains the derivations behind its one check.
+Every input was validated when it was made, and each conversion takes
+a valid object to a valid one: scope functions and prefix functions
+correspond one to one, inserting delimiters keeps every word, and
+erasing them leaves each edge's target word a prefix of its source's.
+So each conversion is its derivation alone and makes its result through
+``core._trusted``; no validator runs on what it returns.
 """
 
 from __future__ import annotations
 
-from .core import Label, SignatureVariant, TermGraph, VariantMismatch
+from .core import Label, SignatureVariant, TermGraph, _trusted
 from .delimited import DelimitedGraph, _Builder
-from .scoped import (
-    PrefixedGraph,
-    ScopedGraph,
-    _check_prefix_domain,
-    _check_scope_domain,
-)
+from .scoped import PrefixedGraph, ScopedGraph
 
 
 def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
@@ -34,48 +32,35 @@ def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
 
     The carrier is unchanged (the very same graph object).  The scopes
     are inverted once, so the conversion takes O(n + sum of |sc(v)| +
-    A log A) for A abstractions; validating the result adds O(n + m +
-    sum of |prefix(w)|).
+    A log A) for A abstractions.
     """
-    a = _scope_to_prefix(h)
-    return PrefixedGraph._validated(a.graph, a.prefixes)
-
-
-def _scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
-    """``scope_to_prefix`` without validating the result."""
     labels, ABS = h.graph.labels, Label.ABS
     prefixes = {}
     for w, word in enumerate(h._binder_lists):
         # An abstraction lies in its own scope, not in its own prefix.
         prefixes[w] = tuple(v for v in word if v != w) if labels[w] is ABS else tuple(word)
-    return PrefixedGraph(h.graph, prefixes)
+    return _trusted(PrefixedGraph, graph=h.graph, prefixes=prefixes)
 
 
 def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     """Derive the scope function: v's scope is v plus everyone listing v.
 
-    One pass over the prefix words: O(n + sum of |prefix(w)|); validating
-    the result adds O(n + m + sum of |sc(v)| + A log A).
+    One pass over the prefix words: O(n + sum of |prefix(w)|).
     """
-    h = _prefix_to_scope(a)
-    return ScopedGraph._validated(h.graph, _check_scope_domain(h.graph, h.scopes))
-
-
-def _prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
-    """``prefix_to_scope`` without checking or validating the result."""
     ABS = Label.ABS
     members = {v: [v] for v, lab in enumerate(a.graph.labels) if lab is ABS}
     for w, word in a.prefixes.items():
         for v in word:
             if v in members:
                 members[v].append(w)
-    return ScopedGraph(a.graph, {v: frozenset(ws) for v, ws in members.items()})
+    scopes = {v: frozenset(ws) for v, ws in members.items()}
+    return _trusted(ScopedGraph, graph=a.graph, scopes=scopes)
 
 
 def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
     """How many delimiter vertices the edge w -k-> w' needs when going
     first-order: the prefix length drop, counting the abstraction's own
-    push on abstraction edges.  Never negative for valid inputs.
+    push on abstraction edges.  Never negative.
     """
     g = a.graph
     w = g._vertex(w)
@@ -100,12 +85,11 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     the delimiters follow in edge order, each chain from the longest
     word down.  A delimiter is named after its edge, ``<source>.<k>.s``,
     with ``.2``, ``.3``, ... appended until the name is new.  The chain
-    delimiter at level L of its edge's word W back-links to W[L-1].
-    The output's words are inferred; unless each input vertex keeps its
-    own, a ``ValueError`` follows.  Then each delimiter has the word
-    W[:L], by induction down its chain, so exactly the inputs that
-    ``validate_prefix_ho`` refuses are refused.  O(n + m + D + sum of
-    |prefix(w)|) for D delimiters, counting the output's words.
+    delimiter at level L of its edge's word W back-links to W[L-1] and
+    has the word W[:L], by induction down its chain.  The output's
+    words are inferred; since the input's words are valid, each input
+    vertex keeps its own.  O(n + m + D + sum of |prefix(w)|) for D
+    delimiters, counting the output's words.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
@@ -121,9 +105,7 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
         else:
             continue  # variable back-links get no chain
         for k, wk in enumerate(g.args[w]):
-            # The edge's drop, as ``num_delimiters`` counts it.  A word that
-            # grows along the edge gets no chain; the check after finishing
-            # refuses it.
+            # The edge's drop, as ``num_delimiters`` counts it.
             lower = len(p[wk])
             if len(base_word) <= lower:
                 continue
@@ -136,11 +118,7 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
                 d = b.alloc(base, DEL)
                 below = d + 1 if level > lower + 1 else wk
                 b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
-    result = b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
-    for v in g.vertices():
-        if result.prefixes[v] != p[v]:
-            raise ValueError(f"invalid prefix function: {g.names[v]} gets another word")
-    return result
+    return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
 
 
 def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
@@ -148,17 +126,8 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
 
     The kept vertices are renumbered by rank, keeping their order and
     names; successors skip delimiter chains and prefix words map
-    through the same ids.  O(n + m + sum of |prefix(w)|), and as much
-    again for validating the result.
+    through the same ids.  O(n + m + sum of |prefix(w)|).
     """
-    if g.graph.variant.del_arity is None:
-        raise VariantMismatch("input must be over a signature with delimiters")
-    a = _strip_delimiters(g)
-    return PrefixedGraph._validated(a.graph, _check_prefix_domain(a.graph, a.prefixes))
-
-
-def _strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
-    """``strip_delimiters`` without checking or validating the result."""
     graph = g.graph
     labels, args, DEL = graph.labels, graph.args, Label.DEL
 
@@ -171,7 +140,8 @@ def _strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
     new_id = [-1] * graph.vertex_count
     for i, v in enumerate(kept):
         new_id[v] = i
-    carrier = TermGraph(
+    carrier = _trusted(
+        TermGraph,
         variant=SignatureVariant(graph.variant.var_arity, None),
         labels=tuple(labels[v] for v in kept),
         args=tuple(tuple(new_id[skip(w)] for w in args[v]) for v in kept),
@@ -179,4 +149,4 @@ def _strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         names=tuple(graph.names[v] for v in kept),
     )
     prefixes = {new_id[v]: tuple(new_id[x] for x in g.prefixes[v]) for v in kept}
-    return PrefixedGraph(carrier, prefixes)
+    return _trusted(PrefixedGraph, graph=carrier, prefixes=prefixes)

@@ -446,26 +446,27 @@ def per_abstraction_prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     return ScopedGraph.checked(a.graph, scopes)
 
 
-def check_scope_nesting(h: ScopedGraph) -> ValidationReport:
+def check_scope_nesting(g: TermGraph, sc: ScopeFn) -> ValidationReport:
     """Redundant diagnostic over validate_scope.
 
     Confirms two derived facts: intersecting scopes nest, and every
     access path of a vertex in a scope visits that scope's abstraction.
     Checked by exhaustive simple-path enumeration; graphs are small.
+    Takes the graph and an id-keyed scope function, which need not be
+    valid.
     """
-    g = h.graph
     bad = []
     abs_vertices = g.vertices_labeled(Label.ABS)
     for v1 in abs_vertices:
         for v2 in abs_vertices:
-            if v1 < v2 and h.scopes[v1] & h.scopes[v2]:
+            if v1 < v2 and sc[v1] & sc[v2]:
                 if not (
-                    h.scopes[v1] <= h.scopes[v2] - {v2}
-                    or h.scopes[v2] <= h.scopes[v1] - {v1}
+                    sc[v1] <= sc[v2] - {v2}
+                    or sc[v2] <= sc[v1] - {v1}
                 ):
                     bad.append(Violation("overlap-without-nesting", (v1, v2)))
     for v in abs_vertices:
-        for w in h.scopes[v]:
+        for w in sc[v]:
             if w == v:
                 continue
             for path in simple_root_paths(g, w):

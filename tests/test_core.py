@@ -21,6 +21,7 @@ from lamgraph import (
     Label,
     PrefixedGraph,
     SignatureVariant,
+    TermGraph,
     UnreachableVertex,
     access_path,
     build,
@@ -76,6 +77,35 @@ def test_build_rejects_unreachable():
 def test_build_key_set_mismatch():
     with pytest.raises(DomainMismatch):
         build(V0, {"a": Label.ABS}, {"a": ["a"], "b": ["b"]}, "a")
+
+
+def test_build_refuses_a_label_that_is_no_label():
+    with pytest.raises(TypeError, match="^label 'lam' of vertex 'a' is not a Label$"):
+        build(V0, {"a": "lam", "b": "0"}, {"a": ["b"], "b": []}, "a")
+    # Where delimiters are allowed, a stray label is not read as one.
+    labels, succ = {"a": Label.ABS, 7: "S"}, {"a": [7], 7: ["a", "a"]}
+    with pytest.raises(TypeError, match="^label 'S' of vertex 7 is not a Label$"):
+        build_pruned(SignatureVariant(1, 2), labels, succ, "a")
+
+
+@pytest.mark.parametrize(
+    "args, root, names, message",
+    [
+        # A negative id would be read as vertex n + id.
+        (((-1,), (0,)), 0, ("a", "c"), "successor id -1 of a names no vertex"),
+        (((1,), (2,)), 0, ("a", "c"), "successor id 2 of c names no vertex"),
+        (((1,), (0,)), 2, ("a", "c"), "root id 2 names no vertex"),
+        (((1,),), 0, ("a", "c"), "one entry per vertex"),
+        (((1,), (0,)), 0, ("a",), "one entry per vertex"),
+    ],
+    ids=["negative", "past-n", "root", "short-args", "short-names"],
+)
+def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
+    labels = (Label.ABS, Label.VAR)
+    with pytest.raises(DomainMismatch, match=message):
+        TermGraph(SignatureVariant(1), labels, args, root, names)
+    g = TermGraph(SignatureVariant(1), labels, ((1,), (0,)), 0, ("a", "c"))
+    assert g == build(SignatureVariant(1), dict(zip("ac", labels)), {"a": ["c"], "c": ["a"]}, "a")
 
 
 def test_successor_examples(g0_plain, single_lambda_cycle):

@@ -523,49 +523,47 @@ def test_infer_prefix_on_an_unreachable_vertex_is_a_domain_error():
 def test_infer_prefix_refuses_a_negative_successor_id():
     from lamgraph import DomainMismatch, TermGraph
 
-    # Built directly: the -1 would index vertex c, but c itself has no word.
+    # Built directly: the -1 would index vertex c.  Construction refuses
+    # it, so no graph that inference sees can hold it.
     for variant, c_args in ((SignatureVariant(0, 1), ()), (SignatureVariant(1, 2), (0,))):
-        g = TermGraph(
-            variant=variant,
-            labels=(Label.ABS, Label.VAR),
-            args=((-1,), c_args),
-            root=0,
-            names=("a", "c"),
-        )
-        with pytest.raises(DomainMismatch, match="total"):
-            infer_prefix(g)
+        with pytest.raises(DomainMismatch, match="successor id -1 of a names no vertex"):
+            TermGraph(
+                variant=variant,
+                labels=(Label.ABS, Label.VAR),
+                args=((-1,), c_args),
+                root=0,
+                names=("a", "c"),
+            )
 
 
 @pytest.mark.parametrize(
     "variant, labels, args",
     [
-        # a forces a word on the id 2, whose label inference then reads.
+        # a would force a word on the id 2, whose label inference then reads.
         ((1, 2), ("ABS", "VAR"), ((2,), (0,))),
         # The back-links name no vertex: var1 and delim-backlink would
         # report the ids 2, -1 and 5 as witnesses.
         ((1, 2), ("ABS", "VAR"), ((1,), (2,))),
         ((1, 2), ("ABS", "VAR"), ((1,), (-1,))),
         ((0, 2), ("ABS", "DEL", "VAR"), ((1,), (2, 5), ())),
-        # The -3 is read as a, which then pushes itself a second time: a
-        # prefix-conflict at a vertex that is not there.
+        # The -3 would be read as a, which then pushes itself a second
+        # time: a prefix-conflict at a vertex that is not there.
         ((1, 2), ("ABS", "APP", "VAR"), ((1,), (-3, 2), (0,))),
     ],
     ids=["forced", "var1-past-n", "var1-negative", "delim-backlink-past-n", "conflict-negative"],
 )
 def test_inference_refuses_a_successor_id_that_names_no_vertex(variant, labels, args):
+    # Construction refuses such a graph, before inference can read it.
     from lamgraph import DomainMismatch, TermGraph
 
-    g = TermGraph(
-        variant=SignatureVariant(*variant),
-        labels=tuple(Label[lab] for lab in labels),
-        args=args,
-        root=0,
-        names=tuple("abc"[: len(labels)]),
-    )
     with pytest.raises(DomainMismatch, match="names no vertex"):
-        infer_prefix(g)
-    with pytest.raises(DomainMismatch, match="names no vertex"):
-        DelimitedGraph.from_graph(g)
+        TermGraph(
+            variant=SignatureVariant(*variant),
+            labels=tuple(Label[lab] for lab in labels),
+            args=args,
+            root=0,
+            names=tuple("abc"[: len(labels)]),
+        )
 
 
 def _same_inference(g, seed=None):

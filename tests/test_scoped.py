@@ -124,8 +124,8 @@ def test_binders_of_a_non_vertex_id_are_empty(running_eager):
 
 def test_check_scope_nesting(single_lambda, running_eager):
     ok = ScopedGraph.checked(single_lambda, {"r": {"r", "c"}})
-    assert check_scope_nesting(ok).passed
-    assert check_scope_nesting(running_eager).passed
+    assert check_scope_nesting(ok.graph, ok.scopes).passed
+    assert check_scope_nesting(running_eager.graph, running_eager.scopes).passed
 
 
 def test_check_scope_nesting_flags_hole(running_carrier):
@@ -142,7 +142,7 @@ def test_check_scope_nesting_flags_hole(running_carrier):
         },
     )
     assert not validate_scope(running_carrier, holey).passed
-    assert not check_scope_nesting(ScopedGraph(running_carrier, holey)).passed
+    assert not check_scope_nesting(running_carrier, holey).passed
 
 
 def _random_prefixed(seed, count, max_vertices=14):
@@ -262,15 +262,23 @@ def _agree_on_scopes(g, sc, verdicts):
     report = validate_scope(g, sc)
     assert report == per_pair_validate_scope(g, sc)
     verdicts.add(report.passed)
-    h = ScopedGraph(g, normalize_scope_fn(g, sc))
+    # The constructor refuses exactly what the validator refuses.
+    h = _outcome(ScopedGraph, g, normalize_scope_fn(g, sc))
+    if not report.passed:
+        assert h == (ValueError, f"invalid scope function: {report.violation_text(g)}")
+        return
     for w in g.vertices():
         assert binders(h, w) == per_abstraction_binders(h, w)
-    assert _outcome(scope_to_prefix, h) == _outcome(per_vertex_scope_to_prefix, h)
+    assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h)
 
 
 def _agree_on_prefixes(g, p):
-    a = PrefixedGraph(g, normalize_prefix_fn(g, p))
-    assert _outcome(prefix_to_scope, a) == _outcome(per_abstraction_prefix_to_scope, a)
+    report = validate_prefix_ho(g, p)
+    a = _outcome(PrefixedGraph, g, normalize_prefix_fn(g, p))
+    if not report.passed:
+        assert a == (ValueError, f"invalid prefix function: {report.violation_text(g)}")
+        return
+    assert prefix_to_scope(a) == per_abstraction_prefix_to_scope(a)
 
 
 def _random_scopes(rng, g):
@@ -397,24 +405,35 @@ def test_normalize_reports_in_the_same_order(single_lambda):
         normalize_prefix_fn(single_lambda, {"r": (), "c": (0, 9, -2)})
 
 
-def test_generated_equality_and_hashing(running_carrier, running_eager):
+def test_generated_equality_and_hashing(running_carrier, running_eager, running_lazy):
     # Equality compares the graph and the annotation; hashing sees only
-    # the graph, so equal objects hash equal.
+    # the graph, so equal objects hash equal.  The lazy scopes share the
+    # eager ones' carrier, so the two hash alike but differ.
     from conftest import RUNNING_CARRIER
 
     g = running_carrier
     twin = ScopedGraph.checked(parse_graph(RUNNING_CARRIER).graph, dict(running_eager.scopes))
-    assert twin == running_eager and hash(twin) == hash(running_eager) == hash(
+    assert twin == running_eager and hash(twin) == hash(running_eager) == hash(running_lazy)
+    assert twin != running_lazy
+    with pytest.raises(ValueError, match="invalid scope function"):
+        ScopedGraph(g, {**running_eager.scopes, g.id_of("g"): frozenset()})
+    with pytest.raises(DomainMismatch, match="exactly the abstraction vertices"):
         ScopedGraph(g, {})
-    )
-    assert twin != ScopedGraph(g, {**running_eager.scopes, g.id_of("g"): frozenset()})
-    a = scope_to_prefix(running_eager)
-    assert a == PrefixedGraph(g, dict(a.prefixes)) and hash(a) == hash(PrefixedGraph(g, {}))
-    assert a != PrefixedGraph(g, {**a.prefixes, g.root: (g.root,)})
+    a, lazy = scope_to_prefix(running_eager), scope_to_prefix(running_lazy)
+    assert a == PrefixedGraph(g, dict(a.prefixes)) and hash(a) == hash(lazy)
+    assert a != lazy
+    with pytest.raises(ValueError, match="invalid prefix function"):
+        PrefixedGraph(g, {**a.prefixes, g.root: (g.root,)})
+    with pytest.raises(DomainMismatch, match="total"):
+        PrefixedGraph(g, {})
     assert a != running_eager and running_eager != a
     d = insert_delimiters(a)
-    assert d == DelimitedGraph.from_graph(d.graph) and hash(d) == hash(DelimitedGraph(d.graph, {}))
-    assert d != DelimitedGraph(d.graph, {})
+    by_id = DelimitedGraph(d.graph, dict(sorted(d.prefixes.items())))
+    assert d == DelimitedGraph.from_graph(d.graph) == by_id and hash(d) == hash(by_id)
+    with pytest.raises(DomainMismatch, match="total"):
+        DelimitedGraph(d.graph, {})
+    with pytest.raises(ValueError, match=f"vertex {g.root} "):
+        DelimitedGraph(d.graph, {**d.prefixes, g.root: (g.root,)})
     doc = GraphDocument(g, scopes=running_eager.scopes)
     assert doc == GraphDocument(g, None, dict(running_eager.scopes))
     assert doc != GraphDocument(g, scopes={}) and doc != GraphDocument(g)
@@ -613,18 +632,17 @@ def test_tower_scope_layer_scales():
     assert elapsed < 2.0
 
 
-def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
-    # Names are resolved at the boundary (ScopedGraph.checked) and nowhere
-    # on the route behind it, which builds its annotations on ids.
+def _counting(monkeypatch, names):
+    """Wrap each named function in every ``lamgraph`` module that binds
+    it; the returned dict counts the calls."""
     import sys
 
-    doc = parse_graph(_tower_doc(8))
-    calls = {"normalize_scope_fn": 0, "normalize_prefix_fn": 0}
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
@@ -633,9 +651,39 @@ def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
+    # Names are resolved at the boundary (ScopedGraph.checked, one
+    # _resolve_map) and nowhere on the route behind it, which builds its
+    # annotations on ids.
+    doc = parse_graph(_tower_doc(8))
+    calls = _counting(monkeypatch, ["normalize_scope_fn", "normalize_prefix_fn", "_resolve_map"])
     shared = max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
     assert shared.graph.vertex_count == doc.graph.vertex_count  # a tower shares nothing
-    assert calls == {"normalize_scope_fn": 1, "normalize_prefix_fn": 0}
+    assert calls == {"normalize_scope_fn": 0, "normalize_prefix_fn": 0, "_resolve_map": 1}
+
+
+def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
+    # The constructor is the one check: the conversions behind it, and
+    # max_share_ho's chain of them, validate nothing again.  Inference
+    # runs where a delimited graph is made: after insertion and after
+    # the collapse.
+    from lamgraph.cli import main
+
+    text = _tower_doc(8)
+    doc = parse_graph(text)
+    names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix"]
+    calls = _counting(monkeypatch, names)
+    max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
+    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 2}
+    path = tmp_path / "tower.tg"
+    path.write_text(text)
+    calls.update(dict.fromkeys(names, 0))
+    assert main(["translate", "--from", "hotg", "--to", "ltg", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("sig 1 2\n")
+    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 1}
 
 
 def test_public_validators_still_take_names(running_carrier):

@@ -55,7 +55,6 @@ from lamgraph import (
     validate_prefix_ho,
     validate_scope,
 )
-from lamgraph.transforms import _prefix_to_scope, _scope_to_prefix, _strip_delimiters
 
 
 def test_find_homomorphism_debruijn_chain(debruijn):
@@ -584,45 +583,43 @@ def test_max_share_ho_intermediates_pass_the_validators():
     for text in _max_share_ho_docs():
         doc = parse_graph(text)
         h = ScopedGraph.checked(doc.graph, doc.scopes)
-        words = _scope_to_prefix(h)
+        words = scope_to_prefix(h)
         assert validate_prefix_ho(words.graph, words.prefixes).passed
         delimited = insert_delimiters(words, 2)
         shared = max_share(delimited)
         for dg in (delimited, shared):
             assert validate_prefix_fo(dg.graph, dg.prefixes).passed
-        stripped = _strip_delimiters(shared)
+        stripped = strip_delimiters(shared)
         assert validate_prefix_ho(stripped.graph, stripped.prefixes).passed
-        result = _prefix_to_scope(stripped)
+        result = prefix_to_scope(stripped)
         assert validate_scope(result.graph, result.scopes).passed
         assert max_share_ho(h) == result
 
 
-def test_max_share_ho_refuses_what_scope_to_prefix_refuses():
-    # Hand-built scope functions, never checked: the route's one check,
-    # in insert_delimiters, refuses exactly the inputs whose words
-    # scope_to_prefix's validation refuses, with scope_to_prefix's error.
+def test_max_share_ho_takes_every_scope_function_the_constructor_takes():
+    # Hand-built scope functions: the constructor, the route's one check,
+    # refuses exactly what validate_scope refuses, with its violations;
+    # max_share_ho refuses what it takes only for not being eager.
     rng = random.Random(410)
     outcomes = {"refused": 0, "shared": 0, "not eager": 0}
     while min(outcomes.values()) < 30:
         g = random_graph(rng, max_vertices=8)
         if g.variant != SignatureVariant(1):
             continue
-        h = ScopedGraph(g, _random_scopes(rng, g))
+        sc = _random_scopes(rng, g)
+        report = validate_scope(g, sc)
         try:
-            scope_to_prefix(h)
-            refusal = None
+            h = ScopedGraph(g, sc)
         except ValueError as exc:
-            refusal = str(exc)
+            assert str(exc) == f"invalid scope function: {report.violation_text(g)}"
+            outcomes["refused"] += 1
+            continue
+        assert report.passed
         try:
             max_share_ho(h)
-            outcome = "shared"
-        except ValueError as exc:
-            outcome = "refused"
-            assert str(exc) == refusal, h
+            outcomes["shared"] += 1
         except NotEagerScope:
-            outcome = "not eager"
-        assert (outcome == "refused") == (refusal is not None), h
-        outcomes[outcome] += 1
+            outcomes["not eager"] += 1
 
 
 def test_max_share_is_collapse_then_inference():

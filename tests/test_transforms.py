@@ -11,10 +11,12 @@ from lamgraph import (
     Label,
     PrefixedGraph,
     ScopedGraph,
+    SignatureVariant,
     find_homomorphism,
     forget,
     insert_delimiters,
     is_label_restricted,
+    is_lambda_term_graph,
     isomorphic,
     num_delimiters,
     parse_graph,
@@ -23,6 +25,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
     validate_prefix_ho,
+    validate_scope,
 )
 from conftest import RUNNING_EAGER_PREFIXES
 
@@ -345,8 +348,9 @@ def test_transforms_match_name_keyed_hypothesis(g):
 
 
 # ---------------------------------------------------------------------------
-# Hand-built prefixed graphs: insertion refuses exactly the words the
-# higher-order validator refuses, including words that grow along an edge.
+# Hand-built prefixed graphs: the constructor refuses exactly the words the
+# higher-order validator refuses, including words that grow along an edge,
+# so insertion only ever sees valid words.
 
 
 def test_insert_delimiters_refuses_a_word_that_grows_along_an_edge():
@@ -354,10 +358,10 @@ def test_insert_delimiters_refuses_a_word_that_grows_along_an_edge():
     g = parse_graph("sig 1\nroot r\nr lam a\na @ v w\nv 0 r\nw lam u\nu 0 w\n").graph
     words = {"r": (), "a": (), "v": ("r",), "w": (), "u": ("w",)}
     p = {g.id_of(v): tuple(map(g.id_of, word)) for v, word in words.items()}
-    assert not validate_prefix_ho(g, p).passed
-    for j in (1, 2):
-        with pytest.raises(ValueError, match="var0 at v"):
-            insert_delimiters(PrefixedGraph(g, p), j)
+    report = validate_prefix_ho(g, p)
+    assert report.violation_text(g) == "apply at a, v"
+    with pytest.raises(ValueError, match="^invalid prefix function: apply at a, v$"):
+        PrefixedGraph(g, p)
 
 
 def test_insert_delimiters_refuses_what_the_validator_refuses():
@@ -374,15 +378,47 @@ def test_insert_delimiters_refuses_what_the_validator_refuses():
             v: tuple(rng.sample(abstractions, rng.randint(0, min(2, len(abstractions)))))
             for v in g.vertices()
         }
-        valid = validate_prefix_ho(g, p).passed
-        verdicts[valid] += 1
+        report = validate_prefix_ho(g, p)
+        verdicts[report.passed] += 1
+        if not report.passed:
+            with pytest.raises(ValueError) as refusal:
+                PrefixedGraph(g, p)
+            assert str(refusal.value) == f"invalid prefix function: {report.violation_text(g)}"
+            continue
         for j in (1, 2):
-            if valid:
-                assert insert_delimiters(PrefixedGraph(g, p), j).prefixes.items() >= p.items()
-            else:
-                with pytest.raises(ValueError):
-                    insert_delimiters(PrefixedGraph(g, p), j)
+            assert insert_delimiters(PrefixedGraph(g, p), j).prefixes.items() >= p.items()
     assert min(verdicts.values()) >= 200
+
+
+# ---------------------------------------------------------------------------
+# The conversions validate nothing: on valid inputs of every delimited
+# variant, each output passes the validator the conversion used to run.
+
+
+def test_conversions_of_valid_inputs_are_valid():
+    from generators import random_graph
+    from test_delimited import _random_delimited
+
+    variants = [(i, j) for i in (0, 1) for j in (1, 2)]
+    inputs = _random_delimited(311, 200, variants=variants)
+    rng = random.Random(312)
+    while len(inputs) < 400:
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is not None and is_lambda_term_graph(g):
+            inputs.append(DelimitedGraph.from_graph(g))
+    seen = set()
+    for dg in inputs:
+        seen.add(dg.graph.variant)
+        a = strip_delimiters(dg)
+        assert validate_prefix_ho(a.graph, a.prefixes).passed
+        h = prefix_to_scope(a)
+        assert validate_scope(h.graph, h.scopes).passed
+        back = scope_to_prefix(h)
+        assert validate_prefix_ho(back.graph, back.prefixes).passed and back == a
+        for j in (1, 2):
+            # Insertion keeps every input word.
+            assert insert_delimiters(a, j).prefixes.items() >= a.prefixes.items()
+    assert seen == {SignatureVariant(i, j) for i, j in variants}
 
 
 def test_minted_names_skip_taken_ones():

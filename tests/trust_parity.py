@@ -1,0 +1,212 @@
+"""Check the validating constructors against the validators.
+
+    python3 tests/trust_parity.py [--inputs N] [--seed S]
+
+Draws N hand-built inputs (default 20000), input i under seed S + i
+(default S = 2000), taking turns over four kinds:
+
+- ``scope``: a scope function on a delimiter-free graph, ``ScopedGraph``
+  against ``validate_scope``;
+- ``prefix``: a prefix function on a delimiter-free graph,
+  ``PrefixedGraph`` against ``validate_prefix_ho``;
+- ``ids``: a graph's fields with a successor or root id moved, maybe out
+  of 0..n-1, ``TermGraph`` against a scan of the ids;
+- ``words``: a delimited graph with words, ``DelimitedGraph`` against
+  ``infer_prefix``.
+
+Half the annotations are random; the others are a valid one, from a
+translated term, with at most one entry changed.  Now and then a scope
+or prefix function also loses a key or gains an entry that names no
+vertex.  A constructor must
+refuse exactly the inputs its validator refuses, with the validator's
+violations, or for ids and words the first id or vertex at fault.
+Exits 1 at the first input where they differ, naming the seed and the
+input; otherwise prints, per kind, how many inputs were taken and how
+many refused.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from generators import erase_backlinks, random_graph, random_term  # noqa: E402
+
+from lamgraph import (  # noqa: E402
+    DelimitedGraph,
+    DomainMismatch,
+    GraphError,
+    Label,
+    PrefixedGraph,
+    ScopedGraph,
+    TermGraph,
+    infer_prefix,
+    prefix_to_scope,
+    strip_delimiters,
+    term_to_graph,
+    validate_prefix_ho,
+    validate_scope,
+)
+
+KINDS = ("scope", "prefix", "ids", "words")
+
+
+def verdict(make, *args):
+    """``None`` if ``make`` takes the input, else its refusal's type and
+    message."""
+    try:
+        make(*args)
+    except (GraphError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def refusal(validate, g, fn, what):
+    """The refusal a constructor owes the input that ``validate`` judges:
+    the validator's own domain error, or its violations."""
+    try:
+        report = validate(g, fn)
+    except DomainMismatch as exc:
+        return DomainMismatch, str(exc)
+    return None if report.passed else (ValueError, f"{what}: {report.violation_text(g)}")
+
+
+def off_domain(rng, g, fn, freeze):
+    """fn, or now and then fn with a key dropped or an entry that names
+    no vertex."""
+    if fn and rng.random() < 0.1:
+        fn.pop(rng.choice(sorted(fn)))
+    elif fn and rng.random() < 0.1:
+        v = rng.choice(sorted(fn))
+        fn[v] = freeze((*fn[v], rng.choice((-1, g.vertex_count))))
+    return fn
+
+
+def translated(rng):
+    """A valid delimited graph of a random variant, from a random term."""
+    dg = term_to_graph(random_term(rng, depth=rng.randint(1, 4)))
+    i, j = rng.choice([(0, 1), (0, 2), (1, 1), (1, 2)])
+    return dg if (i, j) == (1, 2) else DelimitedGraph.from_graph(erase_backlinks(dg.graph, i, j))
+
+
+def delimiter_free(rng):
+    """A delimiter-free graph with no annotation, or a valid prefix
+    function with its graph."""
+    if rng.random() < 0.5:
+        a = strip_delimiters(translated(rng))
+        return a.graph, a.prefixes
+    while True:
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is None:
+            return g, None
+
+
+def scope_input(rng):
+    g, prefixes = delimiter_free(rng)
+    abstractions = g.vertices_labeled(Label.ABS)
+    if prefixes is None:
+        vertices = list(g.vertices())
+        sc = {v: frozenset(u for u in vertices if rng.random() < 0.4) | {v} for v in abstractions}
+    else:
+        sc = dict(prefix_to_scope(PrefixedGraph(g, prefixes)).scopes)
+    if sc and rng.random() < 0.5:
+        v = rng.choice(abstractions)
+        sc[v] ^= {rng.randrange(g.vertex_count)}
+    sc = off_domain(rng, g, sc, frozenset)
+    return (ScopedGraph, g, sc), refusal(validate_scope, g, sc, "invalid scope function")
+
+
+def prefix_input(rng):
+    g, prefixes = delimiter_free(rng)
+    abstractions = g.vertices_labeled(Label.ABS)
+    if prefixes is None:
+        prefixes = {
+            w: tuple(rng.sample(abstractions, rng.randint(0, min(2, len(abstractions)))))
+            for w in g.vertices()
+        }
+    p = dict(prefixes)
+    if abstractions and rng.random() < 0.5:
+        w = rng.randrange(g.vertex_count)
+        p[w] = p[w][:-1] if p[w] and rng.random() < 0.5 else p[w] + (rng.choice(abstractions),)
+    p = off_domain(rng, g, p, tuple)
+    return (PrefixedGraph, g, p), refusal(validate_prefix_ho, g, p, "invalid prefix function")
+
+
+def ids_input(rng):
+    g = random_graph(rng, max_vertices=8)
+    n = g.vertex_count
+    args, root = [list(succ) for succ in g.args], g.root
+    moved = rng.randint(-2, n + 1)
+    edges = [(w, k) for w, succ in enumerate(args) for k in range(len(succ))]
+    if edges and rng.random() < 0.8:
+        w, k = rng.choice(edges)
+        args[w][k] = moved
+    else:
+        root = moved
+    made = (TermGraph, g.variant, g.labels, tuple(map(tuple, args)), root, g.names)
+    bad = [(w, t) for w, succ in enumerate(args) for t in succ if not 0 <= t < n]
+    if not 0 <= root < n:
+        return made, (DomainMismatch, f"root id {root} names no vertex")
+    if bad:
+        w, t = bad[0]
+        return made, (DomainMismatch, f"successor id {t} of {g.names[w]} names no vertex")
+    return made, None
+
+
+def words_input(rng):
+    if rng.random() < 0.5:
+        dg = translated(rng)
+        g, words = dg.graph, dict(dg.prefixes)
+    else:
+        while True:
+            g = random_graph(rng, max_vertices=8)
+            if g.variant.del_arity is not None:
+                break
+        inferred, _ = infer_prefix(g)
+        words = dict(inferred or {v: () for v in g.vertices()})
+    abstractions = g.vertices_labeled(Label.ABS)
+    if abstractions and rng.random() < 0.5:
+        w = rng.randrange(g.vertex_count)
+        words[w] = words[w] + (rng.choice(abstractions),)
+    inferred, report = infer_prefix(g)
+    made = (DelimitedGraph, g, words)
+    if inferred is None:
+        return made, (ValueError, f"not a valid delimited lambda graph: {report.violation_text(g)}")
+    if inferred != words:
+        v = next(v for v in g.vertices() if words[v] != inferred[v])
+        return made, (ValueError, f"not the inferred words: vertex {v} ({g.names[v]}) gets another")
+    return made, None
+
+
+DRAW = {"scope": scope_input, "prefix": prefix_input, "ids": ids_input, "words": words_input}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--inputs", type=int, default=20_000)
+    parser.add_argument("--seed", type=int, default=2000)
+    args = parser.parse_args(argv)
+    taken, refused = Counter(), Counter()
+    for i, seed in enumerate(range(args.seed, args.seed + args.inputs)):
+        kind = KINDS[i % len(KINDS)]
+        (make, *fields), want = DRAW[kind](random.Random(seed))
+        got = verdict(make, *fields)
+        if got != want:
+            print(f"seed {seed} ({kind}): {make.__name__} and its validator differ on {fields!r}")
+            print(f"  constructor: {got!r}\n  validator:   {want!r}")
+            return 1
+        (taken if got is None else refused)[kind] += 1
+    counts = ", ".join(f"{k} {taken[k]} taken / {refused[k]} refused" for k in KINDS)
+    last = args.seed + args.inputs - 1
+    print(f"{args.inputs} inputs (seeds {args.seed}-{last}): all agree; {counts}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
