@@ -21,7 +21,7 @@ them and trusts the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import (
     DomainMismatch,
@@ -213,18 +213,14 @@ class _Builder:
 
     Each vertex has its label, its successors (filled in after the vertex
     is allocated) and a name for output.  A builder starts empty or
-    seeded with a graph, whose vertices keep their ids; allocated
-    vertices follow them.
+    seeded with labels and successor rows, and with the names of a
+    leading run of them; the rest are named with ``fresh_name``.
     """
 
-    def __init__(self, graph: TermGraph | None = None):
-        self.labels: list[Label] = []
-        self.succ: list[list[int] | None] = []
-        self.names: list[str] = []
-        if graph is not None:
-            self.labels += graph.labels
-            self.succ += map(list, graph.args)
-            self.names += graph.names
+    def __init__(self, labels=(), succ=(), names=()):
+        self.labels: list[Label] = list(labels)
+        self.succ: list = list(succ)
+        self.names: list[str] = list(names)
         # Minting never reuses a seeded name, nor one the document format
         # cannot express (a binder may be called "scope" or "root").
         self.taken: set[str] = set(RESERVED_NAMES).union(self.names)
@@ -283,7 +279,7 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     graph, prefixes = g.graph, g.prefixes
     # The vertices with an edge to the last entry of their word.
     sources = [u for u, succ in enumerate(graph.args) if (word := prefixes[u]) and word[-1] in succ]
-    reached = _reach_in_region(graph, prefixes, sources)
+    reached = _reach_in_region(graph.labels, graph.args, sources, prefixes)
     unreached: dict[int, list[int]] = {}
     for w in range(len(prefixes)):
         word = prefixes[w]
@@ -328,12 +324,27 @@ def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
     """
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
-    graph, prefixes = g.graph, g.prefixes
-    labels = graph.labels
+    graph = g.graph
+    return _non_eager(graph.labels, graph.args, g.prefixes, None if strict else Label.DEL)
+
+
+def _non_eager(
+    labels: Sequence[Label], args: Sequence[Sequence[int]], prefixes: Mapping, exempt: Label | None
+) -> int | None:
+    """``_non_eager_vertex`` on arrays, checking the vertices that
+    ``prefixes`` holds words for, 0 up to its length, except those
+    labelled ``exempt``.
+
+    The search reads no delimiter's word where delimiters back-link (see
+    ``_reach_in_region``).  So on a (1,2) graph whose delimiters have
+    larger ids than every other vertex, the words of the others suffice
+    when delimiters are exempt: a group of the witness order whose
+    smallest member is a delimiter holds only delimiters.
+    """
     VAR = Label.VAR
-    reached = _reach_in_region(graph, prefixes, [u for u, lab in enumerate(labels) if lab is VAR])
-    exempt = None if strict else Label.DEL
-    for w in range(len(labels)):
+    sources = [u for u, lab in enumerate(labels) if lab is VAR]
+    reached = _reach_in_region(labels, args, sources, prefixes)
+    for w in range(len(prefixes)):
         if w not in reached and prefixes[w] and labels[w] is not exempt:
             break
     else:
@@ -346,9 +357,8 @@ def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
     )
 
 
-def _non_eager_reason(g: DelimitedGraph, w: int) -> str:
-    names = g.graph.names
-    binder = names[g.prefixes[w][-1]]
+def _non_eager_reason(names: Sequence[str], prefixes: Mapping, w: int) -> str:
+    binder = names[prefixes[w][-1]]
     return f"{names[w]} reaches no occurrence of {binder} within its scope"
 
 
@@ -377,7 +387,9 @@ def _by_binder(prefixes: PrefixFn) -> dict[int, list[int]]:
     return groups
 
 
-def _reach_in_region(graph: TermGraph, prefixes: PrefixFn, sources: list[int]) -> set[int]:
+def _reach_in_region(
+    labels: Sequence[Label], args: Sequence[Sequence[int]], sources: list[int], prefixes: Mapping
+) -> set[int]:
     """The vertices that reach a source with their own word W through
     W's region, the vertices whose words extend W.
 
@@ -389,7 +401,8 @@ def _reach_in_region(graph: TermGraph, prefixes: PrefixFn, sources: list[int]) -
     - an abstraction pushes, so its word is shorter;
     - a delimiter's first edge pops, so the delimiter lies in the body
       region of x, the last entry of its word, an abstraction with
-      word W, and the search steps straight to x;
+      word W, and the search steps straight to x.  A delimiter's
+      back-link is x, so its word is read only where it has none;
     - a back-link targets the last entry of its source's word, which
       makes that word W·t, and the step straight to entry k is back to t.
 
@@ -408,7 +421,6 @@ def _reach_in_region(graph: TermGraph, prefixes: PrefixFn, sources: list[int]) -
     gives the union of the searches from each word's sources, and each
     vertex is visited once.
     """
-    labels, args = graph.labels, graph.args
     APP, DEL = Label.APP, Label.DEL
     steps: list[list[int]] = [[] for _ in labels]
     for u, lab in enumerate(labels):
@@ -417,7 +429,8 @@ def _reach_in_region(graph: TermGraph, prefixes: PrefixFn, sources: list[int]) -
             steps[fun].append(u)
             steps[arg].append(u)
         elif lab is DEL:
-            steps[args[u][0]].append(prefixes[u][-1])
+            succ = args[u]
+            steps[succ[0]].append(succ[1] if len(succ) == 2 else prefixes[u][-1])
     seen = set(sources)
     stack = list(seen)
     while stack:

@@ -15,6 +15,10 @@ deterministic.
 bisimilar by Hopcroft and Karp's union-find on vertex pairs (1971),
 growing an equivalence from the root pair and stopping at the first
 pair whose labels differ.
+
+Refinement and numbering work on labels and successor rows, so
+``max_share_ho`` runs them on the rows of the delimited form without
+building it, and reads its result off the projection.
 """
 
 from __future__ import annotations
@@ -23,17 +27,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    DomainMismatch,
     GraphError,
     Label,
     TermGraph,
     VariantMismatch,
     VertexMap,
+    _reachable_keys,
     _trusted,
     find_homomorphism,
 )
-from .delimited import DelimitedGraph, _non_eager_reason, _non_eager_vertex
+from .delimited import DelimitedGraph, _non_eager, _non_eager_reason
 from .scoped import PrefixedGraph, ScopedGraph
-from .transforms import insert_delimiters, prefix_to_scope, scope_to_prefix, strip_delimiters
+from .transforms import _delimit, scope_to_prefix
 
 __all__ = [
     "Partition",
@@ -78,7 +84,7 @@ class Partition:
 
 def coarsest_partition(g: TermGraph) -> Partition:
     """Coarsest partition compatible with labels and indexed successors."""
-    block = _renumber(g, _refine(g))
+    block = _renumber(g.args, g.root, _refine(g.labels, g.args))
     return Partition(
         block=tuple(block),
         block_count=max(block) + 1,
@@ -86,8 +92,9 @@ def coarsest_partition(g: TermGraph) -> Partition:
     )
 
 
-def _refine(g: TermGraph) -> list[int]:
-    """Coarsest stable partition as vertex -> block id, ids arbitrary.
+def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> list[int]:
+    """Coarsest stable partition of the graph with these labels and
+    successor rows, as vertex -> block id, ids arbitrary.
 
     Hopcroft refinement: a splitter (b, k) separates, inside every
     block, the vertices whose k-th successor lies in block b from the
@@ -99,15 +106,15 @@ def _refine(g: TermGraph) -> list[int]:
     already spent.
     """
     classes: dict[Label, set[int]] = {}
-    for v, lab in enumerate(g.labels):
+    for v, lab in enumerate(labels):
         classes.setdefault(lab, set()).add(v)
     members = list(classes.values())
-    block = [0] * g.vertex_count
+    block = [0] * len(labels)
     for b, vs in enumerate(members):
         for v in vs:
             block[v] = b
-    preds: tuple[list[list[int]], ...] = ([[] for _ in g.labels], [[] for _ in g.labels])
-    for v, out in enumerate(g.args):
+    preds: tuple[list[list[int]], ...] = ([[] for _ in labels], [[] for _ in labels])
+    for v, out in enumerate(args):
         for k, w in enumerate(out):
             preds[k][w].append(v)
     pending = [[True] * len(members), [True] * len(members)]
@@ -140,18 +147,18 @@ def _refine(g: TermGraph) -> list[int]:
     return block
 
 
-def _renumber(g: TermGraph, keys: Sequence[int]) -> list[int]:
+def _renumber(args: Sequence[Sequence[int]], root: int, keys: Sequence[int]) -> list[int]:
     # Assign dense block ids in first-visit DFS order (lowest index first).
     order: dict[int, int] = {}
     seen = set()
-    stack = [g.root]
+    stack = [root]
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
         order.setdefault(keys[v], len(order))
-        stack.extend(reversed(g.args[v]))
+        stack.extend(reversed(args[v]))
     return [order[k] for k in keys]
 
 
@@ -286,24 +293,66 @@ def max_share(g: DelimitedGraph) -> DelimitedGraph:
 def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     """Maximally shared form of a scope-function graph with back-links.
 
-    Route: to prefixes, to the delimited first-order form, first-order
-    bisimulation collapse, and back.  The input's delimited image must
-    be eager-scope; the eager class is closed under homomorphism, so the
-    collapse stays inside it and the way back is well-defined.
+    The paper's route goes to prefixes, to the delimited first-order
+    form, through its bisimulation collapse, and back.  The input's
+    delimited image must be eager-scope; the eager class is closed
+    under homomorphism, so the collapse stays inside it.  Here the route
+    runs on arrays and builds neither the delimited graph nor its
+    quotient: ``_delimit`` gives the delimited form's labels and rows,
+    the eager check and the refinement read them, and the result is
+    read off the projection.
 
-    The input was validated when it was made, and no validator runs
-    between the steps: the correspondence of scope functions, prefix
-    functions and their eager delimited forms makes every step valid by
-    construction.
+    Delimiting an eager (1,2) graph preserves and reflects the sharing
+    order, so the projection restricted to the input's vertices is a
+    homomorphism of higher-order graphs onto the result.  Hence:
+
+    - a block without delimiters is a result vertex, ranked by block id
+      among them (as ``strip_delimiters`` ranks the quotient's), with
+      the label and name of its minimal vertex, an input vertex;
+    - its successors are the blocks of the input edges' targets:
+      bisimilar vertices have chains of one length on each edge, ending
+      in bisimilar targets, so skipping a chain in the quotient lands on
+      the block of the input edge's target;
+    - its scope is the block image of the minimal vertex's scope.
+
+    The input was validated when it was made, and the result is valid
+    by that correspondence, so no validator runs.  ``NotEagerScope``
+    names the first vertex of the delimited form that fails the eager
+    check, which is always an input vertex.
     """
-    if h.graph.variant.var_arity != 1:
+    g = h.graph
+    if g.variant.var_arity != 1:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    delimited = insert_delimiters(scope_to_prefix(h), 2)
-    w = _non_eager_vertex(delimited)
+    if len(_reachable_keys(g.root, g.args)) < g.vertex_count:
+        # A carrier built directly may leave vertices unreached; the
+        # delimited form of such a carrier has no inferred words.
+        raise DomainMismatch("prefix function must be total on the vertex set")
+    words = scope_to_prefix(h).prefixes
+    labels, args = _delimit(g, words, 2)
+    w = _non_eager(labels, args, words, Label.DEL)
     if w is not None:
         raise NotEagerScope(
             "the delimited form of the input is not eager-scope: "
-            + _non_eager_reason(delimited, w),
-            delimited.graph.names[w],
+            + _non_eager_reason(g.names, words, w),
+            g.names[w],
         )
-    return prefix_to_scope(strip_delimiters(max_share(delimited)))
+    block = _renumber(args, g.root, _refine(labels, args))[: g.vertex_count]
+    # Rank the input vertices' blocks, and take each one's minimal vertex.
+    rank = {b: i for i, b in enumerate(sorted(set(block)))}
+    image = [rank[b] for b in block]
+    reps = [0] * len(rank)
+    for v in reversed(g.vertices()):
+        reps[image[v]] = v
+    g_labels, g_args, ABS = g.labels, g.args, Label.ABS
+    carrier = _trusted(
+        TermGraph,
+        variant=g.variant,
+        labels=tuple(g_labels[r] for r in reps),
+        args=tuple(tuple(image[t] for t in g_args[r]) for r in reps),
+        root=image[g.root],
+        names=tuple(g.names[r] for r in reps),
+    )
+    scopes = {
+        image[r]: frozenset([image[u] for u in h.scopes[r]]) for r in reps if g_labels[r] is ABS
+    }
+    return _trusted(ScopedGraph, graph=carrier, scopes=scopes)

@@ -2,10 +2,12 @@
 
 Scope functions and abstraction-prefix functions interconvert without
 touching the carrier.  Going first-order inserts a chain of delimiter
-vertices wherever the prefix word shrinks along an edge, building on
-ids with ``delimited._Builder`` as the term translation does, whose
-finish step infers the words; going back erases delimiter vertices and
-reroutes edges through them.
+vertices wherever the prefix word shrinks along an edge.  One loop,
+``_delimit``, makes the chains as labels and successor rows on ids:
+``insert_delimiters`` names them and builds with ``delimited._Builder``,
+as the term translation does, whose finish step infers the words, and
+``sharing.max_share_ho`` refines the rows directly.  Going back erases
+delimiter vertices and reroutes edges through them.
 
 Every input was validated when it was made, and each conversion takes
 a valid object to a valid one: scope functions and prefix functions
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from .core import Label, SignatureVariant, TermGraph, _trusted
 from .delimited import DelimitedGraph, _Builder
-from .scoped import PrefixedGraph, ScopedGraph
+from .scoped import PrefixedGraph, PrefixFn, ScopedGraph
 
 
 def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
@@ -37,8 +39,9 @@ def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     labels, ABS = h.graph.labels, Label.ABS
     prefixes = {}
     for w, word in enumerate(h._binder_lists):
-        # An abstraction lies in its own scope, not in its own prefix.
-        prefixes[w] = tuple(v for v in word if v != w) if labels[w] is ABS else tuple(word)
+        # An abstraction lies in its own scope, not in its own prefix;
+        # its scope is the smallest holding it, so it comes last.
+        prefixes[w] = tuple(word[:-1]) if labels[w] is ABS else tuple(word)
     return _trusted(PrefixedGraph, graph=h.graph, prefixes=prefixes)
 
 
@@ -72,30 +75,24 @@ def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
     return 0
 
 
-def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
-    """Interpose delimiter chains wherever the prefix shrinks along an edge.
+def _delimit(g: TermGraph, p: PrefixFn, j: int) -> tuple[list[Label], list]:
+    """The chain loop: labels and successor rows of the delimited form.
 
     For an edge whose source word (plus the source itself on abstraction
     edges) exceeds the target's prefix by n entries, a descending chain
-    of n fresh delimiter vertices is inserted, one per dropped word;
-    with j=2 each of them back-links to the abstraction it pops.  Chains
-    are never shared between edges; collapse can merge them later.
+    of n delimiter vertices is inserted, one per dropped word; with j=2
+    each of them back-links to the abstraction it pops.  Chains are
+    never shared between edges; collapse can merge them later.
 
-    The graph is built on ids: the input's vertices keep their ids, and
-    the delimiters follow in edge order, each chain from the longest
-    word down.  A delimiter is named after its edge, ``<source>.<k>.s``,
-    with ``.2``, ``.3``, ... appended until the name is new.  The chain
-    delimiter at level L of its edge's word W back-links to W[L-1] and
-    has the word W[:L], by induction down its chain.  The output's
-    words are inferred; since the input's words are valid, each input
-    vertex keeps its own.  O(n + m + D + sum of |prefix(w)|) for D
-    delimiters, counting the output's words.
+    The input's vertices keep their ids, and the delimiters follow in
+    edge order, each chain from the longest word down, so a chain is a
+    run of consecutive ids whose last member leads to the edge's target.
+    The chain delimiter at level L of its edge's word W back-links to
+    W[L-1] and has the word W[:L], by induction down its chain.  The
+    rows of input vertices without a chain are the input's own tuples.
+    O(n + m + D) for D delimiters.
     """
-    if j not in (1, 2):
-        raise ValueError("delimiter arity must be 1 or 2")
-    g = a.graph
-    p = a.prefixes
-    b = _Builder(g)
+    labels, succ = list(g.labels), list(g.args)
     ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
     for w, lab in enumerate(g.labels):
         if lab is ABS:
@@ -104,20 +101,50 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
             base_word = p[w]
         else:
             continue  # variable back-links get no chain
+        row = None
         for k, wk in enumerate(g.args[w]):
             # The edge's drop, as ``num_delimiters`` counts it.
             lower = len(p[wk])
             if len(base_word) <= lower:
                 continue
+            if row is None:
+                row = succ[w] = list(succ[w])
             # Levels run from len(base_word) down to lower + 1; each
-            # delimiter feeds the next one allocated, and the last the
-            # edge's target.
-            b.succ[w][k] = len(b.labels)
-            base = f"{g.names[w]}.{k}.s"
+            # delimiter feeds the next one, and the last the edge's target.
+            d = row[k] = len(labels)
             for level in range(len(base_word), lower, -1):
-                d = b.alloc(base, DEL)
-                below = d + 1 if level > lower + 1 else wk
-                b.succ[d] = [below, base_word[level - 1]] if j == 2 else [below]
+                d += 1
+                below = d if level > lower + 1 else wk
+                labels.append(DEL)
+                succ.append((below, base_word[level - 1]) if j == 2 else (below,))
+    return labels, succ
+
+
+def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
+    """Interpose delimiter chains wherever the prefix shrinks along an edge.
+
+    The chains are ``_delimit``'s.  A delimiter is named after its edge,
+    ``<source>.<k>.s``, with ``.2``, ``.3``, ... appended until the name
+    is new, in id order.  The output's words are inferred; since the
+    input's words are valid, each input vertex keeps its own.
+    O(n + m + D + sum of |prefix(w)|) for D delimiters, counting the
+    output's words.
+    """
+    if j not in (1, 2):
+        raise ValueError("delimiter arity must be 1 or 2")
+    g = a.graph
+    labels, succ = _delimit(g, a.prefixes, j)
+    b = _Builder(labels, succ, g.names)
+    n = g.vertex_count
+    for w, name in enumerate(g.names):
+        for k, d in enumerate(succ[w]):
+            if d < n:
+                continue
+            # The chain is the run of ids >= n down to the edge's target.
+            base = f"{name}.{k}.s"
+            while d >= n:
+                b.names.append(b.fresh_name(base))
+                d = succ[d][0]
     return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
 
 

@@ -323,7 +323,6 @@ def term_to_graph(t: Term) -> DelimitedGraph:
         raise InternalValidationFailure(str(exc)) from exc
     w = _non_eager_vertex(result)
     if w is not None:
-        raise InternalValidationFailure(
-            "eager translation produced a non-eager graph: " + _non_eager_reason(result, w)
-        )
+        reason = _non_eager_reason(result.graph.names, result.prefixes, w)
+        raise InternalValidationFailure("eager translation produced a non-eager graph: " + reason)
     return result

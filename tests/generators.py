@@ -219,3 +219,37 @@ def graphs(
     }
     g, _ = build_pruned(variant, labels, succ, "n0")
     return g
+
+
+def random_scopes(rng, g):
+    """Random member sets, each abstraction usually in its own scope."""
+    vertices = list(g.vertices())
+    return {
+        v: frozenset(u for u in vertices if rng.random() < 0.4 or (u == v and rng.random() < 0.9))
+        for v in g.vertices_labeled(Label.ABS)
+    }
+
+
+def ring_doc(n):
+    # l_i = lam a_i, a_i = v_i l_(i+1), v_i back-links to l_i.
+    lines = ["sig 1", "root l0"]
+    for i in range(n):
+        lines += [f"l{i} lam a{i}", f"a{i} @ v{i} l{(i + 1) % n}", f"v{i} 0 l{i}"]
+    lines += [f"scope l{i} = {{ l{i} a{i} v{i} }}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def tower_doc(n):
+    # \x0 ... \x(n-1). x0 x1 ... x(n-1), every scope closed eagerly.
+    lines = ["sig 1", "root l0"]
+    lines += [f"l{i} lam l{i + 1}" for i in range(n - 1)]
+    lines.append(f"l{n - 1} lam a{n - 1}")
+    for j in range(1, n):
+        lines.append(f"a{j} @ {f'a{j - 1}' if j > 1 else 'v0'} v{j}")
+    lines += [f"v{i} 0 l{i}" for i in range(n)]
+    for k in range(n):
+        members = [f"l{j}" for j in range(k, n)]
+        members += [f"a{j}" for j in range(max(k, 1), n)]
+        members += [f"v{j}" for j in range(k, n)]
+        lines.append(f"scope l{k} = {{ {' '.join(members)} }}")
+    return "\n".join(lines) + "\n"

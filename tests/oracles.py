@@ -7,9 +7,11 @@ filters its candidates through the library's ``validate_scope`` and
 checks that validator against ``per_pair_validate_scope`` on every one.
 
 The replaced fast paths live on here as well, as references for the
-ones that took their place: bisimilarity by refining the disjoint
-union, the name-keyed delimiter insertion and erasure, the name-keyed
-translator, which reuses the library's resolver but finds free
+ones that took their place: ``max_share_ho`` as the composition of its
+public steps (these share the chain loop and the refinement with the
+array route, and each has its own oracle here), bisimilarity by
+refining the disjoint union, the name-keyed delimiter insertion and
+erasure, the name-keyed translator, which reuses the library's resolver but finds free
 variables and live bindings with the walks that one worklist analysis
 replaced, and emits, infers and checks on its own, prefix inference
 followed by a full validation pass, the eager and back-link checks with
@@ -39,6 +41,7 @@ from lamgraph import (
     GraphDocument,
     GraphError,
     Label,
+    NotEagerScope,
     Partition,
     Path,
     PrefixedGraph,
@@ -52,8 +55,13 @@ from lamgraph import (
     Violation,
     build,
     build_pruned,
+    collapse,
+    insert_delimiters,
     is_fully_back_linked,
     num_delimiters,
+    prefix_to_scope,
+    scope_to_prefix,
+    strip_delimiters,
     validate_scope,
 )
 from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
@@ -296,6 +304,29 @@ def per_word_non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | 
     return None
 
 
+def stepwise_max_share_ho(h: ScopedGraph) -> ScopedGraph:
+    """``max_share_ho`` as the composition of public steps it was before
+    it ran on arrays: to prefixes, to the delimited form, the eager
+    check (here by one search per word), the collapse, the quotient's
+    inferred words, and back through ``strip_delimiters`` and
+    ``prefix_to_scope``."""
+    g = h.graph
+    if g.variant.var_arity != 1:
+        raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
+    delimited = insert_delimiters(scope_to_prefix(h), 2)
+    w = per_word_non_eager_vertex(delimited)
+    if w is not None:
+        names = delimited.graph.names
+        binder = names[delimited.prefixes[w][-1]]
+        raise NotEagerScope(
+            "the delimited form of the input is not eager-scope: "
+            f"{names[w]} reaches no occurrence of {binder} within its scope",
+            names[w],
+        )
+    quotient = DelimitedGraph.from_graph(collapse(delimited.graph)[0])
+    return prefix_to_scope(strip_delimiters(quotient))
+
+
 def all_homomorphisms(g1: TermGraph, g2: TermGraph) -> list[dict[int, int]]:
     """Every root/label/argument-preserving map, by exhaustive search.
 
@@ -356,7 +387,7 @@ def refinement_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
     union = TermGraph(
         g1.variant, g1.labels + g2.labels, g1.args + shifted, g1.root, g1.names + g2.names
     )
-    block = _refine(union)
+    block = _refine(union.labels, union.args)
     return block[g1.root] == block[n + g2.root]
 
 
@@ -901,7 +932,7 @@ def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> Delim
         if w is not None:
             raise InternalValidationFailure(
                 "eager translation produced a non-eager graph: "
-                + _non_eager_reason(result, w)
+                + _non_eager_reason(result.graph.names, result.prefixes, w)
             )
         if not is_fully_back_linked(result):
             raise InternalValidationFailure("eager translation is not fully back-linked")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import graphs, random_graph, random_term
+from generators import graphs, random_graph, random_scopes, random_term, ring_doc, tower_doc
 from oracles import (
     all_scope_functions,
     check_scope_nesting,
@@ -30,6 +30,8 @@ from lamgraph import (
     binders,
     insert_delimiters,
     is_lambda_term_graph,
+    isomorphic,
+    lift_homomorphism,
     max_share_ho,
     parse_graph,
     prefix_to_scope,
@@ -281,15 +283,6 @@ def _agree_on_prefixes(g, p):
     assert prefix_to_scope(a) == per_abstraction_prefix_to_scope(a)
 
 
-def _random_scopes(rng, g):
-    """Random member sets, each abstraction usually in its own scope."""
-    vertices = list(g.vertices())
-    return {
-        v: frozenset(u for u in vertices if rng.random() < 0.4 or (u == v and rng.random() < 0.9))
-        for v in g.vertices_labeled(Label.ABS)
-    }
-
-
 def _random_prefixes(rng, g):
     abs_vs = g.vertices_labeled(Label.ABS)
     return {
@@ -315,7 +308,7 @@ def test_scope_layer_matches_oracles_on_random_graphs():
         if g.variant.del_arity is None:
             # A bare carrier: random scope sets and prefix words.
             for _ in range(3):
-                _agree_on_scopes(g, _random_scopes(rng, g), verdicts)
+                _agree_on_scopes(g, random_scopes(rng, g), verdicts)
                 _agree_on_prefixes(g, _random_prefixes(rng, g))
             random_carriers += 1
         elif is_lambda_term_graph(g):
@@ -492,7 +485,7 @@ def test_laminar_test_is_sound_and_passes_every_valid_function():
         if g.variant.del_arity is not None:
             continue
         for _ in range(10):
-            _laminar_agrees(g, _random_scopes(rng, g), outcomes)
+            _laminar_agrees(g, random_scopes(rng, g), outcomes)
         if len(g.vertices_labeled(Label.ABS)) > 2:
             continue
         # Every valid function, and each with one or two members toggled.
@@ -581,33 +574,8 @@ def test_normalize_takes_booleans_as_the_ids_they_equal():
 # quadratic or worse.
 
 
-def _ring_doc(n):
-    # l_i = lam a_i, a_i = v_i l_(i+1), v_i back-links to l_i.
-    lines = ["sig 1", "root l0"]
-    for i in range(n):
-        lines += [f"l{i} lam a{i}", f"a{i} @ v{i} l{(i + 1) % n}", f"v{i} 0 l{i}"]
-    lines += [f"scope l{i} = {{ l{i} a{i} v{i} }}" for i in range(n)]
-    return "\n".join(lines) + "\n"
-
-
-def _tower_doc(n):
-    # \x0 ... \x(n-1). x0 x1 ... x(n-1), every scope closed eagerly.
-    lines = ["sig 1", "root l0"]
-    lines += [f"l{i} lam l{i + 1}" for i in range(n - 1)]
-    lines.append(f"l{n - 1} lam a{n - 1}")
-    for j in range(1, n):
-        lines.append(f"a{j} @ {f'a{j - 1}' if j > 1 else 'v0'} v{j}")
-    lines += [f"v{i} 0 l{i}" for i in range(n)]
-    for k in range(n):
-        members = [f"l{j}" for j in range(k, n)]
-        members += [f"a{j}" for j in range(max(k, 1), n)]
-        members += [f"v{j}" for j in range(k, n)]
-        lines.append(f"scope l{k} = {{ {' '.join(members)} }}")
-    return "\n".join(lines) + "\n"
-
-
 def test_ring_document_max_share_ho_scales():
-    text = _ring_doc(2000)
+    text = ring_doc(2000)
     start = time.perf_counter()
     doc = parse_graph(text)
     shared = max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
@@ -618,8 +586,25 @@ def test_ring_document_max_share_ho_scales():
     assert elapsed < 3.0
 
 
+def test_tower_document_max_share_ho_scales():
+    # A tower shares nothing and has the longest words: n binders over
+    # a carrier of 3n - 1 vertices, so the delimited form has Θ(n²)
+    # delimiters.
+    text = tower_doc(500)
+    start = time.perf_counter()
+    doc = parse_graph(text)
+    h = ScopedGraph.checked(doc.graph, doc.scopes)
+    shared = max_share_ho(h)
+    elapsed = time.perf_counter() - start
+    assert shared.graph.vertex_count == doc.graph.vertex_count == 1499
+    # The result is renumbered in DFS order, so compare up to isomorphism.
+    iso = isomorphic(shared.graph, h.graph)
+    assert iso is not None and lift_homomorphism(iso, shared, h)
+    assert elapsed < 3.0
+
+
 def test_tower_scope_layer_scales():
-    text = _tower_doc(200)
+    text = tower_doc(200)
     start = time.perf_counter()
     doc = parse_graph(text)
     g = doc.graph
@@ -658,7 +643,7 @@ def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
     # Names are resolved at the boundary (ScopedGraph.checked, one
     # _resolve_map) and nowhere on the route behind it, which builds its
     # annotations on ids.
-    doc = parse_graph(_tower_doc(8))
+    doc = parse_graph(tower_doc(8))
     calls = _counting(monkeypatch, ["normalize_scope_fn", "normalize_prefix_fn", "_resolve_map"])
     shared = max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
     assert shared.graph.vertex_count == doc.graph.vertex_count  # a tower shares nothing
@@ -667,17 +652,17 @@ def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
 
 def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     # The constructor is the one check: the conversions behind it, and
-    # max_share_ho's chain of them, validate nothing again.  Inference
-    # runs where a delimited graph is made: after insertion and after
-    # the collapse.
+    # max_share_ho, validate nothing again.  Inference runs where a
+    # delimited graph is made: translate's insertion makes one, and
+    # max_share_ho, which works on arrays, makes none.
     from lamgraph.cli import main
 
-    text = _tower_doc(8)
+    text = tower_doc(8)
     doc = parse_graph(text)
     names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix"]
     calls = _counting(monkeypatch, names)
     max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
-    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 2}
+    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0}
     path = tmp_path / "tower.tg"
     path.write_text(text)
     calls.update(dict.fromkeys(names, 0))

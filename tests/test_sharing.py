@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import ALL_VARIANTS, graphs, random_graph, random_quotient, random_term
-from test_scoped import _random_scopes, _ring_doc, _tower_doc
+from generators import (
+    ALL_VARIANTS,
+    graphs,
+    random_graph,
+    random_quotient,
+    random_scopes,
+    random_term,
+    ring_doc,
+    tower_doc,
+)
 from test_translate import _alpha_rename
 from oracles import (
     all_homomorphisms,
@@ -18,7 +26,11 @@ from oracles import (
     refinement_bisimilar,
     relational_bisimilar,
     signature_refinement_partition,
+    stepwise_max_share_ho,
 )
+from share_parity import DRAW as SHARE_DRAW
+from share_parity import KINDS as SHARE_KINDS
+from share_parity import outcome as share_outcome
 
 from lamgraph import (
     DelimitedGraph,
@@ -558,7 +570,7 @@ def test_max_share_agrees_with_collapse_oracle():
 
 def _max_share_ho_docs():
     """Ring and tower documents, and random hotg documents, as text."""
-    docs = [_ring_doc(n) for n in (1, 3, 8)] + [_tower_doc(n) for n in (2, 4, 8)]
+    docs = [ring_doc(n) for n in (1, 3, 8)] + [tower_doc(n) for n in (2, 4, 8)]
     rng = random.Random(408)
     for _ in range(20):
         ap = strip_delimiters(term_to_graph(random_term(rng, depth=4)))
@@ -578,8 +590,8 @@ def test_max_share_ho_equals_its_public_steps():
 
 
 def test_max_share_ho_intermediates_pass_the_validators():
-    # max_share_ho validates nothing between its steps; each intermediate
-    # of its chain passes the validator that the public steps would run.
+    # max_share_ho runs on arrays and validates nothing; each step of the
+    # public chain it replaced gives what that step's validator passes.
     for text in _max_share_ho_docs():
         doc = parse_graph(text)
         h = ScopedGraph.checked(doc.graph, doc.scopes)
@@ -606,7 +618,7 @@ def test_max_share_ho_takes_every_scope_function_the_constructor_takes():
         g = random_graph(rng, max_vertices=8)
         if g.variant != SignatureVariant(1):
             continue
-        sc = _random_scopes(rng, g)
+        sc = random_scopes(rng, g)
         report = validate_scope(g, sc)
         try:
             h = ScopedGraph(g, sc)
@@ -620,6 +632,46 @@ def test_max_share_ho_takes_every_scope_function_the_constructor_takes():
             outcomes["shared"] += 1
         except NotEagerScope:
             outcomes["not eager"] += 1
+
+
+def _share_inputs():
+    """Ring and tower documents, then 100 inputs of each kind that
+    ``share_parity`` draws, each under its own seed."""
+    for n in range(2, 9):
+        for text in (ring_doc(n), tower_doc(n)):
+            doc = parse_graph(text)
+            yield "doc", ScopedGraph.checked(doc.graph, doc.scopes)
+    for i, seed in enumerate(range(4100, 4500)):
+        kind = SHARE_KINDS[i % len(SHARE_KINDS)]
+        yield kind, SHARE_DRAW[kind](random.Random(seed))
+
+
+def test_max_share_ho_matches_its_stepwise_composition():
+    # The array route against the public steps it replaced: an equal
+    # result with byte-identical text, or the same refusal and witness.
+    # A carrier the root does not wholly reach is refused by both.
+    seen = Counter()
+    for kind, h in _share_inputs():
+        got = share_outcome(max_share_ho, h)
+        assert got == share_outcome(stepwise_max_share_ho, h), kind
+        seen[kind, got[0]] += 1
+    assert all(seen[kind, "shared"] for kind in SHARE_KINDS)
+    assert seen["lazy", "not eager"] and seen["hand", "not eager"] and seen["hand", "refused"]
+
+
+def test_the_projection_lifts_to_the_result():
+    # The theorem the array route reads its result off: the input maps
+    # onto its maximally shared form by a homomorphism of higher-order
+    # graphs, so each scope's image is its image's scope.
+    shrunk = 0
+    for kind, h in _share_inputs():
+        verdict, result, *_ = share_outcome(max_share_ho, h)
+        if verdict != "shared":
+            continue
+        m = find_homomorphism(h.graph, result.graph)
+        assert m is not None and lift_homomorphism(m, h, result), kind
+        shrunk += result.graph.vertex_count < h.graph.vertex_count
+    assert shrunk >= 50
 
 
 def test_max_share_is_collapse_then_inference():
