@@ -9,9 +9,9 @@ reachable from the root; vertex ids are dense integers 0..n-1, which
 in declaration order.
 
 Each representation checks itself where it is made: a ``TermGraph``
-built directly refuses a successor or root id that names no vertex, and
-``ScopedGraph``, ``PrefixedGraph`` and ``DelimitedGraph`` refuse an
-invalid annotation.  Producers whose output is valid by construction
+built directly refuses a successor or root id that names no vertex and
+a vertex the root does not reach, and ``ScopedGraph``, ``PrefixedGraph``
+and ``DelimitedGraph`` refuse an invalid annotation.  Producers whose output is valid by construction
 (the builders, ``collapse`` and the conversions) make it through
 ``_trusted``, which runs no check.
 """
@@ -196,7 +196,9 @@ class TermGraph:
 
     def __post_init__(self):
         # A direct construction: every id must name a vertex, or readers
-        # would index past the end or wrap a negative id round.
+        # would index past the end or wrap a negative id round, and the
+        # root must reach every vertex, or the collapse's numbering would
+        # miss one.
         n = len(self.labels)
         if len(self.args) != n or len(self.names) != n:
             raise DomainMismatch("args and names must hold one entry per vertex")
@@ -206,6 +208,9 @@ class TermGraph:
         if not ids.issuperset(chain.from_iterable(self.args)):
             w, t = next((w, t) for w, succ in enumerate(self.args) for t in succ if t not in ids)
             raise DomainMismatch(f"successor id {t} of {self.names[w]} names no vertex")
+        reached = _reachable_keys(self.root, self.args)
+        if len(reached) < n:
+            raise UnreachableVertex(self.names[v] for v in range(n) if v not in reached)
 
     @property
     def vertex_count(self) -> int:

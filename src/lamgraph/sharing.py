@@ -27,13 +27,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    DomainMismatch,
     GraphError,
     Label,
     TermGraph,
     VariantMismatch,
     VertexMap,
-    _reachable_keys,
     _trusted,
     find_homomorphism,
 )
@@ -171,19 +169,29 @@ def collapse(g: TermGraph) -> tuple[TermGraph, VertexMap]:
     the block's minimal vertex.  The root's block becomes the new root.
     """
     part = coarsest_partition(g)
-    block = part.block
-    rep = [-1] * part.block_count
+    return _quotient(g, part.block, part.block_count)[1], dict(enumerate(part.block))
+
+
+def _quotient(g: TermGraph, image: Sequence[int], count: int) -> tuple[list[int], TermGraph]:
+    """The quotient of g by ``image``, a map onto 0..count-1, and its
+    representatives: quotient vertex b takes the label and name of
+    ``reps[b]``, the minimal vertex that ``image`` maps to b, and the
+    images of that vertex's successors.  ``image`` must make the
+    quotient a homomorphic image, as a bisimulation's blocks do, so any
+    other member's successors would give the same."""
+    reps = [0] * count
     for v in reversed(g.vertices()):
-        rep[block[v]] = v
+        reps[image[v]] = v
+    labels, args, names = g.labels, g.args, g.names
     quotient = _trusted(
         TermGraph,
         variant=g.variant,
-        labels=tuple(g.labels[r] for r in rep),
-        args=tuple(tuple(block[w] for w in g.args[r]) for r in rep),
-        root=part.root_block,
-        names=tuple(g.names[r] for r in rep),
+        labels=tuple(labels[r] for r in reps),
+        args=tuple(tuple(image[t] for t in args[r]) for r in reps),
+        root=image[g.root],
+        names=tuple(names[r] for r in reps),
     )
-    return quotient, dict(enumerate(block))
+    return reps, quotient
 
 
 def are_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
@@ -287,7 +295,8 @@ def max_share(g: DelimitedGraph) -> DelimitedGraph:
     words with the strict validator: on the ``maxshare`` bench corpus the
     image and its check took about twice as long.
     """
-    return DelimitedGraph.from_graph(collapse(g.graph)[0])
+    part = coarsest_partition(g.graph)
+    return DelimitedGraph.from_graph(_quotient(g.graph, part.block, part.block_count)[1])
 
 
 def max_share_ho(h: ScopedGraph) -> ScopedGraph:
@@ -315,18 +324,15 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
       the block of the input edge's target;
     - its scope is the block image of the minimal vertex's scope.
 
-    The input was validated when it was made, and the result is valid
-    by that correspondence, so no validator runs.  ``NotEagerScope``
+    The input was validated when it was made, its carrier's reachability
+    from the root included, and the result is valid by that
+    correspondence, so no validator runs.  ``NotEagerScope``
     names the first vertex of the delimited form that fails the eager
     check, which is always an input vertex.
     """
     g = h.graph
     if g.variant.var_arity != 1:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    if len(_reachable_keys(g.root, g.args)) < g.vertex_count:
-        # A carrier built directly may leave vertices unreached; the
-        # delimited form of such a carrier has no inferred words.
-        raise DomainMismatch("prefix function must be total on the vertex set")
     words = scope_to_prefix(h).prefixes
     labels, args = _delimit(g, words, 2)
     w = _non_eager(labels, args, words, Label.DEL)
@@ -337,22 +343,10 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
             g.names[w],
         )
     block = _renumber(args, g.root, _refine(labels, args))[: g.vertex_count]
-    # Rank the input vertices' blocks, and take each one's minimal vertex.
+    # Rank the input vertices' blocks.
     rank = {b: i for i, b in enumerate(sorted(set(block)))}
     image = [rank[b] for b in block]
-    reps = [0] * len(rank)
-    for v in reversed(g.vertices()):
-        reps[image[v]] = v
-    g_labels, g_args, ABS = g.labels, g.args, Label.ABS
-    carrier = _trusted(
-        TermGraph,
-        variant=g.variant,
-        labels=tuple(g_labels[r] for r in reps),
-        args=tuple(tuple(image[t] for t in g_args[r]) for r in reps),
-        root=image[g.root],
-        names=tuple(g.names[r] for r in reps),
-    )
-    scopes = {
-        image[r]: frozenset([image[u] for u in h.scopes[r]]) for r in reps if g_labels[r] is ABS
-    }
+    reps, carrier = _quotient(g, image, len(rank))
+    sc = h.scopes  # keyed by exactly the abstractions
+    scopes = {image[r]: frozenset([image[u] for u in sc[r]]) for r in reps if r in sc}
     return _trusted(ScopedGraph, graph=carrier, scopes=scopes)

@@ -20,8 +20,10 @@ The graph is emitted with ``delimited._Builder``: vertices get dense
 integer ids in allocation order, and names are minted for output only.
 The traversal's words, tuples of those ids, decide where delimiters go
 and what they back-link to; the builder's finish step infers the
-emitted graph's prefix function.  The eager-scope check follows, and
-it implies full back-linking (see ``term_to_graph``).
+emitted graph's prefix function.  The result is eager-scope by
+construction, as the paper's eager translation is, so no eager check
+runs on it; ``tests/translate_parity.py`` checks that claim on seeded
+terms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import DomainMismatch, Label, SignatureVariant, _reachable_keys
-from .delimited import DelimitedGraph, _Builder, _non_eager_reason, _non_eager_vertex
+from .delimited import DelimitedGraph, _Builder
 from .terms import Abs, App, DuplicateBinding, Letrec, Term, UnboundVariable, Var
 
 
@@ -293,27 +295,20 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    The translator emits the graph on ids, and two passes check it once:
-    prefix inference, one propagation loop in O(n + m + sum of
-    |prefix(w)|), fails if no correct prefix function exists, and the
-    eager-scope check, one backward search from every variable in
-    O(n + m) given the words, names a vertex that is not eager.  Only
-    when inference finds a vertex the root misses does a reachability
-    pass run, to name the orphans.
-
-    On a (1,2) graph with a correct prefix function the eager-scope
-    check also implies full back-linking.  Take w with prefix W and
-    v = W[-1]: a variable vertex back-links to v (condition var1), a
-    delimiter back-links to v (condition delim-backlink), and any other
-    vertex reaches, inside W's region, a variable that back-links to v.
-    So w reaches v in every case, and no separate back-link pass runs.
+    The translator resolves the term, analyses its free binders and live
+    bindings, and emits the graph on ids.  One pass checks it: prefix
+    inference, one propagation loop in O(n + m + sum of |prefix(w)|),
+    which gives the words and fails if no correct prefix function
+    exists.  Only when inference finds a vertex the root misses does a
+    reachability pass run, to name the orphans.  Eagerness, and with it
+    full back-linking, hold by construction and are not checked again.
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {})
     tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
     root = tr.attach(rnode, ())
     try:
-        result = tr.b.finish(root, SignatureVariant(1, 2))
+        return tr.b.finish(root, SignatureVariant(1, 2))
     except DomainMismatch:
         # Inference found no word for some vertex: the root misses it.
         reached = _reachable_keys(root, tr.b.succ)
@@ -321,8 +316,3 @@ def term_to_graph(t: Term) -> DelimitedGraph:
         raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}") from None
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc
-    w = _non_eager_vertex(result)
-    if w is not None:
-        reason = _non_eager_reason(result.graph.names, result.prefixes, w)
-        raise InternalValidationFailure("eager translation produced a non-eager graph: " + reason)
-    return result

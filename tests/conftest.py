@@ -15,9 +15,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from generators import RUNNING_TERM  # noqa: F401  (re-exported for the tests)
 from lamgraph import parse_graph
-
-RUNNING_TERM = r"letrec f = \x.(\y. y (x g)) (\z. g f); g = \u.u in f"
 
 
 def doc(text: str):

@@ -1,4 +1,5 @@
-"""Seeded random generators for terms and graphs used across the tests."""
+"""Seeded random generators for terms and graphs used across the tests,
+and the fixture terms they share."""
 
 from __future__ import annotations
 
@@ -253,3 +254,55 @@ def tower_doc(n):
         members += [f"v{j}" for j in range(k, n)]
         lines.append(f"scope l{k} = {{ {' '.join(members)} }}")
     return "\n".join(lines) + "\n"
+
+# ---------------------------------------------------------------------------
+# Fixture terms.
+
+RUNNING_TERM = r"letrec f = \x.(\y. y (x g)) (\z. g f); g = \u.u in f"
+
+
+def letrec_body_chain(d: int) -> str:
+    # d letrecs nested in body position, every binding dead.
+    lets = "".join(f"letrec f{i} = \\y{i}. y{i} x in " for i in range(d))
+    return f"\\x. {lets}x"
+
+
+def reverse_letrec_chain(n: int) -> str:
+    # f_i references f_{i+1}, and only the last binding mentions y, so a
+    # fixpoint that re-walks every binding per round needs n rounds.
+    bindings = "; ".join(f"f{i} = \\z. z f{i + 1}" for i in range(n))
+    return f"\\y. letrec {bindings}; f{n} = y in f0"
+
+
+FIXTURE_TERMS = [
+    RUNNING_TERM,
+    r"(\x.x)(\y.y)",
+    r"\x.\y.y",
+    r"\x.\x.x",
+    r"\u.u",
+    r"letrec f = \x. x f in f",
+    r"letrec f = \x. f x in f",
+    r"\x. x (letrec g = \y. y g in g)",
+    r"letrec f = \x. g x; g = \y. f y in f",
+    r"letrec dead = \y.y y in \x.x",
+    r"letrec f = \x.x; h = f in h f",
+    r"\x. letrec f = x in f f",
+    r"letrec f = letrec g = \x.x in g g in f",
+    r"letrec f = letrec g = \x.x in letrec h = g g in h h in f",
+    r"letrec d = \y. letrec g = \z. z g y in g; f = \x. x in f",
+    r"\x. letrec f = g; g = \y. y x in f",
+    r"letrec g = \u.u in \x.\y. y (g x)",
+    r"\x. \y. (\z. z) (x x)",
+    r"\y. letrec f0 = \z. z y; f1 = \z. z f0; f2 = \z. z f1 in f2",
+    letrec_body_chain(5),
+    reverse_letrec_chain(5),
+]
+
+# Binder and letrec names that collide with the names the translator
+# mints ("a" for applications, "s" for delimiters, "x!" for variable
+# occurrences) and with the document format's reserved words.
+COLLIDING_TERMS = [
+    r"letrec a = \s. s a; scope = \root. root scope (\sig. \prefix. sig); "
+    r"s = \a. a (\a. a) in a scope (s s) (\s. \s. s)",
+    r"\root. \a. letrec s = \scope. scope a root s in s (\a. a) (\s. s)",
+]

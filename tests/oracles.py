@@ -384,10 +384,7 @@ def refinement_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
         raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
     n = g1.vertex_count
     shifted = tuple(tuple(n + w for w in out) for out in g2.args)
-    union = TermGraph(
-        g1.variant, g1.labels + g2.labels, g1.args + shifted, g1.root, g1.names + g2.names
-    )
-    block = _refine(union.labels, union.args)
+    block = _refine(g1.labels + g2.labels, g1.args + shifted)
     return block[g1.root] == block[n + g2.root]
 
 

@@ -16,7 +16,9 @@ kinds:
   about a fifth are not eager;
 - ``hand``: a random scope function on a random carrier, drawn until
   ``ScopedGraph`` takes one; now and then the carrier holds a vertex
-  the root does not reach.
+  the root does not reach, which the ``TermGraph`` constructor must
+  refuse with ``UnreachableVertex``, and that refusal is the input's
+  outcome.
 
 ``max_share_ho`` and ``oracles.stepwise_max_share_ho`` must give an
 equal ``ScopedGraph`` with the same ``serialize_graph`` text, or both
@@ -58,8 +60,10 @@ from lamgraph import (  # noqa: E402
     serialize_graph,
     strip_delimiters,
     TermGraph,
+    UnreachableVertex,
     term_to_graph,
 )
+from lamgraph.core import _trusted  # noqa: E402
 
 KINDS = ("term", "doc", "lazy", "hand")
 VERDICTS = ("shared", "not eager", "refused")
@@ -108,25 +112,39 @@ def lazy_input(rng):
 
 
 def hand_input(rng):
+    """A ``ScopedGraph``, or the constructor's refusal of a carrier with
+    a vertex the root does not reach where the scope function drawn for
+    it would be taken."""
     while True:
         g = random_graph(rng, max_vertices=8)
         if g.variant != SignatureVariant(1):
             continue
+        refusal = None
         if rng.random() < 0.2:
-            # A carrier built directly may hold a vertex the root does
-            # not reach, here a copy of another.
+            # A copy of a vertex that nothing points to: the constructor
+            # must refuse it.  The scope function is then drawn and
+            # judged on the unchecked carrier.
             v = rng.randrange(g.vertex_count)
-            g = TermGraph(
-                g.variant,
-                g.labels + (g.labels[v],),
-                g.args + (g.args[v],),
-                g.root,
-                g.names + (g.names[v] + "'",),
+            copy = g.names[v] + "'"
+            fields = dict(
+                variant=g.variant,
+                labels=g.labels + (g.labels[v],),
+                args=g.args + (g.args[v],),
+                root=g.root,
+                names=g.names + (copy,),
             )
+            try:
+                TermGraph(**fields)
+            except UnreachableVertex as exc:
+                refusal = exc
+            if refusal is None or refusal.vertices != (copy,):
+                raise AssertionError(f"TermGraph did not refuse exactly the unreached vertex {copy}")
+            g = _trusted(TermGraph, **fields)
         try:
-            return ScopedGraph(g, random_scopes(rng, g))
+            h = ScopedGraph(g, random_scopes(rng, g))
         except ValueError:
             continue
+        return h if refusal is None else refusal
 
 
 DRAW = {"term": term_input, "doc": doc_input, "lazy": lazy_input, "hand": hand_input}
@@ -134,7 +152,10 @@ DRAW = {"term": term_input, "doc": doc_input, "lazy": lazy_input, "hand": hand_i
 
 def outcome(share, h: ScopedGraph) -> tuple:
     """What ``share`` makes of h: the result with its document text, or
-    the refusal's type, message and vertex."""
+    the refusal's type, message and vertex.  An input refused where it
+    was made is refused alike by every route."""
+    if isinstance(h, UnreachableVertex):
+        return ("refused", UnreachableVertex, str(h))
     try:
         result = share(h)
     except NotEagerScope as exc:
@@ -159,7 +180,11 @@ def main(argv: list[str] | None = None) -> int:
     counts = Counter()
     for i, seed in enumerate(range(args.seed, args.seed + args.inputs)):
         kind = KINDS[i % len(KINDS)]
-        h = DRAW[kind](random.Random(seed))
+        try:
+            h = DRAW[kind](random.Random(seed))
+        except AssertionError as exc:
+            print(f"seed {seed} ({kind}): {exc}")
+            return 1
         got, want = outcome(max_share_ho, h), outcome(stepwise_max_share_ho, h)
         if got != want:
             print(f"seed {seed} ({kind}): max_share_ho and its steps differ on {h!r}")

@@ -108,6 +108,26 @@ def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
     assert g == build(SignatureVariant(1), dict(zip("ac", labels)), {"a": ["c"], "c": ["a"]}, "a")
 
 
+@pytest.mark.parametrize(
+    "labels, args, names, unreached",
+    [
+        # u is an application or a second variable that the root misses.
+        # The collapse numbers blocks from the root, so it raised
+        # KeyError: 2 on the first and put u in v's block on the second.
+        (("ABS", "VAR", "APP"), ((1,), (), (1, 1)), ("r", "v", "u"), ("u",)),
+        (("ABS", "VAR", "VAR"), ((1,), (), ()), ("r", "v", "u"), ("u",)),
+        (("VAR", "ABS", "ABS", "VAR"), ((), (3,), (0,), ()), ("x", "r", "y", "v"), ("x", "y")),
+    ],
+    ids=["orphan-application", "orphan-variable", "id-order"],
+)
+def test_term_graph_refuses_a_vertex_the_root_does_not_reach(labels, args, names, unreached):
+    # Named in id order, as build names what it would prune; so no such
+    # graph can reach collapse or coarsest_partition.
+    with pytest.raises(UnreachableVertex) as err:
+        TermGraph(V0, tuple(Label[lab] for lab in labels), args, names.index("r"), names)
+    assert err.value.vertices == unreached
+
+
 def test_successor_examples(g0_plain, single_lambda_cycle):
     assert successor(g0_plain, "a", 1) == g0_plain.id_of("b")
     assert successor(single_lambda_cycle, "a", 0) == single_lambda_cycle.root

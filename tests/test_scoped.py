@@ -34,6 +34,7 @@ from lamgraph import (
     lift_homomorphism,
     max_share_ho,
     parse_graph,
+    parse_term,
     prefix_to_scope,
     scope_to_prefix,
     strip_delimiters,
@@ -669,6 +670,24 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     assert main(["translate", "--from", "hotg", "--to", "ltg", str(path)]) == 0
     assert capsys.readouterr().out.startswith("sig 1 2\n")
     assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 1}
+
+
+def test_translation_and_sharing_skip_the_checks_their_inputs_settle(monkeypatch):
+    # term_to_graph's output is eager by construction: inference runs
+    # once, to give the words, and no eager check follows.  A carrier is
+    # reachable from its root once made, so max_share_ho runs no
+    # reachability pass.
+    from conftest import RUNNING_TERM
+
+    term = parse_term(RUNNING_TERM)
+    doc = parse_graph(tower_doc(8))
+    h = ScopedGraph.checked(doc.graph, doc.scopes)
+    calls = _counting(monkeypatch, ["infer_prefix", "_non_eager", "_reachable_keys"])
+    term_to_graph(term)
+    assert (calls["infer_prefix"], calls["_non_eager"]) == (1, 0)
+    calls.update(dict.fromkeys(calls, 0))
+    max_share_ho(h)
+    assert calls == {"infer_prefix": 0, "_non_eager": 1, "_reachable_keys": 0}
 
 
 def test_public_validators_still_take_names(running_carrier):

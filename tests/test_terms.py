@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RUNNING_TERM
-from generators import closed_terms, random_term
+from generators import COLLIDING_TERMS, FIXTURE_TERMS, closed_terms, random_term
 from oracles import (
     _Token,
     dataclass_term,
@@ -16,7 +16,6 @@ from oracles import (
     recursive_parse_term,
     two_pass_parse_term,
 )
-from test_translate import COLLIDING_TERMS, FIXTURE_TERMS
 
 from lamgraph import (
     Abs,

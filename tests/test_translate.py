@@ -1,12 +1,18 @@
 import random
-import re
 import time
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
-from generators import closed_terms, random_term
+from generators import (
+    COLLIDING_TERMS,
+    FIXTURE_TERMS,
+    closed_terms,
+    letrec_body_chain,
+    random_term,
+    reverse_letrec_chain,
+)
 from oracles import (
     _fixpoint_compute_fv,
     _mark_live,
@@ -37,6 +43,7 @@ from lamgraph import (
     term_to_graph,
 )
 from lamgraph.translate import _RAbs, _RApp, _RLetrec, _Resolver, _analyze
+from translate_parity import failure as translate_failure
 
 
 def test_identity_pair_example():
@@ -288,14 +295,9 @@ def test_translation_hypothesis_closed_terms(term):
     _assert_same_analysis(term)
 
 
-def _letrec_body_chain(d: int) -> str:
-    lets = "".join(f"letrec f{i} = \\y{i}. y{i} x in " for i in range(d))
-    return f"\\x. {lets}x"
-
-
 def test_letrecs_nested_in_body_position_translate_in_linear_time():
     # The liveness pass must visit each letrec body once, not 2^d times.
-    t = parse_term(_letrec_body_chain(40))
+    t = parse_term(letrec_body_chain(40))
     start = time.perf_counter()
     dg = term_to_graph(t)
     assert time.perf_counter() - start < 1.0
@@ -310,17 +312,17 @@ def _lazy_translations(term):
 
 def test_non_eager_translation_names_a_witness(monkeypatch):
     # Make the builder hand back the oracle's lazy translation, which
-    # keeps scopes open, so term_to_graph's post-check must reject the
-    # graph and name a vertex that really fails.
+    # keeps scopes open.  term_to_graph runs no eager check, so it hands
+    # the graph on; the parity check must refuse it and name a vertex
+    # that really fails.
     import lamgraph.translate as translate
 
     term = parse_term(r"\x. \y. (\z. z) (x x)")
     lazy = next(dg for dg in _lazy_translations(term) if not is_eager_scope(dg))
     monkeypatch.setattr(translate._Builder, "finish", lambda self, root, variant: lazy)
-    with pytest.raises(InternalValidationFailure) as info:
-        term_to_graph(term)
-    name = re.search(r"graph: (\S+) reaches no occurrence", str(info.value)).group(1)
-    assert not per_vertex_eager_at(lazy, lazy.graph.names.index(name))
+    w, message = translate_failure(term_to_graph(term))
+    assert not per_vertex_eager_at(lazy, w)
+    assert f"{lazy.graph.names[w]} reaches no occurrence" in message
 
 
 def test_flat_letrec_parses_and_translates_in_linear_time():
@@ -335,25 +337,18 @@ def test_flat_letrec_parses_and_translates_in_linear_time():
     assert dg.graph.vertex_count == 2
 
 
-def _reverse_letrec_chain(n: int) -> str:
-    # f_i references f_{i+1}, and only the last binding mentions y, so a
-    # fixpoint that re-walks every binding per round needs n rounds.
-    bindings = "; ".join(f"f{i} = \\z. z f{i + 1}" for i in range(n))
-    return f"\\y. letrec {bindings}; f{n} = y in f0"
-
-
 def test_reverse_letrec_chain_translates_in_linear_time():
-    t = parse_term(_reverse_letrec_chain(2000))
+    t = parse_term(reverse_letrec_chain(2000))
     start = time.perf_counter()
     dg = term_to_graph(t)
     assert time.perf_counter() - start < 2.0
     # y; per binding an abstraction, an application, an occurrence of z
     # and a delimiter closing z before the next binding; and f2000 = y.
     assert dg.graph.vertex_count == 1 + 4 * 2000 + 1
-    small = parse_term(_reverse_letrec_chain(30))
+    small = parse_term(reverse_letrec_chain(30))
     _assert_same_translation(term_to_graph(small), name_keyed_term_to_graph(small))
     # The oracle's fixpoint takes n rounds on this chain, so compare at n = 300.
-    _assert_same_analysis(parse_term(_reverse_letrec_chain(300)))
+    _assert_same_analysis(parse_term(reverse_letrec_chain(300)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,40 +419,6 @@ def test_translation_matches_name_keyed_oracle_seeded():
         _assert_same_analysis(t)
 
 
-FIXTURE_TERMS = [
-    RUNNING_TERM,
-    r"(\x.x)(\y.y)",
-    r"\x.\y.y",
-    r"\x.\x.x",
-    r"\u.u",
-    r"letrec f = \x. x f in f",
-    r"letrec f = \x. f x in f",
-    r"\x. x (letrec g = \y. y g in g)",
-    r"letrec f = \x. g x; g = \y. f y in f",
-    r"letrec dead = \y.y y in \x.x",
-    r"letrec f = \x.x; h = f in h f",
-    r"\x. letrec f = x in f f",
-    r"letrec f = letrec g = \x.x in g g in f",
-    r"letrec f = letrec g = \x.x in letrec h = g g in h h in f",
-    r"letrec d = \y. letrec g = \z. z g y in g; f = \x. x in f",
-    r"\x. letrec f = g; g = \y. y x in f",
-    r"letrec g = \u.u in \x.\y. y (g x)",
-    r"\x. \y. (\z. z) (x x)",
-    r"\y. letrec f0 = \z. z y; f1 = \z. z f0; f2 = \z. z f1 in f2",
-    _letrec_body_chain(5),
-    _reverse_letrec_chain(5),
-]
-
-# Binder and letrec names that collide with the names the translator
-# mints ("a" for applications, "s" for delimiters, "x!" for variable
-# occurrences) and with the document format's reserved words.
-COLLIDING_TERMS = [
-    r"letrec a = \s. s a; scope = \root. root scope (\sig. \prefix. sig); "
-    r"s = \a. a (\a. a) in a scope (s s) (\s. \s. s)",
-    r"\root. \a. letrec s = \scope. scope a root s in s (\a. a) (\s. s)",
-]
-
-
 @pytest.mark.parametrize("text", FIXTURE_TERMS + COLLIDING_TERMS)
 def test_translation_matches_name_keyed_oracle_on_fixture_terms(text):
     t = parse_term(text)
@@ -480,9 +441,10 @@ def test_colliding_names_are_minted_around():
 
 
 # ---------------------------------------------------------------------------
-# The checks term_to_graph makes once on what it emitted: a corrupt edge,
-# an unreachable vertex and a graph that is not fully back-linked are
-# each refused.
+# The one check term_to_graph makes on what it emitted, inference,
+# refuses a corrupt edge and an unreachable vertex.  Eagerness and full
+# back-linking hold by construction; tests/translate_parity.py checks
+# them, and so do the tests below.
 
 
 def test_corrupt_emitted_edge_is_refused(monkeypatch):
@@ -524,12 +486,25 @@ def test_unreachable_emitted_vertex_is_refused(monkeypatch):
 
 def test_not_fully_back_linked_emission_is_refused(monkeypatch):
     # Keeping x open over \y.y leaves y with prefix (x) and no way back to
-    # x.  That graph is valid, so the refusal comes from the eager check,
-    # which implies full back-linking (see term_to_graph).
+    # x.  That graph is valid, so inference takes it; the parity check
+    # refuses it through the eager check, which implies full back-linking
+    # (see tests/translate_parity.py).
     import lamgraph.translate as translate
 
     term = parse_term(r"\x. \y. y")
     lazy = next(dg for dg in _lazy_translations(term) if not per_vertex_fully_back_linked(dg))
     monkeypatch.setattr(translate._Builder, "finish", lambda self, root, variant: lazy)
-    with pytest.raises(InternalValidationFailure, match="y reaches no occurrence of x"):
-        term_to_graph(term)
+    w, message = translate_failure(term_to_graph(term))
+    assert not per_vertex_eager_at(lazy, w)
+    assert message.endswith("y reaches no occurrence of x within its scope")
+
+
+@pytest.mark.parametrize("text", FIXTURE_TERMS + COLLIDING_TERMS)
+def test_translation_passes_the_parity_checks_on_fixture_terms(text):
+    assert translate_failure(term_to_graph(parse_term(text))) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_terms())
+def test_translation_passes_the_parity_checks_on_hypothesis_terms(term):
+    assert translate_failure(term_to_graph(term)) is None

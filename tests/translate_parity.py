@@ -1,0 +1,113 @@
+"""Check that ``term_to_graph`` emits eager, fully back-linked graphs.
+
+    python3 tests/translate_parity.py [--terms N] [--seed S]
+
+``term_to_graph`` checks its output with prefix inference alone.  The
+paper's eager translation yields eager (1,2) lambda-term-graphs by
+construction, so the library runs no eager check on them; this script
+is the guard that claim rests on.  It translates N random terms
+(default 20000), term i drawn by ``random_term`` under seed S + i
+(default S = 2200), then the fixture terms, and requires of each
+output:
+
+- the signature variant (1,2);
+- a ``validate_prefix_fo`` report on its words that passes;
+- ``is_eager_scope``;
+- ``is_fully_back_linked``.
+
+The last follows from the others.  Take a vertex w with word W and
+v = W[-1]: a variable back-links to v (condition var1), a delimiter
+back-links to v (condition delim-backlink), and any other vertex
+reaches, inside W's region, a variable that back-links to v, since the
+graph is eager.  So w reaches v in every case.  It is checked all the
+same, as the library checks neither.
+
+Exits 1 at the first term whose translation fails a check, or whose
+translation raises, naming the seed (or the fixture term) and the
+witness vertex; otherwise prints how many terms, vertices and
+delimiters were checked.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
+
+from generators import COLLIDING_TERMS, FIXTURE_TERMS, random_term  # noqa: E402
+
+from lamgraph import (  # noqa: E402
+    Label,
+    SignatureVariant,
+    is_eager_scope,
+    is_fully_back_linked,
+    parse_term,
+    term_to_graph,
+    validate_prefix_fo,
+)
+from lamgraph.delimited import _non_eager_reason, _non_eager_vertex  # noqa: E402
+
+
+def failure(dg) -> tuple[int | None, str] | None:
+    """The first check the translation ``dg`` fails, as its witness
+    vertex (``None`` where the check names none) and a message; ``None``
+    if it passes them all."""
+    g, words = dg.graph, dg.prefixes
+    if g.variant != SignatureVariant(1, 2):
+        return None, f"the variant is {g.variant}, not (1,2)"
+    report = validate_prefix_fo(g, words)
+    if not report.passed:
+        return report.violations[0].witnesses[0], report.violation_text(g)
+    if not is_eager_scope(dg):
+        w = _non_eager_vertex(dg)
+        return w, "not eager-scope: " + _non_eager_reason(g.names, words, w)
+    if not is_fully_back_linked(dg):
+        return None, "not fully back-linked"
+    return None
+
+
+def terms(seed: int, count: int):
+    """``count`` random terms from ``seed`` on, then the fixture terms,
+    each with the label a failure report names it by."""
+    for s in range(seed, seed + count):
+        rng = random.Random(s)
+        yield f"seed {s}", random_term(rng, depth=rng.randint(1, 5))
+    for text in FIXTURE_TERMS + COLLIDING_TERMS:
+        yield f"fixture term {text!r}", parse_term(text)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--terms", type=int, default=20_000)
+    parser.add_argument("--seed", type=int, default=2200)
+    args = parser.parse_args(argv)
+    checked = vertices = delimiters = 0
+    for label, t in terms(args.seed, args.terms):
+        try:
+            dg = term_to_graph(t)
+        except Exception as exc:  # any raise on a closed term is a fault
+            print(f"{label}: term_to_graph raised {exc!r} on {t!r}")
+            return 1
+        bad = failure(dg)
+        if bad is not None:
+            w, message = bad
+            where = "" if w is None else f" at vertex {w} ({dg.graph.names[w]})"
+            print(f"{label}: the translation fails{where}: {message}")
+            return 1
+        checked += 1
+        vertices += dg.graph.vertex_count
+        delimiters += len(dg.graph.vertices_labeled(Label.DEL))
+    last = args.seed + args.terms - 1
+    print(
+        f"{checked} terms (seeds {args.seed}-{last}, fixtures): all eager (1,2), fully "
+        f"back-linked and valid; {vertices} vertices, {delimiters} delimiters"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,8 @@ Draws N hand-built inputs (default 20000), input i under seed S + i
 - ``prefix``: a prefix function on a delimiter-free graph,
   ``PrefixedGraph`` against ``validate_prefix_ho``;
 - ``ids``: a graph's fields with a successor or root id moved, maybe out
-  of 0..n-1, ``TermGraph`` against a scan of the ids;
+  of 0..n-1, ``TermGraph`` against a scan of the ids and then a search
+  from the root, since a moved id may leave a vertex unreached;
 - ``words``: a delimited graph with words, ``DelimitedGraph`` against
   ``infer_prefix``.
 
@@ -19,7 +20,8 @@ translated term, with at most one entry changed.  Now and then a scope
 or prefix function also loses a key or gains an entry that names no
 vertex.  A constructor must
 refuse exactly the inputs its validator refuses, with the validator's
-violations, or for ids and words the first id or vertex at fault.
+violations, or for ids and words the first id or vertex at fault (for
+ids, then every vertex the root misses).
 Exits 1 at the first input where they differ, naming the seed and the
 input; otherwise prints, per kind, how many inputs were taken and how
 many refused.
@@ -46,6 +48,7 @@ from lamgraph import (  # noqa: E402
     PrefixedGraph,
     ScopedGraph,
     TermGraph,
+    UnreachableVertex,
     infer_prefix,
     prefix_to_scope,
     strip_delimiters,
@@ -156,6 +159,15 @@ def ids_input(rng):
     if bad:
         w, t = bad[0]
         return made, (DomainMismatch, f"successor id {t} of {g.names[w]} names no vertex")
+    reached, stack = {root}, [root]
+    while stack:
+        for t in args[stack.pop()]:
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    if len(reached) < n:
+        unreached = [g.names[v] for v in range(n) if v not in reached]
+        return made, (UnreachableVertex, f"vertices not reachable from the root: {unreached}")
     return made, None
 
 
