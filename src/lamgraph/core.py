@@ -76,7 +76,7 @@ class Label(Enum):
     DEL = "S"
 
     def __str__(self):
-        return self.value
+        return self._value_
 
 
 @dataclass(frozen=True)

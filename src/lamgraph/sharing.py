@@ -6,10 +6,12 @@ computes the coarsest partition compatible with labels and indexed
 successors by Hopcroft partition refinement in O(m log n) for n vertices
 and m edges (Valmari & Lehtinen, STACS 2008, for partial transition
 functions): start from the label classes, split by predecessor sets, and
-after each split refine only by the smaller half.  Block ids are then
-numbered once by first visit in a depth-first walk from the root that
-takes the lowest edge index first, so the quotient's vertex numbering is
-deterministic.
+after each split refine only by the smaller half.  The blocks are a
+refinable partition, ranges of one vertex array that a split cuts in
+place, and the largest label class is never a splitter (see
+``_refine``).  Block ids are then numbered once by first visit in a
+depth-first walk from the root that takes the lowest edge index first,
+so the quotient's vertex numbering is deterministic.
 
 ``are_bisimilar`` needs no partition: it decides whether two roots are
 bisimilar by Hopcroft and Karp's union-find on vertex pairs (1971),
@@ -24,6 +26,7 @@ building it, and reads its result off the projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .core import (
@@ -82,82 +85,130 @@ class Partition:
 
 def coarsest_partition(g: TermGraph) -> Partition:
     """Coarsest partition compatible with labels and indexed successors."""
-    block = _renumber(g.args, g.root, _refine(g.labels, g.args))
-    return Partition(
-        block=tuple(block),
-        block_count=max(block) + 1,
-        root_block=block[g.root],
-    )
+    block, count = _renumber(g.args, g.root, *_refine(g.labels, g.args))
+    return Partition(block=tuple(block), block_count=count, root_block=block[g.root])
 
 
-def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> list[int]:
+def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Coarsest stable partition of the graph with these labels and
-    successor rows, as vertex -> block id, ids arbitrary.
+    successor rows, as vertex -> block id (ids arbitrary) and the block
+    count.
 
     Hopcroft refinement: a splitter (b, k) separates, inside every
     block, the vertices whose k-th successor lies in block b from the
-    rest.  A block that splits keeps its id for the part not hit and
-    hands the hit part a new id, so a split costs the number of hits.
-    Blocks start as the label classes, so every vertex in a block has
-    the same arity; after a split the smaller half suffices as a new
+    rest.  Blocks start as the label classes, so every vertex in a block
+    has the same arity; after a split the smaller half suffices as a new
     splitter for each index whose splitter for the whole block was
     already spent.
+
+    The blocks form a refinable partition (Valmari & Lehtinen): the
+    vertices sit in ``elems``, block b the range ``first[b]`` to
+    ``end[b]``, and ``pos`` gives each vertex's index.  A hit swaps the
+    vertex into its block's marked prefix, which ends at ``mid``; a
+    block partly hit hands the marked prefix a new id in place, so a
+    split costs the number of hits and no set is copied.
+
+    The largest label class is never a splitter, for either index.
+    Skipping any one class is sound: at the end a block X is stable
+    under every other class, through its splitters and their
+    descendants.  Every vertex of X has a k-th successor or none does,
+    so if no k-th successor of X lies in another class, they all lie in
+    the skipped class, and X is stable under it too.  The largest class
+    would cost the most hits.
     """
-    classes: dict[Label, set[int]] = {}
-    for v, lab in enumerate(labels):
-        classes.setdefault(lab, set()).add(v)
-    members = list(classes.values())
-    block = [0] * len(labels)
-    for b, vs in enumerate(members):
-        for v in vs:
+    classes = [c for c in ([v for v, x in enumerate(labels) if x is lab] for lab in Label) if c]
+    n = len(labels)
+    into: tuple[list[list[int]], ...] = ([[] for _ in range(n)], [[] for _ in range(n)])
+    into0, into1 = into
+    for c in classes:
+        # One label per class, hence one arity.
+        if len(args[c[0]]) == 2:
+            for v in c:
+                s, t = args[v]
+                into0[s].append(v)
+                into1[t].append(v)
+        elif args[c[0]]:
+            for v in c:
+                into0[args[v][0]].append(v)
+    elems: list[int] = []
+    block = [0] * n
+    first: list[int] = []
+    end: list[int] = []
+    for b, c in enumerate(classes):
+        first.append(len(elems))
+        elems += c
+        end.append(len(elems))
+        for v in c:
             block[v] = b
-    preds: tuple[list[list[int]], ...] = ([[] for _ in labels], [[] for _ in labels])
-    for v, out in enumerate(args):
-        for k, w in enumerate(out):
-            preds[k][w].append(v)
-    pending = [[True] * len(members), [True] * len(members)]
-    work = [(b, k) for b in range(len(members)) for k in (0, 1)]
+    pos = [0] * n
+    for i, v in enumerate(elems):
+        pos[v] = i
+    mid = first[:]
+    sizes = [len(c) for c in classes]
+    skip = sizes.index(max(sizes))
+    pending = [[b != skip for b in range(len(classes))] for _ in (0, 1)]
+    work = [(b, k) for b in range(len(classes)) if b != skip for k in (0, 1)]
     while work:
         b, k = work.pop()
         pending[k][b] = False
-        into = preds[k]
-        hit: dict[int, list[int]] = {}
-        for w in members[b]:
-            for v in into[w]:
-                hit.setdefault(block[v], []).append(v)
-        for x, vs in hit.items():
-            if len(vs) == len(members[x]):
+        touched = []
+        into_k = into[k]
+        for w in elems[first[b] : end[b]]:
+            for v in into_k[w]:
+                x = block[v]
+                m = mid[x]
+                if m == first[x]:
+                    touched.append(x)
+                i, u = pos[v], elems[m]
+                elems[i], pos[u] = u, i
+                elems[m], pos[v] = v, m
+                mid[x] = m + 1
+        for x in touched:
+            f, m, e = first[x], mid[x], end[x]
+            if m == e:
+                mid[x] = f
                 continue
-            y = len(members)
-            members[x].difference_update(vs)
-            members.append(set(vs))
-            for v in vs:
+            y = len(first)
+            first.append(f)
+            end.append(m)
+            mid.append(f)
+            first[x] = mid[x] = m
+            for v in elems[f:m]:
                 block[v] = y
             for j in (0, 1):
                 if pending[j][x]:
                     work.append((y, j))
                     pending[j].append(True)
                 else:
-                    smaller = y if len(vs) <= len(members[x]) else x
+                    smaller = y if m - f <= e - m else x
                     work.append((smaller, j))
                     pending[j].append(False)
                     pending[j][smaller] = True
-    return block
+    return block, len(first)
 
 
-def _renumber(args: Sequence[Sequence[int]], root: int, keys: Sequence[int]) -> list[int]:
-    # Assign dense block ids in first-visit DFS order (lowest index first).
-    order: dict[int, int] = {}
-    seen = set()
+def _renumber(
+    args: Sequence[Sequence[int]], root: int, keys: Sequence[int], count: int
+) -> tuple[list[int], int]:
+    """Dense block ids in first-visit DFS order (lowest index first) for
+    ``keys``, a map onto 0..count-1, and the number of ids given."""
+    order = [-1] * count
+    seen = [False] * len(keys)
+    given = 0
     stack = [root]
     while stack:
         v = stack.pop()
-        if v in seen:
+        if seen[v]:
             continue
-        seen.add(v)
-        order.setdefault(keys[v], len(order))
-        stack.extend(reversed(args[v]))
-    return [order[k] for k in keys]
+        seen[v] = True
+        k = keys[v]
+        if order[k] < 0:
+            order[k] = given
+            given += 1
+        for w in reversed(args[v]):
+            if not seen[w]:
+                stack.append(w)
+    return [order[k] for k in keys], given
 
 
 def collapse(g: TermGraph) -> tuple[TermGraph, VertexMap]:
@@ -186,10 +237,10 @@ def _quotient(g: TermGraph, image: Sequence[int], count: int) -> tuple[list[int]
     quotient = _trusted(
         TermGraph,
         variant=g.variant,
-        labels=tuple(labels[r] for r in reps),
-        args=tuple(tuple(image[t] for t in args[r]) for r in reps),
+        labels=tuple([labels[r] for r in reps]),
+        args=tuple([tuple([image[t] for t in args[r]]) for r in reps]),
         root=image[g.root],
-        names=tuple(names[r] for r in reps),
+        names=tuple([names[r] for r in reps]),
     )
     return reps, quotient
 
@@ -342,11 +393,15 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
             + _non_eager_reason(g.names, words, w),
             g.names[w],
         )
-    block = _renumber(args, g.root, _refine(labels, args))[: g.vertex_count]
-    # Rank the input vertices' blocks.
-    rank = {b: i for i, b in enumerate(sorted(set(block)))}
-    image = [rank[b] for b in block]
-    reps, carrier = _quotient(g, image, len(rank))
+    block, count = _renumber(args, g.root, *_refine(labels, args))
+    block = block[: g.vertex_count]
+    # Rank the input vertices' blocks by id: b becomes rank[b] - 1.
+    kept = [False] * count
+    for b in block:
+        kept[b] = True
+    rank = list(accumulate(kept))
+    image = [rank[b] - 1 for b in block]
+    reps, carrier = _quotient(g, image, rank[-1])
     sc = h.scopes  # keyed by exactly the abstractions
     scopes = {image[r]: frozenset([image[u] for u in sc[r]]) for r in reps if r in sc}
     return _trusted(ScopedGraph, graph=carrier, scopes=scopes)

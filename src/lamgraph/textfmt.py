@@ -160,26 +160,29 @@ def serialize_graph(doc: GraphDocument | TermGraph) -> str:
     if isinstance(doc, TermGraph):
         doc = GraphDocument(doc)
     g = doc.graph
-    for name in g.names:
-        if not _writable(name):
-            raise FormatError(0, f"vertex name {name!r} cannot be written to a document")
+    names = g.names
+    if not (RESERVED_NAMES.isdisjoint(names) and all(map(_NAME.fullmatch, names))):
+        bad = next(name for name in names if not _writable(name))
+        raise FormatError(0, f"vertex name {bad!r} cannot be written to a document")
     v = g.variant
-    lines = []
-    lines.append(f"sig {v.var_arity}" + (f" {v.del_arity}" if v.del_arity else ""))
-    lines.append(f"root {g.names[g.root]}")
-    for u in g.vertices():
-        fields = [g.names[u], str(g.labels[u])]
-        fields.extend(g.names[w] for w in g.args[u])
-        lines.append(" ".join(fields))
+    lines = [f"sig {v.var_arity}" + (f" {v.del_arity}" if v.del_arity else ""), f"root {names[g.root]}"]
+    lines += [
+        " ".join([name, label._value_, *[names[w] for w in out]])
+        for name, label, out in zip(names, g.labels, g.args)
+    ]
     if doc.prefixes is not None:
-        for u in g.vertices():
-            word = " ".join(g.names[x] for x in doc.prefixes[u])
-            # Empty words are written too, so presence of the annotation
-            # survives the round trip.
-            lines.append(f"prefix {g.names[u]} = {word}".rstrip())
+        # Empty words are written too, so presence of the annotation
+        # survives the round trip.
+        p = doc.prefixes
+        lines += [
+            f"prefix {name} = {' '.join([names[x] for x in p[u]])}".rstrip()
+            for u, name in enumerate(names)
+        ]
     if doc.scopes is not None:
-        for u in g.vertices():
-            if u in doc.scopes:
-                members = " ".join(g.names[m] for m in sorted(doc.scopes[u]))
-                lines.append(f"scope {g.names[u]} = {{ {members} }}")
+        sc = doc.scopes
+        lines += [
+            f"scope {name} = {{ {' '.join([names[m] for m in sorted(sc[u])])} }}"
+            for u, name in enumerate(names)
+            if u in sc
+        ]
     return "\n".join(lines) + "\n"

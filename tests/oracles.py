@@ -384,7 +384,7 @@ def refinement_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
         raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
     n = g1.vertex_count
     shifted = tuple(tuple(n + w for w in out) for out in g2.args)
-    block = _refine(g1.labels + g2.labels, g1.args + shifted)
+    block = _refine(g1.labels + g2.labels, g1.args + shifted)[0]
     return block[g1.root] == block[n + g2.root]
 
 

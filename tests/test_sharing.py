@@ -28,6 +28,7 @@ from oracles import (
     signature_refinement_partition,
     stepwise_max_share_ho,
 )
+from collapse_parity import skewed_graph
 from share_parity import DRAW as SHARE_DRAW
 from share_parity import KINDS as SHARE_KINDS
 from share_parity import outcome as share_outcome
@@ -242,6 +243,22 @@ def test_partition_matches_signature_refinement_on_structured_terms(n):
     for text in _structured_terms(n):
         g = term_to_graph(parse_term(text)).graph
         assert coarsest_partition(g) == signature_refinement_partition(g)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: f"{v.var_arity}-{v.del_arity}")
+def test_partition_matches_the_oracles_whichever_label_class_is_largest(variant):
+    # _refine never splits by the largest label class; make each label
+    # the variant allows the largest in turn.
+    rng = random.Random(409)
+    for label in Label:
+        if not variant.allows(label):
+            continue
+        for i in range(12):
+            g = skewed_graph(rng, variant, label, max_vertices=8 if i % 2 else 40)
+            part = coarsest_partition(g)
+            assert part == signature_refinement_partition(g)
+            if g.vertex_count <= 9:
+                assert part.as_blocks() == brute_coarsest_partition(g)
 
 
 @settings(max_examples=150, deadline=None)
