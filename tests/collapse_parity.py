@@ -38,8 +38,14 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 from generators import ALL_VARIANTS, random_graph, random_quotient, random_term  # noqa: E402
 from oracles import signature_refinement_partition  # noqa: E402
 
-from lamgraph import Label, SignatureVariant, TermGraph, build_pruned, coarsest_partition  # noqa: E402
-from lamgraph import term_to_graph  # noqa: E402
+from lamgraph import (  # noqa: E402
+    Label,
+    SignatureVariant,
+    TermGraph,
+    build_pruned,
+    coarsest_partition,
+    term_to_graph,
+)
 
 KINDS = ("random", "skewed", "uniform", "term", "quotient")
 MAX_VERTICES = 60
