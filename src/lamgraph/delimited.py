@@ -10,9 +10,9 @@ regions at once, in linear time; they group the vertices by their
 innermost binder only to name a witness or to search again.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
-allocates vertices and mints their names, and its finish step infers
-the words, so inference is the one source of a ``DelimitedGraph``'s
-prefix function.  Both producers, ``term_to_graph`` and
+allocates vertices, mints their names once at the end, and its finish
+step infers the words, so inference is the one source of a
+``DelimitedGraph``'s prefix function.  Both producers, ``term_to_graph`` and
 ``insert_delimiters``, build with it.  A ``DelimitedGraph`` made
 directly must carry exactly the inferred words; ``from_graph`` infers
 them and trusts the result.
@@ -211,16 +211,19 @@ def _inferred(graph: TermGraph) -> PrefixFn:
 class _Builder:
     """A delimited graph under construction, on dense ids.
 
-    Each vertex has its label, its successors (filled in after the vertex
-    is allocated) and a name for output.  A builder starts empty or
-    seeded with labels and successor rows, and with the names of a
-    leading run of them; the rest are named with ``fresh_name``.
+    Each vertex has its label, its successor row (a tuple, filled in
+    after the vertex is allocated) and a name for output.  A builder
+    starts empty or seeded with labels and successor rows, and with the
+    names of a leading run of them; each vertex after that run is
+    allocated with the base of its name, and ``mint`` names them all at
+    once when the builder is done.
     """
 
     def __init__(self, labels=(), succ=(), names=()):
         self.labels: list[Label] = list(labels)
         self.succ: list = list(succ)
         self.names: list[str] = list(names)
+        self.bases: list[str] = []  # of the vertices not named yet
         # Minting never reuses a seeded name, nor one the document format
         # cannot express (a binder may be called "scope" or "root").
         self.taken: set[str] = set(RESERVED_NAMES).union(self.names)
@@ -245,8 +248,30 @@ class _Builder:
         v = len(self.labels)
         self.labels.append(label)
         self.succ.append(None)
-        self.names.append(self.fresh_name(base))
+        self.bases.append(base)
         return v
+
+    def mint(self) -> list[str]:
+        """Every vertex's name: the unnamed ones get theirs from their
+        bases, in allocation order, as ``fresh_name`` gives them.
+
+        The j-th vertex on a base is named ``base.j`` (``base`` itself
+        for j = 1) unless those names collide with each other or with
+        ``taken``; then ``fresh_name`` mints them one by one.  Names are
+        minted once, when the builder is done: nothing is allocated
+        after.
+        """
+        counts: dict[str, int] = {}
+        minted = []
+        for base in self.bases:
+            n = counts[base] = counts.get(base, 0) + 1
+            minted.append(base if n == 1 else f"{base}.{n}")
+        distinct = set(minted)
+        if len(distinct) < len(minted) or not distinct.isdisjoint(self.taken):
+            minted = [self.fresh_name(base) for base in self.bases]
+        self.names += minted
+        self.bases = []
+        return self.names
 
     def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
         """The built graph, with its words inferred by ``from_graph``.
@@ -257,9 +282,9 @@ class _Builder:
             TermGraph,
             variant=variant,
             labels=tuple(self.labels),
-            args=tuple(map(tuple, self.succ)),
+            args=tuple(self.succ),
             root=root,
-            names=tuple(self.names),
+            names=tuple(self.mint()),
         )
         return DelimitedGraph.from_graph(graph)
 

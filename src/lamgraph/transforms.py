@@ -88,8 +88,8 @@ def _delimit(g: TermGraph, p: PrefixFn, j: int) -> tuple[list[Label], list]:
     edge order, each chain from the longest word down, so a chain is a
     run of consecutive ids whose last member leads to the edge's target.
     The chain delimiter at level L of its edge's word W back-links to
-    W[L-1] and has the word W[:L], by induction down its chain.  The
-    rows of input vertices without a chain are the input's own tuples.
+    W[L-1] and has the word W[:L], by induction down its chain.  Every
+    row is a tuple: the input's own for a vertex without a chain.
     O(n + m + D) for D delimiters.
     """
     labels, succ = list(g.labels), list(g.args)
@@ -101,17 +101,15 @@ def _delimit(g: TermGraph, p: PrefixFn, j: int) -> tuple[list[Label], list]:
             base_word = p[w]
         else:
             continue  # variable back-links get no chain
-        row = None
         for k, wk in enumerate(g.args[w]):
             # The edge's drop, as ``num_delimiters`` counts it.
             lower = len(p[wk])
             if len(base_word) <= lower:
                 continue
-            if row is None:
-                row = succ[w] = list(succ[w])
             # Levels run from len(base_word) down to lower + 1; each
             # delimiter feeds the next one, and the last the edge's target.
-            d = row[k] = len(labels)
+            d = len(labels)
+            succ[w] = succ[w][:k] + (d,) + succ[w][k + 1:]
             for level in range(len(base_word), lower, -1):
                 d += 1
                 below = d if level > lower + 1 else wk
@@ -143,7 +141,7 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
             # The chain is the run of ids >= n down to the edge's target.
             base = f"{name}.{k}.s"
             while d >= n:
-                b.names.append(b.fresh_name(base))
+                b.bases.append(base)
                 d = succ[d][0]
     return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
 

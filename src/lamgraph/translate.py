@@ -3,9 +3,16 @@
 The traversal carries the current abstraction-prefix word.  Entering an
 abstraction pushes its fresh vertex; before descending into a subterm,
 trailing word entries whose binder has no free occurrence in the
-subterm (tracked through letrec references by a fixpoint) are popped,
-one delimiter vertex per pop, 0-successor continuing into the subterm
-and 1-successor back-linking to the popped abstraction.
+subterm are popped, one delimiter vertex per pop, 0-successor
+continuing into the subterm and 1-successor back-linking to the popped
+abstraction.
+
+Free binders are int masks over lambda depth, the number of
+abstractions around a binder (letrec bindings share their letrec's
+depth).  A subterm's mask comes from one fixpoint that follows letrec
+references.  Its free binders all lie on its word, and a word grows in
+depth, so the pop keeps the entries up to the one at the depth of the
+mask's highest bit and needs no set of binders.
 
 Letrec bindings translate in two passes: entry vertices for the whole
 group are allocated first, then the defining terms are filled in, so
@@ -17,7 +24,8 @@ live set is what the root reaches in the reference relation, found by
 binders.
 
 The graph is emitted with ``delimited._Builder``: vertices get dense
-integer ids in allocation order, and names are minted for output only.
+integer ids in allocation order, and names are minted for output only,
+once, when the builder finishes.
 The traversal's words, tuples of those ids, decide where delimiters go
 and what they back-link to; the builder's finish step infers the
 emitted graph's prefix function.  The result is eager-scope by
@@ -29,6 +37,7 @@ terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 from .core import DomainMismatch, Label, SignatureVariant, _reachable_keys
 from .delimited import DelimitedGraph, _Builder
@@ -44,42 +53,47 @@ class DegenerateBinding(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Resolution: unique integer ids for binders, free-binder sets per node.
+# Resolution: lambda depths, binding ids, free binders as depth masks.
 
 
-@dataclass
+@dataclass(slots=True)
 class _RNode:
-    fv: frozenset[int] = field(default_factory=frozenset, init=False)
+    fv: int = field(init=False)
 
 
-@dataclass
+# A vertex's name base: "a" for an application, the binder's name for an
+# abstraction, and that name with "!" for a variable.
+
+
+@dataclass(slots=True)
 class _RVar(_RNode):
-    binder: int
-    name: str
+    base: str
+    depth: int  # its binder's
     label = Label.VAR
 
 
-@dataclass
+@dataclass(slots=True)
 class _RRef(_RNode):
     binding: int
 
 
-@dataclass
+@dataclass(slots=True)
 class _RApp(_RNode):
     fun: "_RNode"
     arg: "_RNode"
     label = Label.APP
+    base = "a"
 
 
-@dataclass
+@dataclass(slots=True)
 class _RAbs(_RNode):
-    binder: int
-    name: str
+    base: str
+    depth: int
     body: "_RNode"
     label = Label.ABS
 
 
-@dataclass
+@dataclass(slots=True)
 class _RLetrec(_RNode):
     bindings: list[tuple[int, str, "_RNode"]]
     body: "_RNode"
@@ -87,41 +101,40 @@ class _RLetrec(_RNode):
 
 class _Resolver:
     def __init__(self):
-        self.counter = 0
+        self.fresh = count(1).__next__  # letrec binding ids
         self.binding_term: dict[int, _RNode] = {}
 
-    def fresh(self) -> int:
-        self.counter += 1
-        return self.counter
-
-    def resolve(self, t: Term, env: dict[str, list[tuple[str, int]]]) -> _RNode:
-        """Resolve ``t`` under ``env``, which maps each name to its binders,
-        innermost last: a binder is pushed on entry and popped on exit."""
+    def resolve(self, t: Term, env: dict[str, list[int]], depth: int) -> _RNode:
+        """Resolve ``t`` under ``env`` at lambda depth ``depth``, the number
+        of abstractions around ``t``.  ``env`` maps each name to its
+        binders, innermost last: an abstraction as its depth, a letrec
+        binding as its id negated (ids start at 1).  A binder is pushed on
+        entry and popped on exit."""
         if isinstance(t, Var):
-            if not env.get(t.name):  # parser output is closed; guard hand-built terms
+            binders = env.get(t.name)
+            if not binders:  # parser output is closed; guard hand-built terms
                 raise UnboundVariable(t.name, -1)
-            kind, ident = env[t.name][-1]
-            return _RVar(ident, t.name) if kind == "lam" else _RRef(ident)
+            b = binders[-1]
+            return _RVar(f"{t.name}!", b) if b >= 0 else _RRef(-b)
         if isinstance(t, App):
-            return _RApp(self.resolve(t.fun, env), self.resolve(t.arg, env))
+            return _RApp(self.resolve(t.fun, env, depth), self.resolve(t.arg, env, depth))
         if isinstance(t, Abs):
-            b = self.fresh()
-            env.setdefault(t.name, []).append(("lam", b))
-            node = _RAbs(b, t.name, self.resolve(t.body, env))
+            env.setdefault(t.name, []).append(depth)
+            node = _RAbs(t.name, depth, self.resolve(t.body, env, depth + 1))
             env[t.name].pop()
             return node
         if isinstance(t, Letrec):
             ids = [self.fresh() for _ in t.bindings]
             for (name, _), ident in zip(t.bindings, ids):
                 binders = env.setdefault(name, [])
-                # Only this group's binders have ids from ids[0] on; parser
+                # Only this group's bindings have ids from ids[0] on; parser
                 # output binds a name once per group, so guard hand-built terms.
-                if binders and binders[-1][1] >= ids[0]:
+                if binders and -binders[-1] >= ids[0]:
                     raise DuplicateBinding(name, -1)
-                binders.append(("rec", ident))
+                binders.append(-ident)
             bindings: list[tuple[int, str, _RNode]] = []
             for (name, sub), ident in zip(t.bindings, ids):
-                resolved = self.resolve(sub, env)
+                resolved = self.resolve(sub, env, depth)
                 # A letrec in binding position lives in the same lambda
                 # environment, so its groups splice into this one (the
                 # body of a spliced letrec may be yet another letrec).
@@ -130,7 +143,7 @@ class _Resolver:
                     resolved = resolved.body
                 bindings.append((ident, name, resolved))
                 self.binding_term[ident] = resolved
-            node = _RLetrec(bindings, self.resolve(t.body, env))
+            node = _RLetrec(bindings, self.resolve(t.body, env, depth))
             for name, _ in t.bindings:
                 env[name].pop()
             return node
@@ -141,30 +154,37 @@ def _analyze(root: _RNode, resolver: _Resolver) -> set[int]:
     """Annotate every node with its free lambda binders, in one worklist
     fixpoint over the bindings, and return the live binding ids.
 
-    Evaluating a binding stores the set of each node of its term, and
+    A node's free binders are a mask over lambda depth: bit d is set
+    when the binder at depth d on the node's scope chain occurs free in
+    it.  A variable sets its binder's bit, an application ORs its
+    children, an abstraction clears its own bit and a letrec takes its
+    body's mask.  The binders in scope at a node have distinct depths,
+    so the mask names them exactly.
+
+    Evaluating a binding stores the mask of each node of its term, and
     records the binding as a user of every binding it references.  A
-    binding whose set grows puts its users back on the list, so its last
-    evaluation read only final sets.  A closing evaluation of the root,
+    binding whose mask grows puts its users back on the list, so its last
+    evaluation read only final masks.  A closing evaluation of the root,
     under the user id 0 (resolver ids start at 1), annotates the nodes
     outside every binding.  The live bindings, the only ones translated,
     are those that id 0 reaches in the reference relation, the inverse of
     ``users``; the returned set holds them and 0 itself.
     """
     binding_term = resolver.binding_term
-    bind_fv: dict[int, frozenset[int]] = {b: frozenset() for b in binding_term}
+    bind_fv: dict[int, int] = dict.fromkeys(binding_term, 0)
     users: dict[int, set[int]] = {b: set() for b in binding_term}
     current = 0
 
-    def fv(node: _RNode) -> frozenset[int]:
+    def fv(node: _RNode) -> int:
         if isinstance(node, _RVar):
-            node.fv = frozenset((node.binder,))
+            node.fv = 1 << node.depth
         elif isinstance(node, _RRef):
             users[node.binding].add(current)
             node.fv = bind_fv[node.binding]
         elif isinstance(node, _RApp):
             node.fv = fv(node.fun) | fv(node.arg)
         elif isinstance(node, _RAbs):
-            node.fv = fv(node.body) - {node.binder}
+            node.fv = fv(node.body) & ~(1 << node.depth)
         elif isinstance(node, _RLetrec):
             node.fv = fv(node.body)
         else:
@@ -200,33 +220,43 @@ def _analyze(root: _RNode, resolver: _Resolver) -> set[int]:
 
 
 # A prefix word during translation: the emitted abstraction vertices,
-# outermost first.  ``_Translator.binder`` maps each to its resolver id.
+# outermost first, so in growing depth.  ``_Translator.depth`` maps each
+# to its lambda depth.
 _Word = tuple[int, ...]
 
 
 class _Translator:
     def __init__(self, term_of: dict[int, _RNode], live: set[int]):
         self.b = _Builder()
-        self.binder: dict[int, int] = {}
+        self.depth: dict[int, int] = {}
         self.entry: dict[int, tuple[int, _Word]] = {}
         self.term_of = term_of  # every letrec binding's resolved term
         self.live = live  # the bindings a translation reaches
 
-    def pop(self, word: _Word, fv: frozenset[int]) -> _Word:
-        """``word`` without its trailing binders that ``fv`` lacks."""
-        i = len(word)
-        while i > 0 and self.binder[word[i - 1]] not in fv:
+    def pop(self, word: _Word, fv: int) -> _Word:
+        """``word`` up to and including the entry at the depth of ``fv``'s
+        deepest binder; the empty word if ``fv`` is 0.
+
+        A node's free binders all lie on its word, and the word grows in
+        depth, so this drops exactly the trailing entries that the node
+        has no free occurrence of.
+        """
+        deepest, depth, i = fv.bit_length() - 1, self.depth, len(word)
+        if not i or depth[word[-1]] <= deepest:
+            return word
+        while i and depth[word[i - 1]] > deepest:
             i -= 1
         return word[:i]
 
     def chain(self, source: _Word, target: _Word, top: int) -> int:
         """One delimiter per popped word entry, bottom-up; returns the top."""
-        cur = top
-        for level in range(len(target) + 1, len(source) + 1):
+        if len(source) == len(target):
+            return top
+        for popped in source[len(target):]:
             s = self.b.alloc("s", Label.DEL)
-            self.b.succ[s] = [cur, source[level - 1]]
-            cur = s
-        return cur
+            self.b.succ[s] = (top, popped)
+            top = s
+        return top
 
     def attach(self, node: _RNode, word: _Word, v: int | None = None) -> int:
         """Translate ``node`` below an edge whose source carries ``word``:
@@ -252,23 +282,18 @@ class _Translator:
                 v, entry_word = self.resolve_entry(node.binding)
                 assert target == entry_word
                 return self.chain(word, target, v)
-            if isinstance(node, _RApp):
-                base = "a"
-            elif isinstance(node, _RVar):
-                base = f"{node.name}!"
-            else:
-                base = node.name
-            v = self.b.alloc(base, node.label)
+            v = self.b.alloc(node.base, node.label)
         else:
             target = word
         if isinstance(node, _RAbs):
-            self.binder[v] = node.binder
-            self.b.succ[v] = [self.attach(node.body, target + (v,))]
+            self.depth[v] = node.depth
+            self.b.succ[v] = (self.attach(node.body, target + (v,)),)
         elif isinstance(node, _RApp):
-            self.b.succ[v] = [self.attach(node.fun, target), self.attach(node.arg, target)]
+            self.b.succ[v] = (self.attach(node.fun, target), self.attach(node.arg, target))
         elif isinstance(node, _RVar):
-            assert target and self.binder[target[-1]] == node.binder
-            self.b.succ[v] = [target[-1]]
+            # Word entries enclose the node and differ in depth.
+            assert target and self.depth[target[-1]] == node.depth
+            self.b.succ[v] = (target[-1],)
         else:
             raise TypeError(node)
         return self.chain(word, target, v)
@@ -304,7 +329,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     full back-linking, hold by construction and are not checked again.
     """
     resolver = _Resolver()
-    rnode = resolver.resolve(t, {})
+    rnode = resolver.resolve(t, {}, 0)
     tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
     root = tr.attach(rnode, ())
     try:
@@ -312,7 +337,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     except DomainMismatch:
         # Inference found no word for some vertex: the root misses it.
         reached = _reachable_keys(root, tr.b.succ)
-        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
+        unreached = tuple(name for v, name in enumerate(tr.b.mint()) if v not in reached)
         raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}") from None
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc

@@ -11,9 +11,10 @@ ones that took their place: ``max_share_ho`` as the composition of its
 public steps (these share the chain loop and the refinement with the
 array route, and each has its own oracle here), bisimilarity by
 refining the disjoint union, the name-keyed delimiter insertion and
-erasure, the name-keyed translator, which reuses the library's resolver but finds free
-variables and live bindings with the walks that one worklist analysis
-replaced, and emits, infers and checks on its own, prefix inference
+erasure, the name-keyed translator, whose resolver keeps free binders as sets
+of binder ids, which finds free variables and live bindings with the
+walks that one worklist analysis replaced, and emits, infers and
+checks on its own, prefix inference
 followed by a full validation pass, the eager and back-link checks with
 one search per word through every deeper region, the per-character
 term tokenizer and vertex-name test, the term parser that scans
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple
 
@@ -78,17 +79,7 @@ from lamgraph.terms import (
 )
 from lamgraph.textfmt import RESERVED_NAMES
 from lamgraph.textfmt import _LABELS as _TEXT_LABELS
-from lamgraph.translate import (
-    DegenerateBinding,
-    InternalValidationFailure,
-    _RAbs,
-    _RApp,
-    _RLetrec,
-    _RNode,
-    _RRef,
-    _RVar,
-    _Resolver,
-)
+from lamgraph.translate import DegenerateBinding, InternalValidationFailure
 
 
 def all_partitions(items: list) -> list[list[list]]:
@@ -660,6 +651,95 @@ def name_keyed_strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         for v in kept
     }
     return PrefixedGraph.checked(carrier, prefixes)
+
+
+# The resolved terms of the name-keyed translator.  Each node holds its
+# free binders as a set of binder ids, where the library keeps a mask
+# over lambda depth; a letrec also gets the set of its live bindings.
+
+
+@dataclass
+class _RNode:
+    fv: frozenset[int] = field(default_factory=frozenset, init=False)
+
+
+@dataclass
+class _RVar(_RNode):
+    binder: int
+    name: str
+
+
+@dataclass
+class _RRef(_RNode):
+    binding: int
+
+
+@dataclass
+class _RApp(_RNode):
+    fun: _RNode
+    arg: _RNode
+
+
+@dataclass
+class _RAbs(_RNode):
+    binder: int
+    name: str
+    body: _RNode
+
+
+@dataclass
+class _RLetrec(_RNode):
+    bindings: list[tuple[int, str, _RNode]]
+    body: _RNode
+
+
+class _Resolver:
+    """Binder ids, one per abstraction and per letrec binding, counted from
+    1 in pre-order, a letrec's bindings before their terms.  Letrecs in
+    binding position splice into their group, as the library's do."""
+
+    def __init__(self):
+        self.counter = 0
+        self.binding_term: dict[int, _RNode] = {}
+
+    def fresh(self) -> int:
+        self.counter += 1
+        return self.counter
+
+    def resolve(self, t: Term, env: dict[str, list[tuple[str, int]]]) -> _RNode:
+        if isinstance(t, Var):
+            if not env.get(t.name):
+                raise UnboundVariable(t.name, -1)
+            kind, ident = env[t.name][-1]
+            return _RVar(ident, t.name) if kind == "lam" else _RRef(ident)
+        if isinstance(t, App):
+            return _RApp(self.resolve(t.fun, env), self.resolve(t.arg, env))
+        if isinstance(t, Abs):
+            b = self.fresh()
+            env.setdefault(t.name, []).append(("lam", b))
+            node = _RAbs(b, t.name, self.resolve(t.body, env))
+            env[t.name].pop()
+            return node
+        if isinstance(t, Letrec):
+            ids = [self.fresh() for _ in t.bindings]
+            for (name, _), ident in zip(t.bindings, ids):
+                binders = env.setdefault(name, [])
+                if binders and binders[-1][1] >= ids[0]:
+                    raise DuplicateBinding(name, -1)
+                binders.append(("rec", ident))
+            bindings: list[tuple[int, str, _RNode]] = []
+            for (name, sub), ident in zip(t.bindings, ids):
+                resolved = self.resolve(sub, env)
+                while isinstance(resolved, _RLetrec):
+                    bindings.extend(resolved.bindings)
+                    resolved = resolved.body
+                bindings.append((ident, name, resolved))
+                self.binding_term[ident] = resolved
+            node = _RLetrec(bindings, self.resolve(t.body, env))
+            for name, _ in t.bindings:
+                env[name].pop()
+            return node
+        raise TypeError(f"not a term: {t!r}")
 
 
 def _fixpoint_compute_fv(root: _RNode, binding_term: dict[int, _RNode]) -> None:

@@ -17,6 +17,8 @@ from oracles import (
 )
 
 from lamgraph import (
+    Abs,
+    App,
     DelimitedGraph,
     Label,
     collapse,
@@ -33,6 +35,7 @@ from lamgraph import (
     term_to_graph,
     validate_prefix_fo,
     validate_prefix_ho,
+    Var,
 )
 from lamgraph.delimited import _non_eager_vertex
 
@@ -638,6 +641,93 @@ def test_builder_mints_the_smallest_free_suffix():
                 name = f"{base}.{n}"
             taken.add(name)
             assert b.fresh_name(base) == name
+
+
+def _record_minting(monkeypatch) -> list[tuple[list[str], list[str], list[str]]]:
+    """Wrap ``_Builder.mint``.  Each call that names vertices appends the
+    names it gave, the names sequential ``fresh_name`` minting gives
+    from the same seeded names, and the names by position alone
+    (``base``, ``base.2``, ... per base)."""
+    from lamgraph.delimited import _Builder
+
+    calls = []
+    mint = _Builder.mint
+
+    def recording(self):
+        seeded, bases = list(self.names), list(self.bases)
+        names = list(mint(self))
+        if bases:
+            ref = _Builder(names=seeded)
+            counts = {}
+            positional = list(seeded)
+            for base in bases:
+                counts[base] = counts.get(base, 0) + 1
+                positional.append(base if counts[base] == 1 else f"{base}.{counts[base]}")
+            calls.append((names, seeded + [ref.fresh_name(base) for base in bases], positional))
+        return self.names
+
+    monkeypatch.setattr(_Builder, "mint", recording)
+    return calls
+
+
+_COLLIDING_BINDERS = ("a", "a.2", "s", "s.2", "scope", "x")
+
+
+def _colliding_term(rng, depth, scope=()):
+    """A closed lambda term whose binders take names the translator also
+    mints: a.2 and s.2 for a second application and delimiter, and the
+    reserved word scope."""
+    if depth == 0 and scope:
+        return Var(rng.choice(scope))
+    kind = rng.choice(("abs", "app", "var") if scope else ("abs", "app")) if depth else "abs"
+    if kind == "var":
+        return Var(rng.choice(scope))
+    if kind == "app":
+        return App(_colliding_term(rng, depth - 1, scope), _colliding_term(rng, depth - 1, scope))
+    name = rng.choice(_COLLIDING_BINDERS)
+    return Abs(name, _colliding_term(rng, max(depth - 1, 0), scope + (name,)))
+
+
+def test_finish_mints_as_fresh_name_does_when_binder_names_collide(monkeypatch):
+    calls = _record_minting(monkeypatch)
+    rng = random.Random(4110)
+    for _ in range(200):
+        t = _colliding_term(rng, rng.randint(1, 6))
+        dg = term_to_graph(t)
+        names, sequential, _ = calls[-1]
+        assert list(dg.graph.names) == names == sequential
+        want = name_keyed_term_to_graph(t).graph
+        assert dg.graph.names == want.names and dg.graph.args == want.args
+    # Both branches ran: names by position alone, and the fallback.
+    assert any(seq == pos for _, seq, pos in calls)
+    assert any(seq != pos for _, seq, pos in calls)
+
+
+def test_insertion_mints_as_fresh_name_does_around_seeded_names(monkeypatch):
+    # Rename input vertices to the names a first insertion minted, so the
+    # second insertion's bases collide with its seeded names.
+    from lamgraph import PrefixedGraph, TermGraph
+
+    calls = _record_minting(monkeypatch)
+    rng = random.Random(4111)
+    collided = 0
+    for _ in range(150):
+        pg = strip_delimiters(term_to_graph(random_term(rng, depth=rng.randint(1, 4))))
+        g, n = pg.graph, pg.graph.vertex_count
+        minted = insert_delimiters(pg, 2).graph.names[n:]
+        names = list(g.names)
+        for v, name in zip(rng.sample(range(n), min(n, len(minted))), minted):
+            names[v] = name
+        if len(set(names)) < n:
+            continue
+        renamed = PrefixedGraph(TermGraph(g.variant, g.labels, g.args, g.root, tuple(names)), pg.prefixes)
+        for j in (1, 2):
+            out = insert_delimiters(renamed, j).graph
+            got, sequential, positional = calls[-1]
+            assert list(out.names) == got == sequential
+            assert got[:n] == names
+            collided += sequential != positional
+    assert collided > 0
 
 
 # A word that lists an abstraction twice, under both prefix validators.

@@ -13,6 +13,7 @@ from generators import (
     random_term,
     reverse_letrec_chain,
 )
+from oracles import _Resolver as _SetResolver
 from oracles import (
     _fixpoint_compute_fv,
     _mark_live,
@@ -369,30 +370,36 @@ def _assert_same_translation(new, old):
 def _assert_same_analysis(t) -> list[tuple[_RLetrec, frozenset[int]]]:
     """The library's analysis and the oracle's fixpoint plus liveness walk
     give every node the same free binders and every letrec the same live
-    bindings.  Resolver ids are deterministic, so two resolutions agree.
-    Returns the library's letrec nodes, outermost first, each with its
-    bindings in the returned live set."""
-    lib, ref = _Resolver(), _Resolver()
-    a, b = lib.resolve(t, {}), ref.resolve(t, {})
+    bindings.  A library mask maps to the oracle's binder ids through the
+    depths of the abstractions around the node, and a library binding to
+    the oracle's by its place in its group.  Returns the library's letrec
+    nodes, outermost first, each with its bindings in the returned live
+    set."""
+    lib, ref = _Resolver(), _SetResolver()
+    a, b = lib.resolve(t, {}, 0), ref.resolve(t, {})
     live = _analyze(a, lib)
     _fixpoint_compute_fv(b, ref.binding_term)
     _mark_live(b)
     letrecs = []
-    stack = [(a, b)]
+    # Each pair comes with the oracle's binder ids in scope, by depth.
+    stack = [(a, b, ())]
     while stack:
-        x, y = stack.pop()
-        assert type(x) is type(y) and x.fv == y.fv
+        x, y, scope = stack.pop()
+        assert type(x).__name__ == type(y).__name__
+        assert 0 <= x.fv < 1 << len(scope)
+        assert {scope[d] for d in range(len(scope)) if x.fv >> d & 1} == y.fv
         if isinstance(x, _RApp):
-            stack += [(x.fun, y.fun), (x.arg, y.arg)]
+            stack += [(x.fun, y.fun, scope), (x.arg, y.arg, scope)]
         elif isinstance(x, _RAbs):
-            stack.append((x.body, y.body))
+            assert x.depth == len(scope)
+            stack.append((x.body, y.body, scope + (y.binder,)))
         elif isinstance(x, _RLetrec):
+            pairs = list(zip(x.bindings, y.bindings, strict=True))
             # The oracle never visits a letrec inside a dead binding.
-            group_live = frozenset(i for i, _, _ in x.bindings if i in live)
-            assert group_live == getattr(y, "live", frozenset())
-            letrecs.append((x, group_live))
-            stack += [(p[2], q[2]) for p, q in zip(x.bindings, y.bindings, strict=True)]
-            stack.append((x.body, y.body))
+            assert frozenset(q[0] for p, q in pairs if p[0] in live) == getattr(y, "live", frozenset())
+            letrecs.append((x, frozenset(p[0] for p, _ in pairs if p[0] in live)))
+            stack += [(p[2], q[2], scope) for p, q in pairs]
+            stack.append((x.body, y.body, scope))
     return letrecs
 
 
@@ -459,7 +466,7 @@ def test_corrupt_emitted_edge_is_refused(monkeypatch):
     def retarget_second_argument(self, root, variant):
         app = self.labels.index(Label.APP)
         assert self.succ[app][0] == self.succ[app][1] != root
-        self.succ[app][1] = root
+        self.succ[app] = (self.succ[app][0], root)
         return finish(self, root, variant)
 
     monkeypatch.setattr(translate._Builder, "finish", retarget_second_argument)
@@ -468,19 +475,23 @@ def test_corrupt_emitted_edge_is_refused(monkeypatch):
 
 
 def test_unreachable_emitted_vertex_is_refused(monkeypatch):
+    # Two orphan occurrences of x on the base "a", allocated before the
+    # application, which takes that base too: the message names the
+    # orphans by their minted names, not by their bases.
     import lamgraph.translate as translate
 
     alloc = translate._Builder.alloc
 
-    def add_orphan_occurrence(self, base, label):
+    def add_orphan_occurrences(self, base, label):
         v = alloc(self, base, label)
         if label is Label.ABS and base == "x":
-            orphan = alloc(self, "orphan", Label.VAR)
-            self.succ[orphan] = [v]
+            for _ in range(2):
+                orphan = alloc(self, "a", Label.VAR)
+                self.succ[orphan] = (v,)
         return v
 
-    monkeypatch.setattr(translate._Builder, "alloc", add_orphan_occurrence)
-    with pytest.raises(InternalValidationFailure, match=r"unreachable vertices: \('orphan',\)"):
+    monkeypatch.setattr(translate._Builder, "alloc", add_orphan_occurrences)
+    with pytest.raises(InternalValidationFailure, match=r"unreachable vertices: \('a', 'a\.2'\)$"):
         term_to_graph(parse_term(r"\x. x x"))
 
 

@@ -1,4 +1,5 @@
-"""Check that ``term_to_graph`` emits eager, fully back-linked graphs.
+"""Check that ``term_to_graph`` emits eager, fully back-linked graphs,
+and exactly the graphs of the name-keyed reference translator.
 
     python3 tests/translate_parity.py [--terms N] [--seed S]
 
@@ -13,7 +14,10 @@ output:
 - the signature variant (1,2);
 - a ``validate_prefix_fo`` report on its words that passes;
 - ``is_eager_scope``;
-- ``is_fully_back_linked``.
+- ``is_fully_back_linked``;
+- equality with ``oracles.name_keyed_term_to_graph``, the translator
+  on vertex names with free-binder sets that the library's replaced:
+  the same labels, successors, root, vertex names and words.
 
 The last follows from the others.  Take a vertex w with word W and
 v = W[-1]: a variable back-links to v (condition var1), a delimiter
@@ -24,8 +28,8 @@ same, as the library checks neither.
 
 Exits 1 at the first term whose translation fails a check, or whose
 translation raises, naming the seed (or the fixture term) and the
-witness vertex; otherwise prints how many terms, vertices and
-delimiters were checked.
+witness vertex or the first field that differs from the reference;
+otherwise prints how many terms, vertices and delimiters were checked.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
 from generators import COLLIDING_TERMS, FIXTURE_TERMS, random_term  # noqa: E402
+from oracles import name_keyed_term_to_graph  # noqa: E402
 
 from lamgraph import (  # noqa: E402
     Label,
@@ -70,6 +75,16 @@ def failure(dg) -> tuple[int | None, str] | None:
     return None
 
 
+def difference(dg, want) -> str | None:
+    """The first field in which the translation ``dg`` differs from the
+    reference translation ``want``; ``None`` if they are equal."""
+    g, h = dg.graph, want.graph
+    for field in ("variant", "labels", "args", "root", "names"):
+        if getattr(g, field) != getattr(h, field):
+            return field
+    return None if dg.prefixes == want.prefixes else "words"
+
+
 def terms(seed: int, count: int):
     """``count`` random terms from ``seed`` on, then the fixture terms,
     each with the label a failure report names it by."""
@@ -98,13 +113,18 @@ def main(argv: list[str] | None = None) -> int:
             where = "" if w is None else f" at vertex {w} ({dg.graph.names[w]})"
             print(f"{label}: the translation fails{where}: {message}")
             return 1
+        field = difference(dg, name_keyed_term_to_graph(t))
+        if field is not None:
+            print(f"{label}: the translation's {field} differ from the name-keyed reference's")
+            return 1
         checked += 1
         vertices += dg.graph.vertex_count
         delimiters += len(dg.graph.vertices_labeled(Label.DEL))
     last = args.seed + args.terms - 1
     print(
         f"{checked} terms (seeds {args.seed}-{last}, fixtures): all eager (1,2), fully "
-        f"back-linked and valid; {vertices} vertices, {delimiters} delimiters"
+        f"back-linked, valid and equal to the name-keyed reference; {vertices} vertices, "
+        f"{delimiters} delimiters"
     )
     return 0
 
