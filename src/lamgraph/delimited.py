@@ -252,24 +252,10 @@ class _Builder:
         return v
 
     def mint(self) -> list[str]:
-        """Every vertex's name: the unnamed ones get theirs from their
-        bases, in allocation order, as ``fresh_name`` gives them.
-
-        The j-th vertex on a base is named ``base.j`` (``base`` itself
-        for j = 1) unless those names collide with each other or with
-        ``taken``; then ``fresh_name`` mints them one by one.  Names are
-        minted once, when the builder is done: nothing is allocated
-        after.
-        """
-        counts: dict[str, int] = {}
-        minted = []
-        for base in self.bases:
-            n = counts[base] = counts.get(base, 0) + 1
-            minted.append(base if n == 1 else f"{base}.{n}")
-        distinct = set(minted)
-        if len(distinct) < len(minted) or not distinct.isdisjoint(self.taken):
-            minted = [self.fresh_name(base) for base in self.bases]
-        self.names += minted
+        """Every vertex's name: the unnamed ones get theirs from
+        ``fresh_name``, in allocation order.  Names are minted once, when
+        the builder is done: nothing is allocated after."""
+        self.names += map(self.fresh_name, self.bases)
         self.bases = []
         return self.names
 

@@ -242,16 +242,12 @@ class _Translator:
         has no free occurrence of.
         """
         deepest, depth, i = fv.bit_length() - 1, self.depth, len(word)
-        if not i or depth[word[-1]] <= deepest:
-            return word
         while i and depth[word[i - 1]] > deepest:
             i -= 1
         return word[:i]
 
     def chain(self, source: _Word, target: _Word, top: int) -> int:
         """One delimiter per popped word entry, bottom-up; returns the top."""
-        if len(source) == len(target):
-            return top
         for popped in source[len(target):]:
             s = self.b.alloc("s", Label.DEL)
             self.b.succ[s] = (top, popped)
@@ -337,7 +333,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     except DomainMismatch:
         # Inference found no word for some vertex: the root misses it.
         reached = _reachable_keys(root, tr.b.succ)
-        unreached = tuple(name for v, name in enumerate(tr.b.mint()) if v not in reached)
+        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
         raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}") from None
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc

@@ -698,7 +698,7 @@ def test_finish_mints_as_fresh_name_does_when_binder_names_collide(monkeypatch):
         assert list(dg.graph.names) == names == sequential
         want = name_keyed_term_to_graph(t).graph
         assert dg.graph.names == want.names and dg.graph.args == want.args
-    # Both branches ran: names by position alone, and the fallback.
+    # The terms cover both cases: names by position alone, and collisions.
     assert any(seq == pos for _, seq, pos in calls)
     assert any(seq != pos for _, seq, pos in calls)
 
