@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Mapping
 
 from .core import DomainMismatch, Label, TermGraph, VariantMismatch
 
@@ -64,16 +65,21 @@ def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:
     return _check_scope_domain(g, _resolve_map(g, sc, frozenset))
 
 
-def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
-    """The domain tests of ``normalize_scope_fn``, on a map keyed by ids."""
+def _check_scope_keys(g: TermGraph, sc: Mapping) -> None:
+    """The key test alone, for a map whose members are ids by construction."""
     if set(sc) != set(g.vertices_labeled(Label.ABS)):
         raise DomainMismatch("scope function domain must be exactly the abstraction vertices")
-    n = g.vertex_count
-    for members in sc.values():
-        # One min/max test per set; the scan names the offending member.
-        if members and (min(members) < 0 or max(members) >= n):
-            m = next(m for m in members if not 0 <= m < n)
-            raise DomainMismatch(f"scope member {m} is not a vertex")
+
+
+def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
+    """The domain tests of ``normalize_scope_fn``, on a map keyed by ids:
+    the keys, then every member in one C-level pass against the ids, so
+    a member of any type that is no id is refused."""
+    _check_scope_keys(g, sc)
+    ids = set(g.vertices())
+    if not ids.issuperset(chain.from_iterable(sc.values())):
+        m = next(m for members in sc.values() for m in members if m not in ids)
+        raise DomainMismatch(f"scope member {m} is not a vertex")
     return sc
 
 
@@ -83,26 +89,31 @@ def normalize_prefix_fn(g: TermGraph, p: Mapping) -> PrefixFn:
 
 def _check_prefix_domain(g: TermGraph, p: PrefixFn) -> PrefixFn:
     """The domain tests of ``normalize_prefix_fn``, on a map keyed by ids."""
-    if set(p) != set(g.vertices()):
+    ids = set(g.vertices())
+    if set(p) != ids:
         raise DomainMismatch("prefix function must be total on the vertex set")
-    n = g.vertex_count
-    for word in p.values():
-        if word and (min(word) < 0 or max(word) >= n):
-            x = next(x for x in word if not 0 <= x < n)
-            raise DomainMismatch(f"prefix entry {x} is not a vertex")
+    if not ids.issuperset(chain.from_iterable(p.values())):
+        x = next(x for word in p.values() for x in word if x not in ids)
+        raise DomainMismatch(f"prefix entry {x} is not a vertex")
     return p
 
 
-def _containing(g: TermGraph, sc: ScopeFn, order: Iterable[int]) -> list[list[int]]:
-    """For each vertex u, the abstractions v with u in sc[v], in ``order``.
+def _containing(g: TermGraph, sc: ScopeFn) -> tuple[list[int], list[list[int]]]:
+    """The scope function's one inversion: the abstractions ranked by
+    decreasing scope size, ties by ascending id, and for each vertex u
+    the abstractions v with u in sc[v], in that rank order.
 
-    One pass over the scopes: O(n + sum of |sc(v)|).
+    When the scopes are valid they nest, so the rank order lists each
+    vertex's binders outermost first.  One sort and one pass over the
+    scopes: O(n + sum of |sc(v)| + A log A) for A abstractions.
     """
+    # A stable sort: reverse=True keeps ties in ascending id.
+    order = sorted(g.vertices_labeled(Label.ABS), key=lambda v: len(sc[v]), reverse=True)
     containing: list[list[int]] = [[] for _ in g.vertices()]
     for v in order:
         for u in sc[v]:
             containing[u].append(v)
-    return containing
+    return order, containing
 
 
 def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
@@ -113,9 +124,10 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
     edges; every variable lies in some scope; with variable back-links,
     a variable and its abstraction share exactly the same scopes.
 
-    The scopes are inverted once, so the root, self, closed, scope0 and
-    scope1 tests visit only the abstractions whose scope holds the vertex
-    at hand, and nesting is one laminar-family pass (``_scopes_nest``):
+    The scopes are inverted once (``_containing``), so the root, self,
+    closed, scope0 and scope1 tests visit only the abstractions whose
+    scope holds the vertex at hand, and nesting is one laminar-family
+    pass (``_scopes_nest``) in the inversion's rank order:
     O(n + m + sum of |sc(v)| + A log A + k log k) time for A abstractions
     and k violations.  Only when that pass fails does the per-pair
     nesting walk run, to report which pairs fail; it costs O(|sc(v1)|)
@@ -125,23 +137,28 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("scope functions live on delimiter-free graphs")
-    return _validate_scope(g, normalize_scope_fn(g, sc))
+    sc = normalize_scope_fn(g, sc)
+    return _validate_scope(g, sc, *_containing(g, sc))
 
 
-def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
-    """``validate_scope`` past its variant check, on a normalized function."""
+def _validate_scope(
+    g: TermGraph, sc: ScopeFn, order: list[int], containing: list[list[int]]
+) -> ValidationReport:
+    """``validate_scope`` past its variant check, on a normalized function
+    and its inversion.  The inversion is in rank order, not id order:
+    two vertices in the same scopes have equal lists, and only a failing
+    edge has its closed witnesses sorted back into ascending ids."""
     bad: list[Violation] = []
     labels, args, root = g.labels, g.args, g.root
     ABS, VAR = Label.ABS, Label.VAR
     abs_vertices = [v for v, lab in enumerate(labels) if lab is ABS]
-    containing = _containing(g, sc, abs_vertices)
 
     for v in abs_vertices:
         if root != v and root in sc[v]:
             bad.append(Violation("root", (v,)))
         if v not in sc[v]:
             bad.append(Violation("self", (v,)))
-    if not _scopes_nest(g, sc, abs_vertices):
+    if not _scopes_nest(g, sc, order):
         is_abs = [lab is ABS for lab in labels]
         for v0 in abs_vertices:
             inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
@@ -153,7 +170,12 @@ def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
         for wk in succ:
             for v in containing[wk]:
                 if v != wk and w not in sc[v]:
-                    bad.append(Violation("closed", (v, w, wk)))
+                    bad += [
+                        Violation("closed", (u, w, wk))
+                        for u in sorted(containing[wk])
+                        if u != wk and w not in sc[u]
+                    ]
+                    break
     variables = [w for w, lab in enumerate(labels) if lab is VAR]
     for w in variables:
         # A variable is no abstraction, so every scope holding it counts.
@@ -165,28 +187,31 @@ def _validate_scope(g: TermGraph, sc: ScopeFn) -> ValidationReport:
             if labels[w0] is not ABS:
                 bad.append(Violation("scope1", (w, w0)))
                 continue
-            for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
-                bad.append(Violation("scope1", (w, w0, v)))
+            # Both lists follow the rank order, so equal sets are equal lists.
+            if containing[w] != containing[w0]:
+                for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
+                    bad.append(Violation("scope1", (w, w0, v)))
     return ValidationReport(tuple(bad))
 
 
-def _scopes_nest(g: TermGraph, sc: ScopeFn, abs_vertices: list[int]) -> bool:
+def _scopes_nest(g: TermGraph, sc: ScopeFn, order: list[int]) -> bool:
     """Laminar-family test: True only if no pair of scopes fails to nest.
 
-    The abstractions are taken by decreasing scope size, ties in
-    ascending id (the ``_binder_lists`` order), and each vertex keeps
-    the last abstraction whose scope claimed it.  v passes if v is in
-    sc(v), its parent (the last claimer of v) is not, and every member
-    of sc(v) was last claimed by that parent; then v claims them all.
+    The abstractions are taken in ``order``, the rank order of
+    ``_containing`` (decreasing scope size, ties in ascending id), and
+    each vertex keeps the last abstraction whose scope claimed it.  v
+    passes if v is in sc(v), its parent (the last claimer of v) is not,
+    and every member of sc(v) was last claimed by that parent; then v
+    claims them all.
     If every v passes, the scope sets form a tree under inclusion in
     which no scope holds an earlier abstraction, so each v1 in sc(v0)
     comes later and sc(v1) <= sc(v0) - {v0}.  Every valid scope function
     passes.  Both the self and the parent test are needed: without the
     parent test ``{a: {a, b}, b: {a, b}}`` would pass, and without the
-    self test ``{a: {x, y}, b: {b, a}}``.  O(sum of |sc(v)| + A log A).
+    self test ``{a: {x, y}, b: {b, a}}``.  O(n + sum of |sc(v)|).
     """
     last = [-1] * g.vertex_count
-    for v in sorted(abs_vertices, key=lambda v: len(sc[v]), reverse=True):
+    for v in order:
         members = sc[v]
         parent = last[v]
         if v not in members or parent in members:
@@ -264,19 +289,24 @@ class ScopedGraph:
     The constructor takes a map keyed by vertex ids and refuses an
     invalid one: a domain error as in ``normalize_scope_fn``, a graph
     with delimiters, or a ``ValueError`` naming the violations that
-    ``validate_scope`` reports.  ``checked`` also accepts names.
+    ``validate_scope`` reports.  ``checked`` also accepts names.  It
+    inverts the scopes once (``_containing``), validates on that
+    inversion and keeps its lists as ``_binder_lists``.
     """
 
     graph: TermGraph
     scopes: dict[int, frozenset[int]] = field(hash=False)
 
     def __post_init__(self):
-        _check_scope_domain(self.graph, self.scopes)
-        if self.graph.variant.del_arity is not None:
+        g = self.graph
+        _check_scope_domain(g, self.scopes)
+        if g.variant.del_arity is not None:
             raise VariantMismatch("scope functions live on delimiter-free graphs")
-        report = _validate_scope(self.graph, self.scopes)
+        order, containing = _containing(g, self.scopes)
+        report = _validate_scope(g, self.scopes, order, containing)
         if not report.passed:
-            raise ValueError(f"invalid scope function: {report.violation_text(self.graph)}")
+            raise ValueError(f"invalid scope function: {report.violation_text(g)}")
+        self.__dict__["_binder_lists"] = containing
 
     @classmethod
     def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
@@ -286,16 +316,11 @@ class ScopedGraph:
     def _binder_lists(self) -> list[list[int]]:
         """Per vertex, the abstractions whose scope holds it, outermost first.
 
-        Built once on first use, in O(n + sum of |sc(v)| + A log A): the
-        abstractions are ranked by decreasing scope size (a stable sort,
-        so ties keep ascending ids) and the scopes inverted in that order.
+        ``_containing``'s lists: the constructor stores the ones it
+        validated on, and an instance made through ``core._trusted``
+        inverts its scopes on first use, in O(n + sum of |sc(v)| + A log A).
         """
-        order = sorted(
-            self.graph.vertices_labeled(Label.ABS),
-            key=lambda v: len(self.scopes[v]),
-            reverse=True,
-        )
-        return _containing(self.graph, self.scopes, order)
+        return _containing(self.graph, self.scopes)[1]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ The parser reads the document in one pass and gives each vertex its id
 as its line is read, so ids follow declaration order.  Successors, the
 root and the annotation lines resolve through that one name-to-id map,
 and the graph is checked and built on ids by ``core._build_ids``, the
-constructor that ``build`` shares.
+constructor that ``build`` shares.  Every annotation entry is then an
+id, so of the scope lines the parser checks only that they name exactly
+the abstractions.  Whether the scopes are valid is left to their
+reader: ``ScopedGraph`` scans the members and inverts the scopes once.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .core import GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex, _build_ids
-from .scoped import _check_scope_domain
+from .scoped import _check_scope_keys
 
 # A label's token is its ``str``.
 _LABELS = {str(label): label for label in Label}
@@ -135,8 +138,9 @@ def parse_graph(text: str) -> GraphDocument:
         prefixes.update((v, ()) for v in range(len(labels)) if v not in prefixes)
     if scope_lines:
         scopes = _annotation("scope", scope_lines, index, frozenset)
+        # Members resolved through the index, so only the keys can be off.
         try:
-            _check_scope_domain(graph, scopes)
+            _check_scope_keys(graph, scopes)
         except GraphError as exc:
             raise FormatError(scope_lines[0][0], str(exc)) from exc
     return GraphDocument(graph, prefixes, scopes)

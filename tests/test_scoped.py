@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -42,7 +43,7 @@ from lamgraph import (
     validate_prefix_ho,
     validate_scope,
 )
-from lamgraph.scoped import _scopes_nest, normalize_prefix_fn, normalize_scope_fn
+from lamgraph.scoped import _containing, _scopes_nest, normalize_prefix_fn, normalize_scope_fn
 
 
 def test_validate_scope_shared_form(g0_plain):
@@ -341,6 +342,37 @@ def test_scope_layer_matches_oracles_on_translations():
     assert verdicts == {True, False}
 
 
+def test_constructor_keeps_the_lists_a_trusted_copy_derives():
+    # ScopedGraph validates on its one inversion and keeps its lists; an
+    # instance made through _trusted derives them on first use.  The two
+    # agree, on random scope sets and on the scopes of translations.
+    from lamgraph.core import _trusted
+
+    rng = random.Random(303)
+    taken = {"random": 0, "translated": 0}
+    for i in range(1200):
+        if i % 2:
+            t = random_term(rng, depth=rng.randint(1, 4))
+            h = prefix_to_scope(strip_delimiters(term_to_graph(t)))
+            g, sc, kind = h.graph, dict(h.scopes), "translated"
+            if sc and rng.random() < 0.5:
+                sc = _toggled(rng, g, sc)
+        else:
+            g = random_graph(rng, max_vertices=8)
+            if g.variant.del_arity is not None:
+                continue
+            sc, kind = random_scopes(rng, g), "random"
+        h = _outcome(ScopedGraph, g, sc)
+        if not isinstance(h, ScopedGraph):
+            continue
+        lazy = _trusted(ScopedGraph, graph=g, scopes=sc)
+        assert "_binder_lists" in vars(h) and "_binder_lists" not in vars(lazy)
+        assert h._binder_lists == lazy._binder_lists
+        assert h._binder_lists == [per_abstraction_binders(h, w) for w in g.vertices()]
+        taken[kind] += 1
+    assert min(taken.values()) >= 50, taken
+
+
 _DELIMITER_FREE = st.sampled_from([SignatureVariant(0), SignatureVariant(1)])
 
 
@@ -399,6 +431,18 @@ def test_normalize_reports_in_the_same_order(single_lambda):
         normalize_prefix_fn(single_lambda, {"r": (), "c": (0, 9, -2)})
 
 
+@pytest.mark.parametrize("member", [1.5, "c", None])
+def test_constructors_refuse_a_member_that_is_no_id(single_lambda, member):
+    # One scan of every member against the ids refuses any value that is
+    # no id, a name included, with the out-of-range message, instead of
+    # a TypeError where the member is first compared or read.
+    r, c = single_lambda.id_of("r"), single_lambda.id_of("c")
+    with pytest.raises(DomainMismatch, match=re.escape(f"scope member {member} is not a vertex")):
+        ScopedGraph(single_lambda, {r: {r, c, member}})
+    with pytest.raises(DomainMismatch, match=re.escape(f"prefix entry {member} is not a vertex")):
+        PrefixedGraph(single_lambda, {r: (), c: (r, member)})
+
+
 def test_generated_equality_and_hashing(running_carrier, running_eager, running_lazy):
     # Equality compares the graph and the annotation; hashing sees only
     # the graph, so equal objects hash equal.  The lazy scopes share the
@@ -443,7 +487,7 @@ def test_generated_equality_and_hashing(running_carrier, running_eager, running_
 
 def _laminar_agrees(g, sc, outcomes):
     sc = normalize_scope_fn(g, sc)
-    fast = _scopes_nest(g, sc, g.vertices_labeled(Label.ABS))
+    fast = _scopes_nest(g, sc, _containing(g, sc)[0])
     report = per_pair_validate_scope(g, sc)
     assert validate_scope(g, sc) == report
     if fast:
@@ -470,7 +514,7 @@ def _laminar_agrees(g, sc, outcomes):
 def test_laminar_test_refuses_scopes_that_do_not_nest(text, scopes, nests):
     g = parse_graph(text).graph
     sc = normalize_scope_fn(g, scopes)
-    assert not _scopes_nest(g, sc, g.vertices_labeled(Label.ABS))
+    assert not _scopes_nest(g, sc, _containing(g, sc)[0])
     report = validate_scope(g, sc)
     assert report == per_pair_validate_scope(g, sc)
     found = [v.witnesses for v in report.violations if v.condition == "nest"]
@@ -653,23 +697,33 @@ def test_max_share_ho_normalizes_only_at_the_boundary(monkeypatch):
 
 def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     # The constructor is the one check: the conversions behind it, and
-    # max_share_ho, validate nothing again.  Inference runs where a
-    # delimited graph is made: translate's insertion makes one, and
-    # max_share_ho, which works on arrays, makes none.
+    # max_share_ho, validate nothing again.  It scans the scope members
+    # once (_check_scope_domain; the parser checks only the keys) and
+    # inverts the scopes once (_containing), and scope_to_prefix reads
+    # that inversion.  Inference runs where a delimited graph is made:
+    # translate's insertion makes one, and max_share_ho, which works on
+    # arrays, makes none.
     from lamgraph.cli import main
 
     text = tower_doc(8)
     doc = parse_graph(text)
     names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix"]
+    names += ["_check_scope_domain", "_containing"]
     calls = _counting(monkeypatch, names)
     max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
-    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0}
+    assert calls == {
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0,
+        "_check_scope_domain": 1, "_containing": 1,
+    }
     path = tmp_path / "tower.tg"
     path.write_text(text)
     calls.update(dict.fromkeys(names, 0))
     assert main(["translate", "--from", "hotg", "--to", "ltg", str(path)]) == 0
     assert capsys.readouterr().out.startswith("sig 1 2\n")
-    assert calls == {"_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 1}
+    assert calls == {
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 1,
+        "_check_scope_domain": 1, "_containing": 1,
+    }
 
 
 def test_translation_and_sharing_skip_the_checks_their_inputs_settle(monkeypatch):

@@ -21,7 +21,10 @@ or prefix function also loses a key or gains an entry that names no
 vertex.  A constructor must
 refuse exactly the inputs its validator refuses, with the validator's
 violations, or for ids and words the first id or vertex at fault (for
-ids, then every vertex the root misses).
+ids, then every vertex the root misses).  A ``ScopedGraph`` it takes
+must keep, as its binder lists, the scopes inverted from scratch: per
+vertex, the abstractions whose scope holds it, by decreasing scope
+size and then ascending id.
 Exits 1 at the first input where they differ, naming the seed and the
 input; otherwise prints, per kind, how many inputs were taken and how
 many refused.
@@ -62,12 +65,23 @@ KINDS = ("scope", "prefix", "ids", "words")
 
 def verdict(make, *args):
     """``None`` if ``make`` takes the input, else its refusal's type and
-    message."""
+    message; for a ``ScopedGraph`` taken with other binder lists than
+    ``rank_order_lists``, those lists."""
     try:
-        make(*args)
+        made = make(*args)
     except (GraphError, ValueError) as exc:
         return type(exc), str(exc)
+    if make is ScopedGraph and made._binder_lists != rank_order_lists(*args):
+        return "binder lists", made._binder_lists
     return None
+
+
+def rank_order_lists(g, sc):
+    """Per vertex, the abstractions whose scope holds it, by decreasing
+    scope size and then ascending id."""
+    return [
+        sorted((v for v in sc if u in sc[v]), key=lambda v: (-len(sc[v]), v)) for u in g.vertices()
+    ]
 
 
 def refusal(validate, g, fn, what):
