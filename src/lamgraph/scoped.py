@@ -74,7 +74,7 @@ def _check_scope_keys(g: TermGraph, sc: Mapping) -> None:
 def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
     """The domain tests of ``normalize_scope_fn``, on a map keyed by ids:
     the keys, then every member in one C-level pass against the ids, so
-    a member of any type that is no id is refused."""
+    a member that equals no id is refused, whatever its type."""
     _check_scope_keys(g, sc)
     ids = set(g.vertices())
     if not ids.issuperset(chain.from_iterable(sc.values())):

@@ -32,9 +32,10 @@ def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
 def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     """Derive the prefix function: each vertex's binders, outermost first.
 
-    The carrier is unchanged (the very same graph object).  The scopes
-    are inverted once, so the conversion takes O(n + sum of |sc(v)| +
-    A log A) for A abstractions.
+    The carrier is unchanged (the very same graph object).  The words
+    are the scopes' one inversion, ``_binder_lists``, which the
+    constructor made when it validated them; the conversion copies them
+    in O(n + sum of |sc(v)|).
     """
     labels, ABS = h.graph.labels, Label.ABS
     prefixes = {}
