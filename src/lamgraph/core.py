@@ -11,9 +11,10 @@ in declaration order.
 Each representation checks itself where it is made: a ``TermGraph``
 built directly refuses a successor or root id that names no vertex and
 a vertex the root does not reach, and ``ScopedGraph``, ``PrefixedGraph``
-and ``DelimitedGraph`` refuse an invalid annotation.  Producers whose output is valid by construction
-(the builders, ``collapse`` and the conversions) make it through
-``_trusted``, which runs no check.
+and ``DelimitedGraph`` refuse an invalid annotation.  Producers whose
+output is valid by construction (the builders, ``collapse`` and the
+conversions) make it through ``_trusted``, which runs no check.  A
+builder leaves a graph's names to be minted where they are first read.
 """
 
 from __future__ import annotations
@@ -168,10 +169,56 @@ class _Lookup(dict):
 def _trusted(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with these fields,
     made without ``__post_init__``: the one path for producers whose
-    output is valid by construction."""
+    output is valid by construction.  A field that ``_derived_field``
+    derives may be left out, with the plain data it is derived from
+    given instead."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+def _derived_field(cls, name: str, derive) -> None:
+    """Let field ``name`` of the frozen dataclass ``cls`` be derived on
+    its first read, by ``derive(obj)``, where ``_trusted`` left it out.
+
+    ``cached_property`` is a non-data descriptor: a field that is set
+    lives in the instance ``__dict__`` and is read from there, as
+    before, and a derived one is stored there on its first read.  So
+    equality, hashing, ``repr``, ``copy`` and ``pickle``, which read the
+    field or copy the ``__dict__``, behave as if it had been given.
+    """
+    prop = cached_property(derive)
+    prop.__set_name__(cls, name)
+    setattr(cls, name, prop)
+
+
+# The text format's keywords: no vertex may be named after one.
+RESERVED_NAMES = frozenset({"sig", "root", "prefix", "scope"})
+
+
+class _Minter:
+    """Fresh vertex names around the ones already taken."""
+
+    def __init__(self, taken: Iterable[str] = ()):
+        # Minting never reuses a taken name, nor one the document format
+        # cannot express (a binder may be called "scope" or "root").
+        self.taken: set[str] = set(RESERVED_NAMES).union(taken)
+        self.counts: dict[str, int] = {}
+
+    def fresh_name(self, base: str) -> str:
+        """``base`` itself, or else ``base.j`` for the smallest free j >= 2.
+
+        Every ``base.j`` with j up to ``counts[base]`` is taken, so the
+        search resumes there.
+        """
+        n = self.counts.get(base, 0) + 1
+        name = base if n == 1 else f"{base}.{n}"
+        while name in self.taken:
+            n += 1
+            name = f"{base}.{n}"
+        self.counts[base] = n
+        self.taken.add(name)
+        return name
 
 
 # A homomorphism witness: total map from source vertices to target vertices.
@@ -202,11 +249,15 @@ class TermGraph:
         n = len(self.labels)
         if len(self.args) != n or len(self.names) != n:
             raise DomainMismatch("args and names must hold one entry per vertex")
+        # An id is an int: 1.0 and True equal a vertex id but are none.
         ids = set(range(n))
-        if self.root not in ids:
+        if type(self.root) is not int or self.root not in ids:
             raise DomainMismatch(f"root id {self.root} names no vertex")
-        if not ids.issuperset(chain.from_iterable(self.args)):
-            w, t = next((w, t) for w, succ in enumerate(self.args) for t in succ if t not in ids)
+        flat = chain.from_iterable
+        if not ({int}.issuperset(map(type, flat(self.args))) and ids.issuperset(flat(self.args))):
+            w, t = next(
+                (w, t) for w, succ in enumerate(self.args) for t in succ if type(t) is not int or t not in ids
+            )
             raise DomainMismatch(f"successor id {t} of {self.names[w]} names no vertex")
         reached = _reachable_keys(self.root, self.args)
         if len(reached) < n:
@@ -269,6 +320,20 @@ class TermGraph:
             for v in self.vertices()
         )
         return f"<TermGraph {self.variant} root={self.names[self.root]} {parts}>"
+
+
+def _minted_names(g: TermGraph) -> tuple[str, ...]:
+    """The names of a graph made with ``_unnamed = (seeded, bases)``
+    instead of ``names``: the seeded names of its first vertices, then
+    one name per base from ``fresh_name``, in id order, around the
+    seeded names."""
+    seeded, bases = g._unnamed
+    return (*seeded, *map(_Minter(seeded).fresh_name, bases))
+
+
+# Builders leave the names to be minted where they are first read:
+# equivalence reads labels and successors only.
+_derived_field(TermGraph, "names", _minted_names)
 
 
 def _reachable_keys(root, succ: Mapping) -> set:

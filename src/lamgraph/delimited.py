@@ -10,10 +10,12 @@ regions at once, in linear time; they group the vertices by their
 innermost binder only to name a witness or to search again.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
-allocates vertices, mints their names once at the end, and its finish
-step infers the words, so inference is the one source of a
-``DelimitedGraph``'s prefix function.  Both producers, ``term_to_graph`` and
-``insert_delimiters``, build with it.  A ``DelimitedGraph`` made
+allocates vertices, each with its innermost binder, the last entry of
+its word, and its finish step checks that array in one DFS.  The
+correct prefix function is unique, so the check is as strong as
+inference.  Both producers, ``term_to_graph`` and ``insert_delimiters``,
+build with it; the names are minted, and the words derived from the
+array, only where they are first read.  A ``DelimitedGraph`` made
 directly must carry exactly the inferred words; ``from_graph`` infers
 them and trusts the result.
 """
@@ -28,7 +30,9 @@ from .core import (
     Label,
     SignatureVariant,
     TermGraph,
+    UnreachableVertex,
     VariantMismatch,
+    _derived_field,
     _reachable_keys,
     _trusted,
 )
@@ -40,7 +44,6 @@ from .scoped import (
     _prefix_word_sanity,
     normalize_prefix_fn,
 )
-from .textfmt import RESERVED_NAMES
 
 
 def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
@@ -180,7 +183,9 @@ class DelimitedGraph:
 
     The constructor refuses a graph without a correct prefix function,
     and words other than the inferred ones (in any key order), naming
-    the first vertex whose word differs.
+    the first vertex whose word differs.  A graph that ``_Builder``
+    built passed ``_check_inner`` instead, and derives its words from
+    the innermost binders on their first read (``_words``).
     """
 
     graph: TermGraph
@@ -212,57 +217,33 @@ class _Builder:
     """A delimited graph under construction, on dense ids.
 
     Each vertex has its label, its successor row (a tuple, filled in
-    after the vertex is allocated) and a name for output.  A builder
-    starts empty or seeded with labels and successor rows, and with the
-    names of a leading run of them; each vertex after that run is
-    allocated with the base of its name, and ``mint`` names them all at
-    once when the builder is done.
+    after the vertex is allocated) and its innermost binder, the last
+    entry of its word or -1 for the empty word.  A builder starts empty
+    or seeded with the labels, rows, innermost binders and names of a
+    leading run of vertices; each vertex after that run is allocated
+    with the base of its name, and names are minted only where they are
+    first read (``core._minted_names``).
     """
 
-    def __init__(self, labels=(), succ=(), names=()):
+    def __init__(self, labels=(), succ=(), names=(), inner=()):
         self.labels: list[Label] = list(labels)
         self.succ: list = list(succ)
-        self.names: list[str] = list(names)
-        self.bases: list[str] = []  # of the vertices not named yet
-        # Minting never reuses a seeded name, nor one the document format
-        # cannot express (a binder may be called "scope" or "root").
-        self.taken: set[str] = set(RESERVED_NAMES).union(self.names)
-        self.counts: dict[str, int] = {}
+        self.inner: list[int] = list(inner)
+        self.names: tuple[str, ...] = tuple(names)
+        self.bases: list[str] = []  # of the vertices after the named run
 
-    def fresh_name(self, base: str) -> str:
-        """``base`` itself, or else ``base.j`` for the smallest free j >= 2.
-
-        Every ``base.j`` with j up to ``counts[base]`` is taken, so the
-        search resumes there.
-        """
-        n = self.counts.get(base, 0) + 1
-        name = base if n == 1 else f"{base}.{n}"
-        while name in self.taken:
-            n += 1
-            name = f"{base}.{n}"
-        self.counts[base] = n
-        self.taken.add(name)
-        return name
-
-    def alloc(self, base: str, label: Label) -> int:
+    def alloc(self, base: str, label: Label, inner: int) -> int:
         v = len(self.labels)
         self.labels.append(label)
         self.succ.append(None)
+        self.inner.append(inner)
         self.bases.append(base)
         return v
 
-    def mint(self) -> list[str]:
-        """Every vertex's name: the unnamed ones get theirs from
-        ``fresh_name``, in allocation order.  Names are minted once, when
-        the builder is done: nothing is allocated after."""
-        self.names += map(self.fresh_name, self.bases)
-        self.bases = []
-        return self.names
-
     def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
-        """The built graph, with its words inferred by ``from_graph``.
+        """The built graph, once ``_check_inner`` has passed it.
 
-        Every vertex must be reachable from ``root``.
+        Its names and its words are derived where they are first read.
         """
         graph = _trusted(
             TermGraph,
@@ -270,9 +251,100 @@ class _Builder:
             labels=tuple(self.labels),
             args=tuple(self.succ),
             root=root,
-            names=tuple(self.mint()),
+            _unnamed=(self.names, self.bases),
         )
-        return DelimitedGraph.from_graph(graph)
+        bad = _check_inner(graph, self.inner)
+        if bad is not None:
+            raise ValueError(f"not a valid delimited lambda graph: {bad.describe(graph)}")
+        return _trusted(DelimitedGraph, graph=graph, _inner=self.inner)
+
+
+def _check_inner(graph: TermGraph, inner: Sequence[int]) -> Violation | None:
+    """Check that ``inner`` is the innermost-binder array of a correct
+    prefix function, one DFS from the root in O(n + m).
+
+    Every edge of a reached vertex w must meet the strict validator's
+    condition, read on the array: an abstraction's body has ``inner``
+    w, an application's successors have w's, a delimiter's pop target
+    has that of w's binder, and a back-link leads to w's binder, which
+    a delimiter and a variable must have.  The root's is -1.  A failure
+    gives ``validate_prefix_fo``'s violation; a vertex the DFS misses
+    raises ``UnreachableVertex``, naming them all.
+
+    Then, by induction along the DFS tree, each reached vertex's binder
+    is -1 or an abstraction reached before it, back-link targets
+    included, and P(v) = P(inner v)·inner v satisfies every condition:
+    it is the unique correct prefix function, the one inference finds.
+    """
+    labels, args, root = graph.labels, graph.args, graph.root
+    var_linked = graph.variant.var_arity == 1
+    del_linked = graph.variant.del_arity == 2
+    ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
+    if inner[root] != -1:
+        return Violation("root", (root,))
+    seen = [False] * len(labels)
+    seen[root] = True
+    stack = [root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        w = pop()
+        lab, succ, i = labels[w], args[w], inner[w]
+        if lab is APP:
+            t, u = succ
+            if inner[t] != i:
+                return Violation("apply", (w, t))
+            if inner[u] != i:
+                return Violation("apply", (w, u))
+            if not seen[t]:
+                seen[t] = True
+                push(t)
+            t = u
+        elif lab is ABS:
+            t = succ[0]
+            if inner[t] != w:
+                return Violation("lambda", (w, t))
+        elif lab is DEL:
+            t = succ[0]
+            if i < 0 or inner[t] != inner[i]:
+                return Violation("delim-pop", (w, t))
+            if del_linked and succ[1] != i:
+                return Violation("delim-backlink", (w, succ[1]))
+        else:
+            if i < 0:
+                return Violation("var0", (w,))
+            if var_linked and succ[0] != i:
+                return Violation("var1", (w, succ[0]))
+            continue
+        if not seen[t]:
+            seen[t] = True
+            push(t)
+    if not all(seen):
+        raise UnreachableVertex(name for name, s in zip(graph.names, seen) if not s)
+    return None
+
+
+def _words(dg: DelimitedGraph) -> PrefixFn:
+    """The words of a graph made with ``_inner`` instead of
+    ``prefixes``: P(v) = P(u)·u for its innermost binder u, and () for
+    -1, keyed in id order.  Each word is its binder's extended once, so
+    this takes O(n + sum of |prefix(w)|)."""
+    inner = dg._inner
+    words: list = [None] * len(inner)
+    for v in range(len(inner)):
+        # Up the binder chain to a known word, then down it.
+        path, x = [], v
+        while x >= 0 and words[x] is None:
+            path.append(x)
+            x = inner[x]
+        for x in reversed(path):
+            u = inner[x]
+            words[x] = () if u < 0 else words[u] + (u,)
+    return dict(enumerate(words))
+
+
+# A graph that ``_Builder.finish`` made has its words derived where they
+# are first read: equivalence and sharing read labels and successors only.
+_derived_field(DelimitedGraph, "prefixes", _words)
 
 
 def is_fully_back_linked(g: DelimitedGraph) -> bool:

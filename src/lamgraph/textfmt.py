@@ -30,16 +30,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex, _build_ids
+from .core import RESERVED_NAMES, GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex
+from .core import _build_ids
 from .scoped import _check_scope_keys
 
 # A label's token is its ``str``.
 _LABELS = {str(label): label for label in Label}
 
-# Words that open directive lines cannot name vertices, and names must
-# survive whitespace tokenization (``\s`` is ``str.isspace``), comments
-# and scope braces.
-RESERVED_NAMES = frozenset({"sig", "root", "prefix", "scope"})
+# Words that open directive lines, ``RESERVED_NAMES``, cannot name
+# vertices, and names must survive whitespace tokenization (``\s`` is
+# ``str.isspace``), comments and scope braces.
 _NAME = re.compile(r"[^\s#{}]+")
 
 

@@ -5,9 +5,10 @@ touching the carrier.  Going first-order inserts a chain of delimiter
 vertices wherever the prefix word shrinks along an edge.  One loop,
 ``_delimit``, makes the chains as labels and successor rows on ids:
 ``insert_delimiters`` names them and builds with ``delimited._Builder``,
-as the term translation does, whose finish step infers the words, and
-``sharing.max_share_ho`` refines the rows directly.  Going back erases
-delimiter vertices and reroutes edges through them.
+as the term translation does, whose finish step checks each vertex's
+innermost binder, and ``sharing.max_share_ho`` refines the rows
+directly.  Going back erases delimiter vertices and reroutes edges
+through them.
 
 Every input was validated when it was made, and each conversion takes
 a valid object to a valid one: scope functions and prefix functions
@@ -124,26 +125,31 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
 
     The chains are ``_delimit``'s.  A delimiter is named after its edge,
     ``<source>.<k>.s``, with ``.2``, ``.3``, ... appended until the name
-    is new, in id order.  The output's words are inferred; since the
-    input's words are valid, each input vertex keeps its own.
-    O(n + m + D + sum of |prefix(w)|) for D delimiters, counting the
-    output's words.
+    is new, in id order.  Each input vertex keeps its word, and a chain
+    delimiter has its edge's word up to the entry it pops; the builder
+    gets their last entries and checks them in O(n + m + D) for D
+    delimiters.  The names are minted, and the output's words built in
+    O(sum of |prefix(w)|), only where they are first read.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
-    g = a.graph
-    labels, succ = _delimit(g, a.prefixes, j)
-    b = _Builder(labels, succ, g.names)
-    n = g.vertex_count
+    g, p = a.graph, a.prefixes
+    labels, succ = _delimit(g, p, j)
+    inner = [word[-1] if word else -1 for word in map(p.__getitem__, g.vertices())]
+    b = _Builder(labels, succ, g.names, inner)
+    n, ABS = g.vertex_count, Label.ABS
     for w, name in enumerate(g.names):
         for k, d in enumerate(succ[w]):
             if d < n:
                 continue
-            # The chain is the run of ids >= n down to the edge's target.
+            # The chain is the run of ids >= n down to the edge's target;
+            # its delimiters pop the edge's word from its last entry on.
             base = f"{name}.{k}.s"
+            x = w if g.labels[w] is ABS else inner[w]
             while d >= n:
                 b.bases.append(base)
-                d = succ[d][0]
+                b.inner.append(x)
+                x, d = inner[x], succ[d][0]
     return b.finish(g.root, SignatureVariant(g.variant.var_arity, j))
 
 

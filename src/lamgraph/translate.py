@@ -24,14 +24,15 @@ live set is what the root reaches in the reference relation, found by
 binders.
 
 The graph is emitted with ``delimited._Builder``: vertices get dense
-integer ids in allocation order, and names are minted for output only,
-once, when the builder finishes.
-The traversal's words, tuples of those ids, decide where delimiters go
-and what they back-link to; the builder's finish step infers the
-emitted graph's prefix function.  The result is eager-scope by
-construction, as the paper's eager translation is, so no eager check
-runs on it; ``tests/translate_parity.py`` checks that claim on seeded
-terms.
+integer ids in allocation order, each with the base of its name and its
+innermost binder, the last entry of the traversal's word.  The
+traversal's words, tuples of those ids, decide where delimiters go and
+what they back-link to; the builder's finish step checks the innermost
+binders.  Names are minted, and words derived from the binders, only
+where they are read: equivalence reads neither.  The result is
+eager-scope by construction, as the paper's eager translation is, so no
+eager check runs on it; ``tests/translate_parity.py`` checks that claim
+on seeded terms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count
 
-from .core import DomainMismatch, Label, SignatureVariant, _reachable_keys
+from .core import Label, SignatureVariant, UnreachableVertex, _reachable_keys
 from .delimited import DelimitedGraph, _Builder
 from .terms import Abs, App, DuplicateBinding, Letrec, Term, UnboundVariable, Var
 
@@ -249,7 +250,7 @@ class _Translator:
     def chain(self, source: _Word, target: _Word, top: int) -> int:
         """One delimiter per popped word entry, bottom-up; returns the top."""
         for popped in source[len(target):]:
-            s = self.b.alloc("s", Label.DEL)
+            s = self.b.alloc("s", Label.DEL, popped)
             self.b.succ[s] = (top, popped)
             top = s
         return top
@@ -268,7 +269,7 @@ class _Translator:
                 for ident, name, term in node.bindings:
                     if ident in self.live and not isinstance(term, _RRef):
                         entry_word = self.pop(target, term.fv)
-                        entry = self.b.alloc(name, term.label)
+                        entry = self.b.alloc(name, term.label, entry_word[-1] if entry_word else -1)
                         self.entry[ident] = (entry, entry_word)
                         fills.append((term, entry_word, entry))
                 for fill in fills:
@@ -278,7 +279,7 @@ class _Translator:
                 v, entry_word = self.resolve_entry(node.binding)
                 assert target == entry_word
                 return self.chain(word, target, v)
-            v = self.b.alloc(node.base, node.label)
+            v = self.b.alloc(node.base, node.label, target[-1] if target else -1)
         else:
             target = word
         if isinstance(node, _RAbs):
@@ -317,12 +318,14 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     over the signature with both kinds of back-links.
 
     The translator resolves the term, analyses its free binders and live
-    bindings, and emits the graph on ids.  One pass checks it: prefix
-    inference, one propagation loop in O(n + m + sum of |prefix(w)|),
-    which gives the words and fails if no correct prefix function
-    exists.  Only when inference finds a vertex the root misses does a
-    reachability pass run, to name the orphans.  Eagerness, and with it
+    bindings, and emits the graph on ids with each vertex's innermost
+    binder.  One pass checks it, a DFS from the root in O(n + m) that
+    fails where the binders give no correct prefix function or the root
+    misses a vertex (``delimited._check_inner``).  Eagerness, and with it
     full back-linking, hold by construction and are not checked again.
+    The names are minted on the first read of ``graph.names``, and the
+    words, O(sum of |prefix(w)|), built on the first read of
+    ``prefixes``.
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {}, 0)
@@ -330,10 +333,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     root = tr.attach(rnode, ())
     try:
         return tr.b.finish(root, SignatureVariant(1, 2))
-    except DomainMismatch:
-        # Inference found no word for some vertex: the root misses it.
-        reached = _reachable_keys(root, tr.b.succ)
-        unreached = tuple(name for v, name in enumerate(tr.b.names) if v not in reached)
-        raise InternalValidationFailure(f"translator left unreachable vertices: {unreached}") from None
+    except UnreachableVertex as exc:
+        raise InternalValidationFailure(f"translator left unreachable vertices: {exc.vertices}") from None
     except ValueError as exc:
         raise InternalValidationFailure(str(exc)) from exc

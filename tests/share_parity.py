@@ -25,7 +25,10 @@ equal ``ScopedGraph`` with the same ``serialize_graph`` text, or both
 raise ``NotEagerScope`` with the same message and vertex, or both
 refuse the input with the same error.  Where they
 share, the input's carrier must map onto the result's by a homomorphism
-that lifts to the scopes.  Exits 1 at the first input where any of
+that lifts to the scopes.  The replay's first-order step,
+``insert_delimiters``, must give the words that ``infer_prefix`` finds
+on its output, which the library derives from each vertex's innermost
+binder instead.  Exits 1 at the first input where any of
 this fails, naming the seed; otherwise prints, per kind, how many
 inputs were shared, not eager or refused.
 """
@@ -53,10 +56,13 @@ from lamgraph import (  # noqa: E402
     ScopedGraph,
     SignatureVariant,
     find_homomorphism,
+    infer_prefix,
+    insert_delimiters,
     lift_homomorphism,
     max_share_ho,
     parse_graph,
     prefix_to_scope,
+    scope_to_prefix,
     serialize_graph,
     strip_delimiters,
     TermGraph,
@@ -172,6 +178,13 @@ def projection_lifts(h: ScopedGraph, result: ScopedGraph) -> bool:
     return m is not None and lift_homomorphism(m, h, result)
 
 
+def inserted_words_are_inferred(h: ScopedGraph) -> bool:
+    """Does the delimited form the stepwise replay makes of h carry the
+    words that inference finds?"""
+    d = insert_delimiters(scope_to_prefix(h), 2)
+    return d.prefixes == infer_prefix(d.graph)[0]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--inputs", type=int, default=20_000)
@@ -192,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if got[0] == "shared" and not projection_lifts(h, got[1]):
             print(f"seed {seed} ({kind}): the projection does not lift on {h!r}")
+            return 1
+        if isinstance(h, ScopedGraph) and not inserted_words_are_inferred(h):
+            print(f"seed {seed} ({kind}): the inserted delimiters' words are not the inferred ones on {h!r}")
             return 1
         counts[kind, got[0]] += 1
     tally = "; ".join(

@@ -97,8 +97,13 @@ def test_build_refuses_a_label_that_is_no_label():
         (((1,), (0,)), 2, ("a", "c"), "root id 2 names no vertex"),
         (((1,),), 0, ("a", "c"), "one entry per vertex"),
         (((1,), (0,)), 0, ("a",), "one entry per vertex"),
+        # 1.0 == 1 and True == 1, but neither is an id.
+        (((1.0,), (0,)), 0, ("r", "c"), "^successor id 1.0 of r names no vertex$"),
+        (((1,), (True,)), 0, ("r", "c"), "^successor id True of c names no vertex$"),
+        (((1,), (0,)), 0.0, ("r", "c"), "^root id 0.0 names no vertex$"),
+        (((1,), (0,)), False, ("r", "c"), "^root id False names no vertex$"),
     ],
-    ids=["negative", "past-n", "root", "short-args", "short-names"],
+    ids=["negative", "past-n", "root", "short-args", "short-names", "float", "bool", "float-root", "bool-root"],
 )
 def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
     labels = (Label.ABS, Label.VAR)

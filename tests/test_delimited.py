@@ -620,18 +620,17 @@ def test_one_pass_inference_matches_the_revalidating_oracle_on_quotients():
 
 
 def test_builder_mints_the_smallest_free_suffix():
-    # The builder's counter resumes where the last search for a base
+    # The minter's counter resumes where the last search for a base
     # ended; searching from j = 1 over the taken names, as insertion once
     # did, gives the same names.
-    from lamgraph.delimited import _Builder
+    from lamgraph.core import _Minter
     from lamgraph.textfmt import RESERVED_NAMES
 
     bases = ("a", "a.2", "b", "b.2.s", "s", "scope", "root")
     rng = random.Random(4109)
     for _ in range(300):
         seeded = {rng.choice(bases) + rng.choice(("", ".2", ".3", ".2.2")) for _ in range(4)}
-        b = _Builder()
-        b.taken |= seeded
+        minter = _Minter(seeded)
         taken = set(RESERVED_NAMES) | seeded
         for _ in range(12):
             base = rng.choice(bases)
@@ -640,34 +639,26 @@ def test_builder_mints_the_smallest_free_suffix():
                 n += 1
                 name = f"{base}.{n}"
             taken.add(name)
-            assert b.fresh_name(base) == name
+            assert minter.fresh_name(base) == name
 
 
-def _record_minting(monkeypatch) -> list[tuple[list[str], list[str], list[str]]]:
-    """Wrap ``_Builder.mint``.  Each call that names vertices appends the
-    names it gave, the names sequential ``fresh_name`` minting gives
-    from the same seeded names, and the names by position alone
-    (``base``, ``base.2``, ... per base)."""
-    from lamgraph.delimited import _Builder
+def _minting(g) -> tuple[list[str], list[str], list[str]]:
+    """The names of a graph that ``_Builder.finish`` made, read for the
+    first time; the names sequential ``fresh_name`` minting gives from
+    the seeded names and bases it was made with; and the names by
+    position alone (``base``, ``base.2``, ... per base)."""
+    from lamgraph.core import _Minter
 
-    calls = []
-    mint = _Builder.mint
-
-    def recording(self):
-        seeded, bases = list(self.names), list(self.bases)
-        names = list(mint(self))
-        if bases:
-            ref = _Builder(names=seeded)
-            counts = {}
-            positional = list(seeded)
-            for base in bases:
-                counts[base] = counts.get(base, 0) + 1
-                positional.append(base if counts[base] == 1 else f"{base}.{counts[base]}")
-            calls.append((names, seeded + [ref.fresh_name(base) for base in bases], positional))
-        return self.names
-
-    monkeypatch.setattr(_Builder, "mint", recording)
-    return calls
+    assert "names" not in vars(g)
+    seeded, bases = g._unnamed
+    names = list(g.names)
+    ref = _Minter(seeded)
+    counts = {}
+    positional = list(seeded)
+    for base in bases:
+        counts[base] = counts.get(base, 0) + 1
+        positional.append(base if counts[base] == 1 else f"{base}.{counts[base]}")
+    return names, [*seeded, *map(ref.fresh_name, bases)], positional
 
 
 _COLLIDING_BINDERS = ("a", "a.2", "s", "s.2", "scope", "x")
@@ -688,12 +679,13 @@ def _colliding_term(rng, depth, scope=()):
     return Abs(name, _colliding_term(rng, max(depth - 1, 0), scope + (name,)))
 
 
-def test_finish_mints_as_fresh_name_does_when_binder_names_collide(monkeypatch):
-    calls = _record_minting(monkeypatch)
+def test_finish_mints_as_fresh_name_does_when_binder_names_collide():
+    calls = []
     rng = random.Random(4110)
     for _ in range(200):
         t = _colliding_term(rng, rng.randint(1, 6))
         dg = term_to_graph(t)
+        calls.append(_minting(dg.graph))
         names, sequential, _ = calls[-1]
         assert list(dg.graph.names) == names == sequential
         want = name_keyed_term_to_graph(t).graph
@@ -703,12 +695,12 @@ def test_finish_mints_as_fresh_name_does_when_binder_names_collide(monkeypatch):
     assert any(seq != pos for _, seq, pos in calls)
 
 
-def test_insertion_mints_as_fresh_name_does_around_seeded_names(monkeypatch):
+def test_insertion_mints_as_fresh_name_does_around_seeded_names():
     # Rename input vertices to the names a first insertion minted, so the
     # second insertion's bases collide with its seeded names.
     from lamgraph import PrefixedGraph, TermGraph
 
-    calls = _record_minting(monkeypatch)
+    calls = []
     rng = random.Random(4111)
     collided = 0
     for _ in range(150):
@@ -723,11 +715,97 @@ def test_insertion_mints_as_fresh_name_does_around_seeded_names(monkeypatch):
         renamed = PrefixedGraph(TermGraph(g.variant, g.labels, g.args, g.root, tuple(names)), pg.prefixes)
         for j in (1, 2):
             out = insert_delimiters(renamed, j).graph
+            calls.append(_minting(out))
             got, sequential, positional = calls[-1]
             assert list(out.names) == got == sequential
             assert got[:n] == names
             collided += sequential != positional
     assert collided > 0
+
+
+# ---------------------------------------------------------------------------
+# The builder's emission check: each vertex's innermost binder, checked on
+# one DFS against the strict validator's conditions.
+
+
+def _emitted(rows, variant=SignatureVariant(1, 2)):
+    """``_Builder.finish`` on vertices given as (base, label, innermost
+    binder, successors), the first of them the root."""
+    from lamgraph.delimited import _Builder
+
+    b = _Builder()
+    for base, label, inner, _ in rows:
+        b.alloc(base, label, inner)
+    b.succ[:] = [succ for *_, succ in rows]
+    return b.finish(0, variant)
+
+
+ABS, APP, VAR, DEL = Label.ABS, Label.APP, Label.VAR, Label.DEL
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # \x. x with the root given a binder.
+        ([("x", ABS, 0, (1,)), ("x!", VAR, 0, (0,))], "root at x"),
+        ([("x", ABS, -1, (1,)), ("x!", VAR, -1, (0,))], "lambda at x, x!"),
+        (
+            [("x", ABS, -1, (1,)), ("a", APP, 0, (2, 3)), ("x!", VAR, 0, (0,)), ("x!", VAR, -1, (0,))],
+            "apply at a, x!.2",
+        ),
+        # A delimiter with nothing to pop, and one whose target keeps x.
+        ([("s", DEL, -1, (1, 1)), ("x", ABS, -1, (2,)), ("x!", VAR, 1, (1,))], "delim-pop at s, x"),
+        (
+            [("x", ABS, -1, (1,)), ("s", DEL, 0, (2, 0)), ("y", ABS, 0, (3,)), ("y!", VAR, 2, (2,))],
+            "delim-pop at s, y",
+        ),
+        # \x. \y. S(x) back-linking to x, which it does not pop.
+        (
+            [("x", ABS, -1, (1,)), ("y", ABS, 0, (2,)), ("s", DEL, 1, (3, 0)), ("x!", VAR, 0, (0,))],
+            "delim-backlink at s, x",
+        ),
+        ([("x!", VAR, -1, (0,))], "var0 at x!"),
+        ([("x", ABS, -1, (1,)), ("y", ABS, 0, (2,)), ("x!", VAR, 1, (0,))], "var1 at x!, x"),
+    ],
+)
+def test_emission_check_names_the_failed_condition(rows, expected):
+    with pytest.raises(ValueError) as refusal:
+        _emitted(rows)
+    assert str(refusal.value) == f"not a valid delimited lambda graph: {expected}"
+
+
+def test_emission_check_names_every_unreachable_vertex():
+    from lamgraph import UnreachableVertex
+
+    rows = [("x", ABS, -1, (1,)), ("x!", VAR, 0, (0,)), ("a", VAR, 0, (0,)), ("a", VAR, 0, (0,))]
+    with pytest.raises(UnreachableVertex) as refusal:
+        _emitted(rows)
+    assert refusal.value.vertices == ("a", "a.2")
+
+
+def test_emission_check_refuses_every_changed_binder():
+    # The correct prefix function is unique and the innermost binders
+    # determine it, so the check refuses any other binder for any vertex:
+    # here each vertex of each translation gets -1 or another abstraction.
+    from lamgraph.delimited import _Builder
+
+    rng = random.Random(4112)
+    refused = 0
+    for _ in range(60):
+        dg = term_to_graph(random_term(rng, depth=rng.randint(1, 4)))
+        g = dg.graph
+        inner = [word[-1] if word else -1 for word in map(dg.prefixes.__getitem__, g.vertices())]
+        choices = [-1, *g.vertices_labeled(ABS)]
+        assert _Builder(g.labels, g.args, g.names, inner).finish(g.root, g.variant) == dg
+        for v in g.vertices():
+            for other in choices:
+                if other == inner[v]:
+                    continue
+                changed = inner[:v] + [other] + inner[v + 1:]
+                with pytest.raises(ValueError):
+                    _Builder(g.labels, g.args, g.names, changed).finish(g.root, g.variant)
+                refused += 1
+    assert refused > 500
 
 
 # A word that lists an abstraction twice, under both prefix validators.

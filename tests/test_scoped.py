@@ -674,19 +674,19 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     # max_share_ho, validate nothing again.  It scans the scope members
     # once (_check_scope_domain; the parser checks only the keys) and
     # inverts the scopes once (_containing), and scope_to_prefix reads
-    # that inversion.  Inference runs where a delimited graph is made:
-    # translate's insertion makes one, and max_share_ho, which works on
-    # arrays, makes none.
+    # that inversion.  The builder's check runs where a delimited graph
+    # is built: translate's insertion builds one, and max_share_ho, which
+    # works on arrays, builds none.  Neither infers words.
     from lamgraph.cli import main
 
     text = tower_doc(8)
     doc = parse_graph(text)
-    names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix"]
+    names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix", "_check_inner"]
     names += ["_check_scope_domain", "_containing"]
     calls = _counting(monkeypatch, names)
     max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
     assert calls == {
-        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0,
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 0,
         "_check_scope_domain": 1, "_containing": 1,
     }
     path = tmp_path / "tower.tg"
@@ -695,27 +695,27 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     assert main(["translate", "--from", "hotg", "--to", "ltg", str(path)]) == 0
     assert capsys.readouterr().out.startswith("sig 1 2\n")
     assert calls == {
-        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 1,
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 1,
         "_check_scope_domain": 1, "_containing": 1,
     }
 
 
 def test_translation_and_sharing_skip_the_checks_their_inputs_settle(monkeypatch):
-    # term_to_graph's output is eager by construction: inference runs
-    # once, to give the words, and no eager check follows.  A carrier is
-    # reachable from its root once made, so max_share_ho runs no
-    # reachability pass.
+    # term_to_graph's output is eager by construction: the builder checks
+    # each vertex's innermost binder once, no inference gives words, and
+    # no eager check follows.  A carrier is reachable from its root once
+    # made, so max_share_ho runs no reachability pass.
     from conftest import RUNNING_TERM
 
     term = parse_term(RUNNING_TERM)
     doc = parse_graph(tower_doc(8))
     h = ScopedGraph.checked(doc.graph, doc.scopes)
-    calls = _counting(monkeypatch, ["infer_prefix", "_non_eager", "_reachable_keys"])
+    calls = _counting(monkeypatch, ["infer_prefix", "_check_inner", "_non_eager", "_reachable_keys"])
     term_to_graph(term)
-    assert (calls["infer_prefix"], calls["_non_eager"]) == (1, 0)
+    assert (calls["infer_prefix"], calls["_check_inner"], calls["_non_eager"]) == (0, 1, 0)
     calls.update(dict.fromkeys(calls, 0))
     max_share_ho(h)
-    assert calls == {"infer_prefix": 0, "_non_eager": 1, "_reachable_keys": 0}
+    assert calls == {"infer_prefix": 0, "_check_inner": 0, "_non_eager": 1, "_reachable_keys": 0}
 
 
 def test_public_validators_still_take_names(running_carrier):

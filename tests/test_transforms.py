@@ -226,6 +226,31 @@ def test_round_trip_strip_after_insert_random():
             )
 
 
+def test_insertion_words_equal_inference_on_every_variant():
+    # insert_delimiters takes each vertex's innermost binder from the
+    # words it holds, and each chain delimiter's from the entry it pops;
+    # the words derived from them are the ones inference finds, with and
+    # without variable and delimiter back-links.
+    from generators import erase_backlinks
+
+    from lamgraph import infer_prefix
+
+    seen = set()
+    for pg, _ in _random_prefixed(303, 80):
+        g = pg.graph
+        unlinked = erase_backlinks(g, 0, None)
+        assert unlinked.names == g.names
+        for a in (pg, PrefixedGraph(unlinked, pg.prefixes)):
+            for j in (1, 2):
+                out = insert_delimiters(a, j)
+                assert "prefixes" not in vars(out)
+                assert out.prefixes == infer_prefix(out.graph)[0]
+                assert out.prefixes.items() >= a.prefixes.items()
+                seen.add((a.graph.variant.var_arity, j, out.graph.vertex_count > g.vertex_count))
+    # All four (var_arity, j) pairs, with and without delimiters inserted.
+    assert seen == {(v, j, d) for v in (0, 1) for j in (1, 2) for d in (False, True)}
+
+
 def test_insert_after_strip_shares_only_delimiters_random():
     for _, dg in _random_prefixed(301, 40):
         redone = insert_delimiters(strip_delimiters(dg), 2)

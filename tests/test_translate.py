@@ -33,6 +33,7 @@ from lamgraph import (
     UnboundVariable,
     Var,
     format_term,
+    infer_prefix,
     is_eager_scope,
     is_fully_back_linked,
     is_lambda_term_graph,
@@ -364,7 +365,7 @@ def _assert_same_translation(new, old):
     assert a.args == b.args
     assert a.root == b.root
     assert a.names == b.names
-    assert new.prefixes == old.prefixes
+    assert new.prefixes == old.prefixes == infer_prefix(a)[0]
 
 
 def _assert_same_analysis(t) -> list[tuple[_RLetrec, frozenset[int]]]:
@@ -448,17 +449,66 @@ def test_colliding_names_are_minted_around():
 
 
 # ---------------------------------------------------------------------------
-# The one check term_to_graph makes on what it emitted, inference,
-# refuses a corrupt edge and an unreachable vertex.  Eagerness and full
-# back-linking hold by construction; tests/translate_parity.py checks
-# them, and so do the tests below.
+# A translation's names and words are derived where they are first read.
+# The seeded and fixture comparisons above read them first, against the
+# reference and against inference.
+
+
+def _unread(dg) -> bool:
+    return "prefixes" not in vars(dg) and "names" not in vars(dg.graph)
+
+
+def test_a_translation_behaves_the_same_read_or_not():
+    import copy
+    import pickle
+
+    term = parse_term(RUNNING_TERM)
+    read, unread = term_to_graph(term), term_to_graph(term)
+    assert _unread(read) and _unread(unread)
+    assert read.graph.names and read.prefixes and not _unread(read)
+    copies = [copy.copy(unread), pickle.loads(pickle.dumps(unread))]
+    graphs = [copy.copy(unread.graph), pickle.loads(pickle.dumps(unread.graph))]
+    assert all(map(_unread, [unread, *copies]))
+    assert not any("names" in vars(g) for g in graphs)
+    for x in [unread, *copies]:
+        assert x == read and hash(x) == hash(read) and repr(x) == repr(read)
+    for g in [unread.graph, *graphs]:
+        assert g == read.graph and hash(g) == hash(read.graph) and repr(g) == repr(read.graph)
+    assert unread.prefixes == read.prefixes == infer_prefix(read.graph)[0]
+
+
+def test_equivalence_mints_no_name_and_builds_no_word(monkeypatch):
+    from lamgraph import are_bisimilar
+    from lamgraph.core import _Minter
+
+    calls = []
+    fresh_name = _Minter.fresh_name
+    monkeypatch.setattr(_Minter, "fresh_name", lambda self, base: calls.append(base) or fresh_name(self, base))
+    t1 = parse_term(RUNNING_TERM)
+    t2 = parse_term(r"letrec f = \x. x f in f")
+    g1, g2 = term_to_graph(t1), term_to_graph(t2)
+    are_bisimilar(g1.graph, g2.graph)
+    are_bisimilar(g1.graph, g1.graph)
+    assert calls == [] and _unread(g1) and _unread(g2)
+    # Reading them mints every name once and derives the words.
+    assert g1.graph.names == name_keyed_term_to_graph(t1).graph.names
+    assert len(calls) == g1.graph.vertex_count
+    assert g1.prefixes == infer_prefix(g1.graph)[0]
+
+
+# ---------------------------------------------------------------------------
+# The one check term_to_graph makes on what it emitted, the builder's
+# check of each vertex's innermost binder, refuses a corrupt edge and an
+# unreachable vertex.  Eagerness and full back-linking hold by
+# construction; tests/translate_parity.py checks them, and so do the
+# tests below.
 
 
 def test_corrupt_emitted_edge_is_refused(monkeypatch):
     # The application's two edges share the binding's vertex f, so
-    # pointing the second one at the root x past the reachability pass
-    # leaves every vertex reachable; a forces the word (x) on x, whose
-    # word is (), and no correct prefix function exists.
+    # pointing the second one at the root x leaves every vertex
+    # reachable; but a's successors must have a's binder x, and the root
+    # has none.
     import lamgraph.translate as translate
 
     finish = translate._Builder.finish
@@ -470,7 +520,7 @@ def test_corrupt_emitted_edge_is_refused(monkeypatch):
         return finish(self, root, variant)
 
     monkeypatch.setattr(translate._Builder, "finish", retarget_second_argument)
-    with pytest.raises(InternalValidationFailure, match=r"prefix-conflict at a, x$"):
+    with pytest.raises(InternalValidationFailure, match=r"^not a valid delimited lambda graph: apply at a, x$"):
         term_to_graph(parse_term(r"\x. letrec f = x in f f"))
 
 
@@ -482,16 +532,18 @@ def test_unreachable_emitted_vertex_is_refused(monkeypatch):
 
     alloc = translate._Builder.alloc
 
-    def add_orphan_occurrences(self, base, label):
-        v = alloc(self, base, label)
+    def add_orphan_occurrences(self, base, label, inner):
+        v = alloc(self, base, label, inner)
         if label is Label.ABS and base == "x":
             for _ in range(2):
-                orphan = alloc(self, "a", Label.VAR)
+                orphan = alloc(self, "a", Label.VAR, v)
                 self.succ[orphan] = (v,)
         return v
 
     monkeypatch.setattr(translate._Builder, "alloc", add_orphan_occurrences)
-    with pytest.raises(InternalValidationFailure, match=r"unreachable vertices: \('a', 'a\.2'\)$"):
+    with pytest.raises(
+        InternalValidationFailure, match=r"^translator left unreachable vertices: \('a', 'a\.2'\)$"
+    ):
         term_to_graph(parse_term(r"\x. x x"))
 
 

@@ -3,16 +3,19 @@ and exactly the graphs of the name-keyed reference translator.
 
     python3 tests/translate_parity.py [--terms N] [--seed S]
 
-``term_to_graph`` checks its output with prefix inference alone.  The
-paper's eager translation yields eager (1,2) lambda-term-graphs by
-construction, so the library runs no eager check on them; this script
-is the guard that claim rests on.  It translates N random terms
+``term_to_graph`` checks its output with one pass over each vertex's
+innermost binder, and derives the words from those binders when they
+are read.  The paper's eager translation yields eager (1,2)
+lambda-term-graphs by construction, so the library runs no eager check
+on them; this script is the guard that claim rests on.  It translates N random terms
 (default 20000), term i drawn by ``random_term`` under seed S + i
 (default S = 2200), then the fixture terms, and requires of each
 output:
 
 - the signature variant (1,2);
 - a ``validate_prefix_fo`` report on its words that passes;
+- words equal to those ``infer_prefix`` finds, which no library route
+  computes for a translation;
 - ``is_eager_scope``;
 - ``is_fully_back_linked``;
 - equality with ``oracles.name_keyed_term_to_graph``, the translator
@@ -48,6 +51,7 @@ from oracles import name_keyed_term_to_graph  # noqa: E402
 from lamgraph import (  # noqa: E402
     Label,
     SignatureVariant,
+    infer_prefix,
     is_eager_scope,
     is_fully_back_linked,
     parse_term,
@@ -67,6 +71,8 @@ def failure(dg) -> tuple[int | None, str] | None:
     report = validate_prefix_fo(g, words)
     if not report.passed:
         return report.violations[0].witnesses[0], report.violation_text(g)
+    if infer_prefix(g)[0] != words:
+        return None, "the words differ from the inferred ones"
     if not is_eager_scope(dg):
         w = _non_eager_vertex(dg)
         return w, "not eager-scope: " + _non_eager_reason(g.names, words, w)
