@@ -326,20 +326,20 @@ def _check_inner(graph: TermGraph, inner: Sequence[int]) -> Violation | None:
 def _words(dg: DelimitedGraph) -> PrefixFn:
     """The words of a graph made with ``_inner`` instead of
     ``prefixes``: P(v) = P(u)·u for its innermost binder u, and () for
-    -1, keyed in id order.  Each word is its binder's extended once, so
-    this takes O(n + sum of |prefix(w)|)."""
+    -1, keyed in id order.  The vertices with one innermost binder share
+    one word, built once from the binder's own, so this takes O(n) plus
+    the length of the binders' words."""
     inner = dg._inner
-    words: list = [None] * len(inner)
-    for v in range(len(inner)):
+    below = {-1: ()}  # binder u -> P(u)·u
+    for u in set(inner):
         # Up the binder chain to a known word, then down it.
-        path, x = [], v
-        while x >= 0 and words[x] is None:
-            path.append(x)
-            x = inner[x]
-        for x in reversed(path):
-            u = inner[x]
-            words[x] = () if u < 0 else words[u] + (u,)
-    return dict(enumerate(words))
+        path = []
+        while u not in below:
+            path.append(u)
+            u = inner[u]
+        for u in reversed(path):
+            below[u] = below[inner[u]] + (u,)
+    return dict(enumerate(map(below.__getitem__, inner)))
 
 
 # A graph that ``_Builder.finish`` made has its words derived where they

@@ -128,8 +128,8 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
     is new, in id order.  Each input vertex keeps its word, and a chain
     delimiter has its edge's word up to the entry it pops; the builder
     gets their last entries and checks them in O(n + m + D) for D
-    delimiters.  The names are minted, and the output's words built in
-    O(sum of |prefix(w)|), only where they are first read.
+    delimiters.  The names are minted, and the output's words built,
+    only where they are first read.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")

@@ -324,8 +324,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     misses a vertex (``delimited._check_inner``).  Eagerness, and with it
     full back-linking, hold by construction and are not checked again.
     The names are minted on the first read of ``graph.names``, and the
-    words, O(sum of |prefix(w)|), built on the first read of
-    ``prefixes``.
+    words built on the first read of ``prefixes`` (``delimited._words``).
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {}, 0)
