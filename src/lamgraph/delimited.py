@@ -4,10 +4,11 @@ Here the prefix discipline is strict: abstraction and application edges
 determine the successor's prefix exactly, and each delimiter vertex pops
 exactly one abstraction off the word.  That rigidity makes the correct
 prefix function unique, so membership in the class is decidable by one
-forward propagation from the root.  Given the words, the eager-scope and
-back-link checks each take one backward search over all binders' body
-regions at once, in linear time; they group the vertices by their
-innermost binder only to name a witness or to search again.
+forward propagation from the root.  Given each vertex's innermost
+binder, the last entry of its word, the eager-scope and back-link
+checks each take one backward search over all binders' body regions at
+once, in linear time; they group the vertices by their innermost binder
+only to name a witness or to search again.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
 allocates vertices, each with its innermost binder, the last entry of
@@ -23,6 +24,7 @@ them and trusts the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -41,7 +43,9 @@ from .scoped import (
     ValidationReport,
     Violation,
     _check_prefix_domain,
+    _last_entries,
     _prefix_word_sanity,
+    _words,
     normalize_prefix_fn,
 )
 
@@ -203,6 +207,8 @@ class DelimitedGraph:
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
         return _trusted(cls, graph=graph, prefixes=_inferred(graph))
 
+    _inner = cached_property(_last_entries)
+
 
 def _inferred(graph: TermGraph) -> PrefixFn:
     """The graph's inferred words, or a ``ValueError`` naming why there
@@ -323,25 +329,6 @@ def _check_inner(graph: TermGraph, inner: Sequence[int]) -> Violation | None:
     return None
 
 
-def _words(dg: DelimitedGraph) -> PrefixFn:
-    """The words of a graph made with ``_inner`` instead of
-    ``prefixes``: P(v) = P(u)·u for its innermost binder u, and () for
-    -1, keyed in id order.  The vertices with one innermost binder share
-    one word, built once from the binder's own, so this takes O(n) plus
-    the length of the binders' words."""
-    inner = dg._inner
-    below = {-1: ()}  # binder u -> P(u)·u
-    for u in set(inner):
-        # Up the binder chain to a known word, then down it.
-        path = []
-        while u not in below:
-            path.append(u)
-            u = inner[u]
-        for u in reversed(path):
-            below[u] = below[inner[u]] + (u,)
-    return dict(enumerate(map(below.__getitem__, inner)))
-
-
 # A graph that ``_Builder.finish`` made has its words derived where they
 # are first read: equivalence and sharing read labels and successors only.
 _derived_field(DelimitedGraph, "prefixes", _words)
@@ -354,20 +341,19 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     A vertex whose word ends in v reaches v if it reaches, inside v's body
     region, a vertex with its word and an edge to v.  One backward search
     from all such vertices decides that for every vertex at once (see
-    ``_reach_in_region``): O(n + m), given the words.  Each binder with a
-    vertex left unreached searches again over the whole graph, without
-    the region search's jump, O(n + m) more; on eager (1,2) graphs none
-    does.
+    ``_reach_in_region``): O(n + m), given the innermost binders.  Each
+    binder with a vertex left unreached searches again over the whole
+    graph, without the region search's jump, O(n + m) more; on eager
+    (1,2) graphs none does.
     """
-    graph, prefixes = g.graph, g.prefixes
-    # The vertices with an edge to the last entry of their word.
-    sources = [u for u, succ in enumerate(graph.args) if (word := prefixes[u]) and word[-1] in succ]
-    reached = _reach_in_region(graph.labels, graph.args, sources, prefixes)
+    graph, inner = g.graph, g._inner
+    # The vertices with an edge to their innermost binder (-1 is no id).
+    sources = [u for u, succ in enumerate(graph.args) if inner[u] in succ]
+    reached = _reach_in_region(graph.labels, graph.args, sources, inner)
     unreached: dict[int, list[int]] = {}
-    for w in range(len(prefixes)):
-        word = prefixes[w]
-        if word and w not in reached:
-            unreached.setdefault(word[-1], []).append(w)
+    for w, x in enumerate(inner):
+        if x >= 0 and w not in reached:
+            unreached.setdefault(x, []).append(w)
     if unreached:
         preds = _predecessors(graph)
         for v, members in unreached.items():
@@ -392,7 +378,7 @@ def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
     the condition iff it reaches, inside its word's region, a variable
     with w's word.  One backward search from every variable decides all
     vertices at once, each step keeping to one word (see
-    ``_reach_in_region``): O(n + m), given the words.
+    ``_reach_in_region``): O(n + m), given the innermost binders.
     """
     return _non_eager_vertex(g, strict) is None
 
@@ -408,41 +394,40 @@ def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
     graph = g.graph
-    return _non_eager(graph.labels, graph.args, g.prefixes, None if strict else Label.DEL)
+    return _non_eager(graph.labels, graph.args, g._inner, None if strict else Label.DEL)
 
 
 def _non_eager(
-    labels: Sequence[Label], args: Sequence[Sequence[int]], prefixes: Mapping, exempt: Label | None
+    labels: Sequence[Label], args: Sequence[Sequence[int]], inner: Sequence[int], exempt: Label | None
 ) -> int | None:
     """``_non_eager_vertex`` on arrays, checking the vertices that
-    ``prefixes`` holds words for, 0 up to its length, except those
-    labelled ``exempt``.
+    ``inner`` holds innermost binders for, 0 up to its length, except
+    those labelled ``exempt``.
 
-    The search reads no delimiter's word where delimiters back-link (see
-    ``_reach_in_region``).  So on a (1,2) graph whose delimiters have
-    larger ids than every other vertex, the words of the others suffice
-    when delimiters are exempt: a group of the witness order whose
-    smallest member is a delimiter holds only delimiters.
+    The search reads no delimiter's binder where delimiters back-link
+    (see ``_reach_in_region``).  So on a (1,2) graph whose delimiters
+    have larger ids than every other vertex, the binders of the others
+    suffice when delimiters are exempt: a group of the witness order
+    whose smallest member is a delimiter holds only delimiters.
     """
     VAR = Label.VAR
     sources = [u for u, lab in enumerate(labels) if lab is VAR]
-    reached = _reach_in_region(labels, args, sources, prefixes)
-    for w in range(len(prefixes)):
-        if w not in reached and prefixes[w] and labels[w] is not exempt:
+    reached = _reach_in_region(labels, args, sources, inner)
+    for w, x in enumerate(inner):
+        if x >= 0 and w not in reached and labels[w] is not exempt:
             break
     else:
         return None
     return next(
         w
-        for members in _by_binder(prefixes).values()
+        for members in _by_binder(inner).values()
         for w in members
         if w not in reached and labels[w] is not exempt
     )
 
 
-def _non_eager_reason(names: Sequence[str], prefixes: Mapping, w: int) -> str:
-    binder = names[prefixes[w][-1]]
-    return f"{names[w]} reaches no occurrence of {binder} within its scope"
+def _non_eager_reason(names: Sequence[str], inner: Sequence[int], w: int) -> str:
+    return f"{names[w]} reaches no occurrence of {names[inner[w]]} within its scope"
 
 
 def _predecessors(graph: TermGraph) -> list[list[int]]:
@@ -453,25 +438,24 @@ def _predecessors(graph: TermGraph) -> list[list[int]]:
     return preds
 
 
-def _by_binder(prefixes: PrefixFn) -> dict[int, list[int]]:
+def _by_binder(inner: Sequence[int]) -> dict[int, list[int]]:
     """The vertices with a nonempty prefix, grouped by their innermost
     binder, the last entry of their word.
 
     A word ending in v is P(v)·v, so the binder identifies the word.
-    Vertices are taken in ascending id order, whatever the order of the
-    prefix function's keys, so the eager check's witness does not depend
-    on the order in which inference found the words.
+    Vertices are taken in ascending id order, so the eager check's
+    witness does not depend on the order in which inference found the
+    words.
     """
     groups: dict[int, list[int]] = {}
-    for w in range(len(prefixes)):
-        word = prefixes[w]
-        if word:
-            groups.setdefault(word[-1], []).append(w)
+    for w, x in enumerate(inner):
+        if x >= 0:
+            groups.setdefault(x, []).append(w)
     return groups
 
 
 def _reach_in_region(
-    labels: Sequence[Label], args: Sequence[Sequence[int]], sources: list[int], prefixes: Mapping
+    labels: Sequence[Label], args: Sequence[Sequence[int]], sources: list[int], inner: Sequence[int]
 ) -> set[int]:
     """The vertices that reach a source with their own word W through
     W's region, the vertices whose words extend W.
@@ -485,7 +469,8 @@ def _reach_in_region(
     - a delimiter's first edge pops, so the delimiter lies in the body
       region of x, the last entry of its word, an abstraction with
       word W, and the search steps straight to x.  A delimiter's
-      back-link is x, so its word is read only where it has none;
+      back-link is x, so its innermost binder is read only where it
+      has none;
     - a back-link targets the last entry of its source's word, which
       makes that word W·t, and the step straight to entry k is back to t.
 
@@ -513,7 +498,7 @@ def _reach_in_region(
             steps[arg].append(u)
         elif lab is DEL:
             succ = args[u]
-            steps[succ[0]].append(succ[1] if len(succ) == 2 else prefixes[u][-1])
+            steps[succ[0]].append(succ[1] if len(succ) == 2 else inner[u])
     seen = set(sources)
     stack = list(seen)
     while stack:

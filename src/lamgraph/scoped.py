@@ -5,6 +5,16 @@ graph: a scope function mapping each abstraction vertex to the vertex
 set inside its extended scope, and an abstraction-prefix function
 mapping every vertex to the word of abstraction vertices whose extended
 scopes it sits in, outermost first.
+
+Both are held as one binder tree, ``_inner``: each vertex's innermost
+binder other than itself, the last entry of its word, or -1 for the
+empty word.  On a valid function every word is P(v) = P(u)·u for that
+binder u, and every scope is its abstraction and the vertices below it
+in the tree, so the tree holds the whole scoping.  The validating
+constructors check a function as given, at the trust boundary; the
+scope validator's laminar pass builds the tree and tests the other
+conditions on it.  Conversions pass the tree on, and words and scopes
+are derived from it where they are first read.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Mapping
 
-from .core import DomainMismatch, Label, TermGraph, VariantMismatch
+from .core import DomainMismatch, Label, TermGraph, VariantMismatch, _derived_field
 
 # Normalized scope / prefix functions over a fixed graph: keyed by vertex id.
 ScopeFn = dict[int, frozenset[int]]
@@ -67,19 +77,26 @@ def normalize_scope_fn(g: TermGraph, sc: Mapping) -> ScopeFn:
 
 def _check_scope_keys(g: TermGraph, sc: Mapping) -> None:
     """The key test alone, for a map whose members are ids by construction."""
-    if set(sc) != set(g.vertices_labeled(Label.ABS)):
+    if set(sc) != set(g.vertices_labeled(Label.ABS)) or not {int}.issuperset(map(type, sc)):
         raise DomainMismatch("scope function domain must be exactly the abstraction vertices")
+
+
+def _check_ids(ids: set[int], groups, what: str) -> None:
+    """Refuse the first member of the groups that is no vertex id, as
+    ``{what} {m} is not a vertex``.  An id is an int: 1.0 and True equal
+    one but are none.  Two C-level passes when every member is an id."""
+    flat = chain.from_iterable
+    if not ({int}.issuperset(map(type, flat(groups))) and ids.issuperset(flat(groups))):
+        m = next(m for ms in groups for m in ms if type(m) is not int or m not in ids)
+        raise DomainMismatch(f"{what} {m} is not a vertex")
 
 
 def _check_scope_domain(g: TermGraph, sc: ScopeFn) -> ScopeFn:
     """The domain tests of ``normalize_scope_fn``, on a map keyed by ids:
-    the keys, then every member in one C-level pass against the ids, so
-    a member that equals no id is refused, whatever its type."""
+    the keys, then every member against the ids, so a member that is no
+    id is refused, whatever its type."""
     _check_scope_keys(g, sc)
-    ids = set(g.vertices())
-    if not ids.issuperset(chain.from_iterable(sc.values())):
-        m = next(m for members in sc.values() for m in members if m not in ids)
-        raise DomainMismatch(f"scope member {m} is not a vertex")
+    _check_ids(set(g.vertices()), sc.values(), "scope member")
     return sc
 
 
@@ -90,30 +107,30 @@ def normalize_prefix_fn(g: TermGraph, p: Mapping) -> PrefixFn:
 def _check_prefix_domain(g: TermGraph, p: PrefixFn) -> PrefixFn:
     """The domain tests of ``normalize_prefix_fn``, on a map keyed by ids."""
     ids = set(g.vertices())
-    if set(p) != ids:
+    if set(p) != ids or not {int}.issuperset(map(type, p)):
         raise DomainMismatch("prefix function must be total on the vertex set")
-    if not ids.issuperset(chain.from_iterable(p.values())):
-        x = next(x for word in p.values() for x in word if x not in ids)
-        raise DomainMismatch(f"prefix entry {x} is not a vertex")
+    _check_ids(ids, p.values(), "prefix entry")
     return p
 
 
-def _containing(g: TermGraph, sc: ScopeFn) -> tuple[list[int], list[list[int]]]:
-    """The scope function's one inversion: the abstractions ranked by
-    decreasing scope size, ties by ascending id, and for each vertex u
-    the abstractions v with u in sc[v], in that rank order.
+def _containing(g: TermGraph, sc: ScopeFn) -> list[list[int]]:
+    """For each vertex u, the abstractions v with u in sc[v], ranked by
+    decreasing scope size, ties by ascending id: the inversion that
+    ``_report`` reads where the scopes do not nest.
 
-    When the scopes are valid they nest, so the rank order lists each
-    vertex's binders outermost first.  One sort and one pass over the
-    scopes: O(n + sum of |sc(v)| + A log A) for A abstractions.
+    One sort and one pass over the scopes: O(n + sum of |sc(v)| + A log A)
+    for A abstractions.
     """
-    # A stable sort: reverse=True keeps ties in ascending id.
-    order = sorted(g.vertices_labeled(Label.ABS), key=lambda v: len(sc[v]), reverse=True)
     containing: list[list[int]] = [[] for _ in g.vertices()]
-    for v in order:
+    for v in _rank_order(g, sc):
         for u in sc[v]:
             containing[u].append(v)
-    return order, containing
+    return containing
+
+
+def _rank_order(g: TermGraph, sc: ScopeFn) -> list[int]:
+    # A stable sort: reverse=True keeps ties in ascending id.
+    return sorted(g.vertices_labeled(Label.ABS), key=lambda v: len(sc[v]), reverse=True)
 
 
 def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
@@ -124,30 +141,110 @@ def validate_scope(g: TermGraph, sc: Mapping) -> ValidationReport:
     edges; every variable lies in some scope; with variable back-links,
     a variable and its abstraction share exactly the same scopes.
 
-    The scopes are inverted once (``_containing``), so the root, self,
-    closed, scope0 and scope1 tests visit only the abstractions whose
-    scope holds the vertex at hand, and nesting is one laminar-family
-    pass (``_scopes_nest``) in the inversion's rank order:
-    O(n + m + sum of |sc(v)| + A log A + k log k) time for A abstractions
-    and k violations.  Only when that pass fails does the per-pair
-    nesting walk run, to report which pairs fail; it costs O(|sc(v1)|)
-    for each abstraction v1 in another's scope.  Violations come in a
-    fixed order: root and self per abstraction, then nest, closed,
-    scope0 and scope1, each by ascending vertex ids.
+    Nesting is one laminar-family pass (``_binder_tree``), which also
+    gives the binder tree; on that tree the root, closed, scope0 and
+    scope1 tests take O(1) per vertex or edge (``_tree_holds``), in
+    O(n + m + sum of |sc(v)| + A log A) time for A abstractions.  A
+    function that fails them gets the full report (``_report``).
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("scope functions live on delimiter-free graphs")
-    sc = normalize_scope_fn(g, sc)
-    return _validate_scope(g, sc, *_containing(g, sc))
+    return _validate_scope(g, normalize_scope_fn(g, sc))[0]
 
 
-def _validate_scope(
-    g: TermGraph, sc: ScopeFn, order: list[int], containing: list[list[int]]
-) -> ValidationReport:
-    """``validate_scope`` past its variant check, on a normalized function
-    and its inversion.  The inversion is in rank order, not id order:
-    two vertices in the same scopes have equal lists, and only a failing
-    edge has its closed witnesses sorted back into ascending ids."""
+def _validate_scope(g: TermGraph, sc: ScopeFn) -> tuple[ValidationReport, list[int] | None]:
+    """``validate_scope`` past its variant check, on a normalized
+    function: the report, and the binder tree where the scopes nest.
+
+    Where the scopes nest and the tree passes, the report is empty.
+    Otherwise the scopes are inverted (``_containing``) and every
+    condition is tested on that inversion, to name each violation.
+    """
+    inner = _binder_tree(g, sc)
+    if inner is not None and _tree_holds(g, sc, inner):
+        return ValidationReport(), inner
+    return _report(g, sc, _containing(g, sc), inner is not None), inner
+
+
+def _binder_tree(g: TermGraph, sc: ScopeFn) -> list[int] | None:
+    """Laminar-family test: the binder tree, or None if a pair of scopes
+    may fail to nest.
+
+    The abstractions are taken in rank order (decreasing scope size,
+    ties in ascending id), and each vertex keeps the last abstraction
+    whose scope claimed it.  v passes if v is in sc(v), its parent (the
+    last claimer of v) is not, and every member of sc(v) was last
+    claimed by that parent; then v claims them all.
+    If every v passes, the scope sets form a tree under inclusion in
+    which no scope holds an earlier abstraction, so each v1 in sc(v0)
+    comes later and sc(v1) <= sc(v0) - {v0}.  Every valid scope function
+    on a carrier that the root reaches passes.  Both the self and the
+    parent test are needed: without the parent test
+    ``{a: {a, b}, b: {a, b}}`` would pass, and without the self test
+    ``{a: {x, y}, b: {b, a}}``.
+
+    The tree is each vertex's innermost binder other than itself, -1 for
+    none: its last claimer, or an abstraction's parent.  A vertex's
+    binders are that binder and its ancestors, and an abstraction's are
+    itself and its parent's.  O(n + sum of |sc(v)| + A log A).
+    """
+    last = [-1] * g.vertex_count
+    parents = []
+    for v in _rank_order(g, sc):
+        members = sc[v]
+        parent = last[v]
+        if v not in members or parent in members:
+            return None
+        for u in members:
+            if last[u] != parent:
+                return None
+            last[u] = v
+        parents.append((v, parent))
+    for v, parent in parents:
+        last[v] = parent
+    return last
+
+
+def _tree_holds(g: TermGraph, sc: ScopeFn, inner: list[int]) -> bool:
+    """The root, closed, scope0 and scope1 tests on the binder tree of
+    scopes that nest; the laminar pass has settled self and nest.
+
+    A vertex's binders other than itself are x, its innermost one, and
+    x's ancestors, whose scopes hold sc(x).  So the root lies in no
+    scope but its own iff its x is -1; an edge w -> wk keeps every scope
+    that holds wk but is not wk's own closed iff w is in sc(x) of wk; a
+    variable lies in some scope iff its x is not -1; and a variable and
+    its back-link target share their scopes iff the target is its x,
+    which makes the back-link closed.  O(n + m).
+    """
+    labels, args = g.labels, g.args
+    linked, VAR = g.variant.var_arity == 1, Label.VAR
+    if inner[g.root] != -1:
+        return False
+    for w, succ in enumerate(args):
+        if labels[w] is VAR:
+            if inner[w] < 0 or linked and inner[w] != succ[0]:
+                return False
+            continue
+        for wk in succ:
+            x = inner[wk]
+            if x >= 0 and w not in sc[x]:
+                return False
+    return True
+
+
+def _report(g: TermGraph, sc: ScopeFn, containing: list[list[int]], nests: bool) -> ValidationReport:
+    """Every violation of a normalized scope function, on its inversion.
+
+    The inversion is in rank order, not id order: two vertices in the
+    same scopes have equal lists, and only a failing edge has its closed
+    witnesses sorted back into ascending ids.  Only where ``nests`` is
+    false does the per-pair nesting walk run, to report which pairs
+    fail; it costs O(|sc(v1)|) for each abstraction v1 in another's
+    scope.  Violations come in a fixed order: root and self per
+    abstraction, then nest, closed, scope0 and scope1, each by ascending
+    vertex ids.
+    """
     bad: list[Violation] = []
     labels, args, root = g.labels, g.args, g.root
     ABS, VAR = Label.ABS, Label.VAR
@@ -158,11 +255,11 @@ def _validate_scope(
             bad.append(Violation("root", (v,)))
         if v not in sc[v]:
             bad.append(Violation("self", (v,)))
-    if not _scopes_nest(g, sc, order):
+    if not nests:
         is_abs = [lab is ABS for lab in labels]
         for v0 in abs_vertices:
-            inner = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
-            for v1 in inner:
+            nested = sorted(v1 for v1 in sc[v0] if is_abs[v1] and v1 != v0)
+            for v1 in nested:
                 # sc[v1] <= sc[v0] - {v0}, without copying sc[v0].
                 if v0 in sc[v1] or not sc[v1] <= sc[v0]:
                     bad.append(Violation("nest", (v0, v1)))
@@ -192,35 +289,6 @@ def _validate_scope(
                 for v in sorted(set(containing[w]).symmetric_difference(containing[w0])):
                     bad.append(Violation("scope1", (w, w0, v)))
     return ValidationReport(tuple(bad))
-
-
-def _scopes_nest(g: TermGraph, sc: ScopeFn, order: list[int]) -> bool:
-    """Laminar-family test: True only if no pair of scopes fails to nest.
-
-    The abstractions are taken in ``order``, the rank order of
-    ``_containing`` (decreasing scope size, ties in ascending id), and
-    each vertex keeps the last abstraction whose scope claimed it.  v
-    passes if v is in sc(v), its parent (the last claimer of v) is not,
-    and every member of sc(v) was last claimed by that parent; then v
-    claims them all.
-    If every v passes, the scope sets form a tree under inclusion in
-    which no scope holds an earlier abstraction, so each v1 in sc(v0)
-    comes later and sc(v1) <= sc(v0) - {v0}.  Every valid scope function
-    passes.  Both the self and the parent test are needed: without the
-    parent test ``{a: {a, b}, b: {a, b}}`` would pass, and without the
-    self test ``{a: {x, y}, b: {b, a}}``.  O(n + sum of |sc(v)|).
-    """
-    last = [-1] * g.vertex_count
-    for v in order:
-        members = sc[v]
-        parent = last[v]
-        if v not in members or parent in members:
-            return False
-        for u in members:
-            if last[u] != parent:
-                return False
-            last[u] = v
-    return True
 
 
 def validate_prefix_ho(g: TermGraph, p: Mapping) -> ValidationReport:
@@ -290,8 +358,9 @@ class ScopedGraph:
     invalid one: a domain error as in ``normalize_scope_fn``, a graph
     with delimiters, or a ``ValueError`` naming the violations that
     ``validate_scope`` reports.  ``checked`` also accepts names.  It
-    inverts the scopes once (``_containing``), validates on that
-    inversion and keeps its lists as ``_binder_lists``.
+    keeps the binder tree it validated on as ``_inner``, from which
+    ``binders``, ``scope_to_prefix`` and ``max_share_ho`` read the
+    scoping.
     """
 
     graph: TermGraph
@@ -302,25 +371,90 @@ class ScopedGraph:
         _check_scope_domain(g, self.scopes)
         if g.variant.del_arity is not None:
             raise VariantMismatch("scope functions live on delimiter-free graphs")
-        order, containing = _containing(g, self.scopes)
-        report = _validate_scope(g, self.scopes, order, containing)
+        report, inner = _validate_scope(g, self.scopes)
         if not report.passed:
             raise ValueError(f"invalid scope function: {report.violation_text(g)}")
-        self.__dict__["_binder_lists"] = containing
+        if inner is not None:
+            self.__dict__["_inner"] = inner
 
     @classmethod
     def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
         return cls(graph, _resolve_map(graph, scopes, frozenset))
 
     @cached_property
-    def _binder_lists(self) -> list[list[int]]:
-        """Per vertex, the abstractions whose scope holds it, outermost first.
+    def _inner(self) -> list[int]:
+        """Each vertex's innermost binder other than itself, -1 for none:
+        the last entry of its word, as in ``_binder_tree``.
 
-        ``_containing``'s lists: the constructor stores the ones it
-        validated on, and an instance made through ``core._trusted``
-        inverts its scopes on first use, in O(n + sum of |sc(v)| + A log A).
+        The constructor stores the tree it validated on, and an instance
+        made through ``core._trusted`` derives it on first use.  Valid
+        scopes that do not nest have no tree: they occur only on a
+        carrier with a vertex the root does not reach, which
+        ``TermGraph`` refuses.
         """
-        return _containing(self.graph, self.scopes)[1]
+        inner = _binder_tree(self.graph, self.scopes)
+        if inner is None:
+            raise ValueError("the scopes do not nest: a vertex is not reachable from the root")
+        return inner
+
+
+def _scopes(h: ScopedGraph) -> ScopeFn:
+    """The scopes of a graph made with ``_inner`` instead of ``scopes``:
+    sc(v) is v and every vertex below it in the binder tree, keyed in id
+    order.  One preorder walk of the tree lays the vertices out so that
+    each scope is one run of that order, cut out when its walk ends:
+    O(n + sum of |sc(v)|)."""
+    g, inner = h.graph, h._inner
+    labels, ABS = g.labels, Label.ABS
+    below: list[list[int]] = [[] for _ in range(g.vertex_count + 1)]
+    for u, x in enumerate(inner):
+        below[x].append(u)  # below[-1]: the vertices with the empty word
+    order: list[int] = []
+    runs: dict[int, frozenset[int]] = {}
+    walks = [(-1, 0, iter(below[-1]))]  # binder, start of its run, its walk
+    while walks:
+        v, start, walk = walks[-1]
+        for u in walk:
+            order.append(u)
+            if labels[u] is ABS:
+                walks.append((u, len(order) - 1, iter(below[u])))
+                break
+        else:
+            walks.pop()
+            if v >= 0:
+                runs[v] = frozenset(order[start:])
+    return {v: runs[v] for v in g.vertices_labeled(ABS)}
+
+
+# ``prefix_to_scope`` makes a ``ScopedGraph`` from its binder tree alone;
+# its scopes are derived where they are first read.
+_derived_field(ScopedGraph, "scopes", _scopes)
+
+
+def _last_entries(x) -> list[int]:
+    """The innermost binder of each vertex of a graph with words: the
+    last entry of its word, -1 for the empty word."""
+    p = x.prefixes
+    return [word[-1] if word else -1 for word in map(p.__getitem__, x.graph.vertices())]
+
+
+def _words(x) -> PrefixFn:
+    """The words of a graph made with ``_inner`` instead of
+    ``prefixes``: P(v) = P(u)·u for its innermost binder u, and () for
+    -1, keyed in id order.  The vertices with one innermost binder share
+    one word, built once from the binder's own, so this takes O(n) plus
+    the length of the binders' words."""
+    inner = x._inner
+    below = {-1: ()}  # binder u -> P(u)·u
+    for u in set(inner):
+        # Up the binder chain to a known word, then down it.
+        path = []
+        while u not in below:
+            path.append(u)
+            u = inner[u]
+        for u in reversed(path):
+            below[u] = below[inner[u]] + (u,)
+    return dict(enumerate(map(below.__getitem__, inner)))
 
 
 @dataclass(frozen=True)
@@ -329,7 +463,9 @@ class PrefixedGraph:
 
     The constructor takes a map keyed by vertex ids and refuses an
     invalid one, as ``ScopedGraph`` does, with ``validate_prefix_ho``'s
-    violations.  ``checked`` also accepts names.
+    violations.  ``checked`` also accepts names.  A conversion makes one
+    through ``core._trusted`` with its innermost binders, ``_inner``,
+    and its words are derived where they are first read (``_words``).
     """
 
     graph: TermGraph
@@ -347,15 +483,27 @@ class PrefixedGraph:
     def checked(cls, graph: TermGraph, prefixes: Mapping) -> "PrefixedGraph":
         return cls(graph, _resolve_map(graph, prefixes, tuple))
 
+    _inner = cached_property(_last_entries)
+
+
+_derived_field(PrefixedGraph, "prefixes", _words)
+
 
 def binders(h: ScopedGraph, w: int | str) -> list[int]:
-    """Abstractions whose scope contains w, outermost first.
-
-    The scopes of the binders of any vertex form a strict inclusion
-    chain, so sorting by decreasing scope size linearizes them.  An id
-    that is no vertex lies in no scope and has no binders.
+    """Abstractions whose scope contains w, outermost first: w itself if
+    it is an abstraction, below its chain of innermost binders.  O(1)
+    per binder.  An id that is no vertex lies in no scope and has no
+    binders.
     """
-    w = h.graph.resolve(w)
-    if not 0 <= w < h.graph.vertex_count:
+    g = h.graph
+    w = g.resolve(w)
+    if not 0 <= w < g.vertex_count:
         return []
-    return list(h._binder_lists[w])
+    inner = h._inner
+    found = [w] if g.labels[w] is Label.ABS else []
+    x = inner[w]
+    while x >= 0:
+        found.append(x)
+        x = inner[x]
+    found.reverse()
+    return found

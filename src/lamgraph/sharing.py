@@ -40,7 +40,7 @@ from .core import (
 )
 from .delimited import DelimitedGraph, _non_eager, _non_eager_reason
 from .scoped import PrefixedGraph, ScopedGraph
-from .transforms import _delimit, scope_to_prefix
+from .transforms import _delimit
 
 __all__ = [
     "Partition",
@@ -357,10 +357,12 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     form, through its bisimulation collapse, and back.  The input's
     delimited image must be eager-scope; the eager class is closed
     under homomorphism, so the collapse stays inside it.  Here the route
-    runs on arrays and builds neither the delimited graph nor its
-    quotient: ``_delimit`` gives the delimited form's labels and rows,
-    the eager check and the refinement read them, and the result is
-    read off the projection.
+    runs on arrays and builds neither a prefix word, nor the delimited
+    graph, nor its quotient: ``_delimit`` gives the delimited form's
+    labels and rows from the binder tree that the input's constructor
+    validated on (``ScopedGraph._inner``), the eager check reads them
+    and that tree, the refinement reads them, and the result is read
+    off the projection.
 
     Delimiting an eager (1,2) graph preserves and reflects the sharing
     order, so the projection restricted to the input's vertices is a
@@ -384,13 +386,13 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     g = h.graph
     if g.variant.var_arity != 1:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
-    words = scope_to_prefix(h).prefixes
-    labels, args = _delimit(g, words, 2)
-    w = _non_eager(labels, args, words, Label.DEL)
+    inner = h._inner
+    labels, args = _delimit(g, inner, 2)
+    w = _non_eager(labels, args, inner, Label.DEL)
     if w is not None:
         raise NotEagerScope(
             "the delimited form of the input is not eager-scope: "
-            + _non_eager_reason(g.names, words, w),
+            + _non_eager_reason(g.names, inner, w),
             g.names[w],
         )
     block, count = _renumber(args, g.root, *_refine(labels, args))

@@ -20,9 +20,11 @@ So each conversion is its derivation alone and makes its result through
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .core import Label, SignatureVariant, TermGraph, _trusted
 from .delimited import DelimitedGraph, _Builder
-from .scoped import PrefixedGraph, PrefixFn, ScopedGraph
+from .scoped import PrefixedGraph, ScopedGraph
 
 
 def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
@@ -33,33 +35,22 @@ def forget(x: ScopedGraph | PrefixedGraph | DelimitedGraph) -> TermGraph:
 def scope_to_prefix(h: ScopedGraph) -> PrefixedGraph:
     """Derive the prefix function: each vertex's binders, outermost first.
 
-    The carrier is unchanged (the very same graph object).  The words
-    are the scopes' one inversion, ``_binder_lists``, which the
-    constructor made when it validated them; the conversion copies them
-    in O(n + sum of |sc(v)|).
+    The carrier is unchanged (the very same graph object).  The result
+    shares the binder tree, ``_inner``, that the constructor validated
+    on, in O(1); its words are derived where they are first read, one
+    per innermost binder (``scoped._words``).
     """
-    labels, ABS = h.graph.labels, Label.ABS
-    prefixes = {}
-    for w, word in enumerate(h._binder_lists):
-        # An abstraction lies in its own scope, not in its own prefix;
-        # its scope is the smallest holding it, so it comes last.
-        prefixes[w] = tuple(word[:-1]) if labels[w] is ABS else tuple(word)
-    return _trusted(PrefixedGraph, graph=h.graph, prefixes=prefixes)
+    return _trusted(PrefixedGraph, graph=h.graph, _inner=h._inner)
 
 
 def prefix_to_scope(a: PrefixedGraph) -> ScopedGraph:
     """Derive the scope function: v's scope is v plus everyone listing v.
 
-    One pass over the prefix words: O(n + sum of |prefix(w)|).
+    The carrier is unchanged.  The result shares the prefix function's
+    innermost binders, ``_inner``, in O(1); its scopes are derived where
+    they are first read (``scoped._scopes``).
     """
-    ABS = Label.ABS
-    members = {v: [v] for v, lab in enumerate(a.graph.labels) if lab is ABS}
-    for w, word in a.prefixes.items():
-        for v in word:
-            if v in members:
-                members[v].append(w)
-    scopes = {v: frozenset(ws) for v, ws in members.items()}
-    return _trusted(ScopedGraph, graph=a.graph, scopes=scopes)
+    return _trusted(ScopedGraph, graph=a.graph, _inner=a._inner)
 
 
 def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
@@ -77,46 +68,49 @@ def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
     return 0
 
 
-def _delimit(g: TermGraph, p: PrefixFn, j: int) -> tuple[list[Label], list]:
-    """The chain loop: labels and successor rows of the delimited form.
+def _delimit(g: TermGraph, inner: Sequence[int], j: int) -> tuple[list[Label], list]:
+    """The chain loop: labels and successor rows of the delimited form,
+    from the innermost binders ``inner`` of a valid prefix function.
 
-    For an edge whose source word (plus the source itself on abstraction
-    edges) exceeds the target's prefix by n entries, a descending chain
-    of n delimiter vertices is inserted, one per dropped word; with j=2
-    each of them back-links to the abstraction it pops.  Chains are
+    An edge leaves from the word P(x)·x of its source's binder x: the
+    source itself at an abstraction, its innermost binder at an
+    application.  The target's word is a prefix of it, P(t)·t for the
+    target's innermost binder t, an ancestor of x in the binder tree, or
+    the empty word for t = -1.  Where t is not x, a descending chain of
+    delimiter vertices is inserted, one per dropped entry: the first
+    pops x, each next one the binder of the one before, up to t.  With
+    j=2 each of them back-links to the abstraction it pops.  Chains are
     never shared between edges; collapse can merge them later.
 
     The input's vertices keep their ids, and the delimiters follow in
     edge order, each chain from the longest word down, so a chain is a
     run of consecutive ids whose last member leads to the edge's target.
-    The chain delimiter at level L of its edge's word W back-links to
-    W[L-1] and has the word W[:L], by induction down its chain.  Every
-    row is a tuple: the input's own for a vertex without a chain.
+    Every row is a tuple: the input's own for a vertex without a chain.
     O(n + m + D) for D delimiters.
     """
     labels, succ = list(g.labels), list(g.args)
     ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
     for w, lab in enumerate(g.labels):
         if lab is ABS:
-            base_word = p[w] + (w,)
+            x = w
         elif lab is APP:
-            base_word = p[w]
+            x = inner[w]
         else:
             continue  # variable back-links get no chain
         for k, wk in enumerate(g.args[w]):
-            # The edge's drop, as ``num_delimiters`` counts it.
-            lower = len(p[wk])
-            if len(base_word) <= lower:
+            t = inner[wk]
+            if t == x:
                 continue
-            # Levels run from len(base_word) down to lower + 1; each
-            # delimiter feeds the next one, and the last the edge's target.
+            # Each delimiter feeds the next one, and the last the edge's target.
             d = len(labels)
             succ[w] = succ[w][:k] + (d,) + succ[w][k + 1:]
-            for level in range(len(base_word), lower, -1):
+            y = x
+            while y != t:
                 d += 1
-                below = d if level > lower + 1 else wk
+                y, popped = inner[y], y
                 labels.append(DEL)
-                succ.append((below, base_word[level - 1]) if j == 2 else (below,))
+                below = d if y != t else wk
+                succ.append((below, popped) if j == 2 else (below,))
     return labels, succ
 
 
@@ -125,17 +119,16 @@ def insert_delimiters(a: PrefixedGraph, j: int = 2) -> DelimitedGraph:
 
     The chains are ``_delimit``'s.  A delimiter is named after its edge,
     ``<source>.<k>.s``, with ``.2``, ``.3``, ... appended until the name
-    is new, in id order.  Each input vertex keeps its word, and a chain
-    delimiter has its edge's word up to the entry it pops; the builder
-    gets their last entries and checks them in O(n + m + D) for D
-    delimiters.  The names are minted, and the output's words built,
-    only where they are first read.
+    is new, in id order.  Each input vertex keeps its innermost binder,
+    and a chain delimiter has the binder of the abstraction it pops; the
+    builder checks them in O(n + m + D) for D delimiters.  No word is
+    read: the names are minted, and the output's words built, only where
+    they are first read.
     """
     if j not in (1, 2):
         raise ValueError("delimiter arity must be 1 or 2")
-    g, p = a.graph, a.prefixes
-    labels, succ = _delimit(g, p, j)
-    inner = [word[-1] if word else -1 for word in map(p.__getitem__, g.vertices())]
+    g, inner = a.graph, a._inner
+    labels, succ = _delimit(g, inner, j)
     b = _Builder(labels, succ, g.names, inner)
     n, ABS = g.vertex_count, Label.ABS
     for w, name in enumerate(g.names):
@@ -157,8 +150,10 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
     """Erase delimiter vertices, rerouting edges through their chains.
 
     The kept vertices are renumbered by rank, keeping their order and
-    names; successors skip delimiter chains and prefix words map
-    through the same ids.  O(n + m + sum of |prefix(w)|).
+    names; successors skip delimiter chains, and each kept vertex's
+    innermost binder, an abstraction, maps through the same ids, so the
+    words map with them.  O(n + m); the result's words are derived where
+    they are first read.
     """
     graph = g.graph
     labels, args, DEL = graph.labels, graph.args, Label.DEL
@@ -169,7 +164,7 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         return u
 
     kept = [v for v, lab in enumerate(labels) if lab is not DEL]
-    new_id = [-1] * graph.vertex_count
+    new_id = [-1] * (graph.vertex_count + 1)  # new_id[-1]: the empty word's -1
     for i, v in enumerate(kept):
         new_id[v] = i
     carrier = _trusted(
@@ -180,5 +175,5 @@ def strip_delimiters(g: DelimitedGraph) -> PrefixedGraph:
         root=new_id[skip(graph.root)],
         names=tuple(graph.names[v] for v in kept),
     )
-    prefixes = {new_id[v]: tuple(new_id[x] for x in g.prefixes[v]) for v in kept}
-    return _trusted(PrefixedGraph, graph=carrier, prefixes=prefixes)
+    inner = g._inner
+    return _trusted(PrefixedGraph, graph=carrier, _inner=[new_id[inner[v]] for v in kept])

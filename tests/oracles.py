@@ -1009,7 +1009,7 @@ def name_keyed_term_to_graph(t: Term, rng: random.Random | None = None) -> Delim
         if w is not None:
             raise InternalValidationFailure(
                 "eager translation produced a non-eager graph: "
-                + _non_eager_reason(result.graph.names, result.prefixes, w)
+                + _non_eager_reason(result.graph.names, result._inner, w)
             )
         if not is_fully_back_linked(result):
             raise InternalValidationFailure("eager translation is not fully back-linked")

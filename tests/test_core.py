@@ -114,6 +114,37 @@ def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
 
 
 @pytest.mark.parametrize(
+    "make, annotation, message",
+    [
+        # As for a graph's ids: 1.0 == 1 and True == 1, but neither is an id.
+        ("scope", {0: {0, 1.0}}, "^scope member 1.0 is not a vertex$"),
+        ("scope", {0: {0, True}}, "^scope member True is not a vertex$"),
+        ("scope", {0.0: {0, 1}}, "^scope function domain must be exactly the abstraction vertices$"),
+        ("scope", {False: {0, 1}}, "^scope function domain must be exactly the abstraction vertices$"),
+        ("prefix", {0: (), 1: (0.0,)}, "^prefix entry 0.0 is not a vertex$"),
+        ("prefix", {0: (), 1: (False,)}, "^prefix entry False is not a vertex$"),
+        ("prefix", {0: (), 1.0: (0,)}, "^prefix function must be total on the vertex set$"),
+        ("prefix", {0: (), True: (0,)}, "^prefix function must be total on the vertex set$"),
+    ],
+    ids=["float-member", "bool-member", "float-key", "bool-key",
+         "float-entry", "bool-entry", "float-vertex", "bool-vertex"],
+)
+def test_scope_and_prefix_functions_refuse_ids_that_name_no_vertex(make, annotation, message):
+    # The constructors check every member before the laminar pass indexes
+    # by them: a float raised a bare TypeError there, and True was taken.
+    from lamgraph import ScopedGraph, prefix_to_scope
+
+    g = TermGraph(SignatureVariant(1), (Label.ABS, Label.VAR), ((1,), (0,)), 0, ("r", "c"))
+    with pytest.raises(DomainMismatch, match=message):
+        if make == "scope":
+            ScopedGraph(g, {v: frozenset(members) for v, members in annotation.items()})
+        else:
+            PrefixedGraph(g, annotation)
+    # The same functions on ids are taken.
+    assert prefix_to_scope(PrefixedGraph(g, {0: (), 1: (0,)})) == ScopedGraph(g, {0: frozenset({0, 1})})
+
+
+@pytest.mark.parametrize(
     "labels, args, names, unreached",
     [
         # u is an application or a second variable that the root misses.

@@ -28,6 +28,7 @@ from lamgraph import (
     PrefixedGraph,
     ScopedGraph,
     SignatureVariant,
+    TermGraph,
     binders,
     insert_delimiters,
     is_lambda_term_graph,
@@ -44,7 +45,7 @@ from lamgraph import (
     validate_scope,
 )
 from lamgraph.core import _trusted
-from lamgraph.scoped import _containing, _scopes_nest, normalize_prefix_fn, normalize_scope_fn
+from lamgraph.scoped import _binder_tree, normalize_prefix_fn, normalize_scope_fn
 
 
 def test_validate_scope_shared_form(g0_plain):
@@ -272,10 +273,10 @@ def _agree_on_scopes(g, sc, verdicts):
     if not report.passed:
         assert h == (ValueError, f"invalid scope function: {report.violation_text(g)}")
         return
-    # The constructor keeps the inversion it validated on; a copy made
-    # through _trusted derives the same lists on first use.
+    # The constructor keeps the binder tree it validated on; a copy made
+    # through _trusted derives the same tree on first use.
     lazy = _trusted(ScopedGraph, graph=g, scopes=h.scopes)
-    assert vars(h)["_binder_lists"] == lazy._binder_lists
+    assert vars(h)["_inner"] == lazy._inner
     for w in g.vertices():
         assert binders(h, w) == per_abstraction_binders(h, w)
     assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h)
@@ -345,6 +346,62 @@ def test_scope_layer_matches_oracles_on_translations():
         if h.scopes:
             _agree_on_scopes(a.graph, _toggled(rng, a.graph, h.scopes), verdicts)
     assert verdicts == {True, False}
+
+
+def _unreached_copy(rng, g):
+    """g with a copy of one vertex that nothing leads to, made through
+    ``_trusted``, since ``TermGraph`` refuses it."""
+    v = rng.randrange(g.vertex_count)
+    return _trusted(
+        TermGraph,
+        variant=g.variant,
+        labels=g.labels + (g.labels[v],),
+        args=g.args + (g.args[v],),
+        root=g.root,
+        names=g.names + (g.names[v] + "'",),
+    )
+
+
+def test_constructor_takes_what_the_validator_takes_where_the_root_misses_a_vertex():
+    # Valid scopes nest only where the root reaches every vertex.  Here
+    # n3' lies in both scopes and nothing leads to it, so the laminar
+    # pass fails where the paper's conditions hold; the constructor must
+    # take the function all the same.  It has no binder tree.
+    APP, ABS = Label.APP, Label.ABS
+    g = _trusted(
+        TermGraph,
+        variant=SignatureVariant(1),
+        labels=(APP, ABS, ABS, APP, APP),
+        args=((1, 2), (3,), (2,), (3, 0), (3, 0)),
+        root=0,
+        names=("n0", "n1", "n2", "n3", "n3'"),
+    )
+    sc = {1: frozenset({1, 3, 4}), 2: frozenset({2, 4})}
+    assert _binder_tree(g, sc) is None and validate_scope(g, sc).passed
+    h = ScopedGraph(g, sc)
+    with pytest.raises(ValueError, match="^the scopes do not nest"):
+        h._inner
+    # Random carriers with an unreached copy: the constructor refuses
+    # exactly what the validator refuses, with its violations.
+    rng = random.Random(312)
+    taken = untreed = 0
+    for _ in range(1500):
+        g = random_graph(rng, max_vertices=8)
+        if g.variant.del_arity is not None:
+            continue
+        g = _unreached_copy(rng, g)
+        for _ in range(3):
+            sc = random_scopes(rng, g)
+            report = validate_scope(g, sc)
+            assert report == per_pair_validate_scope(g, sc)
+            made = _outcome(ScopedGraph, g, sc)
+            if report.passed:
+                assert isinstance(made, ScopedGraph)
+                taken += 1
+                untreed += _binder_tree(g, sc) is None
+            else:
+                assert made == (ValueError, f"invalid scope function: {report.violation_text(g)}")
+    assert taken >= 200 and untreed >= 1, (taken, untreed)
 
 
 _DELIMITER_FREE = st.sampled_from([SignatureVariant(0), SignatureVariant(1)])
@@ -461,7 +518,7 @@ def test_generated_equality_and_hashing(running_carrier, running_eager, running_
 
 def _laminar_agrees(g, sc, outcomes):
     sc = normalize_scope_fn(g, sc)
-    fast = _scopes_nest(g, sc, _containing(g, sc)[0])
+    fast = _binder_tree(g, sc) is not None
     report = per_pair_validate_scope(g, sc)
     assert validate_scope(g, sc) == report
     if fast:
@@ -488,7 +545,7 @@ def _laminar_agrees(g, sc, outcomes):
 def test_laminar_test_refuses_scopes_that_do_not_nest(text, scopes, nests):
     g = parse_graph(text).graph
     sc = normalize_scope_fn(g, scopes)
-    assert not _scopes_nest(g, sc, _containing(g, sc)[0])
+    assert _binder_tree(g, sc) is None
     report = validate_scope(g, sc)
     assert report == per_pair_validate_scope(g, sc)
     found = [v.witnesses for v in report.violations if v.condition == "nest"]
@@ -673,21 +730,22 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     # The constructor is the one check: the conversions behind it, and
     # max_share_ho, validate nothing again.  It scans the scope members
     # once (_check_scope_domain; the parser checks only the keys) and
-    # inverts the scopes once (_containing), and scope_to_prefix reads
-    # that inversion.  The builder's check runs where a delimited graph
-    # is built: translate's insertion builds one, and max_share_ho, which
-    # works on arrays, builds none.  Neither infers words.
+    # builds the binder tree once (_binder_tree); a valid function is
+    # never inverted (_containing), and scope_to_prefix shares that tree.
+    # The builder's check runs where a delimited graph is built:
+    # translate's insertion builds one, and max_share_ho, which works on
+    # arrays, builds none.  Neither infers words.
     from lamgraph.cli import main
 
     text = tower_doc(8)
     doc = parse_graph(text)
     names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix", "_check_inner"]
-    names += ["_check_scope_domain", "_containing"]
+    names += ["_check_scope_domain", "_binder_tree", "_containing", "scope_to_prefix"]
     calls = _counting(monkeypatch, names)
     max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
     assert calls == {
         "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 0,
-        "_check_scope_domain": 1, "_containing": 1,
+        "_check_scope_domain": 1, "_binder_tree": 1, "_containing": 0, "scope_to_prefix": 0,
     }
     path = tmp_path / "tower.tg"
     path.write_text(text)
@@ -696,26 +754,49 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("sig 1 2\n")
     assert calls == {
         "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 1,
-        "_check_scope_domain": 1, "_containing": 1,
+        "_check_scope_domain": 1, "_binder_tree": 1, "_containing": 0, "scope_to_prefix": 1,
     }
+
+
+def _counting_words(monkeypatch) -> list:
+    """Count the words derived for any graph made without them: each
+    derived field's first read appends its graph to the returned list."""
+    from functools import cached_property
+
+    derived = []
+    for cls in (PrefixedGraph, DelimitedGraph):
+        derive = vars(cls)["prefixes"].func
+        prop = cached_property(lambda x, derive=derive: derived.append(x) or derive(x))
+        prop.__set_name__(cls, "prefixes")
+        monkeypatch.setattr(cls, "prefixes", prop)
+    return derived
 
 
 def test_translation_and_sharing_skip_the_checks_their_inputs_settle(monkeypatch):
     # term_to_graph's output is eager by construction: the builder checks
     # each vertex's innermost binder once, no inference gives words, and
     # no eager check follows.  A carrier is reachable from its root once
-    # made, so max_share_ho runs no reachability pass.
+    # made, so max_share_ho runs no reachability pass.  It reads the
+    # input's binder tree: it never inverts the scopes, converts them to
+    # prefixes or derives a word.
     from conftest import RUNNING_TERM
 
     term = parse_term(RUNNING_TERM)
-    doc = parse_graph(tower_doc(8))
-    h = ScopedGraph.checked(doc.graph, doc.scopes)
+    docs = [parse_graph(text) for text in (tower_doc(8), ring_doc(8))]
+    h, ring = (ScopedGraph.checked(doc.graph, doc.scopes) for doc in docs)
     calls = _counting(monkeypatch, ["infer_prefix", "_check_inner", "_non_eager", "_reachable_keys"])
     term_to_graph(term)
     assert (calls["infer_prefix"], calls["_check_inner"], calls["_non_eager"]) == (0, 1, 0)
-    calls.update(dict.fromkeys(calls, 0))
+    calls = _counting(monkeypatch, ["infer_prefix", "_check_inner", "_non_eager", "_reachable_keys",
+                                    "_containing", "scope_to_prefix"])
+    words = _counting_words(monkeypatch)
     max_share_ho(h)
-    assert calls == {"infer_prefix": 0, "_check_inner": 0, "_non_eager": 1, "_reachable_keys": 0}
+    assert max_share_ho(ring).graph.vertex_count == 3
+    assert calls == {"infer_prefix": 0, "_check_inner": 0, "_non_eager": 2, "_reachable_keys": 0,
+                     "_containing": 0, "scope_to_prefix": 0}
+    assert words == []
+    # The counter sees the words that a conversion derives.
+    assert scope_to_prefix(h).prefixes and len(words) == 1
 
 
 def test_public_validators_still_take_names(running_carrier):

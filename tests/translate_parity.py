@@ -75,7 +75,7 @@ def failure(dg) -> tuple[int | None, str] | None:
         return None, "the words differ from the inferred ones"
     if not is_eager_scope(dg):
         w = _non_eager_vertex(dg)
-        return w, "not eager-scope: " + _non_eager_reason(g.names, words, w)
+        return w, "not eager-scope: " + _non_eager_reason(g.names, dg._inner, w)
     if not is_fully_back_linked(dg):
         return None, "not fully back-linked"
     return None

@@ -22,9 +22,11 @@ vertex.  A constructor must
 refuse exactly the inputs its validator refuses, with the validator's
 violations, or for ids and words the first id or vertex at fault (for
 ids, then every vertex the root misses).  A ``ScopedGraph`` it takes
-must keep, as its binder lists, the scopes inverted from scratch: per
+must keep the binder tree of the scopes inverted from scratch: per
 vertex, the abstractions whose scope holds it, by decreasing scope
-size and then ascending id.
+size and then ascending id, end in the vertex's innermost binder, its
+``_inner`` entry (after the vertex itself, for an abstraction), and
+``binders``, which walks that tree, must give those lists.
 Exits 1 at the first input where they differ, naming the seed and the
 input; otherwise prints, per kind, how many inputs were taken and how
 many refused.
@@ -52,6 +54,7 @@ from lamgraph import (  # noqa: E402
     ScopedGraph,
     TermGraph,
     UnreachableVertex,
+    binders,
     infer_prefix,
     prefix_to_scope,
     strip_delimiters,
@@ -65,14 +68,22 @@ KINDS = ("scope", "prefix", "ids", "words")
 
 def verdict(make, *args):
     """``None`` if ``make`` takes the input, else its refusal's type and
-    message; for a ``ScopedGraph`` taken with other binder lists than
-    ``rank_order_lists``, those lists."""
+    message; for a ``ScopedGraph`` taken with another binder tree or
+    other binders than ``rank_order_lists`` gives, the tree or the
+    binders."""
     try:
         made = make(*args)
     except (GraphError, ValueError) as exc:
         return type(exc), str(exc)
-    if make is ScopedGraph and made._binder_lists != rank_order_lists(*args):
-        return "binder lists", made._binder_lists
+    if make is ScopedGraph:
+        g, sc = args
+        lists = rank_order_lists(g, sc)
+        inner = [next((v for v in reversed(vs) if v != u), -1) for u, vs in enumerate(lists)]
+        if made._inner != inner:
+            return "binder tree", made._inner
+        found = [binders(made, u) for u in g.vertices()]
+        if found != lists:
+            return "binders", found
     return None
 
 
