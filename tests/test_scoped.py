@@ -348,6 +348,25 @@ def test_scope_layer_matches_oracles_on_translations():
     assert verdicts == {True, False}
 
 
+def test_conversions_behave_the_same_read_or_not(running_eager):
+    # scope_to_prefix and prefix_to_scope pass the binder tree on; the
+    # words and scopes they leave out are derived where first read, so
+    # ==, hash, repr, copy and pickle see what the constructors make.
+    import copy
+    import pickle
+
+    from conftest import RUNNING_EAGER_PREFIXES
+
+    g = running_eager.graph
+    given = (PrefixedGraph.checked(g, RUNNING_EAGER_PREFIXES), running_eager)
+    a = scope_to_prefix(running_eager)
+    made = (a, prefix_to_scope(a))
+    assert "prefixes" not in vars(a) and "scopes" not in vars(made[1])
+    for x, want in zip(made, given):
+        for y in [copy.copy(x), pickle.loads(pickle.dumps(x)), x]:
+            assert y == want and hash(y) == hash(want) and repr(y) == repr(want)
+
+
 def _unreached_copy(rng, g):
     """g with a copy of one vertex that nothing leads to, made through
     ``_trusted``, since ``TermGraph`` refuses it."""
