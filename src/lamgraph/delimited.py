@@ -4,27 +4,29 @@ Here the prefix discipline is strict: abstraction and application edges
 determine the successor's prefix exactly, and each delimiter vertex pops
 exactly one abstraction off the word.  That rigidity makes the correct
 prefix function unique, so membership in the class is decidable by one
-forward propagation from the root.  Given each vertex's innermost
-binder, the last entry of its word, the eager-scope and back-link
-checks each take one backward search over all binders' body regions at
-once, in linear time; they group the vertices by their innermost binder
-only to name a witness or to search again.
+forward propagation from the root.  Every word is P(v) = P(u)·u for its
+last entry u, the vertex's innermost binder, so the propagation carries
+those binders alone, in O(n + m) (``_infer_inner``), and words are
+derived from them only where they are read (``scoped._words``).  Given
+the binders, the eager-scope and back-link checks each take one
+backward search over all binders' body regions at once, in linear time;
+they group the vertices by their innermost binder only to name a
+witness or to search again.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
-allocates vertices, each with its innermost binder, the last entry of
-its word, and its finish step checks that array in one DFS.  The
-correct prefix function is unique, so the check is as strong as
-inference.  Both producers, ``term_to_graph`` and ``insert_delimiters``,
-build with it; the names are minted, and the words derived from the
-array, only where they are first read.  A ``DelimitedGraph`` made
-directly must carry exactly the inferred words; ``from_graph`` infers
-them and trusts the result.
+allocates vertices, each with its innermost binder as its producer
+records it, and its finish step compares that array with the inferred
+one.  The correct prefix function is unique, so any other binder is
+refused.  Both producers, ``term_to_graph`` and ``insert_delimiters``,
+build with it; the names are minted, and the words derived, only where
+they are first read.  A ``DelimitedGraph`` made directly must carry
+exactly the inferred words; ``from_graph`` infers the binders and
+trusts them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -43,7 +45,6 @@ from .scoped import (
     ValidationReport,
     Violation,
     _check_prefix_domain,
-    _last_entries,
     _prefix_word_sanity,
     _words,
     normalize_prefix_fn,
@@ -86,30 +87,43 @@ def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
 def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None]:
     """Compute the unique correct prefix function, if one exists.
 
-    Propagates the forced prefix values from the root outward in one
-    pass; a conflict at a join vertex means no correct function exists.
-    Returns (prefixes, None) on success and (None, report) on failure.  A
-    failure found while propagating is reported with one violation:
-    ``prefix-conflict`` at (source, target) for an edge that forces its
-    target to a second word, or the validator's ``var0``/``var1``/
-    ``delim-pop``/``delim-backlink`` at the vertex whose own word rules
-    out its back-link or pop.
+    Returns (prefixes, None) on success, the words keyed in ascending id
+    order, and (None, report) on failure; ``_infer_inner`` finds either.
+    A vertex the root does not reach raises ``DomainMismatch``.
+    """
+    inner, report = _total_inner(g)
+    return (_words(inner), None) if report is None else (None, report)
+
+
+def _infer_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | None]:
+    """Propagate the forced innermost binders from the root outward in
+    one pass, O(n + m); a conflict at a join vertex means no correct
+    prefix function exists.
+
+    Returns (inner, None) on success: each vertex's innermost binder,
+    the last entry of its word, -1 for the empty word and -2 for a
+    vertex the root does not reach.  A failure found while propagating
+    gives (None, report) with one violation: ``prefix-conflict`` at
+    (source, target) for an edge that forces its target to a second
+    binder, or the validator's ``var0``/``var1``/``delim-pop``/
+    ``delim-backlink`` at the vertex whose own binder rules out its
+    back-link or pop.
 
     Words grow only by pushing the abstraction being processed, which no
     word holds yet: they are repeat-free words of abstractions that never
-    list their own vertex, and every word ending in v is P(v)·v.  So a
-    back-link edge, whose target is the last entry v of its source's
-    word, would force on v the word v already has, and forces nothing.
-    A conflict-free propagation has checked every other edge of every
-    reached vertex, and the strict validator would find nothing more,
-    except that a graph without variable back-links needs each
-    variable's word to be nonempty; those ``var0`` violations are all
-    reported, in ascending vertex order.
+    list their own vertex, and every word ending in v is P(v)·v.  So two
+    words are equal iff their last entries are, the binders carry the
+    whole propagation, and a delimiter pops to its binder's binder.  A
+    back-link edge, whose target is its source's binder v, would force
+    on v the binder v already has, and forces nothing.  A conflict-free
+    propagation has checked every other edge of every reached vertex,
+    and the strict validator would find nothing more, except that a
+    graph without variable back-links needs each variable's word to be
+    nonempty; those ``var0`` violations are all reported, in ascending
+    vertex order, with the array as (inner, report).
 
     The worklist is a stack, and an application pushes its function
-    before its argument; that order fixes the words' key order and which
-    failure is found first.  A vertex the root does not reach raises
-    ``DomainMismatch``.
+    before its argument; that order fixes which failure is found first.
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("prefix inference needs a signature with delimiters")
@@ -117,58 +131,63 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
     var_linked = g.variant.var_arity == 1
     del_linked = g.variant.del_arity == 2
     ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
-    prefixes: PrefixFn = {g.root: ()}
-    get = prefixes.get
+    inner = [-2] * len(labels)
+    inner[g.root] = -1
     worklist = [g.root]
     pop, push = worklist.pop, worklist.append
     while worklist:
         w = pop()
-        pw = prefixes[w]
+        x = inner[w]
         lab = labels[w]
         succ = args[w]
         if lab is APP:
-            # Both successors get w's word, the first pushed first.
+            # Both successors get w's binder, the first pushed first.
             t = succ[0]
-            old = get(t)
-            if old is None:
-                prefixes[t] = pw
+            old = inner[t]
+            if old == -2:
+                inner[t] = x
                 push(t)
-            elif old != pw:
+            elif old != x:
                 return _failure("prefix-conflict", w, t)
             t = succ[1]
-            value = pw
+            value = x
         elif lab is ABS:
             t = succ[0]
-            value = pw + (w,)
+            value = w
         elif lab is DEL:
-            if not pw:
+            if x < 0:
                 return _failure("delim-pop", w, succ[0])
-            if del_linked and succ[1] != pw[-1]:
+            if del_linked and succ[1] != x:
                 return _failure("delim-backlink", w, succ[1])
             t = succ[0]
-            value = pw[:-1]
+            value = inner[x]
         else:
             if var_linked:
-                if not pw:
+                if x < 0:
                     return _failure("var0", w)
-                if succ[0] != pw[-1]:
+                if succ[0] != x:
                     return _failure("var1", w, succ[0])
             continue
-        old = get(t)
-        if old is None:
-            prefixes[t] = value
+        old = inner[t]
+        if old == -2:
+            inner[t] = value
             push(t)
         elif old != value:
             return _failure("prefix-conflict", w, t)
-    # The words hold only vertices propagation reached, so the prefix
-    # function is total iff it has a word for every vertex.
-    if len(prefixes) < g.vertex_count:
-        raise DomainMismatch("prefix function must be total on the vertex set")
     if not var_linked:
-        var0 = [w for w in g.vertices_labeled(Label.VAR) if not prefixes[w]]
+        var0 = [w for w in g.vertices_labeled(Label.VAR) if inner[w] == -1]
         if var0:
-            return None, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
-    return prefixes, None
+            return inner, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
+    return inner, None
+
+
+def _total_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | None]:
+    """``_infer_inner``, refusing a vertex that propagation did not reach
+    with ``DomainMismatch``: the prefix function must be total."""
+    inner, report = _infer_inner(g)
+    if inner is not None and -2 in inner:
+        raise DomainMismatch("prefix function must be total on the vertex set")
+    return inner, report
 
 
 def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
@@ -177,19 +196,19 @@ def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
 
 def is_lambda_term_graph(g: TermGraph) -> bool:
     """True iff the graph admits a correct abstraction-prefix function."""
-    prefixes, _ = infer_prefix(g)
-    return prefixes is not None
+    return _total_inner(g)[1] is None
 
 
 @dataclass(frozen=True)
 class DelimitedGraph:
-    """A graph that passed prefix inference, with the prefixes cached.
+    """A graph that passed prefix inference, with its innermost binders
+    cached as ``_inner``.
 
     The constructor refuses a graph without a correct prefix function,
     and words other than the inferred ones (in any key order), naming
-    the first vertex whose word differs.  A graph that ``_Builder``
-    built passed ``_check_inner`` instead, and derives its words from
-    the innermost binders on their first read (``_words``).
+    the first vertex whose word differs.  A graph that ``from_graph`` or
+    ``_Builder`` made has its words derived from the binders on their
+    first read (``_words``).
     """
 
     graph: TermGraph
@@ -197,26 +216,26 @@ class DelimitedGraph:
 
     def __post_init__(self):
         graph, prefixes = self.graph, self.prefixes
-        inferred = _inferred(graph)
+        inner = _inferred(graph)
+        inferred = _words(inner)
         if inferred != prefixes:
             _check_prefix_domain(graph, prefixes)
             v = next(v for v in graph.vertices() if prefixes[v] != inferred[v])
             raise ValueError(f"not the inferred words: vertex {v} ({graph.names[v]}) gets another")
+        self.__dict__["_inner"] = inner
 
     @classmethod
     def from_graph(cls, graph: TermGraph) -> "DelimitedGraph":
-        return _trusted(cls, graph=graph, prefixes=_inferred(graph))
-
-    _inner = cached_property(_last_entries)
+        return _trusted(cls, graph=graph, _inner=_inferred(graph))
 
 
-def _inferred(graph: TermGraph) -> PrefixFn:
-    """The graph's inferred words, or a ``ValueError`` naming why there
-    are none."""
-    prefixes, report = infer_prefix(graph)
-    if prefixes is None:
+def _inferred(graph: TermGraph) -> list[int]:
+    """The graph's inferred innermost binders, or a ``ValueError`` naming
+    why there are none."""
+    inner, report = _total_inner(graph)
+    if report is not None:
         raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
-    return prefixes
+    return inner
 
 
 class _Builder:
@@ -247,9 +266,15 @@ class _Builder:
         return v
 
     def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
-        """The built graph, once ``_check_inner`` has passed it.
+        """The built graph, once its recorded innermost binders equal the
+        inferred ones.
 
-        Its names and its words are derived where they are first read.
+        The correct prefix function is unique, so a builder that records
+        any other binder for any vertex is refused.  Where inference
+        fails, its violation is named; where the arrays differ, the first
+        vertex that differs, with both binders.  A vertex the root does
+        not reach raises ``UnreachableVertex``, naming them all.  The
+        graph's names and words are derived where they are first read.
         """
         graph = _trusted(
             TermGraph,
@@ -259,79 +284,22 @@ class _Builder:
             root=root,
             _unnamed=(self.names, self.bases),
         )
-        bad = _check_inner(graph, self.inner)
-        if bad is not None:
-            raise ValueError(f"not a valid delimited lambda graph: {bad.describe(graph)}")
+        inner, report = _infer_inner(graph)
+        if inner is not None and -2 in inner:
+            raise UnreachableVertex(name for name, x in zip(graph.names, inner) if x == -2)
+        if report is not None:
+            raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
+        if inner != self.inner:
+            names = graph.names
+            v = next(v for v, x in enumerate(inner) if x != self.inner[v])
+            recorded, inferred = (names[x] if x >= 0 else "()" for x in (self.inner[v], inner[v]))
+            raise ValueError(f"recorded binder {recorded} of {names[v]} is not the inferred {inferred}")
         return _trusted(DelimitedGraph, graph=graph, _inner=self.inner)
-
-
-def _check_inner(graph: TermGraph, inner: Sequence[int]) -> Violation | None:
-    """Check that ``inner`` is the innermost-binder array of a correct
-    prefix function, one DFS from the root in O(n + m).
-
-    Every edge of a reached vertex w must meet the strict validator's
-    condition, read on the array: an abstraction's body has ``inner``
-    w, an application's successors have w's, a delimiter's pop target
-    has that of w's binder, and a back-link leads to w's binder, which
-    a delimiter and a variable must have.  The root's is -1.  A failure
-    gives ``validate_prefix_fo``'s violation; a vertex the DFS misses
-    raises ``UnreachableVertex``, naming them all.
-
-    Then, by induction along the DFS tree, each reached vertex's binder
-    is -1 or an abstraction reached before it, back-link targets
-    included, and P(v) = P(inner v)·inner v satisfies every condition:
-    it is the unique correct prefix function, the one inference finds.
-    """
-    labels, args, root = graph.labels, graph.args, graph.root
-    var_linked = graph.variant.var_arity == 1
-    del_linked = graph.variant.del_arity == 2
-    ABS, APP, DEL = Label.ABS, Label.APP, Label.DEL
-    if inner[root] != -1:
-        return Violation("root", (root,))
-    seen = [False] * len(labels)
-    seen[root] = True
-    stack = [root]
-    pop, push = stack.pop, stack.append
-    while stack:
-        w = pop()
-        lab, succ, i = labels[w], args[w], inner[w]
-        if lab is APP:
-            t, u = succ
-            if inner[t] != i:
-                return Violation("apply", (w, t))
-            if inner[u] != i:
-                return Violation("apply", (w, u))
-            if not seen[t]:
-                seen[t] = True
-                push(t)
-            t = u
-        elif lab is ABS:
-            t = succ[0]
-            if inner[t] != w:
-                return Violation("lambda", (w, t))
-        elif lab is DEL:
-            t = succ[0]
-            if i < 0 or inner[t] != inner[i]:
-                return Violation("delim-pop", (w, t))
-            if del_linked and succ[1] != i:
-                return Violation("delim-backlink", (w, succ[1]))
-        else:
-            if i < 0:
-                return Violation("var0", (w,))
-            if var_linked and succ[0] != i:
-                return Violation("var1", (w, succ[0]))
-            continue
-        if not seen[t]:
-            seen[t] = True
-            push(t)
-    if not all(seen):
-        raise UnreachableVertex(name for name, s in zip(graph.names, seen) if not s)
-    return None
 
 
 # A graph that ``_Builder.finish`` made has its words derived where they
 # are first read: equivalence and sharing read labels and successors only.
-_derived_field(DelimitedGraph, "prefixes", _words)
+_derived_field(DelimitedGraph, "prefixes", lambda x: _words(x._inner))
 
 
 def is_fully_back_linked(g: DelimitedGraph) -> bool:

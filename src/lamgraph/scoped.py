@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import DomainMismatch, Label, TermGraph, VariantMismatch, _derived_field
 
@@ -63,9 +63,14 @@ def _is_word_prefix(shorter: tuple, longer: tuple) -> bool:
 
 
 def _resolve_map(g: TermGraph, m: Mapping, freeze: type) -> dict:
-    """Keys and members of m as ids, through the graph's name-or-id lookup:
-    an unknown name raises ``KeyError``, and an id that is no vertex is
-    kept for the domain check."""
+    """Keys and members of m as ids.  A map without names is taken as it
+    is, after one C-level type pass, so the domain check refuses 1.0 and
+    True, which equal an id but are none.  Any other resolves through
+    the graph's name-or-id lookup: an unknown name raises ``KeyError``,
+    and an id that is no vertex is kept for the domain check."""
+    types = set(map(type, chain(m, chain.from_iterable(m.values()))))
+    if not any(issubclass(t, str) for t in types):
+        return {key: freeze(xs) for key, xs in m.items()}
     find = g._lookup.__getitem__
     return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
 
@@ -438,13 +443,13 @@ def _last_entries(x) -> list[int]:
     return [word[-1] if word else -1 for word in map(p.__getitem__, x.graph.vertices())]
 
 
-def _words(x) -> PrefixFn:
-    """The words of a graph made with ``_inner`` instead of
-    ``prefixes``: P(v) = P(u)·u for its innermost binder u, and () for
-    -1, keyed in id order.  The vertices with one innermost binder share
-    one word, built once from the binder's own, so this takes O(n) plus
-    the length of the binders' words."""
-    inner = x._inner
+def _words(inner: Sequence[int]) -> PrefixFn:
+    """The words of innermost binders ``inner``, as for a graph made
+    with ``_inner`` instead of ``prefixes``: P(v) = P(u)·u for its
+    innermost binder u, and () for -1, keyed in id order.  The vertices
+    with one innermost binder share one word, built once from the
+    binder's own, so this takes O(n) plus the length of the binders'
+    words."""
     below = {-1: ()}  # binder u -> P(u)·u
     for u in set(inner):
         # Up the binder chain to a known word, then down it.
@@ -486,7 +491,7 @@ class PrefixedGraph:
     _inner = cached_property(_last_entries)
 
 
-_derived_field(PrefixedGraph, "prefixes", _words)
+_derived_field(PrefixedGraph, "prefixes", lambda x: _words(x._inner))
 
 
 def binders(h: ScopedGraph, w: int | str) -> list[int]:

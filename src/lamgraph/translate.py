@@ -26,13 +26,15 @@ binders.
 The graph is emitted with ``delimited._Builder``: vertices get dense
 integer ids in allocation order, each with the base of its name and its
 innermost binder, the last entry of the traversal's word.  The
-traversal's words, tuples of those ids, decide where delimiters go and
-what they back-link to; the builder's finish step checks the innermost
-binders.  Names are minted, and words derived from the binders, only
-where they are read: equivalence reads neither.  The result is
-eager-scope by construction, as the paper's eager translation is, so no
-eager check runs on it; ``tests/translate_parity.py`` checks that claim
-on seeded terms.
+traversal carries only that binder: the builder's binder of an
+abstraction is the entry below it, so the word is a chain of links, and
+popping walks only the links it drops, one delimiter each, whose
+back-link is the popped binder.  The builder's finish step compares the
+recorded binders with the inferred ones.  Names are minted, and words
+derived from the binders, only where they are read: equivalence reads
+neither.  The result is eager-scope by construction, as the paper's
+eager translation is, so no eager check runs on it;
+``tests/translate_parity.py`` checks that claim on seeded terms.
 """
 
 from __future__ import annotations
@@ -220,82 +222,89 @@ def _analyze(root: _RNode, resolver: _Resolver) -> set[int]:
 # Graph emission.
 
 
-# A prefix word during translation: the emitted abstraction vertices,
-# outermost first, so in growing depth.  ``_Translator.depth`` maps each
-# to its lambda depth.
-_Word = tuple[int, ...]
-
-
 class _Translator:
+    """Emits the graph, carrying the innermost binder of the current
+    word: the last emitted abstraction on it, or -1 for the empty word.
+    The builder's ``inner`` array links each abstraction to the binder
+    below it, so the word is a chain of links that grows in depth, and
+    ``depth`` maps each abstraction to its lambda depth."""
+
     def __init__(self, term_of: dict[int, _RNode], live: set[int]):
         self.b = _Builder()
         self.depth: dict[int, int] = {}
-        self.entry: dict[int, tuple[int, _Word]] = {}
+        self.entry: dict[int, tuple[int, int]] = {}
         self.term_of = term_of  # every letrec binding's resolved term
         self.live = live  # the bindings a translation reaches
 
-    def pop(self, word: _Word, fv: int) -> _Word:
-        """``word`` up to and including the entry at the depth of ``fv``'s
-        deepest binder; the empty word if ``fv`` is 0.
+    def pop(self, x: int, fv: int) -> int:
+        """The innermost binder left when the word of ``x`` is cut after
+        the entry at the depth of ``fv``'s deepest binder; -1 if ``fv``
+        is 0.
 
         A node's free binders all lie on its word, and the word grows in
         depth, so this drops exactly the trailing entries that the node
-        has no free occurrence of.
+        has no free occurrence of, walking one link per dropped entry.
         """
-        deepest, depth, i = fv.bit_length() - 1, self.depth, len(word)
-        while i and depth[word[i - 1]] > deepest:
-            i -= 1
-        return word[:i]
+        deepest, depth, inner = fv.bit_length() - 1, self.depth, self.b.inner
+        while x >= 0 and depth[x] > deepest:
+            x = inner[x]
+        return x
 
-    def chain(self, source: _Word, target: _Word, top: int) -> int:
-        """One delimiter per popped word entry, bottom-up; returns the top."""
-        for popped in source[len(target):]:
-            s = self.b.alloc("s", Label.DEL, popped)
-            self.b.succ[s] = (top, popped)
+    def chain(self, source: int, target: int, top: int) -> int:
+        """One delimiter per entry popped from ``source``'s word down to
+        ``target``'s, bottom-up, the outermost popped first; returns the
+        top."""
+        popped, inner = [], self.b.inner
+        while source != target:
+            popped.append(source)
+            source = inner[source]
+        for x in reversed(popped):
+            s = self.b.alloc("s", Label.DEL, x)
+            self.b.succ[s] = (top, x)
             top = s
         return top
 
-    def attach(self, node: _RNode, word: _Word, v: int | None = None) -> int:
-        """Translate ``node`` below an edge whose source carries ``word``:
-        its vertex or letrec entry, then the delimiter chain for the
-        prefix drop.  Returns the top of the chain.  A letrec binding's
-        term comes with ``v``, its entry vertex, allocated under ``word``;
-        it drops nothing, so it gets no chain."""
+    def attach(self, node: _RNode, x: int, v: int | None = None) -> int:
+        """Translate ``node`` below an edge whose source carries the word
+        of binder ``x``: its vertex or letrec entry, then the delimiter
+        chain for the prefix drop.  Returns the top of the chain.  A
+        letrec binding's term comes with ``v``, its entry vertex,
+        allocated under ``x``; it drops nothing, so it gets no chain."""
         if v is None:
-            target = self.pop(word, node.fv)
+            target = self.pop(x, node.fv)
             # A letrec has its body's free binders, so its body keeps the word.
             while isinstance(node, _RLetrec):
                 fills = []
                 for ident, name, term in node.bindings:
                     if ident in self.live and not isinstance(term, _RRef):
-                        entry_word = self.pop(target, term.fv)
-                        entry = self.b.alloc(name, term.label, entry_word[-1] if entry_word else -1)
-                        self.entry[ident] = (entry, entry_word)
-                        fills.append((term, entry_word, entry))
+                        entry_x = self.pop(target, term.fv)
+                        entry = self.b.alloc(name, term.label, entry_x)
+                        self.entry[ident] = (entry, entry_x)
+                        fills.append((term, entry_x, entry))
                 for fill in fills:
                     self.attach(*fill)
                 node = node.body
             if isinstance(node, _RRef):
-                v, entry_word = self.resolve_entry(node.binding)
-                assert target == entry_word
-                return self.chain(word, target, v)
-            v = self.b.alloc(node.base, node.label, target[-1] if target else -1)
+                v, entry_x = self.resolve_entry(node.binding)
+                assert target == entry_x
+                return self.chain(x, target, v)
+            v = self.b.alloc(node.base, node.label, target)
         else:
-            target = word
+            target = x
         if isinstance(node, _RAbs):
             self.depth[v] = node.depth
-            self.b.succ[v] = (self.attach(node.body, target + (v,)),)
+            self.b.succ[v] = (self.attach(node.body, v),)
         elif isinstance(node, _RApp):
             self.b.succ[v] = (self.attach(node.fun, target), self.attach(node.arg, target))
         elif isinstance(node, _RVar):
             # Word entries enclose the node and differ in depth.
-            assert target and self.depth[target[-1]] == node.depth
-            self.b.succ[v] = (target[-1],)
+            assert target >= 0 and self.depth[target] == node.depth
+            self.b.succ[v] = (target,)
         else:
             raise TypeError(node)
-        return self.chain(word, target, v)
+        return self.chain(x, target, v)
 
-    def resolve_entry(self, binding: int) -> tuple[int, _Word]:
+    def resolve_entry(self, binding: int) -> tuple[int, int]:
         """The entry of ``binding``, found through its chain of bare-name
         aliases; every alias on the chain gets that entry too."""
         aliases: dict[int, None] = {}
@@ -319,17 +328,18 @@ def term_to_graph(t: Term) -> DelimitedGraph:
 
     The translator resolves the term, analyses its free binders and live
     bindings, and emits the graph on ids with each vertex's innermost
-    binder.  One pass checks it, a DFS from the root in O(n + m) that
-    fails where the binders give no correct prefix function or the root
-    misses a vertex (``delimited._check_inner``).  Eagerness, and with it
+    binder.  One pass checks it, inference in O(n + m), which fails
+    where the graph has no correct prefix function, the root misses a
+    vertex or a recorded binder is not the inferred one
+    (``delimited._Builder.finish``).  Eagerness, and with it
     full back-linking, hold by construction and are not checked again.
     The names are minted on the first read of ``graph.names``, and the
-    words built on the first read of ``prefixes`` (``delimited._words``).
+    words built on the first read of ``prefixes`` (``scoped._words``).
     """
     resolver = _Resolver()
     rnode = resolver.resolve(t, {}, 0)
     tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
-    root = tr.attach(rnode, ())
+    root = tr.attach(rnode, -1)
     try:
         return tr.b.finish(root, SignatureVariant(1, 2))
     except UnreachableVertex as exc:

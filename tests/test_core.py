@@ -132,14 +132,27 @@ def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
 def test_scope_and_prefix_functions_refuse_ids_that_name_no_vertex(make, annotation, message):
     # The constructors check every member before the laminar pass indexes
     # by them: a float raised a bare TypeError there, and True was taken.
-    from lamgraph import ScopedGraph, prefix_to_scope
+    # The entry points that also take names refuse them the same way in a
+    # map without names; a map with names resolves through the name-or-id
+    # lookup (test_scoped.py::test_normalize_takes_booleans_as_the_ids_they_equal).
+    from lamgraph import ScopedGraph, prefix_to_scope, validate_prefix_ho, validate_scope
 
     g = TermGraph(SignatureVariant(1), (Label.ABS, Label.VAR), ((1,), (0,)), 0, ("r", "c"))
-    with pytest.raises(DomainMismatch, match=message):
-        if make == "scope":
-            ScopedGraph(g, {v: frozenset(members) for v, members in annotation.items()})
-        else:
-            PrefixedGraph(g, annotation)
+    if make == "scope":
+        entries = [
+            lambda: ScopedGraph(g, {v: frozenset(members) for v, members in annotation.items()}),
+            lambda: ScopedGraph.checked(g, annotation),
+            lambda: validate_scope(g, annotation),
+        ]
+    else:
+        entries = [
+            lambda: PrefixedGraph(g, annotation),
+            lambda: PrefixedGraph.checked(g, annotation),
+            lambda: validate_prefix_ho(g, annotation),
+        ]
+    for entry in entries:
+        with pytest.raises(DomainMismatch, match=message):
+            entry()
     # The same functions on ids are taken.
     assert prefix_to_scope(PrefixedGraph(g, {0: (), 1: (0,)})) == ScopedGraph(g, {0: frozenset({0, 1})})
 

@@ -349,19 +349,25 @@ def test_scope_layer_matches_oracles_on_translations():
 
 
 def test_conversions_behave_the_same_read_or_not(running_eager):
-    # scope_to_prefix and prefix_to_scope pass the binder tree on; the
-    # words and scopes they leave out are derived where first read, so
-    # ==, hash, repr, copy and pickle see what the constructors make.
+    # scope_to_prefix, prefix_to_scope and max_share_ho pass a binder tree
+    # on; the words and scopes they leave out are derived where first
+    # read, so ==, hash, repr, copy and pickle see what the constructors
+    # make.
     import copy
     import pickle
 
     from conftest import RUNNING_EAGER_PREFIXES
 
     g = running_eager.graph
-    given = (PrefixedGraph.checked(g, RUNNING_EAGER_PREFIXES), running_eager)
+    given = [PrefixedGraph.checked(g, RUNNING_EAGER_PREFIXES), running_eager]
     a = scope_to_prefix(running_eager)
-    made = (a, prefix_to_scope(a))
-    assert "prefixes" not in vars(a) and "scopes" not in vars(made[1])
+    made = [a, prefix_to_scope(a)]
+    for doc in map(parse_graph, (ring_doc(6), tower_doc(6))):
+        h = ScopedGraph(doc.graph, doc.scopes)
+        read = max_share_ho(h)
+        given.append(ScopedGraph(read.graph, read.scopes))
+        made.append(max_share_ho(h))
+    assert "prefixes" not in vars(a) and not any("scopes" in vars(x) for x in made[1:])
     for x, want in zip(made, given):
         for y in [copy.copy(x), pickle.loads(pickle.dumps(x)), x]:
             assert y == want and hash(y) == hash(want) and repr(y) == repr(want)
@@ -758,12 +764,12 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
 
     text = tower_doc(8)
     doc = parse_graph(text)
-    names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix", "_check_inner"]
+    names = ["_validate_scope", "_validate_prefix_ho", "infer_prefix", "_infer_inner"]
     names += ["_check_scope_domain", "_binder_tree", "_containing", "scope_to_prefix"]
     calls = _counting(monkeypatch, names)
     max_share_ho(ScopedGraph.checked(doc.graph, doc.scopes))
     assert calls == {
-        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 0,
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_infer_inner": 0,
         "_check_scope_domain": 1, "_binder_tree": 1, "_containing": 0, "scope_to_prefix": 0,
     }
     path = tmp_path / "tower.tg"
@@ -772,7 +778,7 @@ def test_each_route_validates_once(monkeypatch, tmp_path, capsys):
     assert main(["translate", "--from", "hotg", "--to", "ltg", str(path)]) == 0
     assert capsys.readouterr().out.startswith("sig 1 2\n")
     assert calls == {
-        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_check_inner": 1,
+        "_validate_scope": 1, "_validate_prefix_ho": 0, "infer_prefix": 0, "_infer_inner": 1,
         "_check_scope_domain": 1, "_binder_tree": 1, "_containing": 0, "scope_to_prefix": 1,
     }
 
@@ -792,30 +798,35 @@ def _counting_words(monkeypatch) -> list:
 
 
 def test_translation_and_sharing_skip_the_checks_their_inputs_settle(monkeypatch):
-    # term_to_graph's output is eager by construction: the builder checks
+    # term_to_graph's output is eager by construction: the builder infers
     # each vertex's innermost binder once, no inference gives words, and
     # no eager check follows.  A carrier is reachable from its root once
     # made, so max_share_ho runs no reachability pass.  It reads the
     # input's binder tree: it never inverts the scopes, converts them to
-    # prefixes or derives a word.
+    # prefixes, derives a word or derives the result's scopes.
+    # from_graph infers binders, not words.
     from conftest import RUNNING_TERM
 
     term = parse_term(RUNNING_TERM)
     docs = [parse_graph(text) for text in (tower_doc(8), ring_doc(8))]
     h, ring = (ScopedGraph.checked(doc.graph, doc.scopes) for doc in docs)
-    calls = _counting(monkeypatch, ["infer_prefix", "_check_inner", "_non_eager", "_reachable_keys"])
-    term_to_graph(term)
-    assert (calls["infer_prefix"], calls["_check_inner"], calls["_non_eager"]) == (0, 1, 0)
-    calls = _counting(monkeypatch, ["infer_prefix", "_check_inner", "_non_eager", "_reachable_keys",
+    calls = _counting(monkeypatch, ["infer_prefix", "_infer_inner", "_non_eager", "_reachable_keys"])
+    d = term_to_graph(term)
+    assert (calls["infer_prefix"], calls["_infer_inner"], calls["_non_eager"]) == (0, 1, 0)
+    calls = _counting(monkeypatch, ["infer_prefix", "_infer_inner", "_non_eager", "_reachable_keys",
                                     "_containing", "scope_to_prefix"])
     words = _counting_words(monkeypatch)
-    max_share_ho(h)
-    assert max_share_ho(ring).graph.vertex_count == 3
-    assert calls == {"infer_prefix": 0, "_check_inner": 0, "_non_eager": 2, "_reachable_keys": 0,
+    shared = [max_share_ho(h), max_share_ho(ring)]
+    assert shared[1].graph.vertex_count == 3
+    assert calls == {"infer_prefix": 0, "_infer_inner": 0, "_non_eager": 2, "_reachable_keys": 0,
                      "_containing": 0, "scope_to_prefix": 0}
-    assert words == []
-    # The counter sees the words that a conversion derives.
+    assert words == [] and not any("scopes" in vars(x) for x in shared)
+    # A first read derives them: the scopes, and the words the counter sees.
+    assert all(ScopedGraph(x.graph, x.scopes) == x and "scopes" in vars(x) for x in shared)
     assert scope_to_prefix(h).prefixes and len(words) == 1
+    inferred = DelimitedGraph.from_graph(d.graph)
+    assert calls["infer_prefix"] == 0 and calls["_infer_inner"] == 1 and len(words) == 1
+    assert inferred.prefixes == d.prefixes and len(words) == 3
 
 
 def test_public_validators_still_take_names(running_carrier):

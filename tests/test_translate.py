@@ -498,8 +498,8 @@ def test_equivalence_mints_no_name_and_builds_no_word(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The one check term_to_graph makes on what it emitted, the builder's
-# check of each vertex's innermost binder, refuses a corrupt edge and an
-# unreachable vertex.  Eagerness and full back-linking hold by
+# comparison of each vertex's innermost binder with the inferred one,
+# refuses a corrupt edge and an unreachable vertex.  Eagerness and full back-linking hold by
 # construction; tests/translate_parity.py checks them, and so do the
 # tests below.
 
@@ -507,8 +507,8 @@ def test_equivalence_mints_no_name_and_builds_no_word(monkeypatch):
 def test_corrupt_emitted_edge_is_refused(monkeypatch):
     # The application's two edges share the binding's vertex f, so
     # pointing the second one at the root x leaves every vertex
-    # reachable; but a's successors must have a's binder x, and the root
-    # has none.
+    # reachable; a forces its binder x on x, whose binder is none, and
+    # no correct prefix function exists.
     import lamgraph.translate as translate
 
     finish = translate._Builder.finish
@@ -520,7 +520,7 @@ def test_corrupt_emitted_edge_is_refused(monkeypatch):
         return finish(self, root, variant)
 
     monkeypatch.setattr(translate._Builder, "finish", retarget_second_argument)
-    with pytest.raises(InternalValidationFailure, match=r"^not a valid delimited lambda graph: apply at a, x$"):
+    with pytest.raises(InternalValidationFailure, match=r"^not a valid delimited lambda graph: prefix-conflict at a, x$"):
         term_to_graph(parse_term(r"\x. letrec f = x in f f"))
 
 
