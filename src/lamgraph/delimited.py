@@ -297,8 +297,9 @@ class _Builder:
         return _trusted(DelimitedGraph, graph=graph, _inner=self.inner)
 
 
-# A graph that ``_Builder.finish`` made has its words derived where they
-# are first read: equivalence and sharing read labels and successors only.
+# A graph that ``from_graph`` or ``_Builder.finish`` made has its words
+# derived where they are first read: equivalence and sharing read labels
+# and successors only.
 _derived_field(DelimitedGraph, "prefixes", lambda x: _words(x._inner))
 
 
