@@ -67,11 +67,15 @@ def _resolve_map(g: TermGraph, m: Mapping, freeze: type) -> dict:
     is, after one C-level type pass, so the domain check refuses 1.0 and
     True, which equal an id but are none.  Any other resolves through
     the graph's name-or-id lookup: an unknown name raises ``KeyError``,
-    and an id that is no vertex is kept for the domain check."""
+    and an id that is no vertex is kept for the domain check, as is
+    anything neither a name nor an int, so 1.0 is not read as 1."""
     types = set(map(type, chain(m, chain.from_iterable(m.values()))))
     if not any(issubclass(t, str) for t in types):
         return {key: freeze(xs) for key, xs in m.items()}
-    find = g._lookup.__getitem__
+    lookup = g._lookup
+    find = lookup.__getitem__
+    if not all(issubclass(t, (str, int)) for t in types):
+        find = lambda x: lookup[x] if isinstance(x, (str, int)) else x  # noqa: E731
     return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
 
 

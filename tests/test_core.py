@@ -125,16 +125,23 @@ def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
         ("prefix", {0: (), 1: (False,)}, "^prefix entry False is not a vertex$"),
         ("prefix", {0: (), 1.0: (0,)}, "^prefix function must be total on the vertex set$"),
         ("prefix", {0: (), True: (0,)}, "^prefix function must be total on the vertex set$"),
+        # Beside a name, a float is no id either.
+        ("scope", {"r": {"r", 1.0}}, "^scope member 1.0 is not a vertex$"),
+        ("scope", {"r": {"r", "c"}, 1.0: {1}}, "^scope function domain must be exactly the abstraction vertices$"),
+        ("prefix", {"r": (), "c": (0.0,)}, "^prefix entry 0.0 is not a vertex$"),
+        ("prefix", {"r": (), 1.0: (0,)}, "^prefix function must be total on the vertex set$"),
     ],
     ids=["float-member", "bool-member", "float-key", "bool-key",
-         "float-entry", "bool-entry", "float-vertex", "bool-vertex"],
+         "float-entry", "bool-entry", "float-vertex", "bool-vertex",
+         "named-float-member", "named-float-key", "named-float-entry", "named-float-vertex"],
 )
 def test_scope_and_prefix_functions_refuse_ids_that_name_no_vertex(make, annotation, message):
     # The constructors check every member before the laminar pass indexes
     # by them: a float raised a bare TypeError there, and True was taken.
-    # The entry points that also take names refuse them the same way in a
-    # map without names; a map with names resolves through the name-or-id
-    # lookup (test_scoped.py::test_normalize_takes_booleans_as_the_ids_they_equal).
+    # The entry points that also take names refuse them the same way.  A
+    # map with names resolves through the name-or-id lookup, which refuses
+    # a float but takes True as 1
+    # (test_scoped.py::test_normalize_takes_booleans_as_the_ids_they_equal).
     from lamgraph import ScopedGraph, prefix_to_scope, validate_prefix_ho, validate_scope
 
     g = TermGraph(SignatureVariant(1), (Label.ABS, Label.VAR), ((1,), (0,)), 0, ("r", "c"))
@@ -150,6 +157,8 @@ def test_scope_and_prefix_functions_refuse_ids_that_name_no_vertex(make, annotat
             lambda: PrefixedGraph.checked(g, annotation),
             lambda: validate_prefix_ho(g, annotation),
         ]
+    if any(isinstance(key, str) for key in annotation):
+        del entries[0]  # the plain constructors take ids only
     for entry in entries:
         with pytest.raises(DomainMismatch, match=message):
             entry()

@@ -1,6 +1,6 @@
 """Time the library's stages on towers of growing size.
 
-    python3 tests/tower_scaling.py [--rounds N]
+    python3 tests/tower_scaling.py
 
 The tower term ``\\x0. ... \\x{n-1}. x0 x1 ... x{n-1}`` nests n binders
 and gives words of up to n entries, so any stage that builds a word per
@@ -11,7 +11,7 @@ their sum, the library part of ``maxshare`` short of serializing.  For
 the hotg tower document (``generators.tower_doc``) at n = 250, 500 and
 1000 it prints the time of ``max_share_ho`` on the validated input, with
 no scope of the result read; that input is already Θ(n²).  Each time is
-the median of ``--rounds`` runs, and each row after the first gives its
+the median of ``ROUNDS`` runs, and each row after the first gives its
 ratio to the row before, one doubling.  Informational: exits 0.
 
 The translator recurses once per term level, so the script raises the
@@ -20,7 +20,6 @@ recursion limit for its own process only.
 
 from __future__ import annotations
 
-import argparse
 import statistics
 import sys
 import time
@@ -33,6 +32,8 @@ from generators import tower_doc  # noqa: E402
 
 from lamgraph import DelimitedGraph, ScopedGraph, collapse, max_share_ho, parse_graph, parse_term  # noqa: E402
 from lamgraph import term_to_graph  # noqa: E402
+
+ROUNDS = 5
 
 
 def tower_term(n: int) -> str:
@@ -59,10 +60,10 @@ def doc_stages(n: int) -> dict[str, float]:
     return {"max_share_ho": timed(max_share_ho, h)[1]}
 
 
-def table(stages, sizes, rounds: int, total: bool) -> None:
+def table(stages, sizes, total: bool) -> None:
     previous = None
     for n in sizes:
-        runs = [stages(n) for _ in range(rounds)]
+        runs = [stages(n) for _ in range(ROUNDS)]
         row = {name: statistics.median(run[name] for run in runs) for name in runs[0]}
         if total:
             row["total"] = sum(row.values())
@@ -74,13 +75,10 @@ def table(stages, sizes, rounds: int, total: bool) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--rounds", type=int, default=5)
-    args = parser.parse_args()
     sys.setrecursionlimit(100_000)
-    print(f"Python {sys.version.split()[0]}, CPU seconds, median of {args.rounds}")
-    table(term_stages, (1000, 2000, 4000), args.rounds, total=True)
-    table(doc_stages, (250, 500, 1000), args.rounds, total=False)
+    print(f"Python {sys.version.split()[0]}, CPU seconds, median of {ROUNDS}")
+    table(term_stages, (1000, 2000, 4000), total=True)
+    table(doc_stages, (250, 500, 1000), total=False)
 
 
 if __name__ == "__main__":
