@@ -3,9 +3,9 @@
 Subcommands: validate, translate, collapse, maxshare, equiv, render.
 Files are graph documents or term files depending on the subcommand;
 ``-`` reads stdin, at most once per run.  Exit codes: 0 success or
-equivalent, 1 invalid or not equivalent, 2 usage or parse errors,
-including input nested deeper than the recursive translator takes at
-Python's recursion limit (see the README).
+equivalent, 1 invalid or not equivalent, 2 usage or parse errors.  No
+stage takes a Python frame per level of its input, so input of any
+depth is taken at Python's default recursion limit (see the README).
 """
 
 from __future__ import annotations
@@ -270,12 +270,6 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, DegenerateBinding, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        # The resolver, the free-variable walk and the translator take a
-        # frame per term level: input nested deeper than the recursion
-        # limit allows is refused on one line, not with a traceback.
-        print("error: input nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Label, SignatureVariant, TermGraph, _trusted
+from .core import Label, SignatureVariant, TermGraph, _trusted, successor
 from .delimited import DelimitedGraph, _Builder
 from .scoped import PrefixedGraph, ScopedGraph
 
@@ -57,15 +57,22 @@ def num_delimiters(a: PrefixedGraph, w: int | str, k: int) -> int:
     """How many delimiter vertices the edge w -k-> w' needs when going
     first-order: the prefix length drop, counting the abstraction's own
     push on abstraction edges.  Never negative.
+
+    As in ``_delimit``, the edge leaves from the word of its source's
+    binder (w at an abstraction, its innermost binder at an
+    application), and one delimiter pops each binder-tree link from
+    there up to the edge target's innermost binder; a variable edge
+    needs none.  An index past w's arity, or negative, raises
+    ``IndexOutOfRange``.
     """
-    g = a.graph
+    g, inner = a.graph, a._inner
     w = g._vertex(w)
-    w_succ = g.args[w][k]
-    if g.labels[w] is Label.APP:
-        return len(a.prefixes[w]) - len(a.prefixes[w_succ])
-    if g.labels[w] is Label.ABS:
-        return len(a.prefixes[w]) + 1 - len(a.prefixes[w_succ])
-    return 0
+    t = inner[successor(g, w, k)]
+    x = w if g.labels[w] is Label.ABS else inner[w] if g.labels[w] is Label.APP else t
+    n = 0
+    while x != t:
+        x, n = inner[x], n + 1
+    return n
 
 
 def _delimit(g: TermGraph, inner: Sequence[int], j: int) -> tuple[list[Label], list]:

@@ -1,46 +1,60 @@
 """Translate closed letrec terms to delimited first-order graphs.
 
-The traversal carries the current abstraction-prefix word.  Entering an
-abstraction pushes its fresh vertex; before descending into a subterm,
-trailing word entries whose binder has no free occurrence in the
-subterm are popped, one delimiter vertex per pop, 0-successor
-continuing into the subterm and 1-successor back-linking to the popped
-abstraction.
+The translation runs in three stages, and none of them recurses: each
+keeps its own stack or walks a list, so a term of any depth translates
+at Python's default recursion limit.
 
-Free binders are int masks over lambda depth, the number of
-abstractions around a binder (letrec bindings share their letrec's
-depth).  A subterm's mask comes from one fixpoint that follows letrec
-references.  Its free binders all lie on its word, and a word grows in
-depth, so the pop keeps the entries up to the one at the depth of the
-mask's highest bit and needs no set of binders.
+Resolution walks the term into a table, parallel lists in pre-order with
+one entry per node: its kind; its binder's lambda depth (a variable or
+an abstraction), its binding (a reference to a letrec name), its
+argument's node (an application) or its body's node (a letrec); and the
+base of its vertex's name.  A node's first child, where it has one, is
+the next node.  Lambda depth is the number of abstractions around a
+binder; letrec bindings share their letrec's depth.  A letrec in binding
+position splices its bindings into the enclosing group, so a binding's
+term is never a letrec.  A node's owner is the binding whose term holds
+it outside any nested binding's term, else 0; the table records, for
+each owner, the depth bits of its variables and the bindings it
+references.
 
-Letrec bindings translate in two passes: entry vertices for the whole
-group are allocated first, then the defining terms are filled in, so
-cycles and cross-references become direct edges.  Occurrences of letrec
-names are plain edges to the entry vertex; only lambda-bound variables
-become variable vertices.  Only live bindings are translated: the one
-live set is what the root reaches in the reference relation, found by
-``core._reachable_keys`` from the same fixpoint that gives the free
-binders.
+Analysis gives free binders as int masks over lambda depth.  One
+worklist fixpoint over the binding graph finds each binding's mask,
+``bind_fv(b) = (own bits | bind_fv(c) for each referenced c) & ((1 <<
+depth(b)) - 1)``: the binders at depth(b) or deeper are bound inside b's
+term.  One reverse sweep then gives every node its mask from its
+children's, which follow it in pre-order.  The live bindings, the only
+ones translated, are those that owner 0 reaches in the reference
+relation (``core._reachable_keys``).
+
+Emission runs on an explicit stack in the order the paper's eager
+translation allocates: a node's vertex on entry, a letrec's live entries
+before their terms and those terms before its body, and the delimiter
+chain below a node when its subtree is done.  Before descending into a
+subterm, the trailing word entries whose binder has no free occurrence
+in it are popped, one delimiter vertex per pop, 0-successor continuing
+into the subterm and 1-successor back-linking to the popped abstraction.
+A subterm's free binders all lie on its word, and a word grows in depth,
+so the pop keeps the entries up to the one at the depth of the mask's
+highest bit.  Letrec entries for a whole group are allocated before
+their terms are filled in, so cycles and cross-references become direct
+edges; occurrences of letrec names are plain edges to the entry vertex,
+and only lambda-bound variables become variable vertices.
 
 The graph is emitted with ``delimited._Builder``: vertices get dense
 integer ids in allocation order, each with the base of its name and its
-innermost binder, the last entry of the traversal's word.  The
-traversal carries only that binder: the builder's binder of an
-abstraction is the entry below it, so the word is a chain of links, and
-popping walks only the links it drops, one delimiter each, whose
-back-link is the popped binder.  The builder's finish step compares the
-recorded binders with the inferred ones.  Names are minted, and words
-derived from the binders, only where they are read: equivalence reads
-neither.  The result is eager-scope by construction, as the paper's
-eager translation is, so no eager check runs on it;
-``tests/translate_parity.py`` checks that claim on seeded terms.
+innermost binder, the last entry of the current word.  The emitter
+carries only that binder: the builder's binder of an abstraction is the
+entry below it, so the word is a chain of links, and popping walks only
+the links it drops, one delimiter each, whose back-link is the popped
+binder.  The builder's finish step compares the recorded binders with
+the inferred ones.  Names are minted, and words derived from the
+binders, only where they are read: equivalence reads neither.  The
+result is eager-scope by construction, as the paper's eager translation
+is, so no eager check runs on it; ``tests/translate_parity.py`` checks
+that claim on seeded terms.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from itertools import count
 
 from .core import Label, SignatureVariant, UnreachableVertex, _reachable_keys
 from .delimited import DelimitedGraph, _Builder
@@ -55,293 +69,286 @@ class DegenerateBinding(Exception):
     """A letrec binding defined only through a cycle of bare names."""
 
 
-# ---------------------------------------------------------------------------
-# Resolution: lambda depths, binding ids, free binders as depth masks.
+# The kinds of the table's nodes, and the label of each kind's vertex.
+_VAR, _REF, _APP, _ABS, _LETREC = range(5)
+_LABEL = (Label.VAR, None, Label.APP, Label.ABS, None)
 
 
-@dataclass(slots=True)
-class _RNode:
-    fv: int = field(init=False)
+class _Table:
+    """A term resolved into parallel pre-order lists (see the module
+    docstring).  Per node: ``kind``, ``data`` and ``base`` (a variable's
+    name with "!", a binder's name, "a" for an application).  Per letrec
+    node: ``groups``, its binding ids in emission order, each spliced
+    group before the binding whose term it was.  Per binding id, from 1:
+    ``term``, its term's node, ``name`` and ``depth``, its letrec's
+    lambda depth.  Per owner, 0 and the binding ids: ``own``, its
+    variables' depth bits, and ``refs``, the bindings it references."""
 
-
-# A vertex's name base: "a" for an application, the binder's name for an
-# abstraction, and that name with "!" for a variable.
-
-
-@dataclass(slots=True)
-class _RVar(_RNode):
-    base: str
-    depth: int  # its binder's
-    label = Label.VAR
-
-
-@dataclass(slots=True)
-class _RRef(_RNode):
-    binding: int
-
-
-@dataclass(slots=True)
-class _RApp(_RNode):
-    fun: "_RNode"
-    arg: "_RNode"
-    label = Label.APP
-    base = "a"
-
-
-@dataclass(slots=True)
-class _RAbs(_RNode):
-    base: str
-    depth: int
-    body: "_RNode"
-    label = Label.ABS
-
-
-@dataclass(slots=True)
-class _RLetrec(_RNode):
-    bindings: list[tuple[int, str, "_RNode"]]
-    body: "_RNode"
-
-
-class _Resolver:
-    def __init__(self):
-        self.fresh = count(1).__next__  # letrec binding ids
-        self.binding_term: dict[int, _RNode] = {}
-
-    def resolve(self, t: Term, env: dict[str, list[int]], depth: int) -> _RNode:
-        """Resolve ``t`` under ``env`` at lambda depth ``depth``, the number
-        of abstractions around ``t``.  ``env`` maps each name to its
-        binders, innermost last: an abstraction as its depth, a letrec
-        binding as its id negated (ids start at 1).  A binder is pushed on
-        entry and popped on exit."""
-        if isinstance(t, Var):
-            binders = env.get(t.name)
-            if not binders:  # parser output is closed; guard hand-built terms
-                raise UnboundVariable(t.name, -1)
-            b = binders[-1]
-            return _RVar(f"{t.name}!", b) if b >= 0 else _RRef(-b)
-        if isinstance(t, App):
-            return _RApp(self.resolve(t.fun, env, depth), self.resolve(t.arg, env, depth))
-        if isinstance(t, Abs):
-            env.setdefault(t.name, []).append(depth)
-            node = _RAbs(t.name, depth, self.resolve(t.body, env, depth + 1))
-            env[t.name].pop()
-            return node
-        if isinstance(t, Letrec):
-            ids = [self.fresh() for _ in t.bindings]
-            for (name, _), ident in zip(t.bindings, ids):
-                binders = env.setdefault(name, [])
-                # Only this group's bindings have ids from ids[0] on; parser
-                # output binds a name once per group, so guard hand-built terms.
-                if binders and -binders[-1] >= ids[0]:
-                    raise DuplicateBinding(name, -1)
-                binders.append(-ident)
-            bindings: list[tuple[int, str, _RNode]] = []
-            for (name, sub), ident in zip(t.bindings, ids):
-                resolved = self.resolve(sub, env, depth)
+    def __init__(self, t: Term):
+        self.kind, self.data, self.base = kind, data, base = [], [], []
+        self.groups: dict[int, list[int]] = {}
+        self.term, self.name, self.depth = term, names, depths = [-1], [""], [0]
+        self.own, self.refs = own, refs = [0], [set()]
+        # Each name's binders, innermost last: an abstraction as its
+        # depth, a letrec binding as its id negated.
+        env: dict[str, list[int]] = {}
+        # (term, lambda depth, owner, dest): dest >= 0 is the application
+        # or letrec node whose argument or body this is, -1 none, and
+        # -2 - g a binding term of the owner in letrec node g's group.  A
+        # depth of -1 ends the scope of the names in the first field.
+        todo: list = [(t, 0, 0, -1)]
+        while todo:
+            t, depth, owner, dest = todo.pop()
+            if depth < 0:
+                for name in t:
+                    env[name].pop()
+                continue
+            i = len(kind)
+            if isinstance(t, Letrec):
                 # A letrec in binding position lives in the same lambda
-                # environment, so its groups splice into this one (the
-                # body of a spliced letrec may be yet another letrec).
-                while isinstance(resolved, _RLetrec):
-                    bindings.extend(resolved.bindings)
-                    resolved = resolved.body
-                bindings.append((ident, name, resolved))
-                self.binding_term[ident] = resolved
-            node = _RLetrec(bindings, self.resolve(t.body, env, depth))
-            for name, _ in t.bindings:
-                env[name].pop()
-            return node
-        raise TypeError(f"not a term: {t!r}")
+                # environment, so its group splices into this one, and its
+                # body is the binding's term.
+                spliced = dest <= -2
+                body, group = (dest, dest) if spliced else (i, -2 - i)
+                first = len(term)
+                for name, _ in t.bindings:
+                    binders = env.setdefault(name, [])
+                    # Only this group's bindings have ids from first on; parser
+                    # output binds a name once per group, so guard hand-built terms.
+                    if binders and -binders[-1] >= first:
+                        raise DuplicateBinding(name, -1)
+                    binders.append(-len(term))
+                    term.append(-1)
+                    names.append(name)
+                    depths.append(depth)
+                    own.append(0)
+                    refs.append(set())
+                todo += [([name for name, _ in t.bindings], -1, 0, 0), (t.body, depth, owner, body)]
+                todo += [(sub, depth, first + k, group) for k, (_, sub) in reversed(list(enumerate(t.bindings)))]
+                if spliced:
+                    continue
+                self.groups[i] = []
+                k, d, b = _LETREC, -1, None
+            elif isinstance(t, Var):
+                binders = env.get(t.name)
+                if not binders:  # parser output is closed; guard hand-built terms
+                    raise UnboundVariable(t.name, -1)
+                d = binders[-1]
+                if d >= 0:
+                    k, b = _VAR, f"{t.name}!"
+                    own[owner] |= 1 << d
+                else:
+                    k, d, b = _REF, -d, None
+                    refs[owner].add(d)
+            elif isinstance(t, App):
+                k, d, b = _APP, -1, "a"
+                todo += [(t.arg, depth, owner, i), (t.fun, depth, owner, -1)]
+            elif isinstance(t, Abs):
+                env.setdefault(t.name, []).append(depth)
+                k, d, b = _ABS, depth, t.name
+                todo += [((t.name,), -1, 0, 0), (t.body, depth + 1, owner, -1)]
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            if dest >= 0:
+                data[dest] = i
+            elif dest <= -2:
+                self.groups[-2 - dest].append(owner)
+                term[owner] = i
+            kind.append(k)
+            data.append(d)
+            base.append(b)
 
 
-def _analyze(root: _RNode, resolver: _Resolver) -> set[int]:
-    """Annotate every node with its free lambda binders, in one worklist
-    fixpoint over the bindings, and return the live binding ids.
+def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
+    """Every node's free lambda binders, as a mask over lambda depth, and
+    the live binding ids.
 
-    A node's free binders are a mask over lambda depth: bit d is set
-    when the binder at depth d on the node's scope chain occurs free in
-    it.  A variable sets its binder's bit, an application ORs its
+    Bit d of a node's mask is set when the binder at depth d on the
+    node's scope chain occurs free in it.  A variable sets its binder's
+    bit, a reference takes its binding's mask, an application ORs its
     children, an abstraction clears its own bit and a letrec takes its
-    body's mask.  The binders in scope at a node have distinct depths,
-    so the mask names them exactly.
+    body's mask.  The binders in scope at a node have distinct depths, so
+    the mask names them exactly.
 
-    Evaluating a binding stores the mask of each node of its term, and
-    records the binding as a user of every binding it references.  A
-    binding whose mask grows puts its users back on the list, so its last
-    evaluation read only final masks.  A closing evaluation of the root,
-    under the user id 0 (resolver ids start at 1), annotates the nodes
-    outside every binding.  The live bindings, the only ones translated,
-    are those that id 0 reaches in the reference relation, the inverse of
-    ``users``; the returned set holds them and 0 itself.
+    The bindings' masks come first, from one worklist fixpoint over the
+    binding graph: a binding whose mask grows puts the bindings that
+    reference it back on the list, so each evaluation reads the masks
+    as they stand.  The live bindings, the only ones
+    translated, are those that owner 0 reaches in the reference relation;
+    the returned set holds them and 0 itself.
     """
-    binding_term = resolver.binding_term
-    bind_fv: dict[int, int] = dict.fromkeys(binding_term, 0)
-    users: dict[int, set[int]] = {b: set() for b in binding_term}
-    current = 0
-
-    def fv(node: _RNode) -> int:
-        if isinstance(node, _RVar):
-            node.fv = 1 << node.depth
-        elif isinstance(node, _RRef):
-            users[node.binding].add(current)
-            node.fv = bind_fv[node.binding]
-        elif isinstance(node, _RApp):
-            node.fv = fv(node.fun) | fv(node.arg)
-        elif isinstance(node, _RAbs):
-            node.fv = fv(node.body) & ~(1 << node.depth)
-        elif isinstance(node, _RLetrec):
-            node.fv = fv(node.body)
-        else:
-            raise TypeError(node)
-        return node.fv
-
-    # A binding not evaluated yet is still on the list, so it reads every
-    # growth that happens before its turn without being a user yet.
-    worklist = list(binding_term)
-    queued = set(worklist)
+    own, refs, depth = tab.own, tab.refs, tab.depth
+    bind_fv = [0] * len(own)
+    users: list[list[int]] = [[] for _ in own]
+    for b in range(1, len(own)):
+        for c in refs[b]:
+            users[c].append(b)
+    # A binding not evaluated yet is still on the list, once.
+    worklist = dict.fromkeys(range(1, len(own)))
     while worklist:
-        current = worklist.pop()
-        queued.discard(current)
-        new = fv(binding_term[current])
-        if new != bind_fv[current]:
-            bind_fv[current] = new
-            for u in users[current]:
-                if u not in queued:
-                    queued.add(u)
-                    worklist.append(u)
-    current = 0
-    fv(root)
+        b = worklist.popitem()[0]
+        new = own[b]
+        for c in refs[b]:
+            new |= bind_fv[c]
+        new &= (1 << depth[b]) - 1
+        if new != bind_fv[b]:
+            bind_fv[b] = new
+            worklist.update(dict.fromkeys(users[b]))
+    kind, data = tab.kind, tab.data
+    mask = [0] * len(kind)
+    for i in range(len(kind) - 1, -1, -1):
+        k, d = kind[i], data[i]
+        if k == _VAR:
+            mask[i] = 1 << d
+        elif k == _REF:
+            mask[i] = bind_fv[d]
+        elif k == _APP:
+            mask[i] = mask[i + 1] | mask[d]
+        elif k == _ABS:
+            mask[i] = mask[i + 1] & ~(1 << d)
+        else:
+            mask[i] = mask[d]
+    return mask, _reachable_keys(0, refs)
 
-    refs: dict[int, list[int]] = {u: [] for u in (0, *binding_term)}
-    for b, us in users.items():
-        for u in us:
-            refs[u].append(b)
-    return _reachable_keys(0, refs)
 
+def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
+    """The graph's builder and root, emitted on an explicit stack.
 
-# ---------------------------------------------------------------------------
-# Graph emission.
+    The emitter carries the innermost binder of the current word: the
+    last emitted abstraction on it, or -1 for the empty word.  The
+    builder's ``inner`` array links each abstraction to the binder below
+    it, so the word is a chain of links that grows in depth, and
+    ``depth`` maps each abstraction to its lambda depth.
 
+    A frame (i, x, t, p) enters node i below an edge whose source
+    carries binder x, into the word of binder t, what is left of x's
+    once the node's non-free entries are popped; the top of the node's
+    delimiter chain becomes the next successor of vertex p, or the root
+    where p is -1.  A frame (~v, x, t, p) closes vertex v once its
+    subtree is done, with the chain from x's word down to t's.  A
+    letrec's entries are filled in below their own binders, with no
+    chain.
+    """
+    b = _Builder()
+    alloc, succ, inner = b.alloc, b.succ, b.inner
+    kind, data, base, term = tab.kind, tab.data, tab.base, tab.term
+    depth: dict[int, int] = {}
+    entry: dict[int, int] = {}  # a live binding's entry vertex
 
-class _Translator:
-    """Emits the graph, carrying the innermost binder of the current
-    word: the last emitted abstraction on it, or -1 for the empty word.
-    The builder's ``inner`` array links each abstraction to the binder
-    below it, so the word is a chain of links that grows in depth, and
-    ``depth`` maps each abstraction to its lambda depth."""
-
-    def __init__(self, term_of: dict[int, _RNode], live: set[int]):
-        self.b = _Builder()
-        self.depth: dict[int, int] = {}
-        self.entry: dict[int, tuple[int, int]] = {}
-        self.term_of = term_of  # every letrec binding's resolved term
-        self.live = live  # the bindings a translation reaches
-
-    def pop(self, x: int, fv: int) -> int:
+    def pop(x: int, fv: int) -> int:
         """The innermost binder left when the word of ``x`` is cut after
         the entry at the depth of ``fv``'s deepest binder; -1 if ``fv``
-        is 0.
-
-        A node's free binders all lie on its word, and the word grows in
-        depth, so this drops exactly the trailing entries that the node
-        has no free occurrence of, walking one link per dropped entry.
-        """
-        deepest, depth, inner = fv.bit_length() - 1, self.depth, self.b.inner
+        is 0.  A node's free binders all lie on its word, and the word
+        grows in depth, so this drops exactly the trailing entries that
+        the node has no free occurrence of, one link each."""
+        deepest = fv.bit_length() - 1
         while x >= 0 and depth[x] > deepest:
             x = inner[x]
         return x
 
-    def chain(self, source: int, target: int, top: int) -> int:
+    def chain(source: int, target: int, top: int) -> int:
         """One delimiter per entry popped from ``source``'s word down to
         ``target``'s, bottom-up, the outermost popped first; returns the
         top."""
-        popped, inner = [], self.b.inner
+        popped = []
         while source != target:
             popped.append(source)
             source = inner[source]
         for x in reversed(popped):
-            s = self.b.alloc("s", Label.DEL, x)
-            self.b.succ[s] = (top, x)
+            s = alloc("s", Label.DEL, x)
+            succ[s] = (top, x)
             top = s
         return top
 
-    def attach(self, node: _RNode, x: int, v: int | None = None) -> int:
-        """Translate ``node`` below an edge whose source carries the word
-        of binder ``x``: its vertex or letrec entry, then the delimiter
-        chain for the prefix drop.  Returns the top of the chain.  A
-        letrec binding's term comes with ``v``, its entry vertex,
-        allocated under ``x``; it drops nothing, so it gets no chain."""
-        if v is None:
-            target = self.pop(x, node.fv)
-            # A letrec has its body's free binders, so its body keeps the word.
-            while isinstance(node, _RLetrec):
-                fills = []
-                for ident, name, term in node.bindings:
-                    if ident in self.live and not isinstance(term, _RRef):
-                        entry_x = self.pop(target, term.fv)
-                        entry = self.b.alloc(name, term.label, entry_x)
-                        self.entry[ident] = (entry, entry_x)
-                        fills.append((term, entry_x, entry))
-                for fill in fills:
-                    self.attach(*fill)
-                node = node.body
-            if isinstance(node, _RRef):
-                v, entry_x = self.resolve_entry(node.binding)
-                assert target == entry_x
-                return self.chain(x, target, v)
-            v = self.b.alloc(node.base, node.label, target)
+    def expand(i: int, v: int, t: int) -> None:
+        """Fill in vertex ``v`` of node ``i`` under binder ``t``: a
+        variable's back-link, or its children's frames."""
+        if kind[i] == _ABS:
+            depth[v] = data[i]
+            succ[v] = ()
+            todo.append((i + 1, v, pop(v, mask[i + 1]), v))
+        elif kind[i] == _APP:
+            succ[v] = ()
+            todo.append((data[i], t, pop(t, mask[data[i]]), v))
+            todo.append((i + 1, t, pop(t, mask[i + 1]), v))
         else:
-            target = x
-        if isinstance(node, _RAbs):
-            self.depth[v] = node.depth
-            self.b.succ[v] = (self.attach(node.body, v),)
-        elif isinstance(node, _RApp):
-            self.b.succ[v] = (self.attach(node.fun, target), self.attach(node.arg, target))
-        elif isinstance(node, _RVar):
             # Word entries enclose the node and differ in depth.
-            assert target >= 0 and self.depth[target] == node.depth
-            self.b.succ[v] = (target,)
-        else:
-            raise TypeError(node)
-        return self.chain(x, target, v)
+            assert t >= 0 and depth[t] == data[i]
+            succ[v] = (t,)
 
-    def resolve_entry(self, binding: int) -> tuple[int, int]:
+    def resolve_entry(binding: int) -> int:
         """The entry of ``binding``, found through its chain of bare-name
         aliases; every alias on the chain gets that entry too."""
         aliases: dict[int, None] = {}
-        while binding not in self.entry:
-            term = self.term_of[binding]
-            if not isinstance(term, _RRef):
-                raise AssertionError("reference to a binding that was never allocated")
+        while binding not in entry:
+            j = term[binding]
+            assert kind[j] == _REF, "reference to a binding that was never allocated"
             if binding in aliases:
                 raise DegenerateBinding("letrec binding defined only through a cycle of names")
             aliases[binding] = None
-            binding = term.binding
-        entry = self.entry[binding]
+            binding = data[j]
+        v = entry[binding]
         for alias in aliases:
-            self.entry[alias] = entry
-        return entry
+            entry[alias] = v
+        return v
+
+    root = -1
+    todo = [(0, -1, -1, -1)]
+    while todo:
+        i, x, t, p = todo.pop()
+        if i < 0:
+            top = chain(x, t, ~i)
+        elif kind[i] == _LETREC:
+            # A letrec has its body's free binders, so its body keeps the word.
+            todo.append((data[i], x, t, p))
+            fills = []
+            for ident in tab.groups[i]:
+                j = term[ident]
+                if ident in live and kind[j] != _REF:
+                    u = pop(t, mask[j])
+                    entry[ident] = alloc(tab.name[ident], _LABEL[kind[j]], u)
+                    fills.append((j, entry[ident], u))
+            for fill in reversed(fills):
+                expand(*fill)
+            continue
+        elif kind[i] == _REF:
+            v = resolve_entry(data[i])
+            assert inner[v] == t
+            top = chain(x, t, v)
+        else:
+            v = alloc(base[i], _LABEL[kind[i]], t)
+            if t != x:  # the chain waits until the subtree is done
+                todo.append((~v, x, t, p))
+                expand(i, v, t)
+                continue
+            expand(i, v, t)
+            top = v
+        if p < 0:
+            root = top
+        else:
+            succ[p] += (top,)
+    return b, root
 
 
 def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    The translator resolves the term, analyses its free binders and live
-    bindings, and emits the graph on ids with each vertex's innermost
-    binder.  One pass checks it, inference in O(n + m), which fails
-    where the graph has no correct prefix function, the root misses a
-    vertex or a recorded binder is not the inferred one
-    (``delimited._Builder.finish``).  Eagerness, and with it
-    full back-linking, hold by construction and are not checked again.
-    The names are minted on the first read of ``graph.names``, and the
-    words built on the first read of ``prefixes`` (``scoped._words``).
+    The translator resolves the term into a table, analyses its free
+    binders and live bindings, and emits the graph on ids with each
+    vertex's innermost binder; no stage recurses.  One pass checks it,
+    inference in O(n + m), which fails where the graph has no correct
+    prefix function, the root misses a vertex or a recorded binder is
+    not the inferred one (``delimited._Builder.finish``).  Eagerness,
+    and with it full back-linking, hold by construction and are not
+    checked again.  The names are minted on the first read of
+    ``graph.names``, and the words built on the first read of
+    ``prefixes`` (``scoped._words``).
     """
-    resolver = _Resolver()
-    rnode = resolver.resolve(t, {}, 0)
-    tr = _Translator(resolver.binding_term, _analyze(rnode, resolver))
-    root = tr.attach(rnode, -1)
+    tab = _Table(t)
+    b, root = _emit(tab, *_analyze(tab))
     try:
-        return tr.b.finish(root, SignatureVariant(1, 2))
+        return b.finish(root, SignatureVariant(1, 2))
     except UnreachableVertex as exc:
         raise InternalValidationFailure(f"translator left unreachable vertices: {exc.vertices}") from None
     except ValueError as exc:

@@ -2,11 +2,9 @@ import collections
 import contextlib
 import io
 import json
-import os
 import random
 import re
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +13,6 @@ import pytest
 from conftest import EAGER_NESTED, RUNNING_TERM, RUNNING_CARRIER
 from test_cli_golden import ENTRIES, _doc_argvs, entry
 
-import lamgraph
 from lamgraph import isomorphic, parse_graph
 from lamgraph.cli import main
 
@@ -319,60 +316,43 @@ def test_translate_j_applies_to_term_and_ltg_sources(tmp_path, capsys):
     assert isomorphic(parse_graph(out2).graph, parse_graph(direct).graph) is not None
 
 
-def _maxshare_subprocess(path):
-    # A fresh interpreter, so the recursion limit is Python's default.
-    src = str(Path(lamgraph.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    return subprocess.run(
-        [sys.executable, "-m", "lamgraph.cli", "maxshare", path],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-
-
-def test_deep_input_gives_no_traceback(tmp_path):
-    # A 1000-application left spine: either it works, or the command
-    # reports the depth on one error line with exit code 2.
-    path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 1000))
-    proc = _maxshare_subprocess(path)
-    assert "Traceback" not in proc.stderr
-    if proc.returncode != 0:
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
-
-def test_maxshare_takes_a_450_application_spine(tmp_path):
-    # The translator takes one Python frame per term level, so this spine
-    # fits well under the default recursion limit.
-    path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
-    proc = _maxshare_subprocess(path)
-    assert proc.returncode == 0, proc.stderr
-    # The abstraction, 450 applications and one shared occurrence of q.
-    assert parse_graph(proc.stdout).graph.vertex_count == 452
-
-
-# Depth floors a little below the limits `lamgraph maxshare` takes at
-# Python's default recursion limit (measured on CPython 3.11 with
-# tests/depth_limits.py: 988, 988, 989 and 494), so that no change lowers
-# a limit unnoticed.
+# Terms nested far deeper than Python's default recursion limit.  No
+# stage takes a Python frame per term level, so each command runs in
+# process, under pytest's own frames, and must exit 0.
+DEPTH = 10**4
+TOWER = 2000
 DEPTH_FLOORS = {
-    "spine": ("\\q. " + " ".join(["q"] * 976), 977),
-    "right_nest": ("\\x. " + "x (" * 975 + "x" + ")" * 975, 977),
-    "letrecs_in_body_position": ("letrec a = \\x. x in " * 975 + "a", 2),
+    # The abstraction, the applications and one shared occurrence.
+    "spine": ("\\q. " + " ".join(["q"] * (DEPTH + 1)), DEPTH + 2),
+    "right_nest": ("\\x. " + "x (" * DEPTH + "x" + ")" * DEPTH, DEPTH + 2),
+    # Every binding is dead: only \x. x remains.
+    "letrecs_in_body_position": ("letrec a = \\x. x in " * DEPTH + "a", 2),
+    # The abstractions, the applications, the occurrences, and one
+    # delimiter per application, closing the binder its argument adds.
     "tower": (
-        "".join(f"\\x{i}. " for i in range(485)) + " ".join(f"x{i}" for i in range(485)),
-        None,
+        "".join(f"\\x{i}. " for i in range(TOWER)) + " ".join(f"x{i}" for i in range(TOWER)),
+        4 * TOWER - 2,
     ),
 }
 
 
+def test_deep_input_gives_no_traceback(tmp_path, capsys):
+    assert sys.getrecursionlimit() <= 1000, "the floors mean nothing above the default limit"
+    path = write(tmp_path, "spine.lam", DEPTH_FLOORS["spine"][0])
+    commands = [["maxshare", path], ["equiv", path, path]]
+    commands += [["translate", "--from", "term", "--to", c, path] for c in ("tg", "hotg", "aphotg", "ltg")]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
 @pytest.mark.parametrize("family", DEPTH_FLOORS)
-def test_maxshare_depth_floors(tmp_path, family):
+def test_maxshare_depth_floors(tmp_path, capsys, family):
+    assert sys.getrecursionlimit() <= 1000, "the floors mean nothing above the default limit"
     text, vertices = DEPTH_FLOORS[family]
-    proc = _maxshare_subprocess(write(tmp_path, "deep.lam", text))
-    assert proc.returncode == 0, proc.stderr
-    if vertices is not None:
-        assert parse_graph(proc.stdout).graph.vertex_count == vertices
+    code, out, err = run(capsys, "maxshare", write(tmp_path, "deep.lam", text))
+    assert (code, err) == (0, "")
+    assert parse_graph(out).graph.vertex_count == vertices
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -220,6 +220,18 @@ def test_an_id_that_is_no_vertex_is_refused(bad):
         assert info.value.args == (bad,)
 
 
+@pytest.mark.parametrize("v, k", [("r", -1), ("r", 1), ("r", 7), ("c", 0)])
+def test_an_edge_index_past_the_arity_is_refused(v, k):
+    # r has one edge and c none.  A negative index must not wrap round to
+    # the last edge, and one past the arity is no bare IndexError.
+    doc = parse_graph("sig 0\nroot r\nr lam c\nc 0\nprefix c = r\n")
+    a = PrefixedGraph.checked(doc.graph, doc.prefixes)
+    for call in (lambda: successor(doc.graph, v, k), lambda: num_delimiters(a, v, k)):
+        with pytest.raises(IndexOutOfRange) as info:
+            call()
+        assert (info.value.vertex, info.value.index) == (v, k)
+
+
 def test_access_path_always_valid_and_simple():
     rng = random.Random(100)
     for _ in range(150):

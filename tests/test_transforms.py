@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from generators import graphs, random_term
+from generators import graphs, random_graph, random_scopes, random_term
 from oracles import name_keyed_term_to_graph
 
 from lamgraph import (
@@ -91,6 +91,37 @@ def test_num_delimiters(single_lambda, inner_user_doc, running_eager):
     assert num_delimiters(run, "vy", 0) == 0
     # Application edge dropping one entry.
     assert num_delimiters(run, "a", 1) == 1
+
+
+def _valid_prefixed(rng):
+    """Random valid prefix functions: the stripped lazy and eager
+    translations of a random term, and those of a random graph, its
+    inferred ones where it is a delimited lambda graph, else a random
+    scope function that happens to be valid."""
+    t = random_term(rng, depth=rng.randint(1, 4))
+    yield strip_delimiters(name_keyed_term_to_graph(t, rng=rng))
+    yield strip_delimiters(term_to_graph(t))
+    g = random_graph(rng)
+    if g.variant.del_arity is None:
+        scopes = random_scopes(rng, g)
+        if validate_scope(g, scopes).passed:
+            yield scope_to_prefix(ScopedGraph.checked(g, scopes))
+    elif is_lambda_term_graph(g):
+        yield strip_delimiters(DelimitedGraph.from_graph(g))
+
+
+def test_num_delimiters_is_the_word_length_drop():
+    rng = random.Random(108)
+    seen = 0
+    for _ in range(300):
+        for a in _valid_prefixed(rng):
+            g, words = a.graph, a.prefixes
+            for w, k, wk in g.edges():
+                push = {Label.APP: 0, Label.ABS: 1}.get(g.labels[w])
+                drop = 0 if push is None else len(words[w]) + push - len(words[wk])
+                assert num_delimiters(a, w, k) == num_delimiters(a, g.names[w], k) == drop
+                seen += drop > 0
+    assert seen > 100
 
 
 def test_insert_delimiters_inner_user():

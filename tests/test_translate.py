@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 
 import pytest
@@ -44,7 +45,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
-from lamgraph.translate import _RAbs, _RApp, _RLetrec, _Resolver, _analyze
+from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze, _Table
 from translate_parity import failure as translate_failure
 
 
@@ -368,39 +369,45 @@ def _assert_same_translation(new, old):
     assert new.prefixes == old.prefixes == infer_prefix(a)[0]
 
 
-def _assert_same_analysis(t) -> list[tuple[_RLetrec, frozenset[int]]]:
+_KIND_CLASS = {_VAR: "_RVar", _REF: "_RRef", _APP: "_RApp", _ABS: "_RAbs", _LETREC: "_RLetrec"}
+
+
+def _assert_same_analysis(t) -> list[list[str]]:
     """The library's analysis and the oracle's fixpoint plus liveness walk
     give every node the same free binders and every letrec the same live
-    bindings.  A library mask maps to the oracle's binder ids through the
-    depths of the abstractions around the node, and a library binding to
-    the oracle's by its place in its group.  Returns the library's letrec
-    nodes, outermost first, each with its bindings in the returned live
-    set."""
-    lib, ref = _Resolver(), _SetResolver()
-    a, b = lib.resolve(t, {}, 0), ref.resolve(t, {})
-    live = _analyze(a, lib)
+    bindings.  The library's table is walked beside the oracle's tree: a
+    library mask maps to the oracle's binder ids through the depths of
+    the abstractions around the node, and a library binding to the
+    oracle's by its place in its group.  Returns, for each letrec node,
+    outermost first, the names of its live bindings in group order."""
+    tab, ref = _Table(t), _SetResolver()
+    b = ref.resolve(t, {})
+    mask, live = _analyze(tab)
     _fixpoint_compute_fv(b, ref.binding_term)
     _mark_live(b)
+    assert len(mask) == len(tab.kind)
     letrecs = []
     # Each pair comes with the oracle's binder ids in scope, by depth.
-    stack = [(a, b, ())]
+    stack = [(0, b, ())]
     while stack:
-        x, y, scope = stack.pop()
-        assert type(x).__name__ == type(y).__name__
-        assert 0 <= x.fv < 1 << len(scope)
-        assert {scope[d] for d in range(len(scope)) if x.fv >> d & 1} == y.fv
-        if isinstance(x, _RApp):
-            stack += [(x.fun, y.fun, scope), (x.arg, y.arg, scope)]
-        elif isinstance(x, _RAbs):
-            assert x.depth == len(scope)
-            stack.append((x.body, y.body, scope + (y.binder,)))
-        elif isinstance(x, _RLetrec):
-            pairs = list(zip(x.bindings, y.bindings, strict=True))
+        i, y, scope = stack.pop()
+        kind, data = tab.kind[i], tab.data[i]
+        assert _KIND_CLASS[kind] == type(y).__name__
+        assert 0 <= mask[i] < 1 << len(scope)
+        assert {scope[d] for d in range(len(scope)) if mask[i] >> d & 1} == y.fv
+        if kind == _APP:
+            stack += [(i + 1, y.fun, scope), (data, y.arg, scope)]
+        elif kind == _ABS:
+            assert data == len(scope)
+            stack.append((i + 1, y.body, scope + (y.binder,)))
+        elif kind == _LETREC:
+            pairs = list(zip(tab.groups[i], y.bindings, strict=True))
+            assert [tab.name[p] for p, _ in pairs] == [q[1] for _, q in pairs]
             # The oracle never visits a letrec inside a dead binding.
-            assert frozenset(q[0] for p, q in pairs if p[0] in live) == getattr(y, "live", frozenset())
-            letrecs.append((x, frozenset(p[0] for p, _ in pairs if p[0] in live)))
-            stack += [(p[2], q[2], scope) for p, q in pairs]
-            stack.append((x.body, y.body, scope))
+            assert frozenset(q[0] for p, q in pairs if p in live) == getattr(y, "live", frozenset())
+            letrecs.append([tab.name[p] for p, _ in pairs if p in live])
+            stack += [(tab.term[p], q[2], scope) for p, q in pairs]
+            stack.append((data, y.body, scope))
     return letrecs
 
 
@@ -416,8 +423,7 @@ def _assert_same_analysis(t) -> list[tuple[_RLetrec, frozenset[int]]]:
     ],
 )
 def test_analysis_live_bindings(text, live):
-    letrecs = _assert_same_analysis(parse_term(text))
-    assert [{name for i, name, _ in n.bindings if i in ids} for n, ids in letrecs] == live
+    assert [set(names) for names in _assert_same_analysis(parse_term(text))] == live
 
 
 def test_translation_matches_name_keyed_oracle_seeded():
@@ -446,6 +452,36 @@ def test_colliding_names_are_minted_around():
     dg = term_to_graph(t)
     assert dg.graph.names.count("a.2") == 1 and "a.2.2" in dg.graph.names
     _assert_same_translation(dg, name_keyed_term_to_graph(t))
+
+
+# Hand-built terms reach the translator without the parser.
+
+
+def test_a_term_shared_under_two_binders_translates_as_its_copy():
+    # One object under the outer x and under an inner x: its x, its
+    # letrec and its free-binder masks differ between the two places, so
+    # nothing may be cached by the object's identity.
+    shared = Letrec((("f", Abs("y", App(Var("y"), Var("x")))),), App(Var("f"), Var("x")))
+    t = Abs("x", App(shared, Abs("x", App(shared, Var("x")))))
+    copy = parse_term(format_term(t))
+    assert copy == t and copy.body.fun is not copy.body.arg.body.fun
+    _assert_same_translation(term_to_graph(t), term_to_graph(copy))
+    _assert_same_analysis(t)
+
+
+def test_a_field_that_is_no_term_is_refused():
+    with pytest.raises(TypeError, match=r"^not a term: 3$"):
+        term_to_graph(App(Abs("x", Var("x")), 3))
+
+
+def test_a_hand_built_spine_translates_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() <= 1000
+    spine = Var("q")
+    for _ in range(10**5):
+        spine = App(spine, Var("q"))
+    dg = term_to_graph(Abs("q", spine))
+    # The abstraction, the applications and one occurrence per q.
+    assert dg.graph.vertex_count == 1 + 10**5 + 10**5 + 1
 
 
 # ---------------------------------------------------------------------------

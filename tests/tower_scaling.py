@@ -13,9 +13,6 @@ the hotg tower document (``generators.tower_doc``) at n = 250, 500 and
 no scope of the result read; that input is already Θ(n²).  Each time is
 the median of ``ROUNDS`` runs, and each row after the first gives its
 ratio to the row before, one doubling.  Informational: exits 0.
-
-The translator recurses once per term level, so the script raises the
-recursion limit for its own process only.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ def table(stages, sizes, total: bool) -> None:
 
 
 def main() -> None:
-    sys.setrecursionlimit(100_000)
     print(f"Python {sys.version.split()[0]}, CPU seconds, median of {ROUNDS}")
     table(term_stages, (1000, 2000, 4000), total=True)
     table(doc_stages, (250, 500, 1000), total=False)
