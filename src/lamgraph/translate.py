@@ -104,7 +104,25 @@ class _Table:
                     env[name].pop()
                 continue
             i = len(kind)
-            if isinstance(t, Letrec):
+            if isinstance(t, Var):
+                binders = env.get(t.name)
+                if not binders:  # parser output is closed; guard hand-built terms
+                    raise UnboundVariable(t.name, -1)
+                d = binders[-1]
+                if d >= 0:
+                    k, b = _VAR, f"{t.name}!"
+                    own[owner] |= 1 << d
+                else:
+                    k, d, b = _REF, -d, None
+                    refs[owner].add(d)
+            elif isinstance(t, App):
+                k, d, b = _APP, -1, "a"
+                todo += [(t.arg, depth, owner, i), (t.fun, depth, owner, -1)]
+            elif isinstance(t, Abs):
+                env.setdefault(t.name, []).append(depth)
+                k, d, b = _ABS, depth, t.name
+                todo += [((t.name,), -1, 0, 0), (t.body, depth + 1, owner, -1)]
+            elif isinstance(t, Letrec):
                 # A letrec in binding position lives in the same lambda
                 # environment, so its group splices into this one, and its
                 # body is the binding's term.
@@ -129,24 +147,6 @@ class _Table:
                     continue
                 self.groups[i] = []
                 k, d, b = _LETREC, -1, None
-            elif isinstance(t, Var):
-                binders = env.get(t.name)
-                if not binders:  # parser output is closed; guard hand-built terms
-                    raise UnboundVariable(t.name, -1)
-                d = binders[-1]
-                if d >= 0:
-                    k, b = _VAR, f"{t.name}!"
-                    own[owner] |= 1 << d
-                else:
-                    k, d, b = _REF, -d, None
-                    refs[owner].add(d)
-            elif isinstance(t, App):
-                k, d, b = _APP, -1, "a"
-                todo += [(t.arg, depth, owner, i), (t.fun, depth, owner, -1)]
-            elif isinstance(t, Abs):
-                env.setdefault(t.name, []).append(depth)
-                k, d, b = _ABS, depth, t.name
-                todo += [((t.name,), -1, 0, 0), (t.body, depth + 1, owner, -1)]
             else:
                 raise TypeError(f"not a term: {t!r}")
             if dest >= 0:
@@ -225,9 +225,10 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
     once the node's non-free entries are popped; the top of the node's
     delimiter chain becomes the next successor of vertex p, or the root
     where p is -1.  A frame (~v, x, t, p) closes vertex v once its
-    subtree is done, with the chain from x's word down to t's.  A
-    letrec's entries are filled in below their own binders, with no
-    chain.
+    subtree is done, with the chain from x's word down to t's.  A frame
+    (j, u, u, -2 - v) fills in the entry vertex v of a letrec binding
+    whose term is node j, allocated with its group under binder u; it
+    has no chain, and its top goes nowhere.
     """
     b = _Builder()
     alloc, succ, inner = b.alloc, b.succ, b.inner
@@ -260,22 +261,6 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
             top = s
         return top
 
-    def expand(i: int, v: int, t: int) -> None:
-        """Fill in vertex ``v`` of node ``i`` under binder ``t``: a
-        variable's back-link, or its children's frames."""
-        if kind[i] == _ABS:
-            depth[v] = data[i]
-            succ[v] = ()
-            todo.append((i + 1, v, pop(v, mask[i + 1]), v))
-        elif kind[i] == _APP:
-            succ[v] = ()
-            todo.append((data[i], t, pop(t, mask[data[i]]), v))
-            todo.append((i + 1, t, pop(t, mask[i + 1]), v))
-        else:
-            # Word entries enclose the node and differ in depth.
-            assert t >= 0 and depth[t] == data[i]
-            succ[v] = (t,)
-
     def resolve_entry(binding: int) -> int:
         """The entry of ``binding``, found through its chain of bare-name
         aliases; every alias on the chain gets that entry too."""
@@ -298,7 +283,7 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
         i, x, t, p = todo.pop()
         if i < 0:
             top = chain(x, t, ~i)
-        elif kind[i] == _LETREC:
+        elif (k := kind[i]) == _LETREC:
             # A letrec has its body's free binders, so its body keeps the word.
             todo.append((data[i], x, t, p))
             fills = []
@@ -307,21 +292,34 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
                 if ident in live and kind[j] != _REF:
                     u = pop(t, mask[j])
                     entry[ident] = alloc(tab.name[ident], _LABEL[kind[j]], u)
-                    fills.append((j, entry[ident], u))
-            for fill in reversed(fills):
-                expand(*fill)
+                    fills.append((j, u, u, -2 - entry[ident]))
+            todo += reversed(fills)
             continue
-        elif kind[i] == _REF:
+        elif k == _REF:
             v = resolve_entry(data[i])
             assert inner[v] == t
             top = chain(x, t, v)
         else:
-            v = alloc(base[i], _LABEL[kind[i]], t)
-            if t != x:  # the chain waits until the subtree is done
-                todo.append((~v, x, t, p))
-                expand(i, v, t)
+            if p <= -2:  # a letrec entry, allocated with its group
+                v = -2 - p
+            else:
+                v = alloc(base[i], _LABEL[k], t)
+                if t != x:  # the chain waits until the subtree is done
+                    todo.append((~v, x, t, p))
+            if k == _ABS:
+                depth[v] = data[i]
+                succ[v] = ()
+                todo.append((i + 1, v, pop(v, mask[i + 1]), v))
+            elif k == _APP:
+                succ[v] = ()
+                todo.append((data[i], t, pop(t, mask[data[i]]), v))
+                todo.append((i + 1, t, pop(t, mask[i + 1]), v))
+            else:
+                # Word entries enclose the node and differ in depth.
+                assert t >= 0 and depth[t] == data[i]
+                succ[v] = (t,)
+            if p <= -2 or t != x:
                 continue
-            expand(i, v, t)
             top = v
         if p < 0:
             root = top

@@ -328,7 +328,8 @@ DEPTH_FLOORS = {
     # Every binding is dead: only \x. x remains.
     "letrecs_in_body_position": ("letrec a = \\x. x in " * DEPTH + "a", 2),
     # The abstractions, the applications, the occurrences, and one
-    # delimiter per application, closing the binder its argument adds.
+    # delimiter per application, on its function edge, popping the
+    # binder that only its argument uses.
     "tower": (
         "".join(f"\\x{i}. " for i in range(TOWER)) + " ".join(f"x{i}" for i in range(TOWER)),
         4 * TOWER - 2,
