@@ -172,10 +172,10 @@ def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
 
     The bindings' masks come first, from one worklist fixpoint over the
     binding graph: a binding whose mask grows puts the bindings that
-    reference it back on the list, so each evaluation reads the masks
-    as they stand.  The live bindings, the only ones
-    translated, are those that owner 0 reaches in the reference relation;
-    the returned set holds them and 0 itself.
+    reference it back on the list, which holds each binding at most
+    once.  The live bindings, the only ones translated, are those that
+    owner 0 reaches in the reference relation; the returned set holds
+    them and 0 itself.
     """
     own, refs, depth = tab.own, tab.refs, tab.depth
     bind_fv = [0] * len(own)
