@@ -347,6 +347,14 @@ def test_deep_input_gives_no_traceback(tmp_path, capsys):
         assert (code, err) == (0, ""), argv
 
 
+def test_maxshare_takes_a_450_application_spine(tmp_path, capsys):
+    path = write(tmp_path, "spine.lam", "\\q. " + " ".join(["q"] * 451))
+    code, out, err = run(capsys, "maxshare", path)
+    assert (code, err) == (0, "")
+    # The abstraction, 450 applications and one shared occurrence of q.
+    assert parse_graph(out).graph.vertex_count == 452
+
+
 @pytest.mark.parametrize("family", DEPTH_FLOORS)
 def test_maxshare_depth_floors(tmp_path, capsys, family):
     assert sys.getrecursionlimit() <= 1000, "the floors mean nothing above the default limit"
