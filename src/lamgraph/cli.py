@@ -16,7 +16,7 @@ import sys
 from functools import cache, partial
 
 from .core import GraphError, SignatureVariant, VariantMismatch
-from .delimited import DelimitedGraph, _total_inner
+from .delimited import DelimitedGraph, _infer_inner
 from .dot import to_dot
 from .scoped import (
     PrefixedGraph,
@@ -98,7 +98,7 @@ def cmd_validate(args) -> int:
         report = validate_prefix_ho(g, doc.prefixes)
     elif args.cls == "ltg":
         try:
-            report = _total_inner(g)[1] or ValidationReport()
+            report = _infer_inner(g)[1] or ValidationReport()
         except VariantMismatch as exc:
             raise CliError(f"{args.file}: {exc}", 1) from exc
     if args.json:

@@ -8,13 +8,17 @@ reachable from the root; vertex ids are dense integers 0..n-1, which
 ``build`` assigns in the insertion order of its maps and ``parse_graph``
 in declaration order.
 
-Each representation checks itself where it is made: a ``TermGraph``
-built directly refuses a successor or root id that names no vertex and
-a vertex the root does not reach, and ``ScopedGraph``, ``PrefixedGraph``
-and ``DelimitedGraph`` refuse an invalid annotation.  Producers whose
-output is valid by construction (the builders, ``collapse`` and the
-conversions) make it through ``_trusted``, which runs no check.  A
-builder leaves a graph's names to be minted where they are first read.
+Each representation checks itself where it is made, each invariant by
+one piece of code: a ``TermGraph`` built directly refuses a successor or
+root id that names no vertex, then a row that ``_check_rows`` refuses (a
+label that is no ``Label``, a forbidden label, a wrong arity), then a
+vertex the root does not reach.  ``build`` and ``parse_graph`` run the
+same row check on the ids they assign (``_build_ids``).  ``ScopedGraph``,
+``PrefixedGraph`` and ``DelimitedGraph`` refuse an invalid annotation.
+Producers whose output is valid by construction (the builders,
+``collapse`` and the conversions) make it through ``_trusted``, which
+runs no check.  A builder leaves a graph's names to be minted where they
+are first read.
 """
 
 from __future__ import annotations
@@ -243,9 +247,10 @@ class TermGraph:
 
     def __post_init__(self):
         # A direct construction: every id must name a vertex, or readers
-        # would index past the end or wrap a negative id round, and the
-        # root must reach every vertex, or the collapse's numbering would
-        # miss one.
+        # would index past the end or wrap a negative id round; every row
+        # must fit its label, or inference would index past a row; and
+        # the root must reach every vertex, or the collapse's numbering
+        # would miss one.
         n = len(self.labels)
         if len(self.args) != n or len(self.names) != n:
             raise DomainMismatch("args and names must hold one entry per vertex")
@@ -259,6 +264,7 @@ class TermGraph:
                 (w, t) for w, succ in enumerate(self.args) for t in succ if type(t) is not int or t not in ids
             )
             raise DomainMismatch(f"successor id {t} of {self.names[w]} names no vertex")
+        _check_rows(self.variant, self.names, self.labels, self.args)
         reached = _reachable_keys(self.root, self.args)
         if len(reached) < n:
             raise UnreachableVertex(self.names[v] for v in range(n) if v not in reached)
@@ -308,9 +314,10 @@ class TermGraph:
 
     def _vertex(self, vertex: int | str) -> int:
         """``resolve``, refusing an id that is no vertex with ``KeyError``,
-        as ``id_of`` refuses an unknown name."""
+        as ``id_of`` refuses an unknown name.  An id is an int: 1.0 and
+        True equal one but are none."""
         v = self.resolve(vertex)
-        if not 0 <= v < len(self.labels):
+        if type(v) is not int or not 0 <= v < len(self.labels):
             raise KeyError(v)
         return v
 
@@ -385,9 +392,6 @@ def build_pruned(
     if index.keys() != set(successors) or root not in index:
         raise DomainMismatch("label and successor maps must share a key set containing the root")
     labs = list(map(labels.__getitem__, keys))
-    if not {Label}.issuperset(map(type, labs)):
-        key = next(key for key, lab in zip(keys, labs) if type(lab) is not Label)
-        raise TypeError(f"label {labels[key]!r} of vertex {key!r} is not a Label")
     succ = list(map(successors.__getitem__, keys))
     return _build_ids(variant, keys, labs, succ, index, index[root])
 
@@ -396,23 +400,12 @@ def _build_ids(variant, keys, labels, successors, index, root):
     """The one constructor behind ``build``, ``build_pruned`` and
     ``parse_graph``: vertex ``v`` is ``keys[v]``, labelled ``labels[v]``,
     with successor keys ``successors[v]`` that ``index`` maps to ids, and
-    ``root`` is an id.  Vertices are checked in id order, each for a
-    forbidden label, then its arity, then its first dangling successor;
-    errors name the vertex by its key.  Returns the graph of the vertices
-    reachable from the root, renumbered only if some are not, and the
-    keys of the others, in id order."""
-    # Arity by label value: an Enum member hashes through a Python-level
-    # call, its value in C.  A label the variant forbids has no entry.
-    arity = {lab._value_: variant.arity(lab) for lab in Label if variant.allows(lab)}.get
+    ``root`` is an id.  The rows pass ``_check_rows``, as a ``TermGraph``
+    made directly does.  Returns the graph of the vertices reachable from
+    the root, renumbered only if some are not, and the keys of the
+    others, in id order."""
     args = list(map(tuple, map(map, repeat(index.get), successors)))
-    for v, ids in enumerate(args):
-        n = arity(labels[v]._value_)
-        if n is None:
-            raise ForbiddenLabel(keys[v])
-        if len(ids) != n:
-            raise ArityMismatch(keys[v])
-        if None in ids:
-            raise DanglingSuccessor(keys[v], ids.index(None))
+    _check_rows(variant, keys, labels, args)
     reached, pruned = _reachable_keys(root, args), ()
     if len(reached) < len(args):
         pruned = tuple(keys[v] for v in range(len(keys)) if v not in reached)
@@ -425,6 +418,29 @@ def _build_ids(variant, keys, labels, successors, index, root):
         TermGraph, variant=variant, labels=tuple(labels), args=tuple(args), root=root, names=names
     )
     return graph, pruned
+
+
+def _check_rows(variant, keys, labels, args) -> None:
+    """The row check of every term graph made outside the library:
+    vertex ``v`` is labelled ``labels[v]`` with successor ids ``args[v]``,
+    None for a key that names no vertex.  Vertices are checked in id
+    order, each for a label that is no ``Label`` (``TypeError``), a
+    forbidden label, its arity, then its first dangling successor;
+    errors name the vertex by ``keys[v]``."""
+    # Arity by label value: an Enum member hashes through a Python-level
+    # call, its value in C.  A label the variant forbids has no entry.
+    arity = {lab._value_: variant.arity(lab) for lab in Label if variant.allows(lab)}.get
+    for v, ids in enumerate(args):
+        lab = labels[v]
+        if type(lab) is not Label:
+            raise TypeError(f"label {lab!r} of vertex {keys[v]!r} is not a Label")
+        n = arity(lab._value_)
+        if n is None:
+            raise ForbiddenLabel(keys[v])
+        if len(ids) != n:
+            raise ArityMismatch(keys[v])
+        if None in ids:
+            raise DanglingSuccessor(keys[v], ids.index(None))
 
 
 def successor(g: TermGraph, v: int | str, k: int) -> int:

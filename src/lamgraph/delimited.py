@@ -7,11 +7,15 @@ prefix function unique, so membership in the class is decidable by one
 forward propagation from the root.  Every word is P(v) = P(u)·u for its
 last entry u, the vertex's innermost binder, so the propagation carries
 those binders alone, in O(n + m) (``_infer_inner``), and words are
-derived from them only where they are read (``scoped._words``).  Given
-the binders, the eager-scope and back-link checks each take one
-backward search over all binders' body regions at once, in linear time;
-they group the vertices by their innermost binder only to name a
-witness or to search again.
+derived from them only where they are read (``scoped._words``).
+``_infer_inner`` is the one inference entry: ``infer_prefix``,
+``is_lambda_term_graph``, ``DelimitedGraph`` and ``_Builder`` all read
+it.  Given the binders, the eager-scope check takes one backward search
+over all binders' body regions at once, and the back-link check one
+strongly-connected-component pass from the root, each in linear time;
+the eager check groups the vertices by their innermost binder only to
+name a witness.  ``validate_prefix_fo`` is the one word validator,
+``scoped._validate_prefix_ho``, on a graph with delimiters.
 
 This module also emits delimited graphs on integer ids: ``_Builder``
 allocates vertices, each with its innermost binder as its producer
@@ -30,14 +34,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import (
-    DomainMismatch,
     Label,
     SignatureVariant,
     TermGraph,
     UnreachableVertex,
     VariantMismatch,
     _derived_field,
-    _reachable_keys,
     _trusted,
 )
 from .scoped import (
@@ -45,43 +47,22 @@ from .scoped import (
     ValidationReport,
     Violation,
     _check_prefix_domain,
-    _prefix_word_sanity,
+    _validate_prefix_ho,
     _words,
     normalize_prefix_fn,
 )
 
 
 def validate_prefix_fo(g: TermGraph, p: Mapping) -> ValidationReport:
-    """Check a prefix function against the strict delimiter conditions.
+    """Check a prefix function against the strict delimiter conditions:
+    ``scoped._validate_prefix_ho``, the one word validator, on a graph
+    with delimiters.
 
     O(n + m + sum of |prefix(w)|).
     """
     if g.variant.del_arity is None:
         raise VariantMismatch("this validator needs a signature with delimiters")
-    p = normalize_prefix_fn(g, p)
-    bad = _prefix_word_sanity(g, p)
-    if p[g.root] != ():
-        bad.append(Violation("root", (g.root,)))
-    for w, k, wk in g.edges():
-        lab = g.labels[w]
-        if lab is Label.ABS and p[wk] != p[w] + (w,):
-            bad.append(Violation("lambda", (w, wk)))
-        elif lab is Label.APP and p[wk] != p[w]:
-            bad.append(Violation("apply", (w, wk)))
-        elif lab is Label.DEL and k == 0 and (not p[w] or p[wk] != p[w][:-1]):
-            # A delimiter pops one entry, so its own word cannot be empty.
-            bad.append(Violation("delim-pop", (w, wk)))
-        elif lab is Label.DEL and k == 1:
-            if g.labels[wk] is not Label.ABS or p[wk] + (wk,) != p[w]:
-                bad.append(Violation("delim-backlink", (w, wk)))
-    for w in g.vertices_labeled(Label.VAR):
-        if p[w] == ():
-            bad.append(Violation("var0", (w,)))
-        elif g.variant.var_arity == 1:
-            w0 = g.args[w][0]
-            if g.labels[w0] is not Label.ABS or p[w0] + (w0,) != p[w]:
-                bad.append(Violation("var1", (w, w0)))
-    return ValidationReport(tuple(bad))
+    return _validate_prefix_ho(g, normalize_prefix_fn(g, p))
 
 
 def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None]:
@@ -89,10 +70,9 @@ def infer_prefix(g: TermGraph) -> tuple[PrefixFn | None, ValidationReport | None
 
     Returns (prefixes, None) on success, the words keyed in ascending id
     order, and (None, report) on failure; ``_infer_inner`` finds either.
-    A vertex the root does not reach raises ``DomainMismatch``.
     """
-    inner, report = _total_inner(g)
-    return (_words(inner), None) if report is None else (None, report)
+    inner, report = _infer_inner(g)
+    return (None, report) if inner is None else (_words(inner), None)
 
 
 def _infer_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | None]:
@@ -101,13 +81,12 @@ def _infer_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | Non
     prefix function exists.
 
     Returns (inner, None) on success: each vertex's innermost binder,
-    the last entry of its word, -1 for the empty word and -2 for a
-    vertex the root does not reach.  A failure found while propagating
-    gives (None, report) with one violation: ``prefix-conflict`` at
-    (source, target) for an edge that forces its target to a second
-    binder, or the validator's ``var0``/``var1``/``delim-pop``/
-    ``delim-backlink`` at the vertex whose own binder rules out its
-    back-link or pop.
+    the last entry of its word, -1 for the empty word.  A failure found
+    while propagating gives (None, report) with one violation:
+    ``prefix-conflict`` at (source, target) for an edge that forces its
+    target to a second binder, or the validator's ``var0``/``var1``/
+    ``delim-pop``/``delim-backlink`` at the vertex whose own binder rules
+    out its back-link or pop.
 
     Words grow only by pushing the abstraction being processed, which no
     word holds yet: they are repeat-free words of abstractions that never
@@ -120,7 +99,9 @@ def _infer_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | Non
     and the strict validator would find nothing more, except that a
     graph without variable back-links needs each variable's word to be
     nonempty; those ``var0`` violations are all reported, in ascending
-    vertex order, with the array as (inner, report).
+    vertex order, as (None, report).  A vertex that propagation leaves
+    unreached, which only a graph made through ``core._trusted`` can
+    hold, raises ``UnreachableVertex``, naming them all.
 
     The worklist is a stack, and an application pushes its function
     before its argument; that order fixes which failure is found first.
@@ -174,20 +155,13 @@ def _infer_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | Non
             push(t)
         elif old != value:
             return _failure("prefix-conflict", w, t)
+    if -2 in inner:
+        raise UnreachableVertex(name for name, x in zip(g.names, inner) if x == -2)
     if not var_linked:
         var0 = [w for w in g.vertices_labeled(Label.VAR) if inner[w] == -1]
         if var0:
-            return inner, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
+            return None, ValidationReport(tuple(Violation("var0", (w,)) for w in var0))
     return inner, None
-
-
-def _total_inner(g: TermGraph) -> tuple[list[int] | None, ValidationReport | None]:
-    """``_infer_inner``, refusing a vertex that propagation did not reach
-    with ``DomainMismatch``: the prefix function must be total."""
-    inner, report = _infer_inner(g)
-    if inner is not None and -2 in inner:
-        raise DomainMismatch("prefix function must be total on the vertex set")
-    return inner, report
 
 
 def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
@@ -196,7 +170,7 @@ def _failure(condition: str, *witnesses: int) -> tuple[None, ValidationReport]:
 
 def is_lambda_term_graph(g: TermGraph) -> bool:
     """True iff the graph admits a correct abstraction-prefix function."""
-    return _total_inner(g)[1] is None
+    return _infer_inner(g)[0] is not None
 
 
 @dataclass(frozen=True)
@@ -232,8 +206,8 @@ class DelimitedGraph:
 def _inferred(graph: TermGraph) -> list[int]:
     """The graph's inferred innermost binders, or a ``ValueError`` naming
     why there are none."""
-    inner, report = _total_inner(graph)
-    if report is not None:
+    inner, report = _infer_inner(graph)
+    if inner is None:
         raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
     return inner
 
@@ -271,10 +245,10 @@ class _Builder:
 
         The correct prefix function is unique, so a builder that records
         any other binder for any vertex is refused.  Where inference
-        fails, its violation is named; where the arrays differ, the first
-        vertex that differs, with both binders.  A vertex the root does
-        not reach raises ``UnreachableVertex``, naming them all.  The
-        graph's names and words are derived where they are first read.
+        fails, ``_inferred`` names its violation, or every vertex the root
+        does not reach; where the arrays differ, the first vertex that
+        differs, with both binders.  The graph's names and words are
+        derived where they are first read.
         """
         graph = _trusted(
             TermGraph,
@@ -284,11 +258,7 @@ class _Builder:
             root=root,
             _unnamed=(self.names, self.bases),
         )
-        inner, report = _infer_inner(graph)
-        if inner is not None and -2 in inner:
-            raise UnreachableVertex(name for name, x in zip(graph.names, inner) if x == -2)
-        if report is not None:
-            raise ValueError(f"not a valid delimited lambda graph: {report.violation_text(graph)}")
+        inner = _inferred(graph)
         if inner != self.inner:
             names = graph.names
             v = next(v for v, x in enumerate(inner) if x != self.inner[v])
@@ -307,29 +277,51 @@ def is_fully_back_linked(g: DelimitedGraph) -> bool:
     """True iff the last abstraction of every nonempty prefix is reachable.
 
     Reachability is plain directed reachability, back-link edges included.
-    A vertex whose word ends in v reaches v if it reaches, inside v's body
-    region, a vertex with its word and an edge to v.  One backward search
-    from all such vertices decides that for every vertex at once (see
-    ``_reach_in_region``): O(n + m), given the innermost binders.  Each
-    binder with a vertex left unreached searches again over the whole
-    graph, without the region search's jump, O(n + m) more; on eager
-    (1,2) graphs none does.
+    A vertex whose word ends in v lies in v's body region, and v reaches
+    every vertex of that region (see ``_reach_in_region``).  So the vertex
+    reaches v iff both lie in one strongly connected component, and one
+    component pass from the root decides every vertex (``_components``):
+    O(n + m), given the innermost binders.
     """
-    graph, inner = g.graph, g._inner
-    # The vertices with an edge to their innermost binder (-1 is no id).
-    sources = [u for u, succ in enumerate(graph.args) if inner[u] in succ]
-    reached = _reach_in_region(graph.labels, graph.args, sources, inner)
-    unreached: dict[int, list[int]] = {}
-    for w, x in enumerate(inner):
-        if x >= 0 and w not in reached:
-            unreached.setdefault(x, []).append(w)
-    if unreached:
-        preds = _predecessors(graph)
-        for v, members in unreached.items():
-            reached = _reachable_keys(v, preds)
-            if any(w not in reached for w in members):
-                return False
-    return True
+    comp = _components(g.graph.args, g.graph.root)
+    return all(comp[w] == comp[x] for w, x in enumerate(g._inner) if x >= 0)
+
+
+def _components(args: Sequence[Sequence[int]], root: int) -> list[int]:
+    """Each vertex's strongly connected component, named by the vertex
+    of it that the search enters first, for the vertices the root
+    reaches (-1 for the others): Tarjan's (1972) algorithm on an
+    explicit stack, O(n + m).
+
+    ``order`` numbers the vertices as the search enters them, and
+    ``low[v]`` is the least number of an open vertex (entered, its
+    component not yet closed) that v's search subtree has an edge to.  A
+    vertex whose ``low`` is its own number closes its component: itself
+    and the vertices entered since it that are still open.
+    """
+    n = len(args)
+    order, low, comp = [-1] * n, [0] * n, [-1] * n
+    order[root], entered = 0, 1
+    stack, calls = [root], [(root, iter(args[root]))]
+    while calls:
+        v, edges = calls[-1]
+        for w in edges:
+            if order[w] < 0:
+                order[w] = low[w] = entered
+                entered += 1
+                stack.append(w)
+                calls.append((w, iter(args[w])))
+                break
+            if comp[w] < 0 and order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            calls.pop()
+            if low[v] == order[v]:
+                while comp[v] < 0:
+                    comp[stack.pop()] = v
+            elif low[v] < low[calls[-1][0]]:
+                low[calls[-1][0]] = low[v]
+    return comp
 
 
 def is_eager_scope(g: DelimitedGraph, strict: bool = False) -> bool:
@@ -397,14 +389,6 @@ def _non_eager(
 
 def _non_eager_reason(names: Sequence[str], inner: Sequence[int], w: int) -> str:
     return f"{names[w]} reaches no occurrence of {names[inner[w]]} within its scope"
-
-
-def _predecessors(graph: TermGraph) -> list[list[int]]:
-    preds: list[list[int]] = [[] for _ in graph.vertices()]
-    for u, succ in enumerate(graph.args):
-        for t in succ:
-            preds[t].append(u)
-    return preds
 
 
 def _by_binder(inner: Sequence[int]) -> dict[int, list[int]]:

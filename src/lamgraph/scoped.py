@@ -11,16 +11,21 @@ binder other than itself, the last entry of its word, or -1 for the
 empty word.  On a valid function every word is P(v) = P(u)·u for that
 binder u, and every scope is its abstraction and the vertices below it
 in the tree, so the tree holds the whole scoping.  The validating
-constructors check a function as given, at the trust boundary; the
-scope validator's laminar pass builds the tree and tests the other
-conditions on it.  Conversions pass the tree on, and words and scopes
-are derived from it where they are first read.
+constructors check a function as given, at the trust boundary, and
+store the tree where they make the graph: ``ScopedGraph`` the one that
+the scope validator's laminar pass builds and tests the other
+conditions on, ``PrefixedGraph`` the last entries of its words.
+Conversions pass the tree on, and words and scopes are derived from it
+where they are first read.
+
+One word validator, ``_validate_prefix_ho``, checks prefix functions on
+both signatures: with delimiters an abstraction or application edge
+fixes its successor's word, without it may shorten it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -68,14 +73,15 @@ def _resolve_map(g: TermGraph, m: Mapping, freeze: type) -> dict:
     True, which equal an id but are none.  Any other resolves through
     the graph's name-or-id lookup: an unknown name raises ``KeyError``,
     and an id that is no vertex is kept for the domain check, as is
-    anything neither a name nor an int, so 1.0 is not read as 1."""
+    anything neither a name nor an int, so neither 1.0 nor True is read
+    as 1."""
     types = set(map(type, chain(m, chain.from_iterable(m.values()))))
     if not any(issubclass(t, str) for t in types):
         return {key: freeze(xs) for key, xs in m.items()}
     lookup = g._lookup
     find = lookup.__getitem__
-    if not all(issubclass(t, (str, int)) for t in types):
-        find = lambda x: lookup[x] if isinstance(x, (str, int)) else x  # noqa: E731
+    if not all(t is int or issubclass(t, str) for t in types):
+        find = lambda x: lookup[x] if type(x) is int or isinstance(x, str) else x  # noqa: E731
     return {find(key): freeze(map(find, xs)) for key, xs in m.items()}
 
 
@@ -305,7 +311,8 @@ def validate_prefix_ho(g: TermGraph, p: Mapping) -> ValidationReport:
 
     Abstraction and application edges may shorten the prefix (word-prefix
     order); variables need a nonempty prefix, and with back-links the
-    target must be the last prefix entry.
+    target must be the last prefix entry.  ``delimited.validate_prefix_fo``
+    runs the same check, with its strict edges, on graphs with delimiters.
     """
     if g.variant.del_arity is not None:
         raise VariantMismatch("this validator is for delimiter-free graphs")
@@ -313,24 +320,42 @@ def validate_prefix_ho(g: TermGraph, p: Mapping) -> ValidationReport:
 
 
 def _validate_prefix_ho(g: TermGraph, p: PrefixFn) -> ValidationReport:
-    """``validate_prefix_ho`` past its variant check, on a normalized function."""
+    """The one word validator, past the variant checks of
+    ``validate_prefix_ho`` and ``validate_prefix_fo``, on a normalized
+    function.
+
+    With delimiters an abstraction or application edge fixes its
+    successor's word, and a delimiter pops one entry (``delim-pop``) and
+    back-links to it (``delim-backlink``); without, such an edge may
+    shorten the word.  Violations come per vertex in id order, edge by
+    edge, then ``var0`` and then ``var1`` by ascending variable.
+    """
     bad = _prefix_word_sanity(g, p)
     if p[g.root] != ():
         bad.append(Violation("root", (g.root,)))
     labels, args = g.labels, g.args
-    ABS, APP, VAR = Label.ABS, Label.APP, Label.VAR
+    ABS, APP, VAR, DEL = Label.ABS, Label.APP, Label.VAR, Label.DEL
+    fits = _is_word_prefix if g.variant.del_arity is None else tuple.__eq__
     for w, succ in enumerate(args):
         lab = labels[w]
         if lab is ABS:
             word = p[w] + (w,)
             for wk in succ:
-                if not _is_word_prefix(p[wk], word):
+                if not fits(p[wk], word):
                     bad.append(Violation("lambda", (w, wk)))
         elif lab is APP:
             word = p[w]
             for wk in succ:
-                if not _is_word_prefix(p[wk], word):
+                if not fits(p[wk], word):
                     bad.append(Violation("apply", (w, wk)))
+        elif lab is DEL:
+            word, wk = p[w], succ[0]
+            # A delimiter pops one entry, so its own word cannot be empty.
+            if not word or p[wk] != word[:-1]:
+                bad.append(Violation("delim-pop", (w, wk)))
+            for wk in succ[1:]:
+                if labels[wk] is not ABS or p[wk] + (wk,) != word:
+                    bad.append(Violation("delim-backlink", (w, wk)))
     variables = [w for w, lab in enumerate(labels) if lab is VAR]
     for w in variables:
         if p[w] == ():
@@ -383,28 +408,13 @@ class ScopedGraph:
         report, inner = _validate_scope(g, self.scopes)
         if not report.passed:
             raise ValueError(f"invalid scope function: {report.violation_text(g)}")
-        if inner is not None:
-            self.__dict__["_inner"] = inner
+        # Valid scopes without a tree need a vertex that the root does
+        # not reach, which ``TermGraph`` refuses.
+        self.__dict__["_inner"] = inner
 
     @classmethod
     def checked(cls, graph: TermGraph, scopes: Mapping) -> "ScopedGraph":
         return cls(graph, _resolve_map(graph, scopes, frozenset))
-
-    @cached_property
-    def _inner(self) -> list[int]:
-        """Each vertex's innermost binder other than itself, -1 for none:
-        the last entry of its word, as in ``_binder_tree``.
-
-        The constructor stores the tree it validated on, and an instance
-        made through ``core._trusted`` derives it on first use.  Valid
-        scopes that do not nest have no tree: they occur only on a
-        carrier with a vertex the root does not reach, which
-        ``TermGraph`` refuses.
-        """
-        inner = _binder_tree(self.graph, self.scopes)
-        if inner is None:
-            raise ValueError("the scopes do not nest: a vertex is not reachable from the root")
-        return inner
 
 
 def _scopes(h: ScopedGraph) -> ScopeFn:
@@ -438,13 +448,6 @@ def _scopes(h: ScopedGraph) -> ScopeFn:
 # ``prefix_to_scope`` makes a ``ScopedGraph`` from its binder tree alone;
 # its scopes are derived where they are first read.
 _derived_field(ScopedGraph, "scopes", _scopes)
-
-
-def _last_entries(x) -> list[int]:
-    """The innermost binder of each vertex of a graph with words: the
-    last entry of its word, -1 for the empty word."""
-    p = x.prefixes
-    return [word[-1] if word else -1 for word in map(p.__getitem__, x.graph.vertices())]
 
 
 def _words(inner: Sequence[int]) -> PrefixFn:
@@ -487,12 +490,13 @@ class PrefixedGraph:
         report = _validate_prefix_ho(self.graph, self.prefixes)
         if not report.passed:
             raise ValueError(f"invalid prefix function: {report.violation_text(self.graph)}")
+        # The innermost binders: the last entries of the words.
+        words = map(self.prefixes.__getitem__, self.graph.vertices())
+        self.__dict__["_inner"] = [word[-1] if word else -1 for word in words]
 
     @classmethod
     def checked(cls, graph: TermGraph, prefixes: Mapping) -> "PrefixedGraph":
         return cls(graph, _resolve_map(graph, prefixes, tuple))
-
-    _inner = cached_property(_last_entries)
 
 
 _derived_field(PrefixedGraph, "prefixes", lambda x: _words(x._inner))
@@ -506,7 +510,7 @@ def binders(h: ScopedGraph, w: int | str) -> list[int]:
     """
     g = h.graph
     w = g.resolve(w)
-    if not 0 <= w < g.vertex_count:
+    if type(w) is not int or not 0 <= w < g.vertex_count:
         return []
     inner = h._inner
     found = [w] if g.labels[w] is Label.ABS else []

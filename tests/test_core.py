@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from generators import random_graph
+from generators import ALL_VARIANTS, random_graph
 from oracles import (
     all_homomorphisms,
     lex_min_simple_path,
@@ -17,6 +17,7 @@ from lamgraph import (
     DanglingSuccessor,
     DomainMismatch,
     ForbiddenLabel,
+    GraphError,
     IndexOutOfRange,
     Label,
     PrefixedGraph,
@@ -24,11 +25,13 @@ from lamgraph import (
     TermGraph,
     UnreachableVertex,
     access_path,
+    binders,
     build,
     build_pruned,
     isomorphic,
     num_delimiters,
     parse_graph,
+    serialize_graph,
     successor,
 )
 
@@ -125,23 +128,28 @@ def test_term_graph_refuses_ids_that_name_no_vertex(args, root, names, message):
         ("prefix", {0: (), 1: (False,)}, "^prefix entry False is not a vertex$"),
         ("prefix", {0: (), 1.0: (0,)}, "^prefix function must be total on the vertex set$"),
         ("prefix", {0: (), True: (0,)}, "^prefix function must be total on the vertex set$"),
-        # Beside a name, a float is no id either.
+        # Beside a name, neither a float nor a bool is an id.
         ("scope", {"r": {"r", 1.0}}, "^scope member 1.0 is not a vertex$"),
         ("scope", {"r": {"r", "c"}, 1.0: {1}}, "^scope function domain must be exactly the abstraction vertices$"),
         ("prefix", {"r": (), "c": (0.0,)}, "^prefix entry 0.0 is not a vertex$"),
         ("prefix", {"r": (), 1.0: (0,)}, "^prefix function must be total on the vertex set$"),
+        ("scope", {"r": {"r", True}}, "^scope member True is not a vertex$"),
+        ("scope", {"r": {"r", "c"}, True: {1}}, "^scope function domain must be exactly the abstraction vertices$"),
+        ("prefix", {"r": (), "c": (False,)}, "^prefix entry False is not a vertex$"),
+        ("prefix", {"r": (), True: (0,)}, "^prefix function must be total on the vertex set$"),
     ],
     ids=["float-member", "bool-member", "float-key", "bool-key",
          "float-entry", "bool-entry", "float-vertex", "bool-vertex",
-         "named-float-member", "named-float-key", "named-float-entry", "named-float-vertex"],
+         "named-float-member", "named-float-key", "named-float-entry", "named-float-vertex",
+         "named-bool-member", "named-bool-key", "named-bool-entry", "named-bool-vertex"],
 )
 def test_scope_and_prefix_functions_refuse_ids_that_name_no_vertex(make, annotation, message):
     # The constructors check every member before the laminar pass indexes
     # by them: a float raised a bare TypeError there, and True was taken.
-    # The entry points that also take names refuse them the same way.  A
-    # map with names resolves through the name-or-id lookup, which refuses
-    # a float but takes True as 1
-    # (test_scoped.py::test_normalize_takes_booleans_as_the_ids_they_equal).
+    # The entry points that also take names refuse them the same way: a
+    # map with names resolves names and ints alone through the name-or-id
+    # lookup and keeps a float or a bool for the domain check
+    # (test_scoped.py::test_normalize_refuses_booleans_beside_names).
     from lamgraph import ScopedGraph, prefix_to_scope, validate_prefix_ho, validate_scope
 
     g = TermGraph(SignatureVariant(1), (Label.ABS, Label.VAR), ((1,), (0,)), 0, ("r", "c"))
@@ -186,6 +194,56 @@ def test_term_graph_refuses_a_vertex_the_root_does_not_reach(labels, args, names
     assert err.value.vertices == unreached
 
 
+@pytest.mark.parametrize(
+    "variant, labels, error, message",
+    [
+        # An application with one successor: inference read its second.
+        (SignatureVariant(1, 2), (Label.APP, Label.ABS), ArityMismatch, "wrong number of successors at vertex 'a'"),
+        (SignatureVariant(1), (Label.ABS, Label.DEL), ForbiddenLabel,
+         "delimiter label at vertex 'b' not allowed by this variant"),
+        (SignatureVariant(1), ("lam", Label.VAR), TypeError, "label 'lam' of vertex 'a' is not a Label"),
+    ],
+    ids=["arity", "forbidden", "not-a-label"],
+)
+def test_term_graph_refuses_a_row_that_does_not_fit_its_label(variant, labels, error, message):
+    # TermGraph once took these rows: infer_prefix then raised a bare
+    # IndexError, and serialize_graph wrote a document that parse_graph
+    # refuses.  The row check is build's, so build refuses them alike.
+    with pytest.raises(error) as info:
+        TermGraph(variant, labels, ((1,), (0,)), 0, ("a", "b"))
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        build(variant, dict(zip("ab", labels)), {"a": ["b"], "b": ["a"]}, "a")
+    assert str(info.value) == message
+
+
+def test_every_graph_the_constructor_takes_survives_a_document_round_trip():
+    # Random rows, most of them fitting their labels: what TermGraph takes,
+    # parse_graph reads back from serialize_graph as the same graph.
+    rng = random.Random(135)
+    outcomes = collections.Counter()
+    for _ in range(3000):
+        variant = rng.choice(ALL_VARIANTS)
+        n = rng.randint(1, 6)
+        labels = [rng.choice(list(Label)) for _ in range(n)]
+        args = [
+            [rng.randrange(n) for _ in range(
+                variant.arity(lab) if variant.allows(lab) and rng.random() < 0.9 else rng.randint(0, 2)
+            )]
+            for lab in labels
+        ]
+        try:
+            g = TermGraph(variant, tuple(labels), tuple(map(tuple, args)), rng.randrange(n),
+                          tuple(f"v{v}" for v in range(n)))
+        except GraphError as exc:
+            outcomes[type(exc)] += 1
+            continue
+        assert parse_graph(serialize_graph(g)).graph == g
+        outcomes["taken"] += 1
+    assert {"taken", ArityMismatch, ForbiddenLabel, UnreachableVertex} <= set(outcomes), outcomes
+    assert outcomes["taken"] >= 300, outcomes
+
+
 def test_successor_examples(g0_plain, single_lambda_cycle):
     assert successor(g0_plain, "a", 1) == g0_plain.id_of("b")
     assert successor(single_lambda_cycle, "a", 0) == single_lambda_cycle.root
@@ -205,9 +263,12 @@ def test_access_path_examples(g0_plain, single_lambda_cycle):
     assert len(cycle_path) == 0
 
 
-@pytest.mark.parametrize("bad", [2, 5, -1])
+@pytest.mark.parametrize("bad", [2, 5, -1, True, 1.0])
 def test_an_id_that_is_no_vertex_is_refused(bad):
-    # Ids 0 and 1.  A negative id must not wrap round to the last vertex.
+    # Ids 0 and 1.  A negative id must not wrap round to the last vertex,
+    # and True and 1.0 equal the id 1 but are none.
+    from lamgraph import prefix_to_scope
+
     doc = parse_graph("sig 0\nroot r\nr lam c\nc 0\nprefix c = r\n")
     a = PrefixedGraph.checked(doc.graph, doc.prefixes)
     for call in (
@@ -217,7 +278,9 @@ def test_an_id_that_is_no_vertex_is_refused(bad):
     ):
         with pytest.raises(KeyError) as info:
             call()
-        assert info.value.args == (bad,)
+        assert info.value.args == (bad,) and type(info.value.args[0]) is type(bad)
+    # An id that is no vertex lies in no scope.
+    assert binders(prefix_to_scope(a), bad) == []
 
 
 @pytest.mark.parametrize("v, k", [("r", -1), ("r", 1), ("r", 7), ("c", 0)])

@@ -273,10 +273,8 @@ def _agree_on_scopes(g, sc, verdicts):
     if not report.passed:
         assert h == (ValueError, f"invalid scope function: {report.violation_text(g)}")
         return
-    # The constructor keeps the binder tree it validated on; a copy made
-    # through _trusted derives the same tree on first use.
-    lazy = _trusted(ScopedGraph, graph=g, scopes=h.scopes)
-    assert vars(h)["_inner"] == lazy._inner
+    # The constructor stores the binder tree of the scopes it validated.
+    assert vars(h)["_inner"] == _binder_tree(g, h.scopes)
     for w in g.vertices():
         assert binders(h, w) == per_abstraction_binders(h, w)
     assert scope_to_prefix(h) == per_vertex_scope_to_prefix(h)
@@ -391,7 +389,8 @@ def test_constructor_takes_what_the_validator_takes_where_the_root_misses_a_vert
     # Valid scopes nest only where the root reaches every vertex.  Here
     # n3' lies in both scopes and nothing leads to it, so the laminar
     # pass fails where the paper's conditions hold; the constructor must
-    # take the function all the same.  It has no binder tree.
+    # take the function all the same.  It has no binder tree, and only
+    # _trusted can make such a carrier.
     APP, ABS = Label.APP, Label.ABS
     g = _trusted(
         TermGraph,
@@ -403,9 +402,7 @@ def test_constructor_takes_what_the_validator_takes_where_the_root_misses_a_vert
     )
     sc = {1: frozenset({1, 3, 4}), 2: frozenset({2, 4})}
     assert _binder_tree(g, sc) is None and validate_scope(g, sc).passed
-    h = ScopedGraph(g, sc)
-    with pytest.raises(ValueError, match="^the scopes do not nest"):
-        h._inner
+    ScopedGraph(g, sc)
     # Random carriers with an unreached copy: the constructor refuses
     # exactly what the validator refuses, with its violations.
     rng = random.Random(312)
@@ -657,16 +654,20 @@ def test_normalize_prefix_fn_keeps_its_errors(prefixes, error, message):
     assert str(info.value) == message
 
 
-def test_normalize_takes_booleans_as_the_ids_they_equal():
+def test_normalize_refuses_booleans_beside_names():
+    # An id is an int: True and False equal the ids 1 and 0 but are none,
+    # beside names as without them.
     g = parse_graph(_ONE_LAMBDA).graph
-    assert normalize_scope_fn(g, {"r": {True, False}}) == {0: frozenset({0, 1})}
-    assert normalize_scope_fn(g, {False: {"r", "c"}}) == {0: frozenset({0, 1})}
-    assert normalize_prefix_fn(g, {"r": (), True: (False,)}) == {0: (), 1: (0,)}
-    # On a one-vertex graph True is no vertex id.
-    alone = parse_graph("sig 0\nroot r\nr lam r\n").graph
-    with pytest.raises(DomainMismatch) as info:
-        normalize_scope_fn(alone, {"r": {"r", True}})
-    assert str(info.value) == "scope member True is not a vertex"
+    for normalize, fn, message in [
+        (normalize_scope_fn, {"r": {"r", True}}, "scope member True is not a vertex"),
+        (normalize_scope_fn, {"r": {"c", False}}, "scope member False is not a vertex"),
+        (normalize_scope_fn, {False: {"r", "c"}}, "scope function domain must be exactly the abstraction vertices"),
+        (normalize_prefix_fn, {"r": (), "c": (False,)}, "prefix entry False is not a vertex"),
+        (normalize_prefix_fn, {"r": (), True: ("r",)}, "prefix function must be total on the vertex set"),
+    ]:
+        with pytest.raises(DomainMismatch) as info:
+            normalize(g, fn)
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

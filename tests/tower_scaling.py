@@ -7,10 +7,14 @@ and gives words of up to n entries, so any stage that builds a word per
 vertex is quadratic on it.  For n = 1000, 2000 and 4000 this prints the
 CPU time of ``term_to_graph``, of ``collapse`` on its graph and of
 ``DelimitedGraph.from_graph`` on the quotient, with no word read, and
-their sum, the library part of ``maxshare`` short of serializing.  For
-the hotg tower document (``generators.tower_doc``) at n = 250, 500 and
-1000 it prints the time of ``max_share_ho`` on the validated input, with
-no scope of the result read; that input is already Θ(n²).  Each time is
+their sum, the library part of ``maxshare`` short of serializing.  At
+the same sizes it prints the time of ``is_fully_back_linked`` on the
+(1,1) tower ``\\x0. ... \\x{n-1}. x0``, translated with its delimiter
+back-links erased, so that no vertex has an edge to its binder but the
+variable.  For the hotg tower document (``generators.tower_doc``) at
+n = 250, 500 and 1000 it prints the time of ``max_share_ho`` on the
+validated input, with no scope of the result read; that input is
+already Θ(n²).  Each time is
 the median of ``ROUNDS`` runs, and each row after the first gives its
 ratio to the row before, one doubling.  Informational: exits 0.
 """
@@ -25,10 +29,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from generators import tower_doc  # noqa: E402
+from generators import erase_backlinks, tower_doc  # noqa: E402
 
 from lamgraph import DelimitedGraph, ScopedGraph, collapse, max_share_ho, parse_graph, parse_term  # noqa: E402
-from lamgraph import term_to_graph  # noqa: E402
+from lamgraph import is_fully_back_linked, term_to_graph  # noqa: E402
 
 ROUNDS = 5
 
@@ -49,6 +53,12 @@ def term_stages(n: int) -> dict[str, float]:
     (quotient, _), shared = timed(collapse, dg.graph)
     _, infer = timed(DelimitedGraph.from_graph, quotient)
     return {"term_to_graph": translate, "collapse": shared, "from_graph": infer}
+
+
+def backlink_stages(n: int) -> dict[str, float]:
+    t = parse_term("".join(f"\\x{i}. " for i in range(n)) + "x0")
+    dg = DelimitedGraph.from_graph(erase_backlinks(term_to_graph(t).graph, 1, 1))
+    return {"is_fully_back_linked": timed(is_fully_back_linked, dg)[1]}
 
 
 def doc_stages(n: int) -> dict[str, float]:
@@ -74,6 +84,7 @@ def table(stages, sizes, total: bool) -> None:
 def main() -> None:
     print(f"Python {sys.version.split()[0]}, CPU seconds, median of {ROUNDS}")
     table(term_stages, (1000, 2000, 4000), total=True)
+    table(backlink_stages, (1000, 2000, 4000), total=False)
     table(doc_stages, (250, 500, 1000), total=False)
 
 

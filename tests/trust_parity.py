@@ -3,7 +3,8 @@
     python3 tests/trust_parity.py [--inputs N] [--seed S]
 
 Draws N hand-built inputs (default 20000), input i under seed S + i
-(default S = 2000), taking turns over four kinds:
+(default S = 2000), taking turns over four kinds, and every fourth seed
+also draws a ``rows`` input:
 
 - ``scope``: a scope function on a delimiter-free graph, ``ScopedGraph``
   against ``validate_scope``;
@@ -13,7 +14,10 @@ Draws N hand-built inputs (default 20000), input i under seed S + i
   of 0..n-1, ``TermGraph`` against a scan of the ids and then a search
   from the root, since a moved id may leave a vertex unreached;
 - ``words``: a delimited graph with words, ``DelimitedGraph`` against
-  ``infer_prefix``.
+  ``infer_prefix``;
+- ``rows``: a graph's labels and successor rows with one label, one
+  successor count or one successor changed, or none, ``TermGraph``
+  against ``build`` on the same rows: both run ``core._check_rows``.
 
 Half the annotations are random; the others are a valid one, from a
 translated term, with at most one entry changed.  Now and then a scope
@@ -21,7 +25,10 @@ or prefix function also loses a key or gains an entry that names no
 vertex.  A constructor must
 refuse exactly the inputs its validator refuses, with the validator's
 violations, or for ids and words the first id or vertex at fault (for
-ids, then every vertex the root misses).  A ``ScopedGraph`` it takes
+ids, then every vertex the root misses); for rows, with the exception
+type and message of ``build``, which name the same vertex.  A
+``TermGraph`` it takes must equal ``build``'s graph of the same rows.
+A ``ScopedGraph`` it takes
 must keep the binder tree of the scopes inverted from scratch: per
 vertex, the abstractions whose scope holds it, by decreasing scope
 size and then ascending id, end in the vertex's innermost binder, its
@@ -55,6 +62,7 @@ from lamgraph import (  # noqa: E402
     TermGraph,
     UnreachableVertex,
     binders,
+    build,
     infer_prefix,
     prefix_to_scope,
     strip_delimiters,
@@ -63,18 +71,25 @@ from lamgraph import (  # noqa: E402
     validate_scope,
 )
 
-KINDS = ("scope", "prefix", "ids", "words")
+KINDS = ("scope", "prefix", "ids", "words", "rows")
 
 
 def verdict(make, *args):
     """``None`` if ``make`` takes the input, else its refusal's type and
     message; for a ``ScopedGraph`` taken with another binder tree or
     other binders than ``rank_order_lists`` gives, the tree or the
-    binders."""
+    binders, and for a ``TermGraph`` other than ``build``'s, the graph."""
     try:
         made = make(*args)
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, TypeError) as exc:
         return type(exc), str(exc)
+    if make is TermGraph:
+        try:
+            built = build(*as_maps(*args))
+        except (GraphError, TypeError) as exc:
+            built = exc
+        if made != built:
+            return "graph", made
     if make is ScopedGraph:
         g, sc = args
         lists = rank_order_lists(g, sc)
@@ -85,6 +100,12 @@ def verdict(make, *args):
         if found != lists:
             return "binders", found
     return None
+
+
+def as_maps(variant, labels, args, root, names):
+    """``TermGraph``'s fields as ``build``'s arguments, keyed by name."""
+    succ = {name: [names[t] for t in row] for name, row in zip(names, args)}
+    return variant, dict(zip(names, labels)), succ, names[root]
 
 
 def rank_order_lists(g, sc):
@@ -221,7 +242,25 @@ def words_input(rng):
     return made, None
 
 
-DRAW = {"scope": scope_input, "prefix": prefix_input, "ids": ids_input, "words": words_input}
+def rows_input(rng):
+    g = random_graph(rng, max_vertices=8)
+    n = g.vertex_count
+    labels, args = list(g.labels), [list(row) for row in g.args]
+    v, change = rng.randrange(n), rng.random()
+    if change < 0.3:
+        labels[v] = rng.choice((*Label, "lam", None))
+    elif change < 0.5 and args[v]:
+        del args[v][rng.randrange(len(args[v]))]
+    elif change < 0.7:
+        args[v].insert(rng.randint(0, len(args[v])), rng.randrange(n))
+    elif change < 0.9 and args[v]:
+        args[v][rng.randrange(len(args[v]))] = rng.randrange(n)
+    fields = (g.variant, tuple(labels), tuple(map(tuple, args)), g.root, g.names)
+    want = verdict(build, *as_maps(*fields))
+    return (TermGraph, *fields), want
+
+
+DRAW = {"scope": scope_input, "prefix": prefix_input, "ids": ids_input, "words": words_input, "rows": rows_input}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,14 +270,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     taken, refused = Counter(), Counter()
     for i, seed in enumerate(range(args.seed, args.seed + args.inputs)):
-        kind = KINDS[i % len(KINDS)]
-        (make, *fields), want = DRAW[kind](random.Random(seed))
-        got = verdict(make, *fields)
-        if got != want:
-            print(f"seed {seed} ({kind}): {make.__name__} and its validator differ on {fields!r}")
-            print(f"  constructor: {got!r}\n  validator:   {want!r}")
-            return 1
-        (taken if got is None else refused)[kind] += 1
+        for kind in (KINDS[i % 4], "rows") if i % 4 == 0 else (KINDS[i % 4],):
+            (make, *fields), want = DRAW[kind](random.Random(seed))
+            got = verdict(make, *fields)
+            if got != want:
+                print(f"seed {seed} ({kind}): {make.__name__} and its validator differ on {fields!r}")
+                print(f"  constructor: {got!r}\n  validator:   {want!r}")
+                return 1
+            (taken if got is None else refused)[kind] += 1
     counts = ", ".join(f"{k} {taken[k]} taken / {refused[k]} refused" for k in KINDS)
     last = args.seed + args.inputs - 1
     print(f"{args.inputs} inputs (seeds {args.seed}-{last}): all agree; {counts}")
