@@ -12,8 +12,9 @@ Each representation checks itself where it is made, each invariant by
 one piece of code: a ``TermGraph`` built directly refuses a successor or
 root id that names no vertex, then a row that ``_check_rows`` refuses (a
 label that is no ``Label``, a forbidden label, a wrong arity), then a
-vertex the root does not reach.  ``build`` and ``parse_graph`` run the
-same row check on the ids they assign (``_build_ids``).  ``ScopedGraph``,
+name that two vertices share (``_check_names``), then a vertex the root
+does not reach.  ``build`` and ``parse_graph`` run the same row check
+on the ids they assign (``_build_ids``).  ``ScopedGraph``,
 ``PrefixedGraph`` and ``DelimitedGraph`` refuse an invalid annotation.
 Producers whose output is valid by construction (the builders,
 ``collapse`` and the conversions) make it through ``_trusted``, which
@@ -265,6 +266,7 @@ class TermGraph:
             )
             raise DomainMismatch(f"successor id {t} of {self.names[w]} names no vertex")
         _check_rows(self.variant, self.names, self.labels, self.args)
+        _check_names(self.names)
         reached = _reachable_keys(self.root, self.args)
         if len(reached) < n:
             raise UnreachableVertex(self.names[v] for v in range(n) if v not in reached)
@@ -288,12 +290,9 @@ class TermGraph:
     @cached_property
     def _ids(self) -> dict[str, int]:
         # Name -> id index, built on the first lookup by name.  Not a
-        # field, so equality, hashing and repr never see it; the first
-        # vertex wins where two names coincide.
-        ids: dict[str, int] = {}
-        for v, name in enumerate(self.names):
-            ids.setdefault(name, v)
-        return ids
+        # field, so equality, hashing and repr never see it.  No two
+        # vertices share a name (``_check_names``, ``parse_graph``).
+        return dict(zip(self.names, self.vertices()))
 
     @cached_property
     def _lookup(self) -> _Lookup:
@@ -393,7 +392,9 @@ def build_pruned(
         raise DomainMismatch("label and successor maps must share a key set containing the root")
     labs = list(map(labels.__getitem__, keys))
     succ = list(map(successors.__getitem__, keys))
-    return _build_ids(variant, keys, labs, succ, index, index[root])
+    graph, pruned = _build_ids(variant, keys, labs, succ, index, index[root])
+    _check_names(graph.names)  # distinct keys may read alike as text
+    return graph, pruned
 
 
 def _build_ids(variant, keys, labels, successors, index, root):
@@ -441,6 +442,20 @@ def _check_rows(variant, keys, labels, args) -> None:
             raise ArityMismatch(keys[v])
         if None in ids:
             raise DanglingSuccessor(keys[v], ids.index(None))
+
+
+def _check_names(names) -> None:
+    """Refuse the first vertex whose name, as text, an earlier vertex
+    has: a document names each vertex once, so such a graph would
+    serialize to one that ``parse_graph`` refuses.  ``parse_graph``
+    refuses a name declared twice itself, with its line."""
+    names = list(map(str, names))
+    if len(set(names)) < len(names):
+        seen: dict[str, int] = {}
+        for v, name in enumerate(names):
+            if name in seen:
+                raise DomainMismatch(f"vertices {seen[name]} and {v} share the name {name!r}")
+            seen[name] = v
 
 
 def successor(g: TermGraph, v: int | str, k: int) -> int:

@@ -475,15 +475,20 @@ class PrefixedGraph:
 
     The constructor takes a map keyed by vertex ids and refuses an
     invalid one, as ``ScopedGraph`` does, with ``validate_prefix_ho``'s
-    violations.  ``checked`` also accepts names.  A conversion makes one
-    through ``core._trusted`` with its innermost binders, ``_inner``,
-    and its words are derived where they are first read (``_words``).
+    violations; a word that is no tuple is kept as its tuple.
+    ``checked`` also accepts names.  A conversion makes one through
+    ``core._trusted`` with its innermost binders, ``_inner``, and its
+    words are derived where they are first read (``_words``).
     """
 
     graph: TermGraph
     prefixes: dict[int, tuple[int, ...]] = field(hash=False)
 
     def __post_init__(self):
+        if not {tuple}.issuperset(map(type, self.prefixes.values())):
+            # A word given as a list, say, is read as its tuple, as the
+            # validator reads it, and kept as one.
+            self.__dict__["prefixes"] = {v: tuple(word) for v, word in self.prefixes.items()}
         _check_prefix_domain(self.graph, self.prefixes)
         if self.graph.variant.del_arity is not None:
             raise VariantMismatch("this validator is for delimiter-free graphs")

@@ -8,11 +8,19 @@ recursive bindings, parentheses for grouping.  Identifiers match
 The parser reads the token texts of one regular-expression scan, each
 once, in one loop over its own stack; neither it nor ``format_term`` takes
 a Python frame per term level.  An offset is computed only when an error
-is raised, by scanning the text again.  A binding body may use
-names of its group that are read after it, so an identifier that no binder
-holds where it is read waits until its group's ``in``; it is reported
-unbound (at its own offset) once no enclosing group still reading its
-bindings can bind it.
+is raised, by scanning the text again.
+
+The same scan fills the table the translator reads (``_Table``): the
+nodes in post-order, each variable resolved to its binder's lambda depth
+or letrec binding as it is read.  The table rides on the parsed root as
+the private attribute ``_table``, outside ``==``, ``hash`` and ``repr``;
+``translate.term_to_graph`` reads it there, and walks any other term (one
+built by hand, a subterm, a ``dataclasses.replace`` copy) into the same
+table.  A binding body may use names of its group that are read after it,
+so an identifier read in a group's bindings that no binder in the group
+holds waits until the group's ``in``; it is resolved there, or waits on
+in the enclosing group, or is reported unbound (at its own offset) once no
+enclosing group still reading its bindings can bind it.
 """
 
 from __future__ import annotations
@@ -176,98 +184,242 @@ def parse_term(text: str) -> Term:
     return _parse(_TOKEN.findall(text), text)
 
 
+# The kinds of a table's nodes.
+_VAR, _REF, _APP, _ABS, _LETREC = range(5)
+
+
+class _Table:
+    """A term resolved into parallel lists in post-order, one entry per
+    node (see ``translate``).  Per node: ``kind``; ``data``, a variable's
+    or abstraction's lambda depth, a reference's binding id, an
+    application's function node, -1 for a letrec; and ``base`` (a
+    variable's name with "!", a binder's name, "a" for an application).
+    A node's last child, its argument or body, is the node before it.
+    Per letrec node: ``groups``, its binding ids in emission order, each
+    spliced group before the binding whose term it was.  Per binding id,
+    from 1 in the order the binders are read: ``term``, its term's node,
+    ``name`` and ``depth``.  Per owner, 0 and the binding ids: ``own``,
+    its variables' depth bits, and ``refs``, the bindings it
+    references."""
+
+    __slots__ = ("kind", "data", "base", "groups", "term", "name", "depth", "own", "refs")
+
+    def __init__(self):
+        self.kind, self.data, self.base = [], [], []
+        self.groups: dict[int, list[int]] = {}
+        self.term, self.name, self.depth = [-1], [""], [0]
+        self.own, self.refs = [0], [set()]
+
+
 def _parse(tokens: list[str], text: str) -> Term:
     bad = [tok for tok in set(tokens).difference(_KIND) if not _IDENT_START(tok)]
     if bad:
         k = min(map(tokens.index, bad))
         raise TermSyntaxError(f"unexpected character {tokens[k]!r}", _offset(text, k))
-    # Each name's count of enclosing binders, kept up on entry and exit.
-    scope: dict[str, int] = {}
-    # One list per letrec group still reading its bindings: the indices of
-    # the identifiers no binder held when read, innermost group last.
-    pending: list[list[int]] = []
+    tab = _Table()
+    kind, data, base, groups = tab.kind, tab.data, tab.base, tab.groups
+    terms, names, depths, own, refs = tab.term, tab.name, tab.depth, tab.own, tab.refs
+    # Each name's binders, innermost last: an abstraction as its lambda
+    # depth, a letrec binding as its id negated.
+    env: dict[str, list[int]] = {}
+    # The letrec groups still reading their bindings, innermost last:
+    # (lambda depth, first binding id, pending).  An identifier read in
+    # the group's bindings whose binder, if any, lies outside the group
+    # waits in pending as (node, name, owner, token index) until the
+    # group's "in", since a later binding of the group may bind it.
+    reading: list[tuple[int, int, list]] = []
+    # The innermost reading group's lambda depth and first binding id; a
+    # binder is in the group where its depth or id is at least these.
+    # With no group reading, every binder is.
+    rdepth = rfirst = 0
     # Open frames, innermost last: (tag, the application before the frame,
-    # binder, the group's bindings), tagged "lpar", "lambda", "letrec" for
-    # a letrec binding and "in" for a letrec body.
+    # its node, x), tagged "lpar" (x None), "lambda" (x the binder),
+    # "letrec" for a letrec binding (x its id, the group's bindings and
+    # binding ids, and the owner outside the binding) and "in" for a
+    # letrec body (x the group's bindings and binding ids).  The owner is
+    # the binding whose term is being read, or 0.
     stack: list[tuple] = []
     # Left-associative application over atoms.  The body of a lambda or
     # letrec extends as far right as possible: the token that ends it ends
     # the enclosing level too, so each frame it closes passes it up.
     result: Term | None = None
-    i = 0
+    lam = owner = i = 0
     while True:
         tok = tokens[i]
         tag = _KIND.get(tok)
         if tag is None:
-            if not scope.get(tok):
-                if not pending:
-                    raise UnboundVariable(tok, _offset(text, i))
-                pending[-1].append(i)
+            # A variable or a reference, resolved now where its binder is
+            # in the innermost reading group; else it waits for that
+            # group's "in", or is unbound where no group is reading.
+            binders = env.get(tok)
+            if binders and (d := binders[-1]) >= rdepth:
+                kind.append(_VAR)
+                data.append(d)
+                base.append(tok + "!")
+                own[owner] |= 1 << d
+            elif binders and d <= -rfirst:
+                kind.append(_REF)
+                data.append(-d)
+                base.append(None)
+                refs[owner].add(-d)
+            elif reading:
+                reading[-1][2].append((len(kind), tok, owner, i))
+                kind.append(_REF)
+                data.append(-1)
+                base.append(None)
+            else:
+                raise UnboundVariable(tok, _offset(text, i))
             i += 1
-            result = Var(tok) if result is None else App(result, Var(tok))
+            if result is None:
+                result = Var(tok)
+            else:
+                result = App(result, Var(tok))
+                data.append(len(kind) - 2)
+                kind.append(_APP)
+                base.append("a")
+            continue
+        if tag == "lambda":
+            # A binder: "\\ name .".
+            name = tokens[i + 1]
+            if name in _KIND:
+                raise _expected("ident", tokens, i + 1, text)
+            if tokens[i + 2] != ".":
+                raise _expected("dot", tokens, i + 2, text)
+            env.setdefault(name, []).append(lam)
+            lam += 1
+            stack.append((tag, result, len(kind) - 1, name))
+            result = None
+            i += 3
             continue
         if tag == "lpar":
-            stack.append((tag, result, None, None))
+            stack.append((tag, result, len(kind) - 1, None))
             result = None
             i += 1
             continue
-        if tag == "lambda":
-            saved, bindings = result, ()
-        elif tag == "letrec":
-            saved, bindings = result, {}
-            pending.append([])
+        if tag == "letrec":
+            saved, at, bindings, ids = result, len(kind) - 1, {}, []
+            rdepth, rfirst = lam, len(names)
+            reading.append((rdepth, rfirst, []))
         elif result is None:
             raise _expected("a term", tokens, i, text)
         elif not stack:
             if tag != "eof":
                 raise _expected("eof", tokens, i, text)
+            for node, ids in groups.items():
+                if not {int}.issuperset(map(type, ids)):
+                    groups[node] = _flatten(ids)
+            result.__dict__["_table"] = tab
             return result
         else:
-            kind = tag
-            tag, saved, name, bindings = stack.pop()
+            close = tag
+            tag, saved, at, x = stack.pop()
             if tag != "letrec":
-                if tag == "lpar":
-                    if kind != "rpar":
+                if tag == "lambda":
+                    env[x].pop()
+                    lam -= 1
+                    arg = Abs(x, result)
+                    kind.append(_ABS)
+                    data.append(lam)
+                    base.append(x)
+                elif tag == "lpar":
+                    if close != "rpar":
                         raise _expected("rpar", tokens, i, text)
                     arg = result
                     i += 1
-                elif tag == "lambda":
-                    scope[name] -= 1
-                    arg = Abs(name, result)
                 else:
+                    bindings, ids = x
                     for name in bindings:
-                        scope[name] -= 1
+                        env[name].pop()
                     arg = Letrec(tuple(bindings.items()), result)
-                result = arg if saved is None else App(saved, arg)
+                    groups[len(kind)] = ids
+                    kind.append(_LETREC)
+                    data.append(-1)
+                    base.append(None)
+                if saved is None:
+                    result = arg
+                else:
+                    result = App(saved, arg)
+                    kind.append(_APP)
+                    data.append(at)
+                    base.append("a")
                 continue
-            bindings[name] = result
-            if kind != "semi":
-                if kind != "in":
+            # A letrec binding ends, and the owner outside it is restored.
+            # A letrec in binding position splices its group into this one,
+            # and its body is the binding's term, spliced in turn where it
+            # is a letrec.
+            b, bindings, ids, owner = x
+            bindings[names[b]] = arg = result
+            while arg.__class__ is Letrec:
+                # The spliced group's ids go in as one list, flattened when
+                # the parse ends, so a chain of splices copies no id twice.
+                ids.append(groups.pop(len(kind) - 1))
+                kind.pop()
+                data.pop()
+                base.pop()
+                arg = arg.body
+            terms[b] = len(kind) - 1
+            ids.append(b)
+            if close != "semi":
+                if close != "in":
                     raise _expected("in", tokens, i, text)
-                # The names read unbound in the group's bindings that it does
-                # not bind pass to the enclosing group, or are unbound.
-                unbound = [k for k in pending.pop() if tokens[k] not in bindings]
-                if pending:
-                    pending[-1].extend(unbound)
-                elif unbound:
-                    raise UnboundVariable(tokens[unbound[0]], _offset(text, unbound[0]))
-                stack.append((kind, saved, None, bindings))
+                # The names that waited in the group's bindings: each has
+                # its binder now, the group's or one outside it, and waits
+                # on in the enclosing group where that binder lies outside
+                # that group too; with none, it is unbound.
+                pending = reading.pop()[2]
+                rdepth, rfirst = reading[-1][:2] if reading else (0, 0)
+                for node, name, who, k in pending:
+                    binders = env.get(name)
+                    if reading and (not binders or rfirst > -binders[-1] > -rdepth):
+                        reading[-1][2].append((node, name, who, k))
+                    elif not binders:
+                        raise UnboundVariable(name, _offset(text, k))
+                    elif (d := binders[-1]) >= 0:
+                        kind[node] = _VAR
+                        data[node] = d
+                        base[node] = name + "!"
+                        own[who] |= 1 << d
+                    else:
+                        data[node] = -d
+                        refs[who].add(-d)
+                stack.append((close, saved, at, (bindings, ids)))
                 result = None
                 i += 1
                 continue
-        # A binder: "\\ name .", "letrec name =" or "; name =".
+        # A letrec binding: "letrec name =" or "; name =".
         name = tokens[i + 1]
         if name in _KIND:
             raise _expected("ident", tokens, i + 1, text)
         if name in bindings:
             raise DuplicateBinding(name, _offset(text, i + 1))
-        scope[name] = scope.get(name, 0) + 1
-        mark = "." if tag == "lambda" else "="
-        if tokens[i + 2] != mark:
-            raise _expected(_KIND[mark], tokens, i + 2, text)
-        stack.append((tag, saved, name, bindings))
+        if tokens[i + 2] != "=":
+            raise _expected("eq", tokens, i + 2, text)
+        b = len(names)
+        names.append(name)
+        terms.append(-1)
+        depths.append(lam)
+        own.append(0)
+        refs.append(set())
+        env.setdefault(name, []).append(-b)
+        stack.append(("letrec", saved, at, (b, bindings, ids, owner)))
+        owner = b
         result = None
         i += 3
+
+
+def _flatten(parts: list) -> list[int]:
+    """The ints of ``parts`` in order, each nested list read in its place."""
+    out: list[int] = []
+    todo = [iter(parts)]
+    while todo:
+        for x in todo[-1]:
+            if type(x) is list:
+                todo.append(iter(x))
+                break
+            out.append(x)
+        else:
+            todo.pop()
+    return out
 
 
 def format_term(t: Term) -> str:

@@ -4,25 +4,28 @@ The translation runs in three stages, and none of them recurses: each
 keeps its own stack or walks a list, so a term of any depth translates
 at Python's default recursion limit.
 
-Resolution walks the term into a table, parallel lists in pre-order with
-one entry per node: its kind; its binder's lambda depth (a variable or
-an abstraction), its binding (a reference to a letrec name), its
-argument's node (an application) or its body's node (a letrec); and the
-base of its vertex's name.  A node's first child, where it has one, is
-the next node.  Lambda depth is the number of abstractions around a
-binder; letrec bindings share their letrec's depth.  A letrec in binding
-position splices its bindings into the enclosing group, so a binding's
-term is never a letrec.  A node's owner is the binding whose term holds
-it outside any nested binding's term, else 0; the table records, for
-each owner, the depth bits of its variables and the bindings it
-references.
+Resolution gives a table, parallel lists in post-order with one entry
+per node: its kind; its binder's lambda depth (a variable or an
+abstraction), its binding (a reference to a letrec name) or its
+function's node (an application); and the base of its vertex's name.  A
+node's last child, its argument or body, is the node before it.  Lambda
+depth is the number of abstractions around a binder; letrec bindings
+share their letrec's depth, and are numbered in the order their names are
+read.  A letrec in binding position splices its bindings into the
+enclosing group, so a binding's term is never a letrec.  A node's owner
+is the binding whose term holds it outside any nested binding's term,
+else 0; the table records, for each owner, the depth bits of its
+variables and the bindings it references.  The parser's one scan fills
+the table (``terms._Table``) and leaves it on the term it returns, so a
+parsed term is not read again; ``_walk`` makes the same table for any
+other term, one built by hand, a subterm or a copy.
 
 Analysis gives free binders as int masks over lambda depth.  One
 worklist fixpoint over the binding graph finds each binding's mask,
 ``bind_fv(b) = (own bits | bind_fv(c) for each referenced c) & ((1 <<
 depth(b)) - 1)``: the binders at depth(b) or deeper are bound inside b's
-term.  One reverse sweep then gives every node its mask from its
-children's, which follow it in pre-order.  The live bindings, the only
+term.  One forward sweep then gives every node its mask from its
+children's, which precede it in post-order.  The live bindings, the only
 ones translated, are those that owner 0 reaches in the reference
 relation (``core._reachable_keys``).
 
@@ -58,7 +61,8 @@ from __future__ import annotations
 
 from .core import Label, SignatureVariant, UnreachableVertex, _reachable_keys
 from .delimited import DelimitedGraph, _Builder
-from .terms import Abs, App, DuplicateBinding, Letrec, Term, UnboundVariable, Var
+from .terms import _ABS, _APP, _LETREC, _REF, _VAR, Abs, App, DuplicateBinding, Letrec, Term
+from .terms import UnboundVariable, Var, _Table
 
 
 class InternalValidationFailure(Exception):
@@ -69,94 +73,119 @@ class DegenerateBinding(Exception):
     """A letrec binding defined only through a cycle of bare names."""
 
 
-# The kinds of the table's nodes, and the label of each kind's vertex.
-_VAR, _REF, _APP, _ABS, _LETREC = range(5)
+# The label of each kind's vertex.
 _LABEL = (Label.VAR, None, Label.APP, Label.ABS, None)
+# The codes of the walker's frames that close a node or a scope.
+_END_APP, _END_ABS, _END_BINDING, _END_LETREC = range(-1, -5, -1)
 
 
-class _Table:
-    """A term resolved into parallel pre-order lists (see the module
-    docstring).  Per node: ``kind``, ``data`` and ``base`` (a variable's
-    name with "!", a binder's name, "a" for an application).  Per letrec
-    node: ``groups``, its binding ids in emission order, each spliced
-    group before the binding whose term it was.  Per binding id, from 1:
-    ``term``, its term's node, ``name`` and ``depth``, its letrec's
-    lambda depth.  Per owner, 0 and the binding ids: ``own``, its
-    variables' depth bits, and ``refs``, the bindings it references."""
-
-    def __init__(self, t: Term):
-        self.kind, self.data, self.base = kind, data, base = [], [], []
-        self.groups: dict[int, list[int]] = {}
-        self.term, self.name, self.depth = term, names, depths = [-1], [""], [0]
-        self.own, self.refs = own, refs = [0], [set()]
-        # Each name's binders, innermost last: an abstraction as its
-        # depth, a letrec binding as its id negated.
-        env: dict[str, list[int]] = {}
-        # (term, lambda depth, owner, dest): dest >= 0 is the application
-        # or letrec node whose argument or body this is, -1 none, and
-        # -2 - g a binding term of the owner in letrec node g's group.  A
-        # depth of -1 ends the scope of the names in the first field.
-        todo: list = [(t, 0, 0, -1)]
-        while todo:
-            t, depth, owner, dest = todo.pop()
-            if depth < 0:
+def _walk(t: Term) -> _Table:
+    """The table of a term that ``parse_term`` did not make, as the parser
+    fills it for the term's printed form: nodes in post-order, binding
+    ids in the order their names are printed.  A group's names are in
+    scope in all of its terms, so the walk numbers a group's bindings on
+    entry to its letrec, and renumbers all of them in printed order at
+    the end."""
+    tab = _Table()
+    kind, data, base, groups = tab.kind, tab.data, tab.base, tab.groups
+    term, names, depths, own, refs = tab.term, tab.name, tab.depth, tab.own, tab.refs
+    # Each name's binders, innermost last: an abstraction as its depth, a
+    # letrec binding as its id negated.
+    env: dict[str, list[int]] = {}
+    printed = [0]  # the binding ids in printed order, after 0
+    # (term, lambda depth, owner, group, role): group is the binding ids
+    # of the letrec group whose binding this term is, or the body of a
+    # letrec spliced there, else None; role is the binding's id for its
+    # term, -1 for an application's argument, else 0.  A frame whose depth
+    # is negative closes a node or a scope: (function node, _END_APP),
+    # ((name, depth), _END_ABS), (binding id, _END_BINDING, 0, group) and
+    # (names, _END_LETREC, 0, the group's binding ids, or None where it is
+    # spliced).
+    todo: list = [(t, 0, 0, None, 0)]
+    while todo:
+        t, depth, owner, group, role = todo.pop()
+        if depth < 0:
+            if depth == _END_APP:
+                kind.append(_APP)
+                data.append(t)
+                base.append("a")
+            elif depth == _END_ABS:
+                name, d = t
+                env[name].pop()
+                kind.append(_ABS)
+                data.append(d)
+                base.append(name)
+            elif depth == _END_BINDING:
+                term[t] = len(kind) - 1
+                group.append(t)
+            else:
                 for name in t:
                     env[name].pop()
-                continue
-            i = len(kind)
-            if isinstance(t, Var):
-                binders = env.get(t.name)
-                if not binders:  # parser output is closed; guard hand-built terms
-                    raise UnboundVariable(t.name, -1)
-                d = binders[-1]
-                if d >= 0:
-                    k, b = _VAR, f"{t.name}!"
-                    own[owner] |= 1 << d
-                else:
-                    k, d, b = _REF, -d, None
-                    refs[owner].add(d)
-            elif isinstance(t, App):
-                k, d, b = _APP, -1, "a"
-                todo += [(t.arg, depth, owner, i), (t.fun, depth, owner, -1)]
-            elif isinstance(t, Abs):
-                env.setdefault(t.name, []).append(depth)
-                k, d, b = _ABS, depth, t.name
-                todo += [((t.name,), -1, 0, 0), (t.body, depth + 1, owner, -1)]
-            elif isinstance(t, Letrec):
-                # A letrec in binding position lives in the same lambda
-                # environment, so its group splices into this one, and its
-                # body is the binding's term.
-                spliced = dest <= -2
-                body, group = (dest, dest) if spliced else (i, -2 - i)
-                first = len(term)
-                for name, _ in t.bindings:
-                    binders = env.setdefault(name, [])
-                    # Only this group's bindings have ids from first on; parser
-                    # output binds a name once per group, so guard hand-built terms.
-                    if binders and -binders[-1] >= first:
-                        raise DuplicateBinding(name, -1)
-                    binders.append(-len(term))
-                    term.append(-1)
-                    names.append(name)
-                    depths.append(depth)
-                    own.append(0)
-                    refs.append(set())
-                todo += [([name for name, _ in t.bindings], -1, 0, 0), (t.body, depth, owner, body)]
-                todo += [(sub, depth, first + k, group) for k, (_, sub) in reversed(list(enumerate(t.bindings)))]
-                if spliced:
-                    continue
-                self.groups[i] = []
-                k, d, b = _LETREC, -1, None
+                if group is not None:
+                    groups[len(kind)] = group
+                    kind.append(_LETREC)
+                    data.append(-1)
+                    base.append(None)
+            continue
+        if role > 0:
+            printed.append(role)
+        elif role < 0:  # the function is done
+            todo.append((len(kind) - 1, _END_APP, 0, None, 0))
+        if isinstance(t, Var):
+            binders = env.get(t.name)
+            if not binders:  # parser output is closed; guard hand-built terms
+                raise UnboundVariable(t.name, -1)
+            d = binders[-1]
+            if d >= 0:
+                kind.append(_VAR)
+                data.append(d)
+                base.append(f"{t.name}!")
+                own[owner] |= 1 << d
             else:
-                raise TypeError(f"not a term: {t!r}")
-            if dest >= 0:
-                data[dest] = i
-            elif dest <= -2:
-                self.groups[-2 - dest].append(owner)
-                term[owner] = i
-            kind.append(k)
-            data.append(d)
-            base.append(b)
+                kind.append(_REF)
+                data.append(-d)
+                base.append(None)
+                refs[owner].add(-d)
+        elif isinstance(t, App):
+            todo += [(t.arg, depth, owner, None, -1), (t.fun, depth, owner, None, 0)]
+        elif isinstance(t, Abs):
+            env.setdefault(t.name, []).append(depth)
+            todo += [((t.name, depth), _END_ABS, 0, None, 0), (t.body, depth + 1, owner, None, 0)]
+        elif isinstance(t, Letrec):
+            # A letrec in binding position splices its group into the
+            # enclosing one, and its body is the binding's term.
+            ids = [] if group is None else group
+            first = len(term)
+            frames = []
+            for name, sub in t.bindings:
+                binders = env.setdefault(name, [])
+                # Only this group's bindings have ids from first on; parser
+                # output binds a name once per group, so guard hand-built terms.
+                if binders and -binders[-1] >= first:
+                    raise DuplicateBinding(name, -1)
+                b = len(term)
+                binders.append(-b)
+                term.append(-1)
+                names.append(name)
+                depths.append(depth)
+                own.append(0)
+                refs.append(set())
+                frames += [(sub, depth, b, ids, b), (b, _END_BINDING, 0, ids, 0)]
+            todo.append(([name for name, _ in t.bindings], _END_LETREC, 0, ids if group is None else None, 0))
+            todo.append((t.body, depth, owner, group, 0))
+            todo += reversed(frames)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    if printed == list(range(len(term))):  # the ids are in printed order already
+        return tab
+    new = [0] * len(term)  # each binding's id in printed order
+    for k, b in enumerate(printed):
+        new[b] = k
+    tab.data = [new[d] if k == _REF else d for k, d in zip(kind, data)]
+    tab.groups = {i: [new[b] for b in ids] for i, ids in groups.items()}
+    tab.term, tab.name, tab.depth, tab.own = ([x[b] for b in printed] for x in (term, names, depths, own))
+    tab.refs = [{new[c] for c in refs[b]} for b in printed]
+    return tab
 
 
 def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
@@ -194,20 +223,18 @@ def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
         if new != bind_fv[b]:
             bind_fv[b] = new
             worklist.update(dict.fromkeys(users[b]))
-    kind, data = tab.kind, tab.data
-    mask = [0] * len(kind)
-    for i in range(len(kind) - 1, -1, -1):
-        k, d = kind[i], data[i]
+    mask: list[int] = []
+    last = 0  # the mask of the node before, the last child of this one; a letrec keeps it
+    for k, d in zip(tab.kind, tab.data):
         if k == _VAR:
-            mask[i] = 1 << d
+            last = 1 << d
         elif k == _REF:
-            mask[i] = bind_fv[d]
+            last = bind_fv[d]
         elif k == _APP:
-            mask[i] = mask[i + 1] | mask[d]
+            last |= mask[d]
         elif k == _ABS:
-            mask[i] = mask[i + 1] & ~(1 << d)
-        else:
-            mask[i] = mask[d]
+            last &= ~(1 << d)
+        mask.append(last)
     return mask, _reachable_keys(0, refs)
 
 
@@ -278,14 +305,14 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
         return v
 
     root = -1
-    todo = [(0, -1, -1, -1)]
+    todo = [(len(kind) - 1, -1, -1, -1)]
     while todo:
         i, x, t, p = todo.pop()
         if i < 0:
             top = chain(x, t, ~i)
         elif (k := kind[i]) == _LETREC:
             # A letrec has its body's free binders, so its body keeps the word.
-            todo.append((data[i], x, t, p))
+            todo.append((i - 1, x, t, p))
             fills = []
             for ident in tab.groups[i]:
                 j = term[ident]
@@ -309,11 +336,11 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
             if k == _ABS:
                 depth[v] = data[i]
                 succ[v] = ()
-                todo.append((i + 1, v, pop(v, mask[i + 1]), v))
+                todo.append((i - 1, v, pop(v, mask[i - 1]), v))
             elif k == _APP:
                 succ[v] = ()
+                todo.append((i - 1, t, pop(t, mask[i - 1]), v))
                 todo.append((data[i], t, pop(t, mask[data[i]]), v))
-                todo.append((i + 1, t, pop(t, mask[i + 1]), v))
             else:
                 # Word entries enclose the node and differ in depth.
                 assert t >= 0 and depth[t] == data[i]
@@ -332,9 +359,10 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    The translator resolves the term into a table, analyses its free
-    binders and live bindings, and emits the graph on ids with each
-    vertex's innermost binder; no stage recurses.  One pass checks it,
+    The translator takes the table the parser left on the term, or
+    walks the term into one, analyses its free binders and live
+    bindings, and emits the graph on ids with each vertex's innermost
+    binder; no stage recurses.  One pass checks it,
     inference in O(n + m), which fails where the graph has no correct
     prefix function, the root misses a vertex or a recorded binder is
     not the inferred one (``delimited._Builder.finish``).  Eagerness,
@@ -343,7 +371,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     ``graph.names``, and the words built on the first read of
     ``prefixes`` (``scoped._words``).
     """
-    tab = _Table(t)
+    tab = getattr(t, "_table", None) or _walk(t)
     b, root = _emit(tab, *_analyze(tab))
     try:
         return b.finish(root, SignatureVariant(1, 2))

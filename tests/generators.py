@@ -306,3 +306,18 @@ COLLIDING_TERMS = [
     r"s = \a. a (\a. a) in a scope (s s) (\s. \s. s)",
     r"\root. \a. letrec s = \scope. scope a root s in s (\a. a) (\s. s)",
 ]
+
+# Terms whose names a later binding of a group takes from an enclosing
+# binder, read before that binding, and letrecs spliced from binding
+# position, first or later, nested before a later binding: the cases a
+# one-pass resolver must settle at the group's "in".
+SCOPING_TERMS = [
+    r"\y. letrec a = \z. y b; b = \x. x y; y = \w. w in a",
+    r"\y. letrec a = (letrec b = y in b); y = \w. w in a",
+    r"letrec f = \x. x; g = letrec a = f; f = \y. y y in a in g",
+    r"letrec f = \x. x; g = (letrec a = \u. f u in letrec f = \v. v in a f) in g f",
+    r"letrec f = \x. x in letrec g = \u. (letrec a = f in a) u; f = \y. y y in g f",
+    r"letrec a = letrec b = \x. x in letrec c = b b in c c; d = a in d",
+    r"letrec a = \x. x; g = (letrec b = a in letrec c = b in c) in g",
+    r"letrec a = (letrec b = \x. x in b) (letrec c = \y. y in c); d = a in d",
+]

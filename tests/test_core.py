@@ -17,6 +17,7 @@ from lamgraph import (
     DanglingSuccessor,
     DomainMismatch,
     ForbiddenLabel,
+    GraphDocument,
     GraphError,
     IndexOutOfRange,
     Label,
@@ -411,10 +412,25 @@ def test_name_index_is_lazy_and_invisible(running_carrier):
         g.id_of("no such vertex")
 
 
-def test_id_of_prefers_the_first_of_equal_names():
-    # build names vertices by str(key), so distinct keys can collide.
-    g = build(V0, {1: Label.ABS, "1": Label.VAR}, {1: ["1"], "1": []}, 1)
-    assert g.names == ("1", "1") and g.id_of("1") == 0
+def test_build_refuses_keys_whose_names_coincide():
+    # build names vertices by str(key), so distinct keys can collide; a
+    # graph with two vertices of one name would serialize to a document
+    # that parse_graph refuses.
+    with pytest.raises(DomainMismatch, match=r"^vertices 0 and 1 share the name '1'$"):
+        build(V0, {1: Label.ABS, "1": Label.VAR}, {1: ["1"], "1": []}, 1)
+
+
+def test_term_graph_refuses_two_vertices_of_one_name():
+    # Checked after the rows, naming both vertices; names are compared as
+    # text, as a document writes them.
+    with pytest.raises(DomainMismatch, match=r"^vertices 0 and 1 share the name 'a'$"):
+        TermGraph(V0, (Label.ABS, Label.VAR), ((1,), ()), 0, ("a", "a"))
+    with pytest.raises(DomainMismatch, match=r"^vertices 1 and 2 share the name '1'$"):
+        TermGraph(V0, (Label.ABS, Label.ABS, Label.VAR), ((1,), (2,), ()), 0, ("r", 1, "1"))
+    with pytest.raises(ArityMismatch):
+        TermGraph(V0, (Label.ABS, Label.VAR), ((1,), (0,)), 0, ("a", "a"))
+    g = TermGraph(V0, (Label.ABS, Label.VAR), ((1,), ()), 0, ("a", "b"))
+    assert parse_graph(serialize_graph(GraphDocument(g))).graph == g
 
 
 # Keys of three hashable kinds, and keys no map holds.

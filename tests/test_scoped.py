@@ -654,6 +654,18 @@ def test_normalize_prefix_fn_keeps_its_errors(prefixes, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("words", [{0: [], 1: [0]}, {0: (), 1: [0]}])
+def test_prefixed_graph_reads_a_list_word_as_its_tuple(words):
+    # As validate_prefix_ho reads it: the id-keyed constructor once raised
+    # a bare TypeError on the first map and refused the second.
+    g = parse_graph(_ONE_LAMBDA).graph
+    assert validate_prefix_ho(g, words).passed
+    h = PrefixedGraph(g, words)
+    assert h == PrefixedGraph(g, {0: (), 1: (0,)}) and h.prefixes == {0: (), 1: (0,)}
+    with pytest.raises(ValueError, match=r"^invalid prefix function: var0 at c; var1 at c, r$"):
+        PrefixedGraph(g, {0: [], 1: []})
+
+
 def test_normalize_refuses_booleans_beside_names():
     # An id is an int: True and False equal the ids 1 and 0 but are none,
     # beside names as without them.

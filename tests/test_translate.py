@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -9,6 +10,7 @@ from conftest import RUNNING_TERM, RUNNING_EAGER_SCOPES
 from generators import (
     COLLIDING_TERMS,
     FIXTURE_TERMS,
+    SCOPING_TERMS,
     closed_terms,
     letrec_body_chain,
     random_term,
@@ -45,7 +47,8 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
-from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze, _Table
+from lamgraph.terms import _Table
+from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze, _walk
 from translate_parity import failure as translate_failure
 
 
@@ -380,7 +383,7 @@ def _assert_same_analysis(t) -> list[list[str]]:
     the abstractions around the node, and a library binding to the
     oracle's by its place in its group.  Returns, for each letrec node,
     outermost first, the names of its live bindings in group order."""
-    tab, ref = _Table(t), _SetResolver()
+    tab, ref = _walk(t), _SetResolver()
     b = ref.resolve(t, {})
     mask, live = _analyze(tab)
     _fixpoint_compute_fv(b, ref.binding_term)
@@ -388,7 +391,7 @@ def _assert_same_analysis(t) -> list[list[str]]:
     assert len(mask) == len(tab.kind)
     letrecs = []
     # Each pair comes with the oracle's binder ids in scope, by depth.
-    stack = [(0, b, ())]
+    stack = [(len(tab.kind) - 1, b, ())]
     while stack:
         i, y, scope = stack.pop()
         kind, data = tab.kind[i], tab.data[i]
@@ -396,10 +399,10 @@ def _assert_same_analysis(t) -> list[list[str]]:
         assert 0 <= mask[i] < 1 << len(scope)
         assert {scope[d] for d in range(len(scope)) if mask[i] >> d & 1} == y.fv
         if kind == _APP:
-            stack += [(i + 1, y.fun, scope), (data, y.arg, scope)]
+            stack += [(data, y.fun, scope), (i - 1, y.arg, scope)]
         elif kind == _ABS:
             assert data == len(scope)
-            stack.append((i + 1, y.body, scope + (y.binder,)))
+            stack.append((i - 1, y.body, scope + (y.binder,)))
         elif kind == _LETREC:
             pairs = list(zip(tab.groups[i], y.bindings, strict=True))
             assert [tab.name[p] for p, _ in pairs] == [q[1] for _, q in pairs]
@@ -407,7 +410,7 @@ def _assert_same_analysis(t) -> list[list[str]]:
             assert frozenset(q[0] for p, q in pairs if p in live) == getattr(y, "live", frozenset())
             letrecs.append([tab.name[p] for p, _ in pairs if p in live])
             stack += [(tab.term[p], q[2], scope) for p, q in pairs]
-            stack.append((data, y.body, scope))
+            stack.append((i - 1, y.body, scope))
     return letrecs
 
 
@@ -454,7 +457,67 @@ def test_colliding_names_are_minted_around():
     _assert_same_translation(dg, name_keyed_term_to_graph(t))
 
 
+# The parser's scan fills the table that term_to_graph reads; any other
+# term is walked into one.  The two must agree field for field, and so
+# must the graphs they give.
+
+
+def _assert_same_table(t):
+    parsed = parse_term(format_term(t))
+    walked = dataclasses.replace(t)  # a copy carries no table
+    assert "_table" not in vars(walked)
+    tab, walk = parsed._table, _walk(walked)
+    for field in _Table.__slots__:
+        assert getattr(tab, field) == getattr(walk, field), field
+    _assert_same_translation(term_to_graph(parsed), term_to_graph(walked))
+
+
+def test_the_parsed_table_is_the_walked_one_seeded():
+    for seed in range(300):
+        rng = random.Random(seed)
+        _assert_same_table(random_term(rng, depth=rng.randint(1, 5)))
+
+
+@pytest.mark.parametrize("text", FIXTURE_TERMS + COLLIDING_TERMS)
+def test_the_parsed_table_is_the_walked_one_on_fixture_terms(text):
+    _assert_same_table(parse_term(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_terms())
+def test_the_parsed_table_is_the_walked_one_hypothesis(t):
+    _assert_same_table(t)
+
+
+@pytest.mark.parametrize("text", SCOPING_TERMS)
+def test_the_parsed_table_is_the_walked_one_on_scoping_terms(text):
+    t = parse_term(text)
+    _assert_same_table(t)
+    _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+
+
 # Hand-built terms reach the translator without the parser.
+
+
+@pytest.mark.parametrize(
+    "family", ["spine", "right_nest", "letrecs_in_body_position", "letrecs_in_binding_position"]
+)
+def test_a_deep_hand_built_term_translates_as_its_text(family):
+    # Built in a loop, so the walker, not the parser's scan, makes the
+    # table, at the default recursion limit.
+    assert sys.getrecursionlimit() <= 1000
+    x, ident = Var("x"), Abs("x", Var("x"))
+    t, grow = {
+        "spine": (x, lambda t: App(t, x)),
+        "right_nest": (x, lambda t: App(x, t)),
+        "letrecs_in_body_position": (Var("a"), lambda t: Letrec((("a", ident),), t)),
+        "letrecs_in_binding_position": (ident, lambda t: Letrec((("g", t),), Var("g"))),
+    }[family]
+    for _ in range(10**4):
+        t = grow(t)
+    if family in ("spine", "right_nest"):
+        t = Abs("x", t)
+    _assert_same_translation(term_to_graph(t), term_to_graph(parse_term(format_term(t))))
 
 
 def test_a_term_shared_under_two_binders_translates_as_its_copy():

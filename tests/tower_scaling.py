@@ -5,9 +5,11 @@
 The tower term ``\\x0. ... \\x{n-1}. x0 x1 ... x{n-1}`` nests n binders
 and gives words of up to n entries, so any stage that builds a word per
 vertex is quadratic on it.  For n = 1000, 2000 and 4000 this prints the
-CPU time of ``term_to_graph``, of ``collapse`` on its graph and of
-``DelimitedGraph.from_graph`` on the quotient, with no word read, and
-their sum, the library part of ``maxshare`` short of serializing.  At
+CPU time of ``parse_term`` on its text, which resolves every name and
+fills the translator's table as it reads, of ``term_to_graph``, of
+``collapse`` on its graph and of ``DelimitedGraph.from_graph`` on the
+quotient, with no word read, and their sum, the library part of
+``maxshare`` short of serializing.  At
 the same sizes it prints the time of ``is_fully_back_linked`` on the
 (1,1) tower ``\\x0. ... \\x{n-1}. x0``, translated with its delimiter
 back-links erased, so that no vertex has an edge to its binder but the
@@ -48,11 +50,11 @@ def timed(fn, *args):
 
 
 def term_stages(n: int) -> dict[str, float]:
-    t = parse_term(tower_term(n))
+    t, parse = timed(parse_term, tower_term(n))
     dg, translate = timed(term_to_graph, t)
     (quotient, _), shared = timed(collapse, dg.graph)
     _, infer = timed(DelimitedGraph.from_graph, quotient)
-    return {"term_to_graph": translate, "collapse": shared, "from_graph": infer}
+    return {"parse_term": parse, "term_to_graph": translate, "collapse": shared, "from_graph": infer}
 
 
 def backlink_stages(n: int) -> dict[str, float]:

@@ -7,10 +7,11 @@ and exactly the graphs of the name-keyed reference translator.
 innermost binder, and derives the words from those binders when they
 are read.  The paper's eager translation yields eager (1,2)
 lambda-term-graphs by construction, so the library runs no eager check
-on them; this script is the guard that claim rests on.  It translates N random terms
-(default 20000), term i drawn by ``random_term`` under seed S + i
-(default S = 2200), then the fixture terms, and requires of each
-output:
+on them; this script is the guard that claim rests on.  It translates
+N random terms (default 20000), term i drawn by ``random_term`` under
+seed S + i (default S = 2200), then the fixture terms and
+``SCOPING_TERMS``, whose letrec names shadow and splice as random
+terms' never do, and requires of each output:
 
 - the signature variant (1,2);
 - a ``validate_prefix_fo`` report on its words that passes;
@@ -20,24 +21,30 @@ output:
 - ``is_fully_back_linked``;
 - equality with ``oracles.name_keyed_term_to_graph``, the translator
   on vertex names with free-binder sets that the library's replaced:
-  the same labels, successors, root, vertex names and words.
+  the same labels, successors, root, vertex names and words;
+- one table on both of the translator's routes: the one the parser's
+  scan leaves on ``parse_term(format_term(t))`` equals, field for
+  field, the one ``translate._walk`` makes of a copy of t, and the two
+  translate to the same graph.
 
-The last follows from the others.  Take a vertex w with word W and
-v = W[-1]: a variable back-links to v (condition var1), a delimiter
-back-links to v (condition delim-backlink), and any other vertex
-reaches, inside W's region, a variable that back-links to v, since the
-graph is eager.  So w reaches v in every case.  It is checked all the
-same, as the library checks neither.
+Full back-linking follows from eagerness.  Take a vertex w with word W
+and v = W[-1]: a variable back-links to v (condition var1), a
+delimiter back-links to v (condition delim-backlink), and any other
+vertex reaches, inside W's region, a variable that back-links to v,
+since the graph is eager.  So w reaches v in every case.  It is
+checked all the same, as the library checks neither.
 
 Exits 1 at the first term whose translation fails a check, or whose
 translation raises, naming the seed (or the fixture term) and the
-witness vertex or the first field that differs from the reference;
-otherwise prints how many terms, vertices and delimiters were checked.
+witness vertex or the first field that differs from the reference or
+between the routes; otherwise prints how many terms, vertices and
+delimiters were checked.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -45,12 +52,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from generators import COLLIDING_TERMS, FIXTURE_TERMS, random_term  # noqa: E402
+from generators import COLLIDING_TERMS, FIXTURE_TERMS, SCOPING_TERMS, random_term  # noqa: E402
 from oracles import name_keyed_term_to_graph  # noqa: E402
 
 from lamgraph import (  # noqa: E402
     Label,
     SignatureVariant,
+    format_term,
     infer_prefix,
     is_eager_scope,
     is_fully_back_linked,
@@ -59,6 +67,8 @@ from lamgraph import (  # noqa: E402
     validate_prefix_fo,
 )
 from lamgraph.delimited import _non_eager_reason, _non_eager_vertex  # noqa: E402
+from lamgraph.terms import _Table  # noqa: E402
+from lamgraph.translate import _walk  # noqa: E402
 
 
 def failure(dg) -> tuple[int | None, str] | None:
@@ -91,13 +101,26 @@ def difference(dg, want) -> str | None:
     return None if dg.prefixes == want.prefixes else "words"
 
 
+def route_difference(t) -> str | None:
+    """The first field in which the table the parser's scan leaves on
+    ``t``'s printed form differs from the one the walker makes of ``t``,
+    or in which the two routes' graphs differ; ``None`` if they agree."""
+    parsed, walked = parse_term(format_term(t)), dataclasses.replace(t)
+    tab, walk = parsed._table, _walk(walked)
+    for field in _Table.__slots__:
+        if getattr(tab, field) != getattr(walk, field):
+            return f"table's {field}"
+    field = difference(term_to_graph(parsed), term_to_graph(walked))
+    return None if field is None else f"graph's {field}"
+
+
 def terms(seed: int, count: int):
     """``count`` random terms from ``seed`` on, then the fixture terms,
     each with the label a failure report names it by."""
     for s in range(seed, seed + count):
         rng = random.Random(s)
         yield f"seed {s}", random_term(rng, depth=rng.randint(1, 5))
-    for text in FIXTURE_TERMS + COLLIDING_TERMS:
+    for text in FIXTURE_TERMS + COLLIDING_TERMS + SCOPING_TERMS:
         yield f"fixture term {text!r}", parse_term(text)
 
 
@@ -123,14 +146,18 @@ def main(argv: list[str] | None = None) -> int:
         if field is not None:
             print(f"{label}: the translation's {field} differ from the name-keyed reference's")
             return 1
+        field = route_difference(t)
+        if field is not None:
+            print(f"{label}: the parsed and the walked route differ in the {field}")
+            return 1
         checked += 1
         vertices += dg.graph.vertex_count
         delimiters += len(dg.graph.vertices_labeled(Label.DEL))
     last = args.seed + args.terms - 1
     print(
         f"{checked} terms (seeds {args.seed}-{last}, fixtures): all eager (1,2), fully "
-        f"back-linked, valid and equal to the name-keyed reference; {vertices} vertices, "
-        f"{delimiters} delimiters"
+        f"back-linked, valid, equal to the name-keyed reference and the same on the parsed "
+        f"and the walked route; {vertices} vertices, {delimiters} delimiters"
     )
     return 0
 

@@ -16,8 +16,11 @@ also draws a ``rows`` input:
 - ``words``: a delimited graph with words, ``DelimitedGraph`` against
   ``infer_prefix``;
 - ``rows``: a graph's labels and successor rows with one label, one
-  successor count or one successor changed, or none, ``TermGraph``
-  against ``build`` on the same rows: both run ``core._check_rows``.
+  successor count or one successor changed, or one vertex renamed to
+  another's name, or none, ``TermGraph`` against ``build`` on the same
+  rows: both run ``core._check_rows``.  ``build``'s maps are keyed by
+  name, so for a shared name the refusal naming both vertices is
+  written out instead.
 
 Half the annotations are random; the others are a valid one, from a
 translated term, with at most one entry changed.  Now and then a scope
@@ -184,6 +187,10 @@ def prefix_input(rng):
         w = rng.randrange(g.vertex_count)
         p[w] = p[w][:-1] if p[w] and rng.random() < 0.5 else p[w] + (rng.choice(abstractions),)
     p = off_domain(rng, g, p, tuple)
+    if rng.random() < 0.2:
+        # Words as lists: the validator reads each as its tuple, and so
+        # must the constructor.
+        p = {w: list(word) for w, word in p.items()}
     return (PrefixedGraph, g, p), refusal(validate_prefix_ho, g, p, "invalid prefix function")
 
 
@@ -245,17 +252,25 @@ def words_input(rng):
 def rows_input(rng):
     g = random_graph(rng, max_vertices=8)
     n = g.vertex_count
-    labels, args = list(g.labels), [list(row) for row in g.args]
+    labels, args, names = list(g.labels), [list(row) for row in g.args], list(g.names)
     v, change = rng.randrange(n), rng.random()
     if change < 0.3:
         labels[v] = rng.choice((*Label, "lam", None))
-    elif change < 0.5 and args[v]:
+    elif change < 0.45 and args[v]:
         del args[v][rng.randrange(len(args[v]))]
-    elif change < 0.7:
+    elif change < 0.6:
         args[v].insert(rng.randint(0, len(args[v])), rng.randrange(n))
-    elif change < 0.9 and args[v]:
+    elif change < 0.75 and args[v]:
         args[v][rng.randrange(len(args[v]))] = rng.randrange(n)
-    fields = (g.variant, tuple(labels), tuple(map(tuple, args)), g.root, g.names)
+    elif change < 0.9 and n > 1:
+        # One vertex takes another's name: build's maps, keyed by name,
+        # cannot hold that, so the refusal is written out here.
+        u, w = rng.sample(range(n), 2)
+        names[w] = names[u]
+        fields = (g.variant, tuple(labels), tuple(map(tuple, args)), g.root, tuple(names))
+        shared = f"vertices {min(u, w)} and {max(u, w)} share the name {names[u]!r}"
+        return (TermGraph, *fields), (DomainMismatch, shared)
+    fields = (g.variant, tuple(labels), tuple(map(tuple, args)), g.root, tuple(names))
     want = verdict(build, *as_maps(*fields))
     return (TermGraph, *fields), want
 
