@@ -180,15 +180,19 @@ class DelimitedGraph:
 
     The constructor refuses a graph without a correct prefix function,
     and words other than the inferred ones (in any key order), naming
-    the first vertex whose word differs.  A graph that ``from_graph`` or
-    ``_Builder`` made has its words derived from the binders on their
-    first read (``_words``).
+    the first vertex whose word differs; a word that is no tuple is kept
+    as its tuple.  A graph that ``from_graph`` or ``_Builder`` made has
+    its words derived from the binders on their first read (``_words``).
     """
 
     graph: TermGraph
     prefixes: dict[int, tuple[int, ...]] = field(hash=False)
 
     def __post_init__(self):
+        if not {tuple}.issuperset(map(type, self.prefixes.values())):
+            # A word given as a list, say, is read as its tuple, as
+            # ``PrefixedGraph`` reads it, and kept as one.
+            self.__dict__["prefixes"] = {v: tuple(word) for v, word in self.prefixes.items()}
         graph, prefixes = self.graph, self.prefixes
         inner = _inferred(graph)
         inferred = _words(inner)

@@ -10,17 +10,27 @@ once, in one loop over its own stack; neither it nor ``format_term`` takes
 a Python frame per term level.  An offset is computed only when an error
 is raised, by scanning the text again.
 
-The same scan fills the table the translator reads (``_Table``): the
-nodes in post-order, each variable resolved to its binder's lambda depth
-or letrec binding as it is read.  The table rides on the parsed root as
-the private attribute ``_table``, outside ``==``, ``hash`` and ``repr``;
-``translate.term_to_graph`` reads it there, and walks any other term (one
-built by hand, a subterm, a ``dataclasses.replace`` copy) into the same
-table.  A binding body may use names of its group that are read after it,
-so an identifier read in a group's bindings that no binder in the group
-holds waits until the group's ``in``; it is resolved there, or waits on
-in the enclosing group, or is reported unbound (at its own offset) once no
-enclosing group still reading its bindings can bind it.
+The scan builds no term object: it fills only the table the translator
+reads (``_Table``), the nodes in post-order, each variable resolved to
+its binder's lambda depth or letrec binding as it is read, and the
+groups spliced into binding terms.  A binding body may use names of its
+group that are read after it, so an identifier read in a group's
+bindings that no binder in the group holds waits until the group's
+``in``; it is resolved there, or waits on in the enclosing group, or is
+reported unbound (at its own offset) once no enclosing group still
+reading its bindings can bind it.
+
+``parse_term`` returns a root of the right class that holds the table
+alone, as the private attribute ``_table``, outside ``==``, ``hash`` and
+``repr``.  ``translate.term_to_graph`` reads the table there, so the
+command route builds no term.  The first read of a field of the root
+reads the whole term back from the table, in one pass over its nodes
+(``_read_back``), and fills the root's fields.  ``==``, ``hash``,
+``repr`` and ``dataclasses.replace`` read the fields, and ``copy`` and
+``pickle`` copy the table, so each gives what it gives on a term built
+field by field.  Any other term (one built by hand, a subterm, a
+``dataclasses.replace`` copy) has no table, and the translator walks it
+into one.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+
+from .core import _trusted
 
 
 class TermSyntaxError(Exception):
@@ -117,6 +129,16 @@ class Term:
                 todo += ((part,), name)
         return "".join(out)
 
+    def __getattr__(self, name):
+        # Only a field missing from the instance gets here: a root that
+        # ``parse_term`` returned holds its table alone until a field is
+        # read, and then takes every field read back from the table.
+        tab = self.__dict__.get("_table")
+        if tab is None or name not in self.__dataclass_fields__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(vars(_read_back(tab)))
+        return self.__dict__[name]
+
 
 def _parts(x) -> tuple | None:
     """What ``Term`` compares, hashes and prints ``x`` by: a term's fields
@@ -184,8 +206,9 @@ def parse_term(text: str) -> Term:
     return _parse(_TOKEN.findall(text), text)
 
 
-# The kinds of a table's nodes.
+# The kinds of a table's nodes, and the class of the term each is.
 _VAR, _REF, _APP, _ABS, _LETREC = range(5)
+_CLASS = (Var, Var, App, Abs, Letrec)
 
 
 class _Table:
@@ -196,17 +219,20 @@ class _Table:
     variable's name with "!", a binder's name, "a" for an application).
     A node's last child, its argument or body, is the node before it.
     Per letrec node: ``groups``, its binding ids in emission order, each
-    spliced group before the binding whose term it was.  Per binding id,
+    spliced group before the binding whose term it was.  Per binding id
+    whose term was a letrec: ``spliced``, the binding ids of each group
+    spliced into it, outermost first.  Per binding id,
     from 1 in the order the binders are read: ``term``, its term's node,
     ``name`` and ``depth``.  Per owner, 0 and the binding ids: ``own``,
     its variables' depth bits, and ``refs``, the bindings it
     references."""
 
-    __slots__ = ("kind", "data", "base", "groups", "term", "name", "depth", "own", "refs")
+    __slots__ = ("kind", "data", "base", "groups", "spliced", "term", "name", "depth", "own", "refs")
 
     def __init__(self):
         self.kind, self.data, self.base = [], [], []
         self.groups: dict[int, list[int]] = {}
+        self.spliced: dict[int, list[list[int]]] = {}
         self.term, self.name, self.depth = [-1], [""], [0]
         self.own, self.refs = [0], [set()]
 
@@ -217,7 +243,7 @@ def _parse(tokens: list[str], text: str) -> Term:
         k = min(map(tokens.index, bad))
         raise TermSyntaxError(f"unexpected character {tokens[k]!r}", _offset(text, k))
     tab = _Table()
-    kind, data, base, groups = tab.kind, tab.data, tab.base, tab.groups
+    kind, data, base, groups, spliced = tab.kind, tab.data, tab.base, tab.groups, tab.spliced
     terms, names, depths, own, refs = tab.term, tab.name, tab.depth, tab.own, tab.refs
     # Each name's binders, innermost last: an abstraction as its lambda
     # depth, a letrec binding as its id negated.
@@ -232,17 +258,19 @@ def _parse(tokens: list[str], text: str) -> Term:
     # binder is in the group where its depth or id is at least these.
     # With no group reading, every binder is.
     rdepth = rfirst = 0
-    # Open frames, innermost last: (tag, the application before the frame,
-    # its node, x), tagged "lpar" (x None), "lambda" (x the binder),
-    # "letrec" for a letrec binding (x its id, the group's bindings and
-    # binding ids, and the owner outside the binding) and "in" for a
-    # letrec body (x the group's bindings and binding ids).  The owner is
-    # the binding whose term is being read, or 0.
+    # Open frames, innermost last: (tag, whether a term came before the
+    # frame, that term's node, x), tagged "lpar" (x None), "lambda" (x
+    # the binder), "letrec" for a letrec binding (x its id, the group's
+    # names and binding ids, and the owner outside the binding) and "in"
+    # for a letrec body (x the group's names and binding ids).  The owner
+    # is the binding whose term is being read, or 0.
     stack: list[tuple] = []
-    # Left-associative application over atoms.  The body of a lambda or
-    # letrec extends as far right as possible: the token that ends it ends
-    # the enclosing level too, so each frame it closes passes it up.
-    result: Term | None = None
+    # Left-associative application over atoms: where the level has a term
+    # already, each atom read is its argument, and the node before the
+    # atom its function.  The body of a lambda or letrec extends as far
+    # right as possible: the token that ends it ends the enclosing level
+    # too, so each frame it closes passes it up.
+    have = False
     lam = owner = i = 0
     while True:
         tok = tokens[i]
@@ -270,13 +298,11 @@ def _parse(tokens: list[str], text: str) -> Term:
             else:
                 raise UnboundVariable(tok, _offset(text, i))
             i += 1
-            if result is None:
-                result = Var(tok)
-            else:
-                result = App(result, Var(tok))
+            if have:
                 data.append(len(kind) - 2)
                 kind.append(_APP)
                 base.append("a")
+            have = True
             continue
         if tag == "lambda":
             # A binder: "\\ name .".
@@ -287,20 +313,20 @@ def _parse(tokens: list[str], text: str) -> Term:
                 raise _expected("dot", tokens, i + 2, text)
             env.setdefault(name, []).append(lam)
             lam += 1
-            stack.append((tag, result, len(kind) - 1, name))
-            result = None
+            stack.append((tag, have, len(kind) - 1, name))
+            have = False
             i += 3
             continue
         if tag == "lpar":
-            stack.append((tag, result, len(kind) - 1, None))
-            result = None
+            stack.append((tag, have, len(kind) - 1, None))
+            have = False
             i += 1
             continue
         if tag == "letrec":
-            saved, at, bindings, ids = result, len(kind) - 1, {}, []
+            saved, at, bindings, ids = have, len(kind) - 1, set(), []
             rdepth, rfirst = lam, len(names)
             reading.append((rdepth, rfirst, []))
-        elif result is None:
+        elif not have:
             raise _expected("a term", tokens, i, text)
         elif not stack:
             if tag != "eof":
@@ -308,8 +334,7 @@ def _parse(tokens: list[str], text: str) -> Term:
             for node, ids in groups.items():
                 if not {int}.issuperset(map(type, ids)):
                     groups[node] = _flatten(ids)
-            result.__dict__["_table"] = tab
-            return result
+            return _trusted(_CLASS[kind[-1]], _table=tab)
         else:
             close = tag
             tag, saved, at, x = stack.pop()
@@ -317,46 +342,43 @@ def _parse(tokens: list[str], text: str) -> Term:
                 if tag == "lambda":
                     env[x].pop()
                     lam -= 1
-                    arg = Abs(x, result)
                     kind.append(_ABS)
                     data.append(lam)
                     base.append(x)
                 elif tag == "lpar":
                     if close != "rpar":
                         raise _expected("rpar", tokens, i, text)
-                    arg = result
                     i += 1
                 else:
                     bindings, ids = x
                     for name in bindings:
                         env[name].pop()
-                    arg = Letrec(tuple(bindings.items()), result)
                     groups[len(kind)] = ids
                     kind.append(_LETREC)
                     data.append(-1)
                     base.append(None)
-                if saved is None:
-                    result = arg
-                else:
-                    result = App(saved, arg)
+                if saved:
                     kind.append(_APP)
                     data.append(at)
                     base.append("a")
+                have = True
                 continue
             # A letrec binding ends, and the owner outside it is restored.
             # A letrec in binding position splices its group into this one,
             # and its body is the binding's term, spliced in turn where it
             # is a letrec.
             b, bindings, ids, owner = x
-            bindings[names[b]] = arg = result
-            while arg.__class__ is Letrec:
+            bindings.add(names[b])
+            while kind[-1] == _LETREC:
                 # The spliced group's ids go in as one list, flattened when
-                # the parse ends, so a chain of splices copies no id twice.
-                ids.append(groups.pop(len(kind) - 1))
+                # the parse ends, so a chain of splices copies no id twice;
+                # its own bindings are kept for the readback.
+                group = groups.pop(len(kind) - 1)
+                ids.append(group)
+                spliced.setdefault(b, []).append([c for c in group if type(c) is int])
                 kind.pop()
                 data.pop()
                 base.pop()
-                arg = arg.body
             terms[b] = len(kind) - 1
             ids.append(b)
             if close != "semi":
@@ -383,7 +405,7 @@ def _parse(tokens: list[str], text: str) -> Term:
                         data[node] = -d
                         refs[who].add(-d)
                 stack.append((close, saved, at, (bindings, ids)))
-                result = None
+                have = False
                 i += 1
                 continue
         # A letrec binding: "letrec name =" or "; name =".
@@ -403,8 +425,37 @@ def _parse(tokens: list[str], text: str) -> Term:
         env.setdefault(name, []).append(-b)
         stack.append(("letrec", saved, at, (b, bindings, ids, owner)))
         owner = b
-        result = None
+        have = False
         i += 3
+
+
+def _read_back(tab: _Table) -> Term:
+    """The term of a table, built in one pass over its nodes, each from
+    its children, which precede it.  A binding's term is complete at its
+    last node, where the groups spliced into it are put back around it."""
+    kind, data, base, name, groups, spliced = tab.kind, tab.data, tab.base, tab.name, tab.groups, tab.spliced
+    inner = {c for lets in spliced.values() for ids in lets for c in ids}
+    ends = dict(zip(tab.term, range(len(tab.term))))  # a binding's last node -> its id
+    full: list = [None] * len(tab.term)  # each binding's term
+    built: list[Term] = []
+    for i, k in enumerate(kind):
+        if k == _VAR:
+            t = Var(base[i][:-1])
+        elif k == _REF:
+            t = Var(name[data[i]])
+        elif k == _APP:
+            t = App(built[data[i]], built[-1])
+        elif k == _ABS:
+            t = Abs(base[i], built[-1])
+        else:
+            t = Letrec(tuple((name[c], full[c]) for c in groups[i] if c not in inner), built[-1])
+        built.append(t)
+        b = ends.get(i)
+        if b is not None:
+            for ids in reversed(spliced.get(b, ())):
+                t = Letrec(tuple((name[c], full[c]) for c in ids), t)
+            full[b] = t
+    return built[-1]
 
 
 def _flatten(parts: list) -> list[int]:

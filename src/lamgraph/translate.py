@@ -12,13 +12,16 @@ node's last child, its argument or body, is the node before it.  Lambda
 depth is the number of abstractions around a binder; letrec bindings
 share their letrec's depth, and are numbered in the order their names are
 read.  A letrec in binding position splices its bindings into the
-enclosing group, so a binding's term is never a letrec.  A node's owner
-is the binding whose term holds it outside any nested binding's term,
-else 0; the table records, for each owner, the depth bits of its
-variables and the bindings it references.  The parser's one scan fills
-the table (``terms._Table``) and leaves it on the term it returns, so a
-parsed term is not read again; ``_walk`` makes the same table for any
-other term, one built by hand, a subterm or a copy.
+enclosing group, so a binding's term is never a letrec; the table keeps
+the groups spliced into each binding, which only the readback of a
+parsed term reads.  A node's owner is the binding whose term holds it
+outside any nested binding's term, else 0; the table records, for each
+owner, the depth bits of its variables and the bindings it references.
+The parser's one scan builds the table (``terms._Table``) and no term
+object: the root it returns holds the table alone, and its fields are
+read back from the table only where they are first read, which the
+translator never does.  ``_walk`` makes the same table for any other
+term, one built by hand, a subterm or a ``dataclasses.replace`` copy.
 
 Analysis gives free binders as int masks over lambda depth.  One
 worklist fixpoint over the binding graph finds each binding's mask,
@@ -82,12 +85,12 @@ _END_APP, _END_ABS, _END_BINDING, _END_LETREC = range(-1, -5, -1)
 def _walk(t: Term) -> _Table:
     """The table of a term that ``parse_term`` did not make, as the parser
     fills it for the term's printed form: nodes in post-order, binding
-    ids in the order their names are printed.  A group's names are in
-    scope in all of its terms, so the walk numbers a group's bindings on
-    entry to its letrec, and renumbers all of them in printed order at
-    the end."""
+    ids in the order their names are printed, and the groups spliced into
+    each binding.  A group's names are in scope in all of its terms, so
+    the walk numbers a group's bindings on entry to its letrec, and
+    renumbers all of them in printed order at the end."""
     tab = _Table()
-    kind, data, base, groups = tab.kind, tab.data, tab.base, tab.groups
+    kind, data, base, groups, spliced = tab.kind, tab.data, tab.base, tab.groups, tab.spliced
     term, names, depths, own, refs = tab.term, tab.name, tab.depth, tab.own, tab.refs
     # Each name's binders, innermost last: an abstraction as its depth, a
     # letrec binding as its id negated.
@@ -153,7 +156,8 @@ def _walk(t: Term) -> _Table:
             todo += [((t.name, depth), _END_ABS, 0, None, 0), (t.body, depth + 1, owner, None, 0)]
         elif isinstance(t, Letrec):
             # A letrec in binding position splices its group into the
-            # enclosing one, and its body is the binding's term.
+            # enclosing one, and its body is the binding's term; the
+            # binding is the owner.
             ids = [] if group is None else group
             first = len(term)
             frames = []
@@ -171,6 +175,8 @@ def _walk(t: Term) -> _Table:
                 own.append(0)
                 refs.append(set())
                 frames += [(sub, depth, b, ids, b), (b, _END_BINDING, 0, ids, 0)]
+            if group is not None:
+                spliced.setdefault(owner, []).append(list(range(first, len(term))))
             todo.append(([name for name, _ in t.bindings], _END_LETREC, 0, ids if group is None else None, 0))
             todo.append((t.body, depth, owner, group, 0))
             todo += reversed(frames)
@@ -183,6 +189,7 @@ def _walk(t: Term) -> _Table:
         new[b] = k
     tab.data = [new[d] if k == _REF else d for k, d in zip(kind, data)]
     tab.groups = {i: [new[b] for b in ids] for i, ids in groups.items()}
+    tab.spliced = {new[b]: [[new[c] for c in ids] for ids in lets] for b, lets in spliced.items()}
     tab.term, tab.name, tab.depth, tab.own = ([x[b] for b in printed] for x in (term, names, depths, own))
     tab.refs = [{new[c] for c in refs[b]} for b in printed]
     return tab
@@ -359,10 +366,10 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     """Translate a closed term to a valid eager-scope delimited graph
     over the signature with both kinds of back-links.
 
-    The translator takes the table the parser left on the term, or
-    walks the term into one, analyses its free binders and live
-    bindings, and emits the graph on ids with each vertex's innermost
-    binder; no stage recurses.  One pass checks it,
+    The translator takes the table a parsed root holds, reading none of
+    its fields, or walks the term into one, analyses its free binders
+    and live bindings, and emits the graph on ids with each vertex's
+    innermost binder; no stage recurses.  One pass checks it,
     inference in O(n + m), which fails where the graph has no correct
     prefix function, the root misses a vertex or a recorded binder is
     not the inferred one (``delimited._Builder.finish``).  Eagerness,

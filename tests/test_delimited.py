@@ -169,6 +169,20 @@ def test_eager_witness_ignores_the_order_of_the_prefix_keys():
     assert witnesses >= 100
 
 
+def test_delimited_graph_reads_a_list_word_as_its_tuple():
+    # As PrefixedGraph reads it: the constructor once compared the list
+    # words with the inferred tuples and refused them as other words.
+    dg = term_to_graph(parse_term(r"\x. \y. x (\z. y z)"))
+    listed = {v: list(word) for v, word in dg.prefixes.items()}
+    h = DelimitedGraph(dg.graph, listed)
+    assert h == dg and h.prefixes == dg.prefixes
+    assert {tuple} == set(map(type, h.prefixes.values()))
+    # A list word that differs from the inferred one is still refused.
+    v = next(v for v, word in listed.items() if word)
+    with pytest.raises(ValueError, match=rf"^not the inferred words: vertex {v} \("):
+        DelimitedGraph(dg.graph, listed | {v: []})
+
+
 def test_access_paths_avoid_variables_and_exit_delimiters_by_zero():
     for dg in _random_delimited(201, 15):
         g = dg.graph

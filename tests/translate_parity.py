@@ -25,7 +25,10 @@ terms' never do, and requires of each output:
 - one table on both of the translator's routes: the one the parser's
   scan leaves on ``parse_term(format_term(t))`` equals, field for
   field, the one ``translate._walk`` makes of a copy of t, and the two
-  translate to the same graph.
+  translate to the same graph;
+- the term read back from that table: a root that ``parse_term``
+  returns holds its table alone, and its first read, ``==`` on one
+  parse and ``hash`` on another, must find it equal to t, with t's hash.
 
 Full back-linking follows from eagerness.  Take a vertex w with word W
 and v = W[-1]: a variable back-links to v (condition var1), a
@@ -114,6 +117,21 @@ def route_difference(t) -> str | None:
     return None if field is None else f"graph's {field}"
 
 
+def readback_difference(t) -> str | None:
+    """How the term read back from the scan's table of ``t``'s printed
+    form differs from ``t``, each check the first read of a root just
+    parsed; ``None`` if it does not."""
+    text = format_term(t)
+    parsed = parse_term(text)
+    if set(vars(parsed)) != {"_table"}:
+        return f"the parsed root holds {sorted(vars(parsed))} before any read"
+    if parsed != t:
+        return "term is not the term (==)"
+    if hash(parse_term(text)) != hash(t):
+        return "term's hash is not the term's"
+    return None
+
+
 def terms(seed: int, count: int):
     """``count`` random terms from ``seed`` on, then the fixture terms,
     each with the label a failure report names it by."""
@@ -146,6 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         if field is not None:
             print(f"{label}: the translation's {field} differ from the name-keyed reference's")
             return 1
+        field = readback_difference(t)
+        if field is not None:
+            print(f"{label}: the read-back {field}")
+            return 1
         field = route_difference(t)
         if field is not None:
             print(f"{label}: the parsed and the walked route differ in the {field}")
@@ -157,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{checked} terms (seeds {args.seed}-{last}, fixtures): all eager (1,2), fully "
         f"back-linked, valid, equal to the name-keyed reference and the same on the parsed "
-        f"and the walked route; {vertices} vertices, {delimiters} delimiters"
+        f"and the walked route, each read back from its table as itself; {vertices} vertices, "
+        f"{delimiters} delimiters"
     )
     return 0
 
