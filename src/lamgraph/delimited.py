@@ -219,13 +219,14 @@ def _inferred(graph: TermGraph) -> list[int]:
 class _Builder:
     """A delimited graph under construction, on dense ids.
 
-    Each vertex has its label, its successor row (a tuple, filled in
-    after the vertex is allocated) and its innermost binder, the last
-    entry of its word or -1 for the empty word.  A builder starts empty
-    or seeded with the labels, rows, innermost binders and names of a
-    leading run of vertices; each vertex after that run is allocated
-    with the base of its name, and names are minted only where they are
-    first read (``core._minted_names``).
+    Each vertex has its label, its successor row (a tuple, extended as
+    its successors are emitted) and its innermost binder, the last entry
+    of its word or -1 for the empty word, at its id in the parallel lists
+    ``labels``, ``succ`` and ``inner``.  A builder starts empty or seeded
+    with the labels, rows, innermost binders and names of a leading run
+    of vertices; each vertex after that run is appended to those lists by
+    its emitter, with the base of its name in ``bases``, and names are
+    minted only where they are first read (``core._minted_names``).
     """
 
     def __init__(self, labels=(), succ=(), names=(), inner=()):
@@ -234,14 +235,6 @@ class _Builder:
         self.inner: list[int] = list(inner)
         self.names: tuple[str, ...] = tuple(names)
         self.bases: list[str] = []  # of the vertices after the named run
-
-    def alloc(self, base: str, label: Label, inner: int) -> int:
-        v = len(self.labels)
-        self.labels.append(label)
-        self.succ.append(None)
-        self.inner.append(inner)
-        self.bases.append(base)
-        return v
 
     def finish(self, root: int, variant: SignatureVariant) -> DelimitedGraph:
         """The built graph, once its recorded innermost binders equal the

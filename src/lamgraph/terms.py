@@ -5,10 +5,16 @@ left-associative application, ``letrec x1 = t1; ...; xn = tn in t`` for
 recursive bindings, parentheses for grouping.  Identifiers match
 ``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
 
-The parser reads the token texts of one regular-expression scan, each
-once, in one loop over its own stack; neither it nor ``format_term`` takes
-a Python frame per term level.  An offset is computed only when an error
-is raised, by scanning the text again.
+The tokens are the texts of one ``findall`` of a regular expression
+without groups (``_TOKEN``): identifiers, comments and single
+characters other than whitespace; comments are dropped only where the
+text holds a ``#``.  A one-character token that is neither punctuation
+nor a letter is a stray character, so the distinct tokens less the
+token kinds and the letters tell whether there is one, and only then is
+the token list scanned for the first.  The parser reads each token
+once, in one loop over its own stack; neither it nor ``format_term``
+takes a Python frame per term level.  An offset is computed only when
+an error is raised, by scanning the text again.
 
 The scan builds no term object: it fills only the table the translator
 reads (``_Table``), the nodes in post-order, each variable resolved to
@@ -183,18 +189,32 @@ class Letrec(Term):
     body: Term
 
 
-# One token per match, its text the only group: whitespace (as
-# str.isspace) and comments are skipped, then an identifier, a
-# punctuation mark, any other character, or "" at the end of the text.
-_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*([a-zA-Z_][a-zA-Z0-9_']*|[\\.()=;]|.|\Z)", re.DOTALL)
-_IDENT_START = re.compile(r"[a-zA-Z_]").match
+# One token per match, the whole match its text: an identifier, a
+# comment, or any one character but whitespace (``\s`` is
+# ``str.isspace``).  Whitespace is in no match, so the scan skips it;
+# ``_lex`` drops the comments.
+_TOKEN = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*|#[^\n]*|\S")
 # Token kinds by text; any other token is an identifier or a stray character.
 _KIND = {"\\": "lambda", ".": "dot", "(": "lpar", ")": "rpar", "=": "eq", ";": "semi",
          "letrec": "letrec", "in": "in", "": "eof"}
+# The one-character identifiers: any other one-character token that has
+# no kind is a stray character.
+_LETTERS = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def _lex(text: str) -> list[str]:
+    """The token texts of ``text``, comments dropped, then "" for its end."""
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [tok for tok in tokens if tok[0] != "#"]
+    tokens.append("")
+    return tokens
 
 
 def _offset(text: str, k: int) -> int:
-    return next(islice(_TOKEN.finditer(text), k, None)).start(1)
+    """Where token ``k`` of ``_lex(text)`` starts."""
+    starts = (m.start() for m in _TOKEN.finditer(text) if m[0][0] != "#")
+    return next(islice(starts, k, None), len(text))
 
 
 def _expected(kind: str, tokens: list[str], k: int, text: str) -> TermSyntaxError:
@@ -203,7 +223,7 @@ def _expected(kind: str, tokens: list[str], k: int, text: str) -> TermSyntaxErro
 
 def parse_term(text: str) -> Term:
     """Parse a closed term; unbound names and duplicate bindings are errors."""
-    return _parse(_TOKEN.findall(text), text)
+    return _parse(_lex(text), text)
 
 
 # The kinds of a table's nodes, and the class of the term each is.
@@ -238,9 +258,11 @@ class _Table:
 
 
 def _parse(tokens: list[str], text: str) -> Term:
-    bad = [tok for tok in set(tokens).difference(_KIND) if not _IDENT_START(tok)]
-    if bad:
-        k = min(map(tokens.index, bad))
+    # Every token of two or more characters is an identifier, so a stray
+    # is a one-character token that is neither a kind nor a letter.
+    rest = set(tokens).difference(_KIND, _LETTERS)
+    if rest and min(map(len, rest)) == 1:
+        k = next(k for k, tok in enumerate(tokens) if len(tok) == 1 and tok in rest)
         raise TermSyntaxError(f"unexpected character {tokens[k]!r}", _offset(text, k))
     tab = _Table()
     kind, data, base, groups, spliced = tab.kind, tab.data, tab.base, tab.groups, tab.spliced

@@ -41,6 +41,10 @@ _LABELS = {str(label): label for label in Label}
 # vertices, and names must survive whitespace tokenization (``\s`` is
 # ``str.isspace``), comments and scope braces.
 _NAME = re.compile(r"[^\s#{}]+")
+# A graph's names joined by newlines match this where each is writable,
+# the reserved words aside; a name that holds a newline would pass as
+# two, which the count of newlines rules out.
+_NAMES = re.compile(rf"{_NAME.pattern}(?:\n{_NAME.pattern})*")
 
 
 def _writable(name: str) -> bool:
@@ -165,7 +169,12 @@ def serialize_graph(doc: GraphDocument | TermGraph) -> str:
         doc = GraphDocument(doc)
     g = doc.graph
     names = g.names
-    if not (RESERVED_NAMES.isdisjoint(names) and all(map(_NAME.fullmatch, names))):
+    joined = "\n".join(names)
+    if not (
+        RESERVED_NAMES.isdisjoint(names)
+        and _NAMES.fullmatch(joined)
+        and joined.count("\n") == len(names) - 1
+    ):
         bad = next(name for name in names if not _writable(name))
         raise FormatError(0, f"vertex name {bad!r} cannot be written to a document")
     v = g.variant

@@ -46,13 +46,14 @@ their terms are filled in, so cycles and cross-references become direct
 edges; occurrences of letrec names are plain edges to the entry vertex,
 and only lambda-bound variables become variable vertices.
 
-The graph is emitted with ``delimited._Builder``: vertices get dense
-integer ids in allocation order, each with the base of its name and its
-innermost binder, the last entry of the current word.  The emitter
-carries only that binder: the builder's binder of an abstraction is the
-entry below it, so the word is a chain of links, and popping walks only
-the links it drops, one delimiter each, whose back-link is the popped
-binder.  The builder's finish step compares the recorded binders with
+The graph is emitted into a ``delimited._Builder``: each vertex is
+appended straight to the builder's parallel lists, so vertices get
+dense integer ids in allocation order, each with its label, its
+successor row, the base of its name and its innermost binder, the last
+entry of the current word.  The emitter carries only that binder: the
+builder's binder of an abstraction is the entry below it, so the word is
+a chain of links, and popping walks only the links it drops, one
+delimiter each, whose back-link is the popped binder.  The builder's finish step compares the recorded binders with
 the inferred ones.  Names are minted, and words derived from the
 binders, only where they are read: equivalence reads neither.  The
 result is eager-scope by construction, as the paper's eager translation
@@ -78,6 +79,9 @@ class DegenerateBinding(Exception):
 
 # The label of each kind's vertex.
 _LABEL = (Label.VAR, None, Label.APP, Label.ABS, None)
+# The signature of every translation: one back-link per variable, two
+# successors per delimiter.
+_VARIANT = SignatureVariant(1, 2)
 # The codes of the walker's frames that close a node or a scope.
 _END_APP, _END_ABS, _END_BINDING, _END_LETREC = range(-1, -5, -1)
 
@@ -248,52 +252,31 @@ def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
 def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
     """The graph's builder and root, emitted on an explicit stack.
 
-    The emitter carries the innermost binder of the current word: the
-    last emitted abstraction on it, or -1 for the empty word.  The
-    builder's ``inner`` array links each abstraction to the binder below
-    it, so the word is a chain of links that grows in depth, and
-    ``depth`` maps each abstraction to its lambda depth.
+    Each vertex is appended to the builder's arrays: its label, its
+    successor row, its innermost binder and the base of its name.  The
+    emitter carries the innermost binder of the current word: the last
+    emitted abstraction on it, or -1 for the empty word.  The builder's
+    ``inner`` array links each abstraction to the binder below it, so the
+    word is a chain of links that grows in depth, and ``depth`` maps each
+    abstraction to its lambda depth.
 
-    A frame (i, x, t, p) enters node i below an edge whose source
-    carries binder x, into the word of binder t, what is left of x's
-    once the node's non-free entries are popped; the top of the node's
-    delimiter chain becomes the next successor of vertex p, or the root
-    where p is -1.  A frame (~v, x, t, p) closes vertex v once its
-    subtree is done, with the chain from x's word down to t's.  A frame
-    (j, u, u, -2 - v) fills in the entry vertex v of a letrec binding
-    whose term is node j, allocated with its group under binder u; it
-    has no chain, and its top goes nowhere.
+    A frame (i, x, w, p) enters node i below an edge whose source
+    carries binder x.  The node's word is w's, cut on entry after the
+    entry of the node's deepest free binder (the pop); w is x, or, for a
+    letrec's body or a binding's term, a word cut from x's already.  The
+    top of the node's delimiter chain, from x's word down to the node's,
+    becomes the next successor of vertex p, or the root where p is -1.
+    A frame (~v, x, t, p) closes vertex v once its subtree is done, with
+    the chain from x's word down to t's.  A frame (j, u, u, -2 - v) fills in the
+    entry vertex v of a letrec binding whose term is node j, allocated
+    with its group under binder u; it has no chain, and its top goes
+    nowhere.
     """
     b = _Builder()
-    alloc, succ, inner = b.alloc, b.succ, b.inner
+    labels, succ, inner, bases = b.labels, b.succ, b.inner, b.bases
     kind, data, base, term = tab.kind, tab.data, tab.base, tab.term
     depth: dict[int, int] = {}
     entry: dict[int, int] = {}  # a live binding's entry vertex
-
-    def pop(x: int, fv: int) -> int:
-        """The innermost binder left when the word of ``x`` is cut after
-        the entry at the depth of ``fv``'s deepest binder; -1 if ``fv``
-        is 0.  A node's free binders all lie on its word, and the word
-        grows in depth, so this drops exactly the trailing entries that
-        the node has no free occurrence of, one link each."""
-        deepest = fv.bit_length() - 1
-        while x >= 0 and depth[x] > deepest:
-            x = inner[x]
-        return x
-
-    def chain(source: int, target: int, top: int) -> int:
-        """One delimiter per entry popped from ``source``'s word down to
-        ``target``'s, bottom-up, the outermost popped first; returns the
-        top."""
-        popped = []
-        while source != target:
-            popped.append(source)
-            source = inner[source]
-        for x in reversed(popped):
-            s = alloc("s", Label.DEL, x)
-            succ[s] = (top, x)
-            top = s
-        return top
 
     def resolve_entry(binding: int) -> int:
         """The entry of ``binding``, found through its chain of bare-name
@@ -316,45 +299,78 @@ def _emit(tab: _Table, mask: list[int], live: set[int]) -> tuple[_Builder, int]:
     while todo:
         i, x, t, p = todo.pop()
         if i < 0:
-            top = chain(x, t, ~i)
-        elif (k := kind[i]) == _LETREC:
-            # A letrec has its body's free binders, so its body keeps the word.
-            todo.append((i - 1, x, t, p))
-            fills = []
-            for ident in tab.groups[i]:
-                j = term[ident]
-                if ident in live and kind[j] != _REF:
-                    u = pop(t, mask[j])
-                    entry[ident] = alloc(tab.name[ident], _LABEL[kind[j]], u)
-                    fills.append((j, u, u, -2 - entry[ident]))
-            todo += reversed(fills)
-            continue
-        elif k == _REF:
-            v = resolve_entry(data[i])
-            assert inner[v] == t
-            top = chain(x, t, v)
+            top = ~i
         else:
-            if p <= -2:  # a letrec entry, allocated with its group
-                v = -2 - p
-            else:
-                v = alloc(base[i], _LABEL[k], t)
-                if t != x:  # the chain waits until the subtree is done
-                    todo.append((~v, x, t, p))
-            if k == _ABS:
-                depth[v] = data[i]
-                succ[v] = ()
-                todo.append((i - 1, v, pop(v, mask[i - 1]), v))
-            elif k == _APP:
-                succ[v] = ()
-                todo.append((i - 1, t, pop(t, mask[i - 1]), v))
-                todo.append((data[i], t, pop(t, mask[data[i]]), v))
-            else:
-                # Word entries enclose the node and differ in depth.
-                assert t >= 0 and depth[t] == data[i]
-                succ[v] = (t,)
-            if p <= -2 or t != x:
+            # The pop: the word is cut after the entry at the depth of the
+            # node's deepest free binder, or emptied where it has none.  A
+            # node's free binders all lie on its word, and the word grows
+            # in depth, so this drops exactly the trailing entries that the
+            # node has no free occurrence of, one link each.
+            deepest = mask[i].bit_length() - 1
+            while t >= 0 and depth[t] > deepest:
+                t = inner[t]
+            k = kind[i]
+            if k == _LETREC:
+                # A letrec has its body's free binders, so its body keeps
+                # the word, and each live binding's entry is cut from it
+                # as its term is.
+                todo.append((i - 1, x, t, p))
+                fills = []
+                for ident in tab.groups[i]:
+                    j = term[ident]
+                    if ident in live and kind[j] != _REF:
+                        deepest = mask[j].bit_length() - 1
+                        u = t
+                        while u >= 0 and depth[u] > deepest:
+                            u = inner[u]
+                        entry[ident] = v = len(labels)
+                        labels.append(_LABEL[kind[j]])
+                        succ.append((u,) if kind[j] == _VAR else ())
+                        inner.append(u)
+                        bases.append(tab.name[ident])
+                        fills.append((j, u, u, -2 - v))
+                todo += reversed(fills)
                 continue
-            top = v
+            if k == _REF:
+                top = resolve_entry(data[i])
+                assert inner[top] == t
+            else:
+                if k == _VAR:
+                    # Word entries enclose the node and differ in depth.
+                    assert t >= 0 and depth[t] == data[i]
+                if p <= -2:  # a letrec entry, allocated with its group
+                    v = -2 - p
+                else:
+                    v = len(labels)
+                    labels.append(_LABEL[k])
+                    succ.append((t,) if k == _VAR else ())
+                    inner.append(t)
+                    bases.append(base[i])
+                    if t != x:  # the chain waits until the subtree is done
+                        todo.append((~v, x, t, p))
+                if k == _ABS:
+                    depth[v] = data[i]
+                    todo.append((i - 1, v, v, v))
+                elif k == _APP:
+                    todo.append((i - 1, t, t, v))
+                    todo.append((data[i], t, t, v))
+                if p <= -2 or t != x:
+                    continue
+                top = v
+        if x != t:
+            # The chain: one delimiter per entry popped from x's word down
+            # to t's, bottom-up, the outermost popped first, each
+            # back-linking to the binder it pops.
+            popped = []
+            while x != t:
+                popped.append(x)
+                x = inner[x]
+            for x in reversed(popped):
+                succ.append((top, x))
+                top = len(labels)
+                labels.append(Label.DEL)
+                inner.append(x)
+                bases.append("s")
         if p < 0:
             root = top
         else:
@@ -381,7 +397,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     tab = getattr(t, "_table", None) or _walk(t)
     b, root = _emit(tab, *_analyze(tab))
     try:
-        return b.finish(root, SignatureVariant(1, 2))
+        return b.finish(root, _VARIANT)
     except UnreachableVertex as exc:
         raise InternalValidationFailure(f"translator left unreachable vertices: {exc.vertices}") from None
     except ValueError as exc:

@@ -30,8 +30,11 @@ ALL_VARIANTS = [
 ]
 
 
-def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3) -> Term:
-    """A random closed term with letrec, bounded depth."""
+def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3, splice: bool = False) -> Term:
+    """A random closed term with letrec, bounded depth.  With ``splice``,
+    a letrec binding's term may be a letrec too, whose group the parser
+    splices into the enclosing one; without it, the draws are the same
+    as before that option was added."""
 
     def gen(d: int, lam_scope: tuple[str, ...], rec_scope: tuple[str, ...]) -> Term:
         choices = ["abs", "abs"]
@@ -54,25 +57,33 @@ def random_term(rng: random.Random, depth: int = 5, max_bindings: int = 3) -> Te
             return Abs(name, gen(d - 1, lam_scope + (name,), rec_scope))
         if kind == "app":
             return App(gen(d - 1, lam_scope, rec_scope), gen(d - 1, lam_scope, rec_scope))
+        names = fresh_names(rec_scope)
+        inner = rec_scope + tuple(names)
+        bindings = tuple((n, binding(d, lam_scope, inner)) for n in names)
+        return Letrec(bindings, gen(d - 1, lam_scope, inner))
+
+    def fresh_names(rec_scope: tuple[str, ...]) -> list[str]:
         names = []
         while len(names) < rng.randint(1, max_bindings):
             n = f"f{rng.randrange(1000)}"
             if n not in names and n not in rec_scope:
                 names.append(n)
+        return names
+
+    def binding(d: int, lam_scope: tuple[str, ...], rec_scope: tuple[str, ...]) -> Term:
+        # Binding terms are abstractions or applications so that no
+        # binding is a bare name (those may alias-cycle); with splice, also
+        # a letrec whose binding terms and body are binding terms again.
+        shape = rng.choice(["abs", "app", "abs"] + ["letrec"] * 3 * (splice and d > 1))
+        if shape == "abs":
+            x = f"y{rng.randrange(1000)}"
+            return Abs(x, gen(d - 1, lam_scope + (x,), rec_scope))
+        if shape == "app":
+            return App(gen(d - 1, lam_scope, rec_scope), gen(d - 1, lam_scope, rec_scope))
+        names = fresh_names(rec_scope)
         inner = rec_scope + tuple(names)
-        bindings = []
-        for n in names:
-            # Binding bodies are abstractions or applications so that no
-            # binding is a bare name (those may alias-cycle).
-            shape = rng.choice(["abs", "app", "abs"])
-            if shape == "abs":
-                x = f"y{rng.randrange(1000)}"
-                bindings.append((n, Abs(x, gen(d - 1, lam_scope + (x,), inner))))
-            else:
-                bindings.append(
-                    (n, App(gen(d - 1, lam_scope, inner), gen(d - 1, lam_scope, inner)))
-                )
-        return Letrec(tuple(bindings), gen(d - 1, lam_scope, inner))
+        bindings = tuple((n, binding(d - 1, lam_scope, inner)) for n in names)
+        return Letrec(bindings, binding(d - 1, lam_scope, inner))
 
     return gen(depth, (), ())
 

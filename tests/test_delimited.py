@@ -793,9 +793,11 @@ def _emitted(rows, variant=SignatureVariant(1, 2)):
     from lamgraph.delimited import _Builder
 
     b = _Builder()
-    for base, label, inner, _ in rows:
-        b.alloc(base, label, inner)
-    b.succ[:] = [succ for *_, succ in rows]
+    for base, label, inner, succ in rows:
+        b.bases.append(base)
+        b.labels.append(label)
+        b.inner.append(inner)
+        b.succ.append(succ)
     return b.finish(0, variant)
 
 

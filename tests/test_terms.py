@@ -29,7 +29,7 @@ from lamgraph import (
     format_term,
     parse_term,
 )
-from lamgraph.terms import _KIND, _TOKEN, _parse
+from lamgraph.terms import _KIND, _TOKEN, _lex, _offset, _parse
 
 
 def test_parse_identity():
@@ -169,8 +169,9 @@ def _tokens_or_error(tokenize, text):
 
 
 def lexed(text):
-    # The tokens parse_term reads, up to the end of input, with the
-    # offsets an error would name; or its unexpected-character error.
+    # The tokens parse_term reads, up to the end of input, each at the
+    # start of its match of the token regex; or its unexpected-character
+    # error.
     try:
         parse_term(text)
     except TermSyntaxError as exc:
@@ -178,13 +179,10 @@ def lexed(text):
             return ("error", str(exc), exc.position)
     except (UnboundVariable, DuplicateBinding):
         pass
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        tokens.append(_Token(_KIND.get(m[1], "ident"), m[1], m.start(1)))
-        if not m[1]:
-            break
-    assert [tok.text for tok in tokens] == _TOKEN.findall(text)[: len(tokens)]
-    return tokens
+    starts = [m.start() for m in _TOKEN.finditer(text) if not m[0].startswith("#")] + [len(text)]
+    tokens = _lex(text)
+    assert len(tokens) == len(starts)
+    return [_Token(_KIND.get(tok, "ident"), tok, at) for tok, at in zip(tokens, starts)]
 
 
 def assert_same_tokens(text):
@@ -225,15 +223,20 @@ def test_tokenizer_matches_per_character_scan_on_terms():
         assert_same_tokens(text.replace(" ", "\t#c\n"))
 
 
-# Token characters, keyword letters, a quote, a stray character and
-# ASCII and Unicode whitespace.
-TOKEN_ALPHABET = st.sampled_from("\\.()=;#'$_xyzin letrc0\n\t\u00a0\u2029\u00e9")
+# Token characters, keyword letters, a quote, a stray character, and
+# ASCII and Unicode whitespace, with U+001C, U+0085, U+2028 and U+3000.
+TOKEN_ALPHABET = st.sampled_from("\\.()=;#'$_xyzin letrc0\n\t\u00a0\u2029\u00e9\x1c\x85\u2028\u3000")
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.text(alphabet=TOKEN_ALPHABET, max_size=40))
 def test_tokenizer_matches_per_character_scan_hypothesis(text):
-    assert_same_tokens(text)
+    # The tokens up to the end token or the stray refusal, and the offset
+    # an error names at each token.
+    want = _tokens_or_error(per_character_tokenize, text)
+    assert lexed(text) == want
+    if type(want) is list:
+        assert [_offset(text, k) for k in range(len(want))] == [tok.pos for tok in want]
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,7 +475,7 @@ def test_letrecs_in_binding_position_read_each_token_boundedly():
     # Θ(n²) times in all; one pass reads each a bounded number of times.
     n = 450
     text = "letrec g = " * n + "\\x. x" + " in g" * n
-    tokens = _CountingTokens(_TOKEN.findall(text))
+    tokens = _CountingTokens(_lex(text))
     t = _parse(tokens, text)
     for _ in range(n):
         assert [name for name, _ in t.bindings] == ["g"] and t.body == Var("g")

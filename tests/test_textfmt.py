@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 import sys
 
 import pytest
@@ -120,10 +121,34 @@ def test_writable_names_match_the_per_character_test():
     rng = random.Random(15)
     alphabet = ["a", "Z", "0", ".", "!", "é", " ", "\t", "\n", "\x1c", "\x85", "\xa0",
                 "\u2028", "\u3000", "#", "{", "}", "sig", "root", "scope", "prefix"]
-    names = ["", *RESERVED_NAMES, "sig.2", "roots", "a b", "a#b", "{a}", "a\u3000"]
+    names = ["", *RESERVED_NAMES, "sig.2", "roots", "a b", "a#b", "{a}", "a\u3000", "a\nb"]
     names += ["".join(rng.choices(alphabet, k=rng.randrange(7))) for _ in range(5000)]
     assert [x for x in names if _writable(x) != per_character_writable(x)] == []
     assert _writable("x!.2") and not _writable("a\u2028b") and not _writable("")
+
+
+def test_serializer_refuses_the_first_unwritable_name():
+    # The serializer tests all names at once, as one newline-joined text;
+    # a name that holds a newline must not pass there as two names.
+    from lamgraph import Label, SignatureVariant, build
+
+    unwritable = ["a\nb", "\na", "a\n", "", "a b", "a#b", "{a}", "a\u2028b", *RESERVED_NAMES]
+    pool = ["a", "b.2", "x!", "é"] + unwritable
+    rng = random.Random(33)
+    for _ in range(2000):
+        names = rng.sample(pool, rng.randint(1, 4))
+        g = build(
+            SignatureVariant(0, None),
+            dict.fromkeys(names, Label.ABS),
+            {name: [names[(k + 1) % len(names)]] for k, name in enumerate(names)},
+            names[0],
+        )
+        bad = [name for name in names if name in unwritable]
+        if not bad:
+            assert parse_graph(serialize_graph(g)).graph == g
+            continue
+        with pytest.raises(FormatError, match=f"^line 0: vertex name {re.escape(repr(bad[0]))} cannot"):
+            serialize_graph(g)
 
 
 def test_reserved_binder_names_translate_and_round_trip():

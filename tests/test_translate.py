@@ -47,6 +47,7 @@ from lamgraph import (
     strip_delimiters,
     term_to_graph,
 )
+from lamgraph.delimited import _Builder
 from lamgraph.terms import _Table
 from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze, _walk
 from translate_parity import failure as translate_failure
@@ -624,22 +625,22 @@ def test_corrupt_emitted_edge_is_refused(monkeypatch):
 
 
 def test_unreachable_emitted_vertex_is_refused(monkeypatch):
-    # Two orphan occurrences of x on the base "a", allocated before the
-    # application, which takes that base too: the message names the
-    # orphans by their minted names, not by their bases.
+    # Two orphan occurrences of x on the base "a", ahead of the emitted
+    # vertices and so of the application, which takes that base too: the
+    # message names the orphans by their minted names, not by their bases.
     import lamgraph.translate as translate
 
-    alloc = translate._Builder.alloc
+    def builder_with_orphan_occurrences():
+        # The abstraction the emitter appends first, x, gets id 2.
+        b = _Builder()
+        for _ in range(2):
+            b.bases.append("a")
+            b.labels.append(Label.VAR)
+            b.inner.append(2)
+            b.succ.append((2,))
+        return b
 
-    def add_orphan_occurrences(self, base, label, inner):
-        v = alloc(self, base, label, inner)
-        if label is Label.ABS and base == "x":
-            for _ in range(2):
-                orphan = alloc(self, "a", Label.VAR, v)
-                self.succ[orphan] = (v,)
-        return v
-
-    monkeypatch.setattr(translate._Builder, "alloc", add_orphan_occurrences)
+    monkeypatch.setattr(translate, "_Builder", builder_with_orphan_occurrences)
     with pytest.raises(
         InternalValidationFailure, match=r"^translator left unreachable vertices: \('a', 'a\.2'\)$"
     ):

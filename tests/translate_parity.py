@@ -9,9 +9,11 @@ are read.  The paper's eager translation yields eager (1,2)
 lambda-term-graphs by construction, so the library runs no eager check
 on them; this script is the guard that claim rests on.  It translates
 N random terms (default 20000), term i drawn by ``random_term`` under
-seed S + i (default S = 2200), then the fixture terms and
-``SCOPING_TERMS``, whose letrec names shadow and splice as random
-terms' never do, and requires of each output:
+seed S + i (default S = 2200); then N more from the same seeds with
+``splice``, whose letrec bindings may be letrecs that the parser splices
+into the enclosing group; then the fixture terms and ``SCOPING_TERMS``,
+whose letrec names shadow as random terms' never do.  It requires of
+each output:
 
 - the signature variant (1,2);
 - a ``validate_prefix_fo`` report on its words that passes;
@@ -133,11 +135,13 @@ def readback_difference(t) -> str | None:
 
 
 def terms(seed: int, count: int):
-    """``count`` random terms from ``seed`` on, then the fixture terms,
-    each with the label a failure report names it by."""
-    for s in range(seed, seed + count):
-        rng = random.Random(s)
-        yield f"seed {s}", random_term(rng, depth=rng.randint(1, 5))
+    """``count`` random terms from ``seed`` on, ``count`` more with
+    letrecs in binding position, then the fixture terms, each with the
+    label a failure report names it by."""
+    for splice in (False, True):
+        for s in range(seed, seed + count):
+            rng = random.Random(s)
+            yield f"{'spliced ' * splice}seed {s}", random_term(rng, depth=rng.randint(1, 5), splice=splice)
     for text in FIXTURE_TERMS + COLLIDING_TERMS + SCOPING_TERMS:
         yield f"fixture term {text!r}", parse_term(text)
 
@@ -177,10 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         delimiters += len(dg.graph.vertices_labeled(Label.DEL))
     last = args.seed + args.terms - 1
     print(
-        f"{checked} terms (seeds {args.seed}-{last}, fixtures): all eager (1,2), fully "
-        f"back-linked, valid, equal to the name-keyed reference and the same on the parsed "
-        f"and the walked route, each read back from its table as itself; {vertices} vertices, "
-        f"{delimiters} delimiters"
+        f"{checked} terms (seeds {args.seed}-{last}, plain and spliced; fixtures): all eager "
+        f"(1,2), fully back-linked, valid, equal to the name-keyed reference and the same on "
+        f"the parsed and the walked route, each read back from its table as itself; "
+        f"{vertices} vertices, {delimiters} delimiters"
     )
     return 0
 
