@@ -15,7 +15,7 @@ import json
 import sys
 from functools import cache, partial
 
-from .core import GraphError, SignatureVariant, VariantMismatch
+from .core import GraphError, Label, SignatureVariant, VariantMismatch
 from .delimited import DelimitedGraph, _infer_inner
 from .dot import to_dot
 from .scoped import (
@@ -89,9 +89,7 @@ def cmd_validate(args) -> int:
     # tg: parsing already established term graph validity.
     report = ValidationReport()
     if args.cls == "hotg":
-        if doc.scopes is None:
-            raise CliError(f"{args.file}: hotg validation needs scope lines")
-        report = validate_scope(g, doc.scopes)
+        report = validate_scope(g, _scopes(doc, args.file, "validation"))
     elif args.cls == "aphotg":
         if doc.prefixes is None:
             raise CliError(f"{args.file}: aphotg validation needs prefix lines")
@@ -123,14 +121,23 @@ def cmd_validate(args) -> int:
 _GRAPH_CLASSES = ("hotg", "aphotg", "ltg", "tg")
 
 
+def _scopes(doc: GraphDocument, path: str, use: str) -> dict:
+    """The document's scope function.  A graph without abstractions has
+    the empty one, which ``serialize_graph`` writes as no scope lines,
+    so such a document may have none."""
+    if doc.scopes is not None:
+        return doc.scopes
+    if Label.ABS in doc.graph.labels:
+        raise CliError(f"{path}: hotg {use} needs scope lines")
+    return {}
+
+
 def _doc_as(doc: GraphDocument, cls: str, path: str):
     # parse_graph has resolved the annotations to ids.
     g = doc.graph
     try:
         if cls == "hotg":
-            if doc.scopes is None:
-                raise CliError(f"{path}: hotg input needs scope lines")
-            return ScopedGraph(g, doc.scopes)
+            return ScopedGraph(g, _scopes(doc, path, "input"))
         if cls == "aphotg":
             if doc.prefixes is None:
                 raise CliError(f"{path}: aphotg input needs prefix lines")

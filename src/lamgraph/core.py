@@ -354,6 +354,24 @@ def _reachable_keys(root, succ: Mapping) -> set:
     return seen
 
 
+def _predecessors(args: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The predecessor index of these successor rows, by edge index:
+    ``into0[t]`` lists the vertices whose first successor is t and
+    ``into1[t]`` those whose second is, each in ascending id order.
+    O(n + m); built once per graph and read by the eager check and the
+    refinement alike."""
+    into0: list[list[int]] = [[] for _ in args]
+    into1: list[list[int]] = [[] for _ in args]
+    for v, row in enumerate(args):
+        if len(row) == 2:
+            s, t = row
+            into0[s].append(v)
+            into1[t].append(v)
+        elif row:
+            into0[row[0]].append(v)
+    return into0, into1
+
+
 def build(
     variant: SignatureVariant,
     labels: Mapping[Hashable, Label],

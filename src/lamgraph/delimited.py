@@ -40,6 +40,7 @@ from .core import (
     UnreachableVertex,
     VariantMismatch,
     _derived_field,
+    _predecessors,
     _trusted,
 )
 from .scoped import (
@@ -352,15 +353,21 @@ def _non_eager_vertex(g: DelimitedGraph, strict: bool = False) -> int | None:
     if g.graph.variant.var_arity != 1:
         raise VariantMismatch("eager-scope is defined only with variable back-links")
     graph = g.graph
-    return _non_eager(graph.labels, graph.args, g._inner, None if strict else Label.DEL)
+    exempt = None if strict else Label.DEL
+    return _non_eager(graph.labels, graph.args, _predecessors(graph.args), g._inner, exempt)
 
 
 def _non_eager(
-    labels: Sequence[Label], args: Sequence[Sequence[int]], inner: Sequence[int], exempt: Label | None
+    labels: Sequence[Label],
+    args: Sequence[Sequence[int]],
+    into: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]],
+    inner: Sequence[int],
+    exempt: Label | None,
 ) -> int | None:
-    """``_non_eager_vertex`` on arrays, checking the vertices that
-    ``inner`` holds innermost binders for, 0 up to its length, except
-    those labelled ``exempt``.
+    """``_non_eager_vertex`` on arrays, with ``into`` the rows'
+    predecessor index (``core._predecessors``), checking the vertices
+    that ``inner`` holds innermost binders for, 0 up to its length,
+    except those labelled ``exempt``.
 
     The search reads no delimiter's binder where delimiters back-link
     (see ``_reach_in_region``).  So on a (1,2) graph whose delimiters
@@ -370,7 +377,7 @@ def _non_eager(
     """
     VAR = Label.VAR
     sources = [u for u, lab in enumerate(labels) if lab is VAR]
-    reached = _reach_in_region(labels, args, sources, inner)
+    reached = _reach_in_region(labels, args, into, sources, inner)
     for w, x in enumerate(inner):
         if x >= 0 and w not in reached and labels[w] is not exempt:
             break
@@ -405,10 +412,15 @@ def _by_binder(inner: Sequence[int]) -> dict[int, list[int]]:
 
 
 def _reach_in_region(
-    labels: Sequence[Label], args: Sequence[Sequence[int]], sources: list[int], inner: Sequence[int]
+    labels: Sequence[Label],
+    args: Sequence[Sequence[int]],
+    into: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]],
+    sources: list[int],
+    inner: Sequence[int],
 ) -> set[int]:
     """The vertices that reach a source with their own word W through
-    W's region, the vertices whose words extend W.
+    W's region, the vertices whose words extend W, read off the
+    predecessor index ``into`` of the rows.
 
     With a correct prefix function an edge keeps, pushes or pops one word
     entry, so a predecessor of a vertex t with word W, of k entries, is in
@@ -432,28 +444,33 @@ def _reach_in_region(
     every vertex of the region without leaving it, and a vertex with
     word W reaches the region only through x.
 
-    So the search steps back from t to its application predecessors and
-    to the last word entry of its delimiter predecessors, all with word
-    W; no step reads a word's length.  The sets of vertices sharing a
-    word are disjoint, so a search from sources with different words
-    gives the union of the searches from each word's sources, and each
-    vertex is visited once.
+    So the search steps back from t along both edges into it from an
+    application, to the application, and along a delimiter's pop edge,
+    to the delimiter's back-link, or to its innermost binder where it
+    has no back-link; every other edge into t is skipped.  Each step
+    keeps word W, and no step reads a word's length.  The sets of
+    vertices sharing a word are disjoint, so a search from sources with
+    different words gives the union of the searches from each word's
+    sources, and each vertex is visited once.
     """
     APP, DEL = Label.APP, Label.DEL
-    steps: list[list[int]] = [[] for _ in labels]
-    for u, lab in enumerate(labels):
-        if lab is APP:
-            fun, arg = args[u]
-            steps[fun].append(u)
-            steps[arg].append(u)
-        elif lab is DEL:
-            succ = args[u]
-            steps[succ[0]].append(succ[1] if len(succ) == 2 else inner[u])
+    into0, into1 = into
     seen = set(sources)
     stack = list(seen)
     while stack:
-        for p in steps[stack.pop()]:
+        t = stack.pop()
+        for p in into0[t]:
+            lab = labels[p]
+            if lab is DEL:
+                succ = args[p]
+                p = succ[1] if len(succ) == 2 else inner[p]
+            elif lab is not APP:
+                continue
             if p not in seen:
+                seen.add(p)
+                stack.append(p)
+        for p in into1[t]:
+            if p not in seen and labels[p] is APP:
                 seen.add(p)
                 stack.append(p)
     return seen

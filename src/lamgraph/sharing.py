@@ -6,12 +6,14 @@ computes the coarsest partition compatible with labels and indexed
 successors by Hopcroft partition refinement in O(m log n) for n vertices
 and m edges (Valmari & Lehtinen, STACS 2008, for partial transition
 functions): start from the label classes, split by predecessor sets, and
-after each split refine only by the smaller half.  The blocks are a
-refinable partition, ranges of one vertex array that a split cuts in
-place, and the largest label class is never a splitter (see
-``_refine``).  Block ids are then numbered once by first visit in a
-depth-first walk from the root that takes the lowest edge index first,
-so the quotient's vertex numbering is deterministic.
+after each split refine only by the smaller half.  The worklist holds
+blocks, and one pop splits by the block for both edge indices, reading
+the predecessor index that ``core._predecessors`` builds once per
+graph.  The blocks are a refinable partition, ranges of one vertex
+array that a split cuts in place, and the largest label class is never
+a splitter (see ``_refine``).  Block ids are then numbered once by
+first visit in a depth-first walk from the root that takes the lowest
+edge index first, so the quotient's vertex numbering is deterministic.
 
 ``are_bisimilar`` needs no partition: it decides whether two roots are
 bisimilar by Hopcroft and Karp's union-find on vertex pairs (1971),
@@ -19,14 +21,15 @@ growing an equivalence from the root pair and stopping at the first
 pair whose labels differ.
 
 Refinement and numbering work on labels and successor rows, so
-``max_share_ho`` runs them on the rows of the delimited form without
-building it, and reads its result off the projection.
+``max_share_ho`` refines the rows of the delimited form without
+building it, on the predecessor index its eager check reads too,
+numbers the blocks by a walk of the input's own rows, and reads its
+result off the projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 from .core import (
@@ -35,6 +38,7 @@ from .core import (
     TermGraph,
     VariantMismatch,
     VertexMap,
+    _predecessors,
     _trusted,
     find_homomorphism,
 )
@@ -85,28 +89,41 @@ class Partition:
 
 def coarsest_partition(g: TermGraph) -> Partition:
     """Coarsest partition compatible with labels and indexed successors."""
-    block, count = _renumber(g.args, g.root, *_refine(g.labels, g.args))
+    block, count = _renumber(g.args, g.root, *_refine(g.labels, _predecessors(g.args)))
     return Partition(block=tuple(block), block_count=count, root_block=block[g.root])
 
 
-def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Coarsest stable partition of the graph with these labels and
-    successor rows, as vertex -> block id (ids arbitrary) and the block
-    count.
+_LABELS = tuple(Label)
 
-    Hopcroft refinement: a splitter (b, k) separates, inside every
-    block, the vertices whose k-th successor lies in block b from the
-    rest.  Blocks start as the label classes, so every vertex in a block
-    has the same arity; after a split the smaller half suffices as a new
-    splitter for each index whose splitter for the whole block was
-    already spent.
+
+def _refine(
+    labels: Sequence[Label], into: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]
+) -> tuple[list[int], int]:
+    """Coarsest stable partition of the graph with these labels and the
+    successor rows whose predecessor index is ``into``
+    (``core._predecessors``), as vertex -> block id (ids arbitrary) and
+    the block count.
+
+    Hopcroft refinement: a splitter block b separates, inside every
+    block and for each index k, the vertices whose k-th successor lies
+    in b from the rest.  Blocks start as the label classes, so every
+    vertex in a block has the same arity.  The worklist holds blocks,
+    each at most once (``pending``); a pop splits by a snapshot of the
+    block's members, for index 0 and then for index 1.  After a split of
+    a block that is not pending, the smaller half suffices as a new
+    splitter: once the pop that split it is done, every block is stable
+    under the old block for both indices (for the class never taken as
+    a splitter, see below), and stability under the old block and one
+    half gives stability under the other half.  A block split while
+    pending has both halves queued.
 
     The blocks form a refinable partition (Valmari & Lehtinen): the
     vertices sit in ``elems``, block b the range ``first[b]`` to
     ``end[b]``, and ``pos`` gives each vertex's index.  A hit swaps the
     vertex into its block's marked prefix, which ends at ``mid``; a
     block partly hit hands the marked prefix a new id in place, so a
-    split costs the number of hits and no set is copied.
+    split costs the number of hits and no set is copied.  A hit in a
+    one-vertex block, which cannot split, is skipped at once.
 
     The largest label class is never a splitter, for either index.
     Skipping any one class is sound: at the end a block X is stable
@@ -116,20 +133,8 @@ def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> tuple[lis
     the skipped class, and X is stable under it too.  The largest class
     would cost the most hits.
     """
-    classes = [c for c in ([v for v, x in enumerate(labels) if x is lab] for lab in Label) if c]
+    classes = [c for c in ([v for v, x in enumerate(labels) if x is lab] for lab in _LABELS) if c]
     n = len(labels)
-    into: tuple[list[list[int]], ...] = ([[] for _ in range(n)], [[] for _ in range(n)])
-    into0, into1 = into
-    for c in classes:
-        # One label per class, hence one arity.
-        if len(args[c[0]]) == 2:
-            for v in c:
-                s, t = args[v]
-                into0[s].append(v)
-                into1[t].append(v)
-        elif args[c[0]]:
-            for v in c:
-                into0[args[v][0]].append(v)
     elems: list[int] = []
     block = [0] * n
     first: list[int] = []
@@ -146,44 +151,46 @@ def _refine(labels: Sequence[Label], args: Sequence[Sequence[int]]) -> tuple[lis
     mid = first[:]
     sizes = [len(c) for c in classes]
     skip = sizes.index(max(sizes))
-    pending = [[b != skip for b in range(len(classes))] for _ in (0, 1)]
-    work = [(b, k) for b in range(len(classes)) if b != skip for k in (0, 1)]
+    pending = [b != skip for b in range(len(classes))]
+    work = [b for b in range(len(classes)) if b != skip]
     while work:
-        b, k = work.pop()
-        pending[k][b] = False
-        touched = []
-        into_k = into[k]
-        for w in elems[first[b] : end[b]]:
-            for v in into_k[w]:
-                x = block[v]
-                m = mid[x]
-                if m == first[x]:
-                    touched.append(x)
-                i, u = pos[v], elems[m]
-                elems[i], pos[u] = u, i
-                elems[m], pos[v] = v, m
-                mid[x] = m + 1
-        for x in touched:
-            f, m, e = first[x], mid[x], end[x]
-            if m == e:
-                mid[x] = f
-                continue
-            y = len(first)
-            first.append(f)
-            end.append(m)
-            mid.append(f)
-            first[x] = mid[x] = m
-            for v in elems[f:m]:
-                block[v] = y
-            for j in (0, 1):
-                if pending[j][x]:
-                    work.append((y, j))
-                    pending[j].append(True)
+        b = work.pop()
+        pending[b] = False
+        members = elems[first[b] : end[b]]
+        for into_k in into:
+            touched = []
+            for w in members:
+                for v in into_k[w]:
+                    x = block[v]
+                    m = mid[x]
+                    if m == first[x]:
+                        if end[x] - m == 1:
+                            continue
+                        touched.append(x)
+                    i, u = pos[v], elems[m]
+                    elems[i], pos[u] = u, i
+                    elems[m], pos[v] = v, m
+                    mid[x] = m + 1
+            for x in touched:
+                f, m, e = first[x], mid[x], end[x]
+                if m == e:
+                    mid[x] = f
+                    continue
+                y = len(first)
+                first.append(f)
+                end.append(m)
+                mid.append(f)
+                first[x] = mid[x] = m
+                for v in elems[f:m]:
+                    block[v] = y
+                if pending[x]:
+                    work.append(y)
+                    pending.append(True)
                 else:
                     smaller = y if m - f <= e - m else x
-                    work.append((smaller, j))
-                    pending[j].append(False)
-                    pending[j][smaller] = True
+                    work.append(smaller)
+                    pending.append(False)
+                    pending[smaller] = True
     return block, len(first)
 
 
@@ -357,17 +364,17 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     runs on arrays and builds neither a prefix word, nor the delimited
     graph, nor its quotient, nor a scope: ``_delimit`` gives the
     delimited form's labels and rows from the binder tree that the
-    input's constructor validated on (``ScopedGraph._inner``), the eager
-    check reads them and that tree, the refinement reads them, and the
-    result is read off the projection.
+    input's constructor validated on (``ScopedGraph._inner``), one
+    predecessor index of those rows serves both the eager check, which
+    also reads that tree, and the refinement, and the result is read off
+    the projection.
 
     Delimiting an eager (1,2) graph preserves and reflects the sharing
     order, so the projection restricted to the input's vertices is a
     homomorphism of higher-order graphs onto the result.  Hence:
 
-    - a block without delimiters is a result vertex, ranked by block id
-      among them (as ``strip_delimiters`` ranks the quotient's), with
-      the label and name of its minimal vertex, an input vertex;
+    - a block without delimiters is a result vertex, with the label and
+      name of its minimal vertex, an input vertex;
     - its successors are the blocks of the input edges' targets:
       bisimilar vertices have chains of one length on each edge, ending
       in bisimilar targets, so skipping a chain in the quotient lands on
@@ -375,6 +382,15 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     - its innermost binder is the block of the minimal vertex's, so its
       scopes are the block images of the input's, derived from that
       binder tree where they are first read.
+
+    The result's vertices are numbered by a first-visit walk of the
+    input's own rows, which gives the numbering that ``collapse`` and
+    ``strip_delimiters`` give by way of the delimited form: a walk of
+    the delimited rows reaches the input vertices in the same order.  A
+    delimiter chain is private to its edge and leads on to the edge's
+    target; its back-links end at the edge's source or at the source's
+    binders, which dominate the source, so the walk has entered them
+    already.
 
     The input was validated when it was made, its carrier's reachability
     from the root included, and the result is valid by that
@@ -387,21 +403,16 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")
     inner = h._inner
     labels, args = _delimit(g, inner, 2)
-    w = _non_eager(labels, args, inner, Label.DEL)
+    into = _predecessors(args)
+    w = _non_eager(labels, args, into, inner, Label.DEL)
     if w is not None:
         raise NotEagerScope(
             "the delimited form of the input is not eager-scope: "
             + _non_eager_reason(g.names, inner, w),
             g.names[w],
         )
-    block, count = _renumber(args, g.root, *_refine(labels, args))
-    block = block[: g.vertex_count]
-    # Rank the input vertices' blocks by id: b becomes rank[b] - 1.
-    kept = [False] * count
-    for b in block:
-        kept[b] = True
-    rank = list(accumulate(kept))
-    image = [rank[b] - 1 for b in block]
-    reps, carrier = _quotient(g, image, rank[-1])
+    block, count = _refine(labels, into)
+    image, kept = _renumber(g.args, g.root, block[: g.vertex_count], count)
+    reps, carrier = _quotient(g, image, kept)
     image.append(-1)  # image[-1]: the empty word stays empty
     return _trusted(ScopedGraph, graph=carrier, _inner=[image[inner[r]] for r in reps])

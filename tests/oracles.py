@@ -65,6 +65,7 @@ from lamgraph import (
     strip_delimiters,
     validate_scope,
 )
+from lamgraph.core import _predecessors
 from lamgraph.delimited import _failure, _non_eager_reason, _non_eager_vertex, validate_prefix_fo
 from lamgraph.scoped import PrefixFn, ScopeFn, normalize_prefix_fn, normalize_scope_fn
 from lamgraph.sharing import _refine
@@ -374,8 +375,8 @@ def refinement_bisimilar(g1: TermGraph, g2: TermGraph) -> bool:
     if g1.variant != g2.variant:
         raise VariantMismatch(f"{g1.variant} vs {g2.variant}")
     n = g1.vertex_count
-    shifted = tuple(tuple(n + w for w in out) for out in g2.args)
-    block = _refine(g1.labels + g2.labels, g1.args + shifted)[0]
+    args = g1.args + tuple(tuple(n + w for w in out) for out in g2.args)
+    block = _refine(g1.labels + g2.labels, _predecessors(args))[0]
     return block[g1.root] == block[n + g2.root]
 
 

@@ -8,8 +8,9 @@ kinds:
 
 - ``term``: the scopes of a translated random term, eager by
   construction;
-- ``doc``: a ring or tower document of random size; rings share,
-  towers do not;
+- ``doc``: a ring or tower document of size 2 to 12, and every 25th
+  one of size 32 to 96, whose towers have long delimiter chains and
+  deep walks; rings share, towers do not;
 - ``lazy``: a translated term's prefix words with up to three vertices'
   words lengthened as far as their predecessors allow, an abstraction's
   variables following it, taken where the constructors take them;
@@ -84,8 +85,9 @@ def term_input(rng):
     return prefix_to_scope(translated(rng))
 
 
-def doc_input(rng):
-    doc = parse_graph(rng.choice((ring_doc, tower_doc))(rng.randint(2, 12)))
+def doc_input(rng, wide=False):
+    family = rng.choice((ring_doc, tower_doc))
+    doc = parse_graph(family(rng.randint(32, 96) if wide else rng.randint(2, 12)))
     return ScopedGraph.checked(doc.graph, doc.scopes)
 
 
@@ -193,8 +195,12 @@ def main(argv: list[str] | None = None) -> int:
     counts = Counter()
     for i, seed in enumerate(range(args.seed, args.seed + args.inputs)):
         kind = KINDS[i % len(KINDS)]
+        rng = random.Random(seed)
         try:
-            h = DRAW[kind](random.Random(seed))
+            if kind == "doc" and i // len(KINDS) % 25 == 24:
+                h = doc_input(rng, wide=True)
+            else:
+                h = DRAW[kind](rng)
         except AssertionError as exc:
             print(f"seed {seed} ({kind}): {exc}")
             return 1

@@ -293,6 +293,29 @@ def test_validate_without_annotation_lines_names_the_file(tmp_path, capsys):
         assert (code, out, err) == (2, "", message)
 
 
+def test_hotg_round_trip_without_abstractions(tmp_path, capsys):
+    # A graph without abstractions has the empty scope function, which
+    # is written as no scope lines; both hotg readers take that document.
+    text = "sig 1 2\nroot a\na @ a a\n"
+    path = write(tmp_path, "g.tg", text)
+    code, ho_text, _ = run(capsys, "translate", "--from", "ltg", "--to", "hotg", path)
+    assert code == 0 and "scope" not in ho_text
+    ho_path = write(tmp_path, "ho.tg", ho_text)
+    code, back, err = run(capsys, "translate", "--from", "hotg", "--to", "ltg", ho_path)
+    assert (code, err) == (0, "")
+    assert parse_graph(back).graph == parse_graph(text).graph
+    code, out, err = run(capsys, "validate", "--class", "hotg", ho_path)
+    assert (code, out, err) == (0, "pass\n", "")
+    code, out, _ = run(capsys, "validate", "--class", "hotg", "--json", ho_path)
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def test_hotg_input_with_abstractions_needs_scope_lines(tmp_path, capsys):
+    path = write(tmp_path, "g.tg", "sig 1\nroot r\nr lam c\nc 0 r\n")
+    code, out, err = run(capsys, "translate", "--from", "hotg", "--to", "ltg", path)
+    assert (code, out, err) == (2, "", f"error: {path}: hotg input needs scope lines\n")
+
+
 def test_translate_j1(tmp_path, capsys):
     doc = (
         "sig 1\nroot b1\nb1 lam b2\nb2 lam v\nv 0 b1\n"

@@ -654,8 +654,12 @@ def test_max_share_ho_takes_every_scope_function_the_constructor_takes():
 
 def _share_inputs():
     """Ring and tower documents, then 100 inputs of each kind that
-    ``share_parity`` draws, each under its own seed."""
-    for n in range(2, 9):
+    ``share_parity`` draws, each under its own seed.  The documents go
+    up to 128 binders: ``max_share_ho`` numbers its result by a walk of
+    the input's rows, the steps by a walk of the collapsed delimited
+    form, and a tower puts a delimiter on each spine edge and walks n
+    deep."""
+    for n in (*range(2, 9), 16, 64, 128):
         for text in (ring_doc(n), tower_doc(n)):
             doc = parse_graph(text)
             yield "doc", ScopedGraph.checked(doc.graph, doc.scopes)
