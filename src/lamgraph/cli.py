@@ -11,13 +11,13 @@ depth is taken at Python's default recursion limit (see the README).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache, partial
 
+# Every document route needs these; textfmt loads scoped itself.  Each
+# command imports the rest of its route, so that a run compiles no
+# module it does not use.
 from .core import GraphError, Label, SignatureVariant, VariantMismatch
-from .delimited import DelimitedGraph, _infer_inner
-from .dot import to_dot
 from .scoped import (
     PrefixedGraph,
     ScopedGraph,
@@ -25,17 +25,7 @@ from .scoped import (
     validate_prefix_ho,
     validate_scope,
 )
-from .sharing import are_bisimilar, collapse, max_share
-from .terms import DuplicateBinding, TermSyntaxError, UnboundVariable, parse_term
 from .textfmt import FormatError, GraphDocument, parse_graph, serialize_graph
-from .transforms import (
-    forget,
-    insert_delimiters,
-    prefix_to_scope,
-    scope_to_prefix,
-    strip_delimiters,
-)
-from .translate import DegenerateBinding, term_to_graph
 
 
 class CliError(Exception):
@@ -61,11 +51,19 @@ def _load_doc(path: str) -> GraphDocument:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _load_term(path: str):
+def _term_graph(path: str):
+    """The eager (1,2) graph of the term in ``path``."""
+    from .terms import DuplicateBinding, TermSyntaxError, UnboundVariable, parse_term
+    from .translate import DegenerateBinding, term_to_graph
+
     try:
-        return parse_term(_read(path))
+        term = parse_term(_read(path))
     except (TermSyntaxError, UnboundVariable, DuplicateBinding) as exc:
         raise CliError(f"{path}: {exc}") from exc
+    try:
+        return term_to_graph(term)
+    except DegenerateBinding as exc:
+        raise CliError(str(exc), 1) from exc
 
 
 def _parse_variant(text: str) -> SignatureVariant:
@@ -95,11 +93,15 @@ def cmd_validate(args) -> int:
             raise CliError(f"{args.file}: aphotg validation needs prefix lines")
         report = validate_prefix_ho(g, doc.prefixes)
     elif args.cls == "ltg":
+        from .delimited import _infer_inner
+
         try:
             report = _infer_inner(g)[1] or ValidationReport()
         except VariantMismatch as exc:
             raise CliError(f"{args.file}: {exc}", 1) from exc
     if args.json:
+        import json
+
         payload = {
             "class": args.cls,
             "variant": str(g.variant),
@@ -143,6 +145,8 @@ def _doc_as(doc: GraphDocument, cls: str, path: str):
                 raise CliError(f"{path}: aphotg input needs prefix lines")
             return PrefixedGraph(g, doc.prefixes)
         if cls == "ltg":
+            from .delimited import DelimitedGraph
+
             return DelimitedGraph.from_graph(g)
     except (GraphError, ValueError) as exc:
         raise CliError(f"{path}: {exc}", 1) from exc
@@ -150,9 +154,17 @@ def _doc_as(doc: GraphDocument, cls: str, path: str):
 
 
 def cmd_translate(args) -> int:
+    from .transforms import (
+        forget,
+        insert_delimiters,
+        prefix_to_scope,
+        scope_to_prefix,
+        strip_delimiters,
+    )
+
     src, dst = args.source, args.target
     if src == "term":
-        value = term_to_graph(_load_term(args.file))
+        value = _term_graph(args.file)
     else:
         value = _doc_as(_load_doc(args.file), src, args.file)
     # Normalize to the requested representation, possibly through the
@@ -184,6 +196,8 @@ def cmd_translate(args) -> int:
 
 
 def _to_document_text(x) -> str:
+    from .delimited import DelimitedGraph  # loaded by every route that gets here
+
     if isinstance(x, ScopedGraph):
         return serialize_graph(GraphDocument(x.graph, scopes=x.scopes))
     if isinstance(x, (PrefixedGraph, DelimitedGraph)):
@@ -192,6 +206,8 @@ def _to_document_text(x) -> str:
 
 
 def cmd_collapse(args) -> int:
+    from .sharing import collapse
+
     doc = _load_doc(args.file)
     quotient, _ = collapse(doc.graph)
     print(serialize_graph(quotient), end="")
@@ -199,16 +215,20 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_maxshare(args) -> int:
-    shared = max_share(term_to_graph(_load_term(args.file)))
+    from .sharing import max_share
+
+    shared = max_share(_term_graph(args.file))
     print(_to_document_text(shared), end="")
     return 0
 
 
 def cmd_equiv(args) -> int:
+    from .sharing import are_bisimilar
+
     if args.file1 == args.file2 == "-":
         raise CliError("stdin can be read only once: give at most one term as -")
-    g1 = term_to_graph(_load_term(args.file1))
-    g2 = term_to_graph(_load_term(args.file2))
+    g1 = _term_graph(args.file1)
+    g2 = _term_graph(args.file2)
     if are_bisimilar(g1.graph, g2.graph):
         print("equivalent")
         return 0
@@ -217,6 +237,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .dot import to_dot
+
     doc = _load_doc(args.file)
     print(to_dot(doc.graph, prefixes=doc.prefixes, scopes=doc.scopes), end="")
     return 0
@@ -274,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GraphError, DegenerateBinding, ValueError) as exc:
+    except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
