@@ -44,7 +44,6 @@ from .core import (
 )
 from .delimited import DelimitedGraph, _non_eager, _non_eager_reason
 from .scoped import PrefixedGraph, ScopedGraph
-from .transforms import _delimit
 
 __all__ = [
     "Partition",
@@ -398,6 +397,8 @@ def max_share_ho(h: ScopedGraph) -> ScopedGraph:
     names the first vertex of the delimited form that fails the eager
     check, which is always an input vertex.
     """
+    from .transforms import _delimit
+
     g = h.graph
     if g.variant.var_arity != 1:
         raise VariantMismatch("maximal sharing needs variable back-links and no delimiters")

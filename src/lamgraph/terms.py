@@ -3,7 +3,14 @@
 Concrete syntax: ``\\x. body`` for abstraction, juxtaposition for
 left-associative application, ``letrec x1 = t1; ...; xn = tn in t`` for
 recursive bindings, parentheses for grouping.  Identifiers match
-``[a-zA-Z_][a-zA-Z0-9_']*``.  Only closed terms are accepted.
+``[a-zA-Z_][a-zA-Z0-9_']*`` (``_IDENT``), less the keywords ``letrec``
+and ``in``.  Only closed terms are accepted.
+
+``Var``, ``Abs`` and ``Letrec`` refuse, with ``ValueError``, a name that
+is no identifier and a letrec without bindings, so every term object
+prints (``format_term``) as text that parses; whether that text is
+closed and binds each name once per group is checked where it is
+parsed.
 
 The tokens are the texts of one ``findall`` of a regular expression
 without groups (``_TOKEN``): identifiers, comments and single
@@ -34,9 +41,10 @@ reads the whole term back from the table, in one pass over its nodes
 (``_read_back``), and fills the root's fields.  ``==``, ``hash``,
 ``repr`` and ``dataclasses.replace`` read the fields, and ``copy`` and
 ``pickle`` copy the table, so each gives what it gives on a term built
-field by field.  Any other term (one built by hand, a subterm, a
-``dataclasses.replace`` copy) has no table, and the translator walks it
-into one.
+field by field; their nodes are made without the constructors'
+checks, which the scan has made.  Any other term (one built by hand, a
+subterm, a ``dataclasses.replace`` copy) has no table, and the
+translator parses its printed form into one.
 """
 
 from __future__ import annotations
@@ -166,9 +174,23 @@ class _Hash:
         return self.value
 
 
+# The grammar's identifier; "letrec" and "in" match it but are keywords.
+_IDENT = r"[a-zA-Z_][a-zA-Z0-9_']*"
+_NAME = re.compile(_IDENT)
+
+
+def _check_name(name) -> None:
+    """Refuse a name that the parser would not read as an identifier."""
+    if not (isinstance(name, str) and _NAME.fullmatch(name)) or name in ("letrec", "in"):
+        raise ValueError(f"not an identifier: {name!r}")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
+
+    def __post_init__(self):
+        _check_name(self.name)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -182,18 +204,27 @@ class Abs(Term):
     name: str
     body: Term
 
+    def __post_init__(self):
+        _check_name(self.name)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Letrec(Term):
     bindings: tuple[tuple[str, Term], ...]
     body: Term
 
+    def __post_init__(self):
+        if not self.bindings:
+            raise ValueError("a letrec needs at least one binding")
+        for name, _ in self.bindings:
+            _check_name(name)
+
 
 # One token per match, the whole match its text: an identifier, a
 # comment, or any one character but whitespace (``\s`` is
 # ``str.isspace``).  Whitespace is in no match, so the scan skips it;
 # ``_lex`` drops the comments.
-_TOKEN = re.compile(r"[a-zA-Z_][a-zA-Z0-9_']*|#[^\n]*|\S")
+_TOKEN = re.compile(rf"{_IDENT}|#[^\n]*|\S")
 # Token kinds by text; any other token is an identifier or a stray character.
 _KIND = {"\\": "lambda", ".": "dot", "(": "lpar", ")": "rpar", "=": "eq", ";": "semi",
          "letrec": "letrec", "in": "in", "": "eof"}
@@ -454,7 +485,9 @@ def _parse(tokens: list[str], text: str) -> Term:
 def _read_back(tab: _Table) -> Term:
     """The term of a table, built in one pass over its nodes, each from
     its children, which precede it.  A binding's term is complete at its
-    last node, where the groups spliced into it are put back around it."""
+    last node, where the groups spliced into it are put back around it.
+    The scan checked every name, so the nodes are made through
+    ``_trusted``, without the constructors' checks."""
     kind, data, base, name, groups, spliced = tab.kind, tab.data, tab.base, tab.name, tab.groups, tab.spliced
     inner = {c for lets in spliced.values() for ids in lets for c in ids}
     ends = dict(zip(tab.term, range(len(tab.term))))  # a binding's last node -> its id
@@ -462,20 +495,21 @@ def _read_back(tab: _Table) -> Term:
     built: list[Term] = []
     for i, k in enumerate(kind):
         if k == _VAR:
-            t = Var(base[i][:-1])
+            t = _trusted(Var, name=base[i][:-1])
         elif k == _REF:
-            t = Var(name[data[i]])
+            t = _trusted(Var, name=name[data[i]])
         elif k == _APP:
-            t = App(built[data[i]], built[-1])
+            t = _trusted(App, fun=built[data[i]], arg=built[-1])
         elif k == _ABS:
-            t = Abs(base[i], built[-1])
+            t = _trusted(Abs, name=base[i], body=built[-1])
         else:
-            t = Letrec(tuple((name[c], full[c]) for c in groups[i] if c not in inner), built[-1])
+            group = tuple((name[c], full[c]) for c in groups[i] if c not in inner)
+            t = _trusted(Letrec, bindings=group, body=built[-1])
         built.append(t)
         b = ends.get(i)
         if b is not None:
             for ids in reversed(spliced.get(b, ())):
-                t = Letrec(tuple((name[c], full[c]) for c in ids), t)
+                t = _trusted(Letrec, bindings=tuple((name[c], full[c]) for c in ids), body=t)
             full[b] = t
     return built[-1]
 

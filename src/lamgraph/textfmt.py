@@ -52,9 +52,12 @@ def _writable(name: str) -> bool:
 
 
 class FormatError(GraphError):
-    def __init__(self, line_no: int, message: str):
+    """A document that cannot be read, at its line ``line_no``, or a graph
+    that cannot be written, with ``line_no`` None."""
+
+    def __init__(self, line_no: int | None, message: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def serialize_graph(doc: GraphDocument | TermGraph) -> str:
         and joined.count("\n") == len(names) - 1
     ):
         bad = next(name for name in names if not _writable(name))
-        raise FormatError(0, f"vertex name {bad!r} cannot be written to a document")
+        raise FormatError(None, f"vertex name {bad!r} cannot be written to a document")
     v = g.variant
     lines = [f"sig {v.var_arity}" + (f" {v.del_arity}" if v.del_arity else ""), f"root {names[g.root]}"]
     lines += [

@@ -20,8 +20,10 @@ owner, the depth bits of its variables and the bindings it references.
 The parser's one scan builds the table (``terms._Table``) and no term
 object: the root it returns holds the table alone, and its fields are
 read back from the table only where they are first read, which the
-translator never does.  ``_walk`` makes the same table for any other
-term, one built by hand, a subterm or a ``dataclasses.replace`` copy.
+translator never does.  Any other term (one built by hand, a subterm, a
+``dataclasses.replace`` copy) is printed and parsed again, so the scan
+is the one producer of tables; the term constructors refuse what the
+grammar refuses, so the printed form reads back as the term.
 
 Analysis gives free binders as int masks over lambda depth.  One
 worklist fixpoint over the binding graph finds each binding's mask,
@@ -65,8 +67,7 @@ from __future__ import annotations
 
 from .core import Label, SignatureVariant, UnreachableVertex, _reachable_keys
 from .delimited import DelimitedGraph, _Builder
-from .terms import _ABS, _APP, _LETREC, _REF, _VAR, Abs, App, DuplicateBinding, Letrec, Term
-from .terms import UnboundVariable, Var, _Table
+from .terms import _ABS, _APP, _LETREC, _REF, _VAR, Term, _Table, format_term, parse_term
 
 
 class InternalValidationFailure(Exception):
@@ -82,121 +83,6 @@ _LABEL = (Label.VAR, None, Label.APP, Label.ABS, None)
 # The signature of every translation: one back-link per variable, two
 # successors per delimiter.
 _VARIANT = SignatureVariant(1, 2)
-# The codes of the walker's frames that close a node or a scope.
-_END_APP, _END_ABS, _END_BINDING, _END_LETREC = range(-1, -5, -1)
-
-
-def _walk(t: Term) -> _Table:
-    """The table of a term that ``parse_term`` did not make, as the parser
-    fills it for the term's printed form: nodes in post-order, binding
-    ids in the order their names are printed, and the groups spliced into
-    each binding.  A group's names are in scope in all of its terms, so
-    the walk numbers a group's bindings on entry to its letrec, and
-    renumbers all of them in printed order at the end."""
-    tab = _Table()
-    kind, data, base, groups, spliced = tab.kind, tab.data, tab.base, tab.groups, tab.spliced
-    term, names, depths, own, refs = tab.term, tab.name, tab.depth, tab.own, tab.refs
-    # Each name's binders, innermost last: an abstraction as its depth, a
-    # letrec binding as its id negated.
-    env: dict[str, list[int]] = {}
-    printed = [0]  # the binding ids in printed order, after 0
-    # (term, lambda depth, owner, group, role): group is the binding ids
-    # of the letrec group whose binding this term is, or the body of a
-    # letrec spliced there, else None; role is the binding's id for its
-    # term, -1 for an application's argument, else 0.  A frame whose depth
-    # is negative closes a node or a scope: (function node, _END_APP),
-    # ((name, depth), _END_ABS), (binding id, _END_BINDING, 0, group) and
-    # (names, _END_LETREC, 0, the group's binding ids, or None where it is
-    # spliced).
-    todo: list = [(t, 0, 0, None, 0)]
-    while todo:
-        t, depth, owner, group, role = todo.pop()
-        if depth < 0:
-            if depth == _END_APP:
-                kind.append(_APP)
-                data.append(t)
-                base.append("a")
-            elif depth == _END_ABS:
-                name, d = t
-                env[name].pop()
-                kind.append(_ABS)
-                data.append(d)
-                base.append(name)
-            elif depth == _END_BINDING:
-                term[t] = len(kind) - 1
-                group.append(t)
-            else:
-                for name in t:
-                    env[name].pop()
-                if group is not None:
-                    groups[len(kind)] = group
-                    kind.append(_LETREC)
-                    data.append(-1)
-                    base.append(None)
-            continue
-        if role > 0:
-            printed.append(role)
-        elif role < 0:  # the function is done
-            todo.append((len(kind) - 1, _END_APP, 0, None, 0))
-        if isinstance(t, Var):
-            binders = env.get(t.name)
-            if not binders:  # parser output is closed; guard hand-built terms
-                raise UnboundVariable(t.name, -1)
-            d = binders[-1]
-            if d >= 0:
-                kind.append(_VAR)
-                data.append(d)
-                base.append(f"{t.name}!")
-                own[owner] |= 1 << d
-            else:
-                kind.append(_REF)
-                data.append(-d)
-                base.append(None)
-                refs[owner].add(-d)
-        elif isinstance(t, App):
-            todo += [(t.arg, depth, owner, None, -1), (t.fun, depth, owner, None, 0)]
-        elif isinstance(t, Abs):
-            env.setdefault(t.name, []).append(depth)
-            todo += [((t.name, depth), _END_ABS, 0, None, 0), (t.body, depth + 1, owner, None, 0)]
-        elif isinstance(t, Letrec):
-            # A letrec in binding position splices its group into the
-            # enclosing one, and its body is the binding's term; the
-            # binding is the owner.
-            ids = [] if group is None else group
-            first = len(term)
-            frames = []
-            for name, sub in t.bindings:
-                binders = env.setdefault(name, [])
-                # Only this group's bindings have ids from first on; parser
-                # output binds a name once per group, so guard hand-built terms.
-                if binders and -binders[-1] >= first:
-                    raise DuplicateBinding(name, -1)
-                b = len(term)
-                binders.append(-b)
-                term.append(-1)
-                names.append(name)
-                depths.append(depth)
-                own.append(0)
-                refs.append(set())
-                frames += [(sub, depth, b, ids, b), (b, _END_BINDING, 0, ids, 0)]
-            if group is not None:
-                spliced.setdefault(owner, []).append(list(range(first, len(term))))
-            todo.append(([name for name, _ in t.bindings], _END_LETREC, 0, ids if group is None else None, 0))
-            todo.append((t.body, depth, owner, group, 0))
-            todo += reversed(frames)
-        else:
-            raise TypeError(f"not a term: {t!r}")
-    if printed == list(range(len(term))):  # the ids are in printed order already
-        return tab
-    new = [0] * len(term)  # each binding's id in printed order
-    for k, b in enumerate(printed):
-        new[b] = k
-    tab.data = [new[d] if k == _REF else d for k, d in zip(kind, data)]
-    tab.groups = {i: [new[b] for b in ids] for i, ids in groups.items()}
-    tab.spliced = {new[b]: [[new[c] for c in ids] for ids in lets] for b, lets in spliced.items()}
-    tab.term, tab.name, tab.depth, tab.own = ([x[b] for b in printed] for x in (term, names, depths, own))
-    tab.refs = [{new[c] for c in refs[b]} for b in printed]
-    return tab
 
 
 def _analyze(tab: _Table) -> tuple[list[int], set[int]]:
@@ -383,9 +269,11 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     over the signature with both kinds of back-links.
 
     The translator takes the table a parsed root holds, reading none of
-    its fields, or walks the term into one, analyses its free binders
-    and live bindings, and emits the graph on ids with each vertex's
-    innermost binder; no stage recurses.  One pass checks it,
+    its fields, or parses the printed form of any other term into one,
+    so an unbound name or a duplicate binding in a term built by hand is
+    reported at its offset in ``format_term(t)``.  It analyses the
+    table's free binders and live bindings, and emits the graph on ids
+    with each vertex's innermost binder; no stage recurses.  One pass checks it,
     inference in O(n + m), which fails where the graph has no correct
     prefix function, the root misses a vertex or a recorded binder is
     not the inferred one (``delimited._Builder.finish``).  Eagerness,
@@ -394,7 +282,7 @@ def term_to_graph(t: Term) -> DelimitedGraph:
     ``graph.names``, and the words built on the first read of
     ``prefixes`` (``scoped._words``).
     """
-    tab = getattr(t, "_table", None) or _walk(t)
+    tab = getattr(t, "_table", None) or parse_term(format_term(t))._table
     b, root = _emit(tab, *_analyze(tab))
     try:
         return b.finish(root, _VARIANT)

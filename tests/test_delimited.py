@@ -720,12 +720,12 @@ def _minting(g) -> tuple[list[str], list[str], list[str]]:
     return names, [*seeded, *map(ref.fresh_name, bases)], positional
 
 
-_COLLIDING_BINDERS = ("a", "a.2", "s", "s.2", "scope", "x")
+_COLLIDING_BINDERS = ("a", "s", "scope", "x")
 
 
 def _colliding_term(rng, depth, scope=()):
     """A closed lambda term whose binders take names the translator also
-    mints: a.2 and s.2 for a second application and delimiter, and the
+    mints: a and s, the bases of applications and delimiters, and the
     reserved word scope."""
     if depth == 0 and scope:
         return Var(rng.choice(scope))

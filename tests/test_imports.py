@@ -151,9 +151,9 @@ ROUTES = [
     ("translate --from term --to aphotg term", DOCUMENTS | {"terms", "translate"}),
     ("validate --class hotg hotg", set()),
     ("validate --class ltg ltg", {"delimited"}),
-    ("collapse ltg", DOCUMENTS | {"sharing"}),
-    ("maxshare term", DOCUMENTS | {"sharing", "terms", "translate"}),
-    ("equiv term term", DOCUMENTS | {"sharing", "terms", "translate"}),
+    ("collapse ltg", {"delimited", "sharing"}),
+    ("maxshare term", {"delimited", "sharing", "terms", "translate"}),
+    ("equiv term term", {"delimited", "sharing", "terms", "translate"}),
     ("render hotg", {"dot"}),
 ]
 

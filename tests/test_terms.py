@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 import time
 
 import pytest
@@ -122,6 +123,33 @@ def test_keywords_not_identifiers():
         parse_term(r"\letrec.letrec")
 
 
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: Var("x x"), "x x"),
+        (lambda: Var("g "), "g "),
+        (lambda: Var("x\n"), "x\n"),
+        (lambda: Var("letrec"), "letrec"),
+        (lambda: Abs("x y", Var("x")), "x y"),
+        (lambda: Abs("in", Var("in")), "in"),
+        (lambda: Letrec((("f", Var("f")), ("2f", Var("f"))), Var("f")), "2f"),
+        (lambda: Var(3), 3),
+        (lambda: Abs(None, Var("x")), None),
+    ],
+)
+def test_a_name_the_grammar_refuses_cannot_be_built(build, name):
+    # Every term object prints as text that parses, so none holds a name
+    # that is no identifier, or is a keyword.
+    with pytest.raises(ValueError, match=f"^not an identifier: {re.escape(repr(name))}$"):
+        build()
+
+
+def test_every_identifier_builds_and_reads_back():
+    for name in ("x", "_", "x'", "_y2", "Letrec", "in_", "letrecs"):
+        t = Letrec(((name, Abs(name, Var(name))),), Var(name))
+        assert parse_term(format_term(t)) == t
+
+
 def test_comments_ignored():
     t = parse_term("\\x. x # trailing note\n")
     assert t == Abs("x", Var("x"))
@@ -148,9 +176,11 @@ def test_format_term_matches_recursive_format_on_seeded_and_fixture_terms():
     rng = random.Random(1414)
     terms = [random_term(rng, depth=rng.randint(1, 5)) for _ in range(300)]
     terms += [parse_term(text) for text in FIXTURE_TERMS + COLLIDING_TERMS]
-    terms.append(App(Letrec((), Var("x")), Abs("y", Var("y"))))  # hand-built, no bindings
     for t in terms:
         assert format_term(t) == recursive_format_term(t)
+    # A letrec without bindings, which the grammar has no text for, cannot be built.
+    with pytest.raises(ValueError, match="^a letrec needs at least one binding$"):
+        App(Letrec((), Var("x")), Abs("y", Var("y")))
     with pytest.raises(TypeError, match="not a term: 3"):
         format_term(App(Abs("x", Var("x")), 3))
 
@@ -493,13 +523,15 @@ def test_eq_hash_and_repr_are_the_generated_dataclass_methods():
     terms = [parse_term(text) for text in texts] + [random_term(rng) for _ in range(300)]
     copies = [(t, parse_term(format_term(t))) for t in terms]
     pairs = copies + [(t, u) for t in terms for u in rng.sample(terms, 5)]
-    # Hand-built: a shared subterm, an empty group, and pairs one name or
-    # one binding apart.
+    # Hand-built: a shared subterm, and pairs one name or one binding
+    # apart.  A group cannot be empty.
     x, shared = Var("x"), Abs("y", Var("y"))
+    with pytest.raises(ValueError, match="^a letrec needs at least one binding$"):
+        Letrec((), x)
     built = [
         (App(shared, shared), App(Abs("y", Var("y")), shared)),
-        (Letrec((), x), Letrec((), Var("x"))),
-        (Letrec((), x), Letrec((("f", shared),), x)),
+        (Letrec((("f", shared),), x), Letrec((("f", shared),), Var("x"))),
+        (Letrec((("f", shared),), x), Letrec((("f", shared), ("g", shared)), x)),
         (Letrec((("f", shared), ("g", shared)), x), Letrec((("f", shared), ("h", shared)), x)),
         (Abs("x", x), Abs("y", x)),
         (App(x, App(x, x)), App(x, App(x, Var("y")))),

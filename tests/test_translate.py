@@ -48,8 +48,7 @@ from lamgraph import (
     term_to_graph,
 )
 from lamgraph.delimited import _Builder
-from lamgraph.terms import _Table
-from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze, _walk
+from lamgraph.translate import _ABS, _APP, _LETREC, _REF, _VAR, _analyze
 from translate_parity import failure as translate_failure
 
 
@@ -175,24 +174,42 @@ def test_long_alias_chain_resolves():
 
 
 def test_letrec_names_end_with_their_letrec():
-    # Built by hand, so no parser checks the scopes first.
-    with pytest.raises(UnboundVariable):
-        term_to_graph(App(Letrec((("f", Abs("x", Var("x"))),), Var("f")), Var("f")))
+    # Built by hand: the translator parses the printed form, which reports
+    # the name at its offset there.
+    t = App(Letrec((("f", Abs("x", Var("x"))),), Var("f")), Var("f"))
+    with pytest.raises(UnboundVariable) as err:
+        term_to_graph(t)
+    assert (err.value.name, err.value.position) == ("f", len(format_term(t)) - 1)
     shadowing = term_to_graph(parse_term(r"\f. (letrec f = \x. x in f) f"))
     assert isomorphic(shadowing.graph, term_to_graph(parse_term(r"\f. (\x. x) f")).graph)
 
 
 def test_hand_built_duplicate_binding_is_refused():
-    # The parser refuses the printed form; the resolver refuses the term.
+    # The translator parses the printed form, which refuses the second f
+    # at its offset there.
     t = Letrec((("f", Abs("x", Var("x"))), ("f", Abs("y", App(Var("y"), Var("y"))))), Var("f"))
     with pytest.raises(DuplicateBinding) as err:
         term_to_graph(t)
-    assert (err.value.name, err.value.position) == ("f", -1)
-    with pytest.raises(DuplicateBinding):
-        parse_term(format_term(t))
+    assert err.value.name == "f" and err.value.position == format_term(t).index("; f") + 2
     # The same name in a nested group shadows; it is no duplicate.
     inner = Letrec((("f", Abs("y", Var("y"))),), Var("f"))
     assert term_to_graph(Letrec((("f", Abs("x", Var("x"))),), App(inner, Var("f"))))
+
+
+@pytest.mark.parametrize(
+    "t, error",
+    [
+        (Abs("yy", App(Var("yy"), Var("y"))), UnboundVariable),
+        (Letrec((("f", App(Var("g"), Var("f"))),), Var("f")), UnboundVariable),
+        (Abs("x", Letrec((("g", Var("x")), ("h", Var("x")), ("g", Var("h"))), Var("g"))), DuplicateBinding),
+        (Letrec((("f", Letrec((("g", Var("f")), ("g", Var("f"))), Var("g"))),), Var("f")), DuplicateBinding),
+    ],
+)
+def test_a_hand_built_term_is_refused_at_its_offset_in_its_printed_form(t, error):
+    with pytest.raises(error) as err:
+        term_to_graph(t)
+    assert err.value.position > 0
+    assert format_term(t)[err.value.position:].startswith(err.value.name)
 
 
 def test_variable_shaped_binding():
@@ -379,12 +396,13 @@ _KIND_CLASS = {_VAR: "_RVar", _REF: "_RRef", _APP: "_RApp", _ABS: "_RAbs", _LETR
 def _assert_same_analysis(t) -> list[list[str]]:
     """The library's analysis and the oracle's fixpoint plus liveness walk
     give every node the same free binders and every letrec the same live
-    bindings.  The library's table is walked beside the oracle's tree: a
-    library mask maps to the oracle's binder ids through the depths of
-    the abstractions around the node, and a library binding to the
-    oracle's by its place in its group.  Returns, for each letrec node,
-    outermost first, the names of its live bindings in group order."""
-    tab, ref = _walk(t), _SetResolver()
+    bindings.  The table of the term's printed form is read beside the
+    oracle's tree: a library mask maps to the oracle's binder ids through
+    the depths of the abstractions around the node, and a library binding
+    to the oracle's by its place in its group.  Returns, for each letrec
+    node, outermost first, the names of its live bindings in group
+    order."""
+    tab, ref = parse_term(format_term(t))._table, _SetResolver()
     b = ref.resolve(t, {})
     mask, live = _analyze(tab)
     _fixpoint_compute_fv(b, ref.binding_term)
@@ -449,63 +467,58 @@ def test_colliding_names_are_minted_around():
     assert len(set(names)) == len(names)
     assert not {"sig", "root", "prefix", "scope"} & set(names)
     assert {"a", "a.2", "s", "s.2", "scope.2", "sig.2", "prefix.2"} <= set(names)
-    # Parsed names have no dots; a hand-built binder can take the name an
-    # earlier application was given.
-    ident = Abs("x", Var("x"))
-    t = App(App(ident, ident), Abs("a.2", Var("a.2")))
-    dg = term_to_graph(t)
-    assert dg.graph.names.count("a.2") == 1 and "a.2.2" in dg.graph.names
-    _assert_same_translation(dg, name_keyed_term_to_graph(t))
+    # No binder, parsed or built by hand, has a dot, so none can take a
+    # name minted for an earlier vertex.
+    with pytest.raises(ValueError, match=r"^not an identifier: 'a\.2'$"):
+        Abs("a.2", Var("a.2"))
 
 
-# The parser's scan fills the table that term_to_graph reads; any other
-# term is walked into one.  The two must agree field for field, and so
-# must the graphs they give.
+# The parser's scan fills the table that term_to_graph reads; a term
+# without one, such as a dataclasses.replace copy, is printed and parsed
+# into one.  Its graph must be the parsed root's and the name-keyed
+# oracle's.
 
 
-def _assert_same_table(t):
+def _assert_copy_translates_as_parsed(t):
     parsed = parse_term(format_term(t))
-    walked = dataclasses.replace(t)  # a copy carries no table
-    assert "_table" not in vars(walked)
-    tab, walk = parsed._table, _walk(walked)
-    for field in _Table.__slots__:
-        assert getattr(tab, field) == getattr(walk, field), field
-    _assert_same_translation(term_to_graph(parsed), term_to_graph(walked))
+    copy = dataclasses.replace(t)
+    assert "_table" not in vars(copy)
+    dg = term_to_graph(copy)
+    _assert_same_translation(dg, term_to_graph(parsed))
+    _assert_same_translation(dg, name_keyed_term_to_graph(copy))
 
 
-def test_the_parsed_table_is_the_walked_one_seeded():
+def test_a_table_less_copy_translates_as_the_parsed_root_seeded():
     for seed in range(300):
         rng = random.Random(seed)
-        _assert_same_table(random_term(rng, depth=rng.randint(1, 5)))
+        _assert_copy_translates_as_parsed(random_term(rng, depth=rng.randint(1, 5)))
 
 
 @pytest.mark.parametrize("text", FIXTURE_TERMS + COLLIDING_TERMS)
-def test_the_parsed_table_is_the_walked_one_on_fixture_terms(text):
-    _assert_same_table(parse_term(text))
+def test_a_table_less_copy_translates_as_the_parsed_root_on_fixture_terms(text):
+    _assert_copy_translates_as_parsed(parse_term(text))
 
 
 @settings(max_examples=60, deadline=None)
 @given(closed_terms())
-def test_the_parsed_table_is_the_walked_one_hypothesis(t):
-    _assert_same_table(t)
+def test_a_table_less_copy_translates_as_the_parsed_root_hypothesis(t):
+    _assert_copy_translates_as_parsed(t)
 
 
 @pytest.mark.parametrize("text", SCOPING_TERMS)
-def test_the_parsed_table_is_the_walked_one_on_scoping_terms(text):
-    t = parse_term(text)
-    _assert_same_table(t)
-    _assert_same_translation(term_to_graph(t), name_keyed_term_to_graph(t))
+def test_a_table_less_copy_translates_as_the_parsed_root_on_scoping_terms(text):
+    _assert_copy_translates_as_parsed(parse_term(text))
 
 
-# Hand-built terms reach the translator without the parser.
+# Hand-built terms reach the translator through their printed form.
 
 
 @pytest.mark.parametrize(
     "family", ["spine", "right_nest", "letrecs_in_body_position", "letrecs_in_binding_position"]
 )
 def test_a_deep_hand_built_term_translates_as_its_text(family):
-    # Built in a loop, so the walker, not the parser's scan, makes the
-    # table, at the default recursion limit.
+    # Built in a loop and translated through its printed form, at the
+    # default recursion limit.
     assert sys.getrecursionlimit() <= 1000
     x, ident = Var("x"), Abs("x", Var("x"))
     t, grow = {
