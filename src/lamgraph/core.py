@@ -24,7 +24,6 @@ are first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, repeat
@@ -85,8 +84,54 @@ class Label(Enum):
         return self._value_
 
 
-@dataclass(frozen=True)
-class SignatureVariant:
+class _Record:
+    """A frozen record: the base of the library's graph and report classes.
+
+    A record's fields are the parameters of its class's ``__init__``, in
+    order, which stores them in the instance ``__dict__``.  ``==``,
+    ``hash`` (over every field but those named by the class keyword
+    ``unhashed``), ``repr`` and ``__match_args__`` are what
+    ``dataclass(frozen=True)`` generates, and assigning or deleting an
+    attribute raises ``dataclasses.FrozenInstanceError``.  Unlike a
+    dataclass, a record class is made without compiling any code, and
+    without importing ``dataclasses``.
+    """
+
+    def __init_subclass__(cls, unhashed=(), **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        cls._hashed = tuple(name for name in cls._fields if name not in unhashed)
+
+    def _values(self, names) -> tuple:
+        # Read through the class, so a field ``_derived_field`` derives is
+        # derived here, as a dataclass method reading it would derive it.
+        return tuple(map(self.__getattribute__, names))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self._fields) == other._values(other._fields)
+
+    def __hash__(self):
+        return hash(self._values(self._hashed))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values(self._fields))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class SignatureVariant(_Record):
     """Arity choices: var_arity is 0 or 1, del_arity is None, 1 or 2.
 
     var_arity 1 gives variable vertices a back-link edge to their
@@ -94,10 +139,8 @@ class SignatureVariant:
     otherwise delimiters are unary (1) or carry a back-link too (2).
     """
 
-    var_arity: int
-    del_arity: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, var_arity: int, del_arity: int | None = None):
+        self.__dict__.update(var_arity=var_arity, del_arity=del_arity)
         if self.var_arity not in (0, 1):
             raise ValueError(f"var_arity must be 0 or 1, got {self.var_arity}")
         if self.del_arity not in (None, 1, 2):
@@ -123,14 +166,11 @@ class SignatureVariant:
         return f"({self.var_arity},{self.del_arity})"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """Alternating vertex/edge-index walk v0 -k0-> v1 -k1-> ... -> vn."""
 
-    vertices: tuple[int, ...]
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[int, ...], indices: tuple[int, ...]):
+        self.__dict__.update(vertices=vertices, indices=indices)
         if len(self.vertices) != len(self.indices) + 1 or not self.vertices:
             raise ValueError("path must have one more vertex than edge indices")
 
@@ -172,19 +212,19 @@ class _Lookup(dict):
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with these fields,
-    made without ``__post_init__``: the one path for producers whose
-    output is valid by construction.  A field that ``_derived_field``
-    derives may be left out, with the plain data it is derived from
-    given instead."""
+    """An instance of the record or term class ``cls`` with these fields,
+    made without the checks of its constructor: the one path for
+    producers whose output is valid by construction.  A field that
+    ``_derived_field`` derives may be left out, with the plain data it
+    is derived from given instead."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
 def _derived_field(cls, name: str, derive) -> None:
-    """Let field ``name`` of the frozen dataclass ``cls`` be derived on
-    its first read, by ``derive(obj)``, where ``_trusted`` left it out.
+    """Let field ``name`` of the record class ``cls`` be derived on its
+    first read, by ``derive(obj)``, where ``_trusted`` left it out.
 
     ``cached_property`` is a non-data descriptor: a field that is set
     lives in the instance ``__dict__`` and is read from there, as
@@ -230,8 +270,7 @@ class _Minter:
 VertexMap = dict[int, int]
 
 
-@dataclass(frozen=True)
-class TermGraph:
+class TermGraph(_Record):
     """Rooted labeled graph with ordered successors, vertices 0..n-1.
 
     ``names`` keeps the construction-time vertex names for reporting and
@@ -240,13 +279,15 @@ class TermGraph:
     ``isomorphic`` compares structure alone.
     """
 
-    variant: SignatureVariant
-    labels: tuple[Label, ...]
-    args: tuple[tuple[int, ...], ...]
-    root: int
-    names: tuple[str, ...]
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        variant: SignatureVariant,
+        labels: tuple[Label, ...],
+        args: tuple[tuple[int, ...], ...],
+        root: int,
+        names: tuple[str, ...],
+    ):
+        self.__dict__.update(variant=variant, labels=labels, args=args, root=root, names=names)
         # A direct construction: every id must name a vertex, or readers
         # would index past the end or wrap a negative id round; every row
         # must fit its label, or inference would index past a row; and

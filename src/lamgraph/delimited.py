@@ -30,7 +30,6 @@ trusts them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import (
@@ -41,6 +40,7 @@ from .core import (
     VariantMismatch,
     _derived_field,
     _predecessors,
+    _Record,
     _trusted,
 )
 from .scoped import (
@@ -174,8 +174,7 @@ def is_lambda_term_graph(g: TermGraph) -> bool:
     return _infer_inner(g)[0] is not None
 
 
-@dataclass(frozen=True)
-class DelimitedGraph:
+class DelimitedGraph(_Record, unhashed=("prefixes",)):
     """A graph that passed prefix inference, with its innermost binders
     cached as ``_inner``.
 
@@ -186,10 +185,8 @@ class DelimitedGraph:
     its words derived from the binders on their first read (``_words``).
     """
 
-    graph: TermGraph
-    prefixes: dict[int, tuple[int, ...]] = field(hash=False)
-
-    def __post_init__(self):
+    def __init__(self, graph: TermGraph, prefixes: dict[int, tuple[int, ...]]):
+        self.__dict__.update(graph=graph, prefixes=prefixes)
         if not {tuple}.issuperset(map(type, self.prefixes.values())):
             # A word given as a list, say, is read as its tuple, as
             # ``PrefixedGraph`` reads it, and kept as one.

@@ -25,29 +25,31 @@ fixes its successor's word, without it may shorten it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Mapping, Sequence
 
-from .core import DomainMismatch, Label, TermGraph, VariantMismatch, _derived_field
+from .core import DomainMismatch, Label, TermGraph, VariantMismatch, _derived_field, _Record
 
 # Normalized scope / prefix functions over a fixed graph: keyed by vertex id.
 ScopeFn = dict[int, frozenset[int]]
 PrefixFn = dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str
-    witnesses: tuple[int, ...]
+class Violation(_Record):
+    """One failed condition of a validator, with the vertices that witness it."""
+
+    def __init__(self, condition: str, witnesses: tuple[int, ...]):
+        self.__dict__.update(condition=condition, witnesses=witnesses)
 
     def describe(self, g: TermGraph) -> str:
         return f"{self.condition} at {', '.join(g.names[v] for v in self.witnesses)}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Record):
+    """A validator's verdict: it passed if it found no violation."""
+
+    def __init__(self, violations: tuple[Violation, ...] = ()):
+        self.__dict__.update(violations=violations)
 
     @property
     def passed(self) -> bool:
@@ -384,8 +386,7 @@ def _prefix_word_sanity(g: TermGraph, p: PrefixFn) -> list[Violation]:
     return bad
 
 
-@dataclass(frozen=True)
-class ScopedGraph:
+class ScopedGraph(_Record, unhashed=("scopes",)):
     """A delimiter-free term graph together with a valid scope function.
 
     The constructor takes a map keyed by vertex ids and refuses an
@@ -397,10 +398,8 @@ class ScopedGraph:
     scoping.
     """
 
-    graph: TermGraph
-    scopes: dict[int, frozenset[int]] = field(hash=False)
-
-    def __post_init__(self):
+    def __init__(self, graph: TermGraph, scopes: dict[int, frozenset[int]]):
+        self.__dict__.update(graph=graph, scopes=scopes)
         g = self.graph
         _check_scope_domain(g, self.scopes)
         if g.variant.del_arity is not None:
@@ -469,8 +468,7 @@ def _words(inner: Sequence[int]) -> PrefixFn:
     return dict(enumerate(map(below.__getitem__, inner)))
 
 
-@dataclass(frozen=True)
-class PrefixedGraph:
+class PrefixedGraph(_Record, unhashed=("prefixes",)):
     """A delimiter-free term graph with a valid abstraction-prefix function.
 
     The constructor takes a map keyed by vertex ids and refuses an
@@ -481,10 +479,8 @@ class PrefixedGraph:
     words are derived where they are first read (``_words``).
     """
 
-    graph: TermGraph
-    prefixes: dict[int, tuple[int, ...]] = field(hash=False)
-
-    def __post_init__(self):
+    def __init__(self, graph: TermGraph, prefixes: dict[int, tuple[int, ...]]):
+        self.__dict__.update(graph=graph, prefixes=prefixes)
         if not {tuple}.issuperset(map(type, self.prefixes.values())):
             # A word given as a list, say, is read as its tuple, as the
             # validator reads it, and kept as one.

@@ -29,7 +29,6 @@ result off the projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
@@ -39,6 +38,7 @@ from .core import (
     VariantMismatch,
     VertexMap,
     _predecessors,
+    _Record,
     _trusted,
     find_homomorphism,
 )
@@ -71,13 +71,11 @@ class NotEagerScope(GraphError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Vertex -> block id, with blocks numbered by first DFS visit."""
 
-    block: tuple[int, ...]
-    block_count: int
-    root_block: int
+    def __init__(self, block: tuple[int, ...], block_count: int, root_block: int):
+        self.__dict__.update(block=block, block_count=block_count, root_block=root_block)
 
     def as_blocks(self) -> frozenset[frozenset[int]]:
         groups: dict[int, set[int]] = {}

@@ -7,10 +7,11 @@ recursive bindings, parentheses for grouping.  Identifiers match
 and ``in``.  Only closed terms are accepted.
 
 ``Var``, ``Abs`` and ``Letrec`` refuse, with ``ValueError``, a name that
-is no identifier and a letrec without bindings, so every term object
-prints (``format_term``) as text that parses; whether that text is
-closed and binds each name once per group is checked where it is
-parsed.
+is no identifier and a letrec without bindings, and ``App``, ``Abs`` and
+``Letrec`` refuse, with ``TypeError``, a subterm that is no term and a
+binding that is no (name, term) pair, so every term object prints
+(``format_term``) as text that parses; whether that text is closed and
+binds each name once per group is checked where it is parsed.
 
 The tokens are the texts of one ``findall`` of a regular expression
 without groups (``_TOKEN``): identifiers, comments and single
@@ -185,6 +186,12 @@ def _check_name(name) -> None:
         raise ValueError(f"not an identifier: {name!r}")
 
 
+def _check_term(t) -> None:
+    """Refuse a subterm that is no term, as ``format_term`` would."""
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
@@ -198,6 +205,10 @@ class App(Term):
     fun: Term
     arg: Term
 
+    def __post_init__(self):
+        _check_term(self.fun)
+        _check_term(self.arg)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Abs(Term):
@@ -206,6 +217,7 @@ class Abs(Term):
 
     def __post_init__(self):
         _check_name(self.name)
+        _check_term(self.body)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -216,8 +228,12 @@ class Letrec(Term):
     def __post_init__(self):
         if not self.bindings:
             raise ValueError("a letrec needs at least one binding")
-        for name, _ in self.bindings:
-            _check_name(name)
+        for binding in self.bindings:
+            if type(binding) is not tuple or len(binding) != 2:
+                raise TypeError(f"not a (name, term) binding: {binding!r}")
+            _check_name(binding[0])
+            _check_term(binding[1])
+        _check_term(self.body)
 
 
 # One token per match, the whole match its text: an identifier, a
@@ -486,25 +502,31 @@ def _read_back(tab: _Table) -> Term:
     """The term of a table, built in one pass over its nodes, each from
     its children, which precede it.  A binding's term is complete at its
     last node, where the groups spliced into it are put back around it.
-    The scan checked every name, so the nodes are made through
-    ``_trusted``, without the constructors' checks."""
+    The scan checked every name, so each node is made without the
+    constructors' checks: an empty instance whose fields are written
+    into its ``__dict__``."""
     kind, data, base, name, groups, spliced = tab.kind, tab.data, tab.base, tab.name, tab.groups, tab.spliced
     inner = {c for lets in spliced.values() for ids in lets for c in ids}
     ends = dict(zip(tab.term, range(len(tab.term))))  # a binding's last node -> its id
     full: list = [None] * len(tab.term)  # each binding's term
     built: list[Term] = []
+    new = object.__new__
     for i, k in enumerate(kind):
+        t = new(_CLASS[k])
+        fields = t.__dict__
         if k == _VAR:
-            t = _trusted(Var, name=base[i][:-1])
+            fields["name"] = base[i][:-1]
         elif k == _REF:
-            t = _trusted(Var, name=name[data[i]])
+            fields["name"] = name[data[i]]
         elif k == _APP:
-            t = _trusted(App, fun=built[data[i]], arg=built[-1])
+            fields["fun"] = built[data[i]]
+            fields["arg"] = built[-1]
         elif k == _ABS:
-            t = _trusted(Abs, name=base[i], body=built[-1])
+            fields["name"] = base[i]
+            fields["body"] = built[-1]
         else:
-            group = tuple((name[c], full[c]) for c in groups[i] if c not in inner)
-            t = _trusted(Letrec, bindings=group, body=built[-1])
+            fields["bindings"] = tuple((name[c], full[c]) for c in groups[i] if c not in inner)
+            fields["body"] = built[-1]
         built.append(t)
         b = ends.get(i)
         if b is not None:

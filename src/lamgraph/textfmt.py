@@ -28,10 +28,9 @@ reader: ``ScopedGraph`` scans the members and inverts the scopes once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import RESERVED_NAMES, GraphError, Label, SignatureVariant, TermGraph, UnreachableVertex
-from .core import _build_ids
+from .core import _build_ids, _Record
 from .scoped import _check_scope_keys
 
 # A label's token is its ``str``.
@@ -60,11 +59,17 @@ class FormatError(GraphError):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class GraphDocument:
-    graph: TermGraph
-    prefixes: dict[int, tuple[int, ...]] | None = None
-    scopes: dict[int, frozenset[int]] | None = None
+class GraphDocument(_Record):
+    """A document's graph, with its prefix or scope function keyed by
+    vertex id where it declares one, else None."""
+
+    def __init__(
+        self,
+        graph: TermGraph,
+        prefixes: dict[int, tuple[int, ...]] | None = None,
+        scopes: dict[int, frozenset[int]] | None = None,
+    ):
+        self.__dict__.update(graph=graph, prefixes=prefixes, scopes=scopes)
 
 
 def parse_graph(text: str) -> GraphDocument:

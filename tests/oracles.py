@@ -18,8 +18,9 @@ checks on its own, prefix inference
 followed by a full validation pass, the eager and back-link checks with
 one search per word through every deeper region, the per-character
 term tokenizer and vertex-name test, the term parser that scans
-each letrec binding body before parsing it, the terms' generated
-dataclass comparison, hash and repr, and the graph constructor
+each letrec binding body before parsing it, the generated dataclass
+comparison, hash and repr of the terms and of the graph and report
+classes, and the graph constructor
 and document parser that check and resolve on vertex names, where the
 library indexes the names once and works on ids.
 """
@@ -1514,3 +1515,39 @@ def dataclass_term(t: Term):
         return _DATACLASS_TERMS[Letrec](bindings, dataclass_term(t.body))
     fields = (getattr(t, name) for name in t.__dataclass_fields__)
     return _DATACLASS_TERMS[type(t)](*(dataclass_term(x) if isinstance(x, Term) else x for x in fields))
+
+
+# The graph and report classes as the frozen dataclasses they were
+# declared as: their fields in order, with their defaults, and the
+# scoping maps outside the hash.  Each keeps its own ``__str__``, and
+# ``TermGraph`` its own ``__repr__``, with the ``vertices`` it reads, as a
+# dataclass would.
+_DATACLASS_RECORDS = {
+    cls: make_dataclass(
+        cls.__name__,
+        spec,
+        frozen=True,
+        namespace={name: vars(cls)[name] for name in ("__str__", "__repr__", "vertices") if name in vars(cls)},
+    )
+    for cls, spec in {
+        SignatureVariant: ["var_arity", ("del_arity", int, field(default=None))],
+        Path: ["vertices", "indices"],
+        TermGraph: ["variant", "labels", "args", "root", "names"],
+        Violation: ["condition", "witnesses"],
+        ValidationReport: [("violations", tuple, field(default=()))],
+        ScopedGraph: ["graph", ("scopes", dict, field(hash=False))],
+        PrefixedGraph: ["graph", ("prefixes", dict, field(hash=False))],
+        DelimitedGraph: ["graph", ("prefixes", dict, field(hash=False))],
+        GraphDocument: ["graph", ("prefixes", dict, field(default=None)), ("scopes", dict, field(default=None))],
+        Partition: ["block", "block_count", "root_block"],
+    }.items()
+}
+
+
+def dataclass_record(x):
+    """``x`` rebuilt from ``_DATACLASS_RECORDS``, the records among its
+    fields and in the tuples among them recursively."""
+    ref = _DATACLASS_RECORDS.get(type(x))
+    if ref is not None:
+        return ref(*(dataclass_record(getattr(x, name)) for name in ref.__dataclass_fields__))
+    return tuple(map(dataclass_record, x)) if type(x) is tuple else x

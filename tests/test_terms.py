@@ -144,6 +144,21 @@ def test_a_name_the_grammar_refuses_cannot_be_built(build, name):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Abs("x", "x"), "not a term: 'x'"),
+        (lambda: App(Var("x"), None), "not a term: None"),
+        (lambda: Letrec((("f", 3),), Var("f")), "not a term: 3"),
+        (lambda: Letrec((("f",),), Var("f")), "not a (name, term) binding: ('f',)"),
+    ],
+)
+def test_a_subterm_that_is_no_term_cannot_be_built(build, message):
+    # As ``format_term`` refuses such a term, so does its constructor.
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_every_identifier_builds_and_reads_back():
     for name in ("x", "_", "x'", "_y2", "Letrec", "in_", "letrecs"):
         t = Letrec(((name, Abs(name, Var(name))),), Var(name))
