@@ -85,7 +85,8 @@ class Label(Enum):
 
 
 class _Record:
-    """A frozen record: the base of the library's graph and report classes.
+    """A frozen record: the base of the library's graph, report and term
+    classes.
 
     A record's fields are the parameters of its class's ``__init__``, in
     order, which stores them in the instance ``__dict__``.  ``==``,
@@ -99,8 +100,9 @@ class _Record:
 
     def __init_subclass__(cls, unhashed=(), **kwargs):
         super().__init_subclass__(**kwargs)
-        code = cls.__init__.__code__
-        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        # A base class without an ``__init__`` of its own has no fields.
+        code = getattr(cls.__init__, "__code__", None)
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount] if code else ()
         cls._hashed = tuple(name for name in cls._fields if name not in unhashed)
 
     def _values(self, names) -> tuple:

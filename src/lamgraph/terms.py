@@ -39,22 +39,21 @@ alone, as the private attribute ``_table``, outside ``==``, ``hash`` and
 ``repr``.  ``translate.term_to_graph`` reads the table there, so the
 command route builds no term.  The first read of a field of the root
 reads the whole term back from the table, in one pass over its nodes
-(``_read_back``), and fills the root's fields.  ``==``, ``hash``,
-``repr`` and ``dataclasses.replace`` read the fields, and ``copy`` and
-``pickle`` copy the table, so each gives what it gives on a term built
-field by field; their nodes are made without the constructors'
-checks, which the scan has made.  Any other term (one built by hand, a
-subterm, a ``dataclasses.replace`` copy) has no table, and the
+(``_read_back``), and fills the root's fields.  ``==``, ``hash`` and
+``repr`` read the fields, and ``copy`` and ``pickle`` copy the table
+alone, read or not, so each gives what it gives on a term built field by
+field; their nodes are made without the constructors' checks, which the
+scan has made.  Any other term (one built by hand, a subterm, one built
+again by its constructor from a root's fields) has no table, and the
 translator parses its printed form into one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 
-from .core import _trusted
+from .core import _Record, _trusted
 
 
 class TermSyntaxError(Exception):
@@ -77,12 +76,13 @@ class DuplicateBinding(Exception):
         super().__init__(f"duplicate letrec binding {name!r} (at offset {position})")
 
 
-class Term:
-    """A term.  ``==``, ``hash`` and ``repr`` give what the frozen
-    dataclasses' generated methods give, but keep their own stacks, so a
-    term of any depth compares, hashes and prints at the default
-    recursion limit.  Terms and the tuples among their fields are walked;
-    any other field value is compared, hashed and printed as it is."""
+class Term(_Record):
+    """A term: a frozen record whose ``==``, ``hash`` and ``repr`` give
+    what the frozen dataclasses' generated methods give, but keep their
+    own stacks, so a term of any depth compares, hashes and prints at the
+    default recursion limit.  Terms and the tuples among their fields are
+    walked; any other field value is compared, hashed and printed as it
+    is."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -133,7 +133,7 @@ class Term:
                 out.append(repr(x))
                 continue
             if isinstance(x, Term):
-                names = [f"{', ' * (k > 0)}{name}=" for k, name in enumerate(x.__dataclass_fields__)]
+                names = [f"{', ' * (k > 0)}{name}=" for k, name in enumerate(x._fields)]
                 head, tail = f"{type(x).__qualname__}(", ")"
             else:
                 names = [", " * (k > 0) for k in range(len(parts))]
@@ -149,17 +149,24 @@ class Term:
         # ``parse_term`` returned holds its table alone until a field is
         # read, and then takes every field read back from the table.
         tab = self.__dict__.get("_table")
-        if tab is None or name not in self.__dataclass_fields__:
+        if tab is None or name not in self._fields:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         self.__dict__.update(vars(_read_back(tab)))
         return self.__dict__[name]
+
+    def __getstate__(self):
+        # A parsed root is copied and pickled as its table alone, read or
+        # not: its read-back fields nest as deep as the term, and the copy
+        # reads them back on its first field read.
+        tab = self.__dict__.get("_table")
+        return self.__dict__ if tab is None else {"_table": tab}
 
 
 def _parts(x) -> tuple | None:
     """What ``Term`` compares, hashes and prints ``x`` by: a term's fields
     in order, a tuple's items; None for any other value."""
     if isinstance(x, Term):
-        return tuple(getattr(x, name) for name in x.__dataclass_fields__)
+        return tuple(getattr(x, name) for name in x._fields)
     return x if type(x) is tuple else None
 
 
@@ -192,48 +199,41 @@ def _check_term(t) -> None:
         raise TypeError(f"not a term: {t!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
-    name: str
+    def __init__(self, name: str):
+        _check_name(name)
+        self.__dict__["name"] = name
 
-    def __post_init__(self):
-        _check_name(self.name)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
-    fun: Term
-    arg: Term
-
-    def __post_init__(self):
-        _check_term(self.fun)
-        _check_term(self.arg)
+    def __init__(self, fun: Term, arg: Term):
+        _check_term(fun)
+        _check_term(arg)
+        self.__dict__.update(fun=fun, arg=arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Abs(Term):
-    name: str
-    body: Term
-
-    def __post_init__(self):
-        _check_name(self.name)
-        _check_term(self.body)
+    def __init__(self, name: str, body: Term):
+        _check_name(name)
+        _check_term(body)
+        self.__dict__.update(name=name, body=body)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Letrec(Term):
-    bindings: tuple[tuple[str, Term], ...]
-    body: Term
-
-    def __post_init__(self):
-        if not self.bindings:
+    def __init__(self, bindings: tuple[tuple[str, Term], ...], body: Term):
+        # Kept as a tuple, whatever iterable it came as, so the term
+        # hashes, compares and prints as the one built with a tuple; a
+        # false value, such as None, holds no binding.
+        bindings = tuple(bindings or ())
+        if not bindings:
             raise ValueError("a letrec needs at least one binding")
-        for binding in self.bindings:
+        for binding in bindings:
             if type(binding) is not tuple or len(binding) != 2:
                 raise TypeError(f"not a (name, term) binding: {binding!r}")
             _check_name(binding[0])
             _check_term(binding[1])
-        _check_term(self.body)
+        _check_term(body)
+        self.__dict__.update(bindings=bindings, body=body)
 
 
 # One token per match, the whole match its text: an identifier, a

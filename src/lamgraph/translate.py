@@ -20,10 +20,10 @@ owner, the depth bits of its variables and the bindings it references.
 The parser's one scan builds the table (``terms._Table``) and no term
 object: the root it returns holds the table alone, and its fields are
 read back from the table only where they are first read, which the
-translator never does.  Any other term (one built by hand, a subterm, a
-``dataclasses.replace`` copy) is printed and parsed again, so the scan
-is the one producer of tables; the term constructors refuse what the
-grammar refuses, so the printed form reads back as the term.
+translator never does.  Any other term (one built by hand, a subterm,
+one built again by its constructor) is printed and parsed again, so the
+scan is the one producer of tables; the term constructors refuse what
+the grammar refuses, so the printed form reads back as the term.
 
 Analysis gives free binders as int masks over lambda depth.  One
 worklist fixpoint over the binding graph finds each binding's mask,

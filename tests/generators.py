@@ -120,6 +120,12 @@ def closed_terms(draw) -> Term:
     return gen(draw(st.integers(1, 4)), frozenset())
 
 
+def table_less_copy(t: Term) -> Term:
+    """``t`` built again by its constructor from its fields, so it holds
+    no parse table; ``getattr`` reads an unread parsed root back first."""
+    return type(t)(*(getattr(t, name) for name in t.__match_args__))
+
+
 def erase_backlinks(
     g: TermGraph, var_arity: int, del_arity: int | None
 ) -> TermGraph:

@@ -1500,28 +1500,12 @@ def name_keyed_parse_graph(text: str) -> GraphDocument:
     return GraphDocument(graph, prefixes, scopes)
 
 
-# The term classes as frozen dataclasses with the generated ==, hash and
-# repr, which recurse once per term level; ``Term`` keeps its own stacks.
-_DATACLASS_TERMS = {
-    cls: make_dataclass(cls.__name__, list(cls.__dataclass_fields__), frozen=True)
-    for cls in (Var, App, Abs, Letrec)
-}
-
-
-def dataclass_term(t: Term):
-    """``t`` rebuilt from ``_DATACLASS_TERMS``, recursively."""
-    if isinstance(t, Letrec):
-        bindings = tuple((name, dataclass_term(sub)) for name, sub in t.bindings)
-        return _DATACLASS_TERMS[Letrec](bindings, dataclass_term(t.body))
-    fields = (getattr(t, name) for name in t.__dataclass_fields__)
-    return _DATACLASS_TERMS[type(t)](*(dataclass_term(x) if isinstance(x, Term) else x for x in fields))
-
-
-# The graph and report classes as the frozen dataclasses they were
+# The graph, report and term classes as the frozen dataclasses they were
 # declared as: their fields in order, with their defaults, and the
 # scoping maps outside the hash.  Each keeps its own ``__str__``, and
 # ``TermGraph`` its own ``__repr__``, with the ``vertices`` it reads, as a
-# dataclass would.
+# dataclass would.  The term references have the generated ==, hash and
+# repr, which recurse once per term level; ``Term`` keeps its own stacks.
 _DATACLASS_RECORDS = {
     cls: make_dataclass(
         cls.__name__,
@@ -1540,13 +1524,17 @@ _DATACLASS_RECORDS = {
         DelimitedGraph: ["graph", ("prefixes", dict, field(hash=False))],
         GraphDocument: ["graph", ("prefixes", dict, field(default=None)), ("scopes", dict, field(default=None))],
         Partition: ["block", "block_count", "root_block"],
+        Var: ["name"],
+        App: ["fun", "arg"],
+        Abs: ["name", "body"],
+        Letrec: ["bindings", "body"],
     }.items()
 }
 
 
 def dataclass_record(x):
-    """``x`` rebuilt from ``_DATACLASS_RECORDS``, the records among its
-    fields and in the tuples among them recursively."""
+    """``x`` rebuilt from ``_DATACLASS_RECORDS``, the records and terms
+    among its fields and in the tuples among them recursively."""
     ref = _DATACLASS_RECORDS.get(type(x))
     if ref is not None:
         return ref(*(dataclass_record(getattr(x, name)) for name in ref.__dataclass_fields__))

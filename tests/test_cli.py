@@ -239,6 +239,19 @@ def test_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["maxshare", "collapse"])
+def test_an_undecodable_input_is_a_read_error(tmp_path, capsys, monkeypatch, command):
+    # Exit 2, as for a file that cannot be opened, naming the file; and
+    # the same for stdin.
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: ")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), encoding="utf-8"))
+    code, out, err = run(capsys, command, "-")
+    assert (code, out) == (2, "") and err.startswith("error: cannot read -: ")
+
+
 def test_degenerate_binding_reported(tmp_path, capsys):
     path = write(tmp_path, "dg.lam", r"letrec f = g; g = f in f")
     code, _, err = run(capsys, "maxshare", path)

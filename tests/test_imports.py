@@ -115,9 +115,10 @@ print((code, sorted(set(sys.modules) - before), took), file=sys.stderr)
 """
 
 # The modules outside ``lamgraph`` that a probe reports: ``json`` is for
-# --json alone, and ``dataclasses``, with the ``inspect`` it imports, for
-# the routes that read a term alone: the term classes are its only users.
-WATCHED = {"json", "dataclasses", "inspect"}
+# --json alone, and ``dataclasses``, with the ``inspect``, ``ast``, ``dis``
+# and ``tokenize`` it imports, for no route: the graph, report and term
+# classes are records, not dataclasses.
+WATCHED = {"json", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def loaded(cwd: Path, module: str, *command: str) -> set[str]:
@@ -153,10 +154,10 @@ def test_import_loads_no_submodule(files):
 # Each command with the lamgraph modules it loads beyond those of
 # ``import lamgraph.cli``, exactly: a module added to a route fails
 # here.  No command here has --json, so none may load json; only the
-# routes that read a term load ``terms``, and with it ``dataclasses``.
+# routes that read a term load ``terms``.
 CLI = {"lamgraph", "lamgraph.cli", "lamgraph.core", "lamgraph.scoped", "lamgraph.textfmt"}
 DOCUMENTS = {"lamgraph.delimited", "lamgraph.transforms"}
-TERMS = {"lamgraph.terms", "lamgraph.translate", "dataclasses", "inspect"}
+TERMS = {"lamgraph.terms", "lamgraph.translate"}
 ROUTES = [
     ("translate --from hotg --to ltg hotg", DOCUMENTS),
     ("translate --from ltg --to hotg ltg", DOCUMENTS),
@@ -170,8 +171,13 @@ ROUTES = [
 ]
 
 
-def test_cli_loads_neither_dataclasses_nor_inspect(files):
+def test_cli_loads_only_its_modules(files):
     assert loaded(files, "lamgraph.cli") == CLI
+
+
+@pytest.mark.parametrize("command", [command for command, _ in ROUTES])
+def test_cli_loads_neither_dataclasses_nor_inspect(files, command):
+    assert loaded(files, "lamgraph.cli", *command.split()).isdisjoint(WATCHED - {"json"})
 
 
 @pytest.mark.parametrize("command, extra", ROUTES, ids=[command for command, _ in ROUTES])

@@ -4,13 +4,12 @@ These tests pin what the command route builds (no term object) and that
 a read-back term is the term an eager parse would have built."""
 
 import copy
-import dataclasses
 import pickle
 import sys
 
 import pytest
 
-from generators import COLLIDING_TERMS, FIXTURE_TERMS, SCOPING_TERMS
+from generators import COLLIDING_TERMS, FIXTURE_TERMS, SCOPING_TERMS, table_less_copy
 from oracles import two_pass_parse_term
 
 from lamgraph import Abs, App, Letrec, Var, format_term, parse_term, term_to_graph
@@ -110,7 +109,7 @@ def _unread(t):
 
 
 def _read(t):
-    getattr(t, next(iter(t.__dataclass_fields__)))
+    getattr(t, t.__match_args__[0])
     return t
 
 
@@ -170,7 +169,7 @@ OPERATIONS = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda t: pickle.loads(pickle.dumps(t)),
-    "replace": dataclasses.replace,
+    "constructor": table_less_copy,
 }
 
 
@@ -181,13 +180,24 @@ def test_an_unread_root_copies_as_a_read_one(op, text):
     assert not _unread(read)
     f = OPERATIONS[op]
     from_unread, from_read = f(parse_term(text)), f(read)
-    # A copy keeps the table, unread where its original was; a replace
-    # is a new term, with none.
-    assert _unread(from_unread) == (op != "replace")
-    assert ("_table" in vars(from_read)) == (op != "replace")
+    # A copy keeps the table; the constructor builds a new term, with
+    # none.
+    assert _unread(from_unread) == (op != "constructor")
+    assert ("_table" in vars(from_read)) == (op != "constructor")
     assert type(from_unread) is type(from_read)
     assert from_unread == from_read == read
     assert term_to_graph(from_unread).graph == term_to_graph(read).graph
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_a_deep_read_root_copies_as_it_is(op):
+    # Its read-back fields nest 10^4 deep; a copy or pickle of the root
+    # takes its table alone, and reads them back on its first read.
+    t = parse_term("".join(f"\\x{i}. " for i in range(DEPTH)) + "x0")
+    t.body  # noqa: B018
+    u = OPERATIONS[op](t)
+    assert _unread(u) == (op != "constructor")
+    assert type(u) is Abs and u == t and hash(u) == hash(t)
 
 
 @pytest.mark.parametrize("text", FIXTURE_TERMS + SCOPING_TERMS)

@@ -1,10 +1,10 @@
-"""The graph and report classes are records (``core._Record``), not
-dataclasses.  Against the frozen dataclasses they were declared as
+"""The graph, report and term classes are records (``core._Record``),
+not dataclasses.  Against the frozen dataclasses they were declared as
 (``oracles.dataclass_record``) they give the same ``==``, ``hash``,
 ``repr`` and ``__match_args__``, refuse assignment and deletion alike,
-survive ``copy`` and ``pickle``, and build alike from positional,
-keyword and default arguments, with the same ``TypeError`` for a wrong
-argument list."""
+survive ``copy`` and ``pickle``, before and after a field is first read,
+and build alike from positional, keyword and default arguments, with
+the same ``TypeError`` for a wrong argument list."""
 
 import copy
 import pickle
@@ -17,8 +17,11 @@ from oracles import _DATACLASS_RECORDS, dataclass_record
 from test_cli_golden import _FIXTURE_DOCS
 
 from lamgraph import (
+    Abs,
+    App,
     DelimitedGraph,
     GraphDocument,
+    Letrec,
     Partition,
     Path,
     PrefixedGraph,
@@ -26,6 +29,7 @@ from lamgraph import (
     SignatureVariant,
     TermGraph,
     ValidationReport,
+    Var,
     Violation,
     access_path,
     coarsest_partition,
@@ -41,8 +45,8 @@ from lamgraph.core import Label
 
 def samples() -> dict[type, list]:
     """Fresh instances of each class: made by its constructor and by the
-    library's producers, some with fields not yet derived, and with
-    equal pairs among them."""
+    library's producers, some with fields not yet derived or read back,
+    and with equal pairs among them."""
     doc = {name: parse_graph(text) for name, text in _FIXTURE_DOCS.items()}
     eager, lazy, ltg = doc["running_eager"], doc["running_lazy"], doc["eager_nested"]
     scoped = ScopedGraph(eager.graph, eager.scopes)
@@ -84,6 +88,11 @@ def samples() -> dict[type, list]:
             coarsest_partition(ltg.graph),
             Partition((0, 0), 1, 0),
         ],
+        Var: [Var("x"), Var("x"), Var("y"), parse_term(r"\x. x").body],
+        App: [parse_term(r"(\x. x) (\y. y)"), App(Abs("x", Var("x")), Abs("y", Var("y"))), App(Var("f"), Var("f"))],
+        Abs: [parse_term(r"\x. x"), Abs("x", Var("x")), Abs("y", Var("y")), parse_term(r"\x. \y. x y")],
+        Letrec: [parse_term(RUNNING_TERM), parse_term(RUNNING_TERM), Letrec((("f", Var("f")),), Var("f")),
+                 Letrec((("f", Abs("x", Var("x"))), ("g", Var("f"))), App(Var("g"), Var("f")))],
     }
 
 
@@ -98,8 +107,8 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def test_the_records_are_the_ten_classes_and_no_dataclasses():
-    assert len(CLASSES) == 10 and set(samples()) == set(CLASSES)
+def test_the_records_are_the_fourteen_classes_and_no_dataclasses():
+    assert len(CLASSES) == 14 and set(samples()) == set(CLASSES)
     assert not any(is_dataclass(cls) for cls in CLASSES)
 
 
@@ -131,12 +140,15 @@ def test_assignment_and_deletion_raise_as_on_the_dataclass(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_copy_and_pickle_round_trips(cls):
     # Each round trip runs on fresh samples, before any derived field is
-    # read, and gives a record of the same class equal to the original.
+    # derived or any parsed term read back, and again after, and gives a
+    # record of the same class equal to the original.
     for trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         for x in samples()[cls]:
-            y = trip(x)
-            assert type(y) is cls and dataclass_record(y) == dataclass_record(x)
-            assert y == x and repr(y) == repr(x) and outcome(hash, y) == outcome(hash, x)
+            before = trip(x)
+            ref = dataclass_record(x)  # reads every field
+            for y in (before, trip(x)):
+                assert type(y) is cls and dataclass_record(y) == ref
+                assert y == x and repr(y) == repr(x) and outcome(hash, y) == outcome(hash, x)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -158,3 +170,25 @@ def test_construction_is_the_dataclass_one(cls):
         ]:
             raised = outcome(lambda: cls(*args, **kwargs))
             assert raised[0] is TypeError and raised == outcome(lambda: ref_cls(*args, **kwargs))
+
+
+def destructure(x, var, app, abs_, letrec):
+    """What a ``match`` statement over these four classes binds in ``x``."""
+    match x:
+        case var(name):
+            return "var", name
+        case app(fun, arg):
+            return "app", fun, arg
+        case abs_(name, body):
+            return "abs", name, body
+        case letrec(bindings, body):
+            return "letrec", bindings, body
+
+
+@pytest.mark.parametrize("cls", [Var, App, Abs, Letrec], ids=lambda cls: cls.__name__)
+def test_a_match_statement_binds_the_dataclass_fields(cls):
+    refs = [_DATACLASS_RECORDS[c] for c in (Var, App, Abs, Letrec)]
+    for x in samples()[cls]:
+        got = destructure(x, Var, App, Abs, Letrec)
+        assert got[0] == cls.__name__.lower()
+        assert dataclass_record(got) == destructure(dataclass_record(x), *refs)

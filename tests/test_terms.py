@@ -11,7 +11,7 @@ from conftest import RUNNING_TERM
 from generators import COLLIDING_TERMS, FIXTURE_TERMS, closed_terms, random_term
 from oracles import (
     _Token,
-    dataclass_term,
+    dataclass_record,
     per_character_tokenize,
     recursive_format_term,
     recursive_parse_term,
@@ -157,6 +157,17 @@ def test_a_subterm_that_is_no_term_cannot_be_built(build, message):
     # As ``format_term`` refuses such a term, so does its constructor.
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_a_letrec_keeps_its_bindings_as_a_tuple():
+    # Given as a list or a generator, the bindings are kept as the tuple
+    # of them: the term hashes and compares as the tuple-built one, and
+    # prints as text that parses to it.
+    pairs = [("f", Abs("x", App(Var("f"), Var("x")))), ("g", Var("f"))]
+    want = Letrec(tuple(pairs), Var("g"))
+    for t in (Letrec(list(pairs), Var("g")), Letrec((p for p in pairs), Var("g"))):
+        assert type(t.bindings) is tuple and t == want and hash(t) == hash(want)
+        assert parse_term(format_term(t)) == want
 
 
 def test_every_identifier_builds_and_reads_back():
@@ -554,12 +565,12 @@ def test_eq_hash_and_repr_are_the_generated_dataclass_methods():
     terms += [t for pair in built for t in pair]
     pairs += built
     for t in terms:
-        assert repr(t) == repr(dataclass_term(t)) and hash(t) == hash(dataclass_term(t))
+        assert repr(t) == repr(dataclass_record(t)) and hash(t) == hash(dataclass_record(t))
     for t, u in pairs:
-        ref_t, ref_u = dataclass_term(t), dataclass_term(u)
+        ref_t, ref_u = dataclass_record(t), dataclass_record(u)
         assert ((t == u), (t != u)) == ((ref_t == ref_u), (ref_t != ref_u)), (t, u)
     assert all(t == u for t, u in copies) and not all(t == u for t, u in pairs)
-    assert Var("x") != Abs("x", Var("x")) and Var("x") != "x" and Var("x") != dataclass_term(Var("x"))
+    assert Var("x") != Abs("x", Var("x")) and Var("x") != "x" and Var("x") != dataclass_record(Var("x"))
 
 
 # Per family: the text, a change to the last occurrence of a word in it

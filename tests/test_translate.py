@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 import time
@@ -15,6 +14,7 @@ from generators import (
     letrec_body_chain,
     random_term,
     reverse_letrec_chain,
+    table_less_copy,
 )
 from oracles import _Resolver as _SetResolver
 from oracles import (
@@ -474,14 +474,14 @@ def test_colliding_names_are_minted_around():
 
 
 # The parser's scan fills the table that term_to_graph reads; a term
-# without one, such as a dataclasses.replace copy, is printed and parsed
-# into one.  Its graph must be the parsed root's and the name-keyed
-# oracle's.
+# without one, such as a copy built by its constructor, is printed and
+# parsed into one.  Its graph must be the parsed root's and the
+# name-keyed oracle's.
 
 
 def _assert_copy_translates_as_parsed(t):
     parsed = parse_term(format_term(t))
-    copy = dataclasses.replace(t)
+    copy = table_less_copy(t)
     assert "_table" not in vars(copy)
     dg = term_to_graph(copy)
     _assert_same_translation(dg, term_to_graph(parsed))

@@ -26,7 +26,7 @@ each output:
   the same labels, successors, root, vertex names and words;
 - one graph on both of the translator's routes: the root
   ``parse_term(format_term(t))``, which holds the scan's table, and a
-  ``dataclasses.replace`` copy of t, which holds none and is printed
+  copy of t built by its constructor, which holds none and is printed
   and parsed into one, translate to the same graph;
 - the term read back from that table: a root that ``parse_term``
   returns holds its table alone, and its first read, ``==`` on one
@@ -49,7 +49,6 @@ delimiters were checked.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -57,7 +56,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from generators import COLLIDING_TERMS, FIXTURE_TERMS, SCOPING_TERMS, random_term  # noqa: E402
+from generators import COLLIDING_TERMS, FIXTURE_TERMS, SCOPING_TERMS, random_term, table_less_copy  # noqa: E402
 from oracles import name_keyed_term_to_graph  # noqa: E402
 
 from lamgraph import (  # noqa: E402
@@ -108,7 +107,7 @@ def route_difference(t) -> str | None:
     """The first field in which the graph of ``t``'s parsed printed form
     differs from that of a copy of ``t`` without a table; ``None`` if
     they agree."""
-    return difference(term_to_graph(parse_term(format_term(t))), term_to_graph(dataclasses.replace(t)))
+    return difference(term_to_graph(parse_term(format_term(t))), term_to_graph(table_less_copy(t)))
 
 
 def readback_difference(t) -> str | None:
